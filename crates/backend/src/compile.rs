@@ -1,27 +1,16 @@
-//! The engine compiler: fx graph → [`Engine`].
-//!
-//! Compilation pipeline (the fx2trt translation layer, §6.4):
-//!
-//! 1. conv–BN fusion (constant-folds every BatchNorm behind a conv);
-//! 2. a peephole walk that binds each node to a fused kernel — pulling
-//!    activation consumers into conv/linear/add epilogues and collapsing
-//!    runs of unary elementwise ops into single-pass chains;
-//! 3. dead-instruction sweep;
-//! 4. liveness analysis: each value's last consumer *takes* its buffer
-//!    (enabling in-place epilogues) and registers are re-allocated with
-//!    a free list (the memory-planning step).
+//! The engine compiler — the fx2trt translation layer (§6.4) as a pass
+//! pipeline: check the graph is inside the backend's operator set, run
+//! the [fusion passes](crate::passes) over a copy of it, and warm the
+//! fused graph's execution plan into an [`Engine`].
 
-use crate::engine::{Activation, BinKind, Engine, Instr, Kernel, UnaryKind};
-use fx_core::{Arg, Error, GraphModule, Node, NodeId, Opcode, Result};
-use fx_nn::{AdaptiveAvgPool2d, AvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d};
-use std::collections::{HashMap, HashSet};
+use crate::engine::Engine;
+use crate::passes::{self, UNARY_FUNCTIONS};
+use fx_core::{Arg, Error, GraphModule, Node, Opcode, Result};
 
-const UNARY_FUNCTIONS: &[&str] = &[
-    "relu", "gelu", "selu", "sigmoid", "tanh", "neg", "exp", "log", "sqrt", "rsqrt", "abs",
-];
-
-/// Is this node compilable into the engine? (The predicate handed to the
-/// splitter by [`lower`](crate::lower).)
+/// Is this node inside the backend's operator set? (The predicate
+/// [`lower`](crate::lower) hands to the splitter, and the gate
+/// [`compile`] applies to every node.) Closed under the fusion passes:
+/// everything they emit is supported too.
 pub fn is_supported(gm: &GraphModule, node: &Node) -> bool {
     match node.op() {
         Opcode::Placeholder | Opcode::Output | Opcode::GetAttr => true,
@@ -42,19 +31,22 @@ pub fn is_supported(gm: &GraphModule, node: &Node) -> bool {
                     | "SELU"
                     | "Sigmoid"
                     | "Tanh"
+                    | "FusedConv2d"
+                    | "FusedLinear"
+                    | "ChannelAffine"
             ),
             None => false,
         },
         Opcode::CallFunction | Opcode::CallMethod => {
             let t = node.target();
-            if UNARY_FUNCTIONS.contains(&t) || matches!(t, "flatten" | "dropout" | "contiguous")
-            {
+            if UNARY_FUNCTIONS.contains(&t) {
                 return true;
             }
             match t {
-                "add" | "mul" => true,
+                "flatten" | "dropout" | "contiguous" => true,
+                "add" | "mul" | "add_act" | "mul_act" | "unary_chain" => true,
                 "max_pool2d" | "avg_pool2d" | "adaptive_avg_pool2d" => true,
-                "batch_norm" | "conv2d" | "linear" => {
+                "batch_norm" | "conv2d" | "linear" | "conv2d_act" | "linear_act" => {
                     // Function forms need compile-time weights: every
                     // tensor operand after the input must be a get_attr.
                     node.args()
@@ -69,98 +61,23 @@ pub fn is_supported(gm: &GraphModule, node: &Node) -> bool {
     }
 }
 
-fn unary_kind(gm: &GraphModule, node: &Node) -> Option<UnaryKind> {
-    let by_name = |t: &str| match t {
-        "relu" | "ReLU" => Some(UnaryKind::Relu),
-        "gelu" | "GELU" => Some(UnaryKind::Gelu),
-        "selu" | "SELU" => Some(UnaryKind::Selu),
-        "sigmoid" | "Sigmoid" => Some(UnaryKind::Sigmoid),
-        "tanh" | "Tanh" => Some(UnaryKind::Tanh),
-        "neg" => Some(UnaryKind::Neg),
-        "exp" => Some(UnaryKind::Exp),
-        "log" => Some(UnaryKind::Log),
-        "sqrt" => Some(UnaryKind::Sqrt),
-        "rsqrt" => Some(UnaryKind::Rsqrt),
-        "abs" => Some(UnaryKind::Abs),
-        _ => None,
-    };
-    match node.op() {
-        Opcode::CallFunction | Opcode::CallMethod => {
-            if let Some(k) = by_name(node.target()) {
-                return Some(k);
-            }
-            // add/mul with one scalar immediate fold into the chain.
-            if matches!(node.target(), "add" | "mul") && node.args().len() == 2 {
-                let scalar = node.args().iter().find_map(|a| match a {
-                    Arg::Float(f) => Some(*f as f32),
-                    Arg::Int(i) => Some(*i as f32),
-                    _ => None,
-                })?;
-                let has_node = node.args().iter().any(|a| a.as_node().is_some());
-                if has_node {
-                    return Some(if node.target() == "add" {
-                        UnaryKind::AddScalar(scalar)
-                    } else {
-                        UnaryKind::MulScalar(scalar)
-                    });
-                }
-            }
-            None
-        }
-        Opcode::CallModule => gm
-            .get_module(node.target())
-            .and_then(|m| by_name(m.type_name())),
-        _ => None,
-    }
-}
-
-fn epilogue_activation(k: UnaryKind) -> Option<Activation> {
-    match k {
-        UnaryKind::Relu => Some(Activation::Relu),
-        UnaryKind::Sigmoid => Some(Activation::Sigmoid),
-        UnaryKind::Tanh => Some(Activation::Tanh),
-        UnaryKind::Gelu => Some(Activation::Gelu),
-        _ => None,
-    }
-}
-
-fn is_identity(gm: &GraphModule, node: &Node) -> bool {
-    match node.op() {
-        Opcode::CallFunction | Opcode::CallMethod => {
-            matches!(node.target(), "dropout" | "contiguous")
-        }
-        Opcode::CallModule => gm
-            .get_module(node.target())
-            .is_some_and(|m| matches!(m.type_name(), "Dropout" | "Identity")),
-        _ => false,
-    }
-}
-
-/// Ablation switches for the engine compiler. Defaults enable
-/// everything; the `ablation` bench measures each knob's contribution.
+/// Which fusion passes run. Defaults enable everything; the `ablation`
+/// bench measures each switch's contribution.
 #[derive(Debug, Clone, Copy)]
 pub struct CompileOptions {
-    /// Fold BatchNorm into preceding convs before compiling. Changes
-    /// numerics (folded weights round differently; engine tests use
-    /// `allclose`, not bit equality).
+    /// Fold BatchNorm into preceding convs (`fx_passes::fuse_conv_bn`).
+    /// Changes numerics: folded weights round differently, so results
+    /// agree to `allclose`, not bitwise.
     pub fuse_conv_bn: bool,
-    /// Pull activation consumers into conv/linear/add epilogues.
-    /// Bit-preserving: the epilogue applies the same scalar kernel to
-    /// the same values in the same order.
+    /// Pull activation consumers into conv/linear/add epilogues
+    /// ([`passes::fuse_epilogues`]). Bit-preserving.
     pub fuse_epilogues: bool,
-    /// Collapse runs of unary elementwise ops into one pass.
-    /// Bit-preserving for the same reason.
+    /// Collapse runs of unary elementwise ops into one pass
+    /// ([`passes::fuse_unary_chains`]). Bit-preserving.
     pub fuse_unary_chains: bool,
-    /// Liveness-plan registers (buffer reuse + in-place takes).
-    /// Bit-preserving: only buffer placement changes.
-    pub plan_registers: bool,
-    /// Route eligible 1×1 convs to the direct pointwise GEMM. Changes
-    /// numerics: the pointwise kernel accumulates with a single
-    /// streaming accumulator (`gemm_nn`) while the eager im2col path
-    /// uses 8-lane split accumulators (`gemm_nt`), so the two disagree
-    /// in final float bits. Disable for bit-identity with the
-    /// [`Executor`](fx_core::Executor) (see
-    /// [`EngineBackend`](crate::EngineBackend)).
+    /// Route eligible 1×1 convs to the direct pointwise GEMM
+    /// ([`passes::route_pointwise`]). Changes numerics: that kernel
+    /// reduces in a different order than the default one.
     pub pointwise: bool,
 }
 
@@ -170,154 +87,31 @@ impl Default for CompileOptions {
             fuse_conv_bn: true,
             fuse_epilogues: true,
             fuse_unary_chains: true,
-            plan_registers: true,
             pointwise: true,
         }
     }
 }
 
-struct Compiler<'a> {
-    gm: &'a GraphModule,
-    opts: CompileOptions,
-    reg_of: HashMap<NodeId, usize>,
-    next_reg: usize,
-    consts: Vec<Tensor>,
-    instrs: Vec<Instr>,
-    skipped: HashSet<NodeId>,
-    input_regs: Vec<usize>,
-    output_reg: Option<usize>,
-}
-
-use fx_tensor::Tensor;
-
-impl<'a> Compiler<'a> {
-    fn fresh(&mut self) -> usize {
-        let r = self.next_reg;
-        self.next_reg += 1;
-        r
+/// Run the fusion pipeline over `gm` in place and return the total
+/// number of rewrites. Total over any graph: nodes outside the backend's
+/// operator set are left untouched.
+pub fn fuse(gm: &mut GraphModule, opts: CompileOptions) -> Result<usize> {
+    let mut rewrites = 0;
+    if opts.fuse_conv_bn {
+        rewrites += fx_passes::fuse_conv_bn(gm)?;
     }
-
-    fn reg(&self, id: NodeId) -> Result<usize> {
-        self.reg_of.get(&id).copied().ok_or_else(|| {
-            Error::Graph(format!(
-                "engine compile: node %{} has no register",
-                id.index()
-            ))
-        })
+    rewrites += passes::elide_identities(gm)?;
+    rewrites += passes::bn_to_affine(gm)?;
+    if opts.fuse_epilogues {
+        rewrites += passes::fuse_epilogues(gm)?;
     }
-
-    fn input_reg_of(&self, node: &Node) -> Result<usize> {
-        let id = node
-            .args()
-            .first()
-            .and_then(Arg::as_node)
-            .ok_or_else(|| unsupported(node, "expected a tensor input"))?;
-        self.reg(id)
+    if opts.fuse_unary_chains {
+        rewrites += passes::fuse_unary_chains(gm)?;
     }
-
-    fn attr_tensor(&self, node: &Node, arg_idx: usize) -> Result<Option<Tensor>> {
-        match node.args().get(arg_idx) {
-            None | Some(Arg::None) => Ok(None),
-            Some(Arg::Node(id)) => {
-                let dep = self.gm.graph().node(*id);
-                if dep.op() != Opcode::GetAttr {
-                    return Err(unsupported(node, "weight must be a get_attr constant"));
-                }
-                self.gm
-                    .get_attr_tensor(dep.target())
-                    .cloned()
-                    .map(Some)
-                    .ok_or_else(|| unsupported(node, "missing attribute tensor"))
-            }
-            Some(_) => Err(unsupported(node, "expected tensor or None")),
-        }
+    if opts.pointwise {
+        rewrites += passes::route_pointwise(gm)?;
     }
-
-    fn pair(&self, node: &Node, i: usize, default: (usize, usize)) -> (usize, usize) {
-        match node.args().get(i) {
-            Some(Arg::Int(v)) => (*v as usize, *v as usize),
-            Some(Arg::Tuple(items)) | Some(Arg::List(items)) if items.len() == 2 => {
-                match (items[0].as_int(), items[1].as_int()) {
-                    (Some(a), Some(b)) => (a as usize, b as usize),
-                    _ => default,
-                }
-            }
-            _ => default,
-        }
-    }
-
-    fn emit(&mut self, kernel: Kernel, srcs: Vec<usize>, node: NodeId) -> usize {
-        let dst = self.fresh();
-        let takes = vec![false; srcs.len()];
-        self.instrs.push(Instr {
-            kernel,
-            srcs,
-            takes,
-            dst,
-        });
-        self.reg_of.insert(node, dst);
-        dst
-    }
-
-    /// Try to absorb `node`'s single consumer as an activation epilogue.
-    /// Returns the chosen activation; marks the consumer skipped and
-    /// aliased to `node`'s (future) register.
-    fn fuse_epilogue(&mut self, node: &Node) -> (Activation, Option<NodeId>) {
-        if !self.opts.fuse_epilogues {
-            return (Activation::None, None);
-        }
-        let users = self.gm.graph().users(node.id());
-        if users.len() != 1 {
-            return (Activation::None, None);
-        }
-        let user = self.gm.graph().node(users[0]);
-        if user.op() == Opcode::Output {
-            return (Activation::None, None);
-        }
-        // The consumer must take `node` as its sole tensor input.
-        if user.input_nodes() != vec![node.id()] {
-            return (Activation::None, None);
-        }
-        match unary_kind(self.gm, user).and_then(epilogue_activation) {
-            Some(act) => {
-                self.skipped.insert(user.id());
-                (act, Some(user.id()))
-            }
-            None => (Activation::None, None),
-        }
-    }
-
-    fn alias_fused(&mut self, fused: Option<NodeId>, dst: usize) {
-        if let Some(id) = fused {
-            self.reg_of.insert(id, dst);
-        }
-    }
-}
-
-/// Kernel selection: is this conv eligible for the direct pointwise
-/// GEMM (1×1 kernel, unit stride, no padding/dilation/groups)?
-fn is_pointwise(
-    weight: &Tensor,
-    stride: (usize, usize),
-    padding: (usize, usize),
-    dilation: (usize, usize),
-    groups: usize,
-) -> bool {
-    let w = weight.shape();
-    w.len() == 4
-        && w[2] == 1
-        && w[3] == 1
-        && stride == (1, 1)
-        && padding == (0, 0)
-        && dilation == (1, 1)
-        && groups == 1
-}
-
-fn unsupported(node: &Node, why: &str) -> Error {
-    Error::UnknownOp {
-        kind: "function",
-        name: format!("engine compile: `{}` ({}): {why}", node.name(), node.target()),
-    }
+    Ok(rewrites + passes::eliminate_dead_code(gm)?)
 }
 
 /// Compile a fully-supported [`GraphModule`] into an [`Engine`].
@@ -329,451 +123,19 @@ pub fn compile(gm: &GraphModule) -> Result<Engine> {
 
 /// Compile with explicit [`CompileOptions`] (the ablation entry point).
 pub fn compile_with(gm: &GraphModule, opts: CompileOptions) -> Result<Engine> {
-    let mut gm = gm.clone();
-    if opts.fuse_conv_bn {
-        fx_passes::fuse_conv_bn(&mut gm)?;
-        gm.graph_mut().eliminate_dead_code();
-        gm.recompile()?;
+    if let Some(node) = gm.graph().nodes().find(|n| !is_supported(gm, n)) {
+        return Err(Error::UnknownOp {
+            kind: "function",
+            name: format!(
+                "engine compile: `{}` ({}) is outside the backend's operator set",
+                node.name(),
+                node.target()
+            ),
+        });
     }
-    compile_prefused_with(&gm, opts)
-}
-
-/// Compile without running fusion first (used on split partitions that
-/// were already fused by [`lower`](crate::lower)).
-pub(crate) fn compile_prefused(gm: &GraphModule) -> Result<Engine> {
-    compile_prefused_with(gm, CompileOptions::default())
-}
-
-fn compile_prefused_with(gm: &GraphModule, opts: CompileOptions) -> Result<Engine> {
-    let mut c = Compiler {
-        gm,
-        opts,
-        reg_of: HashMap::new(),
-        next_reg: 0,
-        consts: Vec::new(),
-        instrs: Vec::new(),
-        skipped: HashSet::new(),
-        input_regs: Vec::new(),
-        output_reg: None,
-    };
-
-    for id in gm.graph().node_ids() {
-        if c.skipped.contains(&id) {
-            continue;
-        }
-        let node = gm.graph().node(id).clone();
-        match node.op() {
-            Opcode::Placeholder => {
-                let r = c.fresh();
-                c.input_regs.push(r);
-                c.reg_of.insert(id, r);
-            }
-            Opcode::GetAttr => {
-                let t = gm.get_attr_tensor(node.target()).cloned().ok_or_else(|| {
-                    unsupported(&node, "missing attribute tensor")
-                })?;
-                let idx = c.consts.len();
-                c.consts.push(t);
-                c.emit(Kernel::LoadConst(idx), vec![], id);
-            }
-            Opcode::Output => {
-                let out = node
-                    .args()
-                    .first()
-                    .and_then(Arg::as_node)
-                    .ok_or_else(|| unsupported(&node, "engine output must be one tensor"))?;
-                c.output_reg = Some(c.reg(out)?);
-            }
-            _ if is_identity(gm, &node) => {
-                let r = c.input_reg_of(&node)?;
-                c.reg_of.insert(id, r);
-            }
-            Opcode::CallModule => compile_module(&mut c, &node)?,
-            Opcode::CallFunction | Opcode::CallMethod => compile_call(&mut c, &node)?,
-        }
-    }
-    let output_reg = c
-        .output_reg
-        .ok_or_else(|| Error::Graph("engine compile: graph has no output".to_string()))?;
-
-    let mut engine = Engine {
-        name: "engine".to_string(),
-        instrs: c.instrs,
-        consts: c.consts,
-        n_regs: c.next_reg,
-        input_regs: c.input_regs,
-        output_reg,
-    };
-    sweep_dead_instrs(&mut engine);
-    if opts.plan_registers {
-        plan_registers(&mut engine);
-    }
-    Ok(engine)
-}
-
-fn compile_module(c: &mut Compiler<'_>, node: &Node) -> Result<()> {
-    let module = c
-        .gm
-        .get_module(node.target())
-        .cloned()
-        .ok_or_else(|| unsupported(node, "missing submodule"))?;
-    let any = module.as_any();
-    if let Some(conv) = any.downcast_ref::<Conv2d>() {
-        let x = c.input_reg_of(node)?;
-        let (act, fused) = c.fuse_epilogue(node);
-        let (stride, padding, dilation, groups) = conv.geometry();
-        let pointwise =
-            c.opts.pointwise && is_pointwise(conv.weight(), stride, padding, dilation, groups);
-        let dst = c.emit(
-            Kernel::ConvAct {
-                weight: conv.weight().clone(),
-                bias: conv.bias().cloned(),
-                stride,
-                padding,
-                dilation,
-                groups,
-                act,
-                pointwise,
-            },
-            vec![x],
-            node.id(),
-        );
-        c.alias_fused(fused, dst);
-    } else if let Some(lin) = any.downcast_ref::<Linear>() {
-        let x = c.input_reg_of(node)?;
-        let (act, fused) = c.fuse_epilogue(node);
-        let dst = c.emit(
-            Kernel::LinearAct {
-                weight: lin.weight().clone(),
-                bias: lin.bias().cloned(),
-                act,
-            },
-            vec![x],
-            node.id(),
-        );
-        c.alias_fused(fused, dst);
-    } else if let Some(bn) = any.downcast_ref::<BatchNorm2d>() {
-        let x = c.input_reg_of(node)?;
-        let gamma = bn.weight().as_f32()?;
-        let beta = bn.bias().as_f32()?;
-        let mean = bn.running_mean().as_f32()?;
-        let var = bn.running_var().as_f32()?;
-        let scale: Vec<f32> = gamma
-            .iter()
-            .zip(var)
-            .map(|(g, v)| g / (v + bn.eps()).sqrt())
-            .collect();
-        let shift: Vec<f32> = beta
-            .iter()
-            .zip(mean.iter().zip(&scale))
-            .map(|(b, (m, s))| b - m * s)
-            .collect();
-        c.emit(Kernel::ChannelAffine { scale, shift }, vec![x], node.id());
-    } else if let Some(p) = any.downcast_ref::<MaxPool2d>() {
-        let x = c.input_reg_of(node)?;
-        c.emit(
-            Kernel::MaxPool {
-                kernel: p.kernel_size,
-                stride: p.stride,
-                padding: p.padding,
-            },
-            vec![x],
-            node.id(),
-        );
-    } else if let Some(p) = any.downcast_ref::<AvgPool2d>() {
-        let x = c.input_reg_of(node)?;
-        c.emit(
-            Kernel::AvgPool {
-                kernel: p.kernel_size,
-                stride: p.stride,
-                padding: p.padding,
-            },
-            vec![x],
-            node.id(),
-        );
-    } else if let Some(p) = any.downcast_ref::<AdaptiveAvgPool2d>() {
-        let x = c.input_reg_of(node)?;
-        c.emit(
-            Kernel::AdaptiveAvgPool {
-                output: p.output_size,
-            },
-            vec![x],
-            node.id(),
-        );
-    } else if let Some(f) = any.downcast_ref::<Flatten>() {
-        let x = c.input_reg_of(node)?;
-        c.emit(
-            Kernel::Flatten {
-                start: f.start_dim,
-                end: f.end_dim,
-            },
-            vec![x],
-            node.id(),
-        );
-    } else if unary_kind(c.gm, node).is_some() {
-        compile_unary_chain(c, node)?;
-    } else {
-        return Err(unsupported(node, "module type not engine-compilable"));
-    }
-    Ok(())
-}
-
-fn compile_call(c: &mut Compiler<'_>, node: &Node) -> Result<()> {
-    match node.target() {
-        "conv2d" => {
-            let x = c.input_reg_of(node)?;
-            let weight = c
-                .attr_tensor(node, 1)?
-                .ok_or_else(|| unsupported(node, "conv2d needs a weight"))?;
-            let bias = c.attr_tensor(node, 2)?;
-            let (act, fused) = c.fuse_epilogue(node);
-            let stride = c.pair(node, 3, (1, 1));
-            let padding = c.pair(node, 4, (0, 0));
-            let dilation = c.pair(node, 5, (1, 1));
-            let groups = node.args().get(6).and_then(Arg::as_int).unwrap_or(1) as usize;
-            let pointwise =
-                c.opts.pointwise && is_pointwise(&weight, stride, padding, dilation, groups);
-            let dst = c.emit(
-                Kernel::ConvAct {
-                    weight,
-                    bias,
-                    stride,
-                    padding,
-                    dilation,
-                    groups,
-                    act,
-                    pointwise,
-                },
-                vec![x],
-                node.id(),
-            );
-            c.alias_fused(fused, dst);
-        }
-        "linear" => {
-            let x = c.input_reg_of(node)?;
-            let weight = c
-                .attr_tensor(node, 1)?
-                .ok_or_else(|| unsupported(node, "linear needs a weight"))?;
-            let bias = c.attr_tensor(node, 2)?;
-            let (act, fused) = c.fuse_epilogue(node);
-            let dst = c.emit(Kernel::LinearAct { weight, bias, act }, vec![x], node.id());
-            c.alias_fused(fused, dst);
-        }
-        "batch_norm" => {
-            let x = c.input_reg_of(node)?;
-            let gamma = c
-                .attr_tensor(node, 1)?
-                .ok_or_else(|| unsupported(node, "batch_norm needs gamma"))?;
-            let beta = c
-                .attr_tensor(node, 2)?
-                .ok_or_else(|| unsupported(node, "batch_norm needs beta"))?;
-            let mean = c
-                .attr_tensor(node, 3)?
-                .ok_or_else(|| unsupported(node, "batch_norm needs mean"))?;
-            let var = c
-                .attr_tensor(node, 4)?
-                .ok_or_else(|| unsupported(node, "batch_norm needs var"))?;
-            let eps = node
-                .args()
-                .get(5)
-                .and_then(|a| a.as_float())
-                .unwrap_or(1e-5) as f32;
-            let scale: Vec<f32> = gamma
-                .as_f32()?
-                .iter()
-                .zip(var.as_f32()?)
-                .map(|(g, v)| g / (v + eps).sqrt())
-                .collect();
-            let shift: Vec<f32> = beta
-                .as_f32()?
-                .iter()
-                .zip(mean.as_f32()?.iter().zip(&scale))
-                .map(|(b, (m, s))| b - m * s)
-                .collect();
-            c.emit(Kernel::ChannelAffine { scale, shift }, vec![x], node.id());
-        }
-        "add" | "mul" if node.input_nodes().len() == 2 => {
-            let ids: Vec<NodeId> = node.args().iter().filter_map(Arg::as_node).collect();
-            let a = c.reg(ids[0])?;
-            let b = c.reg(ids[1])?;
-            let (act, fused) = c.fuse_epilogue(node);
-            let kind = if node.target() == "add" {
-                BinKind::Add
-            } else {
-                BinKind::Mul
-            };
-            let dst = c.emit(Kernel::BinOp { kind, act }, vec![a, b], node.id());
-            c.alias_fused(fused, dst);
-        }
-        "max_pool2d" => {
-            let x = c.input_reg_of(node)?;
-            let kernel = c.pair(node, 1, (1, 1));
-            c.emit(
-                Kernel::MaxPool {
-                    kernel,
-                    stride: c.pair(node, 2, kernel),
-                    padding: c.pair(node, 3, (0, 0)),
-                },
-                vec![x],
-                node.id(),
-            );
-        }
-        "avg_pool2d" => {
-            let x = c.input_reg_of(node)?;
-            let kernel = c.pair(node, 1, (1, 1));
-            c.emit(
-                Kernel::AvgPool {
-                    kernel,
-                    stride: c.pair(node, 2, kernel),
-                    padding: c.pair(node, 3, (0, 0)),
-                },
-                vec![x],
-                node.id(),
-            );
-        }
-        "adaptive_avg_pool2d" => {
-            let x = c.input_reg_of(node)?;
-            c.emit(
-                Kernel::AdaptiveAvgPool {
-                    output: c.pair(node, 1, (1, 1)),
-                },
-                vec![x],
-                node.id(),
-            );
-        }
-        "flatten" => {
-            let x = c.input_reg_of(node)?;
-            c.emit(
-                Kernel::Flatten {
-                    start: node.args().get(1).and_then(Arg::as_int).unwrap_or(0),
-                    end: node.args().get(2).and_then(Arg::as_int).unwrap_or(-1),
-                },
-                vec![x],
-                node.id(),
-            );
-        }
-        _ if unary_kind(c.gm, node).is_some() => compile_unary_chain(c, node)?,
-        _ => return Err(unsupported(node, "op not engine-compilable")),
-    }
-    Ok(())
-}
-
-/// Start a unary chain at `node` and greedily absorb single-user unary
-/// consumers.
-fn compile_unary_chain(c: &mut Compiler<'_>, node: &Node) -> Result<()> {
-    let x = c.input_reg_of(node)?;
-    let mut chain = vec![unary_kind(c.gm, node).expect("caller checked")];
-    let mut chain_ids = vec![node.id()];
-    let mut cur = node.id();
-    while c.opts.fuse_unary_chains {
-        let users = c.gm.graph().users(cur);
-        if users.len() != 1 {
-            break;
-        }
-        let user = c.gm.graph().node(users[0]);
-        if user.op() == Opcode::Output || user.input_nodes() != vec![cur] {
-            break;
-        }
-        let Some(k) = unary_kind(c.gm, user) else { break };
-        chain.push(k);
-        chain_ids.push(user.id());
-        c.skipped.insert(user.id());
-        cur = user.id();
-    }
-    let dst = c.emit(Kernel::UnaryChain(chain), vec![x], node.id());
-    for id in chain_ids {
-        c.reg_of.insert(id, dst);
-    }
-    Ok(())
-}
-
-/// Remove instructions whose destination is never consumed (e.g. a
-/// `LoadConst` for a weight that a fused kernel absorbed).
-fn sweep_dead_instrs(engine: &mut Engine) {
-    loop {
-        let mut used: HashSet<usize> = HashSet::new();
-        used.insert(engine.output_reg);
-        for i in &engine.instrs {
-            used.extend(i.srcs.iter().copied());
-        }
-        let before = engine.instrs.len();
-        engine.instrs.retain(|i| used.contains(&i.dst));
-        if engine.instrs.len() == before {
-            break;
-        }
-    }
-}
-
-/// Liveness: fill in `takes` and compact the register file with a free
-/// list.
-fn plan_registers(engine: &mut Engine) {
-    // Last use index per SSA register.
-    let mut last_use: HashMap<usize, usize> = HashMap::new();
-    for (i, instr) in engine.instrs.iter().enumerate() {
-        for &s in &instr.srcs {
-            last_use.insert(s, i);
-        }
-    }
-    // The output register must survive to the end.
-    last_use.insert(engine.output_reg, usize::MAX);
-
-    for (i, instr) in engine.instrs.iter_mut().enumerate() {
-        let n = instr.srcs.len();
-        for j in 0..n {
-            let s = instr.srcs[j];
-            let is_last_overall = last_use.get(&s) == Some(&i);
-            let is_last_in_instr = !instr.srcs[j + 1..].contains(&s);
-            instr.takes[j] = is_last_overall && is_last_in_instr;
-        }
-    }
-
-    // Physical register assignment with a free list.
-    let mut phys: HashMap<usize, usize> = HashMap::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut next = 0usize;
-    let mut alloc = |free: &mut Vec<usize>| {
-        free.pop().unwrap_or_else(|| {
-            let r = next;
-            next += 1;
-            r
-        })
-    };
-    for &r in &engine.input_regs {
-        let p = alloc(&mut free);
-        phys.insert(r, p);
-    }
-    let instrs_snapshot: Vec<(Vec<usize>, usize)> = engine
-        .instrs
-        .iter()
-        .map(|i| (i.srcs.clone(), i.dst))
-        .collect();
-    for (i, (srcs, dst)) in instrs_snapshot.iter().enumerate() {
-        // Free sources whose last use is this instruction (before
-        // allocating dst, enabling in-place reuse of the slot).
-        for &s in srcs {
-            if last_use.get(&s) == Some(&i) {
-                if let Some(p) = phys.get(&s) {
-                    if !free.contains(p) {
-                        free.push(*p);
-                    }
-                }
-            }
-        }
-        let p = alloc(&mut free);
-        phys.insert(*dst, p);
-    }
-    // Remap.
-    for instr in &mut engine.instrs {
-        for s in &mut instr.srcs {
-            *s = phys[s];
-        }
-        instr.dst = phys[&instr.dst];
-    }
-    for r in &mut engine.input_regs {
-        *r = phys[r];
-    }
-    engine.output_reg = phys[&engine.output_reg];
-    engine.n_regs = next;
+    let mut fused = gm.clone();
+    fuse(&mut fused, opts)?;
+    Engine::new(fused)
 }
 
 #[cfg(test)]
@@ -781,8 +143,8 @@ mod tests {
     use super::*;
     use fx_core::{symbolic_trace, ModuleExt, Value};
     use fx_models::{resnet_tiny, Mlp};
-    use fx_tensor::rng::StdRng;
-    use fx_tensor::rng::SeedableRng;
+    use fx_tensor::rng::{SeedableRng, StdRng};
+    use fx_tensor::Tensor;
 
     #[test]
     fn mlp_compiles_and_matches_interpreter() {
@@ -795,14 +157,20 @@ mod tests {
         let x = Tensor::rand_uniform(&[4, 16], -1.0, 1.0, &mut rng);
         let y_ref = gm.run(&[Value::Tensor(x.clone())]).unwrap();
         let y = engine.run(&[x]).unwrap();
-        assert!(y.allclose(y_ref.as_tensor().unwrap(), 1e-4));
+        assert_eq!(
+            &y,
+            y_ref.as_tensor().unwrap(),
+            "no numerics-changing pass applies"
+        );
     }
 
     #[test]
     fn resnet_tiny_engine_matches_eager() {
         let mut rng = StdRng::seed_from_u64(1);
         let model = resnet_tiny(&mut rng);
-        let gm = symbolic_trace(&model).unwrap();
+        let mut gm = symbolic_trace(&model).unwrap();
+        let x = Tensor::randn(&[1, 3, 32, 32], &mut rng);
+        fx_passes::shape_prop(&mut gm, &[Value::Tensor(x.clone())]).unwrap();
         let engine = compile(&gm).unwrap();
         // Fusion shrinks the program: BNs fold away, relus fold into
         // convs/adds.
@@ -812,9 +180,9 @@ mod tests {
             engine.instruction_count(),
             gm.graph().len()
         );
-        // Memory planning reuses registers.
-        assert!(engine.register_count() < gm.graph().len());
-        let x = Tensor::randn(&[1, 3, 32, 32], &mut rng);
+        // The one memory planner reuses buffers across the fused graph.
+        assert!(engine.register_count() > 0, "shapes present => planned");
+        assert!(engine.register_count() < engine.instruction_count());
         let y_ref = model.call(&[Value::Tensor(x.clone())]).unwrap();
         let y = engine.run(&[x]).unwrap();
         assert!(
@@ -831,8 +199,16 @@ mod tests {
         let gm = symbolic_trace(&model).unwrap();
         let engine = compile(&gm).unwrap();
         let disasm = engine.disassemble();
-        assert!(disasm.contains("Add+Relu"), "{disasm}");
-        assert!(disasm.contains("conv2d+Relu"), "{disasm}");
+        assert!(disasm.contains("target=add_act"), "{disasm}");
+        assert!(
+            disasm.contains("FusedConv2d") && disasm.contains("act=relu"),
+            "{disasm}"
+        );
+        let fused = engine.graph_module();
+        assert!(
+            !fused.modules().values().any(|m| m.type_name() == "ReLU"),
+            "every relu was absorbed:\n{disasm}"
+        );
     }
 
     #[test]
@@ -847,7 +223,6 @@ mod tests {
                 fuse_conv_bn: false,
                 fuse_epilogues: false,
                 fuse_unary_chains: false,
-                plan_registers: false,
                 pointwise: false,
             },
         )
@@ -858,11 +233,21 @@ mod tests {
             bare.instruction_count(),
             full.instruction_count()
         );
-        assert!(bare.register_count() > full.register_count());
         let x = Tensor::randn(&[1, 3, 32, 32], &mut rng);
         let a = full.run(&[x.clone()]).unwrap();
-        let b = bare.run(&[x]).unwrap();
+        let b = bare.run(&[x.clone()]).unwrap();
         assert!(a.allclose(&b, 1e-2), "ablated engine diverged");
+        // With only bit-preserving passes left on, nothing moves at all.
+        let want = gm.run(&[Value::Tensor(x.clone())]).unwrap();
+        assert_eq!(&b, want.as_tensor().unwrap());
+        let exact = CompileOptions {
+            fuse_conv_bn: false,
+            pointwise: false,
+            ..CompileOptions::default()
+        };
+        let exact = compile_with(&gm, exact).unwrap();
+        assert!(exact.instruction_count() < bare.instruction_count());
+        assert_eq!(&exact.run(&[x]).unwrap(), want.as_tensor().unwrap());
     }
 
     #[test]
@@ -877,12 +262,23 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let model = resnet_tiny(&mut rng);
         let gm = symbolic_trace(&model).unwrap();
-        for node in gm.graph().nodes() {
-            assert!(
-                is_supported(&gm, node),
-                "resnet node `{}` should be supported",
-                node.name()
-            );
+        // Closed under the passes: the fused graph is supported too, and
+        // compiling it again finds nothing left to rewrite.
+        let fused = compile(&gm).unwrap();
+        for gm in [&gm, fused.graph_module()] {
+            for node in gm.graph().nodes() {
+                assert!(
+                    is_supported(gm, node),
+                    "resnet node `{}` should be supported",
+                    node.name()
+                );
+            }
         }
+        let again = compile(fused.graph_module()).unwrap();
+        assert_eq!(again.instruction_count(), fused.instruction_count());
+        assert_eq!(
+            fuse(&mut fused.graph_module().clone(), CompileOptions::default()).unwrap(),
+            0
+        );
     }
 }

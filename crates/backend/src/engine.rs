@@ -1,544 +1,142 @@
-//! The compiled [`Engine`]: a flat instruction list over a small
-//! register file, executing pre-fused kernels with pre-resolved
-//! parameters.
+//! The compiled [`Engine`]: a fused [`GraphModule`] plus its warmed
+//! [`ExecPlan`].
 //!
-//! This reproduces the mechanisms behind TensorRT's advantage over
-//! per-op eager execution (paper §6.4):
-//!
-//! * **ahead-of-time fusion** — conv/linear/add carry their activation
-//!   epilogue, elementwise chains collapse into a single pass, batch
-//!   norms are constant-folded away entirely at compile time;
-//! * **no dispatch machinery** — no name lookup, no registry, no
-//!   `Value` boxing; each instruction is a direct enum match over
-//!   pre-bound tensors and geometry;
-//! * **memory planning** — registers are assigned with a liveness free
-//!   list, and the last consumer of a value *takes* it, so fused
-//!   epilogues mutate buffers in place instead of reallocating.
+//! What TensorRT buys over per-op eager execution (paper §6.4) is
+//! ahead-of-time fusion; everything else an inference runtime needs —
+//! liveness, buffer reuse, in-place rewrites, threads, profiling, panic
+//! containment — the engine gets from the one [`Executor`], because an
+//! engine run *is* an executor run of the fused graph.
 
-use fx_core::executor::{NodeTime, RunProfile};
-use fx_core::{Error, Opcode, Result};
-use fx_tensor::{ops, Tensor};
-use std::time::Instant;
-
-/// Activation fused into a producer's epilogue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Activation {
-    /// No epilogue.
-    None,
-    /// ReLU.
-    Relu,
-    /// Sigmoid.
-    Sigmoid,
-    /// Tanh.
-    Tanh,
-    /// GELU (tanh approximation).
-    Gelu,
-}
-
-impl Activation {
-    fn apply(self, t: Tensor) -> Result<Tensor> {
-        let f: fn(f32) -> f32 = match self {
-            Activation::None => return Ok(t),
-            Activation::Relu => |x| x.max(0.0),
-            Activation::Sigmoid => |x| 1.0 / (1.0 + (-x).exp()),
-            Activation::Tanh => f32::tanh,
-            Activation::Gelu => {
-                |x| 0.5 * x * (1.0 + (0.797_884_6 * (x + 0.044_715 * x * x * x)).tanh())
-            }
-        };
-        Ok(t.map_inplace(f)?)
-    }
-}
-
-/// One step of a fused elementwise chain.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum UnaryKind {
-    /// ReLU.
-    Relu,
-    /// GELU.
-    Gelu,
-    /// SELU.
-    Selu,
-    /// Sigmoid.
-    Sigmoid,
-    /// Tanh.
-    Tanh,
-    /// Negation.
-    Neg,
-    /// Exponential.
-    Exp,
-    /// Natural log.
-    Log,
-    /// Square root.
-    Sqrt,
-    /// Reciprocal square root.
-    Rsqrt,
-    /// Absolute value.
-    Abs,
-    /// Add an immediate scalar.
-    AddScalar(f32),
-    /// Multiply by an immediate scalar.
-    MulScalar(f32),
-}
-
-impl UnaryKind {
-    #[inline]
-    fn eval(self, x: f32) -> f32 {
-        match self {
-            UnaryKind::Relu => x.max(0.0),
-            UnaryKind::Gelu => {
-                0.5 * x * (1.0 + (0.797_884_6 * (x + 0.044_715 * x * x * x)).tanh())
-            }
-            UnaryKind::Selu => {
-                const ALPHA: f32 = 1.673_263_2;
-                const SCALE: f32 = 1.050_701;
-                if x > 0.0 {
-                    SCALE * x
-                } else {
-                    SCALE * ALPHA * (x.exp() - 1.0)
-                }
-            }
-            UnaryKind::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            UnaryKind::Tanh => x.tanh(),
-            UnaryKind::Neg => -x,
-            UnaryKind::Exp => x.exp(),
-            UnaryKind::Log => x.ln(),
-            UnaryKind::Sqrt => x.sqrt(),
-            UnaryKind::Rsqrt => 1.0 / x.sqrt(),
-            UnaryKind::Abs => x.abs(),
-            UnaryKind::AddScalar(c) => x + c,
-            UnaryKind::MulScalar(c) => x * c,
-        }
-    }
-}
-
-/// Binary op kind for [`Kernel::BinOp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinKind {
-    /// Elementwise add (residual connections).
-    Add,
-    /// Elementwise multiply.
-    Mul,
-}
-
-/// A fused compute kernel with all static parameters pre-bound.
-#[derive(Debug, Clone)]
-pub enum Kernel {
-    /// Convolution (+ folded BN) + activation epilogue.
-    ConvAct {
-        /// Folded weight.
-        weight: Tensor,
-        /// Folded bias.
-        bias: Option<Tensor>,
-        /// Stride.
-        stride: (usize, usize),
-        /// Padding.
-        padding: (usize, usize),
-        /// Dilation.
-        dilation: (usize, usize),
-        /// Groups.
-        groups: usize,
-        /// Epilogue.
-        act: Activation,
-        /// Compile-time kernel selection: route 1×1/s1/p0 convs to the
-        /// direct-GEMM pointwise kernel (no im2col).
-        pointwise: bool,
-    },
-    /// Linear + activation epilogue.
-    LinearAct {
-        /// Weight `[out, in]`.
-        weight: Tensor,
-        /// Bias.
-        bias: Option<Tensor>,
-        /// Epilogue.
-        act: Activation,
-    },
-    /// Two-operand elementwise + activation epilogue (fused residual
-    /// `add+relu`).
-    BinOp {
-        /// Add or Mul.
-        kind: BinKind,
-        /// Epilogue.
-        act: Activation,
-    },
-    /// A chain of unary elementwise ops applied in one pass.
-    UnaryChain(Vec<UnaryKind>),
-    /// Per-channel affine `x*scale + shift` — a constant-folded
-    /// standalone batch norm.
-    ChannelAffine {
-        /// Per-channel scale.
-        scale: Vec<f32>,
-        /// Per-channel shift.
-        shift: Vec<f32>,
-    },
-    /// Max pooling.
-    MaxPool {
-        /// Window.
-        kernel: (usize, usize),
-        /// Stride.
-        stride: (usize, usize),
-        /// Padding.
-        padding: (usize, usize),
-    },
-    /// Average pooling.
-    AvgPool {
-        /// Window.
-        kernel: (usize, usize),
-        /// Stride.
-        stride: (usize, usize),
-        /// Padding.
-        padding: (usize, usize),
-    },
-    /// Adaptive average pooling.
-    AdaptiveAvgPool {
-        /// Output size.
-        output: (usize, usize),
-    },
-    /// Flatten a dim range (zero-copy).
-    Flatten {
-        /// First dim.
-        start: i64,
-        /// Last dim.
-        end: i64,
-    },
-    /// Load a compile-time constant into a register.
-    LoadConst(usize),
-}
-
-/// One engine instruction.
-#[derive(Debug, Clone)]
-pub struct Instr {
-    pub(crate) kernel: Kernel,
-    pub(crate) srcs: Vec<usize>,
-    /// Whether this instruction is the last consumer of each source
-    /// register (may then take and mutate the buffer in place).
-    pub(crate) takes: Vec<bool>,
-    pub(crate) dst: usize,
-}
+use fx_core::{Error, ExecPlan, Executor, GraphModule, Opcode, Result, RunProfile, Value};
+use fx_tensor::Tensor;
+use std::sync::Arc;
 
 /// A compiled, self-contained inference program.
 #[derive(Debug, Clone)]
 pub struct Engine {
-    pub(crate) name: String,
-    pub(crate) instrs: Vec<Instr>,
-    pub(crate) consts: Vec<Tensor>,
-    pub(crate) n_regs: usize,
-    pub(crate) input_regs: Vec<usize>,
-    pub(crate) output_reg: usize,
+    gm: GraphModule,
+    plan: Arc<ExecPlan>,
 }
 
 impl Engine {
-    /// Number of fused instructions (compare against the source graph's
-    /// node count to see fusion at work).
+    /// Wrap an already-fused graph, compiling (and caching on `gm`) its
+    /// execution plan so the first run does not pay for it.
+    pub(crate) fn new(gm: GraphModule) -> Result<Engine> {
+        let (plan, ..) = gm.exec_plan()?;
+        Ok(Engine { gm, plan })
+    }
+
+    /// The fused graph the engine executes — printable, re-traceable and
+    /// transformable like any other [`GraphModule`].
+    pub fn graph_module(&self) -> &GraphModule {
+        &self.gm
+    }
+
+    /// Number of fused instructions — live `call_*` and `get_attr` nodes
+    /// (compare against the source graph's node count to see fusion at
+    /// work).
     pub fn instruction_count(&self) -> usize {
-        self.instrs.len()
+        let io = |op| matches!(op, Opcode::Placeholder | Opcode::Output);
+        self.gm.graph().nodes().filter(|n| !io(n.op())).count()
     }
 
-    /// Register-file size after liveness-based reuse.
+    /// Distinct buffers the memory planner assigned across the fused
+    /// graph (`MemPlan::buffer_capacity`); `0` when the source graph
+    /// carried no shape metadata to plan with.
     pub fn register_count(&self) -> usize {
-        self.n_regs
+        self.plan
+            .mem
+            .as_ref()
+            .map_or(0, |m| m.buffer_capacity.len())
     }
 
-    /// Engine name (from the source module).
+    /// Engine name.
     pub fn name(&self) -> &str {
-        &self.name
+        "engine"
     }
 
-    /// One line per instruction, for inspection.
+    /// One line per instruction in the graph's printed form; module
+    /// calls also show the (fused) layer behind the target.
     pub fn disassemble(&self) -> String {
+        let graph = self.gm.graph();
         let mut out = String::new();
-        for instr in &self.instrs {
-            out.push_str(&format!(
-                "%{:<3} = {} {:?}\n",
-                instr.dst,
-                kernel_label(&instr.kernel),
-                instr.srcs
-            ));
+        for (line, node) in graph.to_string().lines().zip(graph.nodes()) {
+            if matches!(node.op(), Opcode::Placeholder | Opcode::Output) {
+                continue; // not instructions
+            }
+            out.push_str(line);
+            if let Some(m) = self.gm.get_module(node.target()) {
+                out.push_str(&format!("  # {}({})", m.type_name(), m.extra_repr()));
+            }
+            out.push('\n');
         }
         out
     }
 
-    /// Execute on concrete inputs.
-    pub fn run(&self, inputs: &[Tensor]) -> Result<Tensor> {
-        self.run_impl(inputs, None)
-    }
-
-    /// Execute and return a [`RunProfile`] in the same shape the graph
-    /// [`Executor`](fx_core::Executor) produces, so engine runs drop
-    /// into the same estimator/scheduler comparisons: one `NodeTime` per
-    /// fused instruction and peak live register bytes.
-    pub fn run_profiled(&self, inputs: &[Tensor]) -> Result<(Tensor, RunProfile)> {
-        let mut profile = RunProfile {
-            threads: 1,
-            max_concurrency: 1,
-            ..RunProfile::default()
-        };
-        let t0 = Instant::now();
-        let out = self.run_impl(inputs, Some(&mut profile))?;
-        profile.total_seconds = t0.elapsed().as_secs_f64();
-        Ok((out, profile))
-    }
-
-    fn run_impl(&self, inputs: &[Tensor], mut profile: Option<&mut RunProfile>) -> Result<Tensor> {
-        if inputs.len() != self.input_regs.len() {
+    fn values(&self, inputs: &[Tensor]) -> Result<Vec<Value>> {
+        if inputs.len() != self.plan.n_inputs {
             return Err(Error::Module(format!(
-                "engine `{}` expects {} inputs, got {}",
-                self.name,
-                self.input_regs.len(),
+                "engine expects {} inputs, got {}",
+                self.plan.n_inputs,
                 inputs.len()
             )));
         }
-        let mut regs: Vec<Option<Tensor>> = vec![None; self.n_regs];
-        for (reg, t) in self.input_regs.iter().zip(inputs) {
-            regs[*reg] = Some(t.clone());
-        }
-        for instr in &self.instrs {
-            let t0 = profile.is_some().then(Instant::now);
-            let fetch = |regs: &mut Vec<Option<Tensor>>, i: usize| -> Result<Tensor> {
-                let slot = instr.srcs[i];
-                let v = if instr.takes[i] {
-                    regs[slot].take()
-                } else {
-                    regs[slot].clone()
-                };
-                v.ok_or_else(|| Error::Graph(format!("engine register %{slot} empty")))
-            };
-            let out = match &instr.kernel {
-                Kernel::ConvAct {
-                    weight,
-                    bias,
-                    stride,
-                    padding,
-                    dilation,
-                    groups,
-                    act,
-                    pointwise,
-                } => {
-                    let x = fetch(&mut regs, 0)?;
-                    // ReLU rides the kernel's fused epilogue (applied at
-                    // GEMM write-back on the SIMD path); other
-                    // activations run as a separate elementwise pass.
-                    let relu = matches!(act, Activation::Relu);
-                    let y = if *pointwise {
-                        ops::conv2d_pointwise_act(&x, weight, bias.as_ref(), relu)?
-                    } else {
-                        ops::conv2d_act(
-                            &x,
-                            weight,
-                            bias.as_ref(),
-                            *stride,
-                            *padding,
-                            *dilation,
-                            *groups,
-                            relu,
-                        )?
-                    };
-                    if relu { y } else { act.apply(y)? }
-                }
-                Kernel::LinearAct { weight, bias, act } => {
-                    let x = fetch(&mut regs, 0)?;
-                    let relu = matches!(act, Activation::Relu);
-                    let y = ops::linear_act(&x, weight, bias.as_ref(), relu)?;
-                    if relu { y } else { act.apply(y)? }
-                }
-                Kernel::BinOp { kind, act } => {
-                    let a = fetch(&mut regs, 0)?;
-                    let b = fetch(&mut regs, 1)?;
-                    let y = match kind {
-                        BinKind::Add => ops::add(&a, &b)?,
-                        BinKind::Mul => ops::mul(&a, &b)?,
-                    };
-                    act.apply(y)?
-                }
-                Kernel::UnaryChain(chain) => {
-                    let x = fetch(&mut regs, 0)?;
-                    x.map_inplace(|v| chain.iter().fold(v, |acc, k| k.eval(acc)))?
-                }
-                Kernel::ChannelAffine { scale, shift } => {
-                    let x = fetch(&mut regs, 0)?;
-                    channel_affine(&x, scale, shift)?
-                }
-                Kernel::MaxPool {
-                    kernel,
-                    stride,
-                    padding,
-                } => {
-                    let x = fetch(&mut regs, 0)?;
-                    ops::max_pool2d(&x, *kernel, *stride, *padding)?
-                }
-                Kernel::AvgPool {
-                    kernel,
-                    stride,
-                    padding,
-                } => {
-                    let x = fetch(&mut regs, 0)?;
-                    ops::avg_pool2d(&x, *kernel, *stride, *padding)?
-                }
-                Kernel::AdaptiveAvgPool { output } => {
-                    let x = fetch(&mut regs, 0)?;
-                    ops::adaptive_avg_pool2d(&x, *output)?
-                }
-                Kernel::Flatten { start, end } => {
-                    let x = fetch(&mut regs, 0)?;
-                    ops::flatten(&x, *start, *end)?
-                }
-                Kernel::LoadConst(i) => self.consts[*i].clone(),
-            };
-            regs[instr.dst] = Some(out);
-            if let Some(p) = profile.as_deref_mut() {
-                p.node_times.push(NodeTime {
-                    name: format!("%{}", instr.dst),
-                    target: kernel_label(&instr.kernel),
-                    op: Opcode::CallFunction,
-                    level: p.node_times.len(),
-                    seconds: t0.expect("timed when profiling").elapsed().as_secs_f64(),
-                });
-                let live: usize = regs
-                    .iter()
-                    .flatten()
-                    .map(Tensor::size_bytes)
-                    .sum();
-                p.peak_live_bytes = p.peak_live_bytes.max(live);
-            }
-        }
-        regs[self.output_reg]
-            .take()
-            .ok_or_else(|| Error::Graph("engine produced no output".to_string()))
+        Ok(inputs.iter().cloned().map(Value::Tensor).collect())
     }
-}
 
-fn kernel_label(kernel: &Kernel) -> String {
-    match kernel {
-        Kernel::ConvAct { act, pointwise, .. } => {
-            if *pointwise {
-                format!("conv2d_1x1+{act:?}")
-            } else {
-                format!("conv2d+{act:?}")
-            }
-        }
-        Kernel::LinearAct { act, .. } => format!("linear+{act:?}"),
-        Kernel::BinOp { kind, act } => format!("{kind:?}+{act:?}"),
-        Kernel::UnaryChain(c) => format!("unary{c:?}"),
-        Kernel::ChannelAffine { .. } => "channel_affine".to_string(),
-        Kernel::MaxPool { .. } => "max_pool".to_string(),
-        Kernel::AvgPool { .. } => "avg_pool".to_string(),
-        Kernel::AdaptiveAvgPool { .. } => "adaptive_avg_pool".to_string(),
-        Kernel::Flatten { .. } => "flatten".to_string(),
-        Kernel::LoadConst(c) => format!("load_const[{c}]"),
+    /// Execute on concrete inputs: one default-configured [`Executor`]
+    /// run of the fused graph.
+    pub fn run(&self, inputs: &[Tensor]) -> Result<Tensor> {
+        let out = Executor::new(&self.gm).run(&self.values(inputs)?)?;
+        Tensor::try_from(&out)
     }
-}
 
-fn channel_affine(x: &Tensor, scale: &[f32], shift: &[f32]) -> Result<Tensor> {
-    let xs = x.shape().to_vec();
-    if xs.len() < 2 || xs[1] != scale.len() {
-        return Err(Error::Graph(format!(
-            "channel_affine: input {xs:?} does not match {} channels",
-            scale.len()
-        )));
+    /// Execute and return the executor's [`RunProfile`]: one `NodeTime`
+    /// per fused instruction, plan-cache counters, peak live bytes.
+    pub fn run_profiled(&self, inputs: &[Tensor]) -> Result<(Tensor, RunProfile)> {
+        let (out, profile) = Executor::new(&self.gm).run_profiled(&self.values(inputs)?)?;
+        Ok((Tensor::try_from(&out)?, profile))
     }
-    let c = xs[1];
-    let inner: usize = xs[2..].iter().product();
-    let data = x.as_f32()?;
-    let mut out = Vec::with_capacity(data.len());
-    for img in data.chunks(c * inner) {
-        for (ch, plane) in img.chunks(inner).enumerate() {
-            let (s, b) = (scale[ch], shift[ch]);
-            out.extend(plane.iter().map(|&v| v * s + b));
-        }
-    }
-    Ok(Tensor::from_vec(out, &xs))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn unary_kinds_match_eager_kernels() {
-        let xs = [-2.0f32, -0.5, 0.0, 0.7, 3.0];
-        for &x in &xs {
-            let t = Tensor::scalar(x);
-            assert!((UnaryKind::Relu.eval(x) - ops::relu(&t).unwrap().item_f32().unwrap()).abs() < 1e-6);
-            assert!((UnaryKind::Gelu.eval(x) - ops::gelu(&t).unwrap().item_f32().unwrap()).abs() < 1e-6);
-            assert!((UnaryKind::Selu.eval(x) - ops::selu(&t).unwrap().item_f32().unwrap()).abs() < 1e-6);
-            assert!(
-                (UnaryKind::Sigmoid.eval(x) - ops::sigmoid(&t).unwrap().item_f32().unwrap()).abs()
-                    < 1e-6
-            );
-        }
-    }
-
-    #[test]
-    fn channel_affine_matches_batch_norm_fold() {
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 2, 1]);
-        let y = channel_affine(&x, &[2.0, 0.5], &[1.0, -1.0]).unwrap();
-        assert_eq!(y.as_f32().unwrap(), &[3.0, 5.0, 0.5, 1.0]);
-        assert!(channel_affine(&x, &[1.0], &[0.0]).is_err());
-    }
-
-    #[test]
-    fn hand_built_engine_runs() {
-        // y = relu(x + 1) * 2 as a single fused chain.
-        let engine = Engine {
-            name: "test".to_string(),
-            instrs: vec![Instr {
-                kernel: Kernel::UnaryChain(vec![
-                    UnaryKind::AddScalar(1.0),
-                    UnaryKind::Relu,
-                    UnaryKind::MulScalar(2.0),
-                ]),
-                srcs: vec![0],
-                takes: vec![true],
-                dst: 1,
-            }],
-            consts: vec![],
-            n_regs: 2,
-            input_regs: vec![0],
-            output_reg: 1,
-        };
-        let y = engine
-            .run(&[Tensor::from_vec(vec![-3.0, 0.5], &[2])])
-            .unwrap();
-        assert_eq!(y.as_f32().unwrap(), &[0.0, 3.0]);
-        assert_eq!(engine.instruction_count(), 1);
-        assert!(engine.disassemble().contains("unary"));
-    }
+    use crate::compile;
+    use fx_core::{func, symbolic_trace_fn};
+    use fx_tensor::Tensor;
 
     #[test]
     fn run_profiled_reports_per_instruction_times() {
-        let engine = Engine {
-            name: "test".to_string(),
-            instrs: vec![Instr {
-                kernel: Kernel::UnaryChain(vec![UnaryKind::Relu]),
-                srcs: vec![0],
-                takes: vec![true],
-                dst: 1,
-            }],
-            consts: vec![],
-            n_regs: 2,
-            input_regs: vec![0],
-            output_reg: 1,
-        };
+        // y = relu(x + 1) * 2 fuses into a single chain instruction.
+        let gm = symbolic_trace_fn(1, |xs| {
+            let a = func::add(&xs[0], &fx_core::Value::Float(1.0))?;
+            func::mul(&func::relu(&a)?, &fx_core::Value::Float(2.0))
+        })
+        .unwrap();
+        let engine = compile(&gm).unwrap();
+        assert_eq!(engine.instruction_count(), 1, "{}", engine.disassemble());
+        assert!(engine.disassemble().contains("unary_chain"));
         let (y, profile) = engine
             .run_profiled(&[Tensor::from_vec(vec![-3.0, 0.5], &[2])])
             .unwrap();
-        assert_eq!(y.as_f32().unwrap(), &[0.0, 0.5]);
-        assert_eq!(profile.node_times.len(), 1);
-        assert_eq!(profile.node_times[0].target, "unary[Relu]");
+        assert_eq!(y.as_f32().unwrap(), &[0.0, 3.0]);
+        let calls: Vec<_> = profile
+            .node_times
+            .iter()
+            .filter(|t| t.op == fx_core::Opcode::CallFunction)
+            .collect();
+        assert_eq!(calls.len(), 1);
+        assert_eq!(calls[0].target, "unary_chain");
         assert!(profile.total_seconds > 0.0);
-        assert_eq!(profile.peak_live_bytes, 8); // one live [2]-f32 register
+        assert!(profile.plan_cache_hit, "compile warmed the plan");
     }
 
     #[test]
     fn wrong_input_arity_errors() {
-        let engine = Engine {
-            name: "t".to_string(),
-            instrs: vec![],
-            consts: vec![],
-            n_regs: 1,
-            input_regs: vec![0],
-            output_reg: 0,
-        };
+        let gm = symbolic_trace_fn(1, |xs| func::relu(&xs[0])).unwrap();
+        let engine = compile(&gm).unwrap();
+        let x = Tensor::from_vec(vec![1.0], &[1]);
         assert!(engine.run(&[]).is_err());
+        assert!(engine.run(&[x.clone(), x]).is_err());
     }
 }

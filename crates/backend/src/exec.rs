@@ -1,116 +1,39 @@
-//! The AoT [`Engine`] as an [`ExecutionBackend`], plus `autotune`: a
-//! profile-guided search over backend × configuration for one graph.
+//! The AoT engine as an [`ExecutionBackend`]: the fusion passes, then
+//! the ordinary [`ExecutorBackend`].
 //!
-//! # Exact mode
-//!
-//! [`EngineBackend::new`] compiles in *exact mode*: epilogue fusion,
-//! unary-chain fusion and register planning stay on (all bit-preserving
-//! — the same scalar kernels touch the same values in the same order),
-//! while the two numerics-changing transforms are disabled:
-//!
-//! * **conv–BN folding** — folded weights round differently;
-//! * **pointwise 1×1-conv routing** — `gemm_nn` (single streaming
-//!   accumulator) and the eager im2col + `gemm_nt` path (8-lane split
-//!   accumulators) reduce in different orders.
-//!
-//! An exact-mode engine therefore serves traffic **bit-identically** to
-//! the plan-cached [`Executor`](fx_core::Executor) — the property
-//! `tests/serve_parity.rs` locks in. Passing a config with
-//! [`ExecConfig::fusion`] re-enables both transforms for speed at
-//! `allclose` accuracy.
-//!
-//! # Autotune
-//!
-//! [`autotune`] measures a small candidate set — executor with memory
-//! planning on/off, executor with all cores (when the plan's wavefronts
-//! are actually wider than one and the estimator predicts the graph is
-//! worth scheduling), and the exact engine — with warmup plus repeated
-//! timed runs, and records the winner as an
-//! [`ExecChoice`](fx_core::ExecChoice) on the `GraphModule`, keyed by
-//! its graph mutation version. The default configuration is always in
-//! the candidate set and a challenger must beat it by a hysteresis
-//! margin, so the chosen config's measured latency is never above the
-//! default's.
+//! By default only the bit-preserving passes run (epilogue fusion,
+//! unary chains, BN → channel affine, identity elision), so an
+//! `EngineBackend` serves traffic **bit-identically** to the plain
+//! executor — the property `tests/serve_parity.rs` locks in. A config
+//! with [`ExecConfig::fusion`] additionally turns on the two
+//! numerics-changing passes, conv–BN folding and pointwise 1×1-conv
+//! routing, for speed at `allclose` accuracy.
 
-use crate::compile::{compile_with, CompileOptions};
+use crate::compile::{fuse, CompileOptions};
 use crate::engine::Engine;
-use fx_core::exec::{ExecChoice, ExecConfig, ExecutionBackend, ExecutorBackend, PreparedModel};
-use fx_core::{Error, GraphModule, Result, RunProfile, Value};
-use fx_passes::{estimate, shape_prop, DeviceSpec};
-use fx_tensor::Tensor;
-use std::time::Instant;
+use fx_core::exec::{ExecConfig, ExecutionBackend, ExecutorBackend, PreparedModel};
+use fx_core::{GraphModule, Result, RunProfile, Value};
 
-/// The fused, register-planned [`Engine`] as an [`ExecutionBackend`].
-///
-/// `prepare` compiles the whole graph ahead of time; graphs with
-/// engine-unsupported ops fall back to a prepared
-/// [`ExecutorBackend`] model (still bit-identical), so the backend is
-/// total over every runnable `GraphModule`.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineBackend {
-    opts: CompileOptions,
-}
+/// Fuse, then execute: total over every runnable `GraphModule`, since a
+/// node the passes do not recognize is simply left unfused.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EngineBackend;
 
 impl EngineBackend {
-    /// Exact-mode backend: bit-identical to the executor (see the
-    /// module docs). This is what a bare `EngineBackend` in a
-    /// [`ServerBuilder::with_backend`](../fx_serve/struct.ServerBuilder.html)
-    /// call gives you.
+    /// The backend (stateless; same as `EngineBackend`).
     pub fn new() -> EngineBackend {
-        EngineBackend {
-            opts: CompileOptions {
-                fuse_conv_bn: false,
-                pointwise: false,
-                ..CompileOptions::default()
-            },
-        }
-    }
-
-    /// Backend with explicit [`CompileOptions`] — e.g. full folding for
-    /// speed when `allclose` accuracy is acceptable.
-    pub fn with_options(opts: CompileOptions) -> EngineBackend {
-        EngineBackend { opts }
+        EngineBackend
     }
 }
 
-impl Default for EngineBackend {
-    fn default() -> EngineBackend {
-        EngineBackend::new()
-    }
-}
-
+/// A prepared executor over the fused graph, labelled with what fusion
+/// produced so `describe` (and `fx_serve`'s registry snapshot) show it.
 struct PreparedEngine {
-    engine: Engine,
+    inner: Box<dyn PreparedModel>,
+    label: String,
 }
 
 impl PreparedModel for PreparedEngine {
-    fn run(&self, inputs: &[Value]) -> Result<Value> {
-        let tensors: Vec<Tensor> = inputs.iter().map(Tensor::try_from).collect::<Result<_>>()?;
-        Ok(Value::Tensor(self.engine.run(&tensors)?))
-    }
-
-    fn run_profiled(&self, inputs: &[Value]) -> Result<(Value, RunProfile)> {
-        let tensors: Vec<Tensor> = inputs.iter().map(Tensor::try_from).collect::<Result<_>>()?;
-        let (out, profile) = self.engine.run_profiled(&tensors)?;
-        Ok((Value::Tensor(out), profile))
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "engine({} fused instrs, {} regs)",
-            self.engine.instruction_count(),
-            self.engine.register_count()
-        )
-    }
-}
-
-/// Fallback wrapper so a caller can still see, via `describe`, that the
-/// engine declined the graph and an executor is answering.
-struct EngineFallback {
-    inner: Box<dyn PreparedModel>,
-}
-
-impl PreparedModel for EngineFallback {
     fn run(&self, inputs: &[Value]) -> Result<Value> {
         self.inner.run(inputs)
     }
@@ -120,7 +43,7 @@ impl PreparedModel for EngineFallback {
     }
 
     fn describe(&self) -> String {
-        format!("engine-fallback:{}", self.inner.describe())
+        format!("{} on {}", self.label, self.inner.describe())
     }
 }
 
@@ -130,190 +53,23 @@ impl ExecutionBackend for EngineBackend {
     }
 
     fn prepare_with(&self, gm: &GraphModule, cfg: ExecConfig) -> Result<Box<dyn PreparedModel>> {
-        let mut opts = self.opts;
-        if cfg.fusion {
-            opts.fuse_conv_bn = true;
-            opts.pointwise = true;
-        }
-        match compile_with(gm, opts) {
-            Ok(engine) => Ok(Box::new(PreparedEngine { engine })),
-            // Unsupported op somewhere in the graph: run it on the
-            // executor instead (NOT `lower()`, whose conv–BN pre-pass
-            // would change numerics) so every runnable graph stays
-            // servable — and bit-identical — through this backend.
-            Err(_) => Ok(Box::new(EngineFallback {
-                inner: ExecutorBackend.prepare_with(gm, cfg)?,
-            })),
-        }
-    }
-}
-
-/// Resolve a backend by its stable name (the [`ExecChoice::backend`]
-/// key): `"executor"` or `"engine"`.
-pub fn backend_by_name(name: &str) -> Option<Box<dyn ExecutionBackend>> {
-    match name {
-        "executor" => Some(Box::new(ExecutorBackend)),
-        "engine" => Some(Box::new(EngineBackend::new())),
-        _ => None,
-    }
-}
-
-/// Prepare the backend + configuration a cached [`ExecChoice`] names.
-pub fn prepare_choice(gm: &GraphModule, choice: &ExecChoice) -> Result<Box<dyn PreparedModel>> {
-    let backend = backend_by_name(&choice.backend).ok_or_else(|| {
-        Error::Graph(format!(
-            "exec choice names unknown backend `{}`",
-            choice.backend
-        ))
-    })?;
-    backend.prepare_with(gm, choice.config)
-}
-
-/// Knobs for [`autotune_with`].
-#[derive(Debug, Clone, Copy)]
-pub struct AutotuneOptions {
-    /// Timed runs per candidate (after one warmup); the candidate's
-    /// score is the minimum. Clamped to ≥ 1.
-    pub trials: usize,
-    /// A non-default candidate wins only if its score is below
-    /// `default_score * hysteresis` — noise insurance so re-measuring
-    /// the choice stays at or below the default.
-    pub hysteresis: f64,
-    /// Include the numerics-changing engine candidate (conv–BN folding
-    /// + pointwise routing, `allclose` accuracy). Off by default so the
-    /// autotuned choice preserves bit-identity with the executor.
-    pub allow_fusion: bool,
-}
-
-impl Default for AutotuneOptions {
-    fn default() -> AutotuneOptions {
-        AutotuneOptions {
-            trials: 3,
-            hysteresis: 0.97,
-            allow_fusion: false,
-        }
-    }
-}
-
-/// Profile-guided backend selection for `gm`, with default
-/// [`AutotuneOptions`]: every candidate is bit-identical to the default
-/// executor, so the winner can serve anywhere the executor did.
-///
-/// Returns the cached [`ExecChoice`] immediately when one exists for
-/// the current graph version; otherwise measures the candidate set on
-/// `sample_inputs` (which must be shaped like real traffic — one value
-/// per placeholder), caches the winner on `gm`, and returns it. Realize
-/// a choice with [`prepare_choice`].
-pub fn autotune(gm: &GraphModule, sample_inputs: &[Value]) -> Result<ExecChoice> {
-    autotune_with(gm, sample_inputs, AutotuneOptions::default())
-}
-
-/// [`autotune`] with explicit options.
-pub fn autotune_with(
-    gm: &GraphModule,
-    sample_inputs: &[Value],
-    opts: AutotuneOptions,
-) -> Result<ExecChoice> {
-    if let Some(choice) = gm.exec_choice() {
-        return Ok(choice);
-    }
-    let trials = opts.trials.max(1);
-    let default_cfg = ExecConfig::from_env();
-
-    // Roofline prediction for one serial run (needs shape metadata, so
-    // shape-propagate a throwaway clone; graphs the propagator cannot
-    // type just skip the prediction — measurement carries the search).
-    let predicted_seconds = predict_seconds(gm, sample_inputs);
-
-    let mut candidates: Vec<(&'static str, ExecConfig)> = vec![
-        ("executor", default_cfg),
-        (
-            "executor",
-            default_cfg.with_memory_planning(!default_cfg.memory_planning),
-        ),
-        ("engine", default_cfg),
-    ];
-    // An all-cores executor candidate is only worth timing when the
-    // plan exposes real wavefront width, the host has cores to use, and
-    // the estimator does not predict a dispatch-dominated graph.
-    let (plan, _, _, _) = gm.exec_plan()?;
-    let worth_scheduling = predicted_seconds.map_or(true, |s| s > 20e-6);
-    if default_cfg.threads <= 1
-        && plan.max_width() > 1
-        && fx_tensor::threading::num_threads() > 1
-        && worth_scheduling
-    {
-        candidates.push(("executor", default_cfg.with_threads(0)));
-    }
-    if opts.allow_fusion {
-        candidates.push(("engine", default_cfg.with_fusion(true)));
-    }
-
-    let mut default_seconds = f64::INFINITY;
-    let mut best: Option<(usize, f64)> = None;
-    for (i, (name, cfg)) in candidates.iter().enumerate() {
-        let backend = backend_by_name(name).expect("candidate names are built-in");
-        let prepared = match backend.prepare_with(gm, *cfg) {
-            Ok(p) => p,
-            // The default executor candidate failing means the graph
-            // itself is broken — report that. Other candidates just
-            // drop out of the race.
-            Err(e) if i == 0 => return Err(e),
-            Err(_) => continue,
+        let opts = CompileOptions {
+            fuse_conv_bn: cfg.fusion,
+            pointwise: cfg.fusion,
+            ..CompileOptions::default()
         };
-        let secs = match measure(prepared.as_ref(), sample_inputs, trials) {
-            Ok(s) => s,
-            Err(e) if i == 0 => return Err(e),
-            Err(_) => continue,
-        };
-        if i == 0 {
-            default_seconds = secs;
-        }
-        let wins = match best {
-            None => true,
-            Some((_, b)) => secs < b,
-        };
-        // Challengers must clear the hysteresis bar against the
-        // default, not merely edge it out within noise.
-        if wins && (i == 0 || secs < default_seconds * opts.hysteresis) {
-            best = Some((i, secs));
-        }
+        let mut fused = gm.clone();
+        fuse(&mut fused, opts)?;
+        let engine = Engine::new(fused)?;
+        Ok(Box::new(PreparedEngine {
+            label: format!(
+                "engine({} fused instrs, {} buffers)",
+                engine.instruction_count(),
+                engine.register_count()
+            ),
+            inner: ExecutorBackend.prepare_with(engine.graph_module(), cfg)?,
+        }))
     }
-    let (idx, measured_seconds) =
-        best.expect("the default candidate always measures or errors out");
-
-    let choice = ExecChoice {
-        backend: candidates[idx].0.to_string(),
-        config: candidates[idx].1,
-        measured_seconds,
-        default_seconds,
-        predicted_seconds,
-        graph_version: 0, // stamped by set_exec_choice
-    };
-    gm.set_exec_choice(choice.clone());
-    Ok(gm.exec_choice().expect("choice was just cached"))
-}
-
-/// One warmup run, then the minimum wall time over `trials` runs —
-/// including the backend's own input conversion, which real traffic
-/// pays too.
-fn measure(prepared: &dyn PreparedModel, inputs: &[Value], trials: usize) -> Result<f64> {
-    prepared.run(inputs)?;
-    let mut best = f64::INFINITY;
-    for _ in 0..trials {
-        let t0 = Instant::now();
-        prepared.run(inputs)?;
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    Ok(best)
-}
-
-fn predict_seconds(gm: &GraphModule, sample_inputs: &[Value]) -> Option<f64> {
-    let mut annotated = gm.clone();
-    shape_prop(&mut annotated, sample_inputs).ok()?;
-    estimate(&annotated, &DeviceSpec::xeon_6138_single_thread())
-        .ok()
-        .map(|report| report.total_time)
 }
 
 #[cfg(test)]
@@ -322,6 +78,7 @@ mod tests {
     use fx_core::{func, symbolic_trace, symbolic_trace_fn};
     use fx_models::{resnet_tiny, Mlp};
     use fx_tensor::rng::{SeedableRng, StdRng};
+    use fx_tensor::Tensor;
 
     fn bits(v: &Value) -> Vec<u32> {
         v.as_tensor()
@@ -337,7 +94,7 @@ mod tests {
     fn exact_engine_is_bit_identical_to_executor() {
         let mut rng = StdRng::seed_from_u64(7);
         // resnet_tiny exercises both exact-mode exclusions: BatchNorms
-        // (must stay ChannelAffine, not fold) and 1×1 downsample convs
+        // (must become ChannelAffine, not fold) and 1×1 downsample convs
         // (must stay on the im2col path).
         for (gm, shape) in [
             (
@@ -352,15 +109,25 @@ mod tests {
             let x = vec![Value::Tensor(Tensor::randn(&shape, &mut rng))];
             let want = bits(&gm.run(&x).unwrap());
             let prepared = EngineBackend::new().prepare(&gm).unwrap();
-            assert!(prepared.describe().starts_with("engine("), "compiled whole");
+            assert!(
+                prepared.describe().starts_with("engine("),
+                "{}",
+                prepared.describe()
+            );
             assert_eq!(want, bits(&prepared.run(&x).unwrap()));
+            // Fusion on: same answer to allclose, fewer instructions.
+            let cfg = ExecConfig::from_env().with_fusion(true);
+            let fast = EngineBackend::new().prepare_with(&gm, cfg).unwrap();
+            let got = fast.run(&x).unwrap();
+            let (got, want) = (got.as_tensor().unwrap(), gm.run(&x).unwrap());
+            assert!(got.allclose(want.as_tensor().unwrap(), 1e-2));
         }
     }
 
     #[test]
-    fn unsupported_graph_falls_back_bit_identically() {
+    fn unsupported_ops_are_left_unfused_bit_identically() {
         let gm = symbolic_trace_fn(1, |xs| {
-            let a = func::relu(&xs[0])?;
+            let a = func::relu(&func::neg(&xs[0])?)?;
             func::softmax(&a, -1)
         })
         .unwrap();
@@ -370,70 +137,12 @@ mod tests {
         ))];
         let want = bits(&gm.run(&x).unwrap());
         let prepared = EngineBackend::new().prepare(&gm).unwrap();
+        // neg+relu fused into one chain; softmax rides along untouched.
         assert!(
-            prepared.describe().starts_with("engine-fallback:"),
+            prepared.describe().starts_with("engine(2 fused instrs"),
             "{}",
             prepared.describe()
         );
         assert_eq!(want, bits(&prepared.run(&x).unwrap()));
-    }
-
-    #[test]
-    fn autotune_caches_and_never_beats_itself_with_the_default() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let gm = symbolic_trace(&Mlp::new(&[16, 32, 8], &mut rng)).unwrap();
-        let x = vec![Value::Tensor(Tensor::randn(&[4, 16], &mut rng))];
-
-        let choice = autotune(&gm, &x).unwrap();
-        assert!(
-            choice.measured_seconds <= choice.default_seconds,
-            "{choice}"
-        );
-        assert_eq!(choice.graph_version, gm.graph().version());
-
-        // Second call serves the cache (same choice, no re-measure —
-        // measured timings would differ run to run).
-        let again = autotune(&gm, &x).unwrap();
-        assert_eq!(choice, again);
-
-        // The choice realizes into a prepared model that is
-        // bit-identical to the executor (exact candidates only).
-        let want = bits(&gm.run(&x).unwrap());
-        let prepared = prepare_choice(&gm, &choice).unwrap();
-        assert_eq!(want, bits(&prepared.run(&x).unwrap()));
-    }
-
-    #[test]
-    fn autotune_with_fusion_opt_in_still_picks_a_winner() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let gm = symbolic_trace(&resnet_tiny(&mut rng)).unwrap();
-        let x = vec![Value::Tensor(Tensor::randn(&[1, 3, 32, 32], &mut rng))];
-        let opts = AutotuneOptions {
-            trials: 1,
-            allow_fusion: true,
-            ..AutotuneOptions::default()
-        };
-        let choice = autotune_with(&gm, &x, opts).unwrap();
-        assert!(choice.measured_seconds <= choice.default_seconds);
-        // Fused or not, the realized choice still runs.
-        let prepared = prepare_choice(&gm, &choice).unwrap();
-        let y = prepared.run(&x).unwrap();
-        assert_eq!(y.as_tensor().unwrap().shape(), &[1, 10]);
-    }
-
-    #[test]
-    fn unknown_backend_name_is_an_error() {
-        assert!(backend_by_name("tpu").is_none());
-        let mut rng = StdRng::seed_from_u64(10);
-        let gm = symbolic_trace(&Mlp::new(&[4, 4], &mut rng)).unwrap();
-        let bogus = ExecChoice {
-            backend: "tpu".to_string(),
-            config: ExecConfig::from_env(),
-            measured_seconds: 0.0,
-            default_seconds: 0.0,
-            predicted_seconds: None,
-            graph_version: 0,
-        };
-        assert!(prepare_choice(&gm, &bogus).is_err());
     }
 }

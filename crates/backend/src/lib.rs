@@ -1,26 +1,24 @@
 //! # fx-backend — a TensorRT-like ahead-of-time inference engine
 //!
 //! The paper's §6.4 case study rebuilt in Rust: an optimizing backend
-//! that consumes captured fx graphs and produces flat, fused, planned
-//! [`Engine`]s, plus the fx2trt-style [`lower`] entry point that
-//! auto-splits models between the engine and the interpreter.
+//! that consumes captured fx graphs and produces fused [`Engine`]s, plus
+//! the fx2trt-style [`lower`] entry point that auto-splits models around
+//! the operators the backend does not support.
 //!
-//! What the compiler does (all ahead of time, enabled by the graph
-//! representation):
+//! Everything the backend does is a graph→graph pass ([`passes`]), and
+//! the fused graph runs on the one [`Executor`](fx_core::Executor):
 //!
-//! * conv–BN constant folding (reusing `fx-passes`),
-//! * activation-epilogue fusion (`conv+relu`, `linear+gelu`,
-//!   residual `add+relu`),
-//! * single-pass unary elementwise chains,
-//! * dead-instruction elimination,
-//! * buffer liveness planning: last consumers take buffers so epilogues
-//!   run in place, and the register file is compacted with a free list.
+//! ```text
+//! trace → passes (conv–BN folding, epilogue fusion, unary chains,
+//!                 BN → channel affine, identity elision, pointwise
+//!                 routing, DCE) → ExecPlan → Executor
+//! ```
 //!
-//! The engine also plugs into the runtime-neutral
-//! [`ExecutionBackend`](fx_core::ExecutionBackend) trait via
-//! [`EngineBackend`] (exact mode by default — bit-identical to the
-//! executor), and [`autotune`] picks the fastest backend × configuration
-//! for a graph by measurement, caching the winner on the `GraphModule`.
+//! An [`Engine`] is the fused `GraphModule` plus its warmed plan;
+//! [`EngineBackend`] is the same pipeline behind the runtime-neutral
+//! [`ExecutionBackend`](fx_core::ExecutionBackend) trait (bit-preserving
+//! passes only by default, so it answers bit-identically to the plain
+//! executor).
 //!
 //! ```
 //! use fx_backend::lower;
@@ -44,10 +42,9 @@ mod compile;
 mod engine;
 mod exec;
 mod lower;
+pub mod passes;
 
-pub use compile::{compile, compile_with, is_supported, CompileOptions};
-pub use engine::{Activation, BinKind, Engine, Instr, Kernel, UnaryKind};
-pub use exec::{
-    autotune, autotune_with, backend_by_name, prepare_choice, AutotuneOptions, EngineBackend,
-};
+pub use compile::{compile, compile_with, fuse, is_supported, CompileOptions};
+pub use engine::Engine;
+pub use exec::EngineBackend;
 pub use lower::{lower, EngineModule, LowerReport};

@@ -1,13 +1,12 @@
 //! Whole-model lowering with automatic fallback — the fx2trt user flow
-//! (§6.4): compile everything the engine supports, leave the rest on the
-//! interpreter, and hand back a module that drops in anywhere the
-//! original did.
+//! (§6.4): compile everything the engine supports, leave the rest
+//! unfused, and hand back a module that drops in anywhere the original
+//! did.
 
-use crate::compile::{compile_prefused, is_supported};
+use crate::compile::{compile, is_supported};
 use crate::engine::Engine;
 use fx_core::{GraphModule, Module, Result, Value};
 use fx_passes::{fuse_conv_bn, split_by};
-use fx_tensor::Tensor;
 use std::any::Any;
 use std::sync::Arc;
 
@@ -33,8 +32,7 @@ impl EngineModule {
 
 impl Module for EngineModule {
     fn forward(&self, inputs: &[Value]) -> Result<Value> {
-        let tensors: Vec<Tensor> = inputs.iter().map(Tensor::try_from).collect::<Result<_>>()?;
-        Ok(Value::Tensor(self.engine.run(&tensors)?))
+        self.engine.graph_module().forward(inputs)
     }
 
     fn type_name(&self) -> &'static str {
@@ -59,7 +57,7 @@ impl Module for EngineModule {
 pub struct LowerReport {
     /// Partitions compiled into engines.
     pub engine_partitions: usize,
-    /// Partitions left on the interpreter.
+    /// Partitions left unfused.
     pub fallback_partitions: usize,
     /// Total fused engine instructions.
     pub engine_instructions: usize,
@@ -93,7 +91,9 @@ pub fn lower(gm: &GraphModule) -> Result<(GraphModule, LowerReport)> {
                 .get_module(&part.name)
                 .and_then(|m| m.as_any().downcast_ref::<GraphModule>().cloned())
                 .expect("split partitions are GraphModules");
-            let engine = compile_prefused(&sub)?;
+            // Conv–BN pairs were folded above, before the split could
+            // separate them; compile finds none left.
+            let engine = compile(&sub)?;
             report.engine_partitions += 1;
             report.engine_instructions += engine.instruction_count();
             parent.set_module(&part.name, Arc::new(EngineModule::new(engine)));
@@ -109,8 +109,8 @@ mod tests {
     use super::*;
     use fx_core::{func, symbolic_trace, symbolic_trace_fn};
     use fx_models::{resnet_tiny, LearningToPaintActor};
-    use fx_tensor::rng::StdRng;
-    use fx_tensor::rng::SeedableRng;
+    use fx_tensor::rng::{SeedableRng, StdRng};
+    use fx_tensor::Tensor;
 
     #[test]
     fn fully_supported_model_lowers_to_one_engine() {

@@ -1,9 +1,7 @@
 //! Sequential vs. parallel execution of the plan-cached [`Executor`] on
 //! a ResNet-50 forward pass, sweeping worker counts. The 1-thread
 //! executor *is* the sequential baseline: it runs the plan's
-//! levelization in submission order on the caller's thread, which is
-//! exactly what the deprecated `Interpreter` shim did, minus the
-//! per-run topological re-walk.
+//! levelization in submission order on the caller's thread.
 //!
 //! Kernel-level threading is pinned to 1 (`set_num_threads(1)`) so the
 //! sweep isolates *graph-level* parallelism — the wavefront scheduling
@@ -18,19 +16,10 @@
 //! allocations per run with memory planning off vs. on, the buffer-pool
 //! hit rate, and the pool's peak parked bytes — the numbers behind the
 //! static memory planner's "(near-)zero allocation" claim.
-//!
-//! Finally, an `autotune` section records, for each evaluation model,
-//! the profile-guided `ExecChoice` that `fx_backend::autotune` picked
-//! against the default configuration — both autotune's own measurements
-//! (where chosen ≤ default is guaranteed by the hysteresis rule) and an
-//! independent re-measurement, which this bench asserts stays within a
-//! 15% noise margin of the default.
 
-use fx_backend::{autotune, prepare_choice};
 use fx_bench::criterion::{criterion_group, criterion_main, Criterion};
-use fx_core::{symbolic_trace, ExecConfig, Executor, ExecutorBackend, ExecutionBackend,
-    GraphModule, Value};
-use fx_models::{resnet50, DeepRecommender, LearningToPaintActor};
+use fx_core::{symbolic_trace, Executor, GraphModule, Value};
+use fx_models::resnet50;
 use fx_passes::DeviceSpec;
 use fx_tensor::rng::{SeedableRng, StdRng};
 use fx_tensor::{num_threads, ops, pool, set_num_threads, Tensor};
@@ -44,20 +33,6 @@ struct Row {
     kernel_threads: usize,
     mean_s: f64,
     stdev_s: f64,
-}
-
-struct AutoRow {
-    model: String,
-    backend: String,
-    config: String,
-    /// Autotune's own min-of-trials timings (chosen ≤ default by
-    /// construction: a challenger must clear the hysteresis bar).
-    default_s: f64,
-    chosen_s: f64,
-    predicted_s: Option<f64>,
-    /// Independent re-measurement of both configurations.
-    remeasured_default_s: f64,
-    remeasured_chosen_s: f64,
 }
 
 struct AllocStats {
@@ -226,71 +201,6 @@ fn measure_allocs(gm: &GraphModule, x: &[Value], planning: bool) -> AllocStats {
     }
 }
 
-/// Autotune every evaluation model and time the chosen configuration
-/// against the default through the same `PreparedModel` interface.
-fn autotune_rows() -> Vec<AutoRow> {
-    let mut rng = StdRng::seed_from_u64(50);
-    let resnet = symbolic_trace(&resnet50(3, 10, &mut rng)).expect("resnet50 traces");
-    let mut rng = StdRng::seed_from_u64(52);
-    let recommender =
-        symbolic_trace(&DeepRecommender::new(64, &mut rng)).expect("recommender traces");
-    let mut rng = StdRng::seed_from_u64(51);
-    let actor = symbolic_trace(&LearningToPaintActor::new(&mut rng)).expect("actor traces");
-
-    let mut xrng = StdRng::seed_from_u64(2);
-    let cases = [
-        ("resnet50(3,10) @ [1,3,32,32]", &resnet, vec![1usize, 3, 32, 32]),
-        ("deep_recommender(64) @ [2,64]", &recommender, vec![2, 64]),
-        ("learning_to_paint @ [1,9,32,32]", &actor, vec![1, 9, 32, 32]),
-    ];
-    let mut rows = Vec::new();
-    for (model, gm, shape) in cases {
-        let x = vec![Value::Tensor(Tensor::randn(&shape, &mut xrng))];
-        let choice = autotune(gm, &x).expect("autotune");
-        assert_eq!(
-            gm.exec_choice().as_ref(),
-            Some(&choice),
-            "{model}: autotune must cache its choice on the module"
-        );
-        assert!(
-            choice.measured_seconds <= choice.default_seconds,
-            "{model}: {choice}"
-        );
-        let default = ExecutorBackend
-            .prepare_with(gm, ExecConfig::from_env())
-            .expect("default prepares");
-        let chosen = prepare_choice(gm, &choice).expect("choice prepares");
-        let d = fx_bench::time_trials(10, 1, || {
-            default.run(&x).expect("default run");
-        });
-        let ch = fx_bench::time_trials(10, 1, || {
-            chosen.run(&x).expect("chosen run");
-        });
-        // 10-trial means on a shared (often single-core) host routinely
-        // swing 15-20%; the gate only needs to catch autotune picking a
-        // configuration that is *systematically* slower, so give one
-        // stdev of each side's headroom on top of the noise margin.
-        assert!(
-            ch.mean - ch.stdev <= (d.mean + d.stdev) * 1.25,
-            "{model}: autotuned config re-measured slower than default \
-             beyond noise ({:.6}s vs {:.6}s; {choice})",
-            ch.mean,
-            d.mean
-        );
-        rows.push(AutoRow {
-            model: model.to_string(),
-            backend: choice.backend.clone(),
-            config: choice.config.to_string(),
-            default_s: choice.default_seconds,
-            chosen_s: choice.measured_seconds,
-            predicted_s: choice.predicted_seconds,
-            remeasured_default_s: d.mean,
-            remeasured_chosen_s: ch.mean,
-        });
-    }
-    rows
-}
-
 fn bench_interp_vs_executor(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(50);
     let model = resnet50(3, 10, &mut rng);
@@ -346,23 +256,17 @@ fn bench_interp_vs_executor(c: &mut Criterion) {
     }
     group.finish();
 
-    // Autotune under the same pinned kernel-thread conditions, so its
-    // measurements describe the same machine state as the sweep above.
-    let auto_rows = autotune_rows();
-
     // Kernel roofline rows under the same pinned conditions.
     let device = DeviceSpec::host_cpu_single_core();
     let kernel_rows = kernel_rows(&device);
     set_num_threads(0);
 
-    write_json(&rows, &auto_rows, &kernel_rows, &device, &second, &alloc_off, &alloc_on)
+    write_json(&rows, &kernel_rows, &device, &second, &alloc_off, &alloc_on)
         .expect("write BENCH_executor.json");
 }
 
-#[allow(clippy::too_many_arguments)]
 fn write_json(
     rows: &[Row],
-    auto_rows: &[AutoRow],
     kernel_rows: &[KernelRow],
     device: &DeviceSpec,
     profile: &fx_core::RunProfile,
@@ -431,29 +335,6 @@ fn write_json(
         ));
     }
     out.push_str("    ]\n  },\n");
-    out.push_str("  \"autotune\": [\n");
-    for (i, r) in auto_rows.iter().enumerate() {
-        let ratio = if r.remeasured_default_s > 0.0 {
-            r.remeasured_chosen_s / r.remeasured_default_s
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            "    {{ \"model\": \"{}\", \"backend\": \"{}\", \"config\": \"{}\", \"default_s\": {:.6}, \"chosen_s\": {:.6}, \"predicted_s\": {}, \"remeasured_default_s\": {:.6}, \"remeasured_chosen_s\": {:.6}, \"remeasured_ratio\": {:.3} }}{}\n",
-            r.model,
-            r.backend,
-            r.config,
-            r.default_s,
-            r.chosen_s,
-            r.predicted_s
-                .map_or("null".to_string(), |p| format!("{p:.6}")),
-            r.remeasured_default_s,
-            r.remeasured_chosen_s,
-            ratio,
-            if i + 1 < auto_rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let speedup = if r.mean_s > 0.0 { seq / r.mean_s } else { 0.0 };

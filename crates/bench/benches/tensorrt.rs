@@ -1,5 +1,5 @@
-//! Criterion bench for E4 (§6.4 / Figure 8 / Appendix D): eager
-//! interpreter vs the TensorRT-like compiled engine, on ResNet-18 and
+//! Criterion bench for E4 (§6.4 / Figure 8 / Appendix D): the traced
+//! graph vs the TensorRT-like lowered (fused) graph, on ResNet-18 and
 //! the LearningToPaint actor. `repro-trt` runs the full-scale ResNet50
 //! version plus the roofline-simulated V100 rows.
 

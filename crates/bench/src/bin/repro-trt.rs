@@ -2,9 +2,9 @@
 //! LearningToPaint to the TensorRT-like backend.
 //!
 //! Reproduces Appendix D's four rows: baseline vs lowered runtime for
-//! both models. "Baseline" is the traced graph on the interpreter (the
-//! per-op eager path); "lowered" is the ahead-of-time fused engine
-//! produced by `fx-backend`. Also prints roofline-simulated V100 rows
+//! both models. "Baseline" is the traced graph on the executor (the
+//! per-op path); "lowered" is the same executor running the graph the
+//! `fx-backend` fusion passes produce. Also prints roofline-simulated V100 rows
 //! for the GPU-side reading (DESIGN.md substitution).
 //!
 //! Usage: `cargo run --release -p fx-bench --bin repro-trt --

@@ -1,24 +1,22 @@
-//! One object-safe surface over every way to run a [`GraphModule`].
+//! One object-safe surface over every way to ready a [`GraphModule`]
+//! for repeated execution.
 //!
-//! The repo grew two executors with incompatible APIs: the plan-cached
-//! [`Executor`] (`run(&mut self, &[Value])`) and the AoT
-//! `fx_backend::Engine` (`run(&self, &[Tensor])`). The
-//! [`ExecutionBackend`] / [`PreparedModel`] pair normalizes both behind
-//! one trait object, so consumers — `fx_serve`, benches, the autotuner —
-//! can hold a `Box<dyn PreparedModel>` and not care which engine
-//! answers:
+//! Graphs run on exactly one machine, the plan-cached [`Executor`];
+//! backends differ only in which graph→graph passes they apply before
+//! handing the graph to it (`fx_backend::EngineBackend` runs the AoT
+//! fusion passes first). The [`ExecutionBackend`] / [`PreparedModel`]
+//! pair hides that choice behind one trait object, so consumers —
+//! `fx_serve`, benches — hold a `Box<dyn PreparedModel>`:
 //!
 //! ```text
-//! backend.prepare(&gm)? -> Box<dyn PreparedModel>   // compile / warm once
+//! backend.prepare(&gm)? -> Box<dyn PreparedModel>   // passes + plan, once
 //! prepared.run(&inputs)?                            // &self, &[Value], Send + Sync
 //! ```
 //!
 //! [`ExecConfig`] is the unified knob set both `Executor` and
 //! `fx_serve::ServerBuilder` accept; the `FX_THREADS` / `FX_MEMPLAN`
 //! environment overrides are resolved here, in exactly one place
-//! ([`ExecConfig::from_env`]). [`ExecChoice`] records an autotuned
-//! backend + config decision, cached on the `GraphModule` keyed by its
-//! graph mutation version (see `fx_backend::autotune`).
+//! ([`ExecConfig::from_env`]).
 
 use crate::error::Result;
 use crate::executor::{Executor, RunProfile};
@@ -27,8 +25,7 @@ use crate::value::Value;
 use std::sync::OnceLock;
 
 /// Unified execution configuration, accepted by [`Executor`] (via its
-/// builder methods) and `fx_serve::ServerBuilder::exec_config`, and
-/// searched over by `fx_backend::autotune`.
+/// builder methods) and `fx_serve::ServerBuilder::exec_config`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecConfig {
     /// Inter-op worker threads; `0` means the machine's configured
@@ -37,9 +34,9 @@ pub struct ExecConfig {
     /// Buffer-pool recycling of dead intermediates plus in-place unary
     /// rewrites. Bit-identical to plain allocation by construction.
     pub memory_planning: bool,
-    /// Allow numerics-changing fusion in backends that support it (the
-    /// engine's conv–BN constant folding and pointwise 1×1-conv GEMM
-    /// routing). Off by default: every backend then computes results
+    /// Allow numerics-changing fusion passes in backends that have them
+    /// (`fx_backend::EngineBackend`'s conv–BN constant folding and
+    /// pointwise 1×1-conv GEMM routing). Off by default: every backend then computes results
     /// **bit-identical** to the default `Executor`. The plain executor
     /// backend ignores this flag.
     pub fusion: bool,
@@ -135,8 +132,7 @@ pub trait PreparedModel: Send + Sync {
 /// An execution strategy that can ready a [`GraphModule`] for serving:
 /// the object-safe factory side of the trait pair.
 pub trait ExecutionBackend: Send + Sync {
-    /// Stable backend name (`"executor"`, `"engine"`), usable as the
-    /// [`ExecChoice::backend`] key.
+    /// Stable backend name (`"executor"`, `"engine"`).
     fn name(&self) -> &'static str;
 
     /// Prepare `gm` with the process-default [`ExecConfig`].
@@ -194,44 +190,6 @@ impl ExecutionBackend for ExecutorBackend {
         // pay levelization; runs then share it via the snapshot's cache.
         gm.exec_plan()?;
         Ok(Box::new(PreparedExecutor { gm, cfg }))
-    }
-}
-
-/// The winning backend + configuration from a `fx_backend::autotune`
-/// search over one graph, cached on the [`GraphModule`] (see
-/// [`GraphModule::exec_choice`]) and invalidated by any graph edit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExecChoice {
-    /// Backend name, resolvable via `fx_backend::backend_by_name`.
-    pub backend: String,
-    /// The chosen configuration.
-    pub config: ExecConfig,
-    /// Measured seconds per run for the chosen candidate (min over the
-    /// search's timed trials). Never greater than `default_seconds` —
-    /// the default configuration is always in the candidate set.
-    pub measured_seconds: f64,
-    /// Measured seconds per run for the default configuration
-    /// ([`ExecConfig::from_env`] on [`ExecutorBackend`]).
-    pub default_seconds: f64,
-    /// The estimator's roofline prediction for one serial run, when
-    /// shape metadata allowed one (`fx_passes::estimate`).
-    pub predicted_seconds: Option<f64>,
-    /// [`Graph::version`](crate::Graph::version) the search ran against;
-    /// the cache serves this choice only while the version still
-    /// matches.
-    pub graph_version: u64,
-}
-
-impl std::fmt::Display for ExecChoice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}({}) {:.3}ms vs default {:.3}ms",
-            self.backend,
-            self.config,
-            self.measured_seconds * 1e3,
-            self.default_seconds * 1e3
-        )
     }
 }
 
@@ -305,29 +263,5 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn exec_choice_cache_is_version_keyed() {
-        let mut gm = gm();
-        assert!(gm.exec_choice().is_none());
-        gm.set_exec_choice(ExecChoice {
-            backend: "executor".to_string(),
-            config: ExecConfig::from_env(),
-            measured_seconds: 1e-4,
-            default_seconds: 2e-4,
-            predicted_seconds: None,
-            graph_version: 0, // overwritten by set_exec_choice
-        });
-        let cached = gm.exec_choice().expect("choice cached");
-        assert_eq!(cached.backend, "executor");
-        assert_eq!(cached.graph_version, gm.graph().version());
-        // A clone carries the snapshot...
-        assert!(gm.clone().exec_choice().is_some());
-        // ...and any structural edit invalidates it.
-        let relu = gm.graph().find_by_name("relu").unwrap().id();
-        gm.graph_mut().set_target(relu, "gelu").unwrap();
-        gm.recompile().unwrap();
-        assert!(gm.exec_choice().is_none(), "stale choice must not serve");
     }
 }

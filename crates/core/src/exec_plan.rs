@@ -1,7 +1,7 @@
 //! [`ExecPlan`]: a [`Graph`](crate::Graph) compiled once into a form the
 //! [`Executor`](crate::Executor) can replay many times.
 //!
-//! The interpreter re-walks the IR node by node on every call: cloning
+//! A plain interpreter re-walks the IR node by node on every call: cloning
 //! nodes, re-resolving `Arg`s against a sparse arena-indexed environment,
 //! re-deciding everything it already decided last run. A plan does that
 //! work once per graph *version*:

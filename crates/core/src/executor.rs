@@ -1,6 +1,5 @@
-//! The unified [`Executor`]: one entry point for running a
-//! [`GraphModule`], replacing the scattered `Interpreter::run` /
-//! `Interpreter::run_hooked` / direct-invocation paths.
+//! The [`Executor`]: the one entry point for running a
+//! [`GraphModule`].
 //!
 //! ```text
 //! Executor::new(&gm)
@@ -29,9 +28,8 @@
 use crate::error::{Error, Result};
 use crate::exec_plan::{ExecPlan, PlanArg, Step};
 use crate::graph_module::GraphModule;
-use crate::interp::InterpHook;
 use crate::module::{join_path, module_ptr, ModuleExt};
-use crate::node::Opcode;
+use crate::node::{Node, Opcode};
 use crate::trace;
 use crate::value::Value;
 use crate::dispatch;
@@ -40,6 +38,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// Observe node-by-node execution — the pattern behind `shape_prop`
+/// and the quantization observers (paper §6.3). Hooked runs visit nodes
+/// in strict execution order.
+pub trait InterpHook {
+    /// Called after each node executes with the node and its produced
+    /// value. Returning an error aborts the run.
+    fn on_node(&mut self, node: &Node, value: &Value) -> Result<()>;
+}
 
 /// Run a node kernel with unwind containment: a panicking kernel
 /// becomes an [`Error::Panic`] carrying the panic message instead of
@@ -344,8 +351,7 @@ impl<'m> Executor<'m> {
         ))
     }
 
-    /// Execute one step against the environment — the trace-aware path,
-    /// mirroring the classic interpreter's semantics exactly.
+    /// Execute one step against the environment — the trace-aware path.
     fn execute_step(&self, step: &Step, env: &[Option<Value>], inputs: &[Value]) -> Result<Value> {
         match step.op {
             Opcode::Placeholder => inputs.get(step.input_index).cloned().ok_or_else(|| {
@@ -828,7 +834,7 @@ mod tests {
     fn hook_forces_sequential_and_sees_all_nodes() {
         struct Count(usize);
         impl InterpHook for Count {
-            fn on_node(&mut self, _n: &crate::node::Node, _v: &Value) -> Result<()> {
+            fn on_node(&mut self, _n: &Node, _v: &Value) -> Result<()> {
                 self.0 += 1;
                 Ok(())
             }

@@ -28,8 +28,7 @@ pub struct Graph {
 /// RAII insertion-point scope returned by [`Graph::inserting_before`] /
 /// [`Graph::inserting_after`]. Dereferences to the graph; dropping the
 /// guard restores the previous insertion point, so scopes nest and can
-/// never leak a stale insert point the way the manual
-/// `set_insert_point_*` / `clear_insert_point` triple could.
+/// never leak a stale insert point.
 ///
 /// ```
 /// use fx_core::{Arg, Graph};
@@ -163,7 +162,8 @@ impl Graph {
     }
 
     /// Monotonic mutation counter: incremented whenever the graph's
-    /// structure changes (node creation, erasure, rewiring, retargeting).
+    /// structure changes (node creation, erasure, rewiring, retargeting)
+    /// or a node's metadata is borrowed mutably.
     /// Consumers such as the executor's plan cache use it as a cheap
     /// validity key — equal versions guarantee an identical graph.
     pub fn version(&self) -> u64 {
@@ -223,26 +223,6 @@ impl Graph {
         InsertGuard { graph: self, prev }
     }
 
-    /// Direct subsequent node creation to insert **before** `node`.
-    #[deprecated(note = "use the RAII `Graph::inserting_before` guard instead")]
-    pub fn set_insert_point_before(&mut self, node: NodeId) {
-        self.insert_point = Some(node);
-    }
-
-    /// Direct subsequent node creation to insert **after** `node`.
-    #[deprecated(note = "use the RAII `Graph::inserting_after` guard instead")]
-    pub fn set_insert_point_after(&mut self, node: NodeId) {
-        let pos = self.position(node).map(|p| p + 1);
-        self.insert_point = pos.and_then(|p| self.order.get(p).copied());
-        // If `node` is last, inserting after it is appending.
-    }
-
-    /// Resume appending new nodes at the end of the graph.
-    #[deprecated(note = "insertion points are now scoped; drop the `InsertGuard` instead")]
-    pub fn clear_insert_point(&mut self) {
-        self.insert_point = None;
-    }
-
     // ----- access ----------------------------------------------------------
 
     /// Number of live nodes.
@@ -268,11 +248,14 @@ impl Graph {
 
     /// Mutably borrow a node for `meta` edits. Argument lists must be
     /// changed through [`Graph::set_args`] so the use–def index stays
-    /// correct.
+    /// correct. Bumps [`Graph::version`]: the memory planner reads
+    /// `shape`/`dtype` metadata, so a plan compiled before shapes were
+    /// stamped must not be served afterwards.
     pub fn node_meta_mut(
         &mut self,
         id: NodeId,
     ) -> &mut std::collections::BTreeMap<String, crate::node::Meta> {
+        self.version += 1;
         &mut self.arena[id.index()].as_mut().expect("erased node").meta
     }
 

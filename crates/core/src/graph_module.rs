@@ -15,7 +15,6 @@
 
 use crate::codegen;
 use crate::error::{Error, Result};
-use crate::exec::ExecChoice;
 use crate::exec_plan::ExecPlan;
 use crate::executor::Executor;
 use crate::graph::Graph;
@@ -58,24 +57,6 @@ impl Clone for PlanCache {
     }
 }
 
-/// The cached autotune decision ([`ExecChoice`]), version-keyed exactly
-/// like [`PlanCache`]: interior-mutable so `fx_backend::autotune` can
-/// record its winner through `&GraphModule`, snapshotted on clone, and
-/// served only while [`Graph::version`] still matches.
-#[derive(Debug, Default)]
-struct ChoiceCache {
-    inner: Mutex<Option<ExecChoice>>,
-}
-
-impl Clone for ChoiceCache {
-    fn clone(&self) -> ChoiceCache {
-        let state = self.inner.lock().map(|s| s.clone()).unwrap_or_default();
-        ChoiceCache {
-            inner: Mutex::new(state),
-        }
-    }
-}
-
 /// A captured (and possibly transformed) program plus its state.
 #[derive(Debug, Clone)]
 pub struct GraphModule {
@@ -85,7 +66,6 @@ pub struct GraphModule {
     code: String,
     input_names: Vec<String>,
     plan_cache: PlanCache,
-    choice_cache: ChoiceCache,
 }
 
 impl GraphModule {
@@ -107,7 +87,6 @@ impl GraphModule {
             code,
             input_names,
             plan_cache: PlanCache::default(),
-            choice_cache: ChoiceCache::default(),
         })
     }
 
@@ -240,31 +219,6 @@ impl GraphModule {
         state.plan = Some(plan.clone());
         state.compiles += 1;
         Ok((plan, false, state.compiles, state.hits))
-    }
-
-    /// The autotuned backend choice for the current graph version, if
-    /// one was recorded by [`GraphModule::set_exec_choice`] (normally
-    /// via `fx_backend::autotune`) and the graph has not been edited
-    /// since.
-    pub fn exec_choice(&self) -> Option<ExecChoice> {
-        self.choice_cache
-            .inner
-            .lock()
-            .expect("exec choice cache poisoned")
-            .clone()
-            .filter(|c| c.graph_version == self.graph.version())
-    }
-
-    /// Record an autotuned backend choice, stamping it with the current
-    /// [`Graph::version`] so any subsequent edit invalidates it.
-    pub fn set_exec_choice(&self, choice: ExecChoice) {
-        let mut choice = choice;
-        choice.graph_version = self.graph.version();
-        *self
-            .choice_cache
-            .inner
-            .lock()
-            .expect("exec choice cache poisoned") = Some(choice);
     }
 
     /// Execute the graph on concrete inputs (or proxies, in which case

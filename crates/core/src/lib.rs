@@ -50,7 +50,6 @@ pub mod executor;
 pub mod func;
 pub mod graph;
 pub mod graph_module;
-pub mod interp;
 pub mod module;
 pub mod node;
 mod ops_registry;
@@ -62,14 +61,11 @@ pub mod value;
 
 pub use arg::Arg;
 pub use error::{Error, Result};
-pub use exec::{ExecChoice, ExecConfig, ExecutionBackend, ExecutorBackend, PreparedModel};
+pub use exec::{ExecConfig, ExecutionBackend, ExecutorBackend, PreparedModel};
 pub use exec_plan::{ExecPlan, MemPlan, PlanArg, Step};
-pub use executor::{Executor, NodeTime, RunProfile, WavefrontStat};
+pub use executor::{Executor, InterpHook, NodeTime, RunProfile, WavefrontStat};
 pub use graph::{Graph, InsertGuard};
 pub use graph_module::GraphModule;
-pub use interp::InterpHook;
-#[allow(deprecated)]
-pub use interp::Interpreter;
 pub use module::{
     get_submodule, join_path, module_ptr, module_tree, named_modules, named_parameters,
     num_parameters, ArcModule, Module, ModuleExt,
@@ -101,7 +97,6 @@ const _: () = {
     assert_send_sync::<ArcModule>();
     assert_send_sync::<fx_tensor::Tensor>();
     assert_send_sync::<ExecConfig>();
-    assert_send_sync::<ExecChoice>();
     assert_send_sync::<ExecutorBackend>();
     // The trait pair is the cross-thread surface `fx_serve` holds.
     assert_send_sync::<Box<dyn PreparedModel>>();

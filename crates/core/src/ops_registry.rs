@@ -71,24 +71,8 @@ fn op_leaky_relu(i: &Inputs<'_>) -> Result<Value> {
     t(ops::leaky_relu(i.tensor(0)?, i.float_or(1, 0.01)? as f32)?)
 }
 
-fn op_linear(i: &Inputs<'_>) -> Result<Value> {
-    t(ops::linear(i.tensor(0)?, i.tensor(1)?, i.opt_tensor(2)?)?)
-}
-
 fn op_matmul(i: &Inputs<'_>) -> Result<Value> {
     t(ops::matmul(i.tensor(0)?, i.tensor(1)?)?)
-}
-
-fn op_conv2d(i: &Inputs<'_>) -> Result<Value> {
-    t(ops::conv2d(
-        i.tensor(0)?,
-        i.tensor(1)?,
-        i.opt_tensor(2)?,
-        i.usize_pair(3)?,
-        i.usize_pair(4)?,
-        i.usize_pair(5)?,
-        i.int_or(6, 1)? as usize,
-    )?)
 }
 
 fn op_batch_norm(i: &Inputs<'_>) -> Result<Value> {
@@ -245,6 +229,147 @@ fn op_dropout(i: &Inputs<'_>) -> Result<Value> {
     Ok(Value::Tensor(i.tensor(0)?.clone()))
 }
 
+// ----- fused ops -------------------------------------------------------------
+//
+// Targets the `fx_backend` fusion passes emit. Each composes the same
+// kernels the unfused nodes bottom out in, applied to the same values in
+// the same order, so a fused graph is bit-identical to its source — the
+// one exception being `conv2d_act`'s opt-in pointwise routing. Plain
+// `conv2d` / `linear` are their `_act` twins called without an epilogue.
+
+/// The activation epilogue named at argument `at`, if any: a
+/// parameterless scalar unary (see [`ops::unary_scalar`]).
+fn act_at<'a>(i: &Inputs<'a>, at: usize) -> Result<Option<&'a str>> {
+    match i.opt(at) {
+        None => Ok(None),
+        Some(Value::Str(name)) if ops::unary_scalar(name).is_some() => Ok(Some(name)),
+        Some(other) => Err(Error::BadArg {
+            op: i.op.to_string(),
+            expected: "the name of a scalar unary activation".to_string(),
+            got: format!("{other:?}"),
+        }),
+    }
+}
+
+/// Apply `act` to a freshly produced (uniquely owned) kernel output, in
+/// place.
+fn with_act(y: Tensor, act: Option<&str>) -> Result<Value> {
+    match act.and_then(ops::unary_scalar) {
+        Some(f) => t(y.map_inplace(f)?),
+        None => t(y),
+    }
+}
+
+/// `conv2d`, and `conv2d_act` = `conv2d` + activation epilogue: the
+/// seven convolution args, then optionally the activation name and
+/// whether to route through the direct pointwise GEMM. ReLU rides the
+/// GEMM write-back.
+fn op_conv2d(i: &Inputs<'_>) -> Result<Value> {
+    let (x, w, b) = (i.tensor(0)?, i.tensor(1)?, i.opt_tensor(2)?);
+    let act = act_at(i, 7)?;
+    let relu = act == Some("relu");
+    let y = if i.bool_or(8, false)? {
+        ops::conv2d_pointwise_act(x, w, b, relu)?
+    } else {
+        ops::conv2d_act(
+            x,
+            w,
+            b,
+            i.usize_pair(3)?,
+            i.usize_pair(4)?,
+            i.usize_pair(5)?,
+            i.int_or(6, 1)? as usize,
+            relu,
+        )?
+    };
+    with_act(y, act.filter(|_| !relu))
+}
+
+/// `linear`, and `linear_act` = `linear` + activation epilogue
+/// (`x, w, b[, act]`).
+fn op_linear(i: &Inputs<'_>) -> Result<Value> {
+    let act = act_at(i, 3)?;
+    let relu = act == Some("relu");
+    let y = ops::linear_act(i.tensor(0)?, i.tensor(1)?, i.opt_tensor(2)?, relu)?;
+    with_act(y, act.filter(|_| !relu))
+}
+
+/// Broadcasting binary kernel + activation epilogue (`a, b, act`), with
+/// the unfused op's scalar promotion.
+fn binary_act(
+    i: &Inputs<'_>,
+    kernel: fn(&Tensor, &Tensor) -> std::result::Result<Tensor, fx_tensor::Error>,
+) -> Result<Value> {
+    let a = to_tensor(i.op, i.value(0)?)?;
+    let b = to_tensor(i.op, i.value(1)?)?;
+    with_act(kernel(&a, &b)?, act_at(i, 2)?)
+}
+
+/// `add` + activation epilogue — the fused residual `add+relu`.
+fn op_add_act(i: &Inputs<'_>) -> Result<Value> {
+    binary_act(i, ops::add)
+}
+
+/// `mul` + activation epilogue.
+fn op_mul_act(i: &Inputs<'_>) -> Result<Value> {
+    binary_act(i, ops::mul)
+}
+
+/// A run of unary elementwise ops in one pass over the data. The second
+/// argument lists the steps: scalar-unary names, with `"add"` / `"mul"`
+/// followed by their immediate — `["relu", "mul", 2.0, "neg"]`.
+fn op_unary_chain(i: &Inputs<'_>) -> Result<Value> {
+    enum Step {
+        Map(fn(f32) -> f32),
+        Add(f32),
+        Mul(f32),
+    }
+    let bad = |got: &dyn std::fmt::Debug| Error::BadArg {
+        op: i.op.to_string(),
+        expected: "a list of unary op names, `add`/`mul` followed by a number".to_string(),
+        got: format!("{got:?}"),
+    };
+    let Value::List(steps) = i.value(1)? else {
+        return Err(bad(i.value(1)?));
+    };
+    let mut chain = Vec::with_capacity(steps.len());
+    let mut it = steps.iter();
+    while let Some(step) = it.next() {
+        let Value::Str(name) = step else {
+            return Err(bad(step));
+        };
+        chain.push(match name.as_str() {
+            "add" | "mul" => {
+                // The same scalar promotion the unfused op applies.
+                let c = match it.next() {
+                    Some(Value::Float(f)) => *f as f32,
+                    Some(Value::Int(n)) => *n as f32,
+                    other => return Err(bad(&other)),
+                };
+                if name == "add" {
+                    Step::Add(c)
+                } else {
+                    Step::Mul(c)
+                }
+            }
+            name => Step::Map(ops::unary_scalar(name).ok_or_else(|| bad(step))?),
+        });
+    }
+    let x = to_tensor(i.op, i.value(0)?)?;
+    t(x.map_inplace(|v| {
+        chain.iter().fold(v, |acc, s| match s {
+            Step::Map(f) => f(acc),
+            Step::Add(c) => acc + c,
+            Step::Mul(c) => acc * c,
+        })
+    })?)
+}
+
+/// Per-channel affine — a batch norm with its statistics pre-folded.
+fn op_channel_affine(i: &Inputs<'_>) -> Result<Value> {
+    t(ops::channel_affine(i.tensor(0)?, i.tensor(1)?, i.tensor(2)?)?)
+}
+
 // ----- quantized ops ---------------------------------------------------------
 
 fn op_quantize_per_tensor(i: &Inputs<'_>) -> Result<Value> {
@@ -387,6 +512,12 @@ pub(crate) fn builtin_functions() -> HashMap<String, OpFn> {
         ("argmax", op_argmax),
         ("embedding", op_embedding),
         ("dropout", op_dropout),
+        ("conv2d_act", op_conv2d),
+        ("linear_act", op_linear),
+        ("add_act", op_add_act),
+        ("mul_act", op_mul_act),
+        ("unary_chain", op_unary_chain),
+        ("channel_affine", op_channel_affine),
         ("quantize_per_tensor", op_quantize_per_tensor),
         ("dequantize", op_dequantize),
         ("quantized::linear", op_quantized_linear),

@@ -35,6 +35,7 @@
 mod activation;
 mod container;
 mod conv;
+mod fused;
 pub mod init;
 mod linear;
 mod misc;
@@ -44,6 +45,7 @@ mod pool;
 pub use activation::{LeakyReLU, ReLU, ReLU6, Sigmoid, Tanh, GELU, SELU};
 pub use container::{Identity, Sequential};
 pub use conv::Conv2d;
+pub use fused::{ChannelAffine, FusedConv2d, FusedLinear};
 pub use linear::Linear;
 pub use misc::{Dropout, Embedding, Flatten};
 pub use norm::{BatchNorm2d, LayerNorm};

@@ -586,6 +586,27 @@ mod tests {
     }
 
     #[test]
+    fn stamping_shapes_invalidates_the_cached_plan() {
+        // The memory planner reads shape metadata, so a plan compiled
+        // before stamping (here by a plain run, and by `shape_prop`'s own
+        // hooked run) must not be served afterwards.
+        let mut rng = StdRng::seed_from_u64(0);
+        let traced = symbolic_trace(&Mlp::new(&[4, 8, 2], &mut rng)).unwrap();
+        let x = Value::Tensor(Tensor::ones(&[3, 4]));
+        for stamp in [
+            (|gm, x| shape_prop(gm, &[x]).map(drop)) as fn(&mut GraphModule, Value) -> Result<()>,
+            |gm, _| infer_shapes(gm, &[vec![3, 4]]).map(drop),
+        ] {
+            let mut gm = traced.clone();
+            gm.run(std::slice::from_ref(&x)).unwrap();
+            assert!(!gm.exec_plan().unwrap().0.has_mem_plan(), "no shapes yet");
+            stamp(&mut gm, x.clone()).unwrap();
+            let (plan, hit, ..) = gm.exec_plan().unwrap();
+            assert!(!hit && plan.has_mem_plan(), "stale unplanned plan served");
+        }
+    }
+
+    #[test]
     fn abstract_matches_concrete_on_resnet() {
         let mut rng = StdRng::seed_from_u64(1);
         let model = resnet_tiny(&mut rng);

@@ -285,15 +285,16 @@ impl ServerBuilder {
 
     /// Serve through `backend` instead of the default
     /// `ExecutorBackend`. Any [`ExecutionBackend`] works — e.g.
-    /// `fx_backend::EngineBackend::new()`, whose exact mode serves
-    /// traffic bit-identically to the executor.
+    /// `fx_backend::EngineBackend::new()`, which runs the AoT fusion
+    /// passes before preparing the same executor and (with
+    /// `ExecConfig::fusion` off) serves traffic bit-identically.
     pub fn with_backend(mut self, backend: Arc<dyn ExecutionBackend>) -> ServerBuilder {
         self.cfg = self.cfg.backend(backend);
         self
     }
 
-    /// Run the admission check, prepare the execution backend (plan
-    /// compilation / engine compilation happens here, not on the first
+    /// Run the admission check, prepare the execution backend (graph
+    /// passes and plan compilation happen here, not on the first
     /// request), and spawn the batcher and worker threads.
     pub fn build(self) -> Result<Server> {
         let registry = RegistryBuilder::new().workers(self.workers).build()?;

@@ -26,7 +26,7 @@ pub use elementwise::{
     rsqrt, selu, sigmoid, sqrt, sub, tanh, unary_scalar,
 };
 pub use matmul::{linear, linear_act, matmul};
-pub use norm::{batch_norm, layer_norm, log_softmax, softmax};
+pub use norm::{batch_norm, channel_affine, layer_norm, log_softmax, softmax};
 pub use reduce::{argmax, max_dim, mean_all, mean_dim, sum_all, sum_dim};
 pub use shape_ops::{
     cat, chunk, embedding, flatten, permute, squeeze, transpose, unsqueeze,

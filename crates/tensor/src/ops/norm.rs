@@ -50,8 +50,18 @@ pub fn batch_norm(
     scale.extend((0..c).map(|i| g[i] / (v[i] + eps).sqrt()));
     let mut shift = pool::alloc_f32_empty(c);
     shift.extend((0..c).map(|i| b[i] - m[i] * scale[i]));
+    let out = affine_per_channel(xd, xs, &scale, &shift);
+    pool::recycle_f32(scale);
+    pool::recycle_f32(shift);
+    Ok(out)
+}
+
+/// `y = x * scale[c] + shift[c]` over the channel dimension of
+/// `[N, C, ...]` data; callers have checked `scale`/`shift` hold `C`
+/// values.
+fn affine_per_channel(xd: &[f32], xs: &[usize], scale: &[f32], shift: &[f32]) -> Tensor {
+    let (n, c) = (xs[0], xs[1]);
     let inner: usize = xs[2..].iter().product();
-    let n = xs[0];
     let mut out = pool::alloc_f32_empty(xd.len());
     for img in 0..n {
         for ch in 0..c {
@@ -60,9 +70,24 @@ pub fn batch_norm(
             out.extend(xd[base..base + inner].iter().map(|&x| x * s + sh));
         }
     }
-    pool::recycle_f32(scale);
-    pool::recycle_f32(shift);
-    Ok(Tensor::from_vec(out, xs))
+    Tensor::from_vec(out, xs)
+}
+
+/// Per-channel affine `y = x * scale[c] + shift[c]` over an
+/// `[N, C, ...]` tensor: a batch norm whose statistics were folded into
+/// `scale`/`shift` ahead of time (the backend's standalone-BN lowering).
+/// Bit-identical to [`batch_norm`] when `scale = γ/sqrt(var+ε)` and
+/// `shift = β - mean*scale`, which is how that kernel computes it too.
+pub fn channel_affine(x: &Tensor, scale: &Tensor, shift: &Tensor) -> Result<Tensor> {
+    let xs = x.shape();
+    if xs.len() < 2 || scale.shape() != [xs[1]] || shift.shape() != [xs[1]] {
+        return Err(Error::ShapeMismatch {
+            op: "channel_affine",
+            expected: "input [N, C, ...] with scale and shift of shape [C]".to_string(),
+            got: xs.to_vec(),
+        });
+    }
+    Ok(affine_per_channel(x.as_f32()?, xs, scale.as_f32()?, shift.as_f32()?))
 }
 
 /// Layer normalization over the last `normalized_rank` dimensions.
@@ -159,6 +184,16 @@ mod tests {
             &Tensor::from_vec(vec![-1.0, 1.0, -1.0, 1.0], &[1, 2, 2, 1]),
             1e-5
         ));
+    }
+
+    #[test]
+    fn channel_affine_matches_batch_norm_fold() {
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 2, 1]);
+        let scale = Tensor::from_vec(vec![2.0, 0.5], &[2]);
+        let shift = Tensor::from_vec(vec![1.0, -1.0], &[2]);
+        let y = channel_affine(&x, &scale, &shift).unwrap();
+        assert_eq!(y.as_f32().unwrap(), &[3.0, 5.0, 0.5, 1.0]);
+        assert!(channel_affine(&x, &Tensor::ones(&[1]), &Tensor::zeros(&[1])).is_err());
     }
 
     #[test]

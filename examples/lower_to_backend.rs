@@ -1,6 +1,6 @@
 //! Device lowering with automatic splitting (§6.4): compile a model
 //! into the TensorRT-like engine, watching unsupported ops fall back to
-//! the interpreter — the fx2trt flow.
+//! the plain executor — the fx2trt flow.
 //!
 //! Run: `cargo run --release --example lower_to_backend`
 
@@ -17,10 +17,13 @@ fn main() {
 
     // --- a fully-supported model compiles into one engine ---
     let model = resnet18(3, 1000, &mut rng);
-    let gm = symbolic_trace(&model).expect("trace");
+    let mut gm = symbolic_trace(&model).expect("trace");
+    let x = Value::Tensor(Tensor::randn(&[1, 3, 64, 64], &mut rng));
+    // Shape metadata lets the executor's memory planner assign buffers.
+    fx::passes::shape_prop(&mut gm, std::slice::from_ref(&x)).expect("shape_prop");
     let engine = compile(&gm).expect("compile");
     println!(
-        "ResNet18: {} graph nodes -> {} fused instructions, {} registers",
+        "ResNet18: {} graph nodes -> {} fused instructions, {} planned buffers",
         gm.graph().len(),
         engine.instruction_count(),
         engine.register_count()
@@ -30,7 +33,6 @@ fn main() {
         println!("  {line}");
     }
 
-    let x = Value::Tensor(Tensor::randn(&[1, 3, 64, 64], &mut rng));
     let y0 = gm.run(std::slice::from_ref(&x)).expect("eager");
     let y1 = engine
         .run(&[x.as_tensor().unwrap().clone()])
@@ -71,7 +73,7 @@ fn main() {
     .expect("trace");
     let (lowered, report) = lower(&mixed).expect("lower");
     println!(
-        "partitions: {} engine, {} interpreter fallback",
+        "partitions: {} engine, {} unfused fallback",
         report.engine_partitions, report.fallback_partitions
     );
     println!("{}", lowered.code());

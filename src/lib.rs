@@ -51,13 +51,9 @@ pub use fx_tensor as tensor;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use fx_core::{
-        func, symbolic_trace, symbolic_trace_fn, ExecChoice, ExecConfig, ExecPlan,
+        func, symbolic_trace, symbolic_trace_fn, ExecConfig, ExecPlan,
         ExecutionBackend, Executor, ExecutorBackend, Graph, GraphModule, Module, ModuleExt,
         Node, Opcode, PreparedModel, RunProfile, Tracer, Value,
     };
-    // Source-compat re-export of the deprecated shim; new code goes
-    // through `Executor` or `ExecutionBackend`.
-    #[allow(deprecated)]
-    pub use fx_core::Interpreter;
     pub use fx_tensor::{DType, Tensor};
 }

@@ -44,7 +44,8 @@ fn round_trip(gm: &GraphModule) -> GraphModule {
 /// All execution paths agree bit-for-bit on `inputs`: the prepared
 /// default backend, the executor across inter-op thread counts × memory
 /// planning on/off × intra-op kernel-pool threads (1 vs 4), the
-/// exact-mode engine backend, and the codegen round-trip.
+/// exact-mode engine backend across the same threads × planning grid,
+/// and the codegen round-trip.
 fn assert_paths_bit_identical(gm: &GraphModule, inputs: &[Value], label: &str) {
     let reference = as_bits(
         &ExecutorBackend
@@ -85,20 +86,29 @@ fn assert_paths_bit_identical(gm: &GraphModule, inputs: &[Value], label: &str) {
         );
     }
     fx_tensor::threading::set_num_threads(prev);
-    // The AoT engine in exact mode (conv–BN folding and pointwise
-    // routing off) answers through the same trait object and must not
-    // move a bit either. Graphs it cannot compile (e.g. quantized ones)
-    // fall back to the executor inside the backend, which is equally
-    // bound by this assertion.
-    let engine = EngineBackend::new()
-        .prepare(gm)
-        .and_then(|p| p.run(inputs))
-        .unwrap_or_else(|e| panic!("{label}: engine backend failed: {e}"));
-    assert_eq!(
-        reference,
-        as_bits(&engine),
-        "{label}: exact-mode engine backend diverged"
-    );
+    // The AoT engine backend in exact mode (conv–BN folding and
+    // pointwise routing off) is fusion passes + the same executor, so
+    // its fused graph reaches the parallel and pooled paths too: no
+    // thread count or planner mode may move a bit. Ops outside its
+    // operator set (e.g. quantized ones) are simply left unfused.
+    for planning in [false, true] {
+        for threads in [1, 2, 8] {
+            let cfg = ExecConfig {
+                threads,
+                memory_planning: planning,
+                fusion: false,
+            };
+            let engine = EngineBackend::new()
+                .prepare_with(gm, cfg)
+                .and_then(|p| p.run(inputs))
+                .unwrap_or_else(|e| panic!("{label}: engine backend ({cfg}) failed: {e}"));
+            assert_eq!(
+                reference,
+                as_bits(&engine),
+                "{label}: exact-mode engine backend ({cfg}) diverged"
+            );
+        }
+    }
     let rt = round_trip(gm);
     let out = rt
         .run(inputs)

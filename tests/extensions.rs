@@ -164,9 +164,9 @@ fn ablation_knobs_preserve_semantics_everywhere() {
             },
         ),
         (
-            "no_planning",
+            "no_pointwise",
             CompileOptions {
-                plan_registers: false,
+                pointwise: false,
                 ..Default::default()
             },
         ),

@@ -9,7 +9,8 @@
 //!   executor and the exact-mode AoT engine) vs the codegen round-trip
 //!   (print → parse → rebuild → run);
 //! * mutating passes are **idempotent**: running fuse / CSE / constant
-//!   folding a second time changes nothing (0 rewrites, same bits);
+//!   folding / each backend fusion pass a second time changes nothing
+//!   (0 rewrites, same bits);
 //! * the graph **validates** ([`GraphModule::validate`]) after tracing
 //!   and after every transform.
 //!
@@ -92,8 +93,8 @@ fn check_all_paths(gm: &GraphModule, inputs: &[Value], label: &str) -> Vec<u32> 
         }
     }
     // Both execution backends through the trait object. The engine
-    // backend falls back to a prepared executor on graphs it cannot
-    // compile, so the sweep is total over whatever the fuzzer built.
+    // backend's fusion passes leave nodes they do not recognize alone,
+    // so the sweep is total over whatever the fuzzer built.
     let backends: [Box<dyn ExecutionBackend>; 2] = [
         Box::new(ExecutorBackend),
         Box::new(fx::backend::EngineBackend::new()),
@@ -288,6 +289,32 @@ fn differential_fuzz_sweep() {
         let x = rand_value(&input_shape, seed ^ 0x5EED);
         let inputs = std::slice::from_ref(&x);
         let before = check_all_paths(&gm, inputs, &format!("{label}: traced"));
+
+        // The backend's fusion passes, on the graph as traced (so
+        // standalone BatchNorms are still there to lower): each
+        // validates on exit, is idempotent, leaves a graph that prints,
+        // reparses and runs on every path, and — pointwise routing
+        // aside — does not move a bit.
+        {
+            use fx::backend::passes::*;
+            let mut gm = gm.clone();
+            for (name, pass) in [
+                ("elide_identities", elide_identities as fn(&mut _) -> _),
+                ("bn_to_affine", bn_to_affine),
+                ("fuse_epilogues", fuse_epilogues),
+                ("fuse_unary_chains", fuse_unary_chains),
+                ("eliminate_dead_code", eliminate_dead_code),
+            ] {
+                let after = check_idempotent(&mut gm, inputs, &format!("{label}: {name}"), pass);
+                assert_eq!(before, after, "{label}: {name} changed observable bits");
+            }
+            let routed =
+                check_idempotent(&mut gm, inputs, &format!("{label}: pointwise"), route_pointwise);
+            for (a, b) in before.iter().zip(&routed) {
+                let (a, b) = (f32::from_bits(*a), f32::from_bits(*b));
+                assert!((a - b).abs() <= 1e-4 * (1.0 + a.abs()), "{label}: pointwise drifted");
+            }
+        }
 
         // Conv–BN fusion is numerics-changing, so it gets its own
         // before/after reference; CSE and constant folding must each

@@ -2,8 +2,8 @@
 //! must be **bit-identical** to solo `Executor` runs of the same
 //! request, for every evaluation model, under concurrent clients —
 //! **whichever execution backend** the server was built with: the
-//! default, an explicit [`ExecutorBackend`], the exact-mode AoT
-//! [`EngineBackend`], or whatever [`autotune`] picked.
+//! default, an explicit [`ExecutorBackend`], or the exact-mode AoT
+//! [`EngineBackend`].
 //!
 //! Bit-identity (not `allclose`) holds because dim-0 stacking of
 //! contiguous row-major tensors is pure buffer concatenation and every
@@ -13,7 +13,7 @@
 //! and the engine's exact mode keeps every fused kernel on the same
 //! accumulation order as the eager ops.
 
-use fx::backend::{autotune, backend_by_name, EngineBackend};
+use fx::backend::EngineBackend;
 use fx::prelude::*;
 use fx::serve::Server;
 use fx_models::{resnet50, DeepRecommender, LearningToPaintActor};
@@ -53,8 +53,6 @@ enum Served {
     Default,
     /// An explicit backend trait object via `with_backend`.
     Backend(Arc<dyn ExecutionBackend>),
-    /// `autotune` the graph, then serve its cached `ExecChoice`.
-    Autotuned,
 }
 
 /// N clients hammer the server concurrently; every response must match
@@ -68,28 +66,13 @@ fn assert_served_parity_with(gm: &GraphModule, input_shape: &[usize], label: &st
         .max_batch_size(2 * input_shape[0].max(1))
         .max_batch_delay(Duration::from_millis(10));
     // The default path compiles the plan exactly once at prepare time;
-    // engine-backed and autotuned servers have no such invariant.
+    // explicit backends make no such promise.
     let mut expect_plan_compiles = Some(1);
     match how {
         Served::Default => {}
         Served::Backend(backend) => {
             expect_plan_compiles = None;
             builder = builder.with_backend(backend);
-        }
-        Served::Autotuned => {
-            expect_plan_compiles = None;
-            let sample = vec![Value::Tensor(randn(input_shape, 999))];
-            let choice = autotune(gm, &sample).unwrap_or_else(|e| panic!("{label}: autotune: {e}"));
-            assert_eq!(
-                gm.exec_choice().as_ref(),
-                Some(&choice),
-                "{label}: autotune caches its choice on the module"
-            );
-            let backend = backend_by_name(&choice.backend)
-                .unwrap_or_else(|| panic!("{label}: unknown backend in {choice}"));
-            builder = builder
-                .with_backend(Arc::from(backend))
-                .exec_config(choice.config);
         }
     }
     let server = builder
@@ -157,8 +140,8 @@ fn learning_to_paint_served_responses_are_bit_identical() {
 }
 
 /// The same three models, served through every backend the trait can
-/// name — an explicit executor, the exact-mode AoT engine, and the
-/// autotuned choice — all bit-identical to the solo executor run.
+/// name — an explicit executor and the exact-mode AoT engine — all
+/// bit-identical to the solo executor run.
 #[test]
 fn all_backends_serve_bit_identically() {
     let mut rng = StdRng::seed_from_u64(50);
@@ -185,7 +168,6 @@ fn all_backends_serve_bit_identically() {
             &format!("{label}/engine-backend"),
             Served::Backend(Arc::new(EngineBackend::new())),
         );
-        assert_served_parity_with(gm, &shape, &format!("{label}/autotuned"), Served::Autotuned);
     }
 }
 
