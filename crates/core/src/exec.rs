@@ -175,7 +175,7 @@ impl PreparedModel for PreparedExecutor {
     }
 
     fn describe(&self) -> String {
-        format!("executor({})", self.cfg)
+        format!("executor({} simd={})", self.cfg, fx_tensor::simd_level())
     }
 }
 
@@ -247,7 +247,9 @@ mod tests {
         let (_, profile) = prepared.run_profiled(&[x()]).unwrap();
         assert!(profile.plan_cache_hit, "prepare must pre-compile the plan");
         assert_eq!(profile.plan_compiles, 1);
-        assert!(prepared.describe().starts_with("executor("));
+        let line = prepared.describe();
+        assert!(line.starts_with("executor("), "{line}");
+        assert!(line.contains(&format!("simd={}", fx_tensor::simd_level())), "{line}");
     }
 
     #[test]

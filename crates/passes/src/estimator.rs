@@ -70,23 +70,27 @@ impl DeviceSpec {
     }
 
     /// The machine the benchmarks actually run on: one x86-64 core.
-    /// Peak FLOP/s follows the SIMD width the kernel library selected —
-    /// with AVX2+FMA, 2 FMA ports × 8 f32 lanes × 2 flops ≈ 32
-    /// flops/cycle at a nominal 3 GHz; the portable scalar path
-    /// auto-vectorizes one FMA chain, roughly a quarter of that. Used to
-    /// put measured GEMM/conv GFLOP/s on a roofline in the benches.
+    /// Peak FLOP/s follows the GEMM engine the kernel library selected
+    /// ([`fx_tensor::simd_level`]) — 2 FMA ports × f32 lanes × 2 flops
+    /// per cycle at a nominal 3 GHz: 16 lanes for AVX-512, 8 for AVX2;
+    /// the portable scalar path auto-vectorizes one FMA chain, roughly a
+    /// quarter of AVX2. Used to put measured GEMM/conv GFLOP/s on a
+    /// roofline in the benches — so the same conv reads as a *smaller*
+    /// fraction of peak on an AVX-512 host than on an AVX2 one.
     pub fn host_cpu_single_core() -> DeviceSpec {
-        let simd = fx_tensor::simd_enabled();
+        // The int8 tiles are YMM `vpmaddwd`/`vpdpwssd` at every level:
+        // twice the AVX2 f32 peak, level with the AVX-512 one.
+        let (name, peak_flops, int8_speedup) = match fx_tensor::simd_level() {
+            "avx512" => ("host core, AVX-512 microkernel", 192.0e9, 1.0),
+            "avx2" => ("host core, AVX2+FMA microkernel", 96.0e9, 2.0),
+            _ => ("host core, portable scalar", 24.0e9, 2.0),
+        };
         DeviceSpec {
-            name: if simd {
-                "host core, AVX2+FMA microkernel"
-            } else {
-                "host core, portable scalar"
-            },
-            peak_flops: if simd { 96.0e9 } else { 24.0e9 },
+            name,
+            peak_flops,
             mem_bandwidth: 20.0e9,
             dispatch_overhead: 0.5e-6,
-            int8_speedup: 2.0,
+            int8_speedup,
         }
     }
 

@@ -22,7 +22,7 @@ fn time_gflops(name: &str, flops: u64, mut f: impl FnMut()) {
 }
 
 fn main() {
-    println!("simd_enabled = {}", fx_tensor::simd_enabled());
+    println!("simd_level = {}", fx_tensor::simd_level());
     let mut rng = StdRng::seed_from_u64(90);
 
     for &(m, k, n) in &[(256usize, 256usize, 256usize), (512, 512, 512)] {

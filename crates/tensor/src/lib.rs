@@ -5,7 +5,7 @@
 //! This crate provides a small but real n-dimensional array library:
 //! contiguous row-major tensors over `f32`, `i64`, `bool` and quantized
 //! `i8` storage, NumPy-style broadcasting, a blocked (optionally threaded)
-//! GEMM with explicit AVX2/FMA microkernels behind runtime feature
+//! GEMM with explicit AVX2 / AVX-512 microkernels behind runtime feature
 //! detection (`FX_SIMD=0` selects the portable fallback; see
 //! [`simd_enabled`]), im2col / implicit-GEMM convolution, pooling,
 //! normalization, activations,
@@ -42,7 +42,7 @@ pub mod threading;
 
 pub use dtype::DType;
 pub use error::{Error, Result};
-pub use ops::{simd_available, simd_enabled};
+pub use ops::{simd_available, simd_enabled, simd_level};
 pub use quant::QScheme;
 pub use tensor::Tensor;
 pub use threading::{num_threads, set_num_threads};

@@ -3,7 +3,7 @@
 //! Convolution has two lowering strategies behind one entry point:
 //! the portable path materializes a patch-major im2col matrix and runs
 //! the blocked GEMM over it (the FBGEMM-style lowering), while the
-//! AVX2/FMA path runs an **implicit GEMM** — patches are gathered into
+//! SIMD path runs an **implicit GEMM** — patches are gathered into
 //! the microkernel's packed B panels on the fly ([`simd::PatchSrc`]),
 //! so the full `[n·p, kg]` im2col scratch is never allocated.
 
@@ -115,7 +115,7 @@ pub fn conv2d_pointwise_act(
 /// * `bias` — optional `[O]`
 ///
 /// Implemented as patch-major im2col followed by a transposed GEMM, the
-/// same lowering FBGEMM and most CPU backends use — or, on the AVX2
+/// same lowering FBGEMM and most CPU backends use — or, on the SIMD
 /// path, as an implicit GEMM that packs patches per panel and never
 /// materializes the im2col matrix.
 pub fn conv2d(
@@ -316,7 +316,7 @@ fn conv_via_im2col(
     out
 }
 
-/// AVX2 lowering: implicit GEMM. The microkernel's B panels are packed
+/// SIMD lowering: implicit GEMM. The microkernel's B panels are packed
 /// straight from the input via [`PatchSrc`] — same values the im2col
 /// matrix would hold, gathered `KC×NR` at a time — so the only scratch
 /// is the per-group `[og, n·p]` result (the `[n·p, kg]` column matrix
@@ -641,7 +641,7 @@ mod tests {
     }
 
     /// Property sweep: both lowerings — materialized im2col and the
-    /// AVX2 implicit GEMM — must match the direct-convolution oracle
+    /// SIMD implicit GEMM — must match the direct-convolution oracle
     /// across randomized geometries (grouped, strided, dilated, padded,
     /// 1×1 kernels where the GEMM depth is below the SIMD lane width).
     #[test]

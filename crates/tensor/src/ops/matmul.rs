@@ -1,5 +1,5 @@
 //! Matrix multiplication: the `matmul` / `linear` entry points over two
-//! interchangeable GEMM engines — the explicit AVX2/FMA microkernel
+//! interchangeable GEMM engines — the explicit SIMD microkernel
 //! path ([`simd`]) when the host supports it, and a portable blocked,
 //! thread-parallel fallback (`FX_SIMD=0`, or non-x86 hosts) kept
 //! bit-stable for the parity suites.
@@ -41,7 +41,7 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
 
 /// `C[m,n] = A[m,k] @ B[k,n]`, all row-major, written into the
 /// caller-provided `c` (which may hold garbage — every element is
-/// overwritten). Dispatches to the AVX2/FMA microkernel when
+/// overwritten). Dispatches to the SIMD microkernel when
 /// [`simd::simd_enabled`]; the portable path zeroes `c` and runs the
 /// inner loop down contiguous rows of `B` so it auto-vectorizes.
 /// Length mismatches are caller-side shape bugs and would read out of
@@ -439,7 +439,7 @@ mod tests {
         assert!(matmul(&a, &b).is_err());
     }
 
-    /// Property sweep: the AVX2 engine must agree with the portable
+    /// Property sweep: the SIMD engine must agree with the portable
     /// scalar engine within the documented ULP bound (`2·K·ε` relative
     /// to the accumulation magnitude) over odd M/K/N — K below lane
     /// width, K = 0, single rows, non-multiples of the register tile.

@@ -20,7 +20,7 @@ pub use conv::{
     adaptive_avg_pool2d, avg_pool2d, conv2d, conv2d_act, conv2d_pointwise, conv2d_pointwise_act,
     max_pool2d,
 };
-pub use simd::{simd_available, simd_enabled};
+pub use simd::{simd_available, simd_enabled, simd_level};
 pub use elementwise::{
     abs, add, clamp, div, exp, gelu, hardtanh, leaky_relu, log, maximum, minimum, mul, neg, relu,
     rsqrt, selu, sigmoid, sqrt, sub, tanh, unary_scalar,

@@ -362,12 +362,24 @@ pub fn clear() {
     clear_buckets::<i32>();
 }
 
+/// Held by the tests below that assert exact deltas of the process-wide
+/// counters, and by the kernel tests that issue pool traffic by the
+/// thousand (`ops::simd`'s tile sweeps), so the two never interleave.
+#[cfg(test)]
+pub(crate) static COUNTER_TESTS: Mutex<()> = Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A poisoned lock only means another counter test failed.
+    fn quiet() -> std::sync::MutexGuard<'static, ()> {
+        COUNTER_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn inactive_pool_is_passthrough() {
+        let _quiet = quiet();
         // No guard live (tests in this module never leak one): recycle
         // drops, alloc goes to the heap.
         let before = stats();
@@ -408,6 +420,7 @@ mod tests {
 
     #[test]
     fn tensor_recycling_respects_sharing() {
+        let _quiet = quiet();
         let _g = activate();
         let t = Tensor::from_vec(vec![1.0f32; 4_321], &[4_321]);
         let alias = t.clone();
@@ -430,6 +443,7 @@ mod tests {
 
     #[test]
     fn dtype_buckets_are_segregated() {
+        let _quiet = quiet();
         let _g = activate();
         // Recycling an i8 buffer must never satisfy an f32 alloc of the
         // same element count (and vice versa).
@@ -453,6 +467,7 @@ mod tests {
 
     #[test]
     fn i8_bytes_weighted_by_element_size() {
+        let _quiet = quiet();
         let _g = activate();
         clear();
         let len = 6_000; // bucket cap 8192
@@ -472,6 +487,7 @@ mod tests {
 
     #[test]
     fn qi8_tensor_recycling_round_trips() {
+        let _quiet = quiet();
         use crate::quant::QScheme;
         let _g = activate();
         let len = 5_431;

@@ -11,9 +11,9 @@
 //! and padded variants) and asserts no NaN leaks into any output.
 //!
 //! Runs as its own integration binary so the poisoned pool cannot
-//! interfere with unrelated tests, and covers both SIMD modes in one
-//! process when the host supports AVX2 (the packed-panel buffers on the
-//! SIMD path are also pool-drawn and also must be fully written).
+//! interfere with unrelated tests; `scripts/verify.sh` runs it under
+//! every `FX_SIMD` level (the packed-panel buffers on the SIMD paths are
+//! also pool-drawn and also must be fully written, whatever the tile).
 
 use fx_tensor::rng::{SeedableRng, StdRng};
 use fx_tensor::{ops, pool, Tensor};
@@ -46,6 +46,14 @@ fn run_kernels(tag: &str) {
     let b = Tensor::rand_uniform(&[37, 29], -1.0, 1.0, &mut rng);
     poison_pool();
     assert_no_nan(&ops::matmul(&a, &b).unwrap(), &format!("{tag} matmul nn"));
+
+    // The widest register tile: more than 32 columns (two full panels
+    // and a half-width tail), two k panels, and a ragged last row panel
+    // read through its padded copy.
+    let a = Tensor::rand_uniform(&[25, 300], -1.0, 1.0, &mut rng);
+    let b = Tensor::rand_uniform(&[300, 70], -1.0, 1.0, &mut rng);
+    poison_pool();
+    assert_no_nan(&ops::matmul(&a, &b).unwrap(), &format!("{tag} matmul nn, wide tile"));
 
     let ab = Tensor::rand_uniform(&[3, 5, 17], -1.0, 1.0, &mut rng);
     let bb = Tensor::rand_uniform(&[3, 17, 7], -1.0, 1.0, &mut rng);
@@ -92,6 +100,6 @@ fn run_kernels(tag: &str) {
 #[test]
 fn recycled_pool_buffers_never_leak_into_kernel_outputs() {
     let _guard = pool::activate();
-    run_kernels(if fx_tensor::simd_enabled() { "simd" } else { "scalar" });
+    run_kernels(fx_tensor::simd_level());
     pool::clear();
 }

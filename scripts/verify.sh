@@ -7,8 +7,10 @@
 #    every workspace member (`[workspace] default-members` makes the
 #    plain command workspace-wide).
 # 3. env matrix                — the whole workspace again in release
-#    mode under every FX_SIMD × FX_MEMPLAN combination (AVX2 vs portable
-#    scalar GEMM engine × buffer-pool planner on/off), with pass-exit
+#    mode under every FX_SIMD × FX_MEMPLAN combination (widest detected
+#    level, AVX2 pinned — which keeps the narrower tile instances from
+#    rotting on an AVX-512 builder — and the portable scalar GEMM engine
+#    × buffer-pool planner on/off), with pass-exit
 #    validation forced on (FX_VALIDATE=1) and a fixed-seed slice of the
 #    differential fuzz sweeps (FX_FUZZ_CASES=8; step 2 ran all 64).
 #    This is where the bit-identity contract is swept across process-
@@ -46,7 +48,7 @@ echo "== tier-1: cargo test -q =="
 cargo test -q
 
 echo "== env matrix: workspace under FX_SIMD x FX_MEMPLAN (validation on, fuzz slice) =="
-for simd in 1 0; do
+for simd in 1 avx2 0; do
     for memplan in 1 0; do
         echo "-- FX_SIMD=$simd FX_MEMPLAN=$memplan"
         FX_SIMD=$simd FX_MEMPLAN=$memplan FX_VALIDATE=1 FX_FUZZ_CASES=8 \
