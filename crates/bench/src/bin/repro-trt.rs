@@ -10,11 +10,11 @@
 //! Usage: `cargo run --release -p fx-bench --bin repro-trt --
 //! [--size 96] [--paint-size 64] [--trials 10]`
 
-use fx_backend::lower;
+use fx_backend::{fuse, lower, CompileOptions};
 use fx_bench::{arg_usize, print_table, time_trials, Stats};
 use fx_core::{symbolic_trace, GraphModule, Value};
 use fx_models::{resnet50, LearningToPaintActor};
-use fx_passes::{estimate, fuse_conv_bn, shape_prop, DeviceSpec};
+use fx_passes::{estimate, shape_prop, DeviceSpec};
 use fx_tensor::Tensor;
 use fx_tensor::rng::StdRng;
 use fx_tensor::rng::SeedableRng;
@@ -59,20 +59,18 @@ fn bench_model(name: &str, gm: &GraphModule, x: &Value, trials: usize) -> (Vec<R
 }
 
 /// Roofline view: baseline pays per-op dispatch on the unfused graph;
-/// the lowered engine pays per-*fused-instruction* launch overhead on
-/// the fused graph (TensorRT's actual economics).
+/// the lowered engine pays one launch per node of the graph
+/// `fx_backend::fuse` actually produces (TensorRT's actual economics),
+/// each fused leaf costed through its function form.
 fn simulate(gm: &GraphModule, x: &Value) -> (f64, f64) {
     let v100 = DeviceSpec::v100();
-    let mut base = gm.clone();
-    shape_prop(&mut base, std::slice::from_ref(x)).expect("shapes");
-    let base_t = estimate(&base, &v100).expect("estimate").total_time;
+    let total_time = |mut gm: GraphModule| {
+        shape_prop(&mut gm, std::slice::from_ref(x)).expect("shapes");
+        estimate(&gm, &v100).expect("estimate").total_time
+    };
     let mut fused = gm.clone();
-    fuse_conv_bn(&mut fused).expect("fuse");
-    shape_prop(&mut fused, std::slice::from_ref(x)).expect("shapes");
-    let fused_report = estimate(&fused, &v100).expect("estimate");
-    // Engine fuses activations/adds too: roughly halves launch count.
-    let launches_saved = fused_report.nodes.len() as f64 * 0.5 * v100.dispatch_overhead;
-    (base_t, (fused_report.total_time - launches_saved).max(0.0))
+    fuse(&mut fused, CompileOptions::default()).expect("fuse");
+    (total_time(gm.clone()), total_time(fused))
 }
 
 fn main() {

@@ -203,6 +203,18 @@ pub fn has_function(name: &str) -> bool {
         .contains_key(name)
 }
 
+/// Names of every built-in `call_function` and `call_method` target,
+/// sorted and deduplicated — what a per-operator table must cover.
+pub fn builtin_op_names() -> Vec<String> {
+    let mut names: Vec<String> = crate::ops_registry::builtin_functions()
+        .into_keys()
+        .chain(crate::ops_registry::builtin_methods().into_keys())
+        .collect();
+    names.sort();
+    names.dedup();
+    names
+}
+
 /// Dispatch a free-function op: record if tracing proxies, else execute.
 pub fn call_function(name: &str, args: &[Value], kwargs: &[(String, Value)]) -> Result<Value> {
     if trace::is_tracing() && any_proxy(args, kwargs) {

@@ -178,13 +178,24 @@ impl Graph {
         if base.is_empty() || base.chars().next().unwrap().is_ascii_digit() {
             base = format!("_{base}");
         }
-        let count = self.name_counts.entry(base.clone()).or_insert(0);
-        let name = if *count == 0 {
-            base.clone()
-        } else {
-            format!("{base}_{count}")
+        // `name_counts[base]` is the next suffix to try; every issued
+        // name is also entered as a key, because a hint may itself look
+        // like an issued `base_n` (a placeholder named after another
+        // graph's `reshape_1`, next to this graph's second `reshape`).
+        let mut n = self.name_counts.get(&base).copied().unwrap_or(0);
+        let name = loop {
+            let candidate = if n == 0 {
+                base.clone()
+            } else {
+                format!("{base}_{n}")
+            };
+            n += 1;
+            if n == 1 || !self.name_counts.contains_key(&candidate) {
+                break candidate;
+            }
         };
-        *count += 1;
+        self.name_counts.insert(base, n);
+        self.name_counts.entry(name.clone()).or_insert(1);
         name
     }
 
@@ -727,6 +738,16 @@ mod tests {
         let b = g.call_function("relu", vec![], vec![]);
         assert_eq!(g.node(a).name(), "relu");
         assert_eq!(g.node(b).name(), "relu_1");
+        // A hint that already looks like an issued name, on either side.
+        let c = g.placeholder("relu_1");
+        assert_eq!(g.node(c).name(), "relu_1_1");
+        let d = g.placeholder("gelu_1");
+        let e = g.call_function("gelu", vec![], vec![]);
+        let f = g.call_function("gelu", vec![], vec![]);
+        assert_eq!(
+            [g.node(d).name(), g.node(e).name(), g.node(f).name()],
+            ["gelu_1", "gelu", "gelu_2"]
+        );
     }
 
     #[test]

@@ -8,21 +8,15 @@
 //! that moves the batch axis into the payload) would silently mix rows
 //! of unrelated requests.
 //!
-//! [`batch_polymorphic`] detects this *statically*, via abstract shape
-//! propagation ([`infer_shapes`]): it probes the graph at two different
-//! batch extents and requires that (a) both propagate successfully, and
-//! (b) the output's leading dim equals the batch extent while its
-//! trailing dims stay fixed. No tensor data is touched, so the check is
-//! cheap enough to run at server-construction time.
+//! [`batch_polymorphic`] decides this *statically*, with one symbolic
+//! shape walk ([`infer_sym_shapes`]) in which every placeholder's
+//! leading extent is the same free variable `N`: the property *is* "the
+//! output's leading dim is exactly `N` and every trailing dim is a
+//! constant". No tensor data is touched, so the check is cheap enough
+//! to run at server-construction time.
 
-use crate::shape_prop::infer_shapes;
-use fx_core::{Error, GraphModule, Opcode, Result};
-
-/// The two batch extents the graph is probed at. Co-prime and unequal,
-/// so a graph whose output happens to scale *proportionally* without
-/// being row-aligned (e.g. `flatten(0, -1)`) is still caught by the
-/// leading-dim-equals-batch requirement.
-const PROBE_BATCHES: [usize; 2] = [2, 3];
+use crate::sym_shape::{display_sym_shape, infer_sym_shapes, SymDim, SymShape};
+use fx_core::{Error, GraphModule, Result};
 
 /// Check that `gm` is polymorphic in the batch (leading) dimension, and
 /// return the canonical per-placeholder **trailing** dims (everything
@@ -30,17 +24,15 @@ const PROBE_BATCHES: [usize; 2] = [2, 3];
 ///
 /// `sample_shapes` gives one full shape per placeholder (leading dim =
 /// any representative batch extent, e.g. `[1, 3, 32, 32]`). Every
-/// placeholder is assumed to carry the batch on dim 0; the graph is
-/// probed with each placeholder's leading extent replaced by the same
-/// trial batch size.
+/// placeholder is assumed to carry the batch on dim 0, so each is
+/// analysed as `[N, trailing…]`.
 ///
 /// Errors with a descriptive [`Error::Graph`] when:
 /// * a sample shape is rank 0 (no batch dimension to vary),
-/// * shape inference fails at a probed batch size (the graph's shapes
-///   are inconsistent away from the sample batch — a hard-coded
-///   extent), or
-/// * the inferred output shape's leading dim is not exactly the probed
-///   batch size, or its trailing dims change with the batch.
+/// * shape inference itself fails — a missing rule or an inconsistent
+///   shape, reported as itself with its node, op and reason — or
+/// * the graph is "not batch-polymorphic": the output's leading dim is
+///   not exactly `N`, or a trailing dim depends on `N`.
 pub fn batch_polymorphic(
     gm: &GraphModule,
     sample_shapes: &[Vec<usize>],
@@ -67,58 +59,36 @@ pub fn batch_polymorphic(
         })
         .collect::<Result<_>>()?;
 
-    let output_name = gm
+    let batch = SymDim::var("N");
+    let inputs: Vec<SymShape> = trailing
+        .iter()
+        .map(|t| {
+            std::iter::once(batch.clone())
+                .chain(t.iter().map(|&d| SymDim::Const(d)))
+                .collect()
+        })
+        .collect();
+    let shapes = infer_sym_shapes(gm, &inputs)?;
+    let out_shape = gm
         .graph()
-        .nodes()
-        .find(|n| n.op() == Opcode::Output)
-        .map(|n| n.name().to_string())
-        .ok_or_else(|| Error::Graph("batch_polymorphic: graph has no output node".to_string()))?;
-
-    let mut out_trailing: Option<Vec<usize>> = None;
-    for &b in &PROBE_BATCHES {
-        let probe_shapes: Vec<Vec<usize>> = trailing
-            .iter()
-            .map(|t| {
-                let mut s = vec![b];
-                s.extend_from_slice(t);
-                s
-            })
-            .collect();
-        // infer_shapes stamps metadata, so probe a scratch clone.
-        let mut scratch = gm.clone();
-        let shapes = infer_shapes(&mut scratch, &probe_shapes).map_err(|e| {
-            Error::Graph(format!(
-                "not batch-polymorphic: shape inference fails at batch extent {b} \
-                 (the graph bakes in a batch size): {e}"
-            ))
-        })?;
-        let out_shape = shapes.get(&output_name).ok_or_else(|| {
+        .output_node()
+        .and_then(|out| shapes.get(out.name()))
+        .ok_or_else(|| {
             Error::Graph(
-                "not batch-polymorphic: the output is not a tensor of inferable shape"
-                    .to_string(),
+                "not batch-polymorphic: the output is not a tensor of inferable shape".to_string(),
             )
         })?;
-        if out_shape.first() != Some(&b) {
-            return Err(Error::Graph(format!(
-                "not batch-polymorphic: at batch extent {b} the output has shape \
-                 {out_shape:?}; its leading dim must equal the batch extent for \
-                 per-request splitting to be row-aligned"
-            )));
+    match out_shape.split_first() {
+        Some((lead, rest)) if *lead == batch && rest.iter().all(|d| d.as_const().is_some()) => {
+            Ok(trailing)
         }
-        match &out_trailing {
-            None => out_trailing = Some(out_shape[1..].to_vec()),
-            Some(prev) if prev != &out_shape[1..] => {
-                return Err(Error::Graph(format!(
-                    "not batch-polymorphic: output trailing dims change with the \
-                     batch extent ({prev:?} at {} vs {:?} at {b})",
-                    PROBE_BATCHES[0],
-                    &out_shape[1..]
-                )));
-            }
-            Some(_) => {}
-        }
+        _ => Err(Error::Graph(format!(
+            "not batch-polymorphic: with every input batched as [N, …] the output has shape \
+             {}; its leading dim must be exactly N and its trailing dims constant for \
+             per-request splitting to be row-aligned",
+            display_sym_shape(out_shape)
+        ))),
     }
-    Ok(trailing)
 }
 
 #[cfg(test)]
@@ -170,10 +140,19 @@ mod tests {
                 ))]
             })
             .collect();
-        let qgm =
-            fx_quant::quantize_ptq(&gm, &cal, &fx_quant::QConfig::default()).unwrap();
+        let qgm = fx_quant::quantize_ptq(&gm, &cal, &fx_quant::QConfig::default()).unwrap();
         let trailing = batch_polymorphic(&qgm, &[vec![1, 3, 32, 32]]).unwrap();
         assert_eq!(trailing, vec![vec![3, 32, 32]]);
+        // So must the graph half-way there: `prepare`d, its observer
+        // leaves analysed like any other leaf (each traces to `x -> x`).
+        let mut observed = fx_quant::prepare(&gm, &fx_quant::QConfig::default()).unwrap();
+        assert!(observed
+            .modules()
+            .values()
+            .any(|m| fx_quant::is_observer(m.as_ref())));
+        batch_polymorphic(&observed, &[vec![1, 3, 32, 32]]).unwrap();
+        let shapes = crate::infer_shapes(&mut observed, &[vec![2, 3, 32, 32]]).unwrap();
+        assert_eq!(shapes["output"], vec![2, 10]);
     }
 
     #[test]
@@ -183,10 +162,7 @@ mod tests {
         // rows would hand each request a slice of someone else's data.
         let gm = symbolic_trace_fn(1, |xs| func::flatten(&xs[0], 0, -1)).unwrap();
         let err = batch_polymorphic(&gm, &[vec![1, 4]]).unwrap_err();
-        assert!(
-            err.to_string().contains("not batch-polymorphic"),
-            "{err}"
-        );
+        assert!(err.to_string().contains("not batch-polymorphic"), "{err}");
     }
 
     #[test]
@@ -194,10 +170,7 @@ mod tests {
         // reshape to a fixed [2, 6] only works at one batch extent.
         let gm = symbolic_trace_fn(1, |xs| func::reshape(&xs[0], &[2, 6])).unwrap();
         let err = batch_polymorphic(&gm, &[vec![2, 6]]).unwrap_err();
-        assert!(
-            err.to_string().contains("not batch-polymorphic"),
-            "{err}"
-        );
+        assert!(err.to_string().contains("not batch-polymorphic"), "{err}");
     }
 
     #[test]

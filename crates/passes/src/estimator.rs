@@ -12,9 +12,10 @@
 //! overhead`. Peak activation memory comes from a liveness walk over the
 //! (functional, control-flow-free) graph.
 
+use crate::sym_shape::{infer_types, TensorType};
 use fx_core::executor::RunProfile;
-use fx_core::{Arg, Error, GraphModule, Node, NodeId, Opcode, Result};
-use fx_nn::Conv2d;
+use fx_core::{Arg, Error, GraphModule, Meta, Node, NodeId, Opcode, Result};
+use fx_tensor::DType;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -181,142 +182,129 @@ impl fmt::Display for Report {
     }
 }
 
-fn shape_of(gm: &GraphModule, id: NodeId) -> Option<Vec<usize>> {
-    gm.graph().node(id).shape_meta().map(<[usize]>::to_vec)
-}
+/// A node's shape and dtype as some analysis knows them: the stamped
+/// metadata on a user's graph, the walk's types inside a leaf.
+type Known<'a> = &'a dyn Fn(NodeId) -> Option<(Vec<usize>, DType)>;
 
 fn numel(shape: &[usize]) -> u64 {
     shape.iter().product::<usize>() as u64
 }
 
-fn first_input_shape(gm: &GraphModule, node: &Node) -> Option<Vec<usize>> {
-    node.args()
-        .first()
-        .and_then(Arg::as_node)
-        .and_then(|id| shape_of(gm, id))
-}
-
-fn elem_bytes(gm: &GraphModule, id: NodeId) -> u64 {
-    use fx_core::Meta;
-    match gm.graph().node(id).meta.get("dtype") {
-        Some(Meta::DType(d)) => d.size_bytes() as u64,
-        _ => 4,
-    }
+fn meta_type(gm: &GraphModule, id: NodeId) -> Option<(Vec<usize>, DType)> {
+    let node = gm.graph().node(id);
+    let dtype = match node.meta.get("dtype") {
+        Some(Meta::DType(d)) => *d,
+        _ => DType::F32,
+    };
+    Some((node.shape_meta()?.to_vec(), dtype))
 }
 
 /// Analytic `(flops, bytes, int8)` for one node. Nodes without shape
-/// metadata contribute zero cost (placeholders, non-tensor ops).
+/// metadata contribute zero cost (placeholders, non-tensor ops), as does
+/// a leaf module with no function form ([`estimate`] reports that one as
+/// an error instead).
 pub fn node_cost(gm: &GraphModule, node: &Node) -> (u64, u64, bool) {
-    let out_shape = match node.shape_meta() {
-        Some(s) => s.to_vec(),
-        None => return (0, 0, false),
+    cost(gm, node, &|id| meta_type(gm, id)).unwrap_or((0, 0, false))
+}
+
+fn cost(gm: &GraphModule, node: &Node, known: Known<'_>) -> Result<(u64, u64, bool)> {
+    let Some(out) = known(node.id()) else {
+        return Ok((0, 0, false));
     };
-    let out_n = numel(&out_shape);
-    let in_shape = first_input_shape(gm, node).unwrap_or_default();
-    let in_n = numel(&in_shape);
-    let eb = elem_bytes(gm, node.id());
-    let target = node.target();
-    let int8 = target.starts_with("quantized::");
-
-    // call_module: consult the module for weights/geometry.
-    if node.op() == Opcode::CallModule {
-        if let Some(m) = gm.get_module(target) {
-            let w_numel: u64 = m
-                .own_parameters()
-                .iter()
-                .map(|(_, t)| t.numel() as u64)
-                .sum();
-            let int8_m = m.type_name().starts_with("Quantized");
-            let flops = match m.type_name() {
-                "Conv2d" | "QuantizedConv2d" | "QuantizedConv2dReLU" => {
-                    // 2 * out_numel * (C/g * kh * kw) per output element.
-                    let k = if let Some(c) = m.as_any().downcast_ref::<Conv2d>() {
-                        let w = c.weight().shape();
-                        w[1] * w[2] * w[3]
-                    } else {
-                        let w = m
-                            .own_parameters()
-                            .into_iter()
-                            .find(|(n, _)| n == "weight")
-                            .map(|(_, t)| t.shape().to_vec())
-                            .unwrap_or_default();
-                        if w.len() == 4 {
-                            w[1] * w[2] * w[3]
-                        } else {
-                            1
-                        }
-                    };
-                    2 * out_n * k as u64
-                }
-                "Linear" | "QuantizedLinear" | "QuantizedLinearReLU" => {
-                    let in_f = in_shape.last().copied().unwrap_or(1) as u64;
-                    2 * out_n * in_f
-                }
-                "BatchNorm2d" | "LayerNorm" => 2 * out_n,
-                "MaxPool2d" | "AvgPool2d" | "AdaptiveAvgPool2d" => {
-                    // Roughly one op per input element inspected.
-                    in_n.max(out_n)
-                }
-                _ => out_n,
-            };
-            let bytes = (in_n + out_n) * eb + w_numel * if int8_m { 1 } else { 4 };
-            return (flops, bytes, int8_m);
-        }
-    }
-
-    let flops = match target {
-        "conv2d" | "quantized::conv2d" | "quantized::conv2d_relu" => {
-            let w_shape = node
+    match node.op() {
+        Opcode::CallFunction | Opcode::CallMethod => Ok(call_cost(node, &out, known)),
+        // A leaf costs what its function form costs: type the traced
+        // forward from this node's inputs and sum over its calls.
+        Opcode::CallModule => {
+            let leaf = crate::leaf_function_form(gm, node)?;
+            let inputs: Vec<TensorType> = node
                 .args()
-                .get(1)
-                .and_then(Arg::as_node)
-                .and_then(|id| shape_of(gm, id))
-                .unwrap_or_default();
-            let k: u64 = if w_shape.len() == 4 {
-                (w_shape[1] * w_shape[2] * w_shape[3]) as u64
-            } else {
-                1
+                .iter()
+                .map(|a| {
+                    let (shape, dtype) = a.as_node().and_then(known).ok_or_else(|| {
+                        Error::Graph(format!(
+                            "estimate: no shape for an input of `{}`",
+                            node.name()
+                        ))
+                    })?;
+                    Ok(TensorType::concrete(&shape, dtype))
+                })
+                .collect::<Result<_>>()?;
+            let types = infer_types(&leaf, &inputs)?;
+            let inside: Known<'_> = &|id| {
+                let ty = types.get(&id)?;
+                Some((ty.as_concrete()?, ty.dtype))
             };
-            2 * out_n * k
+            let mut total = (0, 0, false);
+            for n in leaf.graph().nodes() {
+                let (flops, bytes, int8) = cost(&leaf, n, inside)?;
+                total = (total.0 + flops, total.1 + bytes, total.2 || int8);
+            }
+            Ok(total)
         }
-        "linear" | "quantized::linear" | "quantized::linear_relu" => {
+        Opcode::Placeholder | Opcode::GetAttr | Opcode::Output => Ok((0, 0, false)),
+    }
+}
+
+/// The cost rule of every operator, keyed by op name alone (the
+/// counterpart of the shape rules in [`crate::sym_shape`]): FLOPs by
+/// family, anything unlisted one op per output element; bytes are the
+/// first input and the output at the output's element size, plus every
+/// further tensor operand (weights, statistics, the other addend) at its
+/// own.
+fn call_cost(node: &Node, out: &(Vec<usize>, DType), known: Known<'_>) -> (u64, u64, bool) {
+    let operand = |i: usize| node.args().get(i).and_then(Arg::as_node).and_then(known);
+    let out_n = numel(&out.0);
+    let in_shape = operand(0).map(|(shape, _)| shape).unwrap_or_default();
+    let in_n = numel(&in_shape);
+    let flops = match node.target() {
+        "conv2d" | "conv2d_act" | "quantized::conv2d" | "quantized::conv2d_relu" => {
+            // 2 · (C/g · kh · kw) per output element.
+            match operand(1) {
+                Some((w, _)) if w.len() == 4 => 2 * out_n * (w[1] * w[2] * w[3]) as u64,
+                _ => 2 * out_n,
+            }
+        }
+        "linear" | "linear_act" | "quantized::linear" | "quantized::linear_relu" | "matmul" => {
             2 * out_n * in_shape.last().copied().unwrap_or(1) as u64
         }
-        "matmul" => {
-            let k = in_shape.last().copied().unwrap_or(1) as u64;
-            2 * out_n * k
-        }
-        "batch_norm" | "layer_norm" => 2 * out_n,
+        "batch_norm" | "layer_norm" | "channel_affine" => 2 * out_n,
         "softmax" | "log_softmax" => 4 * out_n,
+        // Roughly one op per input element inspected.
         "max_pool2d" | "avg_pool2d" | "adaptive_avg_pool2d" => in_n.max(out_n),
         // Pure data movement.
         "flatten" | "reshape" | "view" | "permute" | "transpose" | "cat" | "contiguous"
         | "dropout" => 0,
         _ => out_n,
     };
-    let weight_bytes: u64 = node
+    let operand_bytes: u64 = node
         .args()
         .iter()
         .skip(1)
-        .filter_map(Arg::as_node)
-        .filter_map(|id| shape_of(gm, id).map(|s| numel(&s) * elem_bytes(gm, id)))
+        .filter_map(|a| a.as_node().and_then(known))
+        .map(|(shape, dtype)| numel(&shape) * dtype.size_bytes() as u64)
         .sum();
-    let bytes = (in_n + out_n) * eb + weight_bytes;
-    (flops, bytes, int8)
+    let bytes = (in_n + out_n) * out.1.size_bytes() as u64 + operand_bytes;
+    (flops, bytes, node.target().starts_with("quantized::"))
 }
 
 /// Estimate the whole graph on `device`. Shape metadata must already be
-/// present on tensor-producing nodes.
+/// present on tensor-producing nodes, and every leaf module must trace
+/// (it is costed through its function form).
 pub fn estimate(gm: &GraphModule, device: &DeviceSpec) -> Result<Report> {
     let graph = gm.graph();
     if graph
         .nodes()
-        .filter(|n| !matches!(n.op(), Opcode::Output | Opcode::Placeholder | Opcode::GetAttr))
+        .filter(|n| {
+            !matches!(
+                n.op(),
+                Opcode::Output | Opcode::Placeholder | Opcode::GetAttr
+            )
+        })
         .all(|n| n.shape_meta().is_none())
     {
         return Err(Error::Graph(
-            "estimate: no shape metadata found — run shape_prop or infer_shapes first"
-                .to_string(),
+            "estimate: no shape metadata found — run shape_prop or infer_shapes first".to_string(),
         ));
     }
     let mut nodes = Vec::new();
@@ -324,10 +312,13 @@ pub fn estimate(gm: &GraphModule, device: &DeviceSpec) -> Result<Report> {
     let mut total_bytes = 0u64;
     let mut total_time = 0.0;
     for node in graph.nodes() {
-        if matches!(node.op(), Opcode::Placeholder | Opcode::Output | Opcode::GetAttr) {
+        if matches!(
+            node.op(),
+            Opcode::Placeholder | Opcode::Output | Opcode::GetAttr
+        ) {
             continue;
         }
-        let (flops, bytes, int8) = node_cost(gm, node);
+        let (flops, bytes, int8) = cost(gm, node, &|id| meta_type(gm, id))?;
         let time = device.op_time(flops, bytes, int8);
         total_flops += flops;
         total_bytes += bytes;
@@ -488,6 +479,12 @@ pub fn cross_check_peak(gm: &GraphModule) -> Result<PeakCrossCheck> {
     })
 }
 
+fn tensor_bytes(gm: &GraphModule, id: NodeId) -> u64 {
+    meta_type(gm, id).map_or(0, |(shape, dtype)| {
+        numel(&shape) * dtype.size_bytes() as u64
+    })
+}
+
 /// Peak live activation footprint from a last-use liveness walk.
 pub fn peak_activation_bytes(gm: &GraphModule) -> u64 {
     let graph = gm.graph();
@@ -502,16 +499,12 @@ pub fn peak_activation_bytes(gm: &GraphModule) -> u64 {
     let mut peak = 0u64;
     for (pos, &id) in ids.iter().enumerate() {
         let node = graph.node(id);
-        if let Some(shape) = node.shape_meta() {
-            live += numel(shape) * elem_bytes(gm, id);
-        }
+        live += tensor_bytes(gm, id);
         peak = peak.max(live);
         // Free everything whose last use was here.
         for dep in node.input_nodes() {
             if last_use.get(&dep) == Some(&pos) {
-                if let Some(shape) = graph.node(dep).shape_meta() {
-                    live = live.saturating_sub(numel(shape) * elem_bytes(gm, dep));
-                }
+                live = live.saturating_sub(tensor_bytes(gm, dep));
             }
         }
     }
@@ -524,9 +517,9 @@ mod tests {
     use crate::shape_prop::shape_prop;
     use fx_core::{symbolic_trace, Value};
     use fx_models::{resnet_tiny, Mlp};
-    use fx_tensor::Tensor;
-    use fx_tensor::rng::StdRng;
     use fx_tensor::rng::SeedableRng;
+    use fx_tensor::rng::StdRng;
+    use fx_tensor::Tensor;
 
     fn prepared_mlp() -> GraphModule {
         let mut rng = StdRng::seed_from_u64(0);
@@ -573,8 +566,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let model = resnet_tiny(&mut rng);
         let mut gm = symbolic_trace(&model).unwrap();
-        shape_prop(&mut gm, &[Value::Tensor(Tensor::randn(&[1, 3, 32, 32], &mut rng))])
-            .unwrap();
+        shape_prop(
+            &mut gm,
+            &[Value::Tensor(Tensor::randn(&[1, 3, 32, 32], &mut rng))],
+        )
+        .unwrap();
         let report = estimate(&gm, &DeviceSpec::v100()).unwrap();
         // Convs dominate FLOPs.
         let conv_flops: u64 = report
@@ -583,7 +579,10 @@ mod tests {
             .filter(|c| c.target.contains("conv"))
             .map(|c| c.flops)
             .sum();
-        assert!(conv_flops * 10 > report.total_flops * 8, "convs should dominate");
+        assert!(
+            conv_flops * 10 > report.total_flops * 8,
+            "convs should dominate"
+        );
         let text = report.to_string();
         assert!(text.contains("GFLOP") || text.contains("MFLOP"));
     }

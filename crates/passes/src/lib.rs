@@ -4,9 +4,10 @@
 //! from:
 //!
 //! * [`fuse`] — conv–BN fusion (§6.2.2)
-//! * [`shape_prop`] — concrete and abstract shape propagation (§6.3)
-//! * [`sym_shape`] — symbolic-expression shape propagation (§6.3's
-//!   "in development" system, built out here)
+//! * [`sym_shape`] — one shape rule per operator over symbolic
+//!   dimensions, and the one walk that applies them (§5.5, §6.3)
+//! * [`shape_prop`] — observed shapes, and that walk over constants
+//!   (§6.3)
 //! * [`estimator`] — FLOPs / bytes / roofline-runtime / peak-memory
 //!   estimation on simulated devices (§6.3)
 //! * [`drawer`] — Graphviz rendering (§6.3)
@@ -44,3 +45,25 @@ pub use scheduler::{schedule_overlap, Schedule, ScheduledOp, Stream};
 pub use shape_prop::{infer_shapes, shape_prop};
 pub use splitter::{split_by, Partition, SplitResult};
 pub use sym_shape::{display_sym_shape, infer_sym_shapes, SymDim, SymShape};
+
+/// The function form of the leaf a `call_module` node targets: its
+/// `forward`, traced. Leaf-ness is tracer policy, not semantics (§5.2),
+/// and every library leaf is written through the dispatcher, so the
+/// analyses read a leaf the way they read any graph instead of keeping
+/// per-layer-type cases. A leaf whose `forward` needs concrete data (a
+/// recurrence over a runtime length) is reported by type.
+pub(crate) fn leaf_function_form(
+    gm: &fx_core::GraphModule,
+    node: &fx_core::Node,
+) -> fx_core::Result<fx_core::GraphModule> {
+    let module = gm
+        .get_module(node.target())
+        .ok_or_else(|| fx_core::Error::Module(format!("missing submodule `{}`", node.target())))?;
+    fx_core::symbolic_trace(module.as_ref()).map_err(|e| {
+        fx_core::Error::Graph(format!(
+            "no function form for module type `{}` at `{}`: its forward does not trace ({e})",
+            module.type_name(),
+            node.name()
+        ))
+    })
+}

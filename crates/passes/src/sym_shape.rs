@@ -1,18 +1,26 @@
-//! Symbolic shape propagation — the "shape propagation via symbolic
-//! expressions" system the paper reports as in development on top of
-//! torch.fx (§6.3).
+//! Shape rules — one per operator — and the one graph walk that applies
+//! them (paper §5.5, §6.3).
 //!
-//! Where [`infer_shapes`](crate::shape_prop::infer_shapes) needs every
-//! input dimension as a number, this pass propagates **symbolic
-//! dimensions**: an input can be declared `[N, 3, 224, 224]` with `N` a
-//! free variable, and every node's output shape comes out as an
-//! expression over `N` (e.g. ResNet's logits as `[N, 1000]`). Because
-//! the IR has no control flow, propagation is a single forward pass and
-//! the expressions never need widening to "dynamic" — the exact contrast
-//! the paper draws against loop-carried shapes in Figure 4.
+//! Every rule is written over **symbolic dimensions**: an input can be
+//! declared `[N, 3, 224, 224]` with `N` a free variable, and every
+//! node's output shape comes out as an expression over `N` (ResNet's
+//! logits as `[N, 1000]`). [`SymDim`]'s constructors fold constants, so
+//! a fully concrete input yields fully concrete shapes: concrete
+//! inference ([`infer_shapes`](crate::shape_prop::infer_shapes)) is this
+//! same walk over constants, and the admission check
+//! ([`batch_polymorphic`](crate::batch_polymorphic)) is this walk with
+//! the batch left free. Checks that need numbers (a window fits, a
+//! contraction agrees) run wherever the dims involved are constant.
+//!
+//! A `call_module` node has no rule of its own. What counts as a leaf is
+//! only tracer policy (§5.2), and a leaf's `forward` is written through
+//! the dispatcher like any other, so tracing the leaf yields its
+//! function form; the walk recurses into that. Because the IR has no
+//! control flow the walk is a single forward pass — no fixpoint, no
+//! widening to "dynamic", the contrast the paper draws in Figure 4.
 
 use fx_core::{Arg, Error, GraphModule, Node, NodeId, Opcode, Result};
-use fx_nn::{AdaptiveAvgPool2d, AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d};
+use fx_tensor::DType;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -99,9 +107,7 @@ impl SymDim {
             SymDim::FloorDiv(a, b) => {
                 let d = b.eval(bindings)?;
                 if d == 0 {
-                    return Err(Error::Graph(
-                        "symbolic shape: division by zero".to_string(),
-                    ));
+                    return Err(Error::Graph("symbolic shape: division by zero".to_string()));
                 }
                 a.eval(bindings)? / d
             }
@@ -143,21 +149,46 @@ pub fn display_sym_shape(shape: &SymShape) -> String {
     )
 }
 
-fn conv_extent(input: SymDim, pad: usize, dilation: usize, kernel: usize, stride: usize) -> SymDim {
-    // (input + 2p - d*(k-1) - 1) / s + 1
-    let adj = SymDim::sub(
-        SymDim::add(input, SymDim::Const(2 * pad)),
-        SymDim::Const(dilation * (kernel - 1) + 1),
-    );
-    SymDim::add(
-        SymDim::floor_div(adj, SymDim::Const(stride)),
-        SymDim::Const(1),
-    )
+/// What the walk knows about a tensor-valued node.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct TensorType {
+    pub(crate) shape: SymShape,
+    pub(crate) dtype: DType,
 }
 
-fn err_at(node: &Node, why: &str) -> Error {
+impl TensorType {
+    /// A tensor of known extents.
+    pub(crate) fn concrete(shape: &[usize], dtype: DType) -> TensorType {
+        TensorType {
+            shape: shape.iter().map(|&d| SymDim::Const(d)).collect(),
+            dtype,
+        }
+    }
+
+    /// The extents, if every one is a constant.
+    pub(crate) fn as_concrete(&self) -> Option<Vec<usize>> {
+        self.shape.iter().map(SymDim::as_const).collect()
+    }
+
+    fn with_shape(&self, shape: SymShape) -> Option<TensorType> {
+        Some(TensorType {
+            shape,
+            dtype: self.dtype,
+        })
+    }
+}
+
+/// The type of every tensor-valued node, by id.
+pub(crate) type Types = HashMap<NodeId, TensorType>;
+
+/// Ops whose result is not a tensor (or whose shape depends on data):
+/// the walk records nothing for them, and a consumer that needs a shape
+/// from one reports that.
+pub(crate) const NON_TENSOR_OPS: [&str; 6] = ["size", "dim", "item", "chunk", "getitem", "argmax"];
+
+fn err_at(node: &Node, why: impl fmt::Display) -> Error {
     Error::Graph(format!(
-        "symbolic shapes: node `{}` ({}): {why}",
+        "shape inference: node `{}` ({}): {why}",
         node.name(),
         node.target()
     ))
@@ -169,196 +200,429 @@ pub fn infer_sym_shapes(
     gm: &GraphModule,
     input_shapes: &[SymShape],
 ) -> Result<HashMap<String, SymShape>> {
-    let mut env: HashMap<NodeId, SymShape> = HashMap::new();
-    let mut out = HashMap::new();
-    let mut next_input = 0usize;
+    let inputs: Vec<TensorType> = input_shapes
+        .iter()
+        .map(|s| TensorType {
+            shape: s.clone(),
+            dtype: DType::F32,
+        })
+        .collect();
+    let types = infer_types(gm, &inputs)?;
+    Ok(gm
+        .graph()
+        .nodes()
+        .filter_map(|n| Some((n.name().to_string(), types.get(&n.id())?.shape.clone())))
+        .collect())
+}
+
+/// The one forward walk: given the placeholders' types, the type of
+/// every tensor-valued node.
+pub(crate) fn infer_types(gm: &GraphModule, inputs: &[TensorType]) -> Result<Types> {
+    let mut types = Types::new();
+    let mut inputs = inputs.iter();
     for node in gm.graph().nodes() {
-        let shape: SymShape = match node.op() {
-            Opcode::Placeholder => {
-                let s = input_shapes.get(next_input).ok_or_else(|| {
-                    err_at(node, "missing symbolic input shape")
-                })?;
-                next_input += 1;
-                s.clone()
-            }
-            Opcode::GetAttr => match gm.get_attr_tensor(node.target()) {
-                Some(t) => t.shape().iter().map(|&d| SymDim::Const(d)).collect(),
-                None => continue,
-            },
-            Opcode::Output => {
-                if let Some(s) = node
-                    .args()
-                    .first()
-                    .and_then(Arg::as_node)
-                    .and_then(|id| env.get(&id))
-                {
-                    out.insert(node.name().to_string(), s.clone());
-                }
-                break;
-            }
-            Opcode::CallModule => sym_module(gm, node, &env)?,
-            Opcode::CallFunction | Opcode::CallMethod => sym_call(node, &env)?,
-        };
-        out.insert(node.name().to_string(), shape.clone());
-        env.insert(node.id(), shape);
-    }
-    Ok(out)
-}
-
-fn input_shape(node: &Node, env: &HashMap<NodeId, SymShape>) -> Result<SymShape> {
-    node.args()
-        .first()
-        .and_then(Arg::as_node)
-        .and_then(|id| env.get(&id).cloned())
-        .ok_or_else(|| err_at(node, "needs a symbolic tensor input"))
-}
-
-fn sym_module(
-    gm: &GraphModule,
-    node: &Node,
-    env: &HashMap<NodeId, SymShape>,
-) -> Result<SymShape> {
-    let module = gm
-        .get_module(node.target())
-        .ok_or_else(|| err_at(node, "missing submodule"))?;
-    let any = module.as_any();
-    let x = input_shape(node, env)?;
-    if let Some(c) = any.downcast_ref::<Conv2d>() {
-        if x.len() != 4 {
-            return Err(err_at(node, "conv input must be 4-d"));
-        }
-        let w = c.weight().shape();
-        let (stride, padding, dilation, _) = c.geometry();
-        Ok(vec![
-            x[0].clone(),
-            SymDim::Const(w[0]),
-            conv_extent(x[2].clone(), padding.0, dilation.0, w[2], stride.0),
-            conv_extent(x[3].clone(), padding.1, dilation.1, w[3], stride.1),
-        ])
-    } else if let Some(l) = any.downcast_ref::<Linear>() {
-        let mut s = x;
-        *s.last_mut().ok_or_else(|| err_at(node, "rank 0"))? = SymDim::Const(l.out_features());
-        Ok(s)
-    } else if let Some(p) = any.downcast_ref::<MaxPool2d>() {
-        pool_sym(&x, p.kernel_size, p.stride, p.padding, node)
-    } else if let Some(p) = any.downcast_ref::<AvgPool2d>() {
-        pool_sym(&x, p.kernel_size, p.stride, p.padding, node)
-    } else if let Some(p) = any.downcast_ref::<AdaptiveAvgPool2d>() {
-        if x.len() != 4 {
-            return Err(err_at(node, "pool input must be 4-d"));
-        }
-        Ok(vec![
-            x[0].clone(),
-            x[1].clone(),
-            SymDim::Const(p.output_size.0),
-            SymDim::Const(p.output_size.1),
-        ])
-    } else if let Some(f) = any.downcast_ref::<Flatten>() {
-        flatten_sym(&x, f.start_dim, f.end_dim, node)
-    } else {
-        // Shape-preserving modules (norms, activations, dropout,
-        // observers, identity).
-        Ok(x)
-    }
-}
-
-fn pool_sym(
-    x: &SymShape,
-    k: (usize, usize),
-    s: (usize, usize),
-    p: (usize, usize),
-    node: &Node,
-) -> Result<SymShape> {
-    if x.len() != 4 {
-        return Err(err_at(node, "pool input must be 4-d"));
-    }
-    Ok(vec![
-        x[0].clone(),
-        x[1].clone(),
-        conv_extent(x[2].clone(), p.0, 1, k.0, s.0),
-        conv_extent(x[3].clone(), p.1, 1, k.1, s.1),
-    ])
-}
-
-fn flatten_sym(x: &SymShape, start: i64, end: i64, node: &Node) -> Result<SymShape> {
-    let rank = x.len().max(1);
-    let norm = |d: i64| -> Result<usize> {
-        let v = if d < 0 { d + rank as i64 } else { d };
-        if v < 0 || v >= rank as i64 {
-            return Err(err_at(node, "flatten dim out of range"));
-        }
-        Ok(v as usize)
-    };
-    let s = norm(start)?;
-    let e = norm(end)?;
-    let mut out: SymShape = x[..s].to_vec();
-    let mut prod = SymDim::Const(1);
-    for d in &x[s..=e] {
-        prod = SymDim::mul(prod, d.clone());
-    }
-    out.push(prod);
-    out.extend_from_slice(&x[e + 1..]);
-    Ok(out)
-}
-
-fn sym_call(node: &Node, env: &HashMap<NodeId, SymShape>) -> Result<SymShape> {
-    match node.target() {
-        // Shape-preserving.
-        "relu" | "gelu" | "selu" | "sigmoid" | "tanh" | "neg" | "exp" | "log" | "sqrt"
-        | "rsqrt" | "abs" | "clamp" | "dropout" | "softmax" | "log_softmax" | "batch_norm"
-        | "layer_norm" | "quantize_per_tensor" | "dequantize" | "contiguous" => {
-            input_shape(node, env)
-        }
-        "add" | "sub" | "mul" | "div" | "maximum" | "minimum" => {
-            // Symbolic broadcasting: require equal ranks with matching
-            // dims (or a scalar immediate operand).
-            let shapes: Vec<SymShape> = node
+        let ty = match node.op() {
+            Opcode::Placeholder => Some(
+                inputs
+                    .next()
+                    .cloned()
+                    .ok_or_else(|| err_at(node, "missing input shape for this placeholder"))?,
+            ),
+            Opcode::GetAttr => gm
+                .get_attr_tensor(node.target())
+                .map(|t| TensorType::concrete(t.shape(), t.dtype())),
+            Opcode::Output => node
                 .args()
-                .iter()
-                .filter_map(Arg::as_node)
-                .filter_map(|id| env.get(&id).cloned())
-                .collect();
-            match shapes.len() {
-                1 => Ok(shapes.into_iter().next().unwrap()),
-                2 => {
-                    if shapes[0] == shapes[1] {
-                        Ok(shapes.into_iter().next().unwrap())
-                    } else if shapes[1].is_empty() {
-                        Ok(shapes.into_iter().next().unwrap())
-                    } else if shapes[0].is_empty() {
-                        Ok(shapes.into_iter().nth(1).unwrap())
-                    } else {
-                        Err(err_at(
-                            node,
-                            "symbolic broadcasting only supports equal shapes or scalars",
-                        ))
-                    }
-                }
-                _ => Err(err_at(node, "binary op needs tensor operands")),
-            }
-        }
-        "linear" => {
-            let mut x = input_shape(node, env)?;
-            let w = node
-                .args()
-                .get(1)
+                .first()
                 .and_then(Arg::as_node)
-                .and_then(|id| env.get(&id).cloned())
-                .ok_or_else(|| err_at(node, "linear needs a weight shape"))?;
-            *x.last_mut().ok_or_else(|| err_at(node, "rank 0"))? = w[0].clone();
-            Ok(x)
+                .and_then(|id| types.get(&id).cloned()),
+            Opcode::CallModule => {
+                let leaf = crate::leaf_function_form(gm, node)?;
+                let args: Vec<TensorType> = (0..node.args().len())
+                    .map(|i| tensor_arg(node, i, &types).cloned())
+                    .collect::<Result<_>>()?;
+                let inner = infer_types(&leaf, &args)
+                    .map_err(|e| err_at(node, format_args!("inside the leaf: {e}")))?;
+                leaf.graph()
+                    .output_node()
+                    .and_then(|out| inner.get(&out.id()).cloned())
+            }
+            Opcode::CallFunction | Opcode::CallMethod => shape_rule(node, &types)?,
+        };
+        if let Some(ty) = ty {
+            types.insert(node.id(), ty);
         }
-        "flatten" => {
-            let x = input_shape(node, env)?;
-            let s = node.args().get(1).and_then(Arg::as_int).unwrap_or(0);
-            let e = node.args().get(2).and_then(Arg::as_int).unwrap_or(-1);
-            flatten_sym(&x, s, e, node)
+    }
+    Ok(types)
+}
+
+fn operand<'a>(node: &Node, i: usize, types: &'a Types) -> Option<&'a TensorType> {
+    let id = node.args().get(i)?.as_node()?;
+    types.get(&id)
+}
+
+fn tensor_arg<'a>(node: &Node, i: usize, types: &'a Types) -> Result<&'a TensorType> {
+    operand(node, i, types)
+        .ok_or_else(|| err_at(node, format_args!("needs a tensor shape at argument {i}")))
+}
+
+/// An `(h, w)` immediate at argument `i` — an int or a 2-sequence of
+/// non-negative ints — or `default` when the argument is absent.
+fn pair_arg(node: &Node, i: usize, default: (usize, usize)) -> Result<(usize, usize)> {
+    let dim = |a: &Arg| a.as_int().and_then(|v| usize::try_from(v).ok());
+    let parsed = match node.args().get(i) {
+        None | Some(Arg::None) => return Ok(default),
+        Some(Arg::Tuple(items) | Arg::List(items)) if items.len() == 2 => {
+            dim(&items[0]).zip(dim(&items[1]))
         }
-        other => Err(err_at(
+        Some(a) => dim(a).map(|v| (v, v)),
+    };
+    parsed.ok_or_else(|| {
+        err_at(
             node,
-            &format!("no symbolic transfer function for `{other}`"),
+            format_args!("argument {i} must be a non-negative int or pair"),
+        )
+    })
+}
+
+fn int_list_arg(node: &Node, i: usize) -> Result<Vec<i64>> {
+    match node.args().get(i) {
+        Some(Arg::Tuple(items) | Arg::List(items)) => items.iter().map(Arg::as_int).collect(),
+        _ => None,
+    }
+    .ok_or_else(|| err_at(node, format_args!("argument {i} must be a list of ints")))
+}
+
+/// `dim` as an index into a rank-`rank` shape, negative counting from
+/// the back.
+fn axis(node: &Node, dim: i64, rank: usize) -> Result<usize> {
+    let wrapped = if dim < 0 { dim + rank as i64 } else { dim };
+    usize::try_from(wrapped)
+        .ok()
+        .filter(|&a| a < rank)
+        .ok_or_else(|| {
+            err_at(
+                node,
+                format_args!("dim {dim} is out of range for rank {rank}"),
+            )
+        })
+}
+
+/// Numpy-style broadcast: aligned from the back, equal dims or a 1 on
+/// either side. Two different symbolic dims are not provably compatible.
+fn broadcast(node: &Node, a: &SymShape, b: &SymShape) -> Result<SymShape> {
+    let rank = a.len().max(b.len());
+    let one = SymDim::Const(1);
+    let from_back = |s: &SymShape, i: usize| (i + s.len()).checked_sub(rank).map(|j| s[j].clone());
+    (0..rank)
+        .map(|i| {
+            let da = from_back(a, i).unwrap_or(one.clone());
+            let db = from_back(b, i).unwrap_or(one.clone());
+            if da == db || db == one {
+                Ok(da)
+            } else if da == one {
+                Ok(db)
+            } else {
+                Err(err_at(
+                    node,
+                    format_args!(
+                        "operands {} and {} do not broadcast",
+                        display_sym_shape(a),
+                        display_sym_shape(b)
+                    ),
+                ))
+            }
+        })
+        .collect()
+}
+
+/// Two dims an op contracts over: an error when both are constant and
+/// differ.
+fn contract(node: &Node, a: &SymDim, b: &SymDim, what: &str) -> Result<()> {
+    match (a.as_const(), b.as_const()) {
+        (Some(x), Some(y)) if x != y => Err(err_at(node, format_args!("{what} ({x} vs {y})"))),
+        _ => Ok(()),
+    }
+}
+
+/// `[n, c, h, w]` through a sliding window of `kernel`:
+/// `(extent + 2·pad − dilation·(k − 1) − 1) / stride + 1` per spatial
+/// axis, over `channels` output channels (the input's when `None`).
+/// Checked arithmetic throughout, so a zero kernel or stride, or a
+/// window wider than a constant padded extent, is an error rather than
+/// an underflow.
+fn windowed(
+    node: &Node,
+    x: &TensorType,
+    channels: Option<&SymDim>,
+    kernel: (usize, usize),
+    stride: (usize, usize),
+    padding: (usize, usize),
+    dilation: (usize, usize),
+) -> Result<Option<TensorType>> {
+    let [n, c, h, w] = x.shape.as_slice() else {
+        return Err(err_at(node, "input must be 4-d"));
+    };
+    let extent = |input: &SymDim, k: usize, s: usize, p: usize, d: usize| -> Option<SymDim> {
+        let span = k.checked_sub(1)?.checked_mul(d)?.checked_add(1)?;
+        let padded = SymDim::add(input.clone(), SymDim::Const(p.checked_mul(2)?));
+        if s == 0 || padded.as_const().is_some_and(|v| v < span) {
+            return None;
+        }
+        let steps = SymDim::floor_div(SymDim::sub(padded, SymDim::Const(span)), SymDim::Const(s));
+        Some(SymDim::add(steps, SymDim::Const(1)))
+    };
+    match (
+        extent(h, kernel.0, stride.0, padding.0, dilation.0),
+        extent(w, kernel.1, stride.1, padding.1, dilation.1),
+    ) {
+        (Some(oh), Some(ow)) => {
+            Ok(x.with_shape(vec![n.clone(), channels.unwrap_or(c).clone(), oh, ow]))
+        }
+        _ => Err(err_at(
+            node,
+            format_args!(
+                "window {kernel:?} (stride {stride:?}, padding {padding:?}, dilation \
+                 {dilation:?}) does not fit input {h}×{w}"
+            ),
         )),
     }
+}
+
+/// The shape rule of every operator, keyed by op name alone: functions
+/// and methods of one name share a kernel (`ops_registry`), and so a
+/// row. `None` is a non-tensor result.
+fn shape_rule(node: &Node, types: &Types) -> Result<Option<TensorType>> {
+    let args = node.args();
+    let tensor = |i: usize| tensor_arg(node, i, types);
+    let int = |i: usize, default: i64| args.get(i).and_then(Arg::as_int).unwrap_or(default);
+    let target = node.target();
+    Ok(match target {
+        "relu" | "gelu" | "selu" | "sigmoid" | "tanh" | "neg" | "exp" | "log" | "sqrt"
+        | "rsqrt" | "abs" | "clamp" | "hardtanh" | "leaky_relu" | "dropout" | "softmax"
+        | "log_softmax" | "batch_norm" | "layer_norm" | "channel_affine" | "unary_chain"
+        | "contiguous" | "quantized::relu" => Some(tensor(0)?.clone()),
+        "quantize_per_tensor" | "dequantize" => Some(TensorType {
+            shape: tensor(0)?.shape.clone(),
+            dtype: if target == "dequantize" {
+                DType::F32
+            } else {
+                DType::QI8
+            },
+        }),
+        "add" | "sub" | "mul" | "div" | "maximum" | "minimum" | "add_act" | "mul_act"
+        | "quantized::add" => {
+            // A scalar immediate (or non-tensor operand) broadcasts as [].
+            match (operand(node, 0, types), operand(node, 1, types)) {
+                (Some(a), Some(b)) => a.with_shape(broadcast(node, &a.shape, &b.shape)?),
+                (Some(t), None) | (None, Some(t)) => Some(t.clone()),
+                (None, None) => None,
+            }
+        }
+        "linear" | "linear_act" | "quantized::linear" | "quantized::linear_relu" => {
+            let (x, w) = (tensor(0)?, tensor(1)?);
+            let mut shape = x.shape.clone();
+            let (Some(features), Some(out)) = (shape.last_mut(), w.shape.first()) else {
+                return Err(err_at(node, "input and weight need at least one dim"));
+            };
+            // The float path stores weights [out, in]; reject a
+            // contraction mismatch here so admission (serve
+            // registration/swap) catches it before runtime. The
+            // quantized variants keep packed layouts — skip them.
+            if !target.starts_with("quantized::") {
+                let in_features = w
+                    .shape
+                    .get(1)
+                    .ok_or_else(|| err_at(node, "weight must be 2-d"))?;
+                let what = "input last dim does not match weight in-features";
+                contract(node, features, in_features, what)?;
+            }
+            *features = out.clone();
+            x.with_shape(shape)
+        }
+        "matmul" => {
+            let (ta, tb) = (tensor(0)?, tensor(1)?);
+            let (a, b) = (&ta.shape, &tb.shape);
+            let (inner_a, inner_b, shape) = match (a.as_slice(), b.as_slice()) {
+                ([m, k], [k2, n]) => (k, k2, vec![m.clone(), n.clone()]),
+                ([batch, m, k], [_, k2, n]) => (k, k2, vec![batch.clone(), m.clone(), n.clone()]),
+                ([k], [k2]) => (k, k2, vec![]),
+                ([k], [k2, n]) => (k, k2, vec![n.clone()]),
+                ([m, k], [k2]) => (k, k2, vec![m.clone()]),
+                _ => return Err(err_at(node, "operand ranks must be 1–2, or 3 and 3")),
+            };
+            contract(node, inner_a, inner_b, "inner dims disagree")?;
+            ta.with_shape(shape)
+        }
+        "conv2d" | "conv2d_act" | "quantized::conv2d" | "quantized::conv2d_relu" => {
+            let (x, w) = (tensor(0)?, tensor(1)?);
+            let kernel = match w.as_concrete().as_deref() {
+                Some(&[_, _, kh, kw]) => (kh, kw),
+                _ => return Err(err_at(node, "weight must be 4-d with constant extents")),
+            };
+            // Quantized convs carry (scale, zero_point) where the float
+            // op has (dilation, groups): their dilation is fixed at 1.
+            let dilation = if target.starts_with("quantized::") {
+                (1, 1)
+            } else {
+                pair_arg(node, 5, (1, 1))?
+            };
+            let (stride, padding) = (pair_arg(node, 3, (1, 1))?, pair_arg(node, 4, (0, 0))?);
+            windowed(
+                node,
+                x,
+                Some(&w.shape[0]),
+                kernel,
+                stride,
+                padding,
+                dilation,
+            )?
+        }
+        "max_pool2d" | "avg_pool2d" => {
+            let kernel = pair_arg(node, 1, (1, 1))?;
+            let (stride, padding) = (pair_arg(node, 2, kernel)?, pair_arg(node, 3, (0, 0))?);
+            windowed(node, tensor(0)?, None, kernel, stride, padding, (1, 1))?
+        }
+        "adaptive_avg_pool2d" => {
+            let x = tensor(0)?;
+            let [n, c, _, _] = x.shape.as_slice() else {
+                return Err(err_at(node, "input must be 4-d"));
+            };
+            let (oh, ow) = pair_arg(node, 1, (1, 1))?;
+            x.with_shape(vec![
+                n.clone(),
+                c.clone(),
+                SymDim::Const(oh),
+                SymDim::Const(ow),
+            ])
+        }
+        "flatten" => {
+            let x = tensor(0)?;
+            if x.shape.is_empty() {
+                // Flattening a 0-d tensor yields a 1-element vector
+                // (PyTorch semantics).
+                return Ok(x.with_shape(vec![SymDim::Const(1)]));
+            }
+            let rank = x.shape.len();
+            let (start, end) = (axis(node, int(1, 0), rank)?, axis(node, int(2, -1), rank)?);
+            if start > end {
+                return Err(err_at(node, "start_dim is after end_dim"));
+            }
+            let mut shape = x.shape[..start].to_vec();
+            shape.push(
+                x.shape[start..=end]
+                    .iter()
+                    .cloned()
+                    .fold(SymDim::Const(1), SymDim::mul),
+            );
+            shape.extend_from_slice(&x.shape[end + 1..]);
+            x.with_shape(shape)
+        }
+        "reshape" | "view" => {
+            let x = tensor(0)?;
+            let dims = int_list_arg(node, 1)?;
+            // The runtime kernel takes the extents literally: no `-1`.
+            let extents: Vec<usize> = dims
+                .iter()
+                .map(|&d| usize::try_from(d))
+                .collect::<std::result::Result<_, _>>()
+                .map_err(|_| err_at(node, format_args!("negative extent in {dims:?}")))?;
+            let count = |dims: &[usize]| dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+            if let Some(have) = x.as_concrete().and_then(|shape| count(&shape)) {
+                if count(&extents) != Some(have) {
+                    let why = format_args!("cannot view {have} elements as {dims:?}");
+                    return Err(err_at(node, why));
+                }
+            }
+            Some(TensorType::concrete(&extents, x.dtype))
+        }
+        "permute" => {
+            let x = tensor(0)?;
+            let dims = int_list_arg(node, 1)?;
+            if dims.len() != x.shape.len() {
+                return Err(err_at(
+                    node,
+                    format_args!("{} dims for a rank-{} tensor", dims.len(), x.shape.len()),
+                ));
+            }
+            let shape = dims
+                .iter()
+                .map(|&d| Ok(x.shape[axis(node, d, dims.len())?].clone()))
+                .collect::<Result<_>>()?;
+            x.with_shape(shape)
+        }
+        "transpose" => {
+            let x = tensor(0)?;
+            let rank = x.shape.len();
+            let mut shape = x.shape.clone();
+            shape.swap(axis(node, int(1, 0), rank)?, axis(node, int(2, 1), rank)?);
+            x.with_shape(shape)
+        }
+        "cat" => {
+            let Some(Arg::List(items) | Arg::Tuple(items)) = args.first() else {
+                return Err(err_at(node, "needs a list of tensors"));
+            };
+            let parts: Vec<&TensorType> = items
+                .iter()
+                .map(|a| a.as_node().and_then(|id| types.get(&id)))
+                .collect::<Option<_>>()
+                .ok_or_else(|| err_at(node, "every input must be a tensor"))?;
+            let first = *parts.first().ok_or_else(|| err_at(node, "has no inputs"))?;
+            if parts.iter().any(|p| p.shape.len() != first.shape.len()) {
+                return Err(err_at(node, "mixes tensors of different rank"));
+            }
+            let along = axis(node, int(1, 0), first.shape.len())?;
+            let mut shape = first.shape.clone();
+            shape[along] = parts
+                .iter()
+                .map(|p| p.shape[along].clone())
+                .fold(SymDim::Const(0), SymDim::add);
+            first.with_shape(shape)
+        }
+        "sum" | "mean" => {
+            let x = tensor(0)?;
+            let mut shape = x.shape.clone();
+            match args.get(1).and_then(Arg::as_int) {
+                None => shape.clear(),
+                Some(d) => {
+                    let along = axis(node, d, shape.len())?;
+                    if matches!(args.get(2), Some(Arg::Bool(true))) {
+                        shape[along] = SymDim::Const(1);
+                    } else {
+                        shape.remove(along);
+                    }
+                }
+            }
+            x.with_shape(shape)
+        }
+        "embedding" => {
+            let (w, indices) = (tensor(0)?, tensor(1)?);
+            let [_, width] = w.shape.as_slice() else {
+                return Err(err_at(node, "weight must be 2-d"));
+            };
+            let mut shape = indices.shape.clone();
+            shape.push(width.clone());
+            w.with_shape(shape)
+        }
+        "squeeze" => {
+            let x = tensor(0)?;
+            let mut shape = x.shape.clone();
+            let along = axis(node, int(1, 0), shape.len())?;
+            if shape.remove(along) != SymDim::Const(1) {
+                return Err(err_at(node, format_args!("dim {along} is not of extent 1")));
+            }
+            x.with_shape(shape)
+        }
+        "unsqueeze" => {
+            let x = tensor(0)?;
+            let mut shape = x.shape.clone();
+            let at = axis(node, int(1, 0), shape.len() + 1)?;
+            shape.insert(at, SymDim::Const(1));
+            x.with_shape(shape)
+        }
+        other if NON_TENSOR_OPS.contains(&other) => None,
+        other => return Err(err_at(node, format_args!("no shape rule for op `{other}`"))),
+    })
 }
 
 #[cfg(test)]
@@ -367,8 +631,8 @@ mod tests {
     use crate::shape_prop::infer_shapes;
     use fx_core::symbolic_trace;
     use fx_models::{resnet_tiny, Mlp};
-    use fx_tensor::rng::StdRng;
     use fx_tensor::rng::SeedableRng;
+    use fx_tensor::rng::StdRng;
 
     #[test]
     fn sym_dim_algebra_simplifies_constants() {
@@ -434,11 +698,10 @@ mod tests {
         let mut bindings = HashMap::new();
         bindings.insert("N".to_string(), 4usize);
         for (name, cshape) in &concrete {
-            let Some(sshape) = sym.get(name) else { continue };
-            let evaled: Vec<usize> = sshape
-                .iter()
-                .map(|d| d.eval(&bindings).unwrap())
-                .collect();
+            let Some(sshape) = sym.get(name) else {
+                continue;
+            };
+            let evaled: Vec<usize> = sshape.iter().map(|d| d.eval(&bindings).unwrap()).collect();
             assert_eq!(&evaled, cshape, "disagreement at `{name}`");
         }
     }
@@ -453,13 +716,199 @@ mod tests {
         assert_eq!(display_sym_shape(&shapes["fc1"]), "[batch, 4]");
     }
 
+    /// A graph of one call of `target` over placeholders `x0, x1, …`
+    /// followed by `immediates`.
+    fn single_op(target: &str, n_inputs: usize, immediates: Vec<Arg>) -> GraphModule {
+        let mut g = fx_core::Graph::new();
+        let names: Vec<String> = (0..n_inputs).map(|i| format!("x{i}")).collect();
+        let mut args: Vec<Arg> = names.iter().map(|n| Arg::Node(g.placeholder(n))).collect();
+        args.extend(immediates);
+        let call = g.call_function(target, args, vec![]);
+        g.output(Arg::Node(call));
+        GraphModule::new(g, Default::default(), Default::default(), names).unwrap()
+    }
+
+    /// The output shape by both public entries: `infer_shapes` at
+    /// `shapes`, and `infer_sym_shapes` with the first input's leading
+    /// extent freed to `N`.
+    fn both(gm: &GraphModule, shapes: &[&[usize]]) -> [Result<String>; 2] {
+        let concrete: Vec<Vec<usize>> = shapes.iter().map(|s| s.to_vec()).collect();
+        let mut symbolic: Vec<SymShape> = shapes
+            .iter()
+            .map(|s| TensorType::concrete(s, DType::F32).shape)
+            .collect();
+        if let Some(lead) = symbolic[0].first_mut() {
+            *lead = SymDim::var("N");
+        }
+        [
+            infer_shapes(&mut gm.clone(), &concrete).map(|s| format!("{:?}", s["output"])),
+            infer_sym_shapes(gm, &symbolic).map(|s| display_sym_shape(&s["output"])),
+        ]
+    }
+
+    fn pair(a: i64, b: i64) -> Arg {
+        Arg::Tuple(vec![Arg::Int(a), Arg::Int(b)])
+    }
+
+    /// Regression: the shape rules used to panic (usize underflow,
+    /// out-of-bounds indexing) on malformed-but-reachable inputs, and
+    /// the symbolic copy silently saturated a non-fitting window to an
+    /// extent of 1. Both entries must return typed errors.
+    #[test]
+    fn malformed_shape_inputs_error_instead_of_panicking() {
+        let pool = |k, s| single_op("max_pool2d", 1, vec![k, s, pair(0, 0)]);
+        let conv = |stride, dilation| {
+            let geometry = vec![Arg::None, stride, pair(0, 0), dilation, Arg::Int(1)];
+            single_op("conv2d", 2, geometry)
+        };
+        let misfits: [(&str, GraphModule, Vec<&[usize]>); 7] = [
+            (
+                "oversized pool window",
+                pool(pair(9, 9), pair(1, 1)),
+                vec![&[1, 3, 4, 4]],
+            ),
+            (
+                "zero pool stride",
+                pool(pair(2, 2), pair(0, 1)),
+                vec![&[1, 3, 4, 4]],
+            ),
+            (
+                "oversized conv kernel",
+                conv(pair(1, 1), pair(1, 1)),
+                vec![&[1, 3, 4, 4], &[8, 3, 7, 7]],
+            ),
+            (
+                "zero conv stride",
+                conv(pair(0, 1), pair(1, 1)),
+                vec![&[1, 3, 8, 8], &[8, 3, 3, 3]],
+            ),
+            (
+                "dilation blowing up the window",
+                conv(pair(1, 1), pair(9, 9)),
+                vec![&[1, 3, 8, 8], &[8, 3, 3, 3]],
+            ),
+            (
+                "kernel size 0",
+                conv(pair(1, 1), pair(1, 1)),
+                vec![&[1, 3, 8, 8], &[8, 3, 0, 0]],
+            ),
+            (
+                "kernel size 0 pool",
+                pool(pair(0, 0), pair(1, 1)),
+                vec![&[1, 3, 4, 4]],
+            ),
+        ];
+        for (what, gm, shapes) in misfits {
+            for result in both(&gm, &shapes) {
+                let err = result.expect_err(what).to_string();
+                assert!(err.contains("does not fit"), "{what}: {err}");
+            }
+        }
+        // flatten of a 0-d shape used to index x[0..=e] out of bounds.
+        let flatten = |s, e| single_op("flatten", 1, vec![Arg::Int(s), Arg::Int(e)]);
+        assert_eq!(both(&flatten(0, -1), &[&[]])[0].as_deref().unwrap(), "[1]");
+        // start after end is an error, not an inverted slice panic.
+        assert!(both(&flatten(2, 0), &[&[2, 3, 4]])
+            .iter()
+            .all(|r| r.is_err()));
+        // Sane cases still work, with the batch staying symbolic.
+        let [c, s] = both(&flatten(1, -1), &[&[2, 3, 4]]);
+        assert_eq!(
+            (c.unwrap(), s.unwrap()),
+            ("[2, 12]".to_string(), "[N, 12]".to_string())
+        );
+        let [c, s] = both(
+            &conv(pair(2, 2), pair(1, 1)),
+            &[&[1, 3, 8, 8], &[8, 3, 3, 3]],
+        );
+        assert_eq!(
+            (c.unwrap(), s.unwrap()),
+            ("[1, 8, 3, 3]".to_string(), "[N, 8, 3, 3]".to_string())
+        );
+        // A reduction over a 0-d tensor has no axis to index.
+        assert!(both(&single_op("sum", 1, vec![Arg::Int(0)]), &[&[]])[0].is_err());
+    }
+
+    /// Regression: `reshape(x, [-1, 6])` used to come out as
+    /// `[usize::MAX, 6]` (`d as usize`) and feed the memory planner, and
+    /// a reshape that changes the element count was accepted.
+    #[test]
+    fn reshape_rejects_negative_extents_and_element_count_changes() {
+        let reshape = |dims: &[i64]| {
+            let dims = Arg::List(dims.iter().map(|&d| Arg::Int(d)).collect());
+            single_op("reshape", 1, vec![dims])
+        };
+        for result in both(&reshape(&[-1, 6]), &[&[4, 6]]) {
+            let err = result.unwrap_err();
+            assert!(matches!(err, Error::Graph(_)), "{err:?}");
+            let err = err.to_string();
+            assert!(
+                err.contains("`reshape`") && err.contains("negative extent"),
+                "{err}"
+            );
+        }
+        let [concrete, symbolic] = both(&reshape(&[5, 5]), &[&[4, 6]]);
+        let err = concrete.unwrap_err().to_string();
+        assert!(err.contains("cannot view 24 elements as [5, 5]"), "{err}");
+        // With the batch free the element count is not a number to check.
+        assert_eq!(symbolic.unwrap(), "[5, 5]");
+        assert_eq!(
+            both(&reshape(&[3, 8]), &[&[4, 6]])[0].as_deref().unwrap(),
+            "[3, 8]"
+        );
+    }
+
     #[test]
     fn unsupported_op_is_a_clear_error() {
-        let gm = fx_core::symbolic_trace_fn(1, |xs| {
-            fx_core::func::transpose(&xs[0], 0, 1)
-        })
-        .unwrap();
-        let err = infer_sym_shapes(&gm, &[vec![SymDim::var("A"), SymDim::var("B")]]).unwrap_err();
-        assert!(err.to_string().contains("transpose"));
+        let gm = single_op("mystery", 1, vec![]);
+        for result in both(&gm, &[&[2, 3]]) {
+            let err = result.unwrap_err().to_string();
+            assert!(err.contains("no shape rule for op `mystery`"), "{err}");
+        }
+    }
+
+    /// A leaf whose forward needs concrete data has no function form:
+    /// every analysis says so, by module type.
+    #[test]
+    fn untraceable_leaf_is_a_typed_error_naming_its_type() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut g = fx_core::Graph::new();
+        let x = g.placeholder("x");
+        let rnn = g.call_module("rnn", vec![Arg::Node(x)], vec![]);
+        g.output(Arg::Node(rnn));
+        let lstm: fx_core::ArcModule = std::sync::Arc::new(fx_models::Lstm::new(4, 6, &mut rng));
+        let modules = [("rnn".to_string(), lstm)].into_iter().collect();
+        let mut gm =
+            GraphModule::new(g, modules, Default::default(), vec!["x".to_string()]).unwrap();
+        for result in both(&gm, &[&[2, 5, 4]]) {
+            let err = result.unwrap_err().to_string();
+            assert!(err.contains("module type `Lstm` at `rnn`"), "{err}");
+        }
+        let x = fx_core::Value::Tensor(fx_tensor::Tensor::ones(&[2, 5, 4]));
+        crate::shape_prop(&mut gm, &[x]).unwrap();
+        let err = crate::estimate(&gm, &crate::DeviceSpec::v100()).unwrap_err();
+        assert!(err.to_string().contains("module type `Lstm`"), "{err}");
+        let rnn = gm.graph().find_by_name("rnn").unwrap();
+        assert_eq!(crate::node_cost(&gm, rnn), (0, 0, false));
+    }
+
+    /// Every registered function and method name has a row in
+    /// [`shape_rule`] or is on the one explicit non-tensor list.
+    #[test]
+    fn every_registered_op_has_a_shape_rule() {
+        let names = fx_core::dispatch::builtin_op_names();
+        assert!(names.len() >= 63, "registry shrank to {}", names.len());
+        assert!(NON_TENSOR_OPS
+            .iter()
+            .all(|op| names.iter().any(|n| n == op)));
+        for name in names {
+            let mut g = fx_core::Graph::new();
+            let call = g.call_function(&name, vec![], vec![]);
+            // A present row asks for its operands (or, operand-free,
+            // types nothing); only a missing row says so.
+            if let Err(e) = shape_rule(g.node(call), &Types::new()) {
+                assert!(!e.to_string().contains("no shape rule"), "{e}");
+            }
+        }
     }
 }

@@ -36,15 +36,19 @@ impl Range {
     }
 }
 
-fn tensor_range(v: &Value) -> Result<Range> {
-    let t = v.as_tensor()?;
-    let data = t.as_f32()?;
+/// The range of a tensor's values; `None` for any other value. An
+/// observer is the identity on those (nothing to record), which is what
+/// makes it traceable: on a proxy its function form is `x -> x`.
+fn tensor_range(v: &Value) -> Result<Option<Range>> {
+    let Value::Tensor(t) = v else {
+        return Ok(None);
+    };
     let mut r = Range::empty();
-    for &x in data {
+    for &x in t.as_f32()? {
         r.min = r.min.min(x);
         r.max = r.max.max(x);
     }
-    Ok(r)
+    Ok(Some(r))
 }
 
 /// Records the global min/max of everything it sees — PyTorch's
@@ -81,7 +85,9 @@ impl MinMaxObserver {
 
 impl Module for MinMaxObserver {
     fn forward(&self, inputs: &[Value]) -> Result<Value> {
-        let r = tensor_range(&inputs[0])?;
+        let Some(r) = tensor_range(&inputs[0])? else {
+            return Ok(inputs[0].clone());
+        };
         let mut state = self.state.lock().expect("observer poisoned");
         state.min = state.min.min(r.min);
         state.max = state.max.max(r.max);
@@ -133,7 +139,9 @@ impl MovingAverageObserver {
 
 impl Module for MovingAverageObserver {
     fn forward(&self, inputs: &[Value]) -> Result<Value> {
-        let r = tensor_range(&inputs[0])?;
+        let Some(r) = tensor_range(&inputs[0])? else {
+            return Ok(inputs[0].clone());
+        };
         let mut state = self.state.lock().expect("observer poisoned");
         if state.is_empty() {
             *state = r;
@@ -231,7 +239,9 @@ impl HistogramObserver {
 
 impl Module for HistogramObserver {
     fn forward(&self, inputs: &[Value]) -> Result<Value> {
-        let t = inputs[0].as_tensor()?;
+        let Value::Tensor(t) = &inputs[0] else {
+            return Ok(inputs[0].clone());
+        };
         let data = t.as_f32()?;
         let mut state = self.state.lock().expect("observer poisoned");
         for &x in data {
@@ -344,5 +354,28 @@ mod tests {
         let m = MovingAverageObserver::new(0.1);
         assert!(is_observer(&m));
         assert!(observed_qparams(&m).is_none());
+    }
+
+    /// Regression: observers failed on a proxy (`expected a tensor, got
+    /// proxy`) — the only library leaves that could not be traced, so a
+    /// prepared graph could not be analysed through its leaves.
+    #[test]
+    fn observers_trace_to_the_identity_and_record_nothing() {
+        let observers: [Box<dyn Module>; 3] = [
+            Box::new(MinMaxObserver::new()),
+            Box::new(MovingAverageObserver::new(0.1)),
+            Box::new(HistogramObserver::new(128, 0.95)),
+        ];
+        for o in observers {
+            let traced = fx_core::symbolic_trace(o.as_ref()).unwrap();
+            let ops: Vec<_> = traced.graph().nodes().map(|n| n.op()).collect();
+            assert_eq!(
+                ops,
+                [fx_core::Opcode::Placeholder, fx_core::Opcode::Output],
+                "{}",
+                o.type_name()
+            );
+            assert!(observed_qparams(o.as_ref()).is_none(), "{} recorded a proxy", o.type_name());
+        }
     }
 }

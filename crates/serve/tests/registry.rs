@@ -239,6 +239,57 @@ fn swap_rejects_interface_changes() {
     registry.shutdown();
 }
 
+/// Admission names what is actually wrong: a shape error or a missing
+/// shape rule is reported as itself (node, op, reason), and "not
+/// batch-polymorphic" is reserved for a graph whose shapes are fine but
+/// whose output does not lead with the batch. Both `register` and
+/// `swap` surface the analysis text unchanged.
+#[test]
+fn admission_reports_the_actual_diagnosis() {
+    use fx_core::{func, symbolic_trace_fn, Arg, Graph};
+    let registry = Registry::builder().build().unwrap();
+    registry
+        .register("m", mlp_a(1), &[vec![1, IN_A]])
+        .unwrap();
+    let build_text = |result: Result<String, Error>| match result {
+        Err(Error::Build(msg)) => msg,
+        other => panic!("expected a build error, got {other:?}"),
+    };
+    let attempts = |gm: &GraphModule| {
+        [
+            build_text(registry.register("n", gm.clone(), &[vec![1, IN_A]]).map(|_| "registered".into())),
+            build_text(registry.swap("m", gm.clone()).map(|v| format!("swapped to v{v}"))),
+        ]
+    };
+
+    // flatten(0, -1) folds the batch into the payload.
+    let folded = symbolic_trace_fn(1, |xs| func::flatten(&xs[0], 0, -1)).unwrap();
+    for msg in attempts(&folded) {
+        assert!(msg.contains("not batch-polymorphic") && msg.contains("[(N * 8)]"), "{msg}");
+    }
+    // A contraction mismatch is a shape error, at its node.
+    for msg in attempts(&mlp_b(2)) {
+        assert!(
+            msg.contains("`fc0`") && msg.contains("does not match weight in-features (8 vs 6)"),
+            "{msg}"
+        );
+        assert!(!msg.contains("batch-polymorphic"), "{msg}");
+    }
+    // An op the analysis has no rule for is reported as that.
+    let mut g = Graph::new();
+    let x = g.placeholder("x");
+    let call = g.call_function("mystery", vec![Arg::Node(x)], vec![]);
+    g.output(Arg::Node(call));
+    let unknown =
+        GraphModule::new(g, Default::default(), Default::default(), vec!["x".to_string()]).unwrap();
+    for msg in attempts(&unknown) {
+        assert!(msg.contains("no shape rule for op `mystery`"), "{msg}");
+        assert!(!msg.contains("batch-polymorphic"), "{msg}");
+    }
+    assert_eq!(registry.handle("m").unwrap().version(), 1, "nothing was swapped in");
+    registry.shutdown();
+}
+
 #[test]
 fn adaptive_batching_collapses_delay_under_tight_budget() {
     // A p99 budget far below the configured 50ms delay: the control

@@ -5,7 +5,8 @@
 //! Run: `cargo run --release --example shape_analysis`
 
 use fx::passes::{
-    estimate, infer_shapes, schedule_overlap, shape_prop, to_dot, DeviceSpec,
+    display_sym_shape, estimate, fuse_conv_bn, infer_shapes, infer_sym_shapes, schedule_overlap,
+    shape_prop, to_dot, DeviceSpec, SymDim,
 };
 use fx::prelude::*;
 use fx::tensor::Tensor;
@@ -35,6 +36,29 @@ fn main() {
     let mut gm_abs = symbolic_trace(&model).expect("trace");
     let shapes = infer_shapes(&mut gm_abs, &[vec![1, 3, 32, 32]]).expect("infer");
     println!("\nabstract inference annotated {} nodes (no tensor data touched)", shapes.len());
+
+    // The same rules with the batch left free: one walk gives every shape
+    // as an expression over `N`. A leaf is read through its traced
+    // forward, so this works on the graphs the stack ships — int8 after
+    // PTQ, and after the backend's fusion passes — not just as traced.
+    let batch_free: Vec<SymDim> = std::iter::once(SymDim::var("N"))
+        .chain([3, 32, 32].map(SymDim::Const))
+        .collect();
+    let mut bn_fused = symbolic_trace(&model).expect("trace");
+    fuse_conv_bn(&mut bn_fused).expect("conv-BN fusion");
+    let int8 = fx::quant::quantize_ptq(&bn_fused, &[vec![x.clone()]], &Default::default())
+        .expect("post-training quantization");
+    let mut backend_fused = bn_fused.clone();
+    fx::backend::fuse(&mut backend_fused, Default::default()).expect("backend fusion");
+    println!("\nsymbolic shapes, batch free:");
+    for (label, graph) in [("PTQ int8", &int8), ("backend-fused", &backend_fused)] {
+        let sym = infer_sym_shapes(graph, std::slice::from_ref(&batch_free)).expect("symbolic");
+        println!("  {label}:");
+        for node in graph.graph().nodes().filter(|n| sym.contains_key(n.name())).take(6) {
+            println!("    {:<24} {}", node.name(), display_sym_shape(&sym[node.name()]));
+        }
+        println!("    {:<24} {}", "output", display_sym_shape(&sym["output"]));
+    }
 
     // Roofline estimation across device models.
     println!("\ninference simulation:");

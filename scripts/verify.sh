@@ -34,8 +34,17 @@
 #    BENCH_serve.json at the workspace root.
 # 7. multi-model serve smoke   — the registry suite in release mode:
 #    ResNet-50 hot swap under 4 concurrent clients (zero failures,
-#    bit-exact versioning) plus a fixed-seed slice of the concurrent
-#    register/swap/unregister/infer schedule fuzz.
+#    bit-exact versioning), a fixed-seed slice of the concurrent
+#    register/swap/unregister/infer schedule fuzz, and the admission
+#    smoke: `Registry::register` admits ResNet-50 as traced, conv–BN
+#    fused, backend-fused, lowered and PTQ int8, and refuses a
+#    `flatten(0, -1)` graph as "not batch-polymorphic".
+# 8. one-rule gate             — the shape/cost analyses dispatch on op
+#    names only: no `downcast_ref` / `type_name()` in the four analysis
+#    files (a leaf is read through its traced forward, DESIGN §5f).
+# 9. size report               — non-test lines (up to each file's
+#    `#[cfg(test)]`) per crate and for the four analysis files, so the
+#    number a simplicity PR cites comes from the gate, not from hand.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -89,4 +98,25 @@ echo "registry section present (>=80% fair share + zero swap failures asserted i
 
 echo "== multi-model serve smoke: hot swap under load + schedule fuzz slice =="
 FX_FUZZ_CASES=3 cargo test -q --release --test serve_registry
+
+echo "== one-rule gate: the analyses name no layer type =="
+analyses=(crates/passes/src/{shape_prop,sym_shape,batch_check,estimator}.rs)
+if grep -nE 'downcast_ref|type_name\(\)' "${analyses[@]}"; then
+    echo "an analysis file dispatches on a module type; add a rule row instead" >&2
+    exit 1
+fi
+echo "no downcast_ref / type_name() in ${analyses[*]}"
+
+echo "== size: non-test lines =="
+nontest_lines() {
+    awk 'FNR == 1 { in_tests = 0 } /^#\[cfg\(test\)\]/ { in_tests = 1 } !in_tests { n++ } END { print n + 0 }' "$@"
+}
+for crate in crates/*/; do
+    # shellcheck disable=SC2046 # source paths here have no spaces
+    printf '%-40s %6d\n' "$(basename "$crate")" "$(nontest_lines $(find "$crate/src" -name '*.rs'))"
+done
+for f in "${analyses[@]}"; do
+    printf '%-40s %6d\n' "$f" "$(nontest_lines "$f")"
+done
+printf '%-40s %6d\n' "the four analysis files" "$(nontest_lines "${analyses[@]}")"
 echo "verify: OK"

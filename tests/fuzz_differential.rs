@@ -22,7 +22,7 @@
 //! smoke run uses a small slice; the default is 64).
 
 use fx::passes::{
-    eliminate_common_subexpressions, fold_constants, fuse_conv_bn, infer_shapes,
+    eliminate_common_subexpressions, fold_constants, fuse_conv_bn, infer_shapes, shape_prop,
 };
 use fx::prelude::*;
 use fx_core::Arg;
@@ -134,6 +134,29 @@ fn check_idempotent(
     let twice = check_all_paths(gm, inputs, &format!("{label} (x2)"));
     assert_eq!(once, twice, "{label}: second application changed the output");
     once
+}
+
+/// The shape rules against a real run: `infer_shapes` succeeds, and
+/// agrees with the shape observed at every tensor node.
+fn check_shape_rules(gm: &GraphModule, inputs: &[Value], label: &str) {
+    let shapes: Vec<Vec<usize>> = inputs
+        .iter()
+        .map(|v| v.as_tensor().unwrap().shape().to_vec())
+        .collect();
+    let inferred = infer_shapes(&mut gm.clone(), &shapes)
+        .unwrap_or_else(|e| panic!("{label}: infer_shapes: {e}"));
+    let mut observed = gm.clone();
+    shape_prop(&mut observed, inputs).unwrap_or_else(|e| panic!("{label}: shape_prop: {e}"));
+    for node in observed.graph().nodes() {
+        if let Some(shape) = node.shape_meta() {
+            assert_eq!(
+                inferred.get(node.name()).map(Vec::as_slice),
+                Some(shape),
+                "{label}: shape rule and observation disagree at `{}`",
+                node.name()
+            );
+        }
+    }
 }
 
 /// Family 1: a random conv stack. Shapes are tracked during generation
@@ -307,9 +330,11 @@ fn differential_fuzz_sweep() {
             ] {
                 let after = check_idempotent(&mut gm, inputs, &format!("{label}: {name}"), pass);
                 assert_eq!(before, after, "{label}: {name} changed observable bits");
+                check_shape_rules(&gm, inputs, &format!("{label}: {name}"));
             }
             let routed =
                 check_idempotent(&mut gm, inputs, &format!("{label}: pointwise"), route_pointwise);
+            check_shape_rules(&gm, inputs, &format!("{label}: pointwise"));
             for (a, b) in before.iter().zip(&routed) {
                 let (a, b) = (f32::from_bits(*a), f32::from_bits(*b));
                 assert!((a - b).abs() <= 1e-4 * (1.0 + a.abs()), "{label}: pointwise drifted");

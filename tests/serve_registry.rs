@@ -139,6 +139,48 @@ fn resnet50_hot_swap_under_load_is_zero_downtime_and_version_exact() {
 const NAMES: [&str; 3] = ["m0", "m1", "m2"];
 const IN: usize = 8;
 
+/// Admission is real for every form the stack ships a model in: the
+/// registry admits ResNet-50 as traced, conv–BN fused, backend-fused,
+/// lowered to an engine leaf and PTQ-quantized (each then answers one
+/// request with its solo bits), and still refuses a graph that folds the
+/// batch into the payload — saying so.
+#[test]
+fn registry_admits_every_compiled_form_and_names_a_real_rejection() {
+    let mut rng = StdRng::seed_from_u64(62);
+    let traced = symbolic_trace(&resnet50(3, 10, &mut rng)).expect("resnet50 traces");
+    const SHAPE: [usize; 4] = [1, 3, 32, 32];
+    let mut bn_fused = traced.clone();
+    fx::passes::fuse_conv_bn(&mut bn_fused).expect("conv-BN fusion");
+    let mut backend_fused = traced.clone();
+    fx::backend::fuse(&mut backend_fused, Default::default()).expect("backend fusion");
+    let lowered = fx::backend::lower(&traced).expect("lowering").0;
+    let calibration = vec![vec![Value::Tensor(randn(&[2, 3, 32, 32], 7100))]];
+    let int8 = fx::quant::quantize_ptq(&bn_fused, &calibration, &Default::default())
+        .expect("post-training quantization");
+
+    let registry = Registry::builder().workers(1).build().expect("registry builds");
+    let x = randn(&SHAPE, 7101);
+    for (name, gm) in [
+        ("traced", traced),
+        ("conv-bn-fused", bn_fused),
+        ("backend-fused", backend_fused),
+        ("lowered", lowered),
+        ("ptq-int8", int8),
+    ] {
+        let handle = registry
+            .register(name, gm.clone(), &[SHAPE.to_vec()])
+            .unwrap_or_else(|e| panic!("{name} must be admitted: {e}"));
+        let served = handle.infer(vec![x.clone()]).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(bits(&served[0]), solo(&gm, &x), "{name}: served bits differ from solo");
+    }
+    let folded = symbolic_trace_fn(1, |xs| func::flatten(&xs[0], 0, -1)).expect("traces");
+    match registry.register("folded", folded, &[vec![1, 4]]) {
+        Err(ServeError::Build(msg)) => assert!(msg.contains("not batch-polymorphic"), "{msg}"),
+        other => panic!("flatten(0, -1) must be refused, got {:?}", other.map(|_| ())),
+    }
+    registry.shutdown();
+}
+
 fn mlp(seed: u64) -> GraphModule {
     let mut rng = StdRng::seed_from_u64(seed);
     symbolic_trace(&Mlp::new(&[IN, 12, 4], &mut rng)).expect("mlp traces")
