@@ -17,7 +17,7 @@ use crate::tensor::Tensor;
 /// underflowing in `usize`) when the effective window — `dilation *
 /// (kernel - 1) + 1` — is larger than the padded input, or the kernel
 /// is empty.
-fn out_extent(
+pub(crate) fn out_extent(
     op: &'static str,
     input: usize,
     pad: usize,
@@ -433,39 +433,31 @@ fn pool2d(
     }
     let oh = out_extent("pool2d", h, padding.0, 1, kernel.0, stride.0)?;
     let ow = out_extent("pool2d", w, padding.1, 1, kernel.1, stride.1)?;
-    let mut out = pool::alloc_f32_empty(n * c * oh * ow);
-    for plane_idx in 0..n * c {
-        let plane = &xd[plane_idx * h * w..(plane_idx + 1) * h * w];
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = if is_max { f32::NEG_INFINITY } else { 0.0 };
-                for ky in 0..kernel.0 {
-                    let iy = oy * stride.0 + ky;
-                    for kx in 0..kernel.1 {
-                        let ix = ox * stride.1 + kx;
-                        let inside = iy >= padding.0
-                            && iy - padding.0 < h
-                            && ix >= padding.1
-                            && ix - padding.1 < w;
-                        let v = if inside {
-                            plane[(iy - padding.0) * w + (ix - padding.1)]
-                        } else if is_max {
-                            f32::NEG_INFINITY
-                        } else {
-                            0.0
-                        };
-                        if is_max {
-                            acc = acc.max(v);
-                        } else {
-                            acc += v;
-                        }
-                    }
-                }
-                out.push(if is_max {
-                    acc
+    // The input cells `lo..hi` a window starting at padded coordinate
+    // `start` covers: clipped once per output row/column, so the loops
+    // below are branch-free slices. Skipping the padding cells changes
+    // no bit: a max ignores their `-inf`, and the `+0.0` they added to
+    // the average's sum (which starts at `+0.0`, so is never `-0.0`) is
+    // an identity.
+    let clip = |start: usize, pad: usize, kernel: usize, extent: usize| {
+        let lo = start.saturating_sub(pad).min(extent);
+        (lo, (start + kernel).saturating_sub(pad).min(extent).max(lo))
+    };
+    let divisor = (kernel.0 * kernel.1) as f32;
+    // Garbage-tolerant: every element is written by index below.
+    let mut out = pool::alloc_f32(n * c * oh * ow);
+    for (pi, out_plane) in out.chunks_exact_mut(oh * ow).enumerate() {
+        let plane = &xd[pi * h * w..(pi + 1) * h * w];
+        for (oy, out_row) in out_plane.chunks_exact_mut(ow).enumerate() {
+            let (y0, y1) = clip(oy * stride.0, padding.0, kernel.0, h);
+            for (ox, dst) in out_row.iter_mut().enumerate() {
+                let (x0, x1) = clip(ox * stride.1, padding.1, kernel.1, w);
+                let cells = (y0..y1).flat_map(|iy| &plane[iy * w + x0..iy * w + x1]);
+                *dst = if is_max {
+                    cells.fold(f32::NEG_INFINITY, |acc, &v| acc.max(v))
                 } else {
-                    acc / (kernel.0 * kernel.1) as f32
-                });
+                    cells.fold(0.0, |acc, &v| acc + v) / divisor
+                };
             }
         }
     }
@@ -711,6 +703,98 @@ mod tests {
         let plain = conv2d_pointwise(&x, &pw, Some(&b)).unwrap();
         let relu: Vec<f32> = plain.as_f32().unwrap().iter().map(|v| v.max(0.0)).collect();
         assert_eq!(fused.as_f32().unwrap(), &relu[..]);
+    }
+
+    /// The pooling loop as it was before the windows were clipped —
+    /// four bounds tests per window cell, padding cells folded in as
+    /// `-inf` / `0.0` — kept as the oracle the clipped loop must match
+    /// bit for bit.
+    fn pool2d_reference(
+        x: &Tensor,
+        kernel: (usize, usize),
+        stride: (usize, usize),
+        padding: (usize, usize),
+        is_max: bool,
+    ) -> Vec<f32> {
+        let xd = x.as_f32().unwrap();
+        let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+        let oh = out_extent("pool2d", h, padding.0, 1, kernel.0, stride.0).unwrap();
+        let ow = out_extent("pool2d", w, padding.1, 1, kernel.1, stride.1).unwrap();
+        let mut out = Vec::new();
+        for plane_idx in 0..n * c {
+            let plane = &xd[plane_idx * h * w..(plane_idx + 1) * h * w];
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = if is_max { f32::NEG_INFINITY } else { 0.0 };
+                    for ky in 0..kernel.0 {
+                        let iy = oy * stride.0 + ky;
+                        for kx in 0..kernel.1 {
+                            let ix = ox * stride.1 + kx;
+                            let inside = iy >= padding.0
+                                && iy - padding.0 < h
+                                && ix >= padding.1
+                                && ix - padding.1 < w;
+                            let v = if inside {
+                                plane[(iy - padding.0) * w + (ix - padding.1)]
+                            } else if is_max {
+                                f32::NEG_INFINITY
+                            } else {
+                                0.0
+                            };
+                            if is_max {
+                                acc = acc.max(v);
+                            } else {
+                                acc += v;
+                            }
+                        }
+                    }
+                    out.push(if is_max {
+                        acc
+                    } else {
+                        acc / (kernel.0 * kernel.1) as f32
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// Padded, strided, uneven, overlapping and all-padding windows,
+    /// with negative zeros, infinities and a NaN in the input: max and
+    /// average pooling must equal the unclipped loop bitwise.
+    #[test]
+    fn pooling_matches_the_unclipped_loop_bitwise() {
+        let mut rng = StdRng::seed_from_u64(0x9001);
+        // (h, w, kernel, stride, padding)
+        let cases = [
+            (8, 8, (3, 3), (2, 2), (1, 1)),
+            (7, 5, (2, 3), (1, 2), (0, 1)),
+            (9, 11, (3, 2), (3, 1), (1, 0)),
+            (4, 4, (2, 2), (2, 2), (0, 0)),
+            (5, 6, (5, 6), (1, 1), (2, 2)),
+            (3, 3, (1, 1), (1, 1), (1, 1)),
+            (6, 7, (2, 2), (1, 1), (2, 2)),
+            (1, 1, (3, 3), (1, 1), (1, 1)),
+        ];
+        for &(h, w, kernel, stride, padding) in &cases {
+            let x = Tensor::rand_uniform(&[2, 3, h, w], -1.0, 1.0, &mut rng);
+            let mut xd = x.as_f32().unwrap().to_vec();
+            for (i, special) in [-0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0].into_iter().enumerate() {
+                let at = (i * 7) % xd.len();
+                xd[at] = special;
+            }
+            let x = Tensor::from_vec(xd, &[2, 3, h, w]);
+            for is_max in [true, false] {
+                let got = pool2d(&x, kernel, stride, padding, is_max).unwrap();
+                let want = pool2d_reference(&x, kernel, stride, padding, is_max);
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(got.as_f32().unwrap()),
+                    bits(&want),
+                    "{h}x{w} kernel {kernel:?} stride {stride:?} padding {padding:?} max={is_max}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! out here.
 
 mod batch;
-mod conv;
+pub(crate) mod conv;
 mod elementwise;
 pub(crate) mod matmul;
 mod norm;

@@ -3,56 +3,73 @@
 //! The portable GEMMs in [`matmul`](super::matmul) lean on LLVM
 //! autovectorizing a multi-accumulator dot product. This module is the
 //! hand-written alternative every CPU BLAS ships, built as **one
-//! blocking driver, one microkernel body, and a table of tiles**:
+//! blocking driver, one microkernel body, and a table of tiles**,
+//! generic over the element ([`Elem`]) so f32 and int8 are rows of one
+//! table rather than two machines:
 //!
-//! * [`microkernel`] is a register-tile FMA loop generic over a
-//!   [`Vector`] (load / splat / fmadd / add / store) and a const
-//!   `MR × NV` shape. Thin `#[target_feature]` wrappers instantiate it
-//!   as the AVX2 tiles (6 rows × 1 or 2 YMM) and the AVX-512 tiles
-//!   (12 rows × 1 or 2 ZMM); a [`Tile`] names one with its geometry.
+//! * [`microkernel`] is a register-tile multiply-accumulate loop generic
+//!   over a [`Vector`] (load / splat / add / store), a [`Dot`] step and
+//!   a const `MR × NV` shape. Thin `#[target_feature]` wrappers
+//!   instantiate it as the AVX2 tiles (6 rows × 1 or 2 YMM) and the
+//!   AVX-512 tiles (12 rows × 1 or 2 ZMM), for f32 (`vfmadd`) and for
+//!   int8 k-pairs (`vpmaddwd`+`vpaddd`, or `vpdpwssd` with VNNI); a
+//!   [`Tile`] names one with its geometry.
 //! * [`gemm_tiled`] is the cache-blocking driver; every size it needs
 //!   comes from the tile it was handed. B is repacked per `KC×NC` block
 //!   into NR-wide column panels so the microkernel reads one contiguous,
 //!   reusable stream whether the logical B is row-major (`matmul`),
-//!   transposed (`linear` weights) or an *implicit im2col patch matrix*
-//!   gathered straight from a convolution input — the packing routine
-//!   is where layout differences die. A is read in place, row by row.
+//!   transposed (`linear` weights) or
+//!   an *implicit im2col patch matrix* gathered straight from a
+//!   convolution input — the packing routine is where layout
+//!   differences die. A is read in place, row by row.
 //! * [`select_tile`] picks the tile **per call from the output width
 //!   alone**, so a narrow GEMM does not pay for padding a wide tile.
 //!
-//! `KC`/`NC` default to 256/512 and can be swept via `FX_GEMM_KC` /
-//! `FX_GEMM_NC` ([`gemm_kc`]/[`gemm_nc`]). Pack buffers are drawn from
-//! [`pool`](crate::pool) and fully overwritten, zero edge padding
-//! included, so a recycled buffer's stale contents can never leak into
-//! a result. The epilogue — per-row or per-column bias plus optional
-//! ReLU — is applied on the accumulated output, elementwise-identical
-//! to running the separate bias/ReLU kernels afterwards.
+//! `KC`/`NC` default to 256/512 elements and can be swept via
+//! `FX_GEMM_KC` / `FX_GEMM_NC` ([`gemm_kc`]/[`gemm_nc`]). Pack buffers
+//! are drawn from [`pool`](crate::pool) and fully overwritten, edge
+//! padding included, so a recycled buffer's stale contents can never
+//! leak into a result. The f32 epilogue — per-row or per-column bias
+//! plus optional ReLU — is applied on the accumulated output,
+//! elementwise-identical to running the separate bias/ReLU kernels
+//! afterwards.
 //!
-//! ## The int8 microkernel
+//! ## int8: the element is a k-pair
 //!
-//! [`gemm_i8_nt`] is the quantized sibling: `i8×i8→i32` with the same
-//! panel blocking and a **fused requantize+bias+ReLU epilogue** that
-//! writes the final `i8` at write-back. The widening trick differs from
-//! FBGEMM's `_mm256_maddubs_epi16` chain on purpose: `maddubs` adds two
-//! u8×i8 products into a *saturating* i16, and `127·255 + 127·255`
-//! overflows it — saturation would make SIMD results diverge from the
-//! scalar fallback on adversarial inputs, breaking the bit-exactness
-//! contract. Instead the B panel is pre-widened to i16 with consecutive
-//! k-pairs interleaved per column, the A panel packs each k-pair as two
-//! i16 in one i32, and `_mm256_madd_epi16` (broadcast pair × 8 column
-//! pairs) produces **exact** i32 pair-dot-products: `i16×i16 + i16×i16`
-//! peaks at `2·127²·... ≪ 2³¹`, and the running i32 accumulation is
-//! exact for any k the models reach (overflow needs k ≳ 1.3·10⁵).
-//! Because integer accumulation has no rounding at all, the SIMD path
-//! is **bit-identical** to the scalar reference in any summation order
-//! — a stronger guarantee than the f32 path can offer. Its tiles keep
-//! their own 6×16 YMM geometry ([`I8_MR`]/[`I8_NR`]).
+//! An int8 GEMM multiplies `i8×i8→i32`. Its element is **two
+//! consecutive k steps**: two i8 sign-extended to i16, side by side in
+//! one i32 lane ([`pack_pair`]). Broadcasting an A pair and multiplying
+//! it against a vector of B pairs with `vpmaddwd` (then `vpaddd`), or
+//! with VNNI's fused `vpdpwssd`, adds `a₀·b₀ + a₁·b₁` to each i32 lane —
+//! which is exactly the f32 kernel's `splat`/`fmadd` step over an array
+//! half as deep. So A is the `[m, ⌈k/2⌉]` pair rows of a weight
+//! (widened **once**, [`pair_rows`]), B panels hold `nr` pairs per row,
+//! C is i32, and nothing in the driver or the body knows. A ZMM
+//! `vpdpwssd` retires 32 MACs — twice a ZMM FMA — so the 12×32 int8 tile
+//! is the fastest thing in the table.
 //!
-//! The activation zero point is folded in after accumulation with the
-//! FBGEMM row-offset identity `Σ(a−za)·w = Σa·w − za·Σw` (per-column
-//! weight sums), and requantization runs through the same scalar helper
-//! ([`crate::quant`]'s `requant_one`) the fallback uses, per element —
-//! scalar/SIMD int8 outputs are therefore equal by construction.
+//! The widening differs from FBGEMM's `_mm256_maddubs_epi16` chain on
+//! purpose: `maddubs` adds two u8×i8 products into a *saturating* i16,
+//! and `127·255 + 127·255` overflows it — saturation would make SIMD
+//! results diverge from the scalar fallback on adversarial inputs.
+//! `i16×i16 + i16×i16` peaks at `2·128² ≪ 2³¹`, and the running i32 sum
+//! is exact for any k the models reach (overflow needs k ≳ 1.3·10⁵).
+//! Because integer accumulation has no rounding at all, every tile,
+//! either dot step, any blocking and any summation order are
+//! **bit-identical** to the scalar reference — a stronger guarantee than
+//! the f32 path can offer, and one the tests check with `assert_eq`.
+//!
+//! [`gemm_i8`] is the entry point. A conv passes its weight as A and
+//! its input's patches as B, so the output lands `[channel,
+//! image·patch]` and each finished row panel of i32 sums is requantized
+//! ([`requant_row`]: zero-point correction, scale, bias, ReLU,
+//! round-to-even, clamp — op for op [`crate::quant`]'s scalar
+//! `requant_one`) straight into contiguous NCHW spans while it is still
+//! in L1; the sums are never stored whole. A linear passes its input
+//! rows as A and its weight as B — packed once ([`prepack_b`],
+//! [`BSrc::Packed`]), since a weight never changes — so a one-row
+//! request reads each weight once, in a vector, and the output is
+//! row-major as it stands.
 //!
 //! ## Numerics and determinism (f32)
 //!
@@ -67,8 +84,8 @@
 //! That is the property the serve-layer parity suite relies on: a row
 //! answered inside a batch of 8 is bit-identical to the same row
 //! answered alone, even when the wider batch switched tiles. `KC` *is*
-//! part of the chain (it decides where the partial sums are cut), so it
-//! is one process-wide value, never a per-tile one; `NC`, `MR` and `NR`
+//! part of the f32 chain (it decides where the partial sums are cut), so
+//! it is one process-wide value, never a per-tile one; `NC`, `MR` and `NR`
 //! only re-tile the output. The SIMD path is *not* bit-identical to the
 //! portable fallback (different summation order, and FMA keeps the
 //! product unrounded); the documented bound is
@@ -80,20 +97,22 @@
 //! forces the portable fallback (the mode `scripts/verify.sh` sweeps to
 //! keep it from rotting), `avx2` / `avx512` pin a level (degrading, with
 //! one stderr line, to the widest the CPU has), unset or `1` takes the
-//! widest detected. When enabled, *every* GEMM goes through the
-//! microkernel — an engine cutover by shape would make results depend
-//! on the batch dimension and break serve/solo parity; a *tile* cutover
-//! cannot, by the argument above.
+//! widest detected; the level governs the f32 and the int8 tiles alike
+//! (`FX_VNNI=0` only swaps the int8 dot step). When enabled, *every*
+//! GEMM goes through the microkernel — an engine cutover by shape would
+//! make results depend on the batch dimension and break serve/solo
+//! parity; a *tile* cutover cannot, by the argument above.
 
-use crate::pool;
+use crate::pool::{self, PoolElem};
 use crate::threading::parallel_chunks;
 use std::mem::MaybeUninit;
 use std::sync::OnceLock;
 
-/// Default k-panel depth: a row panel's 12·256 f32 of A (12 KiB) stays
-/// L1-resident, 256·32 f32 of B per column panel streams from L2.
+/// Default k-panel depth, in elements (f32 and int8 k-pairs are both 4
+/// bytes): a row panel's 12·256 of A (12 KiB) stays L1-resident, 256·32
+/// of B per column panel streams from L2.
 const KC_DEFAULT: usize = 256;
-/// Default column-block width: one packed B block is `KC·NC` f32
+/// Default column-block width: one packed B block is `KC·NC` elements
 /// (512 KiB max), reused across every row panel of A.
 const NC_DEFAULT: usize = 512;
 /// Upper bound for `FX_GEMM_KC`; the padded last A panel lives on the
@@ -117,9 +136,9 @@ fn block_param(var: &str, default: usize, min: usize, max: usize, quantum: usize
     }
 }
 
-/// K-panel depth (`FX_GEMM_KC`, default 256, once-read; multiple of 8 in
-/// `[8, 1024]`). Shared by every f32 tile and the int8 path — it is
-/// part of the f32 numeric contract (see the module docs).
+/// K-panel depth in elements (`FX_GEMM_KC`, default 256, once-read;
+/// multiple of 8 in `[8, 1024]`). Shared by every tile — it is part of
+/// the f32 numeric contract (see the module docs).
 pub(crate) fn gemm_kc() -> usize {
     static V: OnceLock<usize> = OnceLock::new();
     *V.get_or_init(|| block_param("FX_GEMM_KC", KC_DEFAULT, 8, KC_MAX, 8))
@@ -141,7 +160,7 @@ enum Level {
     Scalar,
     /// AVX2 + FMA: YMM tiles.
     Avx2,
-    /// AVX-512F: ZMM tiles (and the YMM ones for narrow outputs).
+    /// AVX-512F + BW: ZMM tiles (and the YMM ones for narrow outputs).
     Avx512,
 }
 
@@ -155,11 +174,14 @@ impl Level {
     }
 }
 
-/// The widest level this CPU can run (ignores `FX_SIMD`).
+/// The widest level this CPU can run (ignores `FX_SIMD`). One ladder
+/// for both dtypes: the int8 ZMM tiles multiply with `vpmaddwd`, which
+/// is AVX-512BW, and every AVX-512 CPU but the discontinued Xeon Phi
+/// has it — so BW is simply part of what `avx512` means here.
 fn detected_level() -> Level {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        return if std::arch::is_x86_feature_detected!("avx512f") {
+        return if std::arch::is_x86_feature_detected!("avx512f") && std::arch::is_x86_feature_detected!("avx512bw") {
             Level::Avx512
         } else {
             Level::Avx2
@@ -220,22 +242,24 @@ pub fn simd_available() -> bool {
     detected_level() != Level::Scalar
 }
 
-/// Whether the int8 microkernel may fuse its multiply-add pairs into
-/// `vpdpwssd` (AVX-512 VNNI at 256-bit width, decided once per process;
-/// `FX_VNNI=0` forces the plain `vpmaddwd`+`vpaddd` form). Purely a
-/// throughput knob: VNNI computes the identical exact i32 dot-product
+/// Whether this CPU has `vpdpwssd` at both vector widths (AVX-512 VNNI
+/// + VL; ignores `FX_VNNI`).
+fn vnni_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx512vnni") && std::arch::is_x86_feature_detected!("avx512vl");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// Whether the int8 tiles fuse their multiply-add pairs into `vpdpwssd`
+/// (decided once per process; `FX_VNNI=0` forces the plain
+/// `vpmaddwd`+`vpaddd` form at whatever width `FX_SIMD` selects). Purely
+/// a throughput knob: VNNI computes the identical exact i32 dot-product
 /// accumulation in one instruction, so outputs are bit-identical either
 /// way (unit-tested below).
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn vnni_enabled() -> bool {
+fn vnni_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        if std::env::var("FX_VNNI").is_ok_and(|v| v == "0") {
-            return false;
-        }
-        std::arch::is_x86_feature_detected!("avx512vnni")
-            && std::arch::is_x86_feature_detected!("avx512vl")
-    })
+    *ENABLED.get_or_init(|| !std::env::var("FX_VNNI").is_ok_and(|v| v == "0") && vnni_detected())
 }
 
 /// Prefetch `s[idx]` into L1 if it is in bounds (a pure hint: never
@@ -257,67 +281,171 @@ fn prefetch<T>(s: &[T], idx: usize) {
 }
 
 // ===========================================================================
-// f32 path: Vector → microkernel → Tile → driver
+// Elem → Vector → microkernel → Tile → driver
 // ===========================================================================
 
-/// One SIMD register of f32 lanes: the operations the microkernel body
-/// is written in. Every method is `#[inline(always)]` so the intrinsic
-/// lands inside the `#[target_feature]` wrapper that instantiated the
-/// body, and is only sound to call from there.
+/// What the driver multiplies and sums: one `f32`, or one int8 **k-pair**
+/// ([`pack_pair`]) held in an `i32` lane, accumulated in `i32`. A and the
+/// packed B panels are arrays of elements, so the blocking loops, the
+/// ragged-panel copy and the microkernel body never learn which one
+/// they were instantiated for; only packing B does, because its sources
+/// hold the narrower [`Elem::Raw`] form.
+pub(crate) trait Elem: PoolElem + std::ops::AddAssign {
+    /// How a B source stores one k step (`f32` itself / `i8`).
+    type Raw: PoolElem;
+    /// Raw k steps per element.
+    const PAIR: usize;
+    /// Produce one `[rows, nr]` element panel from the row-major raw
+    /// panel `fill` writes (`rows·PAIR` rows of `nr`): f32 lets `fill`
+    /// write the panel itself, int8 gathers into `stage` and interleaves
+    /// row pairs.
+    fn pack_panel(
+        panel: &mut [Self],
+        nr: usize,
+        stage: &mut [Self::Raw],
+        fill: impl FnOnce(&mut [Self::Raw]),
+    );
+}
+
+impl Elem for f32 {
+    type Raw = f32;
+    const PAIR: usize = 1;
+    #[inline(always)]
+    fn pack_panel(panel: &mut [f32], _nr: usize, _stage: &mut [f32], fill: impl FnOnce(&mut [f32])) {
+        fill(panel);
+    }
+}
+
+impl Elem for i32 {
+    type Raw = i8;
+    const PAIR: usize = 2;
+    fn pack_panel(panel: &mut [i32], nr: usize, stage: &mut [i8], fill: impl FnOnce(&mut [i8])) {
+        let raw = &mut stage[..2 * panel.len()];
+        fill(raw);
+        for (row, two) in panel.chunks_exact_mut(nr).zip(raw.chunks_exact(2 * nr)) {
+            let (even, odd) = two.split_at(nr);
+            for ((d, &lo), &hi) in row.iter_mut().zip(even).zip(odd) {
+                *d = pack_pair(lo, hi);
+            }
+        }
+    }
+}
+
+/// One int8 element: an (even, odd) k-pair of i8 as two sign-extended
+/// i16 halves of an i32, low half = even k — the operand shape
+/// `vpmaddwd`/`vpdpwssd` multiply exactly.
+#[inline(always)]
+fn pack_pair(lo: i8, hi: i8) -> i32 {
+    ((lo as i16 as u16 as u32) | ((hi as i16 as u16 as u32) << 16)) as i32
+}
+
+/// Row-major `[rows, k]` i8 as `[rows, ⌈k/2⌉]` k-pair elements (an odd
+/// tail pairs with 0), appended to `out`: the A operand of an int8
+/// GEMM. A conv's weight is widened once and cached by
+/// [`crate::quant`]; a linear's input rows are widened per call.
+pub(crate) fn pair_rows(x: &[i8], k: usize, mut out: Vec<i32>) -> Vec<i32> {
+    for row in x.chunks_exact(k.max(1)) {
+        let mut pairs = row.chunks_exact(2);
+        out.extend((&mut pairs).map(|p| pack_pair(p[0], p[1])));
+        out.extend(pairs.remainder().iter().map(|&lo| pack_pair(lo, 0)));
+    }
+    out
+}
+
+/// One SIMD register of element lanes: the data movement the microkernel
+/// body is written in. Every method is `#[inline(always)]` so the
+/// intrinsic lands inside the `#[target_feature]` wrapper that
+/// instantiated the body, and is only sound to call from there.
 trait Vector: Copy {
+    type Elem: Copy + std::ops::AddAssign;
     const LANES: usize;
     unsafe fn zero() -> Self;
-    unsafe fn load(p: *const f32) -> Self;
+    unsafe fn load(p: *const Self::Elem) -> Self;
     /// `*p` in every lane.
-    unsafe fn splat(p: *const f32) -> Self;
-    /// `a·b + self`, fused (one rounding).
-    unsafe fn fmadd(self, a: Self, b: Self) -> Self;
+    unsafe fn splat(p: *const Self::Elem) -> Self;
     unsafe fn add(self, o: Self) -> Self;
-    unsafe fn store(self, p: *mut f32);
+    unsafe fn store(self, p: *mut Self::Elem);
 }
 
 macro_rules! impl_vector {
-    ($ty:ident, $lanes:literal, $zero:ident, $load:ident, $set1:ident, $fmadd:ident, $add:ident, $store:ident) => {
+    ($ty:ident, $elem:ty, $lanes:literal, $zero:ident, $load:ident, $set1:ident, $add:ident, $store:ident) => {
         #[cfg(target_arch = "x86_64")]
         impl Vector for std::arch::x86_64::$ty {
+            type Elem = $elem;
             const LANES: usize = $lanes;
             #[inline(always)]
             unsafe fn zero() -> Self {
                 std::arch::x86_64::$zero()
             }
             #[inline(always)]
-            unsafe fn load(p: *const f32) -> Self {
-                std::arch::x86_64::$load(p)
+            unsafe fn load(p: *const $elem) -> Self {
+                std::arch::x86_64::$load(p.cast())
             }
             #[inline(always)]
-            unsafe fn splat(p: *const f32) -> Self {
+            unsafe fn splat(p: *const $elem) -> Self {
                 std::arch::x86_64::$set1(*p)
-            }
-            #[inline(always)]
-            unsafe fn fmadd(self, a: Self, b: Self) -> Self {
-                std::arch::x86_64::$fmadd(a, b, self)
             }
             #[inline(always)]
             unsafe fn add(self, o: Self) -> Self {
                 std::arch::x86_64::$add(self, o)
             }
             #[inline(always)]
-            unsafe fn store(self, p: *mut f32) {
-                std::arch::x86_64::$store(p, self)
+            unsafe fn store(self, p: *mut $elem) {
+                std::arch::x86_64::$store(p.cast(), self)
             }
         }
     };
 }
 
-impl_vector!(__m256, 8, _mm256_setzero_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_fmadd_ps, _mm256_add_ps, _mm256_storeu_ps);
-impl_vector!(__m512, 16, _mm512_setzero_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_fmadd_ps, _mm512_add_ps, _mm512_storeu_ps);
+impl_vector!(__m256, f32, 8, _mm256_setzero_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_add_ps, _mm256_storeu_ps);
+impl_vector!(__m512, f32, 16, _mm512_setzero_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_add_ps, _mm512_storeu_ps);
+impl_vector!(__m256i, i32, 8, _mm256_setzero_si256, _mm256_loadu_si256, _mm256_set1_epi32, _mm256_add_epi32, _mm256_storeu_si256);
+impl_vector!(__m512i, i32, 16, _mm512_setzero_si512, _mm512_loadu_si512, _mm512_set1_epi32, _mm512_add_epi32, _mm512_storeu_si512);
+
+/// The multiply-accumulate of one k step, `acc + a·b` per lane, on
+/// vector `V`. A separate name from [`Vector`] because the integer
+/// vectors have two: both compute exactly `acc + Σ₂ sx(a_i16)·sx(b_i16)`
+/// — integer, no rounding — so they are bit-identical by construction
+/// (and unit-tested so).
+trait Dot<V> {
+    unsafe fn dot(acc: V, a: V, b: V) -> V;
+}
+/// f32: `a·b + acc` fused, one rounding.
+struct Fma;
+/// int8 k-pairs: `vpmaddwd` + `vpaddd`.
+struct Madd;
+/// int8 k-pairs: the two fused into `vpdpwssd` (AVX-512 VNNI).
+struct Vnni;
+
+macro_rules! impl_dot {
+    ($dot:ident, $v:ident, |$acc:ident, $a:ident, $b:ident| $e:expr) => {
+        #[cfg(target_arch = "x86_64")]
+        impl Dot<std::arch::x86_64::$v> for $dot {
+            #[inline(always)]
+            unsafe fn dot(
+                $acc: std::arch::x86_64::$v,
+                $a: std::arch::x86_64::$v,
+                $b: std::arch::x86_64::$v,
+            ) -> std::arch::x86_64::$v {
+                use std::arch::x86_64::*;
+                $e
+            }
+        }
+    };
+}
+
+impl_dot!(Fma, __m256, |acc, a, b| _mm256_fmadd_ps(a, b, acc));
+impl_dot!(Fma, __m512, |acc, a, b| _mm512_fmadd_ps(a, b, acc));
+impl_dot!(Madd, __m256i, |acc, a, b| _mm256_add_epi32(acc, _mm256_madd_epi16(a, b)));
+impl_dot!(Madd, __m512i, |acc, a, b| _mm512_add_epi32(acc, _mm512_madd_epi16(a, b)));
+impl_dot!(Vnni, __m256i, |acc, a, b| _mm256_dpwssd_epi32(acc, a, b));
+impl_dot!(Vnni, __m512i, |acc, a, b| _mm512_dpwssd_epi32(acc, a, b));
 
 /// Write the valid `mr × nr` window of a register tile — the
 /// accumulator array itself, viewed as scalars with row stride `ldt` —
 /// into C: overwrite when `first`, else the same per-element add the
 /// full-width vector write-back performs, which is what keeps edge
-/// tiles bit-identical to interior ones. Shared by the f32 and i32
-/// microkernels.
+/// tiles bit-identical to interior ones.
 ///
 /// # Safety
 /// `c` must cover `mr` rows of `ldc` elements with `nr` valid columns
@@ -346,8 +474,8 @@ unsafe fn write_edge<T: Copy + std::ops::AddAssign>(
 
 /// The microkernel body, for a tile of `MR` rows × `NV` vectors:
 /// accumulate `C[0..mr, 0..nr] (+)= A-panel · B-panel` over `kc` steps
-/// with one sequential FMA chain per output element. `first` overwrites
-/// C, otherwise the tile is added to it (a separate float add — the
+/// with one sequential [`Dot`] chain per output element. `first`
+/// overwrites C, otherwise the tile is added to it (a separate add — the
 /// same per-element operation whether the tile is written by full-width
 /// stores or through [`write_edge`]).
 ///
@@ -361,20 +489,20 @@ unsafe fn write_edge<T: Copy + std::ops::AddAssign>(
 /// panel packed for its full-width sibling.
 ///
 /// # Safety
-/// Only sound inside a `#[target_feature]` function enabling `V`'s
-/// instruction set. `pa` must cover `MR` rows of `kc` elements, `lda`
-/// apart (all `MR`, even when `mr < MR`); `pb` must hold
+/// Only sound inside a `#[target_feature]` function enabling the
+/// instruction sets of `V` and `D`. `pa` must cover `MR` rows of `kc`
+/// elements, `lda` apart (all `MR`, even when `mr < MR`); `pb` must hold
 /// `(kc-1)*ldb + NV·LANES` elements and `c` must cover `mr ≤ MR` rows
 /// of `ldc` columns with `nr ≤ NV·LANES` valid columns per row.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn microkernel<V: Vector, const MR: usize, const NV: usize>(
+unsafe fn microkernel<V: Vector, D: Dot<V>, const MR: usize, const NV: usize>(
     kc: usize,
-    pa: *const f32,
+    pa: *const V::Elem,
     lda: usize,
-    pb: *const f32,
+    pb: *const V::Elem,
     ldb: usize,
-    c: *mut f32,
+    c: *mut V::Elem,
     ldc: usize,
     mr: usize,
     nr: usize,
@@ -382,8 +510,8 @@ unsafe fn microkernel<V: Vector, const MR: usize, const NV: usize>(
 ) {
     let mut acc = [[V::zero(); NV]; MR];
     for kk in 0..kc {
-        // One k step: `acc[r][v] += a[r] · b[v]`, an independent FMA per
-        // accumulator lane.
+        // One k step: `acc[r][v] += a[r] · b[v]`, an independent chain
+        // per accumulator lane.
         let mut b = [V::zero(); NV];
         for (v, bv) in b.iter_mut().enumerate() {
             *bv = V::load(pb.add(kk * ldb + v * V::LANES));
@@ -391,7 +519,7 @@ unsafe fn microkernel<V: Vector, const MR: usize, const NV: usize>(
         for (r, row) in acc.iter_mut().enumerate() {
             let av = V::splat(pa.add(r * lda + kk));
             for (lane, &bv) in row.iter_mut().zip(&b) {
-                *lane = lane.fmadd(av, bv);
+                *lane = D::dot(*lane, av, bv);
             }
         }
     }
@@ -409,74 +537,101 @@ unsafe fn microkernel<V: Vector, const MR: usize, const NV: usize>(
         }
     } else {
         // `[[V; NV]; MR]` in memory is the row-major `MR × width` tile.
-        write_edge(acc.as_ptr().cast::<f32>(), width, c, ldc, mr, nr, first);
+        write_edge(acc.as_ptr().cast::<V::Elem>(), width, c, ldc, mr, nr, first);
     }
 }
 
 /// A microkernel instance behind its `#[target_feature]` wrapper; the
 /// arguments are [`microkernel`]'s.
-type Kernel =
-    unsafe fn(usize, *const f32, usize, *const f32, usize, *mut f32, usize, usize, usize, bool);
+type Kernel<E> = unsafe fn(usize, *const E, usize, *const E, usize, *mut E, usize, usize, usize, bool);
 
 macro_rules! tile_kernel {
-    ($name:ident, $features:literal, $v:ident, $mr:literal, $nv:literal) => {
-        /// [`microkernel`] instantiated for this vector type and shape.
+    ($name:ident, $features:literal, $elem:ty, $v:ident, $dot:ident, $mr:literal, $nv:literal) => {
+        /// [`microkernel`] instantiated for this vector type, dot step
+        /// and shape.
         ///
         /// # Safety
         /// The CPU must support the enabled target features — callers
-        /// reach this only through a [`Tile`] whose `level` runtime
-        /// detection confirmed — and the pointers must satisfy
+        /// reach this only through a [`Tile`] whose `level` (and `vnni`)
+        /// runtime detection confirmed — and the pointers must satisfy
         /// [`microkernel`]'s contract for this `MR × NV`.
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = $features)]
         #[allow(clippy::too_many_arguments)]
         unsafe fn $name(
             kc: usize,
-            pa: *const f32,
+            pa: *const $elem,
             lda: usize,
-            pb: *const f32,
+            pb: *const $elem,
             ldb: usize,
-            c: *mut f32,
+            c: *mut $elem,
             ldc: usize,
             mr: usize,
             nr: usize,
             first: bool,
         ) {
-            microkernel::<std::arch::x86_64::$v, $mr, $nv>(kc, pa, lda, pb, ldb, c, ldc, mr, nr, first)
+            microkernel::<std::arch::x86_64::$v, $dot, $mr, $nv>(kc, pa, lda, pb, ldb, c, ldc, mr, nr, first)
         }
     };
 }
 
-// 6 rows × 2 YMM = 12 accumulators + 2 B loads + 1 A broadcast fit the
-// 16-register AVX2 file; 12 rows × 2 ZMM = 24 + 2 + 1 fit AVX-512's 32.
-tile_kernel!(mk_y6x8, "avx2,fma", __m256, 6, 1);
-tile_kernel!(mk_y6x16, "avx2,fma", __m256, 6, 2);
-tile_kernel!(mk_z12x16, "avx512f", __m512, 12, 1);
-tile_kernel!(mk_z12x32, "avx512f", __m512, 12, 2);
+// 6 rows × 2 YMM = 12 accumulators + 2 B loads + 1 A broadcast (+ 1
+// `vpmaddwd` product) fit the 16-register AVX2 file; 12 rows × 2 ZMM =
+// 24 + 2 + 1 (+ 1) fit AVX-512's 32. A ZMM `vpdpwssd` retires 32 MACs,
+// twice a ZMM FMA.
+tile_kernel!(mk_y6x8, "avx2,fma", f32, __m256, Fma, 6, 1);
+tile_kernel!(mk_y6x16, "avx2,fma", f32, __m256, Fma, 6, 2);
+tile_kernel!(mk_z12x16, "avx512f", f32, __m512, Fma, 12, 1);
+tile_kernel!(mk_z12x32, "avx512f", f32, __m512, Fma, 12, 2);
+tile_kernel!(mk_y6x8_madd, "avx2", i32, __m256i, Madd, 6, 1);
+tile_kernel!(mk_y6x16_madd, "avx2", i32, __m256i, Madd, 6, 2);
+tile_kernel!(mk_z12x16_madd, "avx512f,avx512bw", i32, __m512i, Madd, 12, 1);
+tile_kernel!(mk_z12x32_madd, "avx512f,avx512bw", i32, __m512i, Madd, 12, 2);
+tile_kernel!(mk_y6x8_vnni, "avx2,avx512vnni,avx512vl", i32, __m256i, Vnni, 6, 1);
+tile_kernel!(mk_y6x16_vnni, "avx2,avx512vnni,avx512vl", i32, __m256i, Vnni, 6, 2);
+tile_kernel!(mk_z12x16_vnni, "avx512f,avx512vnni", i32, __m512i, Vnni, 12, 1);
+tile_kernel!(mk_z12x32_vnni, "avx512f,avx512vnni", i32, __m512i, Vnni, 12, 2);
 
-/// One register tile the driver can run a GEMM with: its geometry, the
-/// level that must be detected before its kernels may be called, and
-/// the kernels themselves. `half` serves a trailing column panel with at
-/// most `nr/2` valid columns, reading the same `nr`-strided packed B.
-struct Tile {
+/// One register tile the driver can run a GEMM with: its geometry, what
+/// must be detected before its kernels may be called (`level`, plus
+/// AVX-512 VNNI when `vnni`), and the kernels themselves. `half` serves
+/// a trailing column panel with at most `nr/2` valid columns, reading
+/// the same `nr`-strided packed B.
+struct Tile<E> {
     name: &'static str,
     level: Level,
+    vnni: bool,
     mr: usize,
     nr: usize,
-    full: Kernel,
-    half: Kernel,
+    full: Kernel<E>,
+    half: Kernel<E>,
 }
 
-/// Every tile, narrowest and shortest first.
+/// The four tile geometries, narrowest and shortest first, for kernels
+/// `$y8 … $z32` (6×8, 6×16, 12×16, 12×32).
+macro_rules! tiles {
+    ($what:literal, $vnni:literal, $y8:ident, $y16:ident, $z16:ident, $z32:ident) => {
+        [
+            Tile { name: concat!("avx2 6x8", $what), level: Level::Avx2, vnni: $vnni, mr: 6, nr: 8, full: $y8, half: $y8 },
+            Tile { name: concat!("avx2 6x16", $what), level: Level::Avx2, vnni: $vnni, mr: 6, nr: 16, full: $y16, half: $y8 },
+            Tile { name: concat!("avx512 12x16", $what), level: Level::Avx512, vnni: $vnni, mr: 12, nr: 16, full: $z16, half: $z16 },
+            Tile { name: concat!("avx512 12x32", $what), level: Level::Avx512, vnni: $vnni, mr: 12, nr: 32, full: $z32, half: $z16 },
+        ]
+    };
+}
+
+/// Every f32 tile.
 #[cfg(target_arch = "x86_64")]
-const TILES: [Tile; 4] = [
-    Tile { name: "avx2 6x8", level: Level::Avx2, mr: 6, nr: 8, full: mk_y6x8, half: mk_y6x8 },
-    Tile { name: "avx2 6x16", level: Level::Avx2, mr: 6, nr: 16, full: mk_y6x16, half: mk_y6x8 },
-    Tile { name: "avx512 12x16", level: Level::Avx512, mr: 12, nr: 16, full: mk_z12x16, half: mk_z12x16 },
-    Tile { name: "avx512 12x32", level: Level::Avx512, mr: 12, nr: 32, full: mk_z12x32, half: mk_z12x16 },
+static TILES: [Tile<f32>; 4] = tiles!("", false, mk_y6x8, mk_y6x16, mk_z12x16, mk_z12x32);
+/// Every int8 tile: the same four geometries under each dot step,
+/// indexed `[vnni][geometry]`.
+#[cfg(target_arch = "x86_64")]
+static I8_TILES: [[Tile<i32>; 4]; 2] = [
+    tiles!(" i8 madd", false, mk_y6x8_madd, mk_y6x16_madd, mk_z12x16_madd, mk_z12x32_madd),
+    tiles!(" i8 vnni", true, mk_y6x8_vnni, mk_y6x16_vnni, mk_z12x16_vnni, mk_z12x32_vnni),
 ];
 
-/// Rows of the tallest tile (the last: the table is sorted): sizes the
+/// Rows of the tallest tile (the last: the tables are sorted): sizes the
 /// stack A panel.
 const MR_MAX: usize = TILES[TILES.len() - 1].mr;
 /// Columns of the widest tile: the `FX_GEMM_NC` quantum (so a column
@@ -484,45 +639,50 @@ const MR_MAX: usize = TILES[TILES.len() - 1].mr;
 /// table.
 const NR_MAX: usize = TILES[TILES.len() - 1].nr;
 
-/// The tile for an `n`-column output at `level`: the narrowest tile
-/// that covers `n` in one panel, else the widest. Every tile computes
-/// the same bits (module docs), so this is purely a throughput choice —
-/// a narrow output (a deep ResNet layer, a one-row request) is not
-/// padded out to a wide tile. The row count does not enter: a ZMM and a
-/// YMM FMA issue at the same rate, so the taller tile costs a short
-/// GEMM nothing the shorter one would save.
-#[cfg(target_arch = "x86_64")]
-fn select_tile(level: Level, n: usize) -> &'static Tile {
+/// The geometry (an index into a tile table) for an `n`-column output
+/// at `level`: the narrowest tile that covers `n` in one panel, else the
+/// widest. Every tile computes the same bits (module docs), so this is
+/// purely a throughput choice — a narrow output (a deep ResNet layer, a
+/// one-row request) is not padded out to a wide tile. The row count
+/// does not enter: a ZMM and a YMM multiply-accumulate issue at the same
+/// rate, so the taller tile costs a short GEMM nothing the shorter one
+/// would save.
+fn select_tile(level: Level, n: usize) -> usize {
     match level {
-        _ if n <= 8 => &TILES[0],
-        Level::Avx512 if n <= 16 => &TILES[2],
-        Level::Avx512 => &TILES[3],
-        _ => &TILES[1],
+        _ if n <= 8 => 0,
+        Level::Avx512 if n <= 16 => 2,
+        Level::Avx512 => 3,
+        _ => 1,
     }
 }
 
-/// Where the logical `[k, n]` B operand's elements come from. Packing
-/// resolves the layout; the microkernel sees identical panels for all
-/// three.
-pub(crate) enum BSrc<'a> {
-    /// Row-major `[k, n]`: element `(kk, j)` lives at `b[kk*n + j]`.
-    RowMajor(&'a [f32]),
-    /// Transposed row-major `[n, k]` (a `Linear` weight): element
+/// Where the logical `[k, n]` B operand of a GEMM over elements `E`
+/// comes from: three layouts of raw values (`f32`, or `i8` for an int8
+/// GEMM) that packing resolves — the microkernel sees identical panels
+/// for all three — or panels packed earlier.
+pub(crate) enum BSrc<'a, E: Elem> {
+    /// Row-major `[k, n]`: value `(kk, j)` lives at `b[kk*n + j]`.
+    RowMajor(&'a [E::Raw]),
+    /// Transposed row-major `[n, k]` (a `Linear` weight): value
     /// `(kk, j)` lives at `b[j*k + kk]`.
-    Transposed(&'a [f32]),
-    /// Implicit im2col: element `(kk, j)` is kernel-offset `kk` of
+    Transposed(&'a [E::Raw]),
+    /// Implicit im2col: value `(kk, j)` is kernel-offset `kk` of
     /// convolution patch `j`, gathered from the input tensor on the fly
-    /// (zero where the window hangs over the padding). The full patch
-    /// matrix is never materialized.
-    Patches(&'a PatchSrc<'a>),
+    /// (the pad value where the window hangs over the padding). The full
+    /// patch matrix is never materialized.
+    Patches(&'a PatchSrc<'a, E::Raw>),
+    /// Every panel over the whole depth, as [`prepack_b`] lays them out:
+    /// read in place, nothing is packed per call (a quantized `Linear`
+    /// weight, immutable across inference calls).
+    Packed(&'a [E]),
 }
 
 /// Geometry for the implicit-GEMM convolution B operand: columns are
 /// patches `j = (img, oy, ox)`, rows are kernel offsets
 /// `kk = (ch, ky, kx)` within one group.
-pub(crate) struct PatchSrc<'a> {
+pub(crate) struct PatchSrc<'a, T> {
     /// Full input `[N, C, H, W]`.
-    pub x: &'a [f32],
+    pub x: &'a [T],
     /// Total input channels `C`.
     pub c: usize,
     /// Input spatial extents.
@@ -556,33 +716,57 @@ const PATCH_RUN_MIN: usize = 8;
 /// fixed 8-lane chunks the compiler turns into vector moves, where a
 /// `memcpy` call would cost more than the copy.
 #[inline(always)]
-fn copy_span(dst: &mut [f32], src: &[f32]) {
+fn copy_span<T: Copy>(dst: &mut [T], src: &[T]) {
     let (mut d8, mut s8) = (dst.chunks_exact_mut(8), src.chunks_exact(8));
     for (d, s) in (&mut d8).zip(&mut s8) {
         d.copy_from_slice(s);
     }
-    for (d, s) in d8.into_remainder().iter_mut().zip(s8.remainder()) {
+    let (mut d4, mut s4) = (d8.into_remainder().chunks_exact_mut(4), s8.remainder().chunks_exact(4));
+    for (d, s) in (&mut d4).zip(&mut s4) {
+        d.copy_from_slice(s);
+    }
+    for (d, s) in d4.into_remainder().iter_mut().zip(s4.remainder()) {
         *d = *s;
     }
 }
 
 /// Pack `kc` kernel-offset rows (from `k0`) of the `nr_eff` patches
-/// starting at `jbase` into one `nr`-wide panel.
+/// starting at `jbase` into one `nr`-wide raw panel; cells over the
+/// padding read `pad` (0 for f32, the activation zero point — real 0.0
+/// — for int8).
 ///
 /// Consecutive patches of one output row read input cells a horizontal
 /// stride apart, so such a **run** needs its padding clipped once, not
 /// per cell: the in-bounds span is one (strided) copy and the clipped
-/// ends are zeroed. Rows shorter than [`PATCH_RUN_MIN`] gather each cell
+/// ends are filled. Rows shorter than [`PATCH_RUN_MIN`] gather each cell
 /// as a run of one.
-fn pack_patches(p: &PatchSrc, k0: usize, kc: usize, jbase: usize, nr_eff: usize, nr: usize, panel: &mut [f32]) {
+///
+/// Two facts about the geometry are lifted to compile time, because the
+/// per-run arithmetic is what the gather costs: `UNIT` is "horizontal
+/// stride 1" (no division, no strided loop), and `CLIP` is "there is
+/// padding" — without it every window lies inside the input, a run is
+/// one unconditional copy, and no row is too short to copy as runs.
+#[allow(clippy::too_many_arguments)]
+fn pack_patches<T: Copy, const UNIT: bool, const CLIP: bool>(
+    p: &PatchSrc<T>,
+    pad: T,
+    k0: usize,
+    kc: usize,
+    jbase: usize,
+    nr_eff: usize,
+    nr: usize,
+    panel: &mut [T],
+) {
     let plane = p.h * p.w;
     let hw_out = p.oh * p.ow;
     let khw = p.kh * p.kw;
-    let by_run = p.ow >= PATCH_RUN_MIN;
-    let (s1, w) = (p.stride.1 as isize, p.w as isize);
-    // Decompose the panel's columns once: (first column, length, image
-    // base offset, padded window origin of the first patch).
-    let mut runs = [(0usize, 0usize, 0usize, 0isize, 0isize); NR_MAX];
+    let by_run = !CLIP || p.ow >= PATCH_RUN_MIN;
+    let (s1, w) = (if UNIT { 1 } else { p.stride.1 as isize }, p.w as isize);
+    // Decompose the panel's columns once: (first column, length, offset
+    // in `x` of the first patch's window origin — before the image's
+    // start when it hangs over the padding — and that origin's row and
+    // column).
+    let mut runs = [(0usize, 0usize, 0isize, 0isize, 0isize); NR_MAX];
     let mut n_runs = 0;
     let mut jj = 0;
     while jj < nr_eff {
@@ -590,13 +774,9 @@ fn pack_patches(p: &PatchSrc, k0: usize, kc: usize, jbase: usize, nr_eff: usize,
         let (img, rem) = (pj / hw_out, pj % hw_out);
         let (oy, ox) = (rem / p.ow, rem % p.ow);
         let len = if by_run { (p.ow - ox).min(nr_eff - jj) } else { 1 };
-        runs[n_runs] = (
-            jj,
-            len,
-            img * p.c * plane,
-            (oy * p.stride.0) as isize - p.padding.0 as isize,
-            (ox * p.stride.1) as isize - p.padding.1 as isize,
-        );
+        let iy0 = (oy * p.stride.0) as isize - p.padding.0 as isize;
+        let ix0 = (ox * p.stride.1) as isize - p.padding.1 as isize;
+        runs[n_runs] = (jj, len, (img * p.c * plane) as isize + iy0 * w + ix0, iy0, ix0);
         n_runs += 1;
         jj += len;
     }
@@ -608,39 +788,51 @@ fn pack_patches(p: &PatchSrc, k0: usize, kc: usize, jbase: usize, nr_eff: usize,
     for row in panel.chunks_mut(nr).take(kc) {
         let dy = (ky * p.dilation.0) as isize;
         let dx = (kx * p.dilation.1) as isize;
-        let ch_base = (p.ch0 + ch) * plane;
-        for &(j0, len, ib, iy0, ix0) in &runs[..n_runs] {
+        let k_off = ((p.ch0 + ch) * plane) as isize + dy * w + dx;
+        for &(j0, len, origin, iy0, ix0) in &runs[..n_runs] {
             let dst = &mut row[j0..j0 + len];
-            let (iy, ix) = (iy0 + dy, ix0 + dx);
-            // Negative coordinates wrap to huge usize values, so one
-            // unsigned compare per axis covers both padding sides.
-            if (iy as usize) >= p.h {
-                dst.fill(0.0); // the whole run sits in the padding
-                continue;
-            }
-            let src = &p.x[ib + ch_base + iy as usize * p.w..][..p.w];
-            if len == 1 {
-                dst[0] = if (ix as usize) < p.w { src[ix as usize] } else { 0.0 };
-                continue;
-            }
+            // Where the run's first cell sits in `x`.
+            let at = origin + k_off;
             // Columns `lo..hi` of the run land inside the input row:
             // `0 ≤ ix + s1·j < w`.
-            let lo = (-ix + s1 - 1).div_euclid(s1).clamp(0, len as isize) as usize;
-            let hi = (w - ix + s1 - 1).div_euclid(s1).clamp(lo as isize, len as isize) as usize;
-            dst[..lo].fill(0.0);
-            dst[hi..].fill(0.0);
-            if lo < hi {
-                let start = (ix + lo as isize * s1) as usize;
-                if s1 == 1 {
-                    copy_span(&mut dst[lo..hi], &src[start..start + (hi - lo)]);
-                } else {
-                    for (d, v) in dst[lo..hi].iter_mut().zip(src[start..].iter().step_by(s1 as usize)) {
-                        *d = *v;
-                    }
+            let (lo, hi) = if CLIP {
+                let (iy, ix) = (iy0 + dy, ix0 + dx);
+                // Negative coordinates wrap to huge usize values, so one
+                // unsigned compare per axis covers both padding sides.
+                if (iy as usize) >= p.h {
+                    dst.fill(pad); // the whole run sits in the padding
+                    continue;
+                }
+                if len == 1 {
+                    dst[0] = if (ix as usize) < p.w { p.x[at as usize] } else { pad };
+                    continue;
+                }
+                let lo = (-ix + s1 - 1).div_euclid(s1).clamp(0, len as isize) as usize;
+                (lo, (w - ix + s1 - 1).div_euclid(s1).clamp(lo as isize, len as isize) as usize)
+            } else {
+                (0, len)
+            };
+            // At stride 1 copy the run whole — clipped ends pick up the
+            // neighbouring rows' cells, overwritten below — wherever that
+            // stays inside `x` (everywhere but its first and last rows):
+            // one full-width move instead of a ragged one.
+            let whole = if UNIT && at >= 0 { p.x.get(at as usize..at as usize + len) } else { None };
+            if let Some(src) = whole {
+                copy_span(dst, src);
+            } else if lo < hi {
+                let src = &p.x[(at + lo as isize * s1) as usize..];
+                for (d, v) in dst[lo..hi].iter_mut().zip(src.iter().step_by(s1 as usize)) {
+                    *d = *v;
                 }
             }
+            if lo > 0 {
+                dst[..lo].fill(pad);
+            }
+            if hi < len {
+                dst[hi..].fill(pad);
+            }
         }
-        row[nr_eff..].fill(0.0);
+        row[nr_eff..].fill(pad);
         kx += 1;
         if kx == p.kw {
             kx = 0;
@@ -653,45 +845,80 @@ fn pack_patches(p: &PatchSrc, k0: usize, kc: usize, jbase: usize, nr_eff: usize,
     }
 }
 
-/// Pack the `[k0..k0+kc) × [j0..j0+nc)` window of B into `nr`-wide
-/// column panels: panel `jp` holds, for each k step, `nr` contiguous
-/// values (zero-padded past the matrix edge). Every element of the used
-/// region is written, so a recycled pool buffer can never leak stale
-/// data.
+/// Pack the `[k0..k0+kc) × [j0..j0+nc)` window of B (`k`s in raw
+/// steps) into `nr`-wide column panels: panel `jp` holds, for each
+/// element row, `nr` contiguous elements (`pad` past the matrix edge
+/// and in the missing half of an odd int8 k tail, whose A half is zero
+/// so the value cannot matter). Every element of the used region is
+/// written, so a recycled pool buffer can never leak stale data.
 #[allow(clippy::too_many_arguments)]
-fn pack_b(src: &BSrc, nr: usize, n: usize, k: usize, k0: usize, kc: usize, j0: usize, nc: usize, pb: &mut [f32]) {
+fn pack_b<E: Elem>(
+    src: &BSrc<E>,
+    pad: E::Raw,
+    nr: usize,
+    n: usize,
+    k: usize,
+    k0: usize,
+    kc: usize,
+    j0: usize,
+    nc: usize,
+    pb: &mut [E],
+    stage: &mut [E::Raw],
+) {
+    let rows = kc.div_ceil(E::PAIR);
     for jp in 0..nc.div_ceil(nr) {
         let jbase = j0 + jp * nr;
         let nr_eff = nr.min(j0 + nc - jbase);
-        let panel = &mut pb[jp * kc * nr..(jp + 1) * kc * nr];
-        match src {
-            BSrc::RowMajor(b) => {
-                for (kk, row) in panel.chunks_mut(nr).enumerate() {
-                    // Pull the next source row toward L1 while this one
-                    // is being copied.
-                    prefetch(b, (k0 + kk + 1) * n + jbase);
-                    let srow = &b[(k0 + kk) * n + jbase..(k0 + kk) * n + jbase + nr_eff];
-                    row[..nr_eff].copy_from_slice(srow);
-                    row[nr_eff..].fill(0.0);
-                }
-            }
-            BSrc::Transposed(b) => {
-                if nr_eff < nr {
-                    panel.fill(0.0);
-                }
-                for jj in 0..nr_eff {
-                    // The next column starts a stride away — warm it up
-                    // while scattering this one.
-                    prefetch(b, (jbase + jj + 1) * k + k0);
-                    let col = &b[(jbase + jj) * k + k0..(jbase + jj) * k + k0 + kc];
-                    for (kk, &v) in col.iter().enumerate() {
-                        panel[kk * nr + jj] = v;
+        let panel = &mut pb[jp * rows * nr..(jp + 1) * rows * nr];
+        E::pack_panel(panel, nr, stage, |raw| {
+            match src {
+                BSrc::RowMajor(b) => {
+                    for (kk, row) in raw.chunks_mut(nr).take(kc).enumerate() {
+                        // Pull the next source row toward L1 while this
+                        // one is being copied.
+                        prefetch(b, (k0 + kk + 1) * n + jbase);
+                        let srow = &b[(k0 + kk) * n + jbase..(k0 + kk) * n + jbase + nr_eff];
+                        row[..nr_eff].copy_from_slice(srow);
+                        row[nr_eff..].fill(pad);
                     }
                 }
+                BSrc::Transposed(b) => {
+                    if nr_eff < nr {
+                        raw[..kc * nr].fill(pad);
+                    }
+                    for jj in 0..nr_eff {
+                        // The next column starts a stride away — warm
+                        // it up while scattering this one.
+                        prefetch(b, (jbase + jj + 1) * k + k0);
+                        let col = &b[(jbase + jj) * k + k0..(jbase + jj) * k + k0 + kc];
+                        for (kk, &v) in col.iter().enumerate() {
+                            raw[kk * nr + jj] = v;
+                        }
+                    }
+                }
+                BSrc::Patches(p) => {
+                    let pack = match (p.stride.1 == 1, p.padding != (0, 0)) {
+                        (true, true) => pack_patches::<_, true, true>,
+                        (true, false) => pack_patches::<_, true, false>,
+                        (false, true) => pack_patches::<_, false, true>,
+                        (false, false) => pack_patches::<_, false, false>,
+                    };
+                    pack(p, pad, k0, kc, jbase, nr_eff, nr, raw)
+                }
+                BSrc::Packed(_) => unreachable!("packed panels are read in place"),
             }
-            BSrc::Patches(p) => pack_patches(p, k0, kc, jbase, nr_eff, nr, panel),
-        }
+            raw[kc * nr..].fill(pad);
+        });
     }
+}
+
+/// The `[n, k]` transposed-layout i8 weight `w` as [`BSrc::Packed`]
+/// panels for the tile an `n`-column int8 GEMM selects in this process.
+pub(crate) fn prepack_b(w: &[i8], n: usize, k: usize) -> Vec<i32> {
+    let (nr, ke) = (i8_tile(n).nr, k.div_ceil(2));
+    let mut panels = vec![0; n.div_ceil(nr) * ke * nr];
+    pack_b(&BSrc::Transposed(w), 0, nr, n, k, 0, k, 0, n, &mut panels, &mut vec![0; 2 * ke * nr]);
+    panels
 }
 
 /// Copy the ragged last row panel — rows `[i0, i0+mr_eff)`, columns
@@ -699,11 +926,11 @@ fn pack_b(src: &BSrc, nr: usize, n: usize, k: usize, k0: usize, kc: usize, j0: u
 /// panel of `pa.len() / kc` rows whose rows past the matrix edge are
 /// zero, so the kernel can read a full tile's rows. Writes every
 /// element of `pa`.
-fn pad_a(a: &[f32], lda: usize, i0: usize, mr_eff: usize, k0: usize, kc: usize, pa: &mut [MaybeUninit<f32>]) {
-    for (r, row) in pa.chunks_mut(kc).enumerate() {
+fn pad_a<E: PoolElem>(a: &[E], lda: usize, i0: usize, mr_eff: usize, k0: usize, kc: usize, pa: &mut [MaybeUninit<E>]) {
+    for (r, row) in pa.chunks_mut(kc.max(1)).enumerate() {
         let src = (r < mr_eff).then(|| &a[(i0 + r) * lda + k0..][..kc]);
         for (kk, slot) in row.iter_mut().enumerate() {
-            slot.write(src.map_or(0.0, |s| s[kk]));
+            slot.write(src.map_or(E::ZERO, |s| s[kk]));
         }
     }
 }
@@ -716,10 +943,10 @@ struct SendPtr<T>(*mut T);
 unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}
 
-/// Blocked, panel-packed GEMM: `C[m,n] = A[m,k] · B` (+ epilogue), with
-/// B's layout resolved by [`BSrc`] and the register tile chosen from the
-/// output shape ([`select_tile`]). `C` is fully overwritten. The
-/// epilogue adds `row_bias[i]` and/or `col_bias[j]` and applies ReLU
+/// Blocked, panel-packed f32 GEMM: `C[m,n] = A[m,k] · B` (+ epilogue),
+/// with B's layout resolved by [`BSrc`] and the register tile chosen
+/// from the output shape ([`select_tile`]). `C` is fully overwritten.
+/// The epilogue adds `row_bias[i]` and/or `col_bias[j]` and applies ReLU
 /// after the accumulation finishes — elementwise identical to running
 /// the separate kernels afterwards.
 #[allow(clippy::too_many_arguments)]
@@ -728,7 +955,7 @@ pub(crate) fn gemm(
     k: usize,
     n: usize,
     a: &[f32],
-    b: BSrc,
+    b: BSrc<f32>,
     c: &mut [f32],
     row_bias: Option<&[f32]>,
     col_bias: Option<&[f32]>,
@@ -737,66 +964,105 @@ pub(crate) fn gemm(
     assert!(simd_available(), "simd::gemm requires AVX2+FMA");
     // Callers gate on `simd_enabled`; tests reach here under FX_SIMD=0
     // too, where any detected tile computes the same bits.
-    let tile = select_tile(level().max(Level::Avx2), n);
-    gemm_tiled(tile, m, k, n, a, b, c, row_bias, col_bias, relu);
+    let tile = &TILES[select_tile(level().max(Level::Avx2), n)];
+    gemm_tiled(tile, gemm_kc(), gemm_nc(), m, k, n, a, b, 0.0, c, |_, _, _, _| {});
+    epilogue(m, n, c, row_bias, col_bias, relu);
 }
 
-/// [`gemm`] with an explicit register tile: the one cache-blocking
-/// driver. Panel widths, the stack A panel and the pool-drawn B block
-/// all take their geometry from `tile`.
+/// The one cache-blocking driver: `C = A[m, ⌈k/PAIR⌉] · B[k, n]` in
+/// elements of `E`, under an explicit register tile and `kc × nc`
+/// blocking (`kc` in elements). Panel widths, the stack A panel and the
+/// pool-drawn B block all take their geometry from `tile`.
+///
+/// `c` is either the whole `[m, n]` output (f32: the caller's epilogue
+/// runs over it in place) or one `[m, nc]` column block reused for every
+/// block of columns (int8: the i32 sums are requantized out of it while
+/// they are cache-resident and never stored whole). Either way
+/// `done(i0, j0, cols, rows)` is called once per row panel and column
+/// block when its sums are final: `rows` starts at output element
+/// `(i0, j0)`, row stride = `c`'s, `cols` valid columns per row.
 ///
 /// Row panels are distributed over the kernel thread pool; the packed B
 /// block is shared read-only, so results are independent of the thread
 /// count.
 #[allow(clippy::too_many_arguments)]
-fn gemm_tiled(
-    tile: &Tile,
+fn gemm_tiled<E: Elem>(
+    tile: &Tile<E>,
+    kc_blk: usize,
+    nc_blk: usize,
     m: usize,
     k: usize,
     n: usize,
-    a: &[f32],
-    b: BSrc,
-    c: &mut [f32],
-    row_bias: Option<&[f32]>,
-    col_bias: Option<&[f32]>,
-    relu: bool,
+    a: &[E],
+    b: BSrc<E>,
+    pad: E::Raw,
+    c: &mut [E],
+    done: impl Fn(usize, usize, usize, &[E]) + Sync,
 ) {
-    assert!(tile.level <= detected_level(), "gemm: tile {} needs an ISA this CPU lacks", tile.name);
-    assert_eq!(a.len(), m * k, "gemm: A length mismatch");
-    assert_eq!(c.len(), m * n, "gemm: C length mismatch");
-    match &b {
-        BSrc::RowMajor(b) => assert_eq!(b.len(), k * n, "gemm: B length mismatch"),
-        BSrc::Transposed(b) => assert_eq!(b.len(), n * k, "gemm: Bᵀ length mismatch"),
-        BSrc::Patches(_) => {}
-    }
+    assert!(
+        tile.level <= detected_level() && (!tile.vnni || vnni_detected()),
+        "gemm: tile {} needs an ISA this CPU lacks",
+        tile.name
+    );
+    let ke = k.div_ceil(E::PAIR);
+    assert_eq!(a.len(), m * ke, "gemm: A length mismatch");
+    let whole = c.len() == m * n;
+    let ldc = if whole { n } else { nc_blk };
+    assert_eq!(c.len(), m * ldc, "gemm: C length mismatch");
+    let (mr, nr) = (tile.mr, tile.nr);
+    let (b_len, b_want) = match &b {
+        BSrc::RowMajor(b) | BSrc::Transposed(b) => (b.len(), k * n),
+        BSrc::Patches(_) => (0, 0),
+        BSrc::Packed(p) => (p.len(), n.div_ceil(nr) * ke * nr),
+    };
+    assert_eq!(b_len, b_want, "gemm: B length mismatch");
+    let packed = if let BSrc::Packed(p) = &b { Some(*p) } else { None };
     if m == 0 || n == 0 {
         return;
     }
-    if k == 0 {
-        c.fill(0.0);
-        epilogue(m, n, c, row_bias, col_bias, relu);
-        return;
-    }
-
-    let (mr, nr) = (tile.mr, tile.nr);
-    let (kc_blk, nc_blk) = (gemm_kc(), gemm_nc());
     // A column block must be whole panels, or `pack_b` would write past
-    // the block it was given.
+    // the block it was given; the ragged A panel lives on the stack.
     assert_eq!(nc_blk % nr, 0, "gemm: NC {nc_blk} is not a multiple of NR {nr}");
-    let mut pb = pool::alloc_f32(kc_blk * nc_blk);
+    assert!((1..=KC_MAX).contains(&kc_blk), "gemm: KC {kc_blk} out of range");
     let c_base = SendPtr(c.as_mut_ptr());
+    // The rows of C a finished row panel hands to `done`.
+    let finished = |i0: usize, mr_eff: usize, jc: usize, nc_eff: usize| {
+        let c_base = c_base;
+        let first = i0 * ldc + if whole { jc } else { 0 };
+        // SAFETY: in bounds of `c` (the last row ends at its `nc_eff`
+        // columns); row panels are disjoint across workers and this one's
+        // kernels have all returned.
+        let rows = unsafe { std::slice::from_raw_parts(c_base.0.add(first), (mr_eff - 1) * ldc + nc_eff) };
+        done(i0, jc, nc_eff, rows);
+    };
+
+    // The block B is packed into (and, for int8, the raw rows it is
+    // gathered through) — unless it arrived packed.
+    let mut pb = if packed.is_none() { pool::alloc::<E>(kc_blk * nc_blk) } else { Vec::new() };
+    let mut stage =
+        if packed.is_none() && E::PAIR > 1 { pool::alloc::<E::Raw>(E::PAIR * kc_blk * nr) } else { Vec::new() };
     for jc in (0..n).step_by(nc_blk) {
         let nc_eff = nc_blk.min(n - jc);
         let n_jpanels = nc_eff.div_ceil(nr);
-        for k0 in (0..k).step_by(kc_blk) {
-            let kc_eff = kc_blk.min(k - k0);
-            pack_b(&b, nr, n, k, k0, kc_eff, jc, nc_eff, &mut pb);
-            let pb_ref: &[f32] = &pb;
+        // `K = 0` still makes one pass: the kernels' empty chains write
+        // the zeros every sum then is.
+        for e0 in (0..ke.max(1)).step_by(kc_blk) {
+            let kc_eff = kc_blk.min(ke - e0);
+            let k0 = e0 * E::PAIR;
+            // This block's panels: `kc_eff` rows of `nr` each, `stride`
+            // apart — just packed, or the window of the whole-depth ones.
+            let (panels, stride): (&[E], usize) = match packed {
+                Some(all) => (&all[(jc / nr * ke + e0) * nr..], ke * nr),
+                None => {
+                    pack_b(&b, pad, nr, n, k, k0, (kc_eff * E::PAIR).min(k - k0), jc, nc_eff, &mut pb, &mut stage);
+                    (&pb, kc_eff * nr)
+                }
+            };
             parallel_chunks(m.div_ceil(mr), |range| {
                 let c_base = c_base;
                 // Uninitialized on purpose: `pad_a` writes every element
                 // of the `mr × kc_eff` prefix the kernel reads.
-                let mut pa = [MaybeUninit::<f32>::uninit(); MR_MAX * KC_MAX];
+                let mut pa = [MaybeUninit::<E>::uninit(); MR_MAX * KC_MAX];
                 for rp in range {
                     let i0 = rp * mr;
                     let mr_eff = mr.min(m - i0);
@@ -804,37 +1070,41 @@ fn gemm_tiled(
                     // one through a zero-padded copy (identical values
                     // either way).
                     let (ap, lda) = if mr_eff == mr {
-                        (a[i0 * k + k0..].as_ptr(), k)
+                        (a[i0 * ke + e0..].as_ptr(), ke)
                     } else {
-                        pad_a(a, k, i0, mr_eff, k0, kc_eff, &mut pa[..mr * kc_eff]);
-                        (pa.as_ptr().cast::<f32>(), kc_eff)
+                        pad_a(a, ke, i0, mr_eff, e0, kc_eff, &mut pa[..mr * kc_eff]);
+                        (pa.as_ptr().cast::<E>(), kc_eff)
                     };
                     for jp in 0..n_jpanels {
-                        let j = jc + jp * nr;
-                        let nr_eff = nr.min(n - j);
+                        let j = jp * nr;
+                        let nr_eff = nr.min(nc_eff - j);
                         let kernel = if 2 * nr_eff <= nr { tile.half } else { tile.full };
-                        // SAFETY: the tile's level was detected (asserted
+                        // SAFETY: the tile's ISA was detected (asserted
                         // above). A: in place, `mr` full rows of `kc_eff`
                         // in-bounds elements; padded, fully written by
                         // `pad_a`. B: panel `jp` holds `kc_eff` rows of
-                        // `nr`. C: row panels are disjoint across `rp`,
+                        // `nr` (`packed`'s length was checked against the
+                        // whole depth). C: row panels are disjoint across `rp`,
                         // so each call writes an exclusive
                         // `mr_eff × nr_eff` window.
                         unsafe {
-                            let pbp = pb_ref.as_ptr().add(jp * kc_eff * nr);
-                            let cp = c_base.0.add(i0 * n + j);
-                            kernel(kc_eff, ap, lda, pbp, nr, cp, n, mr_eff, nr_eff, k0 == 0);
+                            let pbp = panels[jp * stride..][..kc_eff * nr].as_ptr();
+                            let cp = c_base.0.add(i0 * ldc + j + if whole { jc } else { 0 });
+                            kernel(kc_eff, ap, lda, pbp, nr, cp, ldc, mr_eff, nr_eff, e0 == 0);
                         }
+                    }
+                    if e0 + kc_eff == ke {
+                        finished(i0, mr_eff, jc, nc_eff);
                     }
                 }
             });
         }
     }
-    pool::recycle_f32(pb);
-    epilogue(m, n, c, row_bias, col_bias, relu);
+    pool::recycle(pb);
+    pool::recycle(stage);
 }
 
-/// Bias + ReLU epilogue over the finished accumulator, in the same
+/// Bias + ReLU epilogue over the finished f32 accumulator, in the same
 /// elementwise order as the standalone kernels (`+ bias`, then
 /// `max(0)`).
 fn epilogue(
@@ -871,527 +1141,178 @@ fn epilogue(
 }
 
 // ===========================================================================
-// int8 path
+// int8: the requantizing epilogue and the entry point
 // ===========================================================================
 
-/// int8 tile rows (its own geometry: the f32 tiles vary per call).
-const I8_MR: usize = 6;
-/// int8 tile columns (two YMM of 8 i32 accumulators).
-const I8_NR: usize = 16;
-
-/// How [`gemm_i8_nt`] lays out the requantized `i8` result at
-/// write-back.
-pub(crate) enum QOutI8 {
-    /// `out[i*n + j]` — quantized linear.
-    RowMajor,
-    /// Rows are `(image, patch)` pairs (`i = img*p + patch`), columns
-    /// are output channels: `out[img*n*p + j*p + patch]` — the NCHW
-    /// write-back of a quantized conv's im2col GEMM, fused with the
-    /// `[P,O] → [O,P]` transpose.
-    ImagePatch {
-        /// Patches per image (`oh·ow`).
-        p: usize,
-    },
+/// How an int8 GEMM's i32 sums become its i8 output: `round_ne((acc −
+/// zp_corr[c])·mult[c] + badd[c] [max 0]) + out_zp`, clamped to i8, with
+/// one set of coefficients per output channel `c` — the GEMM's **row**
+/// for a conv (weights are A), its **column** for a linear (weights are
+/// B). [`crate::quant`] derives them once and hands the same values to
+/// the scalar engine.
+pub(crate) struct Requant<'a> {
+    /// `x_zp · Σₖ w[c][k]`: the activation zero point folded out of the
+    /// sum (`Σ(x−zp)·w = Σx·w − zp·Σw`).
+    pub zp_corr: &'a [i32],
+    /// `x_scale · w_scale[c] / out_scale`.
+    pub mult: &'a [f32],
+    /// `bias[c] / out_scale`.
+    pub badd: &'a [f32],
+    /// Whether `c` is the GEMM column rather than the row.
+    pub per_col: bool,
+    /// Clamp at real 0 before rounding.
+    pub relu: bool,
+    /// Output zero point.
+    pub out_zp: i32,
 }
 
-/// Pack one i32 from an (even, odd) k-pair of i8 values: two
-/// sign-extended i16 halves, low half = even k. This is the operand
-/// shape `_mm256_madd_epi16` multiplies exactly.
-#[inline(always)]
-fn pack_pair(lo: i8, hi: i8) -> i32 {
-    ((lo as i16 as u16 as u32) | ((hi as i16 as u16 as u32) << 16)) as i32
-}
-
-/// Pack the `[k0..k0+kc) × [j0..j0+nc)` window of the transposed-layout
-/// (`[n, k]`) i8 B into I8_NR-wide column panels of **interleaved i16
-/// k-pairs**: panel `jp`, pair `kp`, column `jj` occupies
-/// `pb[jp·kcp·2NR + kp·2NR + 2jj + {0,1}]` (even k then odd k). The odd
-/// tail of `kc` and columns past the edge are zero — a zero pair
-/// contributes exactly 0 to the i32 accumulator, so padding cannot
-/// change results. Every used element is written (pool-recycled buffers
-/// can't leak).
-#[allow(clippy::too_many_arguments)]
-fn pack_b_i8(b: &[i8], k: usize, k0: usize, kc: usize, j0: usize, nc: usize, kcp: usize, pb: &mut [i16]) {
-    let n_panels = nc.div_ceil(I8_NR);
-    for jp in 0..n_panels {
-        let jbase = j0 + jp * I8_NR;
-        let nr_eff = I8_NR.min(j0 + nc - jbase);
-        let panel = &mut pb[jp * kcp * 2 * I8_NR..(jp + 1) * kcp * 2 * I8_NR];
-        panel.fill(0);
-        for jj in 0..nr_eff {
-            prefetch(b, (jbase + jj + 1) * k + k0);
-            let col = &b[(jbase + jj) * k + k0..(jbase + jj) * k + k0 + kc];
-            for (kk, &v) in col.iter().enumerate() {
-                panel[(kk / 2) * 2 * I8_NR + 2 * jj + (kk & 1)] = v as i16;
-            }
-        }
-    }
-}
-
-/// B panels prepacked over the **full** k extent, kc-block agnostic:
-/// panel `jp` occupies `data[jp·kcp·2NR ..]` with its k-pair rows
-/// contiguous at stride `2NR`, so a `[k0, k0+kc)` block (any even `k0`)
-/// is the contiguous sub-slice starting at row `k0/2`. Weights are
-/// immutable across inference calls, so [`crate::quant`] builds this
-/// once per weight tensor and reuses it every call (FBGEMM's
-/// `PackBMatrix` prepacking) — steady-state GEMMs never re-pack B.
-pub(crate) struct PackedBI8 {
-    pub(crate) data: Vec<i16>,
-    /// k-pair rows per panel (`k.div_ceil(2)`).
-    pub(crate) kcp: usize,
-}
-
-/// Prepack all of the `[n, k]` transposed-layout B into [`PackedBI8`].
-pub(crate) fn pack_b_full(b: &[i8], k: usize, n: usize) -> PackedBI8 {
-    let kcp = k.div_ceil(2);
-    let mut data = vec![0i16; n.div_ceil(I8_NR) * kcp * 2 * I8_NR];
-    if k > 0 && n > 0 {
-        pack_b_i8(b, k, 0, k, 0, n, kcp, &mut data);
-    }
-    PackedBI8 { data, kcp }
-}
-
-/// Pack the `[i0..i0+mr) × [k0..k0+kc)` window of the i8 A into k-pair
-/// major order: I8_MR packed pairs per `kp` step ([`pack_pair`]), rows past
-/// the edge and the odd-k tail zero-padded. Row-at-a-time over
-/// `chunks_exact` so the hot loop carries no bounds checks.
-fn pack_a_i8(a: &[i8], lda: usize, i0: usize, mr: usize, k0: usize, kc: usize, pa: &mut [i32]) {
-    let kcp = kc.div_ceil(2);
-    for r in 0..mr {
-        let row = &a[(i0 + r) * lda + k0..(i0 + r) * lda + k0 + kc];
-        prefetch(a, (i0 + r + 1) * lda + k0);
-        let mut pairs = row.chunks_exact(2);
-        for (slot, pair) in pa[r..].iter_mut().step_by(I8_MR).zip(&mut pairs) {
-            *slot = pack_pair(pair[0], pair[1]);
-        }
-        if let &[lo] = pairs.remainder() {
-            pa[(kcp - 1) * I8_MR + r] = pack_pair(lo, 0);
-        }
-    }
-    for r in mr..I8_MR {
-        for slot in pa[r..kcp * I8_MR].iter_mut().step_by(I8_MR) {
-            *slot = 0;
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-use std::arch::x86_64::__m256i;
-
-/// How the int8 microkernel folds one broadcast A pair × 8 B column
-/// pairs into its i32 accumulator: `vpmaddwd` + `vpaddd`, or with
-/// `VNNI` the pair fused into `vpdpwssd`. Both compute exactly
-/// `acc + Σ₂ sx(a_i16)·sx(b_i16)` — integer, no rounding — so they are
-/// bit-identical by construction (and unit-tested so).
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn dot_step<const VNNI: bool>(acc: __m256i, a: __m256i, b: __m256i) -> __m256i {
-    use std::arch::x86_64::*;
-    if VNNI {
-        _mm256_dpwssd_epi32(acc, a, b)
-    } else {
-        _mm256_add_epi32(acc, _mm256_madd_epi16(a, b))
-    }
-}
-
-/// `PAIRS` consecutive k-pairs of the int8 register tile, row by row:
-/// `acc[r][v] = dot_step(acc[r][v], a[p][r], b[p][v])`.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn i8_step<const VNNI: bool, const NV: usize, const PAIRS: usize>(
-    acc: &mut [[__m256i; NV]; I8_MR],
-    ap: *const i32,
-    bp: *const i16,
-) {
-    use std::arch::x86_64::*;
-    let mut b = [[_mm256_setzero_si256(); NV]; PAIRS];
-    for (p, bv) in b.iter_mut().enumerate() {
-        for (v, bv) in bv.iter_mut().enumerate() {
-            *bv = _mm256_loadu_si256(bp.add((p * 2 + v) * I8_NR) as *const __m256i);
-        }
-    }
-    for (r, row) in acc.iter_mut().enumerate() {
-        for (p, bv) in b.iter().enumerate() {
-            let av = _mm256_set1_epi32(*ap.add(p * I8_MR + r));
-            for (lane, &bv) in row.iter_mut().zip(bv) {
-                *lane = dot_step::<VNNI>(*lane, av, bv);
-            }
-        }
-    }
-}
-
-/// The int8 microkernel body, `I8_MR` rows × `NV` YMM of i32:
-/// `C[0..mr, 0..nr] (+)= A·B` over `kcp` k-pairs. Per pair and row:
-/// broadcast the packed (i16,i16) A pair and fold it against 8
-/// interleaved B column pairs per YMM through [`dot_step`] — an **exact** i32 per
-/// column. Everything is integer and exact, so tile shape, edge
-/// handling, the dot-step form and summation order cannot change any
-/// bit.
-///
-/// The k-pair loop is unrolled 2× with a B-panel prefetch ~8 pairs
-/// ahead; unrolling only duplicates the loop body.
+/// Requantize `acc` — the sums of output row `i`, GEMM columns
+/// `j0..j0+acc.len()` — into place. Column `j` is patch `j % p` of image
+/// `j / p`, and `out` is `[images, m, p]`, so a row's columns land as one
+/// contiguous span per image (a linear is one image of `p = n`
+/// "patches": plain row-major). Eight lanes at a time; every vector op
+/// is the exact IEEE counterpart of [`crate::quant::requant_one`]
+/// (`cvtdq2ps` = `as f32`, `cvtps2dq` = `round_ties_even() as i32`,
+/// `maxps` = the `> 0.0` select), so the scalar engine agrees bitwise.
 ///
 /// # Safety
-/// Only sound inside a `#[target_feature]` function enabling AVX2 (and
-/// AVX-512 VNNI + VL when `VNNI`); `pa` holds `kcp*I8_MR` packed pairs, `pb` holds
-/// `kcp*2*I8_NR` i16, `c` covers `mr` rows of `ldc` i32 with
-/// `nr ≤ 8·NV` valid columns.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn mk_i8<const VNNI: bool, const NV: usize>(
-    kcp: usize,
-    pa: *const i32,
-    pb: *const i16,
-    c: *mut i32,
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-    first: bool,
-) {
-    use std::arch::x86_64::*;
-    let mut acc = [[_mm256_setzero_si256(); NV]; I8_MR];
-    let mut kp = 0;
-    while kp + 2 <= kcp {
-        _mm_prefetch::<_MM_HINT_T0>(pb.wrapping_add((kp + 8) * 2 * I8_NR) as *const i8);
-        i8_step::<VNNI, NV, 2>(&mut acc, pa.add(kp * I8_MR), pb.add(kp * 2 * I8_NR));
-        kp += 2;
-    }
-    if kp < kcp {
-        i8_step::<VNNI, NV, 1>(&mut acc, pa.add(kp * I8_MR), pb.add(kp * 2 * I8_NR));
-    }
-    if mr == I8_MR && nr == 8 * NV {
-        for (r, row) in acc.iter().enumerate() {
-            for (v, &lane) in row.iter().enumerate() {
-                let p = c.add(r * ldc + v * 8) as *mut __m256i;
-                let out = if first { lane } else { _mm256_add_epi32(_mm256_loadu_si256(p), lane) };
-                _mm256_storeu_si256(p, out);
-            }
-        }
-    } else {
-        // `[[__m256i; NV]; I8_MR]` in memory is the row-major i32 tile
-        // (a copy: taking `acc`'s own address would spill the
-        // accumulators ahead of the odd-pair tail on every call).
-        let tile = acc;
-        write_edge(tile.as_ptr().cast::<i32>(), 8 * NV, c, ldc, mr, nr, first);
-    }
-}
-
-macro_rules! i8_kernel {
-    ($name:ident, $features:literal, $vnni:literal, $nv:literal) => {
-        /// [`mk_i8`] instantiated for this dot step and width (the
-        /// narrow form serves `nr ≤ 8`; `pb` rows stay `2·I8_NR`-strided).
-        ///
-        /// # Safety
-        /// The CPU must support the enabled target features; pointers
-        /// per [`mk_i8`]'s contract.
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = $features)]
-        #[allow(clippy::too_many_arguments)]
-        unsafe fn $name(
-            kcp: usize,
-            pa: *const i32,
-            pb: *const i16,
-            c: *mut i32,
-            ldc: usize,
-            mr: usize,
-            nr: usize,
-            first: bool,
-        ) {
-            mk_i8::<$vnni, $nv>(kcp, pa, pb, c, ldc, mr, nr, first)
-        }
-    };
-}
-
-i8_kernel!(mk_i8_6x16, "avx2", false, 2);
-i8_kernel!(mk_i8_6x8, "avx2", false, 1);
-i8_kernel!(mk_i8_6x16_vnni, "avx2,avx512vnni,avx512vl", true, 2);
-i8_kernel!(mk_i8_6x8_vnni, "avx2,avx512vnni,avx512vl", true, 1);
-
-/// Dispatch one microkernel tile to the VNNI or plain form. The `vnni`
-/// flag is hoisted out of the tile loops by the caller; both forms
-/// produce identical bytes (exact integer arithmetic, same order).
-///
-/// # Safety
-/// Contracts of [`mk_i8_6x16`] / [`mk_i8_6x8`]; `vnni` only when
-/// AVX-512 VNNI + VL are available.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn mk_i8_tile(
-    vnni: bool,
-    kcp: usize,
-    pa: *const i32,
-    pb: *const i16,
-    c: *mut i32,
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-    first: bool,
-) {
-    if nr <= 8 {
-        if vnni {
-            mk_i8_6x8_vnni(kcp, pa, pb, c, ldc, mr, nr, first);
-        } else {
-            mk_i8_6x8(kcp, pa, pb, c, ldc, mr, nr, first);
-        }
-    } else if vnni {
-        mk_i8_6x16_vnni(kcp, pa, pb, c, ldc, mr, nr, first);
-    } else {
-        mk_i8_6x16(kcp, pa, pb, c, ldc, mr, nr, first);
-    }
-}
-
-/// Requantize one accumulator row (`n` i32 at `acc`) into `n` i8 at
-/// `dst`: `round_ne((acc − zp_corr[j])·mult[j] + badd[j] [max 0]) +
-/// out_zp`, clamped to i8. Eight lanes at a time with a scalar tail
-/// through [`crate::quant::requant_one`]; every vector op is the exact
-/// IEEE counterpart of the scalar helper (`cvtdq2ps` = `as f32`,
-/// `cvtps2dq` = `round_ties_even() as i32`, `maxps` = the `> 0.0`
-/// select), so lanes and tail — and the scalar engine — agree bitwise.
-///
-/// # Safety
-/// Requires AVX2; `acc`, `zp_corr`, `mult`, `badd` hold `n` readable
-/// elements, `dst` `n` writable bytes.
+/// Requires AVX2. `out` must be valid for writes at every index this
+/// row's columns map to, and no other thread may write them.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn requant_row_avx2(
-    acc: *const i32,
-    zp_corr: *const i32,
-    mult: *const f32,
-    badd: *const f32,
-    n: usize,
-    relu: bool,
-    out_zp: i32,
-    dst: *mut i8,
-) {
+unsafe fn requant_row(acc: &[i32], rq: &Requant, i: usize, m: usize, j0: usize, p: usize, out: *mut i8) {
     use std::arch::x86_64::*;
+    // The first eight values of `s` (zero-extended when it is shorter).
+    let i32x8 = |s: &[i32]| match s.first_chunk::<8>() {
+        Some(lanes) => _mm256_loadu_si256(lanes.as_ptr().cast()),
+        None => {
+            let mut lanes = [0i32; 8];
+            lanes[..s.len()].copy_from_slice(s);
+            _mm256_loadu_si256(lanes.as_ptr().cast())
+        }
+    };
+    let f32x8 = |s: &[f32]| match s.first_chunk::<8>() {
+        Some(lanes) => _mm256_loadu_ps(lanes.as_ptr()),
+        None => {
+            let mut lanes = [0f32; 8];
+            lanes[..s.len()].copy_from_slice(s);
+            _mm256_loadu_ps(lanes.as_ptr())
+        }
+    };
     let zero = _mm256_setzero_ps();
-    let zp_v = _mm256_set1_epi32(out_zp);
-    let lo_v = _mm256_set1_epi32(-128);
-    let hi_v = _mm256_set1_epi32(127);
-    let mut j = 0;
-    while j + 8 <= n {
-        let c = _mm256_sub_epi32(
-            _mm256_loadu_si256(acc.add(j) as *const __m256i),
-            _mm256_loadu_si256(zp_corr.add(j) as *const __m256i),
-        );
-        let mut v = _mm256_add_ps(
-            _mm256_mul_ps(_mm256_cvtepi32_ps(c), _mm256_loadu_ps(mult.add(j))),
-            _mm256_loadu_ps(badd.add(j)),
-        );
-        if relu {
+    let (zp_v, lo_v, hi_v) = (_mm256_set1_epi32(rq.out_zp), _mm256_set1_epi32(-128), _mm256_set1_epi32(127));
+    let of_row = (!rq.per_col)
+        .then(|| (_mm256_set1_epi32(rq.zp_corr[i]), _mm256_set1_ps(rq.mult[i]), _mm256_set1_ps(rq.badd[i])));
+    let (mut img, mut patch) = (j0 / p, j0 % p);
+    for (ci, chunk) in acc.chunks(8).enumerate() {
+        let len = chunk.len();
+        let (zc_v, mult_v, badd_v) = of_row.unwrap_or_else(|| {
+            let j = j0 + 8 * ci;
+            (i32x8(&rq.zp_corr[j..]), f32x8(&rq.mult[j..]), f32x8(&rq.badd[j..]))
+        });
+        let sums = _mm256_sub_epi32(i32x8(chunk), zc_v);
+        let mut v = _mm256_add_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(sums), mult_v), badd_v);
+        if rq.relu {
             v = _mm256_max_ps(v, zero);
         }
-        let q = _mm256_min_epi32(
-            hi_v,
-            _mm256_max_epi32(lo_v, _mm256_add_epi32(_mm256_cvtps_epi32(v), zp_v)),
-        );
+        let q = _mm256_min_epi32(hi_v, _mm256_max_epi32(lo_v, _mm256_add_epi32(_mm256_cvtps_epi32(v), zp_v)));
         // 8×i32 → 8×i8: the values are already in [-128, 127], so the
         // saturating packs are pure narrowing.
         let w = _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256(q, 1));
         let bytes = _mm_packs_epi16(w, w);
-        _mm_storel_epi64(dst.add(j) as *mut __m128i, bytes);
-        j += 8;
-    }
-    while j < n {
-        let corrected = (*acc.add(j)).wrapping_sub(*zp_corr.add(j));
-        *dst.add(j) =
-            crate::quant::requant_one(corrected, *mult.add(j), *badd.add(j), relu, out_zp);
-        j += 1;
+        if len == 8 && patch + 8 <= p {
+            _mm_storel_epi64(out.add((img * m + i) * p + patch).cast(), bytes);
+            patch += 8;
+        } else {
+            // The chunk straddles images (or is the row's tail): place
+            // its bytes one by one.
+            let mut lanes = [0i8; 8];
+            _mm_storel_epi64(lanes.as_mut_ptr().cast(), bytes);
+            for &b in &lanes[..len] {
+                if patch == p {
+                    (img, patch) = (img + 1, 0);
+                }
+                *out.add((img * m + i) * p + patch) = b;
+                patch += 1;
+            }
+        }
+        if patch == p {
+            (img, patch) = (img + 1, 0);
+        }
     }
 }
 
-/// Blocked int8 GEMM with fused requantization:
-/// `out = requantize(A[m,k]·Bᵀ − za·colsum + bias, relu)` where `pb` is
-/// the prepacked transposed (`[n, k]`) weight layout ([`pack_b_full`])
-/// — the only layout the quantized operators produce (linear weights
-/// and im2col'd conv patches both stream `[rows, k]` against
-/// `[out_channels, k]`).
+/// The tile an `n`-column int8 GEMM runs under in this process.
+fn i8_tile(n: usize) -> &'static Tile<i32> {
+    &I8_TILES[vnni_enabled() as usize][select_tile(level().max(Level::Avx2), n)]
+}
+
+/// Int8 GEMM with fused requantization through the one driver:
+/// `out[img, i, patch] = requant(Σₖ A[i, k]·B[k, img·p + patch])`, with
+/// A `[m, ⌈k/2⌉]` k-pair rows ([`pair_rows`]), B any [`BSrc`] over i8
+/// (`pad` where a patch hangs over the padding) and `out` laid out
+/// `[n/p, m, p]`. A conv passes its weight as A and its input's patches
+/// as B, so `out` is NCHW; a linear passes its input rows as A, its
+/// packed weight as B and `p = n`, so `out` is `[rows, features]`.
 ///
-/// Accumulation is exact i32 (see the module docs for why `madd_epi16`
-/// over pre-widened pairs instead of `maddubs`); the epilogue applies
-/// the FBGEMM row-offset correction `− a_zp·col_sums[j]`, then
-/// requantizes through [`requant_row_avx2`] — op-for-op the IEEE twin
-/// of the scalar engine's `requant_one` loop — so the int8 output is
-/// **bit-identical** across engines, thread counts, batch positions and
-/// blocking parameters.
-///
-/// `mult`/`badd` are the precomputed per-output-column requantization
-/// coefficients (see [`crate::quant::qgemm_requant`], which derives
-/// them once and hands the same slices to both engines); `layout` picks
-/// the write-back index mapping.
+/// Accumulation is exact i32 (module docs), so the output is
+/// **bit-identical** across tiles, dot steps, engines, thread counts,
+/// batch positions and blocking parameters.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_i8_nt(
+pub(crate) fn gemm_i8(
     m: usize,
     k: usize,
     n: usize,
-    a: &[i8],
-    pb: &PackedBI8,
-    a_zp: i32,
-    col_sums: &[i32],
-    mult: &[f32],
-    badd: &[f32],
-    out_zp: i32,
-    relu: bool,
-    layout: &QOutI8,
+    a: &[i32],
+    b: BSrc<i32>,
+    pad: i8,
+    rq: &Requant,
+    p: usize,
     out: &mut [i8],
 ) {
-    assert!(simd_available(), "simd::gemm_i8_nt requires AVX2");
-    assert_eq!(a.len(), m * k, "gemm_i8: A length mismatch");
+    assert!(simd_available(), "simd::gemm_i8 requires AVX2");
+    gemm_i8_tiled(i8_tile(n), gemm_kc(), gemm_nc(), m, k, n, a, b, pad, rq, p, out);
+}
+
+/// [`gemm_i8`] under an explicit tile and blocking.
+#[allow(clippy::too_many_arguments)]
+fn gemm_i8_tiled(
+    tile: &Tile<i32>,
+    kc_blk: usize,
+    nc_blk: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[i32],
+    b: BSrc<i32>,
+    pad: i8,
+    rq: &Requant,
+    p: usize,
+    out: &mut [i8],
+) {
     assert_eq!(out.len(), m * n, "gemm_i8: output length mismatch");
-    assert_eq!(col_sums.len(), n, "gemm_i8: col_sums length mismatch");
-    assert_eq!(mult.len(), n, "gemm_i8: mult length mismatch");
-    assert_eq!(badd.len(), n, "gemm_i8: badd length mismatch");
+    assert!(p > 0 && n.is_multiple_of(p), "gemm_i8: {n} columns are not whole images of {p}");
+    let channels = if rq.per_col { n } else { m };
+    assert!(
+        rq.zp_corr.len() == channels && rq.mult.len() == channels && rq.badd.len() == channels,
+        "gemm_i8: requantization coefficients must be per output channel"
+    );
     if m == 0 || n == 0 {
         return;
     }
-    let kcp_full = k.div_ceil(2);
-    assert_eq!(
-        pb.data.len(),
-        n.div_ceil(I8_NR) * kcp_full * 2 * I8_NR,
-        "gemm_i8: packed B size mismatch"
-    );
-    assert_eq!(pb.kcp, kcp_full, "gemm_i8: packed B kcp mismatch");
-
-    let (kc_blk, nc_blk) = (gemm_kc(), gemm_nc());
-
-    // Zero-point correction per column, shared by both paths below.
-    let mut zp_corr = pool::alloc_i32(n);
-    for (c, &s) in zp_corr.iter_mut().zip(col_sums) {
-        *c = a_zp.wrapping_mul(s);
-    }
-
-    // Fused write-back of one accumulator row (`n` i32 at `src`) into
-    // row `i`'s place in `out`: zero-point correction + requantize +
-    // bias + ReLU ([`requant_row_avx2`]), then the layout's index map.
-    // `tmp` is `n` bytes of worker-local scratch for the ImagePatch
-    // transpose. Callers pass rows from disjoint ranges.
+    let ldc = n.min(nc_blk);
+    let mut acc = pool::alloc_i32(m * ldc);
     let out_base = SendPtr(out.as_mut_ptr());
-    let zp_corr_ref: &[i32] = &zp_corr;
-    let write_row = |i: usize, src: *const i32, tmp: &mut [i8]| {
+    gemm_tiled(tile, kc_blk, nc_blk, m, k, n, a, b, pad, &mut acc, |i0, j0, cols, rows| {
         let out_base = out_base;
-        // SAFETY: AVX2 asserted above; `src`, `zp_corr`, `mult` and
-        // `badd` hold `n` elements and `dst` takes `n` bytes.
-        let requant = |dst: *mut i8| unsafe {
-            requant_row_avx2(src, zp_corr_ref.as_ptr(), mult.as_ptr(), badd.as_ptr(), n, relu, out_zp, dst)
-        };
-        match *layout {
-            // SAFETY: row `i` of `out` belongs to this caller alone.
-            QOutI8::RowMajor => requant(unsafe { out_base.0.add(i * n) }),
-            QOutI8::ImagePatch { p } => {
-                requant(tmp.as_mut_ptr());
-                let (img, patch) = (i / p, i % p);
-                for (j, &v) in tmp.iter().enumerate() {
-                    // SAFETY: distinct (i, j) map to distinct in-bounds
-                    // ImagePatch indices; rows are disjoint.
-                    unsafe { *out_base.0.add(img * n * p + j * p + patch) = v };
-                }
-            }
+        for (r, row) in rows.chunks(ldc).enumerate() {
+            // SAFETY: AVX2 was detected (the tile's level, asserted by
+            // the driver). Row `i0 + r`, columns `j0..j0+cols` map to
+            // indices below `m·n` that no other row or block maps to,
+            // and `out` is exclusively borrowed for the whole call.
+            unsafe { requant_row(&row[..cols], rq, i0 + r, m, j0, p, out_base.0) };
         }
-    };
-    let scratch = || match *layout {
-        QOutI8::ImagePatch { .. } => pool::alloc_i8(n),
-        QOutI8::RowMajor => Vec::new(),
-    };
-
-    // Fused strip path: when one (kc, nc) block covers the whole GEMM,
-    // requantize each 6-row strip straight out of an L1-resident
-    // accumulator instead of materializing (and re-reading) the full
-    // `m×n` i32 buffer. Bit-identical to the blocked path: per output
-    // element the k-chain order and the epilogue ops are the same —
-    // only where the i32s briefly live differs.
-    let vnni = vnni_enabled();
-    if k > 0 && k <= kc_blk && n <= nc_blk {
-        let kcp = kcp_full;
-        let n_jpanels = n.div_ceil(I8_NR);
-        let pb_ref: &[i16] = &pb.data;
-        parallel_chunks(m.div_ceil(I8_MR), |range| {
-            let mut pa = [0i32; I8_MR * (KC_MAX / 2)];
-            let mut strip = pool::alloc_i32(I8_MR * n);
-            let mut tmp = scratch();
-            for rp in range {
-                let i0 = rp * I8_MR;
-                let mr_eff = I8_MR.min(m - i0);
-                pack_a_i8(a, k, i0, mr_eff, 0, k, &mut pa);
-                for jp in 0..n_jpanels {
-                    let j = jp * I8_NR;
-                    let nr_eff = I8_NR.min(n - j);
-                    // SAFETY: AVX2 asserted above; `strip` is
-                    // worker-local and `first=true` fully overwrites the
-                    // `mr_eff × nr_eff` window before any read.
-                    unsafe {
-                        let pbp = pb_ref.as_ptr().add(jp * kcp * 2 * I8_NR);
-                        let cp = strip.as_mut_ptr().add(j);
-                        mk_i8_tile(vnni, kcp, pa.as_ptr(), pbp, cp, n, mr_eff, nr_eff, true);
-                    }
-                }
-                for r in 0..mr_eff {
-                    write_row(i0 + r, strip[r * n..].as_ptr(), &mut tmp);
-                }
-            }
-            pool::recycle_i32(strip);
-            pool::recycle_i8(tmp);
-        });
-        pool::recycle_i32(zp_corr);
-        return;
-    }
-
-    let mut acc = pool::alloc_i32(m * n);
-    if k > 0 {
-        let acc_base = SendPtr(acc.as_mut_ptr());
-        for jc in (0..n).step_by(nc_blk) {
-            let nc_eff = nc_blk.min(n - jc);
-            let n_jpanels = nc_eff.div_ceil(I8_NR);
-            // `nc_blk` is I8_NR-quantized and `kc_blk` 8-quantized, so `jc`
-            // lands on a panel boundary and `k0` on an (even) pair
-            // boundary: a k-block of a prepacked panel is the contiguous
-            // rows `[k0/2, k0/2 + kcp_eff)`.
-            let jp0 = jc / I8_NR;
-            for (pi, k0) in (0..k).step_by(kc_blk).enumerate() {
-                let kc_eff = kc_blk.min(k - k0);
-                let kcp_eff = kc_eff.div_ceil(2);
-                let first = pi == 0;
-                let pb_ref: &[i16] = &pb.data;
-                let n_rpanels = m.div_ceil(I8_MR);
-                parallel_chunks(n_rpanels, |range| {
-                    let acc_base = acc_base;
-                    let mut pa = [0i32; I8_MR * (KC_MAX / 2)];
-                    for rp in range {
-                        let i0 = rp * I8_MR;
-                        let mr_eff = I8_MR.min(m - i0);
-                        pack_a_i8(a, k, i0, mr_eff, k0, kc_eff, &mut pa);
-                        for jp in 0..n_jpanels {
-                            let j = jc + jp * I8_NR;
-                            let nr_eff = I8_NR.min(n - j);
-                            // SAFETY: AVX2 asserted above; row panels are
-                            // disjoint across `rp`, so each microkernel
-                            // writes an exclusive accumulator window.
-                            unsafe {
-                                let pbp = pb_ref
-                                    .as_ptr()
-                                    .add(((jp0 + jp) * kcp_full + k0 / 2) * 2 * I8_NR);
-                                let cp = acc_base.0.add(i0 * n + j);
-                                mk_i8_tile(vnni, kcp_eff, pa.as_ptr(), pbp, cp, n, mr_eff, nr_eff, first);
-                            }
-                        }
-                    }
-                });
-            }
-        }
-    } else {
-        acc.fill(0);
-    }
-
-    let acc_ref: &[i32] = &acc;
-    parallel_chunks(m, |rows| {
-        let mut tmp = scratch();
-        for i in rows {
-            write_row(i, acc_ref[i * n..].as_ptr(), &mut tmp);
-        }
-        pool::recycle_i8(tmp);
     });
-    pool::recycle_i32(zp_corr);
     pool::recycle_i32(acc);
 }
 
@@ -1399,108 +1320,6 @@ pub(crate) fn gemm_i8_nt(
 mod tests {
     use super::*;
     use crate::rng::{Rng, SeedableRng, StdRng};
-
-    #[test]
-    #[ignore]
-    fn perf_probe_microkernel() {
-        use std::time::Instant;
-        let kcp = 128usize;
-        let pa = vec![0x0101_0101i32; kcp * I8_MR];
-        let pb = vec![1i16; kcp * 2 * I8_NR];
-        let mut c = vec![0i32; I8_MR * 64];
-        let iters = 200_000u32;
-        unsafe { mk_i8_6x16(kcp, pa.as_ptr(), pb.as_ptr(), c.as_mut_ptr(), I8_NR, I8_MR, I8_NR, true) };
-        let t = Instant::now();
-        for _ in 0..iters {
-            unsafe { mk_i8_6x16(kcp, pa.as_ptr(), pb.as_ptr(), c.as_mut_ptr(), I8_NR, I8_MR, I8_NR, true) };
-        }
-        let per = t.elapsed().as_secs_f64() / iters as f64;
-        let macs = (I8_MR * I8_NR * 2 * kcp) as f64;
-        eprintln!(
-            "mk_i8_6x16: {:.1} ns/call, {:.1} GMAC/s ({:.2} ns/kp)",
-            per * 1e9,
-            macs / per / 1e9,
-            per * 1e9 / kcp as f64
-        );
-        std::hint::black_box(&c);
-    }
-
-    #[test]
-    #[ignore]
-    fn perf_probe_gemm_components() {
-        use std::time::Instant;
-        let (m, k, n) = (256usize, 256usize, 256usize);
-        let (kc, kcp) = (k, k / 2);
-        let a = vec![3i8; m * k];
-        let b = vec![5i8; n * k];
-        let mut pb = vec![0i16; kcp * 2 * n.div_ceil(I8_NR) * I8_NR];
-        let mut pa = vec![0i32; I8_MR * kcp];
-        let mut acc = vec![0i32; m * n];
-        let mut out = vec![0i8; m * n];
-        let iters = 200;
-
-        let t = Instant::now();
-        for _ in 0..iters {
-            pack_b_i8(&b, k, 0, kc, 0, n, kcp, &mut pb);
-        }
-        eprintln!("pack_b (full):  {:.3} ms", t.elapsed().as_secs_f64() / iters as f64 * 1e3);
-
-        let n_rp = m.div_ceil(I8_MR);
-        let t = Instant::now();
-        for _ in 0..iters {
-            for rp in 0..n_rp {
-                let i0 = rp * I8_MR;
-                pack_a_i8(&a, k, i0, I8_MR.min(m - i0), 0, kc, &mut pa);
-            }
-        }
-        eprintln!("pack_a (all rp): {:.3} ms", t.elapsed().as_secs_f64() / iters as f64 * 1e3);
-
-        let t = Instant::now();
-        for _ in 0..iters {
-            for rp in 0..n_rp {
-                let i0 = rp * I8_MR;
-                let mr = I8_MR.min(m - i0);
-                for jp in 0..n / I8_NR {
-                    unsafe {
-                        mk_i8_6x16(
-                            kcp,
-                            pa.as_ptr(),
-                            pb.as_ptr().add(jp * kcp * 2 * I8_NR),
-                            acc.as_mut_ptr().add(i0 * n + jp * I8_NR),
-                            n,
-                            mr,
-                            I8_NR,
-                            true,
-                        )
-                    };
-                }
-            }
-        }
-        eprintln!("mk loop (real):  {:.3} ms", t.elapsed().as_secs_f64() / iters as f64 * 1e3);
-
-        let zp_corr = vec![77i32 * 3; n];
-        let mult = vec![0.005f32; n];
-        let badd = vec![0.0f32; n];
-        let t = Instant::now();
-        for _ in 0..iters {
-            for i in 0..m {
-                unsafe {
-                    requant_row_avx2(
-                        acc.as_ptr().add(i * n),
-                        zp_corr.as_ptr(),
-                        mult.as_ptr(),
-                        badd.as_ptr(),
-                        n,
-                        false,
-                        0,
-                        out.as_mut_ptr().add(i * n),
-                    );
-                }
-            }
-        }
-        eprintln!("epilogue:        {:.3} ms", t.elapsed().as_secs_f64() / iters as f64 * 1e3);
-        std::hint::black_box((&out, &acc));
-    }
 
     /// Single-accumulator reference in the microkernel's summation
     /// order (sequential over k), used for the tight-tolerance checks.
@@ -1691,17 +1510,30 @@ mod tests {
         c
     }
 
-    /// The tiles this CPU can run; prints which it skips and why.
-    fn runnable_tiles() -> Vec<&'static Tile> {
+    /// The tiles of `table` this CPU can run; prints which it skips.
+    fn runnable<E>(table: &'static [Tile<E>]) -> Vec<&'static Tile<E>> {
         let mut tiles = Vec::new();
-        for tile in &TILES {
-            if tile.level <= detected_level() {
+        for tile in table {
+            if tile.level <= detected_level() && (!tile.vnni || vnni_detected()) {
                 tiles.push(tile);
             } else {
-                eprintln!("skipping tile {}: this CPU lacks {}", tile.name, tile.level.name());
+                eprintln!("skipping tile {}: this CPU lacks its instructions", tile.name);
             }
         }
         tiles
+    }
+
+    /// Every int8 tile (both dot steps) this CPU can run.
+    fn runnable_i8_tiles() -> Vec<&'static Tile<i32>> {
+        I8_TILES.iter().flat_map(|table| runnable(table)).collect()
+    }
+
+    /// `gemm_tiled` into a whole, NaN-poisoned f32 C under the process
+    /// blocking.
+    fn run_f32(tile: &Tile<f32>, m: usize, k: usize, n: usize, a: &[f32], b: BSrc<f32>) -> Vec<f32> {
+        let mut c = vec![f32::NAN; m * n];
+        gemm_tiled(tile, gemm_kc(), gemm_nc(), m, k, n, a, b, 0.0, &mut c, |_, _, _, _| {});
+        c
     }
 
     fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
@@ -1718,7 +1550,6 @@ mod tests {
     /// transposed B.
     #[test]
     fn every_tile_matches_the_sequential_chain_bitwise() {
-        let _quiet = pool::COUNTER_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let kc = gemm_kc();
         let mut rng = StdRng::seed_from_u64(0x711E);
         for &m in &[1usize, 5, 13, 24] {
@@ -1733,12 +1564,10 @@ mod tests {
                         }
                     }
                     let want = chain(m, k, n, kc, &a, |kk, j| b[kk * n + j]);
-                    for tile in runnable_tiles() {
-                        let mut c = vec![f32::NAN; m * n];
-                        gemm_tiled(tile, m, k, n, &a, BSrc::RowMajor(&b), &mut c, None, None, false);
+                    for tile in runnable(&TILES) {
+                        let c = run_f32(tile, m, k, n, &a, BSrc::RowMajor(&b));
                         assert_bits_eq(&c, &want, &format!("{} nn {m}x{k}x{n}", tile.name));
-                        let mut c = vec![f32::NAN; m * n];
-                        gemm_tiled(tile, m, k, n, &a, BSrc::Transposed(&bt), &mut c, None, None, false);
+                        let c = run_f32(tile, m, k, n, &a, BSrc::Transposed(&bt));
                         assert_bits_eq(&c, &want, &format!("{} nt {m}x{k}x{n}", tile.name));
                     }
                 }
@@ -1746,48 +1575,201 @@ mod tests {
         }
     }
 
-    /// The implicit-im2col packer under every tile, against the chain
-    /// over an explicitly gathered patch matrix: long rows (copied as
-    /// runs, stride 1 and 2, clipped by padding and dilation), short rows
-    /// (gathered cell by cell), a channel-group offset, and `K` across
-    /// three `KC` panels.
-    #[test]
-    fn every_tile_packs_patches_like_the_explicit_gather() {
-        let _quiet = pool::COUNTER_TESTS.lock().unwrap_or_else(|e| e.into_inner());
-        let kc = gemm_kc();
-        let mut rng = StdRng::seed_from_u64(0x9A7C);
-        // (images, total c, ch0, group c, h, w, kh, kw, stride, padding, dilation)
-        let cases = [
-            (2usize, 3usize, 0usize, 3usize, 9usize, 11usize, 3usize, 3usize, (1usize, 1usize), (1usize, 1usize), (1usize, 1usize)),
+    /// Patch geometries for the packer tests: (images, total c, ch0,
+    /// group c, h, w, kh, kw, stride, padding, dilation) — long rows
+    /// (copied as runs, stride 1 and 2, clipped by padding and dilation),
+    /// short rows (gathered cell by cell), a channel-group offset, and a
+    /// `K` of more than `2·k_deep`.
+    type PatchCase = (usize, usize, usize, usize, usize, usize, usize, usize, (usize, usize), (usize, usize), (usize, usize));
+    fn patch_cases(k_deep: usize) -> [PatchCase; 5] {
+        [
+            (2, 3, 0, 3, 9, 11, 3, 3, (1, 1), (1, 1), (1, 1)),
             (1, 2, 0, 2, 13, 17, 5, 3, (2, 2), (2, 1), (1, 1)),
             (3, 4, 0, 4, 4, 4, 3, 3, (1, 1), (1, 1), (1, 1)),
             (1, 6, 3, 3, 10, 12, 3, 3, (1, 1), (2, 2), (2, 2)),
-            (2, 2 * kc / 9 + 8, 0, 2 * kc / 9 + 8, 8, 8, 3, 3, (1, 1), (1, 1), (1, 1)),
-        ];
-        for &(imgs, c, ch0, cg, h, w, kh, kw, stride, padding, dilation) in &cases {
-            let oh = (h + 2 * padding.0 - dilation.0 * (kh - 1) - 1) / stride.0 + 1;
-            let ow = (w + 2 * padding.1 - dilation.1 * (kw - 1) - 1) / stride.1 + 1;
-            let (m, k, n) = (13, cg * kh * kw, imgs * oh * ow);
+            (2, 2 * k_deep / 9 + 8, 0, 2 * k_deep / 9 + 8, 8, 8, 3, 3, (1, 1), (1, 1), (1, 1)),
+        ]
+    }
+
+    /// The patch source of one case over input `x`, and the explicit
+    /// gather it must pack like (`pad` over the padding).
+    fn patch_oracle<T: Copy>(case: PatchCase, x: &[T], pad: T) -> (PatchSrc<'_, T>, impl Fn(usize, usize) -> T + '_) {
+        let (_, c, ch0, _, h, w, kh, kw, stride, padding, dilation) = case;
+        let oh = (h + 2 * padding.0 - dilation.0 * (kh - 1) - 1) / stride.0 + 1;
+        let ow = (w + 2 * padding.1 - dilation.1 * (kw - 1) - 1) / stride.1 + 1;
+        let b_at = move |kk: usize, j: usize| {
+            let (ch, ky, kx) = (kk / (kh * kw), kk / kw % kh, kk % kw);
+            let (img, oy, ox) = (j / (oh * ow), j / ow % oh, j % ow);
+            let iy = (oy * stride.0 + ky * dilation.0) as isize - padding.0 as isize;
+            let ix = (ox * stride.1 + kx * dilation.1) as isize - padding.1 as isize;
+            if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
+                return pad;
+            }
+            x[((img * c + ch0 + ch) * h + iy as usize) * w + ix as usize]
+        };
+        (PatchSrc { x, c, h, w, ch0, kh, kw, stride, padding, dilation, oh, ow }, b_at)
+    }
+
+    /// The implicit-im2col packer under every f32 tile, against the
+    /// chain over an explicitly gathered patch matrix ([`patch_cases`],
+    /// `K` across three `KC` panels).
+    #[test]
+    fn every_tile_packs_patches_like_the_explicit_gather() {
+        let kc = gemm_kc();
+        let mut rng = StdRng::seed_from_u64(0x9A7C);
+        for case in patch_cases(kc) {
+            let (imgs, c, _, cg, h, w, kh, kw, stride, ..) = case;
             let x = rand_vec(imgs * c * h * w, &mut rng);
+            let (patches, b_at) = patch_oracle(case, &x, 0.0);
+            let (m, k, n) = (13, cg * kh * kw, imgs * patches.oh * patches.ow);
             let a = rand_vec(m * k, &mut rng);
-            let patches = PatchSrc { x: &x, c, h, w, ch0, kh, kw, stride, padding, dilation, oh, ow };
-            let b_at = |kk: usize, j: usize| {
-                let (ch, ky, kx) = (kk / (kh * kw), kk / kw % kh, kk % kw);
-                let (img, oy, ox) = (j / (oh * ow), j / ow % oh, j % ow);
-                let iy = (oy * stride.0 + ky * dilation.0) as isize - padding.0 as isize;
-                let ix = (ox * stride.1 + kx * dilation.1) as isize - padding.1 as isize;
-                if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
-                    return 0.0;
-                }
-                x[((img * c + ch0 + ch) * h + iy as usize) * w + ix as usize]
-            };
             let want = chain(m, k, n, kc, &a, b_at);
-            for tile in runnable_tiles() {
-                let mut got = vec![f32::NAN; m * n];
-                gemm_tiled(tile, m, k, n, &a, BSrc::Patches(&patches), &mut got, None, None, false);
+            for tile in runnable(&TILES) {
+                let got = run_f32(tile, m, k, n, &a, BSrc::Patches(&patches));
                 assert_bits_eq(&got, &want, &format!("{} patches {h}x{w} k{kh}x{kw} s{stride:?}", tile.name));
             }
         }
+    }
+
+    /// The int8 element: low half = even k, high half = odd k, each
+    /// sign-extended; a row's odd tail pairs with zero.
+    #[test]
+    fn pair_rows_widens_pairs_and_zero_pads_an_odd_tail() {
+        assert_eq!(pack_pair(-1, 2), 0x0002_FFFF);
+        assert_eq!(pack_pair(127, -128), 0xFF80_007Fu32 as i32);
+        let rows = pair_rows(&[1, -1, 5, /* row 2 */ -128, 127, 0], 3, Vec::new());
+        assert_eq!(rows, [pack_pair(1, -1), pack_pair(5, 0), pack_pair(-128, 127), pack_pair(0, 0)]);
+        assert!(pair_rows(&[], 0, Vec::new()).is_empty());
+    }
+
+    /// The int8 contract, written out: plain i32 sums of i8 products.
+    fn chain_i8(m: usize, k: usize, n: usize, a: &[i8], b_at: impl Fn(usize, usize) -> i8) -> Vec<i32> {
+        let mut c = vec![0i32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                c[i * n + j] = (0..k).map(|kk| a[i * k + kk] as i32 * b_at(kk, j) as i32).sum();
+            }
+        }
+        c
+    }
+
+    /// `gemm_tiled` into a whole, poisoned i32 C.
+    #[allow(clippy::too_many_arguments)]
+    fn run_i8(tile: &Tile<i32>, kc: usize, nc: usize, m: usize, k: usize, n: usize, a: &[i8], b: BSrc<i32>, pad: i8) -> Vec<i32> {
+        let mut c = vec![i32::MIN; m * n];
+        gemm_tiled(tile, kc, nc, m, k, n, &pair_rows(a, k, Vec::new()), b, pad, &mut c, |_, _, _, _| {});
+        c
+    }
+
+    /// Every int8 tile — YMM and ZMM, `vpmaddwd` and `vpdpwssd`, full
+    /// and half width, interior and edge — must reproduce the scalar i32
+    /// sums exactly, and therefore each other: `K` of 0, below one pair,
+    /// odd, and across three `KC` panels; `M` below, at and past `MR`
+    /// (rows read in place and through the padded last panel); `N`
+    /// around every tile's `NR` (so `2·nr_eff ≤ nr` picks the half
+    /// kernel); `NC` of one panel; row-major, transposed and prepacked
+    /// B; and the ±127/−128 corners that would saturate a `maddubs`
+    /// kernel.
+    #[test]
+    fn every_i8_tile_matches_the_scalar_sums_exactly() {
+        let mut rng = StdRng::seed_from_u64(0x18);
+        for &(kc, nc) in &[(gemm_kc(), gemm_nc()), (8, NR_MAX)] {
+            for &m in &[1usize, 5, 13, 24] {
+                for &k in &[0usize, 1, 7, 4 * kc + 37] {
+                    for &n in &[1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 70] {
+                        let mut a = rand_i8(m * k, &mut rng);
+                        let mut b = rand_i8(k * n, &mut rng);
+                        if k >= 2 {
+                            (a[0], a[1], b[0], b[n]) = (-128, -128, 127, 127);
+                        }
+                        let mut bt = vec![0i8; n * k];
+                        for kk in 0..k {
+                            for j in 0..n {
+                                bt[j * k + kk] = b[kk * n + j];
+                            }
+                        }
+                        let want = chain_i8(m, k, n, &a, |kk, j| b[kk * n + j]);
+                        for tile in runnable_i8_tiles() {
+                            let c = run_i8(tile, kc, nc, m, k, n, &a, BSrc::RowMajor(&b), 0);
+                            assert_eq!(c, want, "{} nn {m}x{k}x{n} kc={kc} nc={nc}", tile.name);
+                            let c = run_i8(tile, kc, nc, m, k, n, &a, BSrc::Transposed(&bt), 0);
+                            assert_eq!(c, want, "{} nt {m}x{k}x{n} kc={kc} nc={nc}", tile.name);
+                            // Whole-depth panels, packed the way `prepack_b` does for this tile.
+                            let (nr, ke) = (tile.nr, k.div_ceil(2));
+                            let mut packed = vec![i32::MIN; n.div_ceil(nr) * ke * nr];
+                            pack_b(&BSrc::Transposed(&bt), 0, nr, n, k, 0, k, 0, n, &mut packed, &mut vec![0; 2 * ke * nr]);
+                            let c = run_i8(tile, kc, nc, m, k, n, &a, BSrc::Packed(&packed), 0);
+                            assert_eq!(c, want, "{} packed {m}x{k}x{n} kc={kc} nc={nc}", tile.name);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The patch packer under every int8 tile: same geometries as f32,
+    /// with the padding cells carrying a non-zero pad value (the
+    /// activation zero point) and odd `K`s pairing their tail with it.
+    #[test]
+    fn every_i8_tile_packs_patches_like_the_explicit_gather() {
+        let mut rng = StdRng::seed_from_u64(0x9A7D);
+        for &kc in &[gemm_kc(), 8] {
+            for case in patch_cases(2 * kc) {
+                let (imgs, c, _, cg, h, w, kh, kw, stride, ..) = case;
+                let x = rand_i8(imgs * c * h * w, &mut rng);
+                let (patches, b_at) = patch_oracle(case, &x, -77);
+                let (m, k, n) = (13, cg * kh * kw, imgs * patches.oh * patches.ow);
+                let a = rand_i8(m * k, &mut rng);
+                let want = chain_i8(m, k, n, &a, b_at);
+                for tile in runnable_i8_tiles() {
+                    let got = run_i8(tile, kc, gemm_nc(), m, k, n, &a, BSrc::Patches(&patches), -77);
+                    assert_eq!(got, want, "{} patches {h}x{w} k{kh}x{kw} s{stride:?} kc={kc}", tile.name);
+                }
+            }
+        }
+    }
+
+    /// The requantizing entry point under every int8 tile against
+    /// `requant_one` over the scalar sums, coefficients per row (a conv)
+    /// and per column (a linear): images of 1, 3, 4, 20 and all columns,
+    /// so spans end inside, at and across 8-lane chunks and column blocks
+    /// (`NC` of one panel: C is a reused block); thread count must not
+    /// change a byte either.
+    #[test]
+    fn gemm_i8_requantizes_into_image_spans_like_the_scalar_engine() {
+        let (m, k) = (15usize, 21usize);
+        let mut rng = StdRng::seed_from_u64(0xC0);
+        let a = rand_i8(m * k, &mut rng);
+        let prev = crate::threading::num_threads();
+        for &(p, imgs) in &[(1usize, 67usize), (3, 23), (4, 17), (20, 3), (60, 1)] {
+            let n = p * imgs;
+            let b = rand_i8(k * n, &mut rng);
+            let sums = chain_i8(m, k, n, &a, |kk, j| b[kk * n + j]);
+            for (per_col, relu) in [(false, false), (false, true), (true, false), (true, true)] {
+                let channels = if per_col { n } else { m };
+                let zp_corr: Vec<i32> = (0..channels).map(|c| 31 * c as i32 - 200).collect();
+                let mult: Vec<f32> = (0..channels).map(|c| 0.004 + 0.0003 * c as f32).collect();
+                let badd: Vec<f32> = (0..channels).map(|c| c as f32 * 0.7 - 4.0).collect();
+                let rq = Requant { zp_corr: &zp_corr, mult: &mult, badd: &badd, per_col, relu, out_zp: 3 };
+                let mut want = vec![0i8; m * n];
+                for (idx, &acc) in sums.iter().enumerate() {
+                    let (i, j) = (idx / n, idx % n);
+                    let c = if per_col { j } else { i };
+                    want[(j / p * m + i) * p + j % p] =
+                        crate::quant::requant_one(acc.wrapping_sub(zp_corr[c]), mult[c], badd[c], relu, 3);
+                }
+                for tile in runnable_i8_tiles() {
+                    for threads in [1, 7] {
+                        crate::threading::set_num_threads(threads);
+                        let mut got = vec![i8::MIN; m * n];
+                        let pairs = pair_rows(&a, k, Vec::new());
+                        gemm_i8_tiled(tile, 8, NR_MAX, m, k, n, &pairs, BSrc::RowMajor(&b), 0, &rq, p, &mut got);
+                        assert_eq!(got, want, "{} p={p} per_col={per_col} relu={relu} threads={threads}", tile.name);
+                    }
+                }
+            }
+        }
+        crate::threading::set_num_threads(prev);
     }
 
     /// `FX_SIMD` resolution is a pure function of the variable and the
@@ -1812,156 +1794,6 @@ mod tests {
         // The process-wide level is one of the names `simd_level` documents.
         assert!(["scalar", "avx2", "avx512"].contains(&simd_level()));
         assert_eq!(simd_enabled(), simd_level() != "scalar");
-    }
-
-    /// The int8 microkernel's accumulator must equal the scalar i32
-    /// triple loop exactly — integers, so `assert_eq` with zero
-    /// tolerance, over odd shapes including edge tiles and odd k
-    /// (exercising the zero-padded pair tail), adversarial ±127 values
-    /// (which would saturate a maddubs-based kernel), and both layouts.
-    #[test]
-    fn i8_gemm_accumulator_is_exact() {
-        if !simd_available() {
-            eprintln!("skipping: no AVX2 on this host");
-            return;
-        }
-        let shapes = [
-            (1usize, 1usize, 1usize),
-            (1, 3, 1),
-            (5, 7, 13),
-            (6, 16, 16),
-            (7, 17, 18),
-            (13, 257, 31),
-            (23, 64, 17),
-            (6, 511, 9),
-            (12, 33, 40),
-        ];
-        let mut rng = StdRng::seed_from_u64(0xAB);
-        for &(m, k, n) in &shapes {
-            let mut a = rand_i8(m * k, &mut rng);
-            let mut b = rand_i8(n * k, &mut rng);
-            // Worst-case magnitude corners in fixed spots: the maddubs
-            // saturation trap (two consecutive ±127·∓128 pairs).
-            if k >= 2 {
-                a[0] = -128;
-                a[1] = -128;
-                b[0] = 127;
-                b[1] = 127;
-            }
-            let a_zp: i32 = 3;
-            let col_sums: Vec<i32> = (0..n)
-                .map(|j| b[j * k..(j + 1) * k].iter().map(|&v| v as i32).sum())
-                .collect();
-            // Identity requant (scale 1, zp 0) saturates, so compare the
-            // *requantized* output against the scalar oracle running the
-            // identical epilogue — exact acc ⇒ exact bytes.
-            let x_scale = 0.05f32;
-            let (out_scale, out_zp) = (0.11f32, -7);
-            let mult = vec![x_scale * 0.02 * (1.0 / out_scale); n];
-            let badd = vec![0.0f32; n];
-            let mut want = vec![0i8; m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0i32;
-                    for kk in 0..k {
-                        acc += a[i * k + kk] as i32 * b[j * k + kk] as i32;
-                    }
-                    acc = acc.wrapping_sub(a_zp.wrapping_mul(col_sums[j]));
-                    want[i * n + j] =
-                        crate::quant::requant_one(acc, mult[j], badd[j], false, out_zp);
-                }
-            }
-            let pb = pack_b_full(&b, k, n);
-            let mut got = vec![0i8; m * n];
-            gemm_i8_nt(
-                m, k, n, &a, &pb, a_zp, &col_sums, &mult, &badd, out_zp, false,
-                &QOutI8::RowMajor, &mut got,
-            );
-            assert_eq!(got, want, "i8 gemm {m}x{k}x{n} diverged from scalar oracle");
-        }
-    }
-
-    /// Thread count and the ImagePatch write-back must not change int8
-    /// bytes (integer accumulation is order-free; the layout only
-    /// permutes indices).
-    #[test]
-    fn i8_gemm_threads_and_layout_are_bitwise_stable() {
-        if !simd_available() {
-            eprintln!("skipping: no AVX2 on this host");
-            return;
-        }
-        let (imgs, p, k, n) = (3usize, 14usize, 29usize, 10usize);
-        let m = imgs * p;
-        let mut rng = StdRng::seed_from_u64(0xC0);
-        let a = rand_i8(m * k, &mut rng);
-        let b = rand_i8(n * k, &mut rng);
-        let col_sums: Vec<i32> = (0..n)
-            .map(|j| b[j * k..(j + 1) * k].iter().map(|&v| v as i32).sum())
-            .collect();
-        let mult = vec![0.04f32 * 0.03 * (1.0 / 0.2); n];
-        let badd = vec![0.0f32; n];
-        let pb = pack_b_full(&b, k, n);
-        let run = |layout: &QOutI8| {
-            let mut out = vec![0i8; m * n];
-            gemm_i8_nt(
-                m, k, n, &a, &pb, -5, &col_sums, &mult, &badd, 1, true, layout,
-                &mut out,
-            );
-            out
-        };
-        let prev = crate::threading::num_threads();
-        crate::threading::set_num_threads(1);
-        let rm1 = run(&QOutI8::RowMajor);
-        let ip1 = run(&QOutI8::ImagePatch { p });
-        crate::threading::set_num_threads(7);
-        let rm7 = run(&QOutI8::RowMajor);
-        let ip7 = run(&QOutI8::ImagePatch { p });
-        crate::threading::set_num_threads(prev);
-        assert_eq!(rm1, rm7, "thread count changed int8 bytes");
-        assert_eq!(ip1, ip7, "thread count changed int8 bytes (ImagePatch)");
-        // The two layouts hold the same bytes, permuted.
-        for i in 0..m {
-            for j in 0..n {
-                let (img, patch) = (i / p, i % p);
-                assert_eq!(rm1[i * n + j], ip1[img * n * p + j * p + patch]);
-            }
-        }
-    }
-
-    /// The VNNI microkernels must be bit-identical to the plain
-    /// madd+add forms on every tile shape (full, edge rows, narrow and
-    /// edge columns, odd k): `vpdpwssd` is the same exact i32
-    /// arithmetic, fused.
-    #[test]
-    fn i8_vnni_kernels_match_plain_bitwise() {
-        if !simd_available() || !vnni_enabled() {
-            eprintln!("skipping: no AVX2+VNNI on this host");
-            return;
-        }
-        let mut rng = StdRng::seed_from_u64(0xD1);
-        for &(kcp, mr, nr) in
-            &[(64usize, I8_MR, I8_NR), (7, 3, I8_NR), (64, I8_MR, 11), (1, 1, 16), (33, I8_MR, 8), (5, 2, 5)]
-        {
-            let pa: Vec<i32> = (0..kcp * I8_MR)
-                .map(|_| {
-                    pack_pair(rng.gen_range(-128i64..128) as i8, rng.gen_range(-128i64..128) as i8)
-                })
-                .collect();
-            let pb: Vec<i16> =
-                (0..kcp * 2 * I8_NR).map(|_| rng.gen_range(-128i64..128) as i16).collect();
-            let ldc = I8_NR + 3;
-            let mut plain = vec![7i32; I8_MR * ldc];
-            let mut vnni = vec![7i32; I8_MR * ldc];
-            for first in [true, false] {
-                // SAFETY: AVX2 + VNNI checked above; buffers sized per
-                // the kernel contracts.
-                unsafe {
-                    mk_i8_tile(false, kcp, pa.as_ptr(), pb.as_ptr(), plain.as_mut_ptr(), ldc, mr, nr, first);
-                    mk_i8_tile(true, kcp, pa.as_ptr(), pb.as_ptr(), vnni.as_mut_ptr(), ldc, mr, nr, first);
-                }
-                assert_eq!(plain, vnni, "VNNI diverged at kcp={kcp} mr={mr} nr={nr} first={first}");
-            }
-        }
     }
 
     /// FX_GEMM_KC/FX_GEMM_NC validation: in-range values round to the

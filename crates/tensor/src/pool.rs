@@ -362,50 +362,14 @@ pub fn clear() {
     clear_buckets::<i32>();
 }
 
-/// Held by the tests below that assert exact deltas of the process-wide
-/// counters, and by the kernel tests that issue pool traffic by the
-/// thousand (`ops::simd`'s tile sweeps), so the two never interleave.
-#[cfg(test)]
-pub(crate) static COUNTER_TESTS: Mutex<()> = Mutex::new(());
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A poisoned lock only means another counter test failed.
-    fn quiet() -> std::sync::MutexGuard<'static, ()> {
-        COUNTER_TESTS.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[test]
-    fn inactive_pool_is_passthrough() {
-        let _quiet = quiet();
-        // No guard live (tests in this module never leak one): recycle
-        // drops, alloc goes to the heap.
-        let before = stats();
-        let v = alloc_f32(64);
-        assert_eq!(v.len(), 64);
-        recycle_f32(v);
-        let after = stats();
-        assert_eq!(after.fresh_allocs, before.fresh_allocs + 1);
-        assert_eq!(after.recycled, before.recycled);
-    }
-
-    #[test]
-    fn round_trip_hits_the_bucket() {
-        let _g = activate();
-        // Use an odd size unlikely to collide with concurrent tests.
-        let len = 12_345;
-        let v = alloc_f32_zeroed(len);
-        let cap = v.capacity();
-        let before = stats();
-        recycle_f32(v);
-        let v2 = alloc_f32(len);
-        let after = stats();
-        assert!(v2.capacity() >= cap.min(len));
-        assert_eq!(v2.len(), len);
-        assert!(after.pool_hits > before.pool_hits, "second alloc must hit");
-    }
+    // The tests that assert deltas of the process-wide counters live in
+    // `tests/pool_counters.rs`: their own process, one `#[test]`, so no
+    // other test's pool traffic can land between a snapshot and its
+    // assertion.
 
     #[test]
     fn zeroed_alloc_really_zeroes_recycled_garbage() {
@@ -419,19 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn tensor_recycling_respects_sharing() {
-        let _quiet = quiet();
-        let _g = activate();
-        let t = Tensor::from_vec(vec![1.0f32; 4_321], &[4_321]);
-        let alias = t.clone();
-        let before = stats();
-        recycle_tensor(t); // shared -> dropped, not pooled
-        assert_eq!(stats().recycled, before.recycled);
-        recycle_tensor(alias); // unique now -> pooled
-        assert_eq!(stats().recycled, before.recycled + 1);
-    }
-
-    #[test]
     fn bucket_of_is_power_of_two_index() {
         assert_eq!(bucket_of(1), 0);
         assert_eq!(bucket_of(2), 1);
@@ -439,72 +390,5 @@ mod tests {
         assert_eq!(bucket_of(4), 2);
         assert_eq!(bucket_of(1024), 10);
         assert_eq!(bucket_of(1025), 11);
-    }
-
-    #[test]
-    fn dtype_buckets_are_segregated() {
-        let _quiet = quiet();
-        let _g = activate();
-        // Recycling an i8 buffer must never satisfy an f32 alloc of the
-        // same element count (and vice versa).
-        let len = 9_111;
-        let v8 = alloc_i8(len);
-        let before = stats();
-        recycle_i8(v8);
-        let hits_before = stats().pool_hits;
-        // Same-bucket f32 alloc: must be a fresh alloc, not a hit.
-        let vf = alloc_f32(len);
-        assert_eq!(stats().pool_hits, hits_before, "no cross-dtype hit");
-        // The i8 buffer is still there for an i8 alloc.
-        let v8b = alloc_i8(len);
-        assert_eq!(stats().pool_hits, hits_before + 1, "i8 round-trip hits");
-        assert_eq!(v8b.len(), len);
-        drop(vf);
-        recycle_i8(v8b);
-        let after = stats();
-        assert!(after.recycled >= before.recycled + 1);
-    }
-
-    #[test]
-    fn i8_bytes_weighted_by_element_size() {
-        let _quiet = quiet();
-        let _g = activate();
-        clear();
-        let len = 6_000; // bucket cap 8192
-        let v8 = alloc_i8(len);
-        let cap8 = v8.capacity();
-        let b0 = stats().in_pool_bytes;
-        recycle_i8(v8);
-        let b1 = stats().in_pool_bytes;
-        assert_eq!(b1 - b0, cap8 as u64, "i8 weighs 1 byte per element");
-        let v32 = alloc_i32(len);
-        let cap32 = v32.capacity();
-        recycle_i32(v32);
-        let b2 = stats().in_pool_bytes;
-        assert_eq!(b2 - b1, (cap32 * 4) as u64, "i32 weighs 4 bytes");
-        clear();
-    }
-
-    #[test]
-    fn qi8_tensor_recycling_round_trips() {
-        let _quiet = quiet();
-        use crate::quant::QScheme;
-        let _g = activate();
-        let len = 5_431;
-        let t = Tensor::from_qi8(
-            vec![7i8; len],
-            &[len],
-            QScheme::PerTensor {
-                scale: 0.1,
-                zero_point: 0,
-            },
-        );
-        let before = stats();
-        recycle_tensor(t);
-        assert_eq!(stats().recycled, before.recycled + 1);
-        let v = alloc_i8(len);
-        assert_eq!(v.len(), len);
-        assert!(stats().pool_hits > before.pool_hits, "i8 alloc hits");
-        recycle_i8(v);
     }
 }

@@ -9,24 +9,32 @@
 //!
 //! ## Engines
 //!
-//! The linear/conv matmul core has two engines sharing one epilogue:
-//! the AVX2 microkernel ([`crate::ops::simd`]'s `gemm_i8_nt`, exact
-//! `madd_epi16` pair accumulation) and a portable scalar triple loop.
-//! Both accumulate in exact i32 and requantize each element through the
-//! same [`requant_one`] helper, so their `i8` outputs are
-//! **bit-identical** — `FX_SIMD=0` changes speed, never bytes. (This is
-//! a stronger guarantee than the f32 kernels, where the two engines
-//! differ within a documented ULP bound.)
+//! The linear/conv matmul core has two engines sharing one set of
+//! requantization coefficients: the SIMD one ([`crate::ops::simd`]'s
+//! `gemm_i8` — the one GEMM driver over int8 k-pair tiles, exact
+//! `vpmaddwd`/`vpdpwssd` accumulation, requantization fused into its
+//! write-back) and a portable scalar one (an explicit im2col and one
+//! contiguous dot product per output — the pre-driver code, kept
+//! unchanged as the oracle). Both accumulate in exact i32 and requantize
+//! each element through [`requant_one`] or its op-for-op vector twin, so
+//! their `i8` outputs are **bit-identical** — `FX_SIMD` changes speed,
+//! never bytes. (This is a stronger guarantee than the f32 kernels,
+//! where the two engines differ within a documented ULP bound.)
 //!
-//! Kernel outputs and scratch (im2col panels, accumulators) are drawn
-//! from the dtype-aware [`crate::pool`], so a planned executor run of a
-//! quantized graph recycles int8 buffers exactly as it does f32 ones.
+//! Kernel outputs and scratch (packed panels, the padded conv input or
+//! the scalar engine's im2col panel, the i32 sums, the coefficient
+//! vectors) are drawn from the dtype-aware
+//! [`crate::pool`], so a planned executor run of a quantized graph
+//! recycles int8 buffers exactly as it does f32 ones.
 
 use crate::error::{Error, Result};
-use crate::ops::simd::{self, QOutI8};
+use crate::ops::conv::out_extent;
+use crate::ops::simd::{self, BSrc, PatchSrc};
 use crate::pool;
-use crate::shape::numel;
-use crate::tensor::Tensor;
+use crate::tensor::{Storage, Tensor};
+use crate::threading::parallel_chunks;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 /// Quantized value range for signed 8-bit storage.
 pub const QMIN: i32 = -128;
@@ -89,7 +97,7 @@ fn quantize_one(x: f32, scale: f32, zero_point: i32) -> i8 {
 /// `round_ne(acc·mult + badd [max 0]) + out_zp`, clamped to the i8
 /// range, where `mult = x_scale·w_scale/out_scale` and `badd =
 /// bias/out_scale` are the per-output-column coefficients
-/// [`qgemm_requant`] precomputes once and hands to **both** engines.
+/// [`QGemm::new`] precomputes once and hands to **both** engines.
 ///
 /// Every step has an exact AVX2 counterpart (`as f32` = `cvtdq2ps`, the
 /// `> 0.0` select = `maxps(v, 0)`, `round_ties_even() as i32` =
@@ -185,18 +193,11 @@ pub fn dequantize(q: &Tensor) -> Result<Tensor> {
 /// Quantized ReLU: clamps quantized values at the zero point (exactly
 /// real 0.0), without leaving the int8 domain.
 pub fn quantized_relu(q: &Tensor) -> Result<Tensor> {
-    let (_, zp) = q
-        .qscheme()
-        .ok_or(Error::DTypeMismatch {
-            op: "quantized_relu",
-            expected: crate::DType::QI8,
-            got: q.dtype(),
-        })?
-        .per_tensor_params()?;
+    let (_, zp) = activation_qparams("quantized_relu", q)?;
     let data = q.as_qi8()?;
     let mut out = pool::alloc_i8_empty(data.len());
     out.extend(data.iter().map(|&v| (v as i32).max(zp) as i8));
-    Ok(Tensor::from_qi8(out, q.shape(), q.qscheme().unwrap().clone()))
+    Ok(Tensor::from_qi8(out, q.shape(), q.qscheme().expect("checked above").clone()))
 }
 
 /// In-place [`quantized_relu`]: reuses the input's storage when this
@@ -204,14 +205,7 @@ pub fn quantized_relu(q: &Tensor) -> Result<Tensor> {
 /// quantized graphs), copying through the pool otherwise. Byte-for-byte
 /// the same result as the out-of-place kernel.
 pub fn quantized_relu_inplace(q: Tensor) -> Result<Tensor> {
-    let (_, zp) = q
-        .qscheme()
-        .ok_or(Error::DTypeMismatch {
-            op: "quantized_relu",
-            expected: crate::DType::QI8,
-            got: q.dtype(),
-        })?
-        .per_tensor_params()?;
+    let (_, zp) = activation_qparams("quantized_relu", &q)?;
     q.map_inplace_qi8(|v| (v as i32).max(zp) as i8)
 }
 
@@ -225,8 +219,8 @@ pub fn quantized_add(a: &Tensor, b: &Tensor, out_scale: f32, out_zp: i32) -> Res
             got: b.shape().to_vec(),
         });
     }
-    let (sa, za) = a.qscheme().unwrap().per_tensor_params()?;
-    let (sb, zb) = b.qscheme().unwrap().per_tensor_params()?;
+    let (sa, za) = activation_qparams("quantized_add", a)?;
+    let (sb, zb) = activation_qparams("quantized_add", b)?;
     let da = a.as_qi8()?;
     let db = b.as_qi8()?;
     let mut out = pool::alloc_i8_empty(da.len());
@@ -265,70 +259,72 @@ fn weight_row_sums(w: &[i8], out_features: usize, k: usize) -> Vec<i32> {
 }
 
 /// Everything about a quantized weight tensor that is invariant across
-/// inference calls: its per-output scales, the FBGEMM row-offset column
-/// sums, and (built lazily, only when the AVX2 engine runs) the packed
-/// B panels. Holding the `Tensor` keeps the storage — and therefore the
-/// cache key's data pointer — alive and un-aliasable.
+/// inference calls: its per-output-channel scales, its row sums (the
+/// activation zero point folds out of the GEMM through them, FBGEMM's
+/// row-offset identity `Σ(x−zp)·w = Σx·w − zp·Σw`) and — built lazily,
+/// only when a SIMD engine runs — the operand form the int8 GEMM reads
+/// it in: widened to k-pair rows as a conv's A, or packed into whole-
+/// depth panels as a linear's B.
 pub(crate) struct PrepackedWeights {
-    weight: Tensor,
-    ptr: usize,
-    n: usize,
-    k: usize,
+    /// The weight's storage: dead once every tensor sharing it is gone.
+    storage: Weak<Storage>,
     scales: Vec<f32>,
-    col_sums: Vec<i32>,
-    packed: std::sync::OnceLock<simd::PackedBI8>,
+    row_sums: Vec<i32>,
+    pairs: OnceLock<Vec<i32>>,
+    panels: OnceLock<Vec<i32>>,
 }
 
 impl PrepackedWeights {
-    fn packed(&self) -> &simd::PackedBI8 {
-        self.packed.get_or_init(|| {
-            simd::pack_b_full(
-                self.weight.as_qi8().expect("cached weight is qi8"),
-                self.k,
-                self.n,
-            )
+    /// `init`, once; the count is what the cache tests watch.
+    fn once<'a>(cell: &'a OnceLock<Vec<i32>>, init: impl FnOnce() -> Vec<i32>) -> &'a [i32] {
+        cell.get_or_init(|| {
+            #[cfg(test)]
+            tests::PACKS.with(|n| n.set(n.get() + 1));
+            init()
         })
     }
 }
 
-/// Small MRU cache of [`PrepackedWeights`]: weights are immutable and
-/// reused every inference, so packing and column sums amortize to zero
-/// in steady-state serving. Keyed by (data pointer, n, k); entries hold
-/// the weight tensor, so a live key can never alias recycled storage.
-const WEIGHT_CACHE_CAP: usize = 64;
-static WEIGHT_CACHE: std::sync::Mutex<Vec<std::sync::Arc<PrepackedWeights>>> =
-    std::sync::Mutex::new(Vec::new());
+/// [`PrepackedWeights`] by weight identity — `(storage address, n, k)` —
+/// so widening and row sums amortize to zero in steady-state serving
+/// however many quantized models are resident. An entry holds its
+/// storage weakly: a live weight is never evicted, and a dropped one
+/// (a swapped-out model) leaves at the next sweep — every miss, and
+/// every `len`-th hit (the second field counts them), i.e. about once
+/// per inference of whichever quantized model still runs. Only a process
+/// that never calls a quantized linear/conv again keeps its last model's
+/// operand forms (2 bytes per weight). The weak handle also pins the
+/// address, so a key can never come to name a different storage while
+/// its entry exists.
+type WeightCache = (BTreeMap<(usize, usize, usize), Arc<PrepackedWeights>>, usize);
+static WEIGHT_CACHE: Mutex<WeightCache> = Mutex::new((BTreeMap::new(), 0));
 
-fn prepack_weights(w: &Tensor, n: usize, k: usize) -> Result<std::sync::Arc<PrepackedWeights>> {
-    let ptr = w.as_qi8()?.as_ptr() as usize;
+fn prepack_weights(w: &Tensor, n: usize, k: usize) -> Result<Arc<PrepackedWeights>> {
+    let key = (Arc::as_ptr(w.storage()) as usize, n, k);
+    let cache = || WEIGHT_CACHE.lock().expect("nothing panics while holding the weight cache");
+    let live = |_: &(usize, usize, usize), e: &mut Arc<PrepackedWeights>| e.storage.strong_count() > 0;
     {
-        let mut cache = WEIGHT_CACHE.lock().unwrap();
-        if let Some(pos) = cache
-            .iter()
-            .position(|e| e.ptr == ptr && e.n == n && e.k == k)
-        {
-            let e = cache.remove(pos);
-            cache.push(e.clone());
-            return Ok(e);
+        let mut guard = cache();
+        let (map, hits) = &mut *guard;
+        if let Some(hit) = map.get(&key).cloned() {
+            *hits += 1;
+            if *hits >= map.len() {
+                *hits = 0;
+                map.retain(live);
+            }
+            return Ok(hit);
         }
     }
-    let scales = weight_scales(w, n)?;
-    let col_sums = weight_row_sums(w.as_qi8()?, n, k);
-    let entry = std::sync::Arc::new(PrepackedWeights {
-        weight: w.clone(),
-        ptr,
-        n,
-        k,
-        scales,
-        col_sums,
-        packed: std::sync::OnceLock::new(),
+    let entry = Arc::new(PrepackedWeights {
+        storage: Arc::downgrade(w.storage()),
+        scales: weight_scales(w, n)?,
+        row_sums: weight_row_sums(w.as_qi8()?, n, k),
+        pairs: OnceLock::new(),
+        panels: OnceLock::new(),
     });
-    let mut cache = WEIGHT_CACHE.lock().unwrap();
-    if cache.len() >= WEIGHT_CACHE_CAP {
-        cache.remove(0);
-    }
-    cache.push(entry.clone());
-    Ok(entry)
+    let mut guard = cache();
+    guard.0.retain(live);
+    Ok(guard.0.entry(key).or_insert(entry).clone())
 }
 
 #[derive(Clone, Copy)]
@@ -337,93 +333,154 @@ struct SendPtrI8(*mut i8);
 unsafe impl Send for SendPtrI8 {}
 unsafe impl Sync for SendPtrI8 {}
 
-/// Int8 GEMM + fused requantization, the core of quantized linear and
-/// conv: `out = requant(Σ_k a[i][kk]·b[j][kk] − a_zp·Σ_k b[j][kk])`
-/// with the weight side given as [`PrepackedWeights`] (row-major
-/// `[n, k]` transposed layout underneath).
-///
-/// The activation zero point is handled with the FBGEMM row-offset
-/// trick `Σ (a−za)·w = Σ a·w − za·Σ w`, using the prepacked per-output
-/// weight sums. The per-column requantization coefficients `mult =
-/// x_scale·w_scale/out_scale` and `badd = bias/out_scale` are computed
-/// **here, once, for both engines** — `use_simd` then selects the AVX2
-/// microkernel or the portable scalar loop, which produce bit-identical
-/// outputs (exact i32 accumulation feeding [`requant_one`] / its
-/// op-for-op vector twin on identical coefficients).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn qgemm_requant(
-    m: usize,
+/// One quantized linear or conv call, lowered to
+/// `out[img, i, patch] = requant(Σₖ w[i][k]·b[k][img·p + patch])` over
+/// the weight `[o, k]`: the prepacked weight plus the per-output-row
+/// requantization coefficients — `zp_corr = x_zp·Σₖ w`, `mult =
+/// x_scale·w_scale/out_scale`, `badd = bias/out_scale` — computed
+/// **here, once, for both engines**, which therefore produce
+/// bit-identical outputs (exact i32 accumulation feeding
+/// [`requant_one`] / its op-for-op vector twin on identical
+/// coefficients).
+struct QGemm<'a> {
+    w: &'a [i8],
     k: usize,
-    n: usize,
-    a: &[i8],
-    a_zp: i32,
-    prep: &PrepackedWeights,
-    x_scale: f32,
-    bias: Option<&[f32]>,
-    out_scale: f32,
-    out_zp: i32,
+    prep: Arc<PrepackedWeights>,
+    zp_corr: Vec<i32>,
+    mult: Vec<f32>,
+    badd: Vec<f32>,
     relu: bool,
-    layout: &QOutI8,
-    out: &mut [i8],
-    use_simd: bool,
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(out.len(), m * n);
-    let col_sums = &prep.col_sums;
-    let inv_out = 1.0 / out_scale;
-    let mut mult = pool::alloc_f32_empty(n);
-    mult.extend(prep.scales.iter().map(|&ws| x_scale * ws * inv_out));
-    let mut badd = pool::alloc_f32_empty(n);
-    match bias {
-        Some(b) => badd.extend(b.iter().map(|&v| v * inv_out)),
-        None => badd.resize(n, 0.0),
+    out_zp: i32,
+}
+
+impl<'a> QGemm<'a> {
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        op: &'static str,
+        w: &'a Tensor,
+        o: usize,
+        k: usize,
+        (x_scale, x_zp): (f32, i32),
+        bias: Option<&Tensor>,
+        (out_scale, out_zp): (f32, i32),
+        relu: bool,
+    ) -> Result<Self> {
+        let prep = prepack_weights(w, o, k)?;
+        let inv_out = 1.0 / out_scale;
+        let mut badd = pool::alloc_f32_empty(o);
+        match bias {
+            Some(b) if b.numel() != o => {
+                return Err(Error::ShapeMismatch {
+                    op,
+                    expected: format!("bias of length {o}"),
+                    got: b.shape().to_vec(),
+                })
+            }
+            Some(b) => badd.extend(b.as_f32()?.iter().map(|&v| v * inv_out)),
+            None => badd.resize(o, 0.0),
+        }
+        let mut mult = pool::alloc_f32_empty(o);
+        mult.extend(prep.scales.iter().map(|&ws| x_scale * ws * inv_out));
+        let mut zp_corr = pool::alloc_i32(o);
+        for (c, &s) in zp_corr.iter_mut().zip(&prep.row_sums) {
+            *c = x_zp.wrapping_mul(s);
+        }
+        Ok(QGemm { w: w.as_qi8()?, k, prep, zp_corr, mult, badd, relu, out_zp })
     }
-    if use_simd {
-        simd::gemm_i8_nt(
-            m,
-            k,
-            n,
-            a,
-            prep.packed(),
-            a_zp,
-            col_sums,
-            &mult,
-            &badd,
-            out_zp,
-            relu,
-            layout,
-            out,
-        );
-    } else {
-        let b = prep.weight.as_qi8().expect("cached weight is qi8");
-        debug_assert_eq!(b.len(), n * k);
+
+    fn requant(&self, per_col: bool) -> simd::Requant<'_> {
+        simd::Requant {
+            zp_corr: &self.zp_corr,
+            mult: &self.mult,
+            badd: &self.badd,
+            per_col,
+            relu: self.relu,
+            out_zp: self.out_zp,
+        }
+    }
+
+    /// The SIMD engine for a conv: the weight is A (widened once), the
+    /// `cols` patches of `b`, `p` per image, are B, so each output row is
+    /// a channel and lands as NCHW spans.
+    fn run_conv(&self, b: BSrc<i32>, pad: i8, cols: usize, p: usize, out: &mut [i8]) {
+        let (o, k) = (self.zp_corr.len(), self.k);
+        let pairs = PrepackedWeights::once(&self.prep.pairs, || {
+            simd::pair_rows(self.w, k, Vec::with_capacity(o * k.div_ceil(2)))
+        });
+        simd::gemm_i8(o, k, cols, pairs, b, pad, &self.requant(false), p, out);
+    }
+
+    /// The SIMD engine for a linear: the `rows` input rows `x` are A
+    /// (widened per call — 1/`o` of the GEMM's work), the weight is B,
+    /// packed once, so the output is row-major `[rows, o]` and a
+    /// one-row request reads each weight once, as part of a vector.
+    fn run_linear(&self, x: &[i8], rows: usize, out: &mut [i8]) {
+        let (o, k) = (self.zp_corr.len(), self.k);
+        let panels = PrepackedWeights::once(&self.prep.panels, || simd::prepack_b(self.w, o, k));
+        let a = simd::pair_rows(x, k, pool::alloc_empty(rows * k.div_ceil(2)));
+        simd::gemm_i8(rows, k, o, &a, BSrc::Packed(panels), 0, &self.requant(true), o.max(1), out);
+        pool::recycle_i32(a);
+    }
+
+    /// The portable engine, kept as the oracle: `a` is `[m, k]`
+    /// row-major — a linear's input rows (`p = 1`), or a conv's im2col
+    /// panel, `p` patches per image — and every output is one contiguous
+    /// `a_row·w_row` dot through [`requant_one`], stored at
+    /// `[img, j, patch]` (which is row-major `[m, o]` when `p = 1`).
+    fn run_scalar(&self, a: &[i8], m: usize, p: usize, out: &mut [i8]) {
+        let (n, k) = (self.zp_corr.len(), self.k);
+        debug_assert_eq!(a.len(), m * k);
+        debug_assert_eq!(out.len(), m * n);
         let out_base = SendPtrI8(out.as_mut_ptr());
-        let (mult_ref, badd_ref): (&[f32], &[f32]) = (&mult, &badd);
-        crate::threading::parallel_chunks(m, |rows| {
+        parallel_chunks(m, |rows| {
             let out_base = out_base;
             for i in rows.clone() {
                 let a_row = &a[i * k..(i + 1) * k];
                 for j in 0..n {
-                    let b_row = &b[j * k..(j + 1) * k];
+                    let b_row = &self.w[j * k..(j + 1) * k];
                     let mut acc = 0i32;
                     for kk in 0..k {
                         acc += a_row[kk] as i32 * b_row[kk] as i32;
                     }
-                    acc = acc.wrapping_sub(a_zp.wrapping_mul(col_sums[j]));
-                    let v = requant_one(acc, mult_ref[j], badd_ref[j], relu, out_zp);
-                    let idx = match *layout {
-                        QOutI8::RowMajor => i * n + j,
-                        QOutI8::ImagePatch { p } => (i / p) * n * p + j * p + (i % p),
-                    };
-                    // SAFETY: distinct (i, j) map to distinct indices under
-                    // both layouts; row ranges are disjoint per worker.
+                    acc = acc.wrapping_sub(self.zp_corr[j]);
+                    let v = requant_one(acc, self.mult[j], self.badd[j], self.relu, self.out_zp);
+                    let idx = (i / p) * n * p + j * p + (i % p);
+                    // SAFETY: distinct (i, j) map to distinct indices;
+                    // row ranges are disjoint per worker.
                     unsafe { *out_base.0.add(idx) = v };
                 }
             }
         });
     }
-    pool::recycle_f32(mult);
-    pool::recycle_f32(badd);
+
+    fn recycle(self) {
+        pool::recycle_i32(self.zp_corr);
+        pool::recycle_f32(self.mult);
+        pool::recycle_f32(self.badd);
+    }
+}
+
+/// `x` — planes of `[h, w]` — with `padding` rows/columns of `fill` on
+/// every side of each plane.
+fn pad_planes(x: &[i8], h: usize, w: usize, padding: (usize, usize), fill: i8) -> Vec<i8> {
+    let (hp, wp) = (h + 2 * padding.0, w + 2 * padding.1);
+    let mut out = pool::alloc_i8(x.len() / (h * w).max(1) * hp * wp);
+    out.fill(fill);
+    for (plane, dst) in x.chunks_exact((h * w).max(1)).zip(out.chunks_exact_mut(hp * wp)) {
+        let inner = dst[padding.0 * wp..].chunks_exact_mut(wp);
+        for (src_row, dst_row) in plane.chunks_exact(w.max(1)).zip(inner) {
+            dst_row[padding.1..padding.1 + w].copy_from_slice(src_row);
+        }
+    }
+    out
+}
+
+/// The per-tensor parameters of a quantized activation, or the typed
+/// error for anything else.
+fn activation_qparams(op: &'static str, x: &Tensor) -> Result<(f32, i32)> {
+    x.qscheme()
+        .ok_or(Error::DTypeMismatch { op, expected: crate::DType::QI8, got: x.dtype() })?
+        .per_tensor_params()
 }
 
 /// Quantized linear layer: `y = quantize(dequant(x) @ dequant(w)ᵀ + bias)`.
@@ -444,7 +501,7 @@ pub fn quantized_linear(
 }
 
 /// [`quantized_linear`] with an explicit engine choice; the tests use
-/// this to pit the AVX2 and scalar engines against each other bitwise.
+/// this to pit the SIMD and scalar engines against each other bitwise.
 pub(crate) fn quantized_linear_with_engine(
     x: &Tensor,
     w: &Tensor,
@@ -454,14 +511,7 @@ pub(crate) fn quantized_linear_with_engine(
     relu: bool,
     use_simd: bool,
 ) -> Result<Tensor> {
-    let (x_scale, x_zp) = x
-        .qscheme()
-        .ok_or(Error::DTypeMismatch {
-            op: "quantized_linear",
-            expected: crate::DType::QI8,
-            got: x.dtype(),
-        })?
-        .per_tensor_params()?;
+    let x_q = activation_qparams("quantized_linear", x)?;
     let w_shape = w.shape();
     if w_shape.len() != 2 {
         return Err(Error::ShapeMismatch {
@@ -470,59 +520,43 @@ pub(crate) fn quantized_linear_with_engine(
             got: w_shape.to_vec(),
         });
     }
-    let (out_features, in_features) = (w_shape[0], w_shape[1]);
+    let (o, k) = (w_shape[0], w_shape[1]);
     let x_shape = x.shape();
-    if x_shape.last().copied() != Some(in_features) {
+    if x_shape.last().copied() != Some(k) {
         return Err(Error::ShapeMismatch {
             op: "quantized_linear",
-            expected: format!("input with last dim {in_features}"),
+            expected: format!("input with last dim {k}"),
             got: x_shape.to_vec(),
         });
     }
-    let m = numel(x_shape) / in_features;
-    let prep = prepack_weights(w, out_features, in_features)?;
-    let bias_slice = match bias {
-        Some(b) => Some(b.as_f32()?),
-        None => None,
-    };
-    let mut out = pool::alloc_i8(m * out_features);
-    qgemm_requant(
-        m,
-        in_features,
-        out_features,
-        x.as_qi8()?,
-        x_zp,
-        &prep,
-        x_scale,
-        bias_slice,
-        out_scale,
-        out_zp,
-        relu,
-        &QOutI8::RowMajor,
-        &mut out,
-        use_simd,
-    );
+    let m: usize = x_shape[..x_shape.len() - 1].iter().product();
+    let xq = x.as_qi8()?;
+    let g = QGemm::new("quantized_linear", w, o, k, x_q, bias, (out_scale, out_zp), relu)?;
+    let mut out = pool::alloc_i8(m * o);
+    if use_simd {
+        g.run_linear(xq, m, &mut out);
+    } else {
+        g.run_scalar(xq, m, 1, &mut out);
+    }
+    g.recycle();
     let mut out_shape = x_shape.to_vec();
-    *out_shape.last_mut().unwrap() = out_features;
-    Ok(Tensor::from_qi8(
-        out,
-        &out_shape,
-        QScheme::PerTensor {
-            scale: out_scale,
-            zero_point: out_zp,
-        },
-    ))
+    *out_shape.last_mut().expect("rank checked above") = o;
+    let scheme = QScheme::PerTensor { scale: out_scale, zero_point: out_zp };
+    Ok(Tensor::from_qi8(out, &out_shape, scheme))
 }
 
-/// Quantized 2-d convolution via int8 im2col + the shared int8 GEMM,
-/// with the same requantization epilogue as [`quantized_linear`].
+/// Quantized 2-d convolution with the same requantization epilogue as
+/// [`quantized_linear`].
 ///
 /// `x` is `[N, C, H, W]` per-tensor quantized; `w` is `[O, C, kh, kw]`
 /// symmetrically quantized (groups are not supported in the quantized
-/// path, matching the models the paper quantizes). The whole batch is
-/// im2col'd into one `[N·P, K]` panel and lowered as a single GEMM; the
-/// `[P,O]→[O,P]` transpose happens in the fused write-back
-/// ([`QOutI8::ImagePatch`]), so no i32 intermediate is ever transposed.
+/// path, matching the models the paper quantizes). On the SIMD engine
+/// the whole batch is one **implicit GEMM**, the f32 conv's lowering:
+/// the weight `[O, K]` is A, the `[K, N·P]` patch matrix is gathered
+/// panel by panel into the microkernel's packed B (padding cells
+/// carrying the activation zero point — real 0.0) and never
+/// materialized, and each finished row panel of i32 sums is requantized
+/// straight into its NCHW spans.
 #[allow(clippy::too_many_arguments)]
 pub fn quantized_conv2d(
     x: &Tensor,
@@ -534,17 +568,7 @@ pub fn quantized_conv2d(
     out_zp: i32,
     relu: bool,
 ) -> Result<Tensor> {
-    quantized_conv2d_with_engine(
-        x,
-        w,
-        bias,
-        stride,
-        padding,
-        out_scale,
-        out_zp,
-        relu,
-        simd::simd_enabled(),
-    )
+    quantized_conv2d_with_engine(x, w, bias, stride, padding, out_scale, out_zp, relu, simd::simd_enabled())
 }
 
 /// [`quantized_conv2d`] with an explicit engine choice (tests).
@@ -560,88 +584,85 @@ pub(crate) fn quantized_conv2d_with_engine(
     relu: bool,
     use_simd: bool,
 ) -> Result<Tensor> {
-    let (x_scale, x_zp) = x.qscheme().unwrap().per_tensor_params()?;
+    const OP: &str = "quantized_conv2d";
+    let (x_scale, x_zp) = activation_qparams(OP, x)?;
     let xs = x.shape();
     let ws = w.shape();
     if xs.len() != 4 || ws.len() != 4 || xs[1] != ws[1] {
         return Err(Error::ShapeMismatch {
-            op: "quantized_conv2d",
+            op: OP,
             expected: "x [N,C,H,W] and w [O,C,kh,kw]".to_string(),
             got: xs.to_vec(),
         });
     }
-    let (n, c, h, wd_) = (xs[0], xs[1], xs[2], xs[3]);
+    if stride.0 == 0 || stride.1 == 0 {
+        return Err(Error::InvalidArgument { op: OP, message: "stride must be positive".to_string() });
+    }
+    let (n, c, h, wd) = (xs[0], xs[1], xs[2], xs[3]);
     let (o, kh, kw) = (ws[0], ws[2], ws[3]);
-    let oh = (h + 2 * padding.0 - kh) / stride.0 + 1;
-    let ow = (wd_ + 2 * padding.1 - kw) / stride.1 + 1;
-    let k = c * kh * kw;
-    let p = oh * ow;
-    let m = n * p;
-    let prep = prepack_weights(w, o, k)?;
+    let oh = out_extent(OP, h, padding.0, 1, kh, stride.0)?;
+    let ow = out_extent(OP, wd, padding.1, 1, kw, stride.1)?;
+    let (k, p) = (c * kh * kw, oh * ow);
     let xq = x.as_qi8()?;
-    let bias_slice = match bias {
-        Some(b) => Some(b.as_f32()?),
-        None => None,
-    };
+    let g = QGemm::new(OP, w, o, k, (x_scale, x_zp), bias, (out_scale, out_zp), relu)?;
+    // Padding cells carry the activation zero point (exact real 0.0).
     let zp_i8 = x_zp.clamp(QMIN, QMAX) as i8;
-
-    // Patch-major im2col over the whole batch: cols[(img·P + patch)][k],
-    // padding cells carry the activation zero point (exact real 0.0).
-    let mut cols = pool::alloc_i8(m * k);
-    cols.fill(zp_i8);
-    for img in 0..n {
-        let x_img = &xq[img * c * h * wd_..(img + 1) * c * h * wd_];
-        let cols_img = &mut cols[img * p * k..(img + 1) * p * k];
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let patch = (oy * ow + ox) * k;
-                for ch in 0..c {
-                    for ky in 0..kh {
-                        let iy = oy * stride.0 + ky;
-                        if iy < padding.0 || iy - padding.0 >= h {
-                            continue;
-                        }
-                        let iy = iy - padding.0;
-                        for kx in 0..kw {
-                            let ix = ox * stride.1 + kx;
-                            if ix < padding.1 || ix - padding.1 >= wd_ {
+    let mut out = pool::alloc_i8(n * o * p);
+    if use_simd {
+        // The gather is cheapest when no window can leave its source
+        // (`simd::pack_patches`), so the padding is paid once, as data:
+        // a copy of the input with its border cells already in place. A
+        // 1×1 stride-1 conv reads whole planes, which then are one long
+        // row each.
+        let padded = (padding != (0, 0)).then(|| pad_planes(xq, h, wd, padding, zp_i8));
+        let (src, h, wd) = match &padded {
+            Some(padded) => (&padded[..], h + 2 * padding.0, wd + 2 * padding.1),
+            None => (xq, h, wd),
+        };
+        let (h, wd, oh, ow) = if (kh, kw, stride) == (1, 1, (1, 1)) { (1, h * wd, 1, p) } else { (h, wd, oh, ow) };
+        let patches =
+            PatchSrc { x: src, c, h, w: wd, ch0: 0, kh, kw, stride, padding: (0, 0), dilation: (1, 1), oh, ow };
+        g.run_conv(BSrc::Patches(&patches), zp_i8, n * p, p, &mut out);
+        if let Some(padded) = padded {
+            pool::recycle_i8(padded);
+        }
+    } else {
+        // Patch-major im2col over the whole batch: cols[(img·P + patch)][k],
+        // padding cells carry the activation zero point (exact real 0.0).
+        let mut cols = pool::alloc_i8(n * p * k);
+        cols.fill(zp_i8);
+        for img in 0..n {
+            let x_img = &xq[img * c * h * wd..(img + 1) * c * h * wd];
+            let cols_img = &mut cols[img * p * k..(img + 1) * p * k];
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let patch = (oy * ow + ox) * k;
+                    for ch in 0..c {
+                        for ky in 0..kh {
+                            let iy = oy * stride.0 + ky;
+                            if iy < padding.0 || iy - padding.0 >= h {
                                 continue;
                             }
-                            let ix = ix - padding.1;
-                            cols_img[patch + ch * kh * kw + ky * kw + kx] =
-                                x_img[ch * h * wd_ + iy * wd_ + ix];
+                            let iy = iy - padding.0;
+                            for kx in 0..kw {
+                                let ix = ox * stride.1 + kx;
+                                if ix < padding.1 || ix - padding.1 >= wd {
+                                    continue;
+                                }
+                                let ix = ix - padding.1;
+                                cols_img[patch + ch * kh * kw + ky * kw + kx] = x_img[ch * h * wd + iy * wd + ix];
+                            }
                         }
                     }
                 }
             }
         }
+        g.run_scalar(&cols, n * p, p, &mut out);
+        pool::recycle_i8(cols);
     }
-    let mut out = pool::alloc_i8(m * o);
-    qgemm_requant(
-        m,
-        k,
-        o,
-        &cols,
-        x_zp,
-        &prep,
-        x_scale,
-        bias_slice,
-        out_scale,
-        out_zp,
-        relu,
-        &QOutI8::ImagePatch { p },
-        &mut out,
-        use_simd,
-    );
-    pool::recycle_i8(cols);
-    Ok(Tensor::from_qi8(
-        out,
-        &[n, o, oh, ow],
-        QScheme::PerTensor {
-            scale: out_scale,
-            zero_point: out_zp,
-        },
-    ))
+    g.recycle();
+    let scheme = QScheme::PerTensor { scale: out_scale, zero_point: out_zp };
+    Ok(Tensor::from_qi8(out, &[n, o, oh, ow], scheme))
 }
 
 #[cfg(test)]
@@ -649,6 +670,13 @@ mod tests {
     use super::*;
     use crate::rng::StdRng;
     use crate::rng::SeedableRng;
+
+    thread_local! {
+        /// Weights widened by this thread (`PrepackedWeights::pairs`
+        /// runs on the calling thread, so concurrent tests do not see
+        /// each other's).
+        pub(super) static PACKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
 
     #[test]
     fn qparams_cover_range_and_zero() {
@@ -823,28 +851,37 @@ mod tests {
                 );
             }
         }
-        // Conv with padding/stride and a multi-image batch.
-        let x = Tensor::rand_uniform(&[3, 4, 9, 9], -1.0, 1.0, &mut rng);
-        let w = Tensor::rand_uniform(&[6, 4, 3, 3], -0.5, 0.5, &mut rng);
-        let b = Tensor::rand_uniform(&[6], -0.2, 0.2, &mut rng);
-        let (xs, xzp) = choose_qparams(-1.0, 1.0);
-        let xq = quantize_per_tensor(&x, xs, xzp).unwrap();
-        let wq = quantize_per_channel(&w, 0).unwrap();
-        for (stride, padding) in [((1, 1), (1, 1)), ((2, 2), (0, 0)), ((2, 1), (1, 0))] {
-            let fast = quantized_conv2d_with_engine(
-                &xq, &wq, Some(&b), stride, padding, 0.07, -2, true, true,
-            )
-            .unwrap();
-            let slow = quantized_conv2d_with_engine(
-                &xq, &wq, Some(&b), stride, padding, 0.07, -2, true, false,
-            )
-            .unwrap();
-            assert_eq!(fast.shape(), slow.shape());
-            assert_eq!(
-                fast.as_qi8().unwrap(),
-                slow.as_qi8().unwrap(),
-                "conv stride={stride:?} padding={padding:?}: engines disagree"
-            );
+        // Conv: 3×3 with padding/stride over a multi-image batch, 1×1,
+        // 3×3 pad 1, the 7×7 stride-2 pad-3 stem, and output rows
+        // shorter than a patch run (`ow < 8`, gathered cell by cell) —
+        // all with a non-zero activation zero point under the borders.
+        // (batch, c, h, w, o, kh, kw, stride, padding)
+        let cases = [
+            (3usize, 4usize, 9usize, 9usize, 6usize, 3usize, 3usize, (1usize, 1usize), (1usize, 1usize)),
+            (3, 4, 9, 9, 6, 3, 3, (2, 2), (0, 0)),
+            (3, 4, 9, 9, 6, 3, 3, (2, 1), (1, 0)),
+            (2, 19, 10, 12, 13, 1, 1, (1, 1), (0, 0)),
+            (2, 7, 16, 16, 14, 3, 3, (1, 1), (1, 1)),
+            (2, 3, 21, 21, 25, 7, 7, (2, 2), (3, 3)),
+            (4, 9, 4, 5, 30, 3, 3, (1, 1), (1, 1)),
+            (1, 5, 2, 2, 26, 3, 3, (1, 1), (1, 1)),
+        ];
+        for &(n, c, h, wd, o, kh, kw, stride, padding) in &cases {
+            let x = Tensor::rand_uniform(&[n, c, h, wd], -1.0, 1.0, &mut rng);
+            let w = Tensor::rand_uniform(&[o, c, kh, kw], -0.5, 0.5, &mut rng);
+            let b = Tensor::rand_uniform(&[o], -0.2, 0.2, &mut rng);
+            let xq = quantize_per_tensor(&x, 2.0 / 255.0, 41).unwrap();
+            let wq = quantize_per_channel(&w, 0).unwrap();
+            for relu in [false, true] {
+                let run = |simd| quantized_conv2d_with_engine(&xq, &wq, Some(&b), stride, padding, 0.07, -2, relu, simd).unwrap();
+                let (fast, slow) = (run(true), run(false));
+                assert_eq!(fast.shape(), slow.shape());
+                assert_eq!(
+                    fast.as_qi8().unwrap(),
+                    slow.as_qi8().unwrap(),
+                    "conv {kh}x{kw} on {h}x{wd} stride={stride:?} padding={padding:?} relu={relu}: engines disagree"
+                );
+            }
         }
     }
 
@@ -879,6 +916,151 @@ mod tests {
         for (i, s) in solo.iter().enumerate() {
             assert_eq!(&y[i * 7..(i + 1) * 7], &s[..], "row {i} changed inside batch");
         }
+        // Conv: an image answered in a batch of 4 (a wider GEMM, possibly
+        // another tile) equals the same image answered alone.
+        let cw = quantize_per_channel(&Tensor::rand_uniform(&[9, 5, 3, 3], -1.0, 1.0, &mut rng), 0).unwrap();
+        let imgs: Vec<Tensor> = (0..4).map(|_| Tensor::rand_uniform(&[1, 5, 6, 6], -1.0, 1.0, &mut rng)).collect();
+        let conv = |x: &Tensor| {
+            let xq = quantize_per_tensor(x, xs, 17).unwrap();
+            quantized_conv2d(&xq, &cw, None, (1, 1), (1, 1), 0.05, -3, true).unwrap()
+        };
+        let refs: Vec<&Tensor> = imgs.iter().collect();
+        let batched = conv(&crate::ops::stack_batch(&refs).unwrap());
+        let per_img = 9 * 6 * 6;
+        for (i, img) in imgs.iter().enumerate() {
+            assert_eq!(
+                &batched.as_qi8().unwrap()[i * per_img..(i + 1) * per_img],
+                conv(img).as_qi8().unwrap(),
+                "image {i} changed inside batch"
+            );
+        }
+    }
+
+    /// Malformed calls are typed errors, never panics or wrapped
+    /// extents: a float input, a zero stride, a kernel larger than the
+    /// padded input.
+    #[test]
+    fn quantized_conv_rejects_bad_calls_with_typed_errors() {
+        let w = quantize_per_channel(&Tensor::ones(&[2, 1, 5, 5]), 0).unwrap();
+        let xf = Tensor::ones(&[1, 1, 4, 4]);
+        let err = quantized_conv2d(&xf, &w, None, (1, 1), (0, 0), 0.1, 0, false).unwrap_err();
+        assert!(matches!(err, Error::DTypeMismatch { op: "quantized_conv2d", .. }), "{err}");
+        let xq = quantize_per_tensor(&xf, 0.1, 0).unwrap();
+        let err = quantized_conv2d(&xq, &w, None, (1, 0), (2, 2), 0.1, 0, false).unwrap_err();
+        assert!(matches!(err, Error::InvalidArgument { .. }) && err.to_string().contains("stride"), "{err}");
+        // 5×5 over 4×4 unpadded: `4 − 5` must not wrap into a huge extent.
+        let err = quantized_conv2d(&xq, &w, None, (1, 1), (0, 0), 0.1, 0, false).unwrap_err();
+        assert!(matches!(err, Error::InvalidArgument { .. }) && err.to_string().contains("does not fit"), "{err}");
+        assert!(quantized_conv2d(&xq, &w, None, (1, 1), (1, 1), 0.1, 0, false).is_ok());
+    }
+
+    /// Shapes with nothing to multiply still produce well-formed
+    /// outputs, the same on both engines: no rows, and `K = 0` (every
+    /// sum empty, so the output is the requantized bias).
+    #[test]
+    fn degenerate_linear_shapes_agree_across_engines() {
+        if !simd::simd_available() {
+            eprintln!("skipping: no AVX2 on this host");
+            return;
+        }
+        let scheme = QScheme::PerTensor { scale: 0.1, zero_point: 7 };
+        let bias = Tensor::from_vec(vec![0.5, -0.25, 1.0], &[3]);
+        for (rows, k) in [(0usize, 5usize), (4, 0), (0, 0)] {
+            let x = Tensor::from_qi8(vec![1; rows * k], &[rows, k], scheme.clone());
+            let w = Tensor::from_qi8(vec![2; 3 * k], &[3, k], QScheme::PerTensor { scale: 0.2, zero_point: 0 });
+            let run = |simd| quantized_linear_with_engine(&x, &w, Some(&bias), 0.05, -1, false, simd).unwrap();
+            let (fast, slow) = (run(true), run(false));
+            assert_eq!(fast.shape(), &[rows, 3]);
+            assert_eq!(fast.as_qi8().unwrap(), slow.as_qi8().unwrap(), "rows={rows} k={k}");
+            if rows > 0 {
+                assert_eq!(&fast.as_qi8().unwrap()[..3], &[9, -6, 19], "an empty sum requantizes the bias");
+            }
+        }
+    }
+
+    #[test]
+    fn pad_planes_puts_the_fill_on_every_side() {
+        let x: Vec<i8> = (1..=12).collect(); // two 2×3 planes
+        let padded = pad_planes(&x, 2, 3, (1, 2), -9);
+        let plane = |rows: [[i8; 3]; 2]| {
+            let mut v = vec![-9i8; 4 * 7];
+            for (r, row) in rows.iter().enumerate() {
+                v[(r + 1) * 7 + 2..(r + 1) * 7 + 5].copy_from_slice(row);
+            }
+            v
+        };
+        assert_eq!(padded, [plane([[1, 2, 3], [4, 5, 6]]), plane([[7, 8, 9], [10, 11, 12]])].concat());
+    }
+
+    /// A stack of `depth` quantized 1×1 convs with distinct weights, and
+    /// one pass of an input through it on the SIMD engine.
+    fn conv_stack(depth: usize, rng: &mut StdRng) -> Vec<Tensor> {
+        (0..depth)
+            .map(|_| quantize_per_channel(&Tensor::rand_uniform(&[6, 6, 1, 1], -1.0, 1.0, rng), 0).unwrap())
+            .collect()
+    }
+    fn run_stack(stack: &[Tensor], x: &Tensor) -> Tensor {
+        stack.iter().fold(x.clone(), |x, w| {
+            quantized_conv2d_with_engine(&x, w, None, (1, 1), (0, 0), 0.05, 0, false, true).unwrap()
+        })
+    }
+
+    /// Two resident quantized models whose weights together exceed any
+    /// fixed entry count (the old 64-slot MRU cycled 108 ResNet-50 keys
+    /// and re-widened every weight on every run): after each has run
+    /// once, alternating between them widens nothing.
+    #[test]
+    fn two_resident_models_are_widened_once_each() {
+        if !simd::simd_available() {
+            eprintln!("skipping: no AVX2 on this host");
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(0xCAC4E);
+        let (a, b) = (conv_stack(54, &mut rng), conv_stack(54, &mut rng));
+        let x = quantize_per_tensor(&Tensor::rand_uniform(&[1, 6, 3, 3], -1.0, 1.0, &mut rng), 0.01, 5).unwrap();
+        let before = PACKS.with(|n| n.get());
+        let (ya, yb) = (run_stack(&a, &x), run_stack(&b, &x));
+        assert_eq!(PACKS.with(|n| n.get()) - before, 108, "first pass widens each weight once");
+        for _ in 0..3 {
+            assert_eq!(run_stack(&a, &x).as_qi8().unwrap(), ya.as_qi8().unwrap());
+            assert_eq!(run_stack(&b, &x).as_qi8().unwrap(), yb.as_qi8().unwrap());
+        }
+        assert_eq!(PACKS.with(|n| n.get()) - before, 108, "a resident weight was widened again");
+    }
+
+    /// A dropped model's entries leave the cache — at the next miss, or
+    /// within one pass of a model that only ever hits — rather than
+    /// pinning its widened weights until evicted by count.
+    #[test]
+    fn dropped_weights_leave_the_cache() {
+        let mut rng = StdRng::seed_from_u64(0xD409);
+        let x = quantize_per_tensor(&Tensor::rand_uniform(&[1, 6, 3, 3], -1.0, 1.0, &mut rng), 0.01, 5).unwrap();
+        let keys = |m: &[Tensor]| m.iter().map(|w| (Arc::as_ptr(w.storage()) as usize, 6, 6)).collect::<Vec<_>>();
+        let cached = |keys: &[(usize, usize, usize)]| {
+            let cache = WEIGHT_CACHE.lock().unwrap();
+            keys.iter().filter(|k| cache.0.contains_key(k)).count()
+        };
+        let model = conv_stack(5, &mut rng);
+        let dead = keys(&model);
+        run_stack(&model, &x);
+        assert_eq!(cached(&dead), 5, "a live model's weights are cached");
+        drop(model);
+        let survivor = conv_stack(1, &mut rng);
+        run_stack(&survivor, &x); // any miss sweeps the dead
+        assert_eq!(cached(&dead), 0, "a dropped model's entries must not outlive it");
+
+        // No miss ever comes again: the survivor's hits sweep too. Other
+        // tests share the cache, so "one pass" is bounded by its size.
+        let model = conv_stack(5, &mut rng);
+        let dead = keys(&model);
+        run_stack(&model, &x);
+        drop(model);
+        let size = WEIGHT_CACHE.lock().unwrap().0.len();
+        for _ in 0..=size {
+            run_stack(&survivor, &x);
+        }
+        assert_eq!(cached(&dead), 0, "hits alone must sweep a dropped model's entries");
+        assert_eq!(cached(&keys(&survivor)), 1);
     }
 
     #[test]
@@ -896,46 +1078,5 @@ mod tests {
         let got_inplace = quantized_relu_inplace(q).unwrap();
         assert_eq!(got_inplace.as_qi8().unwrap(), want.as_qi8().unwrap());
         assert_eq!(got_inplace.qscheme(), want.qscheme());
-    }
-
-    #[test]
-    #[ignore]
-    fn perf_probe_i8_gemm() {
-        use std::time::Instant;
-        let (m, k, n) = (256usize, 256usize, 256usize);
-        let mut rng = StdRng::seed_from_u64(1);
-        let x = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
-        let w = Tensor::rand_uniform(&[n, k], -0.5, 0.5, &mut rng);
-        let (xs, xzp) = choose_qparams(-1.0, 1.0);
-        let xq = quantize_per_tensor(&x, xs, xzp).unwrap();
-        let wq = quantize_per_channel(&w, 0).unwrap();
-        let flops = (2 * m * k * n) as f64;
-        let iters = 200;
-        let _pool = crate::pool::activate();
-        for _ in 0..5 {
-            crate::pool::recycle_tensor(quantized_linear(&xq, &wq, None, 0.02, 0, false).unwrap());
-        }
-        let t = Instant::now();
-        for _ in 0..iters {
-            crate::pool::recycle_tensor(quantized_linear(&xq, &wq, None, 0.02, 0, false).unwrap());
-        }
-        let full = t.elapsed().as_secs_f64() / iters as f64;
-        eprintln!("quantized_linear: {:.3} ms  {:.1} GFLOP/s", full * 1e3, flops / full / 1e9);
-
-        let a = xq.as_qi8().unwrap();
-        let prep = prepack_weights(&wq, n, k).unwrap();
-        let mult: Vec<f32> = prep.scales.iter().map(|&ws| xs * ws * (1.0 / 0.02)).collect();
-        let badd = vec![0.0f32; n];
-        let pb = prep.packed();
-        let mut out = vec![0i8; m * n];
-        for _ in 0..5 {
-            simd::gemm_i8_nt(m, k, n, a, pb, xzp, &prep.col_sums, &mult, &badd, 0, false, &QOutI8::RowMajor, &mut out);
-        }
-        let t = Instant::now();
-        for _ in 0..iters {
-            simd::gemm_i8_nt(m, k, n, a, pb, xzp, &prep.col_sums, &mult, &badd, 0, false, &QOutI8::RowMajor, &mut out);
-        }
-        let raw = t.elapsed().as_secs_f64() / iters as f64;
-        eprintln!("gemm_i8_nt raw:   {:.3} ms  {:.1} GFLOP/s", raw * 1e3, flops / raw / 1e9);
     }
 }

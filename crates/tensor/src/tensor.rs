@@ -189,6 +189,12 @@ impl Tensor {
         self.numel() * self.dtype().size_bytes()
     }
 
+    /// The shared storage, for caches keyed by storage identity that must
+    /// not keep it alive (they hold an `Arc::downgrade` of this).
+    pub(crate) fn storage(&self) -> &Arc<Storage> {
+        &self.storage
+    }
+
     /// The quantization scheme, if this is a quantized tensor.
     pub fn qscheme(&self) -> Option<&QScheme> {
         match &*self.storage {

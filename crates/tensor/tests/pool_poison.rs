@@ -8,13 +8,20 @@
 //! buffers across the size range the kernels request, then runs every
 //! pooled kernel path (GEMM nn/nt, batched matmul, linear with fused
 //! epilogue, pointwise conv, im2col conv, implicit-GEMM conv, grouped
-//! and padded variants) and asserts no NaN leaks into any output.
+//! and padded variants) and asserts no NaN leaks into any output. The
+//! quantized kernels get the same treatment with garbage integers: the
+//! int8 pack path stages its gather in a pooled i8 buffer, packs k-pair
+//! panels into a pooled i32 block, sums into a pooled i32 block and
+//! pads the conv input into a pooled i8 copy — every one of them must be
+//! fully written before it is read, so a poisoned run must equal a run
+//! on fresh buffers byte for byte.
 //!
 //! Runs as its own integration binary so the poisoned pool cannot
 //! interfere with unrelated tests; `scripts/verify.sh` runs it under
 //! every `FX_SIMD` level (the packed-panel buffers on the SIMD paths are
 //! also pool-drawn and also must be fully written, whatever the tile).
 
+use fx_tensor::quant::{quantize_per_channel, quantize_per_tensor, quantized_conv2d, quantized_linear};
 use fx_tensor::rng::{SeedableRng, StdRng};
 use fx_tensor::{ops, pool, Tensor};
 
@@ -27,6 +34,8 @@ fn poison_pool() {
         let len = 1usize << exp;
         for _ in 0..4 {
             pool::recycle_f32(vec![f32::NAN; len]);
+            pool::recycle_i8(vec![0x5Ai8; len]);
+            pool::recycle_i32(vec![0x5A5A_5A5Ai32; len]);
         }
     }
 }
@@ -97,9 +106,50 @@ fn run_kernels(tag: &str) {
     );
 }
 
+/// The quantized kernels over the int8 driver's edge geometries; the
+/// returned bytes are compared between fresh and poisoned buffers.
+fn run_quantized_kernels() -> Vec<Vec<i8>> {
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut outs = Vec::new();
+    // (batch, c, h, w, o, kernel, stride, padding): an odd K under one
+    // pair-row with fewer rows than a tile and fewer columns than a
+    // panel; K across two KC panels with more than one NC block of
+    // columns; a ragged last row panel with a half-width last column
+    // panel; rows too short to copy as runs; a strided 1×1.
+    let convs = [
+        (1usize, 1usize, 3usize, 3usize, 2usize, 1usize, 1usize, 0usize),
+        (1, 64, 24, 24, 7, 3, 1, 1),
+        (3, 5, 7, 6, 29, 3, 1, 1),
+        (2, 9, 4, 4, 13, 3, 1, 1),
+        (2, 6, 9, 9, 5, 1, 2, 0),
+    ];
+    for &(n, c, h, w, o, k, s, p) in &convs {
+        let x = quantize_per_tensor(&Tensor::rand_uniform(&[n, c, h, w], -1.0, 1.0, &mut rng), 2.0 / 255.0, -9).unwrap();
+        let wt = quantize_per_channel(&Tensor::rand_uniform(&[o, c, k, k], -0.5, 0.5, &mut rng), 0).unwrap();
+        let b = Tensor::rand_uniform(&[o], -0.1, 0.1, &mut rng);
+        poison_pool();
+        let y = quantized_conv2d(&x, &wt, Some(&b), (s, s), (p, p), 0.05, 4, true).unwrap();
+        outs.push(y.as_qi8().unwrap().to_vec());
+    }
+    for &(m, k, o) in &[(1usize, 1usize, 1usize), (9, 31, 23), (40, 600, 17)] {
+        let x = quantize_per_tensor(&Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng), 2.0 / 255.0, 11).unwrap();
+        let wt = quantize_per_channel(&Tensor::rand_uniform(&[o, k], -0.5, 0.5, &mut rng), 0).unwrap();
+        poison_pool();
+        outs.push(quantized_linear(&x, &wt, None, 0.04, -2, false).unwrap().as_qi8().unwrap().to_vec());
+    }
+    outs
+}
+
 #[test]
 fn recycled_pool_buffers_never_leak_into_kernel_outputs() {
+    // Pool inactive: `poison_pool` recycles into nothing and every
+    // buffer is fresh.
+    let fresh = run_quantized_kernels();
     let _guard = pool::activate();
     run_kernels(fx_tensor::simd_level());
+    let poisoned = run_quantized_kernels();
+    for (i, (f, p)) in fresh.iter().zip(&poisoned).enumerate() {
+        assert_eq!(f, p, "quantized kernel #{i}: recycled pool garbage changed the output");
+    }
     pool::clear();
 }

@@ -17,7 +17,9 @@
 #    level axes: executor vs exact-mode engine backend (fusion passes +
 #    the same executor) across threads × planner modes, served vs solo,
 #    int8 across engines and batch positions, f32↔int8 hot swap. The
-#    fx-tensor kernel suite additionally runs with VNNI masked off.
+#    fx-tensor kernel suite additionally runs with VNNI masked off at
+#    both vector widths, so all four int8 dot-step × width tile
+#    instances execute on an AVX-512 VNNI builder.
 # 4. benchmark contract smoke  — two seconds of the benchmark of record's
 #    transform_resnet50 workload; it must report `"correct":true` (which
 #    includes `fx_backend::compile` producing the 73 fused instructions
@@ -39,12 +41,17 @@
 #    smoke: `Registry::register` admits ResNet-50 as traced, conv–BN
 #    fused, backend-fused, lowered and PTQ int8, and refuses a
 #    `flatten(0, -1)` graph as "not batch-polymorphic".
-# 8. one-rule gate             — the shape/cost analyses dispatch on op
+# 8. one-rule gates            — the shape/cost analyses dispatch on op
 #    names only: no `downcast_ref` / `type_name()` in the four analysis
-#    files (a leaf is read through its traced forward, DESIGN §5f).
+#    files (a leaf is read through its traced forward, DESIGN §5f); and
+#    int8 has no GEMM machine of its own: none of the names of the old
+#    one (`I8_MR`, `I8_NR`, `mk_i8`, `pack_a_i8`, `ImagePatch`) under
+#    crates/tensor/src (it is rows in the one driver's tile table,
+#    DESIGN §5e).
 # 9. size report               — non-test lines (up to each file's
-#    `#[cfg(test)]`) per crate and for the four analysis files, so the
-#    number a simplicity PR cites comes from the gate, not from hand.
+#    `#[cfg(test)]`) per crate, for the four analysis files and for the
+#    two kernel files, so the number a simplicity PR cites comes from
+#    the gate, not from hand.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,7 +71,10 @@ for simd in 1 avx2 0; do
             cargo test -q --release --workspace
     done
 done
-FX_SIMD=1 FX_VNNI=0 cargo test -q --release -p fx-tensor
+for simd in avx512 avx2; do
+    echo "-- FX_SIMD=$simd FX_VNNI=0 (fx-tensor)"
+    FX_SIMD=$simd FX_VNNI=0 cargo test -q --release -p fx-tensor
+done
 
 echo "== benchmark contract smoke: transform_resnet50 reports correct =="
 # Built as the benchmark driver builds it: its own target dir, no RUSTFLAGS.
@@ -107,6 +117,13 @@ if grep -nE 'downcast_ref|type_name\(\)' "${analyses[@]}"; then
 fi
 echo "no downcast_ref / type_name() in ${analyses[*]}"
 
+echo "== one-driver gate: int8 is rows in the tile table, not a second GEMM machine =="
+if grep -rnE 'I8_MR|I8_NR|mk_i8|pack_a_i8|ImagePatch' crates/tensor/src; then
+    echo "a piece of the forked int8 GEMM is back; extend the one driver instead" >&2
+    exit 1
+fi
+echo "no I8_MR / I8_NR / mk_i8 / pack_a_i8 / ImagePatch under crates/tensor/src"
+
 echo "== size: non-test lines =="
 nontest_lines() {
     awk 'FNR == 1 { in_tests = 0 } /^#\[cfg\(test\)\]/ { in_tests = 1 } !in_tests { n++ } END { print n + 0 }' "$@"
@@ -119,4 +136,7 @@ for f in "${analyses[@]}"; do
     printf '%-40s %6d\n' "$f" "$(nontest_lines "$f")"
 done
 printf '%-40s %6d\n' "the four analysis files" "$(nontest_lines "${analyses[@]}")"
+for f in crates/tensor/src/ops/simd.rs crates/tensor/src/quant.rs; do
+    printf '%-40s %6d\n' "$f" "$(nontest_lines "$f")"
+done
 echo "verify: OK"
