@@ -79,10 +79,12 @@ impl DeviceSpec {
     /// roofline in the benches — so the same conv reads as a *smaller*
     /// fraction of peak on an AVX-512 host than on an AVX2 one.
     pub fn host_cpu_single_core() -> DeviceSpec {
-        // The int8 tiles are YMM `vpmaddwd`/`vpdpwssd` at every level:
-        // twice the AVX2 f32 peak, level with the AVX-512 one.
+        // The int8 tiles run at the f32 tiles' width, and one
+        // `vpmaddwd`/`vpdpwssd` does twice an FMA's multiply-adds (a ZMM
+        // `vpdpwssd` loop measures 2.06× the ZMM FMA one): int8 peak is
+        // twice f32's at every SIMD level.
         let (name, peak_flops, int8_speedup) = match fx_tensor::simd_level() {
-            "avx512" => ("host core, AVX-512 microkernel", 192.0e9, 1.0),
+            "avx512" => ("host core, AVX-512 microkernel", 192.0e9, 2.0),
             "avx2" => ("host core, AVX2+FMA microkernel", 96.0e9, 2.0),
             _ => ("host core, portable scalar", 24.0e9, 2.0),
         };

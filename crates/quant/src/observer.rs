@@ -10,7 +10,7 @@
 //! buffers.
 
 use fx_core::{Module, Result, Value};
-use fx_tensor::quant::choose_qparams;
+use fx_tensor::quant::{choose_qparams, min_max};
 use std::any::Any;
 use std::sync::Mutex;
 
@@ -34,6 +34,13 @@ impl Range {
     fn is_empty(&self) -> bool {
         self.min > self.max
     }
+
+    /// `self` widened by every non-NaN value of `data` — the `f32::min` /
+    /// `f32::max` fold, scanned in independent lanes ([`min_max`]).
+    fn widened(self, data: &[f32]) -> Range {
+        let (min, max) = min_max(data, (self.min, self.max));
+        Range { min, max }
+    }
 }
 
 /// The range of a tensor's values; `None` for any other value. An
@@ -43,12 +50,7 @@ fn tensor_range(v: &Value) -> Result<Option<Range>> {
     let Value::Tensor(t) = v else {
         return Ok(None);
     };
-    let mut r = Range::empty();
-    for &x in t.as_f32()? {
-        r.min = r.min.min(x);
-        r.max = r.max.max(x);
-    }
-    Ok(Some(r))
+    Ok(Some(Range::empty().widened(t.as_f32()?)))
 }
 
 /// Records the global min/max of everything it sees — PyTorch's
@@ -244,10 +246,7 @@ impl Module for HistogramObserver {
         };
         let data = t.as_f32()?;
         let mut state = self.state.lock().expect("observer poisoned");
-        for &x in data {
-            state.range.min = state.range.min.min(x);
-            state.range.max = state.range.max.max(x);
-        }
+        state.range = state.range.widened(data);
         // Reservoir-lite: keep up to 64k samples for the final histogram.
         const CAP: usize = 65_536;
         let room = CAP.saturating_sub(state.samples.len());
@@ -321,6 +320,42 @@ mod tests {
         // Range [-1, 3] over 255 steps.
         assert!((scale - 4.0 / 255.0).abs() < 1e-6);
         assert!((-128..=127).contains(&zp));
+    }
+
+    /// The lane-wise scan calibrates exactly what the one-scalar-at-a-time
+    /// `f32::min`/`f32::max` fold did, on tensors holding NaN, ±0 and
+    /// ±inf at every position mod 16 (and none at all, or only NaN).
+    #[test]
+    fn range_scan_calibrates_like_the_scalar_fold() {
+        let fold = |data: &[f32]| {
+            let mut r = Range::empty();
+            for &x in data {
+                r.min = r.min.min(x);
+                r.max = r.max.max(x);
+            }
+            r
+        };
+        let specials = [f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, -3.5, 2.25];
+        let mut cases: Vec<Vec<f32>> = vec![vec![], vec![f32::NAN; 21], vec![-0.0, 0.0], vec![0.0, -0.0]];
+        for len in [1usize, 15, 16, 17, 40] {
+            for (s, &special) in specials.iter().enumerate() {
+                for at in 0..len {
+                    let mut data: Vec<f32> = (0..len).map(|i| ((i * 7 + s) % 11) as f32 * 0.3 - 1.4).collect();
+                    data[at] = special;
+                    data[(at * 5 + 3) % len] = specials[(s + 1) % specials.len()];
+                    cases.push(data);
+                }
+            }
+        }
+        for data in cases {
+            let (old, new) = (fold(&data), Range::empty().widened(&data));
+            assert_eq!(old.is_empty(), new.is_empty(), "{data:?}");
+            if !old.is_empty() {
+                assert_eq!(choose_qparams(old.min, old.max), choose_qparams(new.min, new.max), "{data:?}");
+            }
+            // The EMA observer keeps the range itself, not just qparams.
+            assert!(old.min == new.min && old.max == new.max, "{data:?}: {old:?} vs {new:?}");
+        }
     }
 
     #[test]

@@ -1,24 +1,41 @@
-//! Quick GEMM/conv throughput probe for kernel work: prints GFLOP/s per
-//! shape under whichever engine `FX_SIMD` selects. Not a benchmark of
-//! record — `fx-bench`'s `interp_vs_executor` writes the archived
-//! numbers — just a fast feedback loop while tuning microkernels.
+//! Quick kernel throughput probe: prints GFLOP/s per GEMM/conv shape and
+//! ns per element for the int8 elementwise kernels (the quantize lane)
+//! under whichever engine `FX_SIMD` selects. Not a benchmark of record —
+//! `fx-bench`'s `interp_vs_executor` writes the archived numbers — just
+//! a fast feedback loop while tuning kernels:
+//!
+//! ```sh
+//! cargo run --release -p fx-tensor --example kernel_probe
+//! FX_SIMD=avx2 cargo run --release -p fx-tensor --example kernel_probe
+//! ```
 
+use fx_tensor::quant::{quantize_per_channel, quantize_per_tensor, quantized_add, quantized_conv2d, quantized_relu};
 use fx_tensor::rng::{SeedableRng, StdRng};
 use fx_tensor::{ops, Tensor};
 use std::time::Instant;
 
-fn time_gflops(name: &str, flops: u64, mut f: impl FnMut()) {
+/// Best-of-8 wall time of `f`, after two warm-up calls.
+fn best_of(mut f: impl FnMut()) -> f64 {
     for _ in 0..2 {
         f(); // warm-up
     }
-    let trials = 8;
     let mut best = f64::INFINITY;
-    for _ in 0..trials {
+    for _ in 0..8 {
         let t0 = Instant::now();
         f();
         best = best.min(t0.elapsed().as_secs_f64());
     }
+    best
+}
+
+fn time_gflops(name: &str, flops: u64, f: impl FnMut()) {
+    let best = best_of(f);
     println!("{name:32} {:9.3} ms  {:7.2} GFLOP/s", best * 1e3, flops as f64 / best / 1e9);
+}
+
+fn time_per_elem(name: &str, elems: usize, f: impl FnMut()) {
+    let best = best_of(f);
+    println!("{name:32} {:9.3} ms  {:7.3} ns/elem", best * 1e3, best / elems as f64 * 1e9);
 }
 
 fn main() {
@@ -51,5 +68,33 @@ fn main() {
     let w1 = Tensor::rand_uniform(&[2048, 512, 1, 1], -0.5, 0.5, &mut rng);
     time_gflops("conv1x1 512->2048 @2x2", 2 * 2048 * 2 * 2 * 512, || {
         ops::conv2d_pointwise(&x1, &w1, None).unwrap();
+    });
+
+    // The int8 elementwise kernels at ResNet-50 sizes ([4,3,64,64]
+    // input): a layer1 residual add and its ReLU, the input's quant
+    // boundary, PTQ's weight quantization of a layer4 3x3 kernel, and the
+    // conv epilogue — a 1x1 conv over two channels, so the GEMM is one
+    // k-pair and requantizing its 64 output rows is the work.
+    let (s, zp) = (0.05, 3);
+    let qa = quantize_per_tensor(&Tensor::rand_uniform(&[4, 256, 16, 16], -4.0, 4.0, &mut rng), s, zp).unwrap();
+    let qb = quantize_per_tensor(&Tensor::rand_uniform(&[4, 256, 16, 16], -4.0, 4.0, &mut rng), 0.04, -5).unwrap();
+    time_per_elem("quantized_add [4,256,16,16]", qa.numel(), || {
+        quantized_add(&qa, &qb, 0.07, -2).unwrap();
+    });
+    time_per_elem("quantized_relu [4,256,16,16]", qa.numel(), || {
+        quantized_relu(&qa).unwrap();
+    });
+    let xf = Tensor::rand_uniform(&[4, 3, 64, 64], -2.0, 2.0, &mut rng);
+    time_per_elem("quantize_per_tensor [4,3,64,64]", xf.numel(), || {
+        quantize_per_tensor(&xf, s, zp).unwrap();
+    });
+    let wf = Tensor::rand_uniform(&[512, 512, 3, 3], -0.5, 0.5, &mut rng);
+    time_per_elem("quantize_per_channel [512,512,3,3]", wf.numel(), || {
+        quantize_per_channel(&wf, 0).unwrap();
+    });
+    let xq = quantize_per_tensor(&Tensor::rand_uniform(&[4, 2, 32, 32], -2.0, 2.0, &mut rng), s, zp).unwrap();
+    let wq = quantize_per_channel(&Tensor::rand_uniform(&[64, 2, 1, 1], -0.5, 0.5, &mut rng), 0).unwrap();
+    time_per_elem("requant (conv1x1 2->64 @32x32)", 4 * 64 * 32 * 32, || {
+        quantized_conv2d(&xq, &wq, None, (1, 1), (0, 0), 0.05, -1, true).unwrap();
     });
 }

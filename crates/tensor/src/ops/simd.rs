@@ -71,6 +71,18 @@
 //! request reads each weight once, in a vector, and the output is
 //! row-major as it stands.
 //!
+//! ## The quantize lane
+//!
+//! The int8 elementwise work — `quantized_add`, the graph's
+//! `quantize_per_tensor` boundaries, PTQ's per-channel weight
+//! quantization and the epilogue above — is one more body per job over a
+//! [`QLane`] (an f32 register and its i32 twin), instantiated at YMM and
+//! ZMM like the tiles ([`QuantLane`]). Each step is the IEEE twin of the
+//! scalar oracle's: true division (no reciprocal), separate mul and add
+//! (no FMA), `f32::round`'s half-away-from-zero as `trunc` plus a
+//! sign-step where `|x − trunc x| ≥ ½`, the requant epilogue's ties-even
+//! as `cvtps2dq` — so every width writes the oracle's bytes.
+//!
 //! ## Numerics and determinism (f32)
 //!
 //! Each output element is accumulated **sequentially over k**: one
@@ -1141,6 +1153,391 @@ fn epilogue(
 }
 
 // ===========================================================================
+// The quantize lane: int8 elementwise work at YMM and ZMM
+// ===========================================================================
+
+/// One register of f32 lanes and its i32 twin: the steps the quantize
+/// lane is written in, each the exact IEEE counterpart of one scalar
+/// step of [`crate::quant`]'s oracle. Like [`Vector`], every method is
+/// `#[inline(always)]` and only sound inside a `#[target_feature]`
+/// wrapper enabling `Self`'s instruction set.
+trait QLane: Copy {
+    /// The i32 register with as many lanes.
+    type I: Copy;
+    const LANES: usize;
+    unsafe fn splat(v: f32) -> Self;
+    unsafe fn splat_i(v: i32) -> Self::I;
+    unsafe fn load(p: *const f32) -> Self;
+    unsafe fn load_i(p: *const i32) -> Self::I;
+    /// `LANES` i8 at `p`, each `as i32`.
+    unsafe fn load_i8(p: *const i8) -> Self::I;
+    /// `(i − j) as f32`: a wrapping i32 subtract, then `cvtdq2ps`.
+    unsafe fn sub_f32(i: Self::I, j: Self::I) -> Self;
+    unsafe fn add(self, o: Self) -> Self;
+    unsafe fn mul(self, o: Self) -> Self;
+    /// A true IEEE division (`divps`), never a reciprocal estimate.
+    unsafe fn div(self, o: Self) -> Self;
+    /// `maxps` / `minps`: `o` in any lane where either is NaN.
+    unsafe fn max(self, o: Self) -> Self;
+    unsafe fn min(self, o: Self) -> Self;
+    /// `f32::round` — half away from zero — with NaN lanes made 0, the
+    /// value `as i32` gives NaN: `t = trunc(x)`, plus `copysign(1, x)`
+    /// where `|x − t| ≥ ½`. `x − t` is exact, and so is `t ± 1` (a
+    /// fraction exists only below 2²³).
+    unsafe fn round_away(self) -> Self;
+    /// `cvttps2dq`: `self as i32` for integral lanes inside the i32 range.
+    unsafe fn trunc_i(self) -> Self::I;
+    /// `cvtps2dq` under the default rounding mode: `round_ties_even() as
+    /// i32` inside the i32 range.
+    unsafe fn even_i(self) -> Self::I;
+    /// `(i + zp).clamp(QMIN, QMAX) as i8` — a wrapping add, then a
+    /// saturating narrow — stored as `LANES` bytes at `p`.
+    unsafe fn store_i8(i: Self::I, zp: Self::I, p: *mut i8);
+}
+
+/// A [`QLane`] impl: the uniform methods are one intrinsic each (named
+/// in order: `set1_ps`, `set1_epi32`, `loadu_ps`, i32 load, `sub_epi32`,
+/// `cvtepi32_ps`, `add_ps`, `mul_ps`, `div_ps`, `max_ps`, `min_ps`,
+/// `cvttps_epi32`, `cvtps_epi32`); the three that differ by ISA are
+/// written out at the invocation, over the named arguments.
+macro_rules! impl_qlane {
+    ($v:ident, $i:ident, $lanes:literal,
+     [$set1:ident, $set1i:ident, $load:ident, $loadi:ident, $subi:ident, $cvt:ident, $add:ident,
+      $mul:ident, $div:ident, $max:ident, $min:ident, $cvtt:ident, $cvtn:ident],
+     load_i8($p:ident) $load_i8:block
+     round_away($x:ident) $round:block
+     store_i8($q:ident, $zp:ident, $dst:ident) $store:block) => {
+        #[cfg(target_arch = "x86_64")]
+        impl QLane for std::arch::x86_64::$v {
+            type I = std::arch::x86_64::$i;
+            const LANES: usize = $lanes;
+            #[inline(always)]
+            unsafe fn splat(v: f32) -> Self {
+                std::arch::x86_64::$set1(v)
+            }
+            #[inline(always)]
+            unsafe fn splat_i(v: i32) -> Self::I {
+                std::arch::x86_64::$set1i(v)
+            }
+            #[inline(always)]
+            unsafe fn load(p: *const f32) -> Self {
+                std::arch::x86_64::$load(p)
+            }
+            #[inline(always)]
+            unsafe fn load_i(p: *const i32) -> Self::I {
+                std::arch::x86_64::$loadi(p.cast())
+            }
+            #[inline(always)]
+            unsafe fn load_i8($p: *const i8) -> Self::I {
+                use std::arch::x86_64::*;
+                $load_i8
+            }
+            #[inline(always)]
+            unsafe fn sub_f32(i: Self::I, j: Self::I) -> Self {
+                std::arch::x86_64::$cvt(std::arch::x86_64::$subi(i, j))
+            }
+            #[inline(always)]
+            unsafe fn add(self, o: Self) -> Self {
+                std::arch::x86_64::$add(self, o)
+            }
+            #[inline(always)]
+            unsafe fn mul(self, o: Self) -> Self {
+                std::arch::x86_64::$mul(self, o)
+            }
+            #[inline(always)]
+            unsafe fn div(self, o: Self) -> Self {
+                std::arch::x86_64::$div(self, o)
+            }
+            #[inline(always)]
+            unsafe fn max(self, o: Self) -> Self {
+                std::arch::x86_64::$max(self, o)
+            }
+            #[inline(always)]
+            unsafe fn min(self, o: Self) -> Self {
+                std::arch::x86_64::$min(self, o)
+            }
+            #[inline(always)]
+            unsafe fn round_away(self) -> Self {
+                use std::arch::x86_64::*;
+                let $x = self;
+                $round
+            }
+            #[inline(always)]
+            unsafe fn trunc_i(self) -> Self::I {
+                std::arch::x86_64::$cvtt(self)
+            }
+            #[inline(always)]
+            unsafe fn even_i(self) -> Self::I {
+                std::arch::x86_64::$cvtn(self)
+            }
+            #[inline(always)]
+            unsafe fn store_i8($q: Self::I, $zp: Self::I, $dst: *mut i8) {
+                use std::arch::x86_64::*;
+                $store
+            }
+        }
+    };
+}
+
+impl_qlane!(__m256, __m256i, 8,
+    [_mm256_set1_ps, _mm256_set1_epi32, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_sub_epi32, _mm256_cvtepi32_ps,
+     _mm256_add_ps, _mm256_mul_ps, _mm256_div_ps, _mm256_max_ps, _mm256_min_ps, _mm256_cvttps_epi32, _mm256_cvtps_epi32],
+    load_i8(p) { _mm256_cvtepi8_epi32(_mm_loadl_epi64(p.cast())) }
+    round_away(x) {
+        let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(x);
+        let sign = _mm256_set1_ps(-0.0);
+        let away = _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_andnot_ps(sign, _mm256_sub_ps(x, t)), _mm256_set1_ps(0.5));
+        let step = _mm256_or_ps(_mm256_and_ps(sign, x), _mm256_set1_ps(1.0));
+        let r = _mm256_add_ps(t, _mm256_and_ps(away, step));
+        _mm256_and_ps(r, _mm256_cmp_ps::<_CMP_ORD_Q>(x, x))
+    }
+    store_i8(q, zp, p) {
+        let q = _mm256_add_epi32(q, zp);
+        let w = _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256::<1>(q));
+        _mm_storel_epi64(p.cast(), _mm_packs_epi16(w, w));
+    }
+);
+impl_qlane!(__m512, __m512i, 16,
+    [_mm512_set1_ps, _mm512_set1_epi32, _mm512_loadu_ps, _mm512_loadu_si512, _mm512_sub_epi32, _mm512_cvtepi32_ps,
+     _mm512_add_ps, _mm512_mul_ps, _mm512_div_ps, _mm512_max_ps, _mm512_min_ps, _mm512_cvttps_epi32, _mm512_cvtps_epi32],
+    load_i8(p) { _mm512_cvtepi8_epi32(_mm_loadu_si128(p.cast())) }
+    round_away(x) {
+        let t = _mm512_roundscale_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(x);
+        let away = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(_mm512_abs_ps(_mm512_sub_ps(x, t)), _mm512_set1_ps(0.5));
+        let sign = _mm512_and_si512(_mm512_castps_si512(x), _mm512_set1_epi32(i32::MIN));
+        let step = _mm512_castsi512_ps(_mm512_or_si512(sign, _mm512_castps_si512(_mm512_set1_ps(1.0))));
+        let r = _mm512_mask_add_ps(t, away, t, step);
+        _mm512_maskz_mov_ps(_mm512_cmp_ps_mask::<_CMP_ORD_Q>(x, x), r)
+    }
+    store_i8(q, zp, p) { _mm_storeu_si128(p.cast(), _mm512_cvtsepi32_epi8(_mm512_add_epi32(q, zp))) }
+);
+
+/// Lanes of the widest [`QLane`]: sizes the stack copies of ragged tails.
+const LANES_MAX: usize = 16;
+
+/// `load` of the first `lanes` values of `s`, through a zero-padded
+/// stack copy when `s` is shorter (a ragged tail).
+#[inline(always)]
+fn load_padded<T: Copy + Default, R>(s: &[T], lanes: usize, load: impl FnOnce(*const T) -> R) -> R {
+    if s.len() >= lanes {
+        load(s.as_ptr())
+    } else {
+        let mut buf = [T::default(); LANES_MAX];
+        buf[..s.len()].copy_from_slice(s);
+        load(buf.as_ptr())
+    }
+}
+
+/// [`crate::quant::quantize_one`] lane for lane for one output scale and
+/// zero point: divide, round half away from zero, clamp, add the zero
+/// point, narrow. The clamp runs in f32, against `QMIN − zp` and `QMAX −
+/// zp` — exact integers for every zero point in [`LANE_ZP`] — so the
+/// conversion sees only in-range values and `+ zp` cannot wrap; that is
+/// the whole of `as i32`'s saturation and `saturating_add`'s.
+struct Quantizer<V: QLane> {
+    scale: V,
+    lo: V,
+    hi: V,
+    zp: V::I,
+}
+
+impl<V: QLane> Quantizer<V> {
+    #[inline(always)]
+    unsafe fn new(scale: f32, zp: i32) -> Self {
+        use crate::quant::{QMAX, QMIN};
+        let (lo, hi) = (V::splat((QMIN - zp) as f32), V::splat((QMAX - zp) as f32));
+        Quantizer { scale: V::splat(scale), lo, hi, zp: V::splat_i(zp) }
+    }
+
+    /// Quantize the real values `x` into `dst` (`dst.len() ≤ LANES`).
+    #[inline(always)]
+    unsafe fn store(&self, x: V, dst: &mut [i8]) {
+        let q = x.div(self.scale).round_away().max(self.lo).min(self.hi).trunc_i();
+        if dst.len() == V::LANES {
+            V::store_i8(q, self.zp, dst.as_mut_ptr());
+        } else {
+            let mut bytes = [0i8; LANES_MAX];
+            V::store_i8(q, self.zp, bytes.as_mut_ptr());
+            dst.copy_from_slice(&bytes[..dst.len()]);
+        }
+    }
+}
+
+/// The output zero points the quantize lane takes (its clamp bounds must
+/// be exact in f32, so within ±2²⁴). Calibration only produces i8 zero
+/// points; anything outside this runs the scalar oracle.
+const LANE_ZP: std::ops::RangeInclusive<i32> = -(1 << 24) + 128..=(1 << 24) - 128;
+
+/// `out[i] = quantize_one(x[i], scale, zp)`.
+///
+/// # Safety
+/// Only sound inside a `#[target_feature]` function enabling `V`'s
+/// instruction set; `zp` must be in [`LANE_ZP`].
+#[inline(always)]
+unsafe fn quantize_lane<V: QLane>(x: &[f32], scale: f32, zp: i32, out: &mut [i8]) {
+    let q = Quantizer::<V>::new(scale, zp);
+    for (x, dst) in x.chunks(V::LANES).zip(out.chunks_mut(V::LANES)) {
+        q.store(load_padded(x, V::LANES, |p| V::load(p)), dst);
+    }
+}
+
+/// A per-tensor `(scale, zero point)`.
+type Affine = (f32, i32);
+
+/// `out[i] = quantize_one((a[i] − za)·sa + (b[i] − zb)·sb, scale, zp)`:
+/// [`crate::quant::quantized_add`]'s element, with the product sum as a
+/// separate mul, mul and add (no FMA contraction).
+///
+/// # Safety
+/// As [`quantize_lane`], for the output zero point `qo.1`.
+#[inline(always)]
+unsafe fn add_lane<V: QLane>(a: &[i8], b: &[i8], qa: Affine, qb: Affine, qo: Affine, out: &mut [i8]) {
+    let q = Quantizer::<V>::new(qo.0, qo.1);
+    let (sa, za, sb, zb) = (V::splat(qa.0), V::splat_i(qa.1), V::splat(qb.0), V::splat_i(qb.1));
+    for ((a, b), dst) in a.chunks(V::LANES).zip(b.chunks(V::LANES)).zip(out.chunks_mut(V::LANES)) {
+        let x = V::sub_f32(load_padded(a, V::LANES, |p| V::load_i8(p)), za).mul(sa);
+        let y = V::sub_f32(load_padded(b, V::LANES, |p| V::load_i8(p)), zb).mul(sb);
+        q.store(x.add(y), dst);
+    }
+}
+
+/// Requantize `acc` — the sums of output row `i`, GEMM columns
+/// `j0..j0+acc.len()` — into place, `V::LANES` at a time. Column `j` is
+/// patch `j % p` of image `j / p`, and `out` is `[images, m, p]`, so a
+/// row's columns land as one contiguous span per image (a linear is one
+/// image of `p = n` "patches": plain row-major). Every step is the exact
+/// IEEE counterpart of [`crate::quant::requant_one`] (`cvtdq2ps` = `as
+/// f32`, a separate `mulps` and `addps`, `maxps` = the `> 0.0` select,
+/// `cvtps2dq` = `round_ties_even() as i32`, the saturating narrow = the
+/// clamp), so the scalar engine agrees bitwise.
+///
+/// # Safety
+/// Only sound inside a `#[target_feature]` function enabling `V`'s
+/// instruction set. `out` must be valid for writes at every index this
+/// row's columns map to, and no other thread may write them.
+#[inline(always)]
+unsafe fn requant_row<V: QLane>(acc: &[i32], rq: &Requant, i: usize, m: usize, j0: usize, p: usize, out: *mut i8) {
+    let (zero, zp) = (V::splat(0.0), V::splat_i(rq.out_zp));
+    let of_row = (!rq.per_col).then(|| (V::splat_i(rq.zp_corr[i]), V::splat(rq.mult[i]), V::splat(rq.badd[i])));
+    let (mut img, mut patch) = (j0 / p, j0 % p);
+    for (ci, chunk) in acc.chunks(V::LANES).enumerate() {
+        let len = chunk.len();
+        let (zc, mult, badd) = of_row.unwrap_or_else(|| {
+            let j = j0 + V::LANES * ci;
+            let (zc, mult, badd) = (&rq.zp_corr[j..], &rq.mult[j..], &rq.badd[j..]);
+            let f32s = |s| load_padded(s, V::LANES, |p| V::load(p));
+            (load_padded(zc, V::LANES, |p| V::load_i(p)), f32s(mult), f32s(badd))
+        });
+        let mut v = V::sub_f32(load_padded(chunk, V::LANES, |p| V::load_i(p)), zc).mul(mult).add(badd);
+        if rq.relu {
+            v = v.max(zero);
+        }
+        let q = v.even_i();
+        if len == V::LANES && patch + len <= p {
+            V::store_i8(q, zp, out.add((img * m + i) * p + patch));
+            patch += len;
+        } else {
+            // The chunk straddles images (or is the row's tail): place
+            // its bytes one by one.
+            let mut bytes = [0i8; LANES_MAX];
+            V::store_i8(q, zp, bytes.as_mut_ptr());
+            for &b in &bytes[..len] {
+                if patch == p {
+                    (img, patch) = (img + 1, 0);
+                }
+                *out.add((img * m + i) * p + patch) = b;
+                patch += 1;
+            }
+        }
+        if patch == p {
+            (img, patch) = (img + 1, 0);
+        }
+    }
+}
+
+/// The quantize lane at one vector width: [`quantize_lane`],
+/// [`add_lane`] and [`requant_row`] instantiated for one [`QLane`]
+/// behind `#[target_feature]` wrappers, and the [`Level`] that must be
+/// detected before they may be called.
+pub(crate) struct QuantLane {
+    name: &'static str,
+    level: Level,
+    quantize: unsafe fn(&[f32], f32, i32, &mut [i8]),
+    #[allow(clippy::type_complexity)]
+    add: unsafe fn(&[i8], &[i8], Affine, Affine, Affine, &mut [i8]),
+    requant: unsafe fn(&[i32], &Requant, usize, usize, usize, usize, *mut i8),
+}
+
+/// A [`QuantLane`] of the three bodies instantiated for vector `$v`.
+/// Each wrapper's safety contract is its body's, plus: the CPU must
+/// support `$features` — callers reach them only through a lane whose
+/// `level` runtime detection confirmed.
+macro_rules! quant_lane {
+    ($name:literal, $level:expr, $features:literal, $v:ident) => {{
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = $features)]
+        unsafe fn quantize(x: &[f32], scale: f32, zp: i32, out: &mut [i8]) {
+            quantize_lane::<std::arch::x86_64::$v>(x, scale, zp, out)
+        }
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = $features)]
+        unsafe fn add(a: &[i8], b: &[i8], qa: Affine, qb: Affine, qo: Affine, out: &mut [i8]) {
+            add_lane::<std::arch::x86_64::$v>(a, b, qa, qb, qo, out)
+        }
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = $features)]
+        unsafe fn requant(acc: &[i32], rq: &Requant, i: usize, m: usize, j0: usize, p: usize, out: *mut i8) {
+            requant_row::<std::arch::x86_64::$v>(acc, rq, i, m, j0, p, out)
+        }
+        QuantLane { name: $name, level: $level, quantize, add, requant }
+    }};
+}
+
+/// The quantize lane at each width, narrowest first.
+#[cfg(target_arch = "x86_64")]
+static QUANT_LANES: [QuantLane; 2] = [
+    quant_lane!("avx2 8-lane", Level::Avx2, "avx2", __m256),
+    quant_lane!("avx512 16-lane", Level::Avx512, "avx512f,avx512bw", __m512),
+];
+
+impl QuantLane {
+    /// The lane at `level` (which the caller has detected).
+    fn at(level: Level) -> &'static QuantLane {
+        &QUANT_LANES[(level == Level::Avx512) as usize]
+    }
+
+    fn check(&self, zp: i32) {
+        assert!(self.level <= detected_level(), "quantize lane {} needs an ISA this CPU lacks", self.name);
+        assert!(LANE_ZP.contains(&zp), "quantize lane: zero point {zp} outside {LANE_ZP:?}");
+    }
+
+    /// `out[i] = quantize_one(x[i], scale, zp)`, bit for bit.
+    pub(crate) fn quantize(&self, x: &[f32], scale: f32, zp: i32, out: &mut [i8]) {
+        assert_eq!(x.len(), out.len(), "quantize lane: length mismatch");
+        self.check(zp);
+        // SAFETY: the lane's ISA was detected (checked above).
+        unsafe { (self.quantize)(x, scale, zp, out) }
+    }
+
+    /// `out[i] = quantize_one((a[i]−za)·sa + (b[i]−zb)·sb, scale, zp)`
+    /// for `qa = (sa, za)`, `qb = (sb, zb)`, `qo = (scale, zp)`, bit for
+    /// bit.
+    pub(crate) fn add(&self, a: &[i8], b: &[i8], qa: Affine, qb: Affine, qo: Affine, out: &mut [i8]) {
+        assert!(a.len() == out.len() && b.len() == out.len(), "quantize lane: length mismatch");
+        self.check(qo.1);
+        // SAFETY: the lane's ISA was detected (checked above).
+        unsafe { (self.add)(a, b, qa, qb, qo, out) }
+    }
+}
+
+/// The quantize lane this process runs for output zero point `zp`: the
+/// one at [`level`]'s width, or `None` under `FX_SIMD=0` (the scalar
+/// oracle runs) or for a zero point outside [`LANE_ZP`].
+pub(crate) fn quant_lane(zp: i32) -> Option<&'static QuantLane> {
+    (level() != Level::Scalar && LANE_ZP.contains(&zp)).then(|| QuantLane::at(level()))
+}
+
+// ===========================================================================
 // int8: the requantizing epilogue and the entry point
 // ===========================================================================
 
@@ -1164,82 +1561,6 @@ pub(crate) struct Requant<'a> {
     pub relu: bool,
     /// Output zero point.
     pub out_zp: i32,
-}
-
-/// Requantize `acc` — the sums of output row `i`, GEMM columns
-/// `j0..j0+acc.len()` — into place. Column `j` is patch `j % p` of image
-/// `j / p`, and `out` is `[images, m, p]`, so a row's columns land as one
-/// contiguous span per image (a linear is one image of `p = n`
-/// "patches": plain row-major). Eight lanes at a time; every vector op
-/// is the exact IEEE counterpart of [`crate::quant::requant_one`]
-/// (`cvtdq2ps` = `as f32`, `cvtps2dq` = `round_ties_even() as i32`,
-/// `maxps` = the `> 0.0` select), so the scalar engine agrees bitwise.
-///
-/// # Safety
-/// Requires AVX2. `out` must be valid for writes at every index this
-/// row's columns map to, and no other thread may write them.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn requant_row(acc: &[i32], rq: &Requant, i: usize, m: usize, j0: usize, p: usize, out: *mut i8) {
-    use std::arch::x86_64::*;
-    // The first eight values of `s` (zero-extended when it is shorter).
-    let i32x8 = |s: &[i32]| match s.first_chunk::<8>() {
-        Some(lanes) => _mm256_loadu_si256(lanes.as_ptr().cast()),
-        None => {
-            let mut lanes = [0i32; 8];
-            lanes[..s.len()].copy_from_slice(s);
-            _mm256_loadu_si256(lanes.as_ptr().cast())
-        }
-    };
-    let f32x8 = |s: &[f32]| match s.first_chunk::<8>() {
-        Some(lanes) => _mm256_loadu_ps(lanes.as_ptr()),
-        None => {
-            let mut lanes = [0f32; 8];
-            lanes[..s.len()].copy_from_slice(s);
-            _mm256_loadu_ps(lanes.as_ptr())
-        }
-    };
-    let zero = _mm256_setzero_ps();
-    let (zp_v, lo_v, hi_v) = (_mm256_set1_epi32(rq.out_zp), _mm256_set1_epi32(-128), _mm256_set1_epi32(127));
-    let of_row = (!rq.per_col)
-        .then(|| (_mm256_set1_epi32(rq.zp_corr[i]), _mm256_set1_ps(rq.mult[i]), _mm256_set1_ps(rq.badd[i])));
-    let (mut img, mut patch) = (j0 / p, j0 % p);
-    for (ci, chunk) in acc.chunks(8).enumerate() {
-        let len = chunk.len();
-        let (zc_v, mult_v, badd_v) = of_row.unwrap_or_else(|| {
-            let j = j0 + 8 * ci;
-            (i32x8(&rq.zp_corr[j..]), f32x8(&rq.mult[j..]), f32x8(&rq.badd[j..]))
-        });
-        let sums = _mm256_sub_epi32(i32x8(chunk), zc_v);
-        let mut v = _mm256_add_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(sums), mult_v), badd_v);
-        if rq.relu {
-            v = _mm256_max_ps(v, zero);
-        }
-        let q = _mm256_min_epi32(hi_v, _mm256_max_epi32(lo_v, _mm256_add_epi32(_mm256_cvtps_epi32(v), zp_v)));
-        // 8×i32 → 8×i8: the values are already in [-128, 127], so the
-        // saturating packs are pure narrowing.
-        let w = _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256(q, 1));
-        let bytes = _mm_packs_epi16(w, w);
-        if len == 8 && patch + 8 <= p {
-            _mm_storel_epi64(out.add((img * m + i) * p + patch).cast(), bytes);
-            patch += 8;
-        } else {
-            // The chunk straddles images (or is the row's tail): place
-            // its bytes one by one.
-            let mut lanes = [0i8; 8];
-            _mm_storel_epi64(lanes.as_mut_ptr().cast(), bytes);
-            for &b in &lanes[..len] {
-                if patch == p {
-                    (img, patch) = (img + 1, 0);
-                }
-                *out.add((img * m + i) * p + patch) = b;
-                patch += 1;
-            }
-        }
-        if patch == p {
-            (img, patch) = (img + 1, 0);
-        }
-    }
 }
 
 /// The tile an `n`-column int8 GEMM runs under in this process.
@@ -1303,14 +1624,17 @@ fn gemm_i8_tiled(
     let ldc = n.min(nc_blk);
     let mut acc = pool::alloc_i32(m * ldc);
     let out_base = SendPtr(out.as_mut_ptr());
+    // The epilogue runs at the tile's width: 16 lanes behind a ZMM tile.
+    let requant = QuantLane::at(tile.level).requant;
     gemm_tiled(tile, kc_blk, nc_blk, m, k, n, a, b, pad, &mut acc, |i0, j0, cols, rows| {
         let out_base = out_base;
         for (r, row) in rows.chunks(ldc).enumerate() {
-            // SAFETY: AVX2 was detected (the tile's level, asserted by
-            // the driver). Row `i0 + r`, columns `j0..j0+cols` map to
-            // indices below `m·n` that no other row or block maps to,
-            // and `out` is exclusively borrowed for the whole call.
-            unsafe { requant_row(&row[..cols], rq, i0 + r, m, j0, p, out_base.0) };
+            // SAFETY: the tile's level was detected (`gemm_tiled` asserts
+            // it before any row is finished). Row `i0 + r`, columns
+            // `j0..j0+cols` map to indices below `m·n` that no other row
+            // or block maps to, and `out` is exclusively borrowed for the
+            // whole call.
+            unsafe { requant(&row[..cols], rq, i0 + r, m, j0, p, out_base.0) };
         }
     });
     pool::recycle_i32(acc);
@@ -1732,7 +2056,8 @@ mod tests {
     /// The requantizing entry point under every int8 tile against
     /// `requant_one` over the scalar sums, coefficients per row (a conv)
     /// and per column (a linear): images of 1, 3, 4, 20 and all columns,
-    /// so spans end inside, at and across 8-lane chunks and column blocks
+    /// so spans end inside, at and across 8- and 16-lane chunks (the YMM
+    /// tiles' epilogue and the ZMM tiles') and column blocks
     /// (`NC` of one panel: C is a reused block); thread count must not
     /// change a byte either.
     #[test]
@@ -1770,6 +2095,140 @@ mod tests {
             }
         }
         crate::threading::set_num_threads(prev);
+    }
+
+    /// The quantize lane at every width this CPU can run; prints which it
+    /// skips.
+    fn runnable_lanes() -> Vec<&'static QuantLane> {
+        let mut lanes = Vec::new();
+        for lane in &QUANT_LANES {
+            if lane.level <= detected_level() {
+                lanes.push(lane);
+            } else {
+                eprintln!("skipping quantize lane {}: this CPU lacks its instructions", lane.name);
+            }
+        }
+        lanes
+    }
+
+    /// Zero points around every edge the lane's clamp has: the i8 limits
+    /// and one past them, both signs, and the ends of [`LANE_ZP`].
+    const ZPS: [i32; 11] = [-(1 << 24) + 128, -1000, -129, -128, -1, 0, 1, 127, 128, 1000, (1 << 24) - 128];
+
+    /// `quantized_add` at every width against the scalar element over
+    /// all 2¹⁶ input pairs, for a sweep of operand and output parameters:
+    /// i8-limit and far-out zero points, an output scale far below the
+    /// inputs' (nearly everything saturates), integer sums halved (every
+    /// odd one an exact tie), and scales that are not powers of two. The
+    /// pairs are walked from an odd offset so the last chunk is ragged.
+    #[test]
+    fn every_quant_lane_adds_all_pairs_like_the_scalar_oracle() {
+        let a: Vec<i8> = (0..1 << 16).map(|i| (i & 0xFF) as u8 as i8).collect();
+        let b: Vec<i8> = (0..1 << 16).map(|i| (i >> 8) as u8 as i8).collect();
+        let sets: [(Affine, Affine, Affine); 9] = [
+            ((0.02, 3), (0.05, -7), (0.07, 2)),
+            ((0.1, -128), (0.1, 127), (1e-4, 0)),
+            ((1.0, 0), (1.0, 0), (2.0, -128)),
+            ((1.0, 5), (1.0, -5), (2.0, 127)),
+            ((0.5, 0), (0.25, 1), (1.0, 1000)),
+            ((0.013, 17), (0.0071, -40), (0.0193, -1000)),
+            ((3.0, 128), (0.001, -129), (0.75, -1)),
+            ((1e-3, 0), (1e-3, 0), (1e-3, (1 << 24) - 128)),
+            ((2.5, -3), (1.5, 9), (4.0, -(1 << 24) + 128)),
+        ];
+        for lane in runnable_lanes() {
+            for &(qa, qb, qo) in &sets {
+                let want: Vec<i8> = a.iter().zip(&b).map(|(&x, &y)| crate::quant::add_one(x, y, qa, qb, qo)).collect();
+                let mut got = vec![0x55i8; a.len()];
+                lane.add(&a, &b, qa, qb, qo, &mut got);
+                assert_eq!(got, want, "{} {qa:?} + {qb:?} -> {qo:?}", lane.name);
+                let mut got = vec![0x55i8; a.len() - 8];
+                lane.add(&a[3..a.len() - 5], &b[3..b.len() - 5], qa, qb, qo, &mut got);
+                assert_eq!(got, want[3..want.len() - 5], "{} offset {qa:?} + {qb:?} -> {qo:?}", lane.name);
+            }
+        }
+    }
+
+    /// The quantize step at every width against `quantize_one` on the
+    /// values that break a careless lane — ±inf, NaN, ±0, ±1e30, the i32
+    /// limits, exact ties and their neighbours, values with no fraction
+    /// left (≥ 2²³), subnormals — plus a random spread, under every
+    /// zero point in [`ZPS`] and several scales, over every length up to
+    /// three vectors (every tail).
+    #[test]
+    fn every_quant_lane_quantizes_like_the_scalar_oracle() {
+        let mut x = vec![
+            f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN, 0.0, -0.0, 1e30, -1e30, f32::MAX, f32::MIN,
+            2147483648.0, -2147483648.0, 2147483520.0, -2147483520.0, 4294967296.0, 8388607.5, -8388607.5,
+            4194304.5, 8388608.0, 16777215.0, 1e-45, -1e-45, 1.2e-38, 0.49999997, -0.49999997,
+        ];
+        for k in -130..130 {
+            let tie = k as f32 + 0.5;
+            x.extend([tie, tie.next_up(), tie.next_down(), k as f32]);
+        }
+        let mut rng = StdRng::seed_from_u64(0x9A17);
+        x.extend((0..1000).map(|_| rng.gen_range(-400.0f64..400.0) as f32));
+        for lane in runnable_lanes() {
+            for &zp in &ZPS {
+                for scale in [1.0f32, 0.5, 2.0, 0.037, 1e-3, 3.0] {
+                    let want: Vec<i8> = x.iter().map(|&v| crate::quant::quantize_one(v, scale, zp)).collect();
+                    let mut got = vec![0x55i8; x.len()];
+                    lane.quantize(&x, scale, zp, &mut got);
+                    assert_eq!(got, want, "{} scale={scale} zp={zp}", lane.name);
+                    for len in 0..=3 * LANES_MAX {
+                        let mut got = vec![0x55i8; len];
+                        lane.quantize(&x[7..7 + len], scale, zp, &mut got);
+                        assert_eq!(got, want[7..7 + len], "{} len={len} scale={scale} zp={zp}", lane.name);
+                    }
+                }
+            }
+        }
+        // A zero point whose bounds f32 cannot hold exactly takes the
+        // scalar oracle; every i8 zero point takes the lane.
+        assert!(quant_lane(*LANE_ZP.end() + 1).is_none() && quant_lane(*LANE_ZP.start() - 1).is_none());
+        assert_eq!(quant_lane(-128).is_some(), simd_enabled());
+    }
+
+    /// The requantizing epilogue at every width against `requant_one`,
+    /// called directly: rows starting inside, at and past an image
+    /// boundary, as long as and longer than a vector, images shorter
+    /// than, equal to and longer than one (so 16-lane chunks straddle
+    /// images and end in ragged tails), coefficients per row and per
+    /// column, with and without ReLU. Bytes outside the row's spans stay
+    /// untouched.
+    #[test]
+    fn every_quant_lane_requantizes_rows_across_images() {
+        let mut rng = StdRng::seed_from_u64(0x4E9);
+        let m = 3;
+        for lane in runnable_lanes() {
+            for &p in &[1usize, 3, 7, 8, 15, 16, 17, 33] {
+                for &(j0, len) in &[(0usize, 1usize), (0, 16), (5, 17), (p - 1, 40), (2 * p, 100), (p + 3, 33)] {
+                    let n = (j0 + len).div_ceil(p) * p;
+                    let acc: Vec<i32> = (0..len).map(|_| rng.gen_range(-40000i64..40000) as i32).collect();
+                    for (per_col, relu) in [(false, false), (false, true), (true, false), (true, true)] {
+                        let channels = if per_col { n } else { m };
+                        let zp_corr: Vec<i32> = (0..channels).map(|c| 37 * c as i32 - 900).collect();
+                        let mult: Vec<f32> = (0..channels).map(|c| 0.002 + 0.0001 * c as f32).collect();
+                        let badd: Vec<f32> = (0..channels).map(|c| c as f32 * 0.3 - 2.5).collect();
+                        let rq = Requant { zp_corr: &zp_corr, mult: &mult, badd: &badd, per_col, relu, out_zp: -4 };
+                        let i = 1;
+                        let mut want = vec![0x55i8; m * n];
+                        for (c, &s) in acc.iter().enumerate() {
+                            let j = j0 + c;
+                            let ch = if per_col { j } else { i };
+                            want[(j / p * m + i) * p + j % p] =
+                                crate::quant::requant_one(s.wrapping_sub(zp_corr[ch]), mult[ch], badd[ch], relu, -4);
+                        }
+                        let mut got = vec![0x55i8; m * n];
+                        // SAFETY: the lane's level was detected; every
+                        // index row `i` of columns `j0..j0+len` maps to
+                        // is inside `got`.
+                        unsafe { (lane.requant)(&acc, &rq, i, m, j0, p, got.as_mut_ptr()) };
+                        assert_eq!(got, want, "{} p={p} j0={j0} len={len} per_col={per_col} relu={relu}", lane.name);
+                    }
+                }
+            }
+        }
     }
 
     /// `FX_SIMD` resolution is a pure function of the variable and the

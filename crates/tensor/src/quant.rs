@@ -21,6 +21,12 @@
 //! never bytes. (This is a stronger guarantee than the f32 kernels,
 //! where the two engines differ within a documented ULP bound.)
 //!
+//! The elementwise kernels — [`quantize_per_tensor`],
+//! [`quantize_per_channel`] and [`quantized_add`] — likewise run
+//! `simd`'s quantize lane at the process's vector width and the scalar
+//! `quantize_one` under `FX_SIMD=0`, with identical bytes; the ReLU is an
+//! i8 max the compiler vectorizes on its own.
+//!
 //! Kernel outputs and scratch (packed panels, the padded conv input or
 //! the scalar engine's im2col panel, the i32 sums, the coefficient
 //! vectors) are drawn from the dtype-aware
@@ -88,9 +94,61 @@ pub fn choose_qparams(min: f32, max: f32) -> (f32, i32) {
     (scale, zero_point.clamp(QMIN, QMAX))
 }
 
+/// The scalar oracle of every quantize step: `x / scale` rounded half
+/// away from zero (`f32::round`), plus the zero point, clamped to i8.
+/// The cast saturates (`±inf` and anything past `±2³¹` land on the i32
+/// limits, NaN on 0) and so does the add, so a huge `x` clamps to the
+/// side it is on whatever the zero point. [`simd`]'s quantize lane
+/// reproduces it bit for bit.
 #[inline]
-fn quantize_one(x: f32, scale: f32, zero_point: i32) -> i8 {
-    ((x / scale).round() as i32 + zero_point).clamp(QMIN, QMAX) as i8
+pub(crate) fn quantize_one(x: f32, scale: f32, zero_point: i32) -> i8 {
+    ((x / scale).round() as i32).saturating_add(zero_point).clamp(QMIN, QMAX) as i8
+}
+
+/// [`quantized_add`]'s element: both operands dequantized, summed as a
+/// separate mul, mul and add, and quantized to `(out_scale, out_zp)`.
+#[inline]
+pub(crate) fn add_one(x: i8, y: i8, (sa, za): (f32, i32), (sb, zb): (f32, i32), (out_scale, out_zp): (f32, i32)) -> i8 {
+    let real = (x as i32 - za) as f32 * sa + (y as i32 - zb) as f32 * sb;
+    quantize_one(real, out_scale, out_zp)
+}
+
+/// `out[i] = quantize_one(x[i], scale, zp)`: through the quantize lane
+/// when a SIMD level runs, else the scalar oracle.
+fn quantize_into(x: &[f32], scale: f32, zp: i32, out: &mut [i8]) {
+    match simd::quant_lane(zp) {
+        Some(lane) => lane.quantize(x, scale, zp, out),
+        None => {
+            for (q, &v) in out.iter_mut().zip(x) {
+                *q = quantize_one(v, scale, zp);
+            }
+        }
+    }
+}
+
+/// `(min, max)` of `init` and every non-NaN value of `x` — exactly what
+/// folding `f32::min` / `f32::max` over `x` from `init` gives, up to the
+/// sign of a zero — as 16 independent lanes per bound, which compile to
+/// vector compares at the baseline ISA (a fold is one serial chain).
+pub fn min_max(x: &[f32], init: (f32, f32)) -> (f32, f32) {
+    const LANES: usize = 16;
+    let (mut lo, mut hi) = ([init.0; LANES], [init.1; LANES]);
+    let mut chunks = x.chunks_exact(LANES);
+    for c in &mut chunks {
+        for i in 0..LANES {
+            lo[i] = if c[i] < lo[i] { c[i] } else { lo[i] };
+            hi[i] = if c[i] > hi[i] { c[i] } else { hi[i] };
+        }
+    }
+    let tail = chunks.remainder();
+    let (mut min, mut max) = init;
+    for &v in lo.iter().chain(tail) {
+        min = if v < min { v } else { min };
+    }
+    for &v in hi.iter().chain(tail) {
+        max = if v > max { v } else { max };
+    }
+    (min, max)
 }
 
 /// Requantize one zero-point-corrected i32 accumulator to `i8`:
@@ -99,13 +157,14 @@ fn quantize_one(x: f32, scale: f32, zero_point: i32) -> i8 {
 /// bias/out_scale` are the per-output-column coefficients
 /// [`QGemm::new`] precomputes once and hands to **both** engines.
 ///
-/// Every step has an exact AVX2 counterpart (`as f32` = `cvtdq2ps`, the
-/// `> 0.0` select = `maxps(v, 0)`, `round_ties_even() as i32` =
+/// Every step has an exact vector counterpart (`as f32` = `cvtdq2ps`,
+/// the `> 0.0` select = `maxps(v, 0)`, `round_ties_even() as i32` =
 /// `cvtps2dq` — PyTorch's quantization rounding), which is what keeps
 /// the scalar engine and the vectorized epilogue bit-identical lane for
-/// lane. Assumes `|acc·mult + badd| < 2³¹` (true for any calibrated
-/// scales: `|acc| ≤ k·2¹⁴` and `mult` is a ratio of comparable scales),
-/// where the scalar cast saturates but `cvtps2dq` wraps to a sentinel.
+/// lane at either width. Assumes `|acc·mult + badd| < 2³¹` (true for any
+/// calibrated scales: `|acc| ≤ k·2¹⁴` and `mult` is a ratio of
+/// comparable scales), where the scalar cast saturates but `cvtps2dq`
+/// wraps to a sentinel.
 #[inline]
 pub(crate) fn requant_one(acc: i32, mult: f32, badd: f32, relu: bool, out_zp: i32) -> i8 {
     let mut v = acc as f32 * mult + badd;
@@ -118,8 +177,8 @@ pub(crate) fn requant_one(acc: i32, mult: f32, badd: f32, relu: bool, out_zp: i3
 /// Quantize an `f32` tensor with per-tensor affine parameters.
 pub fn quantize_per_tensor(x: &Tensor, scale: f32, zero_point: i32) -> Result<Tensor> {
     let data = x.as_f32()?;
-    let mut q = pool::alloc_i8_empty(data.len());
-    q.extend(data.iter().map(|&v| quantize_one(v, scale, zero_point)));
+    let mut q = pool::alloc_i8(data.len());
+    quantize_into(data, scale, zero_point, &mut q);
     Ok(Tensor::from_qi8(
         q,
         x.shape(),
@@ -141,28 +200,17 @@ pub fn quantize_per_channel(w: &Tensor, axis: usize) -> Result<Tensor> {
     }
     let channels = shape[axis];
     let inner: usize = shape[axis + 1..].iter().product();
-    let outer: usize = shape[..axis].iter().product();
+    // The data is `[outer, channels, inner]`: run `r` is channel `r % channels`.
+    let runs = data.chunks(inner.max(1));
     let mut scales = vec![f32::EPSILON; channels];
-    for o in 0..outer {
-        for c in 0..channels {
-            let base = (o * channels + c) * inner;
-            let amax = data[base..base + inner]
-                .iter()
-                .fold(0.0f32, |m, &v| m.max(v.abs()));
-            scales[c] = scales[c].max(amax / QMAX as f32);
-        }
+    for (r, run) in runs.clone().enumerate() {
+        let (lo, hi) = min_max(run, (0.0, 0.0));
+        let c = r % channels;
+        scales[c] = scales[c].max(hi.max(-lo) / QMAX as f32);
     }
-    let mut q = Vec::with_capacity(data.len());
-    for o in 0..outer {
-        for c in 0..channels {
-            let base = (o * channels + c) * inner;
-            let s = scales[c];
-            q.extend(
-                data[base..base + inner]
-                    .iter()
-                    .map(|&v| ((v / s).round() as i32).clamp(QMIN, QMAX) as i8),
-            );
-        }
+    let mut q = vec![0; data.len()];
+    for (r, (run, dst)) in runs.zip(q.chunks_mut(inner.max(1))).enumerate() {
+        quantize_into(run, scales[r % channels], 0, dst);
     }
     Ok(Tensor::from_qi8(q, shape, QScheme::PerChannel { scales, axis }))
 }
@@ -190,13 +238,24 @@ pub fn dequantize(q: &Tensor) -> Result<Tensor> {
     Ok(Tensor::from_vec(out, q.shape()))
 }
 
+/// Quantized ReLU's element, `(v as i32).max(zp) as i8`, written as an
+/// i8 max (the zero point clamped to i8, which is the same value unless
+/// it lies above `QMAX`, where every output is `zp as i8`) so the
+/// compiler vectorizes it; the widened form stays scalar.
+fn relu_one(zp: i32) -> impl Fn(i8) -> i8 {
+    let floor = zp.clamp(QMIN, QMAX) as i8;
+    let above = (zp > QMAX).then_some(zp as i8);
+    move |v| above.unwrap_or(v.max(floor))
+}
+
 /// Quantized ReLU: clamps quantized values at the zero point (exactly
 /// real 0.0), without leaving the int8 domain.
 pub fn quantized_relu(q: &Tensor) -> Result<Tensor> {
     let (_, zp) = activation_qparams("quantized_relu", q)?;
+    let relu = relu_one(zp);
     let data = q.as_qi8()?;
     let mut out = pool::alloc_i8_empty(data.len());
-    out.extend(data.iter().map(|&v| (v as i32).max(zp) as i8));
+    out.extend(data.iter().map(|&v| relu(v)));
     Ok(Tensor::from_qi8(out, q.shape(), q.qscheme().expect("checked above").clone()))
 }
 
@@ -206,7 +265,7 @@ pub fn quantized_relu(q: &Tensor) -> Result<Tensor> {
 /// the same result as the out-of-place kernel.
 pub fn quantized_relu_inplace(q: Tensor) -> Result<Tensor> {
     let (_, zp) = activation_qparams("quantized_relu", &q)?;
-    q.map_inplace_qi8(|v| (v as i32).max(zp) as i8)
+    q.map_inplace_qi8(relu_one(zp))
 }
 
 /// Quantized elementwise add: dequantize both operands, add, requantize to
@@ -219,15 +278,20 @@ pub fn quantized_add(a: &Tensor, b: &Tensor, out_scale: f32, out_zp: i32) -> Res
             got: b.shape().to_vec(),
         });
     }
-    let (sa, za) = activation_qparams("quantized_add", a)?;
-    let (sb, zb) = activation_qparams("quantized_add", b)?;
+    let qa = activation_qparams("quantized_add", a)?;
+    let qb = activation_qparams("quantized_add", b)?;
+    let qo = (out_scale, out_zp);
     let da = a.as_qi8()?;
     let db = b.as_qi8()?;
-    let mut out = pool::alloc_i8_empty(da.len());
-    out.extend(da.iter().zip(db).map(|(&x, &y)| {
-        let real = (x as i32 - za) as f32 * sa + (y as i32 - zb) as f32 * sb;
-        quantize_one(real, out_scale, out_zp)
-    }));
+    let mut out = pool::alloc_i8(da.len());
+    match simd::quant_lane(out_zp) {
+        Some(lane) => lane.add(da, db, qa, qb, qo, &mut out),
+        None => {
+            for ((q, &x), &y) in out.iter_mut().zip(da).zip(db) {
+                *q = add_one(x, y, qa, qb, qo);
+            }
+        }
+    }
     Ok(Tensor::from_qi8(
         out,
         a.shape(),
@@ -690,6 +754,64 @@ mod tests {
         assert_eq!(quantize_one(0.0, scale, zp) as i32, zp);
     }
 
+    /// `x / scale` past the i32 range saturates to the side it is on: it
+    /// used to overflow the zero-point add (a panic in debug builds, and
+    /// `+inf` with a positive zero point quantized to −128 in release).
+    #[test]
+    fn quantize_one_saturates_past_the_i32_range() {
+        for zp in [-128, -1, 0, 5, 127, i32::MAX, i32::MIN] {
+            assert_eq!(quantize_one(f32::INFINITY, 0.1, zp), if zp == i32::MIN { -1 } else { 127 }, "+inf zp={zp}");
+            assert_eq!(quantize_one(f32::NEG_INFINITY, 0.1, zp), if zp == i32::MAX { -1 } else { -128 }, "-inf zp={zp}");
+            assert_eq!(quantize_one(1e30, 1.0, zp), quantize_one(f32::INFINITY, 1.0, zp), "1e30 zp={zp}");
+            assert_eq!(quantize_one(f32::NAN, 1.0, zp), zp.clamp(QMIN, QMAX) as i8, "NaN zp={zp}");
+        }
+        assert_eq!(quantize_one(3e9, 1.0, -100), 127);
+        assert_eq!(quantize_one(2.5, 1.0, 0), 3, "ties round away from zero");
+        assert_eq!(quantize_one(-2.5, 1.0, 0), -3, "ties round away from zero");
+    }
+
+    /// The public quantize kernels against the scalar oracle, element by
+    /// element, on whichever engine this process runs: per-tensor over
+    /// lengths that leave every tail, per-channel over odd inner sizes
+    /// (a 3×3×3 stem kernel, a 1-wide and a 0-wide one, an inner axis)
+    /// with NaN/inf weights in one channel, and the add over a few
+    /// hundred pairs.
+    #[test]
+    fn quantize_kernels_match_the_scalar_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x0AC1E);
+        for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 31, 33, 100] {
+            let x = Tensor::rand_uniform(&[len], -3.0, 3.0, &mut rng);
+            for (scale, zp) in [(0.02f32, 3), (0.5, -128), (0.013, 127), (1.0, 0)] {
+                let q = quantize_per_tensor(&x, scale, zp).unwrap();
+                let want: Vec<i8> = x.as_f32().unwrap().iter().map(|&v| quantize_one(v, scale, zp)).collect();
+                assert_eq!(q.as_qi8().unwrap(), want, "len={len} scale={scale} zp={zp}");
+            }
+        }
+        for (shape, axis) in [(vec![5usize, 3, 3, 3], 0usize), (vec![7, 13], 0), (vec![3, 1], 0), (vec![4, 2, 17], 1), (vec![2, 0], 0)] {
+            let mut w = Tensor::rand_uniform(&shape, -0.8, 0.8, &mut rng).as_f32().unwrap().to_vec();
+            if w.len() > 4 {
+                (w[1], w[2], w[3]) = (f32::NAN, f32::INFINITY, -0.0);
+            }
+            let q = quantize_per_channel(&Tensor::from_vec(w.clone(), &shape), axis).unwrap();
+            let (channels, inner) = (shape[axis], shape[axis + 1..].iter().product::<usize>());
+            let mut scales = vec![f32::EPSILON; channels];
+            for (i, &v) in w.iter().enumerate() {
+                let c = i / inner.max(1) % channels;
+                scales[c] = scales[c].max(0.0f32.max(v.abs()) / QMAX as f32);
+            }
+            let want: Vec<i8> = w.iter().enumerate().map(|(i, &v)| quantize_one(v, scales[i / inner.max(1) % channels], 0)).collect();
+            assert_eq!(q.qscheme(), Some(&QScheme::PerChannel { scales, axis }), "{shape:?}");
+            assert_eq!(q.as_qi8().unwrap(), want, "{shape:?}");
+        }
+        let (qa, qb, qo) = ((0.03, -9), (0.011, 40), (0.02, 6));
+        let a = quantize_per_tensor(&Tensor::rand_uniform(&[3, 101], -3.0, 3.0, &mut rng), qa.0, qa.1).unwrap();
+        let b = quantize_per_tensor(&Tensor::rand_uniform(&[3, 101], -1.0, 1.0, &mut rng), qb.0, qb.1).unwrap();
+        let sum = quantized_add(&a, &b, qo.0, qo.1).unwrap();
+        let want: Vec<i8> =
+            a.as_qi8().unwrap().iter().zip(b.as_qi8().unwrap()).map(|(&x, &y)| add_one(x, y, qa, qb, qo)).collect();
+        assert_eq!(sum.as_qi8().unwrap(), want);
+    }
+
     #[test]
     fn qparams_all_positive_range() {
         let (scale, zp) = choose_qparams(0.5, 2.0);
@@ -1061,6 +1183,18 @@ mod tests {
         }
         assert_eq!(cached(&dead), 0, "hits alone must sweep a dropped model's entries");
         assert_eq!(cached(&keys(&survivor)), 1);
+    }
+
+    /// The vectorizable ReLU element is the widened `max` it replaced for
+    /// every byte and every zero point, i8 or not.
+    #[test]
+    fn relu_element_is_the_widened_max() {
+        for zp in [i32::MIN, -300, -129, -128, -5, 0, 127, 128, 300, i32::MAX] {
+            let relu = relu_one(zp);
+            for v in i8::MIN..=i8::MAX {
+                assert_eq!(relu(v), (v as i32).max(zp) as i8, "v={v} zp={zp}");
+            }
+        }
     }
 
     #[test]
