@@ -10,16 +10,12 @@
 //! | `repro-trt` | §6.4 / Figure 8 + Appendix D — backend lowering |
 //! | `repro-analysis` | §6.3 — FLOPs/memory/runtime estimation, shapes, DOT |
 //!
-//! plus Criterion benches (`cargo bench`) covering the same workloads at
-//! reduced scale.
-//!
 //! Measured-CPU numbers and roofline-simulated numbers are always
 //! labelled separately; see `EXPERIMENTS.md` at the workspace root for
-//! the paper-vs-measured record.
+//! the paper-vs-measured record. Performance claims are measured by the
+//! benchmark of record in `benchmark/`.
 
 #![warn(missing_docs)]
-
-pub mod criterion;
 
 use std::time::Instant;
 

@@ -41,7 +41,7 @@
 
 use crate::error::{Error, Result};
 use crate::scheduler::Scheduler;
-use crate::server::{batcher_loop, worker_loop, Handle, QueueState};
+use crate::server::{batcher_loop, worker_loop, Batch, Handle, QueueState};
 use crate::stats::{ModelStats, RegistrySnapshot, StatsState};
 use crate::swap::VersionSlot;
 use fx_core::{ExecConfig, ExecutionBackend, ExecutorBackend, GraphModule};
@@ -262,7 +262,7 @@ struct Entries {
 
 pub(crate) struct RegistryInner {
     entries: Mutex<Entries>,
-    pub(crate) sched: Scheduler,
+    pub(crate) sched: Scheduler<Batch>,
     closed: AtomicBool,
     total_swaps: AtomicU64,
     /// Final stats of unregistered models, folded into the aggregate.

@@ -15,8 +15,12 @@
 //! A lane whose queue empties forfeits its accumulated deficit — the
 //! standard DRR rule — so an idle model cannot bank credit and then
 //! monopolize the workers in a burst.
+//!
+//! The scheduler never looks inside what it queues: an item is charged
+//! the cost it was submitted with. The server queues batches; the tests
+//! below queue labels, and so check the policy with no model, clock or
+//! thread.
 
-use crate::server::Batch;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
@@ -26,18 +30,19 @@ use std::sync::{Condvar, Mutex};
 /// iterations before some lane qualifies.
 const QUANTUM_S: f64 = 1e-3;
 
-struct Lane {
+struct Lane<T> {
     weight: u32,
     /// Accumulated service credit, in estimated seconds.
     deficit: f64,
-    q: VecDeque<Batch>,
+    /// Queued items, each with the estimated seconds it will be charged.
+    q: VecDeque<(f64, T)>,
     /// Closed lanes accept no further batches (unregister in progress).
     open: bool,
 }
 
-struct SchedState {
+struct SchedState<T> {
     /// Slot per registered model; freed slots are `None` and reused.
-    lanes: Vec<Option<Lane>>,
+    lanes: Vec<Option<Lane<T>>>,
     /// Round-robin cursor over `lanes`.
     cursor: usize,
     /// Total queued batches across all lanes.
@@ -46,14 +51,14 @@ struct SchedState {
 }
 
 /// The shared scheduler: per-model lanes in, weighted-fair batches out.
-pub(crate) struct Scheduler {
-    state: Mutex<SchedState>,
+pub(crate) struct Scheduler<T> {
+    state: Mutex<SchedState<T>>,
     /// Signalled on every submit and on close.
     ready: Condvar,
 }
 
-impl Scheduler {
-    pub(crate) fn new() -> Scheduler {
+impl<T> Scheduler<T> {
+    pub(crate) fn new() -> Scheduler<T> {
         Scheduler {
             state: Mutex::new(SchedState {
                 lanes: Vec::new(),
@@ -87,33 +92,34 @@ impl Scheduler {
     /// Remove a lane, returning any batches still queued in it (the
     /// caller answers their requests). Callers normally drain the lane
     /// first, so the returned vec is empty outside failure paths.
-    pub(crate) fn remove_lane(&self, id: usize) -> Vec<Batch> {
+    pub(crate) fn remove_lane(&self, id: usize) -> Vec<T> {
         let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
         match st.lanes.get_mut(id).and_then(Option::take) {
             Some(lane) => {
                 st.queued -= lane.q.len();
-                lane.q.into_iter().collect()
+                lane.q.into_iter().map(|(_, item)| item).collect()
             }
             None => Vec::new(),
         }
     }
 
-    /// Queue `batch` on lane `id`. Returns the batch on a closed
+    /// Queue `item` on lane `id`, to be charged `cost_s` estimated
+    /// seconds when it dispatches. Returns the item on a closed
     /// scheduler or lane (the caller answers its requests).
-    pub(crate) fn submit(&self, id: usize, batch: Batch) -> Result<(), Batch> {
+    pub(crate) fn submit(&self, id: usize, cost_s: f64, item: T) -> Result<(), T> {
         let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
         if st.closed {
-            return Err(batch);
+            return Err(item);
         }
         match st.lanes.get_mut(id) {
             Some(Some(lane)) if lane.open => {
-                lane.q.push_back(batch);
+                lane.q.push_back((cost_s, item));
                 st.queued += 1;
                 drop(st);
                 self.ready.notify_one();
                 Ok(())
             }
-            _ => Err(batch),
+            _ => Err(item),
         }
     }
 
@@ -126,10 +132,10 @@ impl Scheduler {
         self.ready.notify_all();
     }
 
-    /// The next batch under weighted-fair DRR. Blocks while the
+    /// The next item under weighted-fair DRR. Blocks while the
     /// scheduler is open but idle; returns `None` once closed **and**
     /// fully drained.
-    pub(crate) fn next(&self) -> Option<Batch> {
+    pub(crate) fn next(&self) -> Option<T> {
         let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
         loop {
             if st.queued > 0 {
@@ -144,10 +150,10 @@ impl Scheduler {
 
     /// Classic DRR: visit lanes round-robin from the cursor; each visit
     /// grants `QUANTUM_S × weight` credit, and the first lane whose
-    /// credit covers its front batch's estimated cost dispatches.
+    /// credit covers its front item's estimated cost dispatches.
     /// Guaranteed to terminate (`queued > 0` and credit grows every
     /// visit), in at most ~`max_cost / QUANTUM_S` iterations.
-    fn pop_drr(st: &mut SchedState) -> Batch {
+    fn pop_drr(st: &mut SchedState<T>) -> T {
         let n = st.lanes.len();
         debug_assert!(st.queued > 0 && n > 0);
         loop {
@@ -162,16 +168,74 @@ impl Scheduler {
                 continue;
             }
             lane.deficit += QUANTUM_S * lane.weight as f64;
-            let cost = lane.q.front().map_or(0.0, |b| b.cost_s);
+            let cost = lane.q.front().map_or(0.0, |&(cost, _)| cost);
             if lane.deficit >= cost {
-                let batch = lane.q.pop_front().expect("lane checked non-empty");
+                let (_, item) = lane.q.pop_front().expect("lane checked non-empty");
                 lane.deficit -= cost;
                 if lane.q.is_empty() {
                     lane.deficit = 0.0;
                 }
                 st.queued -= 1;
-                return batch;
+                return item;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two always-backlogged lanes at weights 2 : 1 with unequal batch
+    /// costs split the charged seconds 2/3 : 1/3 — fairness is worker
+    /// time, not batch count.
+    #[test]
+    fn drr_splits_charged_seconds_by_weight() {
+        const WEIGHT: [u32; 2] = [2, 1];
+        const COST_S: [f64; 2] = [7e-3, 2e-3];
+        let sched = Scheduler::new();
+        for (lane, w) in WEIGHT.into_iter().enumerate() {
+            assert_eq!(sched.add_lane(w), lane);
+            // Two deep, refilled on every dispatch: no lane ever empties,
+            // so none forfeits its deficit.
+            for _ in 0..2 {
+                sched.submit(lane, COST_S[lane], lane).unwrap();
+            }
+        }
+        let mut charged = [0.0f64; 2];
+        for _ in 0..1000 {
+            let lane = sched.next().unwrap();
+            charged[lane] += COST_S[lane];
+            sched.submit(lane, COST_S[lane], lane).unwrap();
+        }
+        let total: f64 = charged.iter().sum();
+        for lane in 0..2 {
+            let owed = WEIGHT[lane] as f64 / 3.0;
+            let share = charged[lane] / total;
+            assert!(
+                (share / owed - 1.0).abs() <= 0.02,
+                "lane {lane} (weight {}) got {share:.4} of the charged seconds, owed {owed:.4}",
+                WEIGHT[lane]
+            );
+        }
+    }
+
+    /// A lane whose queue empties forfeits the credit it had left, so its
+    /// next batch waits for fresh visits instead of spending a bank.
+    #[test]
+    fn an_emptied_lane_forfeits_its_deficit() {
+        let sched = Scheduler::new();
+        let (a, b) = (sched.add_lane(1), sched.add_lane(1));
+        // One 1 ms visit pays the 0.5 ms batch; the 0.5 ms left over goes
+        // as the lane empties.
+        sched.submit(a, 0.5e-3, "a1").unwrap();
+        assert_eq!(sched.next(), Some("a1"));
+        sched.submit(a, 1.2e-3, "a2").unwrap();
+        sched.submit(b, 1e-3, "b1").unwrap();
+        sched.submit(b, 1e-3, "b2").unwrap();
+        // Had `a` kept its 0.5 ms, one visit (0.5 + 1 ≥ 1.2) would send
+        // a2 before b2.
+        let order: Vec<_> = (0..3).map(|_| sched.next().unwrap()).collect();
+        assert_eq!(order, ["b1", "b2", "a2"]);
     }
 }

@@ -70,9 +70,6 @@ pub(crate) struct Batch {
     pub(crate) entry: Arc<ModelEntry>,
     pub(crate) requests: Vec<Request>,
     pub(crate) prepared: Arc<PreparedVersion>,
-    /// Estimated execution cost, seconds — what the scheduler charges
-    /// against the model's lane (rows × observed per-row EWMA).
-    pub(crate) cost_s: f64,
 }
 
 impl Drop for Batch {
@@ -352,7 +349,7 @@ impl Server {
 /// shared scheduler. Runs the adaptive-delay control loop when the
 /// model has a p99 budget. On close, keeps going until the queue is
 /// fully drained, then exits.
-pub(crate) fn batcher_loop(entry: &Arc<ModelEntry>, sched: &Scheduler) {
+pub(crate) fn batcher_loop(entry: &Arc<ModelEntry>, sched: &Scheduler<Batch>) {
     loop {
         let mut q = entry.queue.lock().unwrap_or_else(|p| p.into_inner());
         // Wait for work (or close with an empty queue).
@@ -419,9 +416,11 @@ pub(crate) fn batcher_loop(entry: &Arc<ModelEntry>, sched: &Scheduler) {
                 entry: entry.clone(),
                 requests,
                 prepared,
-                cost_s: rows as f64 * entry.row_seconds(),
             };
-            if let Err(batch) = sched.submit(entry.lane, batch) {
+            // Charged against the model's lane: rows × the observed
+            // per-row EWMA.
+            let cost_s = rows as f64 * entry.row_seconds();
+            if let Err(batch) = sched.submit(entry.lane, cost_s, batch) {
                 // Scheduler or lane closed under us (shutdown racing a
                 // drain): the batch's Drop answers every request with a
                 // typed `Shutdown` and settles the accounting.
@@ -471,25 +470,27 @@ fn adapt_batch_delay(entry: &ModelEntry) {
 /// it closes and drains. A panicking backend is contained — the batch's
 /// requests are answered (`Error::Shutdown` via the batch's Drop during
 /// unwind) and the worker lives on to serve other models.
-pub(crate) fn worker_loop(sched: &Scheduler) {
+pub(crate) fn worker_loop(sched: &Scheduler<Batch>) {
     while let Some(batch) = sched.next() {
         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| run_batch(batch)));
     }
 }
 
-/// Answer `req` and record its fate in the entry's stats.
+/// Record `req`'s fate in the entry's stats, then answer it. Counting
+/// first means a client that reads `stats()` after its reply always
+/// sees its own request counted.
 pub(crate) fn respond(entry: &ModelEntry, req: Request, result: Result<Vec<Tensor>>) {
-    let ok = result.is_ok();
-    let latency = req.enqueued.elapsed();
+    {
+        let mut stats = entry.stats.lock().unwrap_or_else(|p| p.into_inner());
+        if result.is_ok() {
+            stats.requests_ok += 1;
+        } else {
+            stats.requests_err += 1;
+        }
+        stats.record_latency(req.enqueued.elapsed());
+    }
     // A receiver that hung up just discards the response.
     let _ = req.resp.send(result);
-    let mut stats = entry.stats.lock().unwrap_or_else(|p| p.into_inner());
-    if ok {
-        stats.requests_ok += 1;
-    } else {
-        stats.requests_err += 1;
-    }
-    stats.record_latency(latency);
 }
 
 /// Execute one coalesced batch: validate, evict offenders with typed

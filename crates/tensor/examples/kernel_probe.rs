@@ -1,8 +1,9 @@
-//! Quick kernel throughput probe: prints GFLOP/s per GEMM/conv shape and
+//! The kernel throughput tool: prints GFLOP/s per GEMM/conv shape and
 //! ns per element for the int8 elementwise kernels (the quantize lane)
-//! under whichever engine `FX_SIMD` selects. Not a benchmark of record —
-//! `fx-bench`'s `interp_vs_executor` writes the archived numbers — just
-//! a fast feedback loop while tuning kernels:
+//! under whichever engine `FX_SIMD` selects — the fast feedback loop
+//! while tuning kernels. End-to-end claims are measured by the
+//! benchmark of record in `benchmark/`, which reports the same kernels'
+//! GFLOP/s inside whole models (`fx_tensor.ops.conv.gflops`):
 //!
 //! ```sh
 //! cargo run --release -p fx-tensor --example kernel_probe

@@ -25,8 +25,8 @@
 //! * [`select_tile`] picks the tile **per call from the output width
 //!   alone**, so a narrow GEMM does not pay for padding a wide tile.
 //!
-//! `KC`/`NC` default to 256/512 elements and can be swept via
-//! `FX_GEMM_KC` / `FX_GEMM_NC` ([`gemm_kc`]/[`gemm_nc`]). Pack buffers
+//! The blocking is fixed at [`KC`] = 256 and [`NC`] = 512 elements
+//! (`KC` is part of the f32 numeric contract, below). Pack buffers
 //! are drawn from [`pool`](crate::pool) and fully overwritten, edge
 //! padding included, so a recycled buffer's stale contents can never
 //! leak into a result. The f32 epilogue — per-row or per-column bias
@@ -120,50 +120,16 @@ use crate::threading::parallel_chunks;
 use std::mem::MaybeUninit;
 use std::sync::OnceLock;
 
-/// Default k-panel depth, in elements (f32 and int8 k-pairs are both 4
-/// bytes): a row panel's 12·256 of A (12 KiB) stays L1-resident, 256·32
-/// of B per column panel streams from L2.
-const KC_DEFAULT: usize = 256;
-/// Default column-block width: one packed B block is `KC·NC` elements
-/// (512 KiB max), reused across every row panel of A.
-const NC_DEFAULT: usize = 512;
-/// Upper bound for `FX_GEMM_KC`; the padded last A panel lives on the
-/// worker stack, so the cap keeps it at `MR_MAX·1024` f32 (48 KiB).
-const KC_MAX: usize = 1024;
-/// Upper bound for `FX_GEMM_NC` (the packed B block is pool-allocated,
-/// the cap just keeps sweeps sane).
-const NC_MAX: usize = 8192;
-
-/// Read a blocking parameter from `var` once: accepts integers in
-/// `[min, max]`, rounded **down** to a multiple of `quantum` but never
-/// below one quantum; anything else (unset, unparsable, out of range)
-/// falls back to `default`.
-fn block_param(var: &str, default: usize, min: usize, max: usize, quantum: usize) -> usize {
-    match std::env::var(var) {
-        Ok(s) => match s.trim().parse::<usize>() {
-            Ok(v) if (min..=max).contains(&v) => (v / quantum * quantum).max(quantum),
-            _ => default,
-        },
-        Err(_) => default,
-    }
-}
-
-/// K-panel depth in elements (`FX_GEMM_KC`, default 256, once-read;
-/// multiple of 8 in `[8, 1024]`). Shared by every tile — it is part of
-/// the f32 numeric contract (see the module docs).
-pub(crate) fn gemm_kc() -> usize {
-    static V: OnceLock<usize> = OnceLock::new();
-    *V.get_or_init(|| block_param("FX_GEMM_KC", KC_DEFAULT, 8, KC_MAX, 8))
-}
-
-/// Column-block width (`FX_GEMM_NC`, default 512, once-read; accepted
-/// in `[16, 8192]`, rounded to a multiple of the widest tile's NR so a
-/// block is whole panels under every tile). Shared by the f32 and int8
-/// paths.
-pub(crate) fn gemm_nc() -> usize {
-    static V: OnceLock<usize> = OnceLock::new();
-    *V.get_or_init(|| block_param("FX_GEMM_NC", NC_DEFAULT, 16, NC_MAX, NR_MAX))
-}
+/// K-panel depth, in elements (f32 and int8 k-pairs are both 4 bytes):
+/// a row panel's 12·256 of A (12 KiB) stays L1-resident, 256·32 of B
+/// per column panel streams from L2. One constant for every tile and
+/// every process — it is part of the f32 numeric contract (module docs),
+/// so no two runs may cut the k-chain differently.
+const KC: usize = 256;
+/// Column-block width: one packed B block is `KC·NC` elements
+/// (512 KiB), reused across every row panel of A. Shared by the f32 and
+/// int8 paths.
+const NC: usize = 512;
 
 /// The GEMM engine a process can run, narrowest first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -646,10 +612,11 @@ static I8_TILES: [[Tile<i32>; 4]; 2] = [
 /// Rows of the tallest tile (the last: the tables are sorted): sizes the
 /// stack A panel.
 const MR_MAX: usize = TILES[TILES.len() - 1].mr;
-/// Columns of the widest tile: the `FX_GEMM_NC` quantum (so a column
-/// block is whole panels under every tile), and sizes the per-panel run
-/// table.
+/// Columns of the widest tile: sizes the per-panel run table.
 const NR_MAX: usize = TILES[TILES.len() - 1].nr;
+// A column block must be whole panels under every tile, or `pack_b`
+// would write past the block it was given.
+const _: () = assert!(NC.is_multiple_of(NR_MAX));
 
 /// The geometry (an index into a tile table) for an `n`-column output
 /// at `level`: the narrowest tile that covers `n` in one panel, else the
@@ -977,7 +944,7 @@ pub(crate) fn gemm(
     // Callers gate on `simd_enabled`; tests reach here under FX_SIMD=0
     // too, where any detected tile computes the same bits.
     let tile = &TILES[select_tile(level().max(Level::Avx2), n)];
-    gemm_tiled(tile, gemm_kc(), gemm_nc(), m, k, n, a, b, 0.0, c, |_, _, _, _| {});
+    gemm_tiled(tile, KC, NC, m, k, n, a, b, 0.0, c, |_, _, _, _| {});
     epilogue(m, n, c, row_bias, col_bias, relu);
 }
 
@@ -1035,7 +1002,7 @@ fn gemm_tiled<E: Elem>(
     // A column block must be whole panels, or `pack_b` would write past
     // the block it was given; the ragged A panel lives on the stack.
     assert_eq!(nc_blk % nr, 0, "gemm: NC {nc_blk} is not a multiple of NR {nr}");
-    assert!((1..=KC_MAX).contains(&kc_blk), "gemm: KC {kc_blk} out of range");
+    assert!((1..=KC).contains(&kc_blk), "gemm: KC {kc_blk} out of range");
     let c_base = SendPtr(c.as_mut_ptr());
     // The rows of C a finished row panel hands to `done`.
     let finished = |i0: usize, mr_eff: usize, jc: usize, nc_eff: usize| {
@@ -1074,7 +1041,7 @@ fn gemm_tiled<E: Elem>(
                 let c_base = c_base;
                 // Uninitialized on purpose: `pad_a` writes every element
                 // of the `mr × kc_eff` prefix the kernel reads.
-                let mut pa = [MaybeUninit::<E>::uninit(); MR_MAX * KC_MAX];
+                let mut pa = [MaybeUninit::<E>::uninit(); MR_MAX * KC];
                 for rp in range {
                     let i0 = rp * mr;
                     let mr_eff = mr.min(m - i0);
@@ -1592,7 +1559,7 @@ pub(crate) fn gemm_i8(
     out: &mut [i8],
 ) {
     assert!(simd_available(), "simd::gemm_i8 requires AVX2");
-    gemm_i8_tiled(i8_tile(n), gemm_kc(), gemm_nc(), m, k, n, a, b, pad, rq, p, out);
+    gemm_i8_tiled(i8_tile(n), KC, NC, m, k, n, a, b, pad, rq, p, out);
 }
 
 /// [`gemm_i8`] under an explicit tile and blocking.
@@ -1852,11 +1819,11 @@ mod tests {
         I8_TILES.iter().flat_map(|table| runnable(table)).collect()
     }
 
-    /// `gemm_tiled` into a whole, NaN-poisoned f32 C under the process
+    /// `gemm_tiled` into a whole, NaN-poisoned f32 C under the fixed
     /// blocking.
     fn run_f32(tile: &Tile<f32>, m: usize, k: usize, n: usize, a: &[f32], b: BSrc<f32>) -> Vec<f32> {
         let mut c = vec![f32::NAN; m * n];
-        gemm_tiled(tile, gemm_kc(), gemm_nc(), m, k, n, a, b, 0.0, &mut c, |_, _, _, _| {});
+        gemm_tiled(tile, KC, NC, m, k, n, a, b, 0.0, &mut c, |_, _, _, _| {});
         c
     }
 
@@ -1874,10 +1841,9 @@ mod tests {
     /// transposed B.
     #[test]
     fn every_tile_matches_the_sequential_chain_bitwise() {
-        let kc = gemm_kc();
         let mut rng = StdRng::seed_from_u64(0x711E);
         for &m in &[1usize, 5, 13, 24] {
-            for &k in &[0usize, 7, 2 * kc + 37] {
+            for &k in &[0usize, 7, 2 * KC + 37] {
                 for &n in &[1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 70] {
                     let a = rand_vec(m * k, &mut rng);
                     let b = rand_vec(k * n, &mut rng);
@@ -1887,7 +1853,7 @@ mod tests {
                             bt[j * k + kk] = b[kk * n + j];
                         }
                     }
-                    let want = chain(m, k, n, kc, &a, |kk, j| b[kk * n + j]);
+                    let want = chain(m, k, n, KC, &a, |kk, j| b[kk * n + j]);
                     for tile in runnable(&TILES) {
                         let c = run_f32(tile, m, k, n, &a, BSrc::RowMajor(&b));
                         assert_bits_eq(&c, &want, &format!("{} nn {m}x{k}x{n}", tile.name));
@@ -1939,15 +1905,14 @@ mod tests {
     /// `K` across three `KC` panels).
     #[test]
     fn every_tile_packs_patches_like_the_explicit_gather() {
-        let kc = gemm_kc();
         let mut rng = StdRng::seed_from_u64(0x9A7C);
-        for case in patch_cases(kc) {
+        for case in patch_cases(KC) {
             let (imgs, c, _, cg, h, w, kh, kw, stride, ..) = case;
             let x = rand_vec(imgs * c * h * w, &mut rng);
             let (patches, b_at) = patch_oracle(case, &x, 0.0);
             let (m, k, n) = (13, cg * kh * kw, imgs * patches.oh * patches.ow);
             let a = rand_vec(m * k, &mut rng);
-            let want = chain(m, k, n, kc, &a, b_at);
+            let want = chain(m, k, n, KC, &a, b_at);
             for tile in runnable(&TILES) {
                 let got = run_f32(tile, m, k, n, &a, BSrc::Patches(&patches));
                 assert_bits_eq(&got, &want, &format!("{} patches {h}x{w} k{kh}x{kw} s{stride:?}", tile.name));
@@ -1997,7 +1962,7 @@ mod tests {
     #[test]
     fn every_i8_tile_matches_the_scalar_sums_exactly() {
         let mut rng = StdRng::seed_from_u64(0x18);
-        for &(kc, nc) in &[(gemm_kc(), gemm_nc()), (8, NR_MAX)] {
+        for &(kc, nc) in &[(KC, NC), (8, NR_MAX)] {
             for &m in &[1usize, 5, 13, 24] {
                 for &k in &[0usize, 1, 7, 4 * kc + 37] {
                     for &n in &[1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 70] {
@@ -2037,7 +2002,7 @@ mod tests {
     #[test]
     fn every_i8_tile_packs_patches_like_the_explicit_gather() {
         let mut rng = StdRng::seed_from_u64(0x9A7D);
-        for &kc in &[gemm_kc(), 8] {
+        for &kc in &[KC, 8] {
             for case in patch_cases(2 * kc) {
                 let (imgs, c, _, cg, h, w, kh, kw, stride, ..) = case;
                 let x = rand_i8(imgs * c * h * w, &mut rng);
@@ -2046,7 +2011,7 @@ mod tests {
                 let a = rand_i8(m * k, &mut rng);
                 let want = chain_i8(m, k, n, &a, b_at);
                 for tile in runnable_i8_tiles() {
-                    let got = run_i8(tile, kc, gemm_nc(), m, k, n, &a, BSrc::Patches(&patches), -77);
+                    let got = run_i8(tile, kc, NC, m, k, n, &a, BSrc::Patches(&patches), -77);
                     assert_eq!(got, want, "{} patches {h}x{w} k{kh}x{kw} s{stride:?} kc={kc}", tile.name);
                 }
             }
@@ -2254,34 +2219,4 @@ mod tests {
         assert!(["scalar", "avx2", "avx512"].contains(&simd_level()));
         assert_eq!(simd_enabled(), simd_level() != "scalar");
     }
-
-    /// FX_GEMM_KC/FX_GEMM_NC validation: in-range values round to the
-    /// quantum (never below one), junk falls back to the default.
-    #[test]
-    fn block_param_validates() {
-        // Unset → default.
-        assert_eq!(block_param("FX_TEST_UNSET_BLOCK", 256, 8, 1024, 8), 256);
-        std::env::set_var("FX_TEST_BLOCK_A", "384");
-        assert_eq!(block_param("FX_TEST_BLOCK_A", 256, 8, 1024, 8), 384);
-        std::env::set_var("FX_TEST_BLOCK_A", "100");
-        assert_eq!(block_param("FX_TEST_BLOCK_A", 256, 8, 1024, 8), 96);
-        std::env::set_var("FX_TEST_BLOCK_A", "7");
-        assert_eq!(block_param("FX_TEST_BLOCK_A", 256, 8, 1024, 8), 256);
-        std::env::set_var("FX_TEST_BLOCK_A", "99999");
-        assert_eq!(block_param("FX_TEST_BLOCK_A", 256, 8, 1024, 8), 256);
-        std::env::set_var("FX_TEST_BLOCK_A", "banana");
-        assert_eq!(block_param("FX_TEST_BLOCK_A", 256, 8, 1024, 8), 256);
-        // FX_GEMM_NC against the widest tile: a value below one panel
-        // rounds *up* to it — `pack_b` writes whole panels, so a block
-        // narrower than a panel would be overrun.
-        for (var, want) in [("16", 32), ("48", 32), ("8192", 8192)] {
-            std::env::set_var("FX_TEST_BLOCK_A", var);
-            assert_eq!(block_param("FX_TEST_BLOCK_A", 512, 16, 8192, 32), want);
-        }
-        std::env::remove_var("FX_TEST_BLOCK_A");
-        for tile in &TILES {
-            assert_eq!(gemm_nc() % tile.nr, 0, "NC must be whole {} panels", tile.name);
-        }
-    }
 }
-

@@ -7,7 +7,8 @@
 //!   ([`ExecPlan::mem`]) — the same liveness, plus bucketed buffer
 //!   assignment;
 //! * the **executor**'s measured behavior — profiled peak live bytes
-//!   and buffer-pool counters over steady-state runs.
+//!   and buffer-pool counters over steady-state runs, in f32 and on an
+//!   int8 PTQ model.
 //!
 //! Everything lives in ONE `#[test]` because the pool statistics are
 //! process-global: concurrent test threads would pollute the deltas.
@@ -16,7 +17,7 @@
 
 use fx::passes::{cross_check_peak, infer_shapes};
 use fx::prelude::*;
-use fx_models::{resnet50, DeepRecommender, LearningToPaintActor};
+use fx_models::{resnet50, resnet_tiny, DeepRecommender, LearningToPaintActor};
 use fx_tensor::pool;
 use fx_tensor::rng::{SeedableRng, StdRng};
 
@@ -41,6 +42,22 @@ fn annotated_models() -> Vec<(&'static str, GraphModule, Vec<usize>)> {
             .unwrap_or_else(|e| panic!("{label}: infer_shapes: {e}"));
     }
     out
+}
+
+/// resnet_tiny → conv+BN fusion → PTQ (prepare, calibrate, convert) →
+/// shape annotation: an int8 graph whose i8 and i32 buffers live in
+/// their own pool buckets.
+fn int8_model() -> (&'static str, GraphModule, Vec<usize>) {
+    let shape = vec![1usize, 3, 32, 32];
+    let mut rng = StdRng::seed_from_u64(93);
+    let mut gm = symbolic_trace(&resnet_tiny(&mut rng)).unwrap();
+    fx::passes::fuse_conv_bn(&mut gm).unwrap();
+    let cal: Vec<Vec<Value>> = (0..3)
+        .map(|i| vec![randn(&[2, 3, 32, 32], 40 + i)])
+        .collect();
+    let mut qgm = fx::quant::quantize_ptq(&gm, &cal, &fx::quant::QConfig::default()).unwrap();
+    infer_shapes(&mut qgm, std::slice::from_ref(&shape)).unwrap();
+    ("resnet-tiny int8", qgm, shape)
 }
 
 #[test]
@@ -108,42 +125,46 @@ fn planner_estimator_and_measurement_agree() {
     }
 
     // Steady-state allocation behavior, measured on the pool's global
-    // counters (hence: same single test).
-    let (label, gm, shape) = annotated_models().remove(1);
-    let x = randn(&shape, 8);
-    let mut ex = Executor::new(&gm).with_memory_planning(true);
-    // Warm-up: compiles the plan and stocks the pool buckets.
-    ex.run(std::slice::from_ref(&x)).unwrap();
-    ex.run(std::slice::from_ref(&x)).unwrap();
+    // counters (hence: same single test), in f32 and in int8.
+    for (label, gm, shape) in [annotated_models().remove(1), int8_model()] {
+        let x = randn(&shape, 8);
+        let mut ex = Executor::new(&gm).with_memory_planning(true);
+        // Warm-up: compiles the plan and stocks the pool buckets. Three
+        // runs, because the int8 leg under the YMM tiles (FX_SIMD=avx2)
+        // still takes one extra fresh buffer on its third run.
+        for _ in 0..3 {
+            ex.run(std::slice::from_ref(&x)).unwrap();
+        }
 
-    let base = pool::stats();
-    const RUNS: u64 = 5;
-    for _ in 0..RUNS {
-        ex.run(std::slice::from_ref(&x)).unwrap();
+        let base = pool::stats();
+        const RUNS: u64 = 5;
+        for _ in 0..RUNS {
+            ex.run(std::slice::from_ref(&x)).unwrap();
+        }
+        let delta = pool::stats().since(&base);
+        assert!(
+            delta.fresh_allocs <= RUNS,
+            "{label}: steady state must average <=1 fresh allocation per run, got {} over {RUNS}",
+            delta.fresh_allocs
+        );
+        assert!(
+            delta.pool_hits >= 10 * delta.fresh_allocs,
+            "{label}: pool hits ({}) must dominate fresh allocations ({})",
+            delta.pool_hits,
+            delta.fresh_allocs
+        );
+
+        // With planning off, every kernel allocation is fresh again.
+        let base = pool::stats();
+        Executor::new(&gm)
+            .with_memory_planning(false)
+            .run(std::slice::from_ref(&x))
+            .unwrap();
+        let off = pool::stats().since(&base);
+        assert_eq!(
+            off.pool_hits, 0,
+            "{label}: unplanned runs must not touch the pool"
+        );
+        assert!(off.fresh_allocs > 0, "{label}: unplanned runs allocate");
     }
-    let delta = pool::stats().since(&base);
-    assert!(
-        delta.fresh_allocs <= RUNS,
-        "{label}: steady state must average <=1 fresh allocation per run, got {} over {RUNS}",
-        delta.fresh_allocs
-    );
-    assert!(
-        delta.pool_hits >= 10 * delta.fresh_allocs,
-        "{label}: pool hits ({}) must dominate fresh allocations ({})",
-        delta.pool_hits,
-        delta.fresh_allocs
-    );
-
-    // With planning off, every kernel allocation is fresh again.
-    let base = pool::stats();
-    Executor::new(&gm)
-        .with_memory_planning(false)
-        .run(std::slice::from_ref(&x))
-        .unwrap();
-    let off = pool::stats().since(&base);
-    assert_eq!(
-        off.pool_hits, 0,
-        "{label}: unplanned runs must not touch the pool"
-    );
-    assert!(off.fresh_allocs > 0, "{label}: unplanned runs allocate");
 }
