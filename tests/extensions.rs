@@ -150,20 +150,6 @@ fn ablation_knobs_preserve_semantics_everywhere() {
             },
         ),
         (
-            "no_epilogues",
-            CompileOptions {
-                fuse_epilogues: false,
-                ..Default::default()
-            },
-        ),
-        (
-            "no_chains",
-            CompileOptions {
-                fuse_unary_chains: false,
-                ..Default::default()
-            },
-        ),
-        (
             "no_pointwise",
             CompileOptions {
                 pointwise: false,

@@ -126,13 +126,13 @@ fn planner_estimator_and_measurement_agree() {
 
     // Steady-state allocation behavior, measured on the pool's global
     // counters (hence: same single test), in f32 and in int8.
-    for (label, gm, shape) in [annotated_models().remove(1), int8_model()] {
+    // Warm-up runs compile the plan and stock the pool buckets: two for
+    // f32; three for int8, whose YMM tiles (FX_SIMD=avx2) still take one
+    // extra fresh buffer on the third run.
+    for ((label, gm, shape), warm_up) in [(annotated_models().remove(1), 2), (int8_model(), 3)] {
         let x = randn(&shape, 8);
         let mut ex = Executor::new(&gm).with_memory_planning(true);
-        // Warm-up: compiles the plan and stocks the pool buckets. Three
-        // runs, because the int8 leg under the YMM tiles (FX_SIMD=avx2)
-        // still takes one extra fresh buffer on its third run.
-        for _ in 0..3 {
+        for _ in 0..warm_up {
             ex.run(std::slice::from_ref(&x)).unwrap();
         }
 

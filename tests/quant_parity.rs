@@ -21,7 +21,7 @@ use std::time::Duration;
 const SHAPE: [usize; 4] = [1, 3, 32, 32];
 
 /// resnet_tiny → fuse conv+bn → PTQ with a handful of calibration
-/// batches: the same recipe the serve bench and fuzz suite use.
+/// batches: the same recipe the fuzz suite's int8 cases use.
 fn f32_and_int8_resnet(seed: u64) -> (GraphModule, GraphModule) {
     let mut rng = StdRng::seed_from_u64(seed);
     let model = fx::models::resnet_tiny(&mut rng);
