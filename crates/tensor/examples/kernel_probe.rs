@@ -1,4 +1,6 @@
-//! The kernel throughput tool: prints GFLOP/s per GEMM/conv shape and
+//! The kernel throughput tool: prints GFLOP/s per GEMM/conv shape, the
+//! same for the int8 conv and linear (with an FNV-1a hash of each output,
+//! so one build per tree shows whether two trees agree byte for byte) and
 //! ns per element for the int8 elementwise kernels (the quantize lane)
 //! under whichever engine `FX_SIMD` selects — the fast feedback loop
 //! while tuning kernels. End-to-end claims are measured by the
@@ -8,9 +10,12 @@
 //! ```sh
 //! cargo run --release -p fx-tensor --example kernel_probe
 //! FX_SIMD=avx2 cargo run --release -p fx-tensor --example kernel_probe
+//! FX_SIMD=0 taskset -c 1 cargo run --release -p fx-tensor --example kernel_probe
 //! ```
 
-use fx_tensor::quant::{quantize_per_channel, quantize_per_tensor, quantized_add, quantized_conv2d, quantized_relu};
+use fx_tensor::quant::{
+    quantize_per_channel, quantize_per_tensor, quantized_add, quantized_conv2d, quantized_linear, quantized_relu,
+};
 use fx_tensor::rng::{SeedableRng, StdRng};
 use fx_tensor::{ops, Tensor};
 use std::time::Instant;
@@ -32,6 +37,20 @@ fn best_of(mut f: impl FnMut()) -> f64 {
 fn time_gflops(name: &str, flops: u64, f: impl FnMut()) {
     let best = best_of(f);
     println!("{name:32} {:9.3} ms  {:7.2} GFLOP/s", best * 1e3, flops as f64 / best / 1e9);
+}
+
+/// FNV-1a over the bytes of an int8 tensor.
+fn fnv(t: &Tensor) -> u64 {
+    t.as_qi8().unwrap().iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u8 as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// [`time_gflops`] for an int8 kernel, plus the hash of its output.
+fn time_hashed(name: &str, ops: usize, mut f: impl FnMut() -> Tensor) {
+    let hash = fnv(&f());
+    let best = best_of(|| {
+        f();
+    });
+    println!("{name:32} {:9.3} ms  {:7.2} GOP/s   fnv {hash:016x}", best * 1e3, ops as f64 / best / 1e9);
 }
 
 fn time_per_elem(name: &str, elems: usize, f: impl FnMut()) {
@@ -70,6 +89,35 @@ fn main() {
     time_gflops("conv1x1 512->2048 @2x2", 2 * 2048 * 2 * 2 * 512, || {
         ops::conv2d_pointwise(&x1, &w1, None).unwrap();
     });
+
+    // The int8 GEMMs at ResNet-50 shapes on a [4,3,64,64] input — the
+    // stem, a layer1 3x3 and 1x1, a layer4 3x3 — and the classifier
+    // (one row, and a batch of 16 through a wide layer), with a non-zero
+    // activation zero point under the padding.
+    let (xs, xzp) = (2.0 / 255.0, 3);
+    for &(n, c, h, o, k, stride, pad) in &[
+        (4usize, 64usize, 16usize, 64usize, 3usize, 1usize, 1usize),
+        (4, 256, 16, 64, 1, 1, 0),
+        (4, 3, 64, 64, 7, 2, 3),
+        (4, 512, 4, 512, 3, 1, 1),
+    ] {
+        let x = quantize_per_tensor(&Tensor::rand_uniform(&[n, c, h, h], -1.0, 1.0, &mut rng), xs, xzp).unwrap();
+        let w = quantize_per_channel(&Tensor::rand_uniform(&[o, c, k, k], -0.5, 0.5, &mut rng), 0).unwrap();
+        let b = Tensor::rand_uniform(&[o], -0.2, 0.2, &mut rng);
+        let oh = (h + 2 * pad - k) / stride + 1;
+        let name = format!("i8 conv{k}x{k} s{stride} {c}->{o} @{n}x{h}x{h}");
+        time_hashed(&name, 2 * n * o * oh * oh * c * k * k, || {
+            quantized_conv2d(&x, &w, Some(&b), (stride, stride), (pad, pad), 0.07, -2, true).unwrap()
+        });
+    }
+    for &(m, k, n) in &[(1usize, 2048usize, 1000usize), (16, 512, 4096)] {
+        let x = quantize_per_tensor(&Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng), xs, xzp).unwrap();
+        let w = quantize_per_channel(&Tensor::rand_uniform(&[n, k], -0.5, 0.5, &mut rng), 0).unwrap();
+        let b = Tensor::rand_uniform(&[n], -0.2, 0.2, &mut rng);
+        time_hashed(&format!("i8 linear {m}x{k} -> {n}"), 2 * m * k * n, || {
+            quantized_linear(&x, &w, Some(&b), 0.05, 1, false).unwrap()
+        });
+    }
 
     // The int8 elementwise kernels at ResNet-50 sizes ([4,3,64,64]
     // input): a layer1 residual add and its ReLU, the input's quant

@@ -4,10 +4,11 @@
 //!
 //! This crate provides a small but real n-dimensional array library:
 //! contiguous row-major tensors over `f32`, `i64`, `bool` and quantized
-//! `i8` storage, NumPy-style broadcasting, a blocked (optionally threaded)
-//! GEMM with explicit AVX2 / AVX-512 microkernels behind runtime feature
-//! detection (`FX_SIMD=0` selects the portable fallback; see
-//! [`simd_enabled`]), im2col / implicit-GEMM convolution, pooling,
+//! `i8` storage, NumPy-style broadcasting, one blocked (optionally
+//! threaded) GEMM driver over a table of register tiles — explicit AVX2 /
+//! AVX-512 microkernels behind runtime feature detection, and portable
+//! ones, which `FX_SIMD=0` selects (see [`simd_level`]) — implicit-GEMM
+//! convolution, pooling,
 //! normalization, activations,
 //! reductions, shape manipulation and an int8 quantized kernel set
 //! (quantize/dequantize, quantized linear/conv with i32 accumulation and

@@ -1,14 +1,12 @@
 //! 2-d convolution and pooling kernels.
 //!
-//! Convolution has two lowering strategies behind one entry point:
-//! the portable path materializes a patch-major im2col matrix and runs
-//! the blocked GEMM over it (the FBGEMM-style lowering), while the
-//! SIMD path runs an **implicit GEMM** — patches are gathered into
-//! the microkernel's packed B panels on the fly ([`simd::PatchSrc`]),
-//! so the full `[n·p, kg]` im2col scratch is never allocated.
+//! A convolution is an **implicit GEMM** at every `FX_SIMD` level:
+//! patches are gathered into the one GEMM driver's packed B panels on
+//! the fly ([`simd::PatchSrc`]), so the `[n·p, kg]` im2col matrix is
+//! never allocated. A pointwise conv needs no gather: its input planes
+//! are B as they stand.
 
 use crate::error::{Error, Result};
-use crate::ops::matmul::{gemm_nn_into, gemm_nt_into};
 use crate::ops::simd::{self, BSrc, PatchSrc};
 use crate::pool;
 use crate::tensor::Tensor;
@@ -88,22 +86,9 @@ pub fn conv2d_pointwise_act(
         // directly into the output window, no intermediate copy.
         let dst = &mut out[img * o * hw..(img + 1) * o * hw];
         let x_img = &xd[img * c * hw..(img + 1) * c * hw];
-        if simd::simd_enabled() {
-            // Bias (per output channel = per C row) and ReLU fused into
-            // the microkernel write-back.
-            simd::gemm(o, c, hw, &wd[..o * c], BSrc::RowMajor(x_img), dst, bias_slice, None, relu);
-        } else {
-            gemm_nn_into(o, c, hw, &wd[..o * c], x_img, dst);
-            if let Some(bd) = bias_slice {
-                for (oc, row) in dst.chunks_mut(hw).enumerate() {
-                    let bv = bd[oc];
-                    row.iter_mut().for_each(|v| *v += bv);
-                }
-            }
-            if relu {
-                dst.iter_mut().for_each(|v| *v = v.max(0.0));
-            }
-        }
+        // Bias (per output channel = per C row) and ReLU fused into the
+        // microkernel write-back.
+        simd::gemm(o, c, hw, &wd[..o * c], BSrc::RowMajor(x_img), dst, bias_slice, None, relu);
     }
     Ok(Tensor::from_vec(out, &[n, o, h, win]))
 }
@@ -114,10 +99,9 @@ pub fn conv2d_pointwise_act(
 /// * `w` — weight `[O, C/groups, kh, kw]`
 /// * `bias` — optional `[O]`
 ///
-/// Implemented as patch-major im2col followed by a transposed GEMM, the
-/// same lowering FBGEMM and most CPU backends use — or, on the SIMD
-/// path, as an implicit GEMM that packs patches per panel and never
-/// materializes the im2col matrix.
+/// Implemented as an implicit GEMM per group: the weight `[og, kg]` is A
+/// and the patches are B, packed panel by panel straight from the input,
+/// so the im2col matrix is never materialized.
 pub fn conv2d(
     x: &Tensor,
     w: &Tensor,
@@ -191,199 +175,49 @@ pub fn conv2d_act(
         None => None,
     };
 
-    let geom = ConvGeom {
-        n,
-        c,
-        h,
-        win,
-        o,
-        cg,
-        kh,
-        kw,
-        og,
-        oh,
-        ow,
-        stride,
-        padding,
-        dilation,
-        groups,
-    };
-    let out = if simd::simd_enabled() {
-        conv_via_implicit_gemm(xd, wd, bias_slice, relu, &geom)
-    } else {
-        conv_via_im2col(xd, wd, bias_slice, relu, &geom)
-    };
-    Ok(Tensor::from_vec(out, &[n, o, oh, ow]))
-}
-
-/// Validated geometry shared by the two convolution lowerings.
-struct ConvGeom {
-    n: usize,
-    c: usize,
-    h: usize,
-    win: usize,
-    o: usize,
-    cg: usize,
-    kh: usize,
-    kw: usize,
-    og: usize,
-    oh: usize,
-    ow: usize,
-    stride: (usize, usize),
-    padding: (usize, usize),
-    dilation: (usize, usize),
-    groups: usize,
-}
-
-impl ConvGeom {
-    /// Patches per image.
-    fn p(&self) -> usize {
-        self.oh * self.ow
-    }
-
-    /// GEMM reduction depth per group.
-    fn kg(&self) -> usize {
-        self.cg * self.kh * self.kw
-    }
-}
-
-/// Portable lowering: one materialized im2col + GEMM per *group*,
-/// spanning the whole batch: the column matrix stacks every image's
-/// patches along its row axis, so a batch of N amortizes the per-GEMM
-/// fixed costs (thread-pool scope, output allocation, weight-panel
-/// streaming) N×. Each output element is still the same dot product
-/// over the same `kg` sequence as a per-image GEMM would compute, so
-/// results are bit-identical for every batch size — the property the
-/// `fx_serve` dynamic batcher relies on.
-///
-/// All three buffers come from the buffer pool: the output (every
-/// element is overwritten by the scatter below), the im2col scratch
-/// (zeroed per group — padding cells must read 0), and the per-group
-/// GEMM result (every element assigned by `gemm_nt_into`).
-fn conv_via_im2col(
-    xd: &[f32],
-    wd: &[f32],
-    bias_slice: Option<&[f32]>,
-    relu: bool,
-    g: &ConvGeom,
-) -> Vec<f32> {
-    let (n, c, h, win) = (g.n, g.c, g.h, g.win);
-    let (o, cg, kh, kw, og) = (g.o, g.cg, g.kh, g.kw, g.og);
-    let (p, kg) = (g.p(), g.kg());
-    let ow = g.ow;
-    let (stride, padding, dilation) = (g.stride, g.padding, g.dilation);
-    let mut out = pool::alloc_f32(n * o * p);
-    let mut cols = pool::alloc_f32(n * p * kg);
-    let mut res = pool::alloc_f32(og * n * p);
-    for grp in 0..g.groups {
-        cols.fill(0.0);
-        for img in 0..n {
-            let x_img = &xd[img * c * h * win..(img + 1) * c * h * win];
-            // Patch-major im2col for this group's channels of this image.
-            let img_cols = &mut cols[img * p * kg..(img + 1) * p * kg];
-            for (pi, col_row) in img_cols.chunks_mut(kg).enumerate() {
-                let oy = pi / ow;
-                let ox = pi % ow;
-                for ch in 0..cg {
-                    let ch_abs = grp * cg + ch;
-                    let plane = &x_img[ch_abs * h * win..(ch_abs + 1) * h * win];
-                    for ky in 0..kh {
-                        let iy = oy * stride.0 + ky * dilation.0;
-                        if iy < padding.0 || iy - padding.0 >= h {
-                            continue;
-                        }
-                        let iy = iy - padding.0;
-                        for kx in 0..kw {
-                            let ix = ox * stride.1 + kx * dilation.1;
-                            if ix < padding.1 || ix - padding.1 >= win {
-                                continue;
-                            }
-                            let ix = ix - padding.1;
-                            col_row[ch * kh * kw + ky * kw + kx] = plane[iy * win + ix];
-                        }
-                    }
-                }
-            }
-        }
-        // [og, kg] @ [n*p, kg]^T -> [og, n*p]; scatter rows back to the
-        // [N, O, p] output layout.
-        let w_g = &wd[grp * og * kg..(grp + 1) * og * kg];
-        gemm_nt_into(og, kg, n * p, w_g, &cols, &mut res);
-        scatter_group(&res, &mut out, bias_slice, relu, grp, g);
-    }
-    pool::recycle_f32(cols);
-    pool::recycle_f32(res);
-    out
-}
-
-/// SIMD lowering: implicit GEMM. The microkernel's B panels are packed
-/// straight from the input via [`PatchSrc`] — same values the im2col
-/// matrix would hold, gathered `KC×NR` at a time — so the only scratch
-/// is the per-group `[og, n·p]` result (the `[n·p, kg]` column matrix
-/// is never built). Per-element reduction order is the microkernel's
-/// sequential k-chain, independent of batch size and thread count, so
-/// batched and solo runs stay bit-identical within the SIMD mode.
-fn conv_via_implicit_gemm(
-    xd: &[f32],
-    wd: &[f32],
-    bias_slice: Option<&[f32]>,
-    relu: bool,
-    g: &ConvGeom,
-) -> Vec<f32> {
-    let (n, o, og) = (g.n, g.o, g.og);
-    let (p, kg) = (g.p(), g.kg());
+    // One GEMM per group over the whole batch, into a per-group
+    // `[og, n·p]` result. Each element's k-chain is the microkernel's,
+    // independent of batch size and thread count, so batched and solo
+    // runs stay bit-identical.
+    let (p, kg) = (oh * ow, cg * kh * kw);
     let mut out = pool::alloc_f32(n * o * p);
     let mut res = pool::alloc_f32(og * n * p);
-    for grp in 0..g.groups {
+    for grp in 0..groups {
         let patches = PatchSrc {
             x: xd,
-            c: g.c,
-            h: g.h,
-            w: g.win,
-            ch0: grp * g.cg,
-            kh: g.kh,
-            kw: g.kw,
-            stride: g.stride,
-            padding: g.padding,
-            dilation: g.dilation,
-            oh: g.oh,
-            ow: g.ow,
+            c,
+            h,
+            w: win,
+            ch0: grp * cg,
+            kh,
+            kw,
+            stride,
+            padding,
+            dilation,
+            oh,
+            ow,
         };
         let w_g = &wd[grp * og * kg..(grp + 1) * og * kg];
         simd::gemm(og, kg, n * p, w_g, BSrc::Patches(&patches), &mut res, None, None, false);
-        scatter_group(&res, &mut out, bias_slice, relu, grp, g);
-    }
-    pool::recycle_f32(res);
-    out
-}
-
-/// Scatter one group's `[og, n·p]` GEMM result into the `[N, O, p]`
-/// output layout, fusing the bias add and optional ReLU into the copy
-/// (the same per-element ops as standalone bias/ReLU passes).
-fn scatter_group(
-    res: &[f32],
-    out: &mut [f32],
-    bias_slice: Option<&[f32]>,
-    relu: bool,
-    grp: usize,
-    g: &ConvGeom,
-) {
-    let (n, o, og) = (g.n, g.o, g.og);
-    let p = g.p();
-    for img in 0..n {
-        let out_base = img * o * p + grp * og * p;
-        for oc in 0..og {
-            let dst = &mut out[out_base + oc * p..out_base + (oc + 1) * p];
-            dst.copy_from_slice(&res[oc * n * p + img * p..oc * n * p + (img + 1) * p]);
-            if let Some(bd) = bias_slice {
-                let bv = bd[grp * og + oc];
-                dst.iter_mut().for_each(|v| *v += bv);
-            }
-            if relu {
-                dst.iter_mut().for_each(|v| *v = v.max(0.0));
+        // Scatter into the `[N, O, p]` output, fusing the bias add and
+        // optional ReLU into the copy (the same per-element ops as
+        // standalone bias/ReLU passes).
+        for img in 0..n {
+            for oc in 0..og {
+                let dst = &mut out[(img * o + grp * og + oc) * p..][..p];
+                dst.copy_from_slice(&res[(oc * n + img) * p..][..p]);
+                if let Some(bd) = bias_slice {
+                    let bv = bd[grp * og + oc];
+                    dst.iter_mut().for_each(|v| *v += bv);
+                }
+                if relu {
+                    dst.iter_mut().for_each(|v| *v = v.max(0.0));
+                }
             }
         }
     }
+    pool::recycle_f32(res);
+    Ok(Tensor::from_vec(out, &[n, o, oh, ow]))
 }
 
 /// Max pooling over 2-d windows.
@@ -632,10 +466,12 @@ mod tests {
         assert!(conv2d(&x, &w, None, (0, 1), (0, 0), (1, 1), 1).is_err());
     }
 
-    /// Property sweep: both lowerings — materialized im2col and the
-    /// SIMD implicit GEMM — must match the direct-convolution oracle
-    /// across randomized geometries (grouped, strided, dilated, padded,
-    /// 1×1 kernels where the GEMM depth is below the SIMD lane width).
+    /// Property sweep: both lowerings — the implicit GEMM and, where the
+    /// geometry allows it, the pointwise GEMM over channels — must match
+    /// the direct-convolution oracle across randomized geometries
+    /// (grouped, strided, dilated, padded, 1×1 kernels where the GEMM
+    /// depth is below the lane width) and degenerate ones: no images, and
+    /// no input channels (every sum empty, so the output is the bias).
     #[test]
     fn both_lowerings_match_direct_oracle_across_geometries() {
         let mut rng = StdRng::seed_from_u64(0xC0DE);
@@ -648,42 +484,24 @@ mod tests {
             (1, 6, 6, 6, 3, 3, 7, 7, (1, 1), (1, 1), (1, 1)), // depthwise
             (2, 5, 7, 1, 2, 4, 10, 11, (2, 3), (2, 1), (2, 1)),
             (1, 3, 2, 1, 5, 1, 12, 4, (1, 1), (2, 0), (2, 1)),
+            (2, 4, 3, 1, 1, 1, 3, 5, (1, 1), (0, 0), (1, 1)), // pointwise
+            (0, 3, 2, 1, 3, 3, 4, 4, (1, 1), (1, 1), (1, 1)), // no images
+            (1, 0, 2, 1, 3, 3, 4, 4, (1, 1), (1, 1), (1, 1)), // no channels
+            (0, 0, 2, 1, 1, 1, 4, 4, (1, 1), (0, 0), (1, 1)),
         ];
         for &(n, c, o, groups, kh, kw, h, w, stride, padding, dilation) in &cases {
             let x = Tensor::rand_uniform(&[n, c, h, w], -1.0, 1.0, &mut rng);
             let wt = Tensor::rand_uniform(&[o, c / groups, kh, kw], -0.5, 0.5, &mut rng);
             let b = Tensor::rand_uniform(&[o], -0.1, 0.1, &mut rng);
-            let oh = out_extent("conv2d", h, padding.0, dilation.0, kh, stride.0).unwrap();
-            let ow = out_extent("conv2d", w, padding.1, dilation.1, kw, stride.1).unwrap();
-            let geom = ConvGeom {
-                n,
-                c,
-                h,
-                win: w,
-                o,
-                cg: c / groups,
-                kh,
-                kw,
-                og: o / groups,
-                oh,
-                ow,
-                stride,
-                padding,
-                dilation,
-                groups,
-            };
             let want = naive_conv2d(&x, &wt, Some(&b), stride, padding, dilation, groups);
-            let shape = [n, o, oh, ow];
-            let xd = x.as_f32().unwrap();
-            let wd = wt.as_f32().unwrap();
-            let bd = b.as_f32().unwrap();
-            let im2col = conv_via_im2col(xd, wd, Some(bd), false, &geom);
-            let got = Tensor::from_vec(im2col, &shape);
-            assert!(got.allclose(&want, 1e-4), "im2col {n},{c},{o},g{groups}");
-            if simd::simd_available() {
-                let implicit = conv_via_implicit_gemm(xd, wd, Some(bd), false, &geom);
-                let got = Tensor::from_vec(implicit, &shape);
-                assert!(got.allclose(&want, 1e-4), "implicit {n},{c},{o},g{groups}");
+            let what = format!("{n},{c},{o},g{groups} {kh}x{kw}");
+            let got = conv2d(&x, &wt, Some(&b), stride, padding, dilation, groups).unwrap();
+            assert_eq!(got.shape(), want.shape(), "implicit {what}");
+            assert!(got.allclose(&want, 1e-4), "implicit {what}");
+            if (kh, kw, stride, padding, dilation, groups) == (1, 1, (1, 1), (0, 0), (1, 1), 1) {
+                let got = conv2d_pointwise(&x, &wt, Some(&b)).unwrap();
+                assert_eq!(got.shape(), want.shape(), "pointwise {what}");
+                assert!(got.allclose(&want, 1e-4), "pointwise {what}");
             }
         }
     }

@@ -1,14 +1,12 @@
-//! Matrix multiplication: the `matmul` / `linear` entry points over two
-//! interchangeable GEMM engines — the explicit SIMD microkernel
-//! path ([`simd`]) when the host supports it, and a portable blocked,
-//! thread-parallel fallback (`FX_SIMD=0`, or non-x86 hosts) kept
-//! bit-stable for the parity suites.
+//! Matrix multiplication: the `matmul` / `linear` entry points over the
+//! one GEMM driver ([`simd`]), which runs the tile the `FX_SIMD` level
+//! selects — portable rows included — so there is one engine at every
+//! level. A 1-d @ 1-d product is a plain [`dot`].
 
 use crate::error::{Error, Result};
 use crate::ops::simd::{self, BSrc};
 use crate::pool;
 use crate::tensor::Tensor;
-use crate::threading::parallel_row_blocks;
 
 /// Dot product with eight independent accumulators. Float addition is
 /// not associative, so LLVM will not vectorize a single-accumulator
@@ -41,135 +39,15 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
 
 /// `C[m,n] = A[m,k] @ B[k,n]`, all row-major, written into the
 /// caller-provided `c` (which may hold garbage — every element is
-/// overwritten). Dispatches to the SIMD microkernel when
-/// [`simd::simd_enabled`]; the portable path zeroes `c` and runs the
-/// inner loop down contiguous rows of `B` so it auto-vectorizes.
-/// Length mismatches are caller-side shape bugs and would read out of
-/// bounds or silently truncate, so they stay hard errors in release
-/// builds (one compare each against an O(m·k·n) kernel).
-pub(crate) fn gemm_nn_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "gemm_nn: A length mismatch");
-    assert_eq!(b.len(), k * n, "gemm_nn: B length mismatch");
-    assert_eq!(c.len(), m * n, "gemm_nn: C length mismatch");
-    if simd::simd_enabled() {
-        simd::gemm(m, k, n, a, BSrc::RowMajor(b), c, None, None, false);
-        return;
-    }
-    gemm_nn_scalar(k, n, a, b, c);
-}
-
-/// The portable `nn` kernel (also the `FX_SIMD=0` reference the SIMD
-/// parity sweep compares against).
-pub(crate) fn gemm_nn_scalar(k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    parallel_row_blocks(c, n, |row0, c_chunk| {
-        c_chunk.fill(0.0);
-        for (i, c_row) in c_chunk.chunks_mut(n).enumerate() {
-            let a_row = &a[(row0 + i) * k..(row0 + i + 1) * k];
-            for (kk, &aik) in a_row.iter().enumerate() {
-                let b_row = &b[kk * n..(kk + 1) * n];
-                for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                    *cv += aik * bv;
-                }
-            }
-        }
-    });
+/// overwritten).
+fn gemm_nn_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    simd::gemm(m, k, n, a, BSrc::RowMajor(b), c, None, None, false);
 }
 
 /// Pool-allocating wrapper around [`gemm_nn_into`].
-pub(crate) fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
+fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
     let mut c = pool::alloc_f32(m * n);
     gemm_nn_into(m, k, n, a, b, &mut c);
-    c
-}
-
-/// Four simultaneous dot products against a shared right-hand row —
-/// the 4×1 microkernel. Streaming `b` once per *four* rows of `a` cuts
-/// weight-matrix memory traffic 4×, which is where a one-row-at-a-time
-/// GEMM loses (the B matrix does not fit in cache).
-#[inline]
-fn dot4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -> [f32; 4] {
-    const LANES: usize = 8;
-    let k = b.len();
-    let chunks = k / LANES;
-    let mut acc = [[0.0f32; LANES]; 4];
-    for c in 0..chunks {
-        let base = c * LANES;
-        for l in 0..LANES {
-            let bv = b[base + l];
-            acc[0][l] += a0[base + l] * bv;
-            acc[1][l] += a1[base + l] * bv;
-            acc[2][l] += a2[base + l] * bv;
-            acc[3][l] += a3[base + l] * bv;
-        }
-    }
-    let mut out = [
-        acc[0].iter().sum::<f32>(),
-        acc[1].iter().sum::<f32>(),
-        acc[2].iter().sum::<f32>(),
-        acc[3].iter().sum::<f32>(),
-    ];
-    for i in chunks * LANES..k {
-        out[0] += a0[i] * b[i];
-        out[1] += a1[i] * b[i];
-        out[2] += a2[i] * b[i];
-        out[3] += a3[i] * b[i];
-    }
-    out
-}
-
-/// `C[m,n] = A[m,k] @ B[n,k]ᵀ` — `B` is stored row-major `[n, k]` (the
-/// natural layout of a `Linear` weight), so both operands stream
-/// contiguously along `k`. Uses the 4-row microkernel to amortize `B`
-/// reads.
-pub(crate) fn gemm_nt_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "gemm_nt: A length mismatch");
-    assert_eq!(b.len(), n * k, "gemm_nt: B length mismatch");
-    assert_eq!(c.len(), m * n, "gemm_nt: C length mismatch");
-    if simd::simd_enabled() {
-        simd::gemm(m, k, n, a, BSrc::Transposed(b), c, None, None, false);
-        return;
-    }
-    gemm_nt_scalar(k, n, a, b, c);
-}
-
-/// The portable `nt` kernel (also the `FX_SIMD=0` reference the SIMD
-/// parity sweep compares against).
-pub(crate) fn gemm_nt_scalar(k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    parallel_row_blocks(c, n, |row0, c_chunk| {
-        let rows = c_chunk.len() / n;
-        let mut i = 0;
-        while i + 4 <= rows {
-            let base = (row0 + i) * k;
-            let (a0, a1, a2, a3) = (
-                &a[base..base + k],
-                &a[base + k..base + 2 * k],
-                &a[base + 2 * k..base + 3 * k],
-                &a[base + 3 * k..base + 4 * k],
-            );
-            for j in 0..n {
-                let d = dot4(a0, a1, a2, a3, &b[j * k..(j + 1) * k]);
-                c_chunk[i * n + j] = d[0];
-                c_chunk[(i + 1) * n + j] = d[1];
-                c_chunk[(i + 2) * n + j] = d[2];
-                c_chunk[(i + 3) * n + j] = d[3];
-            }
-            i += 4;
-        }
-        while i < rows {
-            let a_row = &a[(row0 + i) * k..(row0 + i + 1) * k];
-            for j in 0..n {
-                c_chunk[i * n + j] = dot(a_row, &b[j * k..(j + 1) * k]);
-            }
-            i += 1;
-        }
-    });
-}
-
-/// Pool-allocating wrapper around [`gemm_nt_into`] (every output
-/// element is assigned, so the buffer needs no zeroing).
-pub(crate) fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
-    let mut c = pool::alloc_f32(m * n);
-    gemm_nt_into(m, k, n, a, b, &mut c);
     c
 }
 
@@ -203,7 +81,9 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         (2, 1) => {
             let (m, k) = (a.shape()[0], a.shape()[1]);
             dims_match("matmul", k, b.shape()[0], b.shape())?;
-            Ok(Tensor::from_vec(gemm_nt(m, k, 1, ad, bd), &[m]))
+            let mut c = pool::alloc_f32(m);
+            simd::gemm(m, k, 1, ad, BSrc::Transposed(bd), &mut c, None, None, false);
+            Ok(Tensor::from_vec(c, &[m]))
         }
         (3, 3) => {
             let (bs, m, k) = (a.shape()[0], a.shape()[1], a.shape()[2]);
@@ -255,11 +135,10 @@ pub fn linear(x: &Tensor, w: &Tensor, b: Option<&Tensor>) -> Result<Tensor> {
 }
 
 /// [`linear`] with an optional fused ReLU epilogue, the hook the
-/// backend engine's epilogue fusion lowers `linear+relu` through. On
-/// the SIMD path bias and ReLU are applied during the GEMM write-back;
-/// either way the result is elementwise identical to running
-/// [`linear`] followed by `relu` (`+ bias` then `max(0)` are the same
-/// float ops wherever they run).
+/// backend engine's epilogue fusion lowers `linear+relu` through. Bias
+/// and ReLU are applied during the GEMM write-back, elementwise
+/// identical to running [`linear`] followed by `relu` (`+ bias` then
+/// `max(0)` are the same float ops wherever they run).
 pub fn linear_act(x: &Tensor, w: &Tensor, b: Option<&Tensor>, relu: bool) -> Result<Tensor> {
     let xd = x.as_f32()?;
     let wd = w.as_f32()?;
@@ -292,34 +171,22 @@ pub fn linear_act(x: &Tensor, w: &Tensor, b: Option<&Tensor>, relu: bool) -> Res
         }
         None => None,
     };
-    let m = x.numel() / in_f;
+    // The leading dims, not `numel / in_f`: with no input features the
+    // rows are still there, and each output row is the bias.
+    let m: usize = x.shape()[..x.rank() - 1].iter().product();
     let mut out = pool::alloc_f32(m * out_f);
-    if simd::simd_enabled() {
-        // Bias and ReLU fused into the microkernel write-back.
-        simd::gemm(
-            m,
-            in_f,
-            out_f,
-            xd,
-            BSrc::Transposed(wd),
-            &mut out,
-            None,
-            bias_slice,
-            relu,
-        );
-    } else {
-        gemm_nt_into(m, in_f, out_f, xd, wd, &mut out);
-        if let Some(bd) = bias_slice {
-            for row in out.chunks_mut(out_f) {
-                for (o, &bv) in row.iter_mut().zip(bd) {
-                    *o += bv;
-                }
-            }
-        }
-        if relu {
-            out.iter_mut().for_each(|v| *v = v.max(0.0));
-        }
-    }
+    // Bias and ReLU fused into the microkernel write-back.
+    simd::gemm(
+        m,
+        in_f,
+        out_f,
+        xd,
+        BSrc::Transposed(wd),
+        &mut out,
+        None,
+        bias_slice,
+        relu,
+    );
     let mut out_shape = x.shape().to_vec();
     *out_shape.last_mut().unwrap() = out_f;
     Ok(Tensor::from_vec(out, &out_shape))
@@ -439,15 +306,13 @@ mod tests {
         assert!(matmul(&a, &b).is_err());
     }
 
-    /// Property sweep: the SIMD engine must agree with the portable
-    /// scalar engine within the documented ULP bound (`2·K·ε` relative
-    /// to the accumulation magnitude) over odd M/K/N — K below lane
-    /// width, K = 0, single rows, non-multiples of the register tile.
+    /// Property sweep: the GEMM at this process's level must agree with
+    /// the naive triple loop within the documented envelope,
+    /// `2·K·ε·Σ|aᵢ·bᵢ|` per element, over odd M/K/N — K below lane width,
+    /// K = 0, single rows, non-multiples of every register tile — for
+    /// row-major and transposed B.
     #[test]
-    fn simd_engines_match_scalar_over_odd_shapes() {
-        if !simd::simd_available() {
-            return;
-        }
+    fn gemm_matches_the_naive_oracle_over_odd_shapes() {
         let mut rng = StdRng::seed_from_u64(0x5EED);
         let shapes = [
             (1, 0, 1),
@@ -462,28 +327,40 @@ mod tests {
             (3, 300, 5),
         ];
         for &(m, k, n) in &shapes {
-            let a = Tensor::rand_uniform(&[m, k.max(1)], -1.0, 1.0, &mut rng);
-            let b = Tensor::rand_uniform(&[k.max(1), n], -1.0, 1.0, &mut rng);
-            let bt = Tensor::rand_uniform(&[n, k.max(1)], -1.0, 1.0, &mut rng);
-            let (ad, bd, btd) = (
-                &a.as_f32().unwrap()[..m * k],
-                &b.as_f32().unwrap()[..k * n],
-                &bt.as_f32().unwrap()[..n * k],
-            );
-            let tol = 2.0 * (k.max(1) as f32) * f32::EPSILON * (k.max(1) as f32).sqrt();
-            let mut simd_c = vec![f32::NAN; m * n];
-            let mut scalar_c = vec![f32::NAN; m * n];
-            simd::gemm(m, k, n, ad, BSrc::RowMajor(bd), &mut simd_c, None, None, false);
-            gemm_nn_scalar(k, n, ad, bd, &mut scalar_c);
-            for (s, r) in simd_c.iter().zip(&scalar_c) {
-                assert!((s - r).abs() <= tol, "nn {m}x{k}x{n}: {s} vs {r}");
-            }
-            simd::gemm(m, k, n, ad, BSrc::Transposed(btd), &mut simd_c, None, None, false);
-            gemm_nt_scalar(k, n, ad, btd, &mut scalar_c);
-            for (s, r) in simd_c.iter().zip(&scalar_c) {
-                assert!((s - r).abs() <= tol, "nt {m}x{k}x{n}: {s} vs {r}");
+            let a = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
+            let b = Tensor::rand_uniform(&[k, n], -1.0, 1.0, &mut rng);
+            let (ad, bd) = (a.as_f32().unwrap(), b.as_f32().unwrap());
+            let abs = |v: &[f32]| v.iter().map(|x| x.abs()).collect::<Vec<_>>();
+            let want = naive_matmul(m, k, n, ad, bd);
+            let magnitude = naive_matmul(m, k, n, &abs(ad), &abs(bd));
+            let bt: Vec<f32> = (0..n * k).map(|i| bd[i % k * n + i / k]).collect();
+            let mut nt = vec![f32::NAN; m * n];
+            let b_t = BSrc::Transposed(&bt);
+            simd::gemm(m, k, n, ad, b_t, &mut nt, None, None, false);
+            let nn = matmul(&a, &b).unwrap();
+            for (what, got) in [("nn", nn.as_f32().unwrap()), ("nt", &nt[..])] {
+                for ((g, w), mag) in got.iter().zip(&want).zip(&magnitude) {
+                    let tol = 2.0 * k as f32 * f32::EPSILON * mag;
+                    assert!((g - w).abs() <= tol, "{what} {m}x{k}x{n}: {g} vs {w}");
+                }
             }
         }
+    }
+
+    /// A linear with no input features still has its rows: each output
+    /// row is the bias, or zeros.
+    #[test]
+    fn linear_without_input_features_is_the_bias() {
+        let x = Tensor::from_vec(vec![], &[2, 3, 0]);
+        let w = Tensor::from_vec(vec![], &[4, 0]);
+        let b = Tensor::from_vec(vec![1.0, -2.0, 0.5, 3.0], &[4]);
+        let y = linear(&x, &w, Some(&b)).unwrap();
+        assert_eq!(y.shape(), &[2, 3, 4]);
+        assert_eq!(y.as_f32().unwrap(), b.as_f32().unwrap().repeat(6));
+        let y = linear_act(&x, &w, Some(&b), true).unwrap();
+        assert_eq!(y.as_f32().unwrap(), [1.0, 0.0, 0.5, 3.0].repeat(6));
+        let y = linear(&x, &w, None).unwrap();
+        assert_eq!(y.as_f32().unwrap(), vec![0.0; 24]);
     }
 
     #[test]

@@ -1,19 +1,21 @@
-//! Explicit SIMD GEMM microkernels with packed panels — f32 and int8.
+//! GEMM microkernels with packed panels — f32 and int8, at every level.
 //!
-//! The portable GEMMs in [`matmul`](super::matmul) lean on LLVM
-//! autovectorizing a multi-accumulator dot product. This module is the
-//! hand-written alternative every CPU BLAS ships, built as **one
-//! blocking driver, one microkernel body, and a table of tiles**,
-//! generic over the element ([`Elem`]) so f32 and int8 are rows of one
-//! table rather than two machines:
+//! Every matmul, linear and convolution of the crate, f32 and int8,
+//! runs here under every `FX_SIMD` level, built as **one blocking
+//! driver, one microkernel body, and a table of tiles**, generic over
+//! the element ([`Elem`]) so f32 and int8 are rows of one table rather
+//! than two machines:
 //!
 //! * [`microkernel`] is a register-tile multiply-accumulate loop generic
 //!   over a [`Vector`] (load / splat / add / store), a [`Dot`] step and
 //!   a const `MR × NV` shape. Thin `#[target_feature]` wrappers
 //!   instantiate it as the AVX2 tiles (6 rows × 1 or 2 YMM) and the
 //!   AVX-512 tiles (12 rows × 1 or 2 ZMM), for f32 (`vfmadd`) and for
-//!   int8 k-pairs (`vpmaddwd`+`vpaddd`, or `vpdpwssd` with VNNI); a
-//!   [`Tile`] names one with its geometry.
+//!   int8 k-pairs (`vpmaddwd`+`vpaddd`, or `vpdpwssd` with VNNI). The
+//!   portable tiles — 1 or 4 rows × one 8-lane [`Lanes`] array, which
+//!   the compiler lowers to the baseline ISA (SSE2 on x86-64) — need no
+//!   wrapper and run on any x86-64 CPU. A [`Tile`] names one with its
+//!   geometry.
 //! * [`gemm_tiled`] is the cache-blocking driver; every size it needs
 //!   comes from the tile it was handed. B is repacked per `KC×NC` block
 //!   into NR-wide column panels so the microkernel reads one contiguous,
@@ -22,8 +24,9 @@
 //!   an *implicit im2col patch matrix* gathered straight from a
 //!   convolution input — the packing routine is where layout
 //!   differences die. A is read in place, row by row.
-//! * [`select_tile`] picks the tile **per call from the output width
-//!   alone**, so a narrow GEMM does not pay for padding a wide tile.
+//! * [`select_tile`] picks the tile **per call from the output width**
+//!   (and, between the portable tiles, the row count), so a narrow GEMM
+//!   does not pay for padding a wide tile.
 //!
 //! The blocking is fixed at [`KC`] = 256 and [`NC`] = 512 elements
 //! (`KC` is part of the f32 numeric contract, below). Pack buffers
@@ -40,9 +43,9 @@
 //! consecutive k steps**: two i8 sign-extended to i16, side by side in
 //! one i32 lane ([`pack_pair`]). Broadcasting an A pair and multiplying
 //! it against a vector of B pairs with `vpmaddwd` (then `vpaddd`), or
-//! with VNNI's fused `vpdpwssd`, adds `a₀·b₀ + a₁·b₁` to each i32 lane —
-//! which is exactly the f32 kernel's `splat`/`fmadd` step over an array
-//! half as deep. So A is the `[m, ⌈k/2⌉]` pair rows of a weight
+//! with VNNI's fused `vpdpwssd` (or the portable tile's `Madd` on
+//! [`Lanes`]), adds `a₀·b₀ + a₁·b₁` to each i32 lane — which is exactly
+//! the f32 kernel's `splat`/`fmadd` step over an array half as deep. So A is the `[m, ⌈k/2⌉]` pair rows of a weight
 //! (widened **once**, [`pair_rows`]), B panels hold `nr` pairs per row,
 //! C is i32, and nothing in the driver or the body knows. A ZMM
 //! `vpdpwssd` retires 32 MACs — twice a ZMM FMA — so the 12×32 int8 tile
@@ -51,7 +54,7 @@
 //! The widening differs from FBGEMM's `_mm256_maddubs_epi16` chain on
 //! purpose: `maddubs` adds two u8×i8 products into a *saturating* i16,
 //! and `127·255 + 127·255` overflows it — saturation would make SIMD
-//! results diverge from the scalar fallback on adversarial inputs.
+//! results diverge from the exact sums on adversarial inputs.
 //! `i16×i16 + i16×i16` peaks at `2·128² ≪ 2³¹`, and the running i32 sum
 //! is exact for any k the models reach (overflow needs k ≳ 1.3·10⁵).
 //! Because integer accumulation has no rounding at all, every tile,
@@ -64,8 +67,8 @@
 //! image·patch]` and each finished row panel of i32 sums is requantized
 //! ([`requant_row`]: zero-point correction, scale, bias, ReLU,
 //! round-to-even, clamp — op for op [`crate::quant`]'s scalar
-//! `requant_one`) straight into contiguous NCHW spans while it is still
-//! in L1; the sums are never stored whole. A linear passes its input
+//! `requant_one`, which the portable tiles call per element) straight
+//! into contiguous NCHW spans while it is still in L1; the sums are never stored whole. A linear passes its input
 //! rows as A and its weight as B — packed once ([`prepack_b`],
 //! [`BSrc::Packed`]), since a weight never changes — so a one-row
 //! request reads each weight once, in a vector, and the output is
@@ -98,22 +101,25 @@
 //! answered alone, even when the wider batch switched tiles. `KC` *is*
 //! part of the f32 chain (it decides where the partial sums are cut), so
 //! it is one process-wide value, never a per-tile one; `NC`, `MR` and `NR`
-//! only re-tile the output. The SIMD path is *not* bit-identical to the
-//! portable fallback (different summation order, and FMA keeps the
-//! product unrounded); the documented bound is
-//! `|Δ| ≤ 2·K·ε·Σ|aᵢ·bᵢ|` — see the ULP-tolerance sweep in the tests.
+//! only re-tile the output. The portable tile runs the same chain with a
+//! rounded multiply and a separate add in place of each FMA
+//! (`f32::mul_add` without the `fma` target feature is a libm call), so
+//! its bits are not the FMA tiles' but sit, like theirs, within
+//! `|Δ| ≤ 2·K·ε·Σ|aᵢ·bᵢ|` of the exact sum — see the ULP-tolerance
+//! sweep in the tests.
 //!
 //! ## Selection
 //!
 //! The ISA [`Level`] is decided once per process by `FX_SIMD`: `0`
-//! forces the portable fallback (the mode `scripts/verify.sh` sweeps to
-//! keep it from rotting), `avx2` / `avx512` pin a level (degrading, with
-//! one stderr line, to the widest the CPU has), unset or `1` takes the
-//! widest detected; the level governs the f32 and the int8 tiles alike
-//! (`FX_VNNI=0` only swaps the int8 dot step). When enabled, *every*
-//! GEMM goes through the microkernel — an engine cutover by shape would
-//! make results depend on the batch dimension and break serve/solo
-//! parity; a *tile* cutover cannot, by the argument above.
+//! picks the portable tiles (the only ones off x86-64; `scripts/verify.sh`
+//! sweeps the level to keep them from rotting), `avx2` / `avx512` pin a
+//! level (degrading, with one stderr line, to the widest the CPU has),
+//! unset or `1` takes the widest detected; the level governs the f32 and
+//! the int8 tiles alike (`FX_VNNI=0` only swaps the int8 dot step). At
+//! every level *every* GEMM goes through the one driver — an engine
+//! cutover by shape would make results depend on the batch dimension and
+//! break serve/solo parity; a *tile* cutover cannot, by the argument
+//! above.
 
 use crate::pool::{self, PoolElem};
 use crate::threading::parallel_chunks;
@@ -134,7 +140,7 @@ const NC: usize = 512;
 /// The GEMM engine a process can run, narrowest first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Level {
-    /// The portable loops in [`matmul`](super::matmul).
+    /// The portable tiles: no instruction beyond the target's baseline.
     Scalar,
     /// AVX2 + FMA: YMM tiles.
     Avx2,
@@ -209,8 +215,8 @@ pub fn simd_level() -> &'static str {
     level().name()
 }
 
-/// Whether an explicit microkernel path is in use (`FX_SIMD=0` forces
-/// the portable fallback; otherwise runtime detection decides).
+/// Whether SIMD tiles are in use (`FX_SIMD=0` selects the portable tile
+/// rows; otherwise runtime detection decides).
 pub fn simd_enabled() -> bool {
     level() != Level::Scalar
 }
@@ -333,7 +339,8 @@ pub(crate) fn pair_rows(x: &[i8], k: usize, mut out: Vec<i32>) -> Vec<i32> {
 /// One SIMD register of element lanes: the data movement the microkernel
 /// body is written in. Every method is `#[inline(always)]` so the
 /// intrinsic lands inside the `#[target_feature]` wrapper that
-/// instantiated the body, and is only sound to call from there.
+/// instantiated the body, and is only sound to call from there (anywhere,
+/// for [`Lanes`]).
 trait Vector: Copy {
     type Elem: Copy + std::ops::AddAssign;
     const LANES: usize;
@@ -380,6 +387,56 @@ impl_vector!(__m512, f32, 16, _mm512_setzero_ps, _mm512_loadu_ps, _mm512_set1_ps
 impl_vector!(__m256i, i32, 8, _mm256_setzero_si256, _mm256_loadu_si256, _mm256_set1_epi32, _mm256_add_epi32, _mm256_storeu_si256);
 impl_vector!(__m512i, i32, 16, _mm512_setzero_si512, _mm512_loadu_si512, _mm512_set1_epi32, _mm512_add_epi32, _mm512_storeu_si512);
 
+/// The portable vector: eight lanes in a plain array, which the compiler
+/// keeps in registers of whatever the target's baseline has (two SSE2
+/// registers on x86-64). Integer lanes add wrapping, as `vpaddd` does.
+#[derive(Clone, Copy)]
+#[repr(transparent)]
+struct Lanes<T>([T; 8]);
+
+impl<T: Copy> Lanes<T> {
+    #[inline(always)]
+    fn zip(self, o: Self, f: impl Fn(T, T) -> T) -> Self {
+        let mut r = self.0;
+        for (r, o) in r.iter_mut().zip(o.0) {
+            *r = f(*r, o);
+        }
+        Lanes(r)
+    }
+}
+
+macro_rules! impl_lanes {
+    ($elem:ty, $add:expr) => {
+        impl Vector for Lanes<$elem> {
+            type Elem = $elem;
+            const LANES: usize = 8;
+            #[inline(always)]
+            unsafe fn zero() -> Self {
+                Lanes([<$elem>::default(); 8])
+            }
+            #[inline(always)]
+            unsafe fn load(p: *const $elem) -> Self {
+                Lanes(p.cast::<[$elem; 8]>().read_unaligned())
+            }
+            #[inline(always)]
+            unsafe fn splat(p: *const $elem) -> Self {
+                Lanes([*p; 8])
+            }
+            #[inline(always)]
+            unsafe fn add(self, o: Self) -> Self {
+                self.zip(o, $add)
+            }
+            #[inline(always)]
+            unsafe fn store(self, p: *mut $elem) {
+                p.cast::<[$elem; 8]>().write_unaligned(self.0)
+            }
+        }
+    };
+}
+
+impl_lanes!(f32, |x, y| x + y);
+impl_lanes!(i32, i32::wrapping_add);
+
 /// The multiply-accumulate of one k step, `acc + a·b` per lane, on
 /// vector `V`. A separate name from [`Vector`] because the integer
 /// vectors have two: both compute exactly `acc + Σ₂ sx(a_i16)·sx(b_i16)`
@@ -390,6 +447,8 @@ trait Dot<V> {
 }
 /// f32: `a·b + acc` fused, one rounding.
 struct Fma;
+/// f32 on [`Lanes`]: `a·b` rounded, then `+ acc` rounded.
+struct MulAdd;
 /// int8 k-pairs: `vpmaddwd` + `vpaddd`.
 struct Madd;
 /// int8 k-pairs: the two fused into `vpdpwssd` (AVX-512 VNNI).
@@ -418,6 +477,35 @@ impl_dot!(Madd, __m256i, |acc, a, b| _mm256_add_epi32(acc, _mm256_madd_epi16(a, 
 impl_dot!(Madd, __m512i, |acc, a, b| _mm512_add_epi32(acc, _mm512_madd_epi16(a, b)));
 impl_dot!(Vnni, __m256i, |acc, a, b| _mm256_dpwssd_epi32(acc, a, b));
 impl_dot!(Vnni, __m512i, |acc, a, b| _mm512_dpwssd_epi32(acc, a, b));
+
+impl Dot<Lanes<f32>> for MulAdd {
+    #[inline(always)]
+    unsafe fn dot(acc: Lanes<f32>, a: Lanes<f32>, b: Lanes<f32>) -> Lanes<f32> {
+        acc.add(a.zip(b, |x, y| x * y))
+    }
+}
+
+impl Dot<Lanes<i32>> for Madd {
+    /// `vpmaddwd` + `vpaddd` lane for lane: the products of the
+    /// sign-extended low and high i16 halves, summed, then added
+    /// wrapping. On x86-64 the products are SSE2's `pmaddwd`, which every
+    /// x86-64 CPU has and the compiler does not find in the lane formula.
+    #[inline(always)]
+    unsafe fn dot(acc: Lanes<i32>, a: Lanes<i32>, b: Lanes<i32>) -> Lanes<i32> {
+        // SSE2 is part of every x86-64 target, and `[i32; 8]` and
+        // `[__m128i; 2]` are the same 32 bytes with no invalid values.
+        #[cfg(target_arch = "x86_64")]
+        let products = {
+            use std::arch::x86_64::{__m128i, _mm_madd_epi16};
+            let [a, b] = [a, b].map(|v| std::mem::transmute::<[i32; 8], [__m128i; 2]>(v.0));
+            let products = [_mm_madd_epi16(a[0], b[0]), _mm_madd_epi16(a[1], b[1])];
+            Lanes(std::mem::transmute::<[__m128i; 2], [i32; 8]>(products))
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let products = a.zip(b, |x, y| (x as i16 as i32 * (y as i16 as i32)).wrapping_add((x >> 16) * (y >> 16)));
+        acc.add(products)
+    }
+}
 
 /// Write the valid `mr × nr` window of a register tile — the
 /// accumulator array itself, viewed as scalars with row stride `ldt` —
@@ -468,10 +556,11 @@ unsafe fn write_edge<T: Copy + std::ops::AddAssign>(
 ///
 /// # Safety
 /// Only sound inside a `#[target_feature]` function enabling the
-/// instruction sets of `V` and `D`. `pa` must cover `MR` rows of `kc`
-/// elements, `lda` apart (all `MR`, even when `mr < MR`); `pb` must hold
-/// `(kc-1)*ldb + NV·LANES` elements and `c` must cover `mr ≤ MR` rows
-/// of `ldc` columns with `nr ≤ NV·LANES` valid columns per row.
+/// instruction sets of `V` and `D` (anywhere, for [`Lanes`]). `pa` must
+/// cover `MR` rows of `kc` elements, `lda` apart (all `MR`, even when
+/// `mr < MR`); `pb` must hold `(kc-1)*ldb + NV·LANES` elements and `c`
+/// must cover `mr ≤ MR` rows of `ldc` columns with `nr ≤ NV·LANES`
+/// valid columns per row.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 unsafe fn microkernel<V: Vector, D: Dot<V>, const MR: usize, const NV: usize>(
@@ -575,6 +664,11 @@ tile_kernel!(mk_z12x32_vnni, "avx512f,avx512vnni", i32, __m512i, Vnni, 12, 2);
 /// AVX-512 VNNI when `vnni`), and the kernels themselves. `half` serves
 /// a trailing column panel with at most `nr/2` valid columns, reading
 /// the same `nr`-strided packed B.
+///
+/// The portable tiles head the tables: 1 and 4 rows × 8 lanes (the
+/// taller one keeps 8 of the 16 SSE2 registers as accumulators), the
+/// body instantiated directly — it needs no target feature.
+#[derive(Clone, Copy)]
 struct Tile<E> {
     name: &'static str,
     level: Level,
@@ -585,11 +679,14 @@ struct Tile<E> {
     half: Kernel<E>,
 }
 
-/// The four tile geometries, narrowest and shortest first, for kernels
-/// `$y8 … $z32` (6×8, 6×16, 12×16, 12×32).
+/// The portable tiles `$p1` and `$p4` (1×8, 4×8), then the four SIMD
+/// geometries, narrowest and shortest first, for kernels `$y8 … $z32`
+/// (6×8, 6×16, 12×16, 12×32).
 macro_rules! tiles {
-    ($what:literal, $vnni:literal, $y8:ident, $y16:ident, $z16:ident, $z32:ident) => {
+    ($what:literal, $vnni:literal, $p1:expr, $p4:expr, $y8:ident, $y16:ident, $z16:ident, $z32:ident) => {
         [
+            $p1,
+            $p4,
             Tile { name: concat!("avx2 6x8", $what), level: Level::Avx2, vnni: $vnni, mr: 6, nr: 8, full: $y8, half: $y8 },
             Tile { name: concat!("avx2 6x16", $what), level: Level::Avx2, vnni: $vnni, mr: 6, nr: 16, full: $y16, half: $y8 },
             Tile { name: concat!("avx512 12x16", $what), level: Level::Avx512, vnni: $vnni, mr: 12, nr: 16, full: $z16, half: $z16 },
@@ -598,15 +695,31 @@ macro_rules! tiles {
     };
 }
 
+/// A portable tile of `$mr` rows over [`Lanes`] of `$elem`.
+macro_rules! portable_tile {
+    ($name:literal, $elem:ty, $dot:ident, $mr:literal) => {{
+        const KERNEL: Kernel<$elem> = microkernel::<Lanes<$elem>, $dot, $mr, 1>;
+        Tile { name: $name, level: Level::Scalar, vnni: false, mr: $mr, nr: 8, full: KERNEL, half: KERNEL }
+    }};
+}
+
+/// The portable tiles of each element.
+const PORTABLE_F32: [Tile<f32>; 2] =
+    [portable_tile!("portable 1x8", f32, MulAdd, 1), portable_tile!("portable 4x8", f32, MulAdd, 4)];
+const PORTABLE_I8: [Tile<i32>; 2] =
+    [portable_tile!("portable 1x8 i8", i32, Madd, 1), portable_tile!("portable 4x8 i8", i32, Madd, 4)];
+
 /// Every f32 tile.
 #[cfg(target_arch = "x86_64")]
-static TILES: [Tile<f32>; 4] = tiles!("", false, mk_y6x8, mk_y6x16, mk_z12x16, mk_z12x32);
-/// Every int8 tile: the same four geometries under each dot step,
-/// indexed `[vnni][geometry]`.
+static TILES: [Tile<f32>; 6] =
+    tiles!("", false, PORTABLE_F32[0], PORTABLE_F32[1], mk_y6x8, mk_y6x16, mk_z12x16, mk_z12x32);
+/// Every int8 tile: the portable ones (heading both tables), then the
+/// same four SIMD geometries under each dot step, indexed
+/// `[vnni][geometry]`.
 #[cfg(target_arch = "x86_64")]
-static I8_TILES: [[Tile<i32>; 4]; 2] = [
-    tiles!(" i8 madd", false, mk_y6x8_madd, mk_y6x16_madd, mk_z12x16_madd, mk_z12x32_madd),
-    tiles!(" i8 vnni", true, mk_y6x8_vnni, mk_y6x16_vnni, mk_z12x16_vnni, mk_z12x32_vnni),
+static I8_TILES: [[Tile<i32>; 6]; 2] = [
+    tiles!(" i8 madd", false, PORTABLE_I8[0], PORTABLE_I8[1], mk_y6x8_madd, mk_y6x16_madd, mk_z12x16_madd, mk_z12x32_madd),
+    tiles!(" i8 vnni", true, PORTABLE_I8[0], PORTABLE_I8[1], mk_y6x8_vnni, mk_y6x16_vnni, mk_z12x16_vnni, mk_z12x32_vnni),
 ];
 
 /// Rows of the tallest tile (the last: the tables are sorted): sizes the
@@ -618,20 +731,24 @@ const NR_MAX: usize = TILES[TILES.len() - 1].nr;
 // would write past the block it was given.
 const _: () = assert!(NC.is_multiple_of(NR_MAX));
 
-/// The geometry (an index into a tile table) for an `n`-column output
-/// at `level`: the narrowest tile that covers `n` in one panel, else the
-/// widest. Every tile computes the same bits (module docs), so this is
-/// purely a throughput choice — a narrow output (a deep ResNet layer, a
-/// one-row request) is not padded out to a wide tile. The row count
-/// does not enter: a ZMM and a YMM multiply-accumulate issue at the same
-/// rate, so the taller tile costs a short GEMM nothing the shorter one
-/// would save.
-fn select_tile(level: Level, n: usize) -> usize {
+/// The geometry (an index into a tile table) for an `m × n` output at
+/// `level`: the narrowest SIMD tile that covers `n` in one panel, else
+/// the widest. Every tile of a level computes the same bits (module
+/// docs), so this is purely a throughput choice — a narrow output (a
+/// deep ResNet layer, a one-row request) is not padded out to a wide
+/// tile. The row count does not enter there: a ZMM and a YMM
+/// multiply-accumulate issue at the same rate, and a short GEMM streams
+/// B faster than it multiplies padding rows. It does for the portable
+/// tiles, whose multiplies are the cost: fewer than 4 rows take the
+/// 1-row tile, of the same `nr`, so a panel packed for one serves both.
+fn select_tile(level: Level, m: usize, n: usize) -> usize {
     match level {
-        _ if n <= 8 => 0,
-        Level::Avx512 if n <= 16 => 2,
-        Level::Avx512 => 3,
-        _ => 1,
+        Level::Scalar if m < 4 => 0,
+        Level::Scalar => 1,
+        _ if n <= 8 => 2,
+        Level::Avx512 if n <= 16 => 4,
+        Level::Avx512 => 5,
+        Level::Avx2 => 3,
     }
 }
 
@@ -892,9 +1009,10 @@ fn pack_b<E: Elem>(
 }
 
 /// The `[n, k]` transposed-layout i8 weight `w` as [`BSrc::Packed`]
-/// panels for the tile an `n`-column int8 GEMM selects in this process.
+/// panels for the tile an `n`-column int8 GEMM selects in this process
+/// (for any row count: [`select_tile`] keeps `nr` fixed per `n`).
 pub(crate) fn prepack_b(w: &[i8], n: usize, k: usize) -> Vec<i32> {
-    let (nr, ke) = (i8_tile(n).nr, k.div_ceil(2));
+    let (nr, ke) = (i8_tile(1, n).nr, k.div_ceil(2));
     let mut panels = vec![0; n.div_ceil(nr) * ke * nr];
     pack_b(&BSrc::Transposed(w), 0, nr, n, k, 0, k, 0, n, &mut panels, &mut vec![0; 2 * ke * nr]);
     panels
@@ -940,10 +1058,7 @@ pub(crate) fn gemm(
     col_bias: Option<&[f32]>,
     relu: bool,
 ) {
-    assert!(simd_available(), "simd::gemm requires AVX2+FMA");
-    // Callers gate on `simd_enabled`; tests reach here under FX_SIMD=0
-    // too, where any detected tile computes the same bits.
-    let tile = &TILES[select_tile(level().max(Level::Avx2), n)];
+    let tile = &TILES[select_tile(level(), m, n)];
     gemm_tiled(tile, KC, NC, m, k, n, a, b, 0.0, c, |_, _, _, _| {});
     epilogue(m, n, c, row_bias, col_bias, relu);
 }
@@ -1376,7 +1491,7 @@ unsafe fn add_lane<V: QLane>(a: &[i8], b: &[i8], qa: Affine, qb: Affine, qo: Aff
 /// IEEE counterpart of [`crate::quant::requant_one`] (`cvtdq2ps` = `as
 /// f32`, a separate `mulps` and `addps`, `maxps` = the `> 0.0` select,
 /// `cvtps2dq` = `round_ties_even() as i32`, the saturating narrow = the
-/// clamp), so the scalar engine agrees bitwise.
+/// clamp), so it agrees bitwise with the portable tiles' epilogue.
 ///
 /// # Safety
 /// Only sound inside a `#[target_feature]` function enabling `V`'s
@@ -1422,6 +1537,24 @@ unsafe fn requant_row<V: QLane>(acc: &[i32], rq: &Requant, i: usize, m: usize, j
     }
 }
 
+/// [`requant_row`]'s job for the portable tiles: one
+/// [`crate::quant::requant_one`] per column.
+///
+/// # Safety
+/// As [`requant_row`]'s `out` contract.
+unsafe fn requant_row_portable(acc: &[i32], rq: &Requant, i: usize, m: usize, j0: usize, p: usize, out: *mut i8) {
+    let (mut img, mut patch) = (j0 / p, j0 % p);
+    for (j, &sum) in (j0..).zip(acc) {
+        let c = if rq.per_col { j } else { i };
+        *out.add((img * m + i) * p + patch) =
+            crate::quant::requant_one(sum.wrapping_sub(rq.zp_corr[c]), rq.mult[c], rq.badd[c], rq.relu, rq.out_zp);
+        patch += 1;
+        if patch == p {
+            (img, patch) = (img + 1, 0);
+        }
+    }
+}
+
 /// The quantize lane at one vector width: [`quantize_lane`],
 /// [`add_lane`] and [`requant_row`] instantiated for one [`QLane`]
 /// behind `#[target_feature]` wrappers, and the [`Level`] that must be
@@ -1432,8 +1565,11 @@ pub(crate) struct QuantLane {
     quantize: unsafe fn(&[f32], f32, i32, &mut [i8]),
     #[allow(clippy::type_complexity)]
     add: unsafe fn(&[i8], &[i8], Affine, Affine, Affine, &mut [i8]),
-    requant: unsafe fn(&[i32], &Requant, usize, usize, usize, usize, *mut i8),
+    requant: RequantRow,
 }
+
+/// A requantizing epilogue: [`requant_row`]'s arguments.
+type RequantRow = unsafe fn(&[i32], &Requant, usize, usize, usize, usize, *mut i8);
 
 /// A [`QuantLane`] of the three bodies instantiated for vector `$v`.
 /// Each wrapper's safety contract is its body's, plus: the CPU must
@@ -1512,8 +1648,7 @@ pub(crate) fn quant_lane(zp: i32) -> Option<&'static QuantLane> {
 /// zp_corr[c])·mult[c] + badd[c] [max 0]) + out_zp`, clamped to i8, with
 /// one set of coefficients per output channel `c` — the GEMM's **row**
 /// for a conv (weights are A), its **column** for a linear (weights are
-/// B). [`crate::quant`] derives them once and hands the same values to
-/// the scalar engine.
+/// B). [`crate::quant`] derives them once per call.
 pub(crate) struct Requant<'a> {
     /// `x_zp · Σₖ w[c][k]`: the activation zero point folded out of the
     /// sum (`Σ(x−zp)·w = Σx·w − zp·Σw`).
@@ -1530,9 +1665,9 @@ pub(crate) struct Requant<'a> {
     pub out_zp: i32,
 }
 
-/// The tile an `n`-column int8 GEMM runs under in this process.
-fn i8_tile(n: usize) -> &'static Tile<i32> {
-    &I8_TILES[vnni_enabled() as usize][select_tile(level().max(Level::Avx2), n)]
+/// The tile an `m × n` int8 GEMM runs under in this process.
+fn i8_tile(m: usize, n: usize) -> &'static Tile<i32> {
+    &I8_TILES[vnni_enabled() as usize][select_tile(level(), m, n)]
 }
 
 /// Int8 GEMM with fused requantization through the one driver:
@@ -1558,8 +1693,7 @@ pub(crate) fn gemm_i8(
     p: usize,
     out: &mut [i8],
 ) {
-    assert!(simd_available(), "simd::gemm_i8 requires AVX2");
-    gemm_i8_tiled(i8_tile(n), KC, NC, m, k, n, a, b, pad, rq, p, out);
+    gemm_i8_tiled(i8_tile(m, n), KC, NC, m, k, n, a, b, pad, rq, p, out);
 }
 
 /// [`gemm_i8`] under an explicit tile and blocking.
@@ -1592,7 +1726,10 @@ fn gemm_i8_tiled(
     let mut acc = pool::alloc_i32(m * ldc);
     let out_base = SendPtr(out.as_mut_ptr());
     // The epilogue runs at the tile's width: 16 lanes behind a ZMM tile.
-    let requant = QuantLane::at(tile.level).requant;
+    let requant = match tile.level {
+        Level::Scalar => requant_row_portable,
+        level => QuantLane::at(level).requant,
+    };
     gemm_tiled(tile, kc_blk, nc_blk, m, k, n, a, b, pad, &mut acc, |i0, j0, cols, rows| {
         let out_base = out_base;
         for (r, row) in rows.chunks(ldc).enumerate() {
@@ -1645,10 +1782,6 @@ mod tests {
     /// oracle in the same summation order.
     #[test]
     fn simd_gemm_matches_oracle_over_odd_shapes() {
-        if !simd_available() {
-            eprintln!("skipping: no AVX2+FMA on this host");
-            return;
-        }
         let shapes = [
             (1usize, 0usize, 1usize),
             (1, 1, 1),
@@ -1697,10 +1830,6 @@ mod tests {
     /// separate passes, bit for bit.
     #[test]
     fn fused_epilogue_matches_separate_passes() {
-        if !simd_available() {
-            eprintln!("skipping: no AVX2+FMA on this host");
-            return;
-        }
         let (m, k, n) = (9, 33, 21);
         let mut rng = StdRng::seed_from_u64(7);
         let a = rand_vec(m * k, &mut rng);
@@ -1726,10 +1855,6 @@ mod tests {
     /// split the output, never the reduction).
     #[test]
     fn thread_count_does_not_change_bits() {
-        if !simd_available() {
-            eprintln!("skipping: no AVX2+FMA on this host");
-            return;
-        }
         let (m, k, n) = (37, 65, 29);
         let mut rng = StdRng::seed_from_u64(11);
         let a = rand_vec(m * k, &mut rng);
@@ -1752,10 +1877,6 @@ mod tests {
     /// two-vector one; 5 the narrow YMM tile).
     #[test]
     fn wider_output_preserves_existing_columns_bitwise() {
-        if !simd_available() {
-            eprintln!("skipping: no AVX2+FMA on this host");
-            return;
-        }
         let (m, k) = (11, 70);
         let mut rng = StdRng::seed_from_u64(13);
         let a = rand_vec(m * k, &mut rng);
@@ -1782,23 +1903,44 @@ mod tests {
         }
     }
 
-    /// The numeric contract, written out: per element, one fused
-    /// multiply-add per k step inside a `kc` panel, panels joined in k
-    /// order by a separate add.
-    fn chain(m: usize, k: usize, n: usize, kc: usize, a: &[f32], b_at: impl Fn(usize, usize) -> f32) -> Vec<f32> {
+    /// The numeric contract, written out: per element, one multiply-add
+    /// `step` per k step inside a `kc` panel, panels joined in k order by
+    /// a separate add.
+    #[allow(clippy::too_many_arguments)]
+    fn chain(
+        m: usize,
+        k: usize,
+        n: usize,
+        kc: usize,
+        a: &[f32],
+        b_at: impl Fn(usize, usize) -> f32,
+        step: fn(f32, f32, f32) -> f32,
+    ) -> Vec<f32> {
         let mut c = vec![0.0f32; m * n];
         for i in 0..m {
             for j in 0..n {
                 for k0 in (0..k).step_by(kc) {
                     let mut acc = 0.0f32;
                     for kk in k0..k.min(k0 + kc) {
-                        acc = a[i * k + kk].mul_add(b_at(kk, j), acc);
+                        acc = step(a[i * k + kk], b_at(kk, j), acc);
                     }
                     c[i * n + j] = if k0 == 0 { acc } else { c[i * n + j] + acc };
                 }
             }
         }
         c
+    }
+
+    /// Both chains over one problem, for [`pick`]: the FMA tiles' (one
+    /// fused multiply-add per step), then the portable tiles' (a rounded
+    /// multiply, then the add).
+    fn chains(m: usize, k: usize, n: usize, a: &[f32], b_at: impl Fn(usize, usize) -> f32) -> [Vec<f32>; 2] {
+        [chain(m, k, n, KC, a, &b_at, f32::mul_add), chain(m, k, n, KC, a, &b_at, |a, b, acc| acc + a * b)]
+    }
+
+    /// The chain of [`chains`] `tile` must reproduce.
+    fn pick<'a>(want: &'a [Vec<f32>; 2], tile: &Tile<f32>) -> &'a [f32] {
+        &want[(tile.level == Level::Scalar) as usize]
     }
 
     /// The tiles of `table` this CPU can run; prints which it skips.
@@ -1814,9 +1956,12 @@ mod tests {
         tiles
     }
 
-    /// Every int8 tile (both dot steps) this CPU can run.
+    /// Every int8 tile (both dot steps) this CPU can run; the portable
+    /// ones, which head both tables, once.
     fn runnable_i8_tiles() -> Vec<&'static Tile<i32>> {
-        I8_TILES.iter().flat_map(|table| runnable(table)).collect()
+        let mut tiles = runnable(&I8_TILES[0]);
+        tiles.extend(runnable(&I8_TILES[1][PORTABLE_I8.len()..]));
+        tiles
     }
 
     /// `gemm_tiled` into a whole, NaN-poisoned f32 C under the fixed
@@ -1833,12 +1978,12 @@ mod tests {
         }
     }
 
-    /// Every f32 tile — AVX2 and AVX-512, full and half width, interior
-    /// and edge — must reproduce the sequential-k chain bit for bit, and
-    /// therefore each other: `K = 0`, `K` across three `KC` panels,
-    /// `M` below, at and past `MR` (rows read in place and through the
-    /// padded last panel), `N` around every tile's `NR`, row-major and
-    /// transposed B.
+    /// Every f32 tile — portable, AVX2 and AVX-512, full and half width,
+    /// interior and edge — must reproduce its sequential-k chain bit for
+    /// bit, and therefore every tile of the same dot step: `K = 0`, `K`
+    /// across three `KC` panels, `M` below, at and past `MR` (rows read
+    /// in place and through the padded last panel), `N` around every
+    /// tile's `NR`, row-major and transposed B.
     #[test]
     fn every_tile_matches_the_sequential_chain_bitwise() {
         let mut rng = StdRng::seed_from_u64(0x711E);
@@ -1853,12 +1998,12 @@ mod tests {
                             bt[j * k + kk] = b[kk * n + j];
                         }
                     }
-                    let want = chain(m, k, n, KC, &a, |kk, j| b[kk * n + j]);
+                    let want = chains(m, k, n, &a, |kk, j| b[kk * n + j]);
                     for tile in runnable(&TILES) {
                         let c = run_f32(tile, m, k, n, &a, BSrc::RowMajor(&b));
-                        assert_bits_eq(&c, &want, &format!("{} nn {m}x{k}x{n}", tile.name));
+                        assert_bits_eq(&c, pick(&want, tile), &format!("{} nn {m}x{k}x{n}", tile.name));
                         let c = run_f32(tile, m, k, n, &a, BSrc::Transposed(&bt));
-                        assert_bits_eq(&c, &want, &format!("{} nt {m}x{k}x{n}", tile.name));
+                        assert_bits_eq(&c, pick(&want, tile), &format!("{} nt {m}x{k}x{n}", tile.name));
                     }
                 }
             }
@@ -1912,10 +2057,11 @@ mod tests {
             let (patches, b_at) = patch_oracle(case, &x, 0.0);
             let (m, k, n) = (13, cg * kh * kw, imgs * patches.oh * patches.ow);
             let a = rand_vec(m * k, &mut rng);
-            let want = chain(m, k, n, KC, &a, b_at);
+            let want = chains(m, k, n, &a, b_at);
             for tile in runnable(&TILES) {
                 let got = run_f32(tile, m, k, n, &a, BSrc::Patches(&patches));
-                assert_bits_eq(&got, &want, &format!("{} patches {h}x{w} k{kh}x{kw} s{stride:?}", tile.name));
+                let what = format!("{} patches {h}x{w} k{kh}x{kw} s{stride:?}", tile.name);
+                assert_bits_eq(&got, pick(&want, tile), &what);
             }
         }
     }
@@ -2154,18 +2300,20 @@ mod tests {
         assert_eq!(quant_lane(-128).is_some(), simd_enabled());
     }
 
-    /// The requantizing epilogue at every width against `requant_one`,
-    /// called directly: rows starting inside, at and past an image
-    /// boundary, as long as and longer than a vector, images shorter
-    /// than, equal to and longer than one (so 16-lane chunks straddle
-    /// images and end in ragged tails), coefficients per row and per
-    /// column, with and without ReLU. Bytes outside the row's spans stay
-    /// untouched.
+    /// The requantizing epilogue at every width, and the portable tiles'
+    /// loop, against `requant_one`, called directly: rows starting
+    /// inside, at and past an image boundary, as long as and longer than
+    /// a vector, images shorter than, equal to and longer than one (so
+    /// 16-lane chunks straddle images and end in ragged tails),
+    /// coefficients per row and per column, with and without ReLU. Bytes
+    /// outside the row's spans stay untouched.
     #[test]
     fn every_quant_lane_requantizes_rows_across_images() {
         let mut rng = StdRng::seed_from_u64(0x4E9);
         let m = 3;
-        for lane in runnable_lanes() {
+        let mut epilogues: Vec<(&str, RequantRow)> = vec![("portable", requant_row_portable)];
+        epilogues.extend(runnable_lanes().iter().map(|lane| (lane.name, lane.requant)));
+        for (name, requant) in epilogues {
             for &p in &[1usize, 3, 7, 8, 15, 16, 17, 33] {
                 for &(j0, len) in &[(0usize, 1usize), (0, 16), (5, 17), (p - 1, 40), (2 * p, 100), (p + 3, 33)] {
                     let n = (j0 + len).div_ceil(p) * p;
@@ -2188,8 +2336,8 @@ mod tests {
                         // SAFETY: the lane's level was detected; every
                         // index row `i` of columns `j0..j0+len` maps to
                         // is inside `got`.
-                        unsafe { (lane.requant)(&acc, &rq, i, m, j0, p, got.as_mut_ptr()) };
-                        assert_eq!(got, want, "{} p={p} j0={j0} len={len} per_col={per_col} relu={relu}", lane.name);
+                        unsafe { requant(&acc, &rq, i, m, j0, p, got.as_mut_ptr()) };
+                        assert_eq!(got, want, "{name} p={p} j0={j0} len={len} per_col={per_col} relu={relu}");
                     }
                 }
             }

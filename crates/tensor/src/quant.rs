@@ -7,19 +7,18 @@
 //! point); weights use **symmetric per-channel** quantization (zero point
 //! 0, one scale per output channel), matching FBGEMM defaults.
 //!
-//! ## Engines
+//! ## One engine
 //!
-//! The linear/conv matmul core has two engines sharing one set of
-//! requantization coefficients: the SIMD one ([`crate::ops::simd`]'s
-//! `gemm_i8` — the one GEMM driver over int8 k-pair tiles, exact
-//! `vpmaddwd`/`vpdpwssd` accumulation, requantization fused into its
-//! write-back) and a portable scalar one (an explicit im2col and one
-//! contiguous dot product per output — the pre-driver code, kept
-//! unchanged as the oracle). Both accumulate in exact i32 and requantize
-//! each element through [`requant_one`] or its op-for-op vector twin, so
-//! their `i8` outputs are **bit-identical** — `FX_SIMD` changes speed,
-//! never bytes. (This is a stronger guarantee than the f32 kernels,
-//! where the two engines differ within a documented ULP bound.)
+//! The linear/conv matmul core is [`crate::ops::simd`]'s `gemm_i8` at
+//! every `FX_SIMD` level: the one GEMM driver over int8 k-pair tiles
+//! (the portable tile at level `0`, `vpmaddwd`/`vpdpwssd` ones above),
+//! exact i32 accumulation, requantization fused into its write-back
+//! through [`requant_one`] or its op-for-op vector twin. Every tile's
+//! `i8` outputs are therefore **bit-identical** — `FX_SIMD` changes
+//! speed, never bytes (a stronger guarantee than the f32 kernels, whose
+//! portable and FMA tiles differ within a documented ULP bound). The
+//! oracle they are held to, a direct convolution over the same
+//! coefficients, lives in the tests.
 //!
 //! The elementwise kernels — [`quantize_per_tensor`],
 //! [`quantize_per_channel`] and [`quantized_add`] — likewise run
@@ -27,9 +26,8 @@
 //! `quantize_one` under `FX_SIMD=0`, with identical bytes; the ReLU is an
 //! i8 max the compiler vectorizes on its own.
 //!
-//! Kernel outputs and scratch (packed panels, the padded conv input or
-//! the scalar engine's im2col panel, the i32 sums, the coefficient
-//! vectors) are drawn from the dtype-aware
+//! Kernel outputs and scratch (packed panels, the padded conv input,
+//! the i32 sums, the coefficient vectors) are drawn from the dtype-aware
 //! [`crate::pool`], so a planned executor run of a quantized graph
 //! recycles int8 buffers exactly as it does f32 ones.
 
@@ -38,7 +36,6 @@ use crate::ops::conv::out_extent;
 use crate::ops::simd::{self, BSrc, PatchSrc};
 use crate::pool;
 use crate::tensor::{Storage, Tensor};
-use crate::threading::parallel_chunks;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
@@ -154,17 +151,17 @@ pub fn min_max(x: &[f32], init: (f32, f32)) -> (f32, f32) {
 /// Requantize one zero-point-corrected i32 accumulator to `i8`:
 /// `round_ne(acc·mult + badd [max 0]) + out_zp`, clamped to the i8
 /// range, where `mult = x_scale·w_scale/out_scale` and `badd =
-/// bias/out_scale` are the per-output-column coefficients
-/// [`QGemm::new`] precomputes once and hands to **both** engines.
+/// bias/out_scale` are the per-output-channel coefficients
+/// [`QGemm::new`] precomputes once per call.
 ///
-/// Every step has an exact vector counterpart (`as f32` = `cvtdq2ps`,
-/// the `> 0.0` select = `maxps(v, 0)`, `round_ties_even() as i32` =
-/// `cvtps2dq` — PyTorch's quantization rounding), which is what keeps
-/// the scalar engine and the vectorized epilogue bit-identical lane for
-/// lane at either width. Assumes `|acc·mult + badd| < 2³¹` (true for any
-/// calibrated scales: `|acc| ≤ k·2¹⁴` and `mult` is a ratio of
-/// comparable scales), where the scalar cast saturates but `cvtps2dq`
-/// wraps to a sentinel.
+/// The portable tiles' epilogue calls it per element. Every step has an
+/// exact vector counterpart (`as f32` = `cvtdq2ps`, the `> 0.0` select =
+/// `maxps(v, 0)`, `round_ties_even() as i32` = `cvtps2dq` — PyTorch's
+/// quantization rounding), which is what keeps the vectorized epilogue
+/// bit-identical to it lane for lane at either width. Assumes
+/// `|acc·mult + badd| < 2³¹` (true for any calibrated scales: `|acc| ≤
+/// k·2¹⁴` and `mult` is a ratio of comparable scales), where the scalar
+/// cast saturates but `cvtps2dq` wraps to a sentinel.
 #[inline]
 pub(crate) fn requant_one(acc: i32, mult: f32, badd: f32, relu: bool, out_zp: i32) -> i8 {
     let mut v = acc as f32 * mult + badd;
@@ -326,9 +323,9 @@ fn weight_row_sums(w: &[i8], out_features: usize, k: usize) -> Vec<i32> {
 /// inference calls: its per-output-channel scales, its row sums (the
 /// activation zero point folds out of the GEMM through them, FBGEMM's
 /// row-offset identity `Σ(x−zp)·w = Σx·w − zp·Σw`) and — built lazily,
-/// only when a SIMD engine runs — the operand form the int8 GEMM reads
-/// it in: widened to k-pair rows as a conv's A, or packed into whole-
-/// depth panels as a linear's B.
+/// on first use — the operand form the int8 GEMM reads it in: widened
+/// to k-pair rows as a conv's A, or packed into whole-depth panels as a
+/// linear's B.
 pub(crate) struct PrepackedWeights {
     /// The weight's storage: dead once every tensor sharing it is gone.
     storage: Weak<Storage>,
@@ -391,21 +388,12 @@ fn prepack_weights(w: &Tensor, n: usize, k: usize) -> Result<Arc<PrepackedWeight
     Ok(guard.0.entry(key).or_insert(entry).clone())
 }
 
-#[derive(Clone, Copy)]
-struct SendPtrI8(*mut i8);
-// SAFETY: used only for disjoint per-row writes of the i8 output below.
-unsafe impl Send for SendPtrI8 {}
-unsafe impl Sync for SendPtrI8 {}
-
 /// One quantized linear or conv call, lowered to
 /// `out[img, i, patch] = requant(Σₖ w[i][k]·b[k][img·p + patch])` over
 /// the weight `[o, k]`: the prepacked weight plus the per-output-row
 /// requantization coefficients — `zp_corr = x_zp·Σₖ w`, `mult =
 /// x_scale·w_scale/out_scale`, `badd = bias/out_scale` — computed
-/// **here, once, for both engines**, which therefore produce
-/// bit-identical outputs (exact i32 accumulation feeding
-/// [`requant_one`] / its op-for-op vector twin on identical
-/// coefficients).
+/// **here, once**, so every tile requantizes identical coefficients.
 struct QGemm<'a> {
     w: &'a [i8],
     k: usize,
@@ -463,9 +451,9 @@ impl<'a> QGemm<'a> {
         }
     }
 
-    /// The SIMD engine for a conv: the weight is A (widened once), the
-    /// `cols` patches of `b`, `p` per image, are B, so each output row is
-    /// a channel and lands as NCHW spans.
+    /// A conv: the weight is A (widened once), the `cols` patches of `b`,
+    /// `p` per image, are B, so each output row is a channel and lands as
+    /// NCHW spans.
     fn run_conv(&self, b: BSrc<i32>, pad: i8, cols: usize, p: usize, out: &mut [i8]) {
         let (o, k) = (self.zp_corr.len(), self.k);
         let pairs = PrepackedWeights::once(&self.prep.pairs, || {
@@ -474,47 +462,16 @@ impl<'a> QGemm<'a> {
         simd::gemm_i8(o, k, cols, pairs, b, pad, &self.requant(false), p, out);
     }
 
-    /// The SIMD engine for a linear: the `rows` input rows `x` are A
-    /// (widened per call — 1/`o` of the GEMM's work), the weight is B,
-    /// packed once, so the output is row-major `[rows, o]` and a
-    /// one-row request reads each weight once, as part of a vector.
+    /// A linear: the `rows` input rows `x` are A (widened per call —
+    /// 1/`o` of the GEMM's work), the weight is B, packed once, so the
+    /// output is row-major `[rows, o]` and a one-row request reads each
+    /// weight once, as part of a vector.
     fn run_linear(&self, x: &[i8], rows: usize, out: &mut [i8]) {
         let (o, k) = (self.zp_corr.len(), self.k);
         let panels = PrepackedWeights::once(&self.prep.panels, || simd::prepack_b(self.w, o, k));
         let a = simd::pair_rows(x, k, pool::alloc_empty(rows * k.div_ceil(2)));
         simd::gemm_i8(rows, k, o, &a, BSrc::Packed(panels), 0, &self.requant(true), o.max(1), out);
         pool::recycle_i32(a);
-    }
-
-    /// The portable engine, kept as the oracle: `a` is `[m, k]`
-    /// row-major — a linear's input rows (`p = 1`), or a conv's im2col
-    /// panel, `p` patches per image — and every output is one contiguous
-    /// `a_row·w_row` dot through [`requant_one`], stored at
-    /// `[img, j, patch]` (which is row-major `[m, o]` when `p = 1`).
-    fn run_scalar(&self, a: &[i8], m: usize, p: usize, out: &mut [i8]) {
-        let (n, k) = (self.zp_corr.len(), self.k);
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(out.len(), m * n);
-        let out_base = SendPtrI8(out.as_mut_ptr());
-        parallel_chunks(m, |rows| {
-            let out_base = out_base;
-            for i in rows.clone() {
-                let a_row = &a[i * k..(i + 1) * k];
-                for j in 0..n {
-                    let b_row = &self.w[j * k..(j + 1) * k];
-                    let mut acc = 0i32;
-                    for kk in 0..k {
-                        acc += a_row[kk] as i32 * b_row[kk] as i32;
-                    }
-                    acc = acc.wrapping_sub(self.zp_corr[j]);
-                    let v = requant_one(acc, self.mult[j], self.badd[j], self.relu, self.out_zp);
-                    let idx = (i / p) * n * p + j * p + (i % p);
-                    // SAFETY: distinct (i, j) map to distinct indices;
-                    // row ranges are disjoint per worker.
-                    unsafe { *out_base.0.add(idx) = v };
-                }
-            }
-        });
     }
 
     fn recycle(self) {
@@ -561,20 +518,6 @@ pub fn quantized_linear(
     out_zp: i32,
     relu: bool,
 ) -> Result<Tensor> {
-    quantized_linear_with_engine(x, w, bias, out_scale, out_zp, relu, simd::simd_enabled())
-}
-
-/// [`quantized_linear`] with an explicit engine choice; the tests use
-/// this to pit the SIMD and scalar engines against each other bitwise.
-pub(crate) fn quantized_linear_with_engine(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&Tensor>,
-    out_scale: f32,
-    out_zp: i32,
-    relu: bool,
-    use_simd: bool,
-) -> Result<Tensor> {
     let x_q = activation_qparams("quantized_linear", x)?;
     let w_shape = w.shape();
     if w_shape.len() != 2 {
@@ -597,11 +540,7 @@ pub(crate) fn quantized_linear_with_engine(
     let xq = x.as_qi8()?;
     let g = QGemm::new("quantized_linear", w, o, k, x_q, bias, (out_scale, out_zp), relu)?;
     let mut out = pool::alloc_i8(m * o);
-    if use_simd {
-        g.run_linear(xq, m, &mut out);
-    } else {
-        g.run_scalar(xq, m, 1, &mut out);
-    }
+    g.run_linear(xq, m, &mut out);
     g.recycle();
     let mut out_shape = x_shape.to_vec();
     *out_shape.last_mut().expect("rank checked above") = o;
@@ -614,8 +553,8 @@ pub(crate) fn quantized_linear_with_engine(
 ///
 /// `x` is `[N, C, H, W]` per-tensor quantized; `w` is `[O, C, kh, kw]`
 /// symmetrically quantized (groups are not supported in the quantized
-/// path, matching the models the paper quantizes). On the SIMD engine
-/// the whole batch is one **implicit GEMM**, the f32 conv's lowering:
+/// path, matching the models the paper quantizes). The whole batch is
+/// one **implicit GEMM**, the f32 conv's lowering:
 /// the weight `[O, K]` is A, the `[K, N·P]` patch matrix is gathered
 /// panel by panel into the microkernel's packed B (padding cells
 /// carrying the activation zero point — real 0.0) and never
@@ -631,22 +570,6 @@ pub fn quantized_conv2d(
     out_scale: f32,
     out_zp: i32,
     relu: bool,
-) -> Result<Tensor> {
-    quantized_conv2d_with_engine(x, w, bias, stride, padding, out_scale, out_zp, relu, simd::simd_enabled())
-}
-
-/// [`quantized_conv2d`] with an explicit engine choice (tests).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn quantized_conv2d_with_engine(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&Tensor>,
-    stride: (usize, usize),
-    padding: (usize, usize),
-    out_scale: f32,
-    out_zp: i32,
-    relu: bool,
-    use_simd: bool,
 ) -> Result<Tensor> {
     const OP: &str = "quantized_conv2d";
     let (x_scale, x_zp) = activation_qparams(OP, x)?;
@@ -672,57 +595,21 @@ pub(crate) fn quantized_conv2d_with_engine(
     // Padding cells carry the activation zero point (exact real 0.0).
     let zp_i8 = x_zp.clamp(QMIN, QMAX) as i8;
     let mut out = pool::alloc_i8(n * o * p);
-    if use_simd {
-        // The gather is cheapest when no window can leave its source
-        // (`simd::pack_patches`), so the padding is paid once, as data:
-        // a copy of the input with its border cells already in place. A
-        // 1×1 stride-1 conv reads whole planes, which then are one long
-        // row each.
-        let padded = (padding != (0, 0)).then(|| pad_planes(xq, h, wd, padding, zp_i8));
-        let (src, h, wd) = match &padded {
-            Some(padded) => (&padded[..], h + 2 * padding.0, wd + 2 * padding.1),
-            None => (xq, h, wd),
-        };
-        let (h, wd, oh, ow) = if (kh, kw, stride) == (1, 1, (1, 1)) { (1, h * wd, 1, p) } else { (h, wd, oh, ow) };
-        let patches =
-            PatchSrc { x: src, c, h, w: wd, ch0: 0, kh, kw, stride, padding: (0, 0), dilation: (1, 1), oh, ow };
-        g.run_conv(BSrc::Patches(&patches), zp_i8, n * p, p, &mut out);
-        if let Some(padded) = padded {
-            pool::recycle_i8(padded);
-        }
-    } else {
-        // Patch-major im2col over the whole batch: cols[(img·P + patch)][k],
-        // padding cells carry the activation zero point (exact real 0.0).
-        let mut cols = pool::alloc_i8(n * p * k);
-        cols.fill(zp_i8);
-        for img in 0..n {
-            let x_img = &xq[img * c * h * wd..(img + 1) * c * h * wd];
-            let cols_img = &mut cols[img * p * k..(img + 1) * p * k];
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let patch = (oy * ow + ox) * k;
-                    for ch in 0..c {
-                        for ky in 0..kh {
-                            let iy = oy * stride.0 + ky;
-                            if iy < padding.0 || iy - padding.0 >= h {
-                                continue;
-                            }
-                            let iy = iy - padding.0;
-                            for kx in 0..kw {
-                                let ix = ox * stride.1 + kx;
-                                if ix < padding.1 || ix - padding.1 >= wd {
-                                    continue;
-                                }
-                                let ix = ix - padding.1;
-                                cols_img[patch + ch * kh * kw + ky * kw + kx] = x_img[ch * h * wd + iy * wd + ix];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        g.run_scalar(&cols, n * p, p, &mut out);
-        pool::recycle_i8(cols);
+    // The gather is cheapest when no window can leave its source
+    // (`simd::pack_patches`), so the padding is paid once, as data: a
+    // copy of the input with its border cells already in place. A 1×1
+    // stride-1 conv reads whole planes, which then are one long row each.
+    let padded = (padding != (0, 0)).then(|| pad_planes(xq, h, wd, padding, zp_i8));
+    let (src, h, wd) = match &padded {
+        Some(padded) => (&padded[..], h + 2 * padding.0, wd + 2 * padding.1),
+        None => (xq, h, wd),
+    };
+    let (h, wd, oh_g, ow_g) = if (kh, kw, stride) == (1, 1, (1, 1)) { (1, h * wd, 1, p) } else { (h, wd, oh, ow) };
+    let patches =
+        PatchSrc { x: src, c, h, w: wd, ch0: 0, kh, kw, stride, padding: (0, 0), dilation: (1, 1), oh: oh_g, ow: ow_g };
+    g.run_conv(BSrc::Patches(&patches), zp_i8, n * p, p, &mut out);
+    if let Some(padded) = padded {
+        pool::recycle_i8(padded);
     }
     g.recycle();
     let scheme = QScheme::PerTensor { scale: out_scale, zero_point: out_zp };
@@ -941,19 +828,66 @@ mod tests {
         );
     }
 
-    /// The AVX2 and scalar int8 engines must agree **bitwise** on linear
-    /// and conv — both accumulate exactly in i32 and share the same
-    /// per-element requantization, so any mismatch is a kernel bug, not
-    /// rounding. (Cross-process `FX_SIMD` sweeps in verify.sh rely on
-    /// this in-process check being the hard one.)
-    #[test]
-    fn simd_and_scalar_engines_bit_identical() {
-        if !simd::simd_available() {
-            eprintln!("skipping: no AVX2 on this host");
-            return;
+    /// The int8 contract written out, sharing no code with the GEMM
+    /// driver: a direct convolution of `x` (`[n, c, h, w]`) by `w`
+    /// (`[o, c, kh, kw]`) summing `(x − x_zp)·w` in i32 — a padding cell
+    /// holds the zero point, so it adds nothing — then [`requant_one`] on
+    /// coefficients derived here. A linear is the 1×1 case over
+    /// `[rows, k, 1, 1]`, whose `[rows, o, 1, 1]` output is row-major.
+    #[allow(clippy::too_many_arguments)]
+    fn direct_qconv(
+        x: &Tensor,
+        [n, c, h, wd]: [usize; 4],
+        w: &Tensor,
+        [o, kh, kw]: [usize; 3],
+        bias: &Tensor,
+        stride: (usize, usize),
+        padding: (usize, usize),
+        (out_scale, out_zp): (f32, i32),
+        relu: bool,
+    ) -> Vec<i8> {
+        let (x_scale, x_zp) = x.qscheme().unwrap().per_tensor_params().unwrap();
+        let Some(QScheme::PerChannel { scales, axis: 0 }) = w.qscheme() else { panic!("per-channel weight") };
+        let (xq, wq, b) = (x.as_qi8().unwrap(), w.as_qi8().unwrap(), bias.as_f32().unwrap());
+        let oh = (h + 2 * padding.0 - kh) / stride.0 + 1;
+        let ow = (wd + 2 * padding.1 - kw) / stride.1 + 1;
+        let inv_out = 1.0 / out_scale;
+        let mut out = Vec::with_capacity(n * o * oh * ow);
+        for img in 0..n {
+            for oc in 0..o {
+                let (mult, badd) = (x_scale * scales[oc] * inv_out, b[oc] * inv_out);
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut acc = 0i32;
+                        for ch in 0..c {
+                            for ky in 0..kh {
+                                for kx in 0..kw {
+                                    let iy = (oy * stride.0 + ky).checked_sub(padding.0).filter(|&iy| iy < h);
+                                    let ix = (ox * stride.1 + kx).checked_sub(padding.1).filter(|&ix| ix < wd);
+                                    if let (Some(iy), Some(ix)) = (iy, ix) {
+                                        let xv = xq[((img * c + ch) * h + iy) * wd + ix] as i32 - x_zp;
+                                        acc += xv * wq[((oc * c + ch) * kh + ky) * kw + kx] as i32;
+                                    }
+                                }
+                            }
+                        }
+                        out.push(requant_one(acc, mult, badd, relu, out_zp));
+                    }
+                }
+            }
         }
+        out
+    }
+
+    /// Linear and conv at this process's level must equal the direct
+    /// oracle **bitwise** — integer accumulation is exact and the
+    /// requantization is `requant_one` or its op-for-op twin, so any
+    /// mismatch is a kernel bug, not rounding. (The `FX_SIMD` sweeps in
+    /// verify.sh run this at every level.)
+    #[test]
+    fn int8_linear_and_conv_match_the_direct_oracle_bitwise() {
         let mut rng = StdRng::seed_from_u64(0xE17);
-        // Linear over odd shapes, with and without bias/relu.
+        // Linear over odd shapes, with and without relu.
         for &(m, k, n) in &[(1usize, 8usize, 4usize), (5, 33, 17), (8, 64, 40), (3, 127, 19)] {
             let x = Tensor::rand_uniform(&[m, k], -2.0, 2.0, &mut rng);
             let w = Tensor::rand_uniform(&[n, k], -1.0, 1.0, &mut rng);
@@ -962,21 +896,15 @@ mod tests {
             let xq = quantize_per_tensor(&x, xs, xzp).unwrap();
             let wq = quantize_per_channel(&w, 0).unwrap();
             for relu in [false, true] {
-                let fast = quantized_linear_with_engine(&xq, &wq, Some(&b), 0.05, 3, relu, true)
-                    .unwrap();
-                let slow = quantized_linear_with_engine(&xq, &wq, Some(&b), 0.05, 3, relu, false)
-                    .unwrap();
-                assert_eq!(
-                    fast.as_qi8().unwrap(),
-                    slow.as_qi8().unwrap(),
-                    "linear {m}x{k}x{n} relu={relu}: engines disagree"
-                );
+                let got = quantized_linear(&xq, &wq, Some(&b), 0.05, 3, relu).unwrap();
+                let want = direct_qconv(&xq, [m, k, 1, 1], &wq, [n, 1, 1], &b, (1, 1), (0, 0), (0.05, 3), relu);
+                assert_eq!(got.as_qi8().unwrap(), want, "linear {m}x{k}x{n} relu={relu}");
             }
         }
         // Conv: 3×3 with padding/stride over a multi-image batch, 1×1,
         // 3×3 pad 1, the 7×7 stride-2 pad-3 stem, and output rows
-        // shorter than a patch run (`ow < 8`, gathered cell by cell) —
-        // all with a non-zero activation zero point under the borders.
+        // shorter than a patch run (`ow < 8`) — all with a non-zero
+        // activation zero point under the borders.
         // (batch, c, h, w, o, kh, kw, stride, padding)
         let cases = [
             (3usize, 4usize, 9usize, 9usize, 6usize, 3usize, 3usize, (1usize, 1usize), (1usize, 1usize)),
@@ -995,13 +923,12 @@ mod tests {
             let xq = quantize_per_tensor(&x, 2.0 / 255.0, 41).unwrap();
             let wq = quantize_per_channel(&w, 0).unwrap();
             for relu in [false, true] {
-                let run = |simd| quantized_conv2d_with_engine(&xq, &wq, Some(&b), stride, padding, 0.07, -2, relu, simd).unwrap();
-                let (fast, slow) = (run(true), run(false));
-                assert_eq!(fast.shape(), slow.shape());
+                let got = quantized_conv2d(&xq, &wq, Some(&b), stride, padding, 0.07, -2, relu).unwrap();
+                let want = direct_qconv(&xq, [n, c, h, wd], &wq, [o, kh, kw], &b, stride, padding, (0.07, -2), relu);
                 assert_eq!(
-                    fast.as_qi8().unwrap(),
-                    slow.as_qi8().unwrap(),
-                    "conv {kh}x{kw} on {h}x{wd} stride={stride:?} padding={padding:?} relu={relu}: engines disagree"
+                    got.as_qi8().unwrap(),
+                    want,
+                    "conv {kh}x{kw} on {h}x{wd} stride={stride:?} padding={padding:?} relu={relu}"
                 );
             }
         }
@@ -1077,26 +1004,18 @@ mod tests {
     }
 
     /// Shapes with nothing to multiply still produce well-formed
-    /// outputs, the same on both engines: no rows, and `K = 0` (every
-    /// sum empty, so the output is the requantized bias).
+    /// outputs: no rows, and `K = 0` (every sum empty, so each output row
+    /// is the requantized bias).
     #[test]
-    fn degenerate_linear_shapes_agree_across_engines() {
-        if !simd::simd_available() {
-            eprintln!("skipping: no AVX2 on this host");
-            return;
-        }
+    fn degenerate_linear_shapes_requantize_the_bias() {
         let scheme = QScheme::PerTensor { scale: 0.1, zero_point: 7 };
         let bias = Tensor::from_vec(vec![0.5, -0.25, 1.0], &[3]);
         for (rows, k) in [(0usize, 5usize), (4, 0), (0, 0)] {
             let x = Tensor::from_qi8(vec![1; rows * k], &[rows, k], scheme.clone());
             let w = Tensor::from_qi8(vec![2; 3 * k], &[3, k], QScheme::PerTensor { scale: 0.2, zero_point: 0 });
-            let run = |simd| quantized_linear_with_engine(&x, &w, Some(&bias), 0.05, -1, false, simd).unwrap();
-            let (fast, slow) = (run(true), run(false));
-            assert_eq!(fast.shape(), &[rows, 3]);
-            assert_eq!(fast.as_qi8().unwrap(), slow.as_qi8().unwrap(), "rows={rows} k={k}");
-            if rows > 0 {
-                assert_eq!(&fast.as_qi8().unwrap()[..3], &[9, -6, 19], "an empty sum requantizes the bias");
-            }
+            let y = quantized_linear(&x, &w, Some(&bias), 0.05, -1, false).unwrap();
+            assert_eq!(y.shape(), &[rows, 3]);
+            assert_eq!(y.as_qi8().unwrap(), [9, -6, 19].repeat(rows), "rows={rows} k={k}");
         }
     }
 
@@ -1115,7 +1034,7 @@ mod tests {
     }
 
     /// A stack of `depth` quantized 1×1 convs with distinct weights, and
-    /// one pass of an input through it on the SIMD engine.
+    /// one pass of an input through it.
     fn conv_stack(depth: usize, rng: &mut StdRng) -> Vec<Tensor> {
         (0..depth)
             .map(|_| quantize_per_channel(&Tensor::rand_uniform(&[6, 6, 1, 1], -1.0, 1.0, rng), 0).unwrap())
@@ -1123,7 +1042,7 @@ mod tests {
     }
     fn run_stack(stack: &[Tensor], x: &Tensor) -> Tensor {
         stack.iter().fold(x.clone(), |x, w| {
-            quantized_conv2d_with_engine(&x, w, None, (1, 1), (0, 0), 0.05, 0, false, true).unwrap()
+            quantized_conv2d(&x, w, None, (1, 1), (0, 0), 0.05, 0, false).unwrap()
         })
     }
 
@@ -1133,10 +1052,6 @@ mod tests {
     /// once, alternating between them widens nothing.
     #[test]
     fn two_resident_models_are_widened_once_each() {
-        if !simd::simd_available() {
-            eprintln!("skipping: no AVX2 on this host");
-            return;
-        }
         let mut rng = StdRng::seed_from_u64(0xCAC4E);
         let (a, b) = (conv_stack(54, &mut rng), conv_stack(54, &mut rng));
         let x = quantize_per_tensor(&Tensor::rand_uniform(&[1, 6, 3, 3], -1.0, 1.0, &mut rng), 0.01, 5).unwrap();

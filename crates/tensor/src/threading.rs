@@ -215,46 +215,6 @@ where
     pool_run(n_chunks, threads - 1, &run);
 }
 
-/// Split `out` (a row-major `rows x n_cols` buffer, `out.len() == rows *
-/// n_cols`) into contiguous row blocks and run `body(first_row, block)`
-/// on each, in parallel via the pool. This is the GEMM work-sharing
-/// shape: each block is an exclusive `&mut` window of the output.
-pub(crate) fn parallel_row_blocks<F>(out: &mut [f32], n_cols: usize, body: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    let rows = if n_cols == 0 { 0 } else { out.len() / n_cols };
-    debug_assert!(n_cols == 0 || out.len() == rows * n_cols);
-    let threads = num_threads().min(rows.max(1));
-    if threads <= 1 || rows < 2 {
-        body(0, out);
-        return;
-    }
-    let rows_per = rows.div_ceil(threads);
-    let n_blocks = rows.div_ceil(rows_per);
-
-    #[derive(Clone, Copy)]
-    struct SendPtr(*mut f32);
-    // SAFETY: used only to carve disjoint row blocks below.
-    unsafe impl Send for SendPtr {}
-    unsafe impl Sync for SendPtr {}
-    let base = SendPtr(out.as_mut_ptr());
-
-    let run = move |bi: usize| {
-        // Capture the whole wrapper, not the raw pointer field (2021
-        // disjoint capture would otherwise sidestep SendPtr's impls).
-        let base = base;
-        let row0 = bi * rows_per;
-        let nrows = rows_per.min(rows - row0);
-        // SAFETY: row blocks `[row0, row0+nrows)` are disjoint across
-        // `bi`, so each block is an exclusive window into `out`.
-        let block =
-            unsafe { std::slice::from_raw_parts_mut(base.0.add(row0 * n_cols), nrows * n_cols) };
-        body(row0, block);
-    };
-    pool_run(n_blocks, threads - 1, &run);
-}
-
 /// Run `coordinator` on the calling thread while `workers` copies of
 /// `worker(idx)` run on scoped threads, returning the coordinator's
 /// result once **both** the coordinator and every worker have finished.
@@ -341,24 +301,6 @@ mod tests {
         });
         set_num_threads(prev);
         assert!(seen.lock().unwrap().iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn row_blocks_cover_output_exactly_once() {
-        let prev = NUM_THREADS.load(Ordering::Relaxed);
-        set_num_threads(3);
-        let mut out = vec![0.0f32; 13 * 4];
-        parallel_row_blocks(&mut out, 4, |row0, block| {
-            for (i, row) in block.chunks_mut(4).enumerate() {
-                for v in row.iter_mut() {
-                    *v += (row0 + i) as f32;
-                }
-            }
-        });
-        set_num_threads(prev);
-        for (i, row) in out.chunks(4).enumerate() {
-            assert!(row.iter().all(|&v| v == i as f32), "row {i} wrong: {row:?}");
-        }
     }
 
     #[test]

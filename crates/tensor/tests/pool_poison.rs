@@ -7,7 +7,7 @@
 //! observable: it pre-poisons the pool's buckets with NaN-filled
 //! buffers across the size range the kernels request, then runs every
 //! pooled kernel path (GEMM nn/nt, batched matmul, linear with fused
-//! epilogue, pointwise conv, im2col conv, implicit-GEMM conv, grouped
+//! epilogue, pointwise conv, implicit-GEMM conv, grouped
 //! and padded variants) and asserts no NaN leaks into any output. The
 //! quantized kernels get the same treatment with garbage integers: the
 //! int8 pack path stages its gather in a pooled i8 buffer, packs k-pair
@@ -18,8 +18,8 @@
 //!
 //! Runs as its own integration binary so the poisoned pool cannot
 //! interfere with unrelated tests; `scripts/verify.sh` runs it under
-//! every `FX_SIMD` level (the packed-panel buffers on the SIMD paths are
-//! also pool-drawn and also must be fully written, whatever the tile).
+//! every `FX_SIMD` level (the packed-panel buffers are pool-drawn and
+//! must be fully written, whatever the tile).
 
 use fx_tensor::quant::{quantize_per_channel, quantize_per_tensor, quantized_conv2d, quantized_linear};
 use fx_tensor::rng::{SeedableRng, StdRng};

@@ -9,7 +9,7 @@
 # 3. env matrix                — the whole workspace again in release
 #    mode under every FX_SIMD × FX_MEMPLAN combination (widest detected
 #    level, AVX2 pinned — which keeps the narrower tile instances from
-#    rotting on an AVX-512 builder — and the portable scalar GEMM engine
+#    rotting on an AVX-512 builder — and the portable tile rows
 #    × buffer-pool planner on/off), with pass-exit
 #    validation forced on (FX_VALIDATE=1) and a fixed-seed slice of the
 #    differential fuzz sweeps (FX_FUZZ_CASES=8; step 2 ran all 64).
@@ -39,14 +39,19 @@
 #    int8 has no GEMM machine of its own: none of the names of the old
 #    one (`I8_MR`, `I8_NR`, `mk_i8`, `pack_a_i8`, `ImagePatch`) under
 #    crates/tensor/src (it is rows in the one driver's tile table,
-#    DESIGN §5e); and one ruler: the retired second benchmark system
+#    DESIGN §5e); one engine: none of the names of the retired portable
+#    engine (`gemm_nn_scalar`, `gemm_nt_scalar`, `dot4`,
+#    `conv_via_im2col`, `run_scalar`, `SendPtrI8`, `_with_engine`,
+#    `parallel_row_blocks`) under crates/tensor/src (`FX_SIMD=0` runs
+#    portable rows of the one tile table, DESIGN §5d); and one ruler:
+#    the retired second benchmark system
 #    (its JSON records and criterion shim) and the GEMM blocking env
 #    knobs (the blocking is a constant: KC is part of the f32 bits) are
 #    named nowhere outside benchmark/ and the top-level change and
 #    planning records (README, DESIGN and EXPERIMENTS are searched).
 # 7. size report               — non-test lines (up to each file's
 #    `#[cfg(test)]`) per crate, for the four analysis files and for the
-#    two kernel files, so the number a simplicity PR cites comes from
+#    four kernel files, so the number a simplicity PR cites comes from
 #    the gate, not from hand.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -97,6 +102,14 @@ if grep -rnE 'I8_MR|I8_NR|mk_i8|pack_a_i8|ImagePatch' crates/tensor/src; then
 fi
 echo "no I8_MR / I8_NR / mk_i8 / pack_a_i8 / ImagePatch under crates/tensor/src"
 
+echo "== one-engine gate: FX_SIMD=0 runs portable tile rows, not a second engine =="
+retired_engine='gemm_nn_scalar|gemm_nt_scalar|dot4|conv_via_im2col|run_scalar|SendPtrI8|_with_engine|parallel_row_blocks'
+if grep -rnE "$retired_engine" crates/tensor/src; then
+    echo "a piece of the retired portable engine is back; add a tile row instead" >&2
+    exit 1
+fi
+echo "none of $retired_engine under crates/tensor/src"
+
 echo "== one-ruler gate: no second benchmark system, no GEMM blocking knobs =="
 retired='BENCH_(executor|serve)|fx_bench::criterion|FX_GEMM_(KC|NC)'
 # Top-level Markdown is the change history and planning record, except
@@ -122,7 +135,9 @@ for f in "${analyses[@]}"; do
     printf '%-40s %6d\n' "$f" "$(nontest_lines "$f")"
 done
 printf '%-40s %6d\n' "the four analysis files" "$(nontest_lines "${analyses[@]}")"
-for f in crates/tensor/src/ops/simd.rs crates/tensor/src/quant.rs; do
+kernels=(crates/tensor/src/ops/{simd,matmul,conv}.rs crates/tensor/src/quant.rs)
+for f in "${kernels[@]}"; do
     printf '%-40s %6d\n' "$f" "$(nontest_lines "$f")"
 done
+printf '%-40s %6d\n' "the four kernel files" "$(nontest_lines "${kernels[@]}")"
 echo "verify: OK"

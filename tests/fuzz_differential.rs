@@ -383,10 +383,10 @@ fn differential_fuzz_sweep() {
 /// * int8 vs f32 is compared against the documented quantization
 ///   tolerance (SQNR, not bitwise — DESIGN.md §5e).
 ///
-/// The SIMD axis ({FX_SIMD=0,1}) is once-read per process, so it is
-/// swept two ways: in-process engine-vs-engine tests inside
-/// `fx_tensor::quant`, and cross-process by `scripts/verify.sh`, which
-/// runs this very sweep under both modes and both FX_MEMPLAN settings.
+/// The SIMD axis (`FX_SIMD`) is once-read per process, so it is swept
+/// two ways: in-process tests inside `fx_tensor::quant` hold the level's
+/// tiles to a direct-convolution oracle, and `scripts/verify.sh` runs
+/// this very sweep under every level and both FX_MEMPLAN settings.
 #[test]
 fn quantized_differential_fuzz_sweep() {
     use fx::passes::batch_polymorphic;

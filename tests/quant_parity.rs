@@ -5,13 +5,14 @@
 //! the same model with zero failed requests and version-exact answers.
 //!
 //! Bit-identity holds because the int8 path accumulates exactly in i32
-//! (both the SIMD microkernel and the scalar fallback) and requantizes
-//! through one shared per-element epilogue, so neither threading (row
-//! partitioning only), planned buffer reuse (dtype-keyed, never across
-//! dtypes), nor batch stacking (pure byte concatenation) can perturb a
-//! single output byte. The FX_SIMD axis is swept cross-process by
-//! `scripts/verify.sh`; in-process engine-vs-engine parity lives in
-//! `fx_tensor::quant` unit tests.
+//! (every tile of the one GEMM driver, the portable one included) and
+//! requantizes through one per-element epilogue contract, so neither
+//! threading (row partitioning only), planned buffer reuse (dtype-keyed,
+//! never across dtypes), nor batch stacking (pure byte concatenation)
+//! can perturb a single output byte. The FX_SIMD axis is swept
+//! cross-process by `scripts/verify.sh`; the direct-convolution oracle
+//! every level must equal lives in `fx_tensor::quant` unit tests, and
+//! `tests/golden_bits.rs` pins the bytes across commits.
 
 use fx::prelude::*;
 use fx::serve::{ModelConfig, Registry};
