@@ -61,7 +61,7 @@ pub fn is_supported(gm: &GraphModule, node: &Node) -> bool {
     }
 }
 
-/// Which numerics-changing fusion passes run (defaults: both). The
+/// Whether the numerics-changing fusion pass runs (default: yes). The
 /// bit-preserving passes — identity elision, BN → channel affine,
 /// epilogue fusion, unary chains, DCE — always run.
 #[derive(Debug, Clone, Copy)]
@@ -70,18 +70,11 @@ pub struct CompileOptions {
     /// Changes numerics: folded weights round differently, so results
     /// agree to `allclose`, not bitwise.
     pub fuse_conv_bn: bool,
-    /// Route eligible 1×1 convs to the direct pointwise GEMM
-    /// ([`passes::route_pointwise`]). Changes numerics: that kernel
-    /// reduces in a different order than the default one.
-    pub pointwise: bool,
 }
 
 impl Default for CompileOptions {
     fn default() -> Self {
-        CompileOptions {
-            fuse_conv_bn: true,
-            pointwise: true,
-        }
+        CompileOptions { fuse_conv_bn: true }
     }
 }
 
@@ -97,9 +90,6 @@ pub fn fuse(gm: &mut GraphModule, opts: CompileOptions) -> Result<usize> {
     rewrites += passes::bn_to_affine(gm)?;
     rewrites += passes::fuse_epilogues(gm)?;
     rewrites += passes::fuse_unary_chains(gm)?;
-    if opts.pointwise {
-        rewrites += passes::route_pointwise(gm)?;
-    }
     Ok(rewrites + passes::eliminate_dead_code(gm)?)
 }
 
@@ -110,8 +100,8 @@ pub fn compile(gm: &GraphModule) -> Result<Engine> {
     compile_with(gm, CompileOptions::default())
 }
 
-/// Compile with explicit [`CompileOptions`]: with both off, the engine
-/// reproduces the traced graph's bits.
+/// Compile with explicit [`CompileOptions`]: with conv–BN folding off,
+/// the engine reproduces the traced graph's bits.
 pub fn compile_with(gm: &GraphModule, opts: CompileOptions) -> Result<Engine> {
     if let Some(node) = gm.graph().nodes().find(|n| !is_supported(gm, n)) {
         return Err(Error::UnknownOp {
@@ -209,10 +199,7 @@ mod tests {
         let full = compile(&gm).unwrap();
         let exact = compile_with(
             &gm,
-            CompileOptions {
-                fuse_conv_bn: false,
-                pointwise: false,
-            },
+            CompileOptions { fuse_conv_bn: false },
         )
         .unwrap();
         let unfused = Engine::new(gm.clone()).unwrap();

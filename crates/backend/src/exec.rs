@@ -5,9 +5,9 @@
 //! unary chains, BN → channel affine, identity elision), so an
 //! `EngineBackend` serves traffic **bit-identically** to the plain
 //! executor — the property `tests/serve_parity.rs` locks in. A config
-//! with [`ExecConfig::fusion`] additionally turns on the two
-//! numerics-changing passes, conv–BN folding and pointwise 1×1-conv
-//! routing, for speed at `allclose` accuracy.
+//! with [`ExecConfig::fusion`] additionally turns on the one
+//! numerics-changing pass, conv–BN folding, for speed at `allclose`
+//! accuracy.
 
 use crate::compile::{fuse, CompileOptions};
 use crate::engine::Engine;
@@ -53,11 +53,7 @@ impl ExecutionBackend for EngineBackend {
     }
 
     fn prepare_with(&self, gm: &GraphModule, cfg: ExecConfig) -> Result<Box<dyn PreparedModel>> {
-        let opts = CompileOptions {
-            fuse_conv_bn: cfg.fusion,
-            pointwise: cfg.fusion,
-            ..CompileOptions::default()
-        };
+        let opts = CompileOptions { fuse_conv_bn: cfg.fusion };
         let mut fused = gm.clone();
         fuse(&mut fused, opts)?;
         let engine = Engine::new(fused)?;

@@ -10,8 +10,8 @@
 //!
 //! ```text
 //! trace → passes (conv–BN folding, epilogue fusion, unary chains,
-//!                 BN → channel affine, identity elision, pointwise
-//!                 routing, DCE) → ExecPlan → Executor
+//!                 BN → channel affine, identity elision, DCE)
+//!       → ExecPlan → Executor
 //! ```
 //!
 //! An [`Engine`] is the fused `GraphModule` plus its warmed plan;

@@ -6,9 +6,9 @@
 //!
 //! Each pass returns the number of rewrites it made, validates on exit
 //! ([`validate::after_pass`]) and is idempotent. All are total: a node
-//! a pass does not recognize is left as it is. Every pass except
-//! [`route_pointwise`] preserves float bits — the fused node applies the
-//! same scalar kernels to the same values in the same order.
+//! a pass does not recognize is left as it is. Every pass preserves
+//! float bits — the fused node applies the same scalar kernels to the
+//! same values in the same order.
 
 use fx_core::{validate, ArcModule, Arg, GraphModule, Node, NodeId, Opcode, Result};
 use fx_nn::{BatchNorm2d, ChannelAffine, Conv2d, FusedConv2d, FusedLinear, Linear};
@@ -159,9 +159,7 @@ pub fn bn_to_affine(gm: &mut GraphModule) -> Result<usize> {
 /// that does not already carry one.
 fn with_epilogue(module: &dyn Any, act: &'static str) -> Option<ArcModule> {
     if let Some(conv) = module.downcast_ref::<Conv2d>() {
-        Some(Arc::new(FusedConv2d::new(conv.clone()).with_act(act)))
-    } else if let Some(fused) = module.downcast_ref::<FusedConv2d>() {
-        (fused.act().is_none()).then(|| Arc::new(fused.clone().with_act(act)) as _)
+        Some(Arc::new(FusedConv2d::new(conv.clone(), act)))
     } else {
         let linear = module.downcast_ref::<Linear>()?;
         Some(Arc::new(FusedLinear::new(linear.clone(), act)))
@@ -283,22 +281,6 @@ pub fn fuse_unary_chains(gm: &mut GraphModule) -> Result<usize> {
         fused += 1;
     }
     finish(gm, "fuse_unary_chains", fused)
-}
-
-/// Kernel selection: route every 1×1, unit-stride, unpadded, ungrouped
-/// convolution to the direct pointwise GEMM (no im2col). **Changes
-/// float bits**: that kernel reduces in a different order than the
-/// default one, so results agree to `allclose`, not bitwise.
-pub fn route_pointwise(gm: &mut GraphModule) -> Result<usize> {
-    replace_modules(gm, "route_pointwise", |m| {
-        let conv = m
-            .downcast_ref::<FusedConv2d>()
-            .cloned()
-            .or_else(|| m.downcast_ref::<Conv2d>().cloned().map(FusedConv2d::new));
-        Ok(conv
-            .filter(|c| !c.is_pointwise() && c.pointwise_eligible())
-            .map(|c| Arc::new(c.with_pointwise()) as _))
-    })
 }
 
 #[cfg(test)]

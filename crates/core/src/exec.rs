@@ -34,11 +34,11 @@ pub struct ExecConfig {
     /// Buffer-pool recycling of dead intermediates plus in-place unary
     /// rewrites. Bit-identical to plain allocation by construction.
     pub memory_planning: bool,
-    /// Allow numerics-changing fusion passes in backends that have them
-    /// (`fx_backend::EngineBackend`'s conv–BN constant folding and
-    /// pointwise 1×1-conv GEMM routing). Off by default: every backend then computes results
-    /// **bit-identical** to the default `Executor`. The plain executor
-    /// backend ignores this flag.
+    /// Allow conv–BN folding, the one numerics-changing fusion pass, in
+    /// backends that have it (`fx_backend::EngineBackend`'s constant
+    /// folding of BatchNorm into the preceding conv). Off by default:
+    /// every backend then computes results **bit-identical** to the
+    /// default `Executor`. The plain executor backend ignores this flag.
     pub fusion: bool,
 }
 
@@ -85,7 +85,7 @@ impl ExecConfig {
         self
     }
 
-    /// Enable or disable numerics-changing backend fusion.
+    /// Enable or disable conv–BN folding in backends that have it.
     pub fn with_fusion(mut self, on: bool) -> ExecConfig {
         self.fusion = on;
         self

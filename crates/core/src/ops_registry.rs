@@ -233,8 +233,7 @@ fn op_dropout(i: &Inputs<'_>) -> Result<Value> {
 //
 // Targets the `fx_backend` fusion passes emit. Each composes the same
 // kernels the unfused nodes bottom out in, applied to the same values in
-// the same order, so a fused graph is bit-identical to its source — the
-// one exception being `conv2d_act`'s opt-in pointwise routing. Plain
+// the same order, so a fused graph is bit-identical to its source. Plain
 // `conv2d` / `linear` are their `_act` twins called without an epilogue.
 
 /// The activation epilogue named at argument `at`, if any: a
@@ -261,27 +260,21 @@ fn with_act(y: Tensor, act: Option<&str>) -> Result<Value> {
 }
 
 /// `conv2d`, and `conv2d_act` = `conv2d` + activation epilogue: the
-/// seven convolution args, then optionally the activation name and
-/// whether to route through the direct pointwise GEMM. ReLU rides the
-/// GEMM write-back.
+/// seven convolution args, then optionally the activation name. ReLU
+/// rides the GEMM write-back.
 fn op_conv2d(i: &Inputs<'_>) -> Result<Value> {
-    let (x, w, b) = (i.tensor(0)?, i.tensor(1)?, i.opt_tensor(2)?);
     let act = act_at(i, 7)?;
     let relu = act == Some("relu");
-    let y = if i.bool_or(8, false)? {
-        ops::conv2d_pointwise_act(x, w, b, relu)?
-    } else {
-        ops::conv2d_act(
-            x,
-            w,
-            b,
-            i.usize_pair(3)?,
-            i.usize_pair(4)?,
-            i.usize_pair(5)?,
-            i.int_or(6, 1)? as usize,
-            relu,
-        )?
-    };
+    let y = ops::conv2d_act(
+        i.tensor(0)?,
+        i.tensor(1)?,
+        i.opt_tensor(2)?,
+        i.usize_pair(3)?,
+        i.usize_pair(4)?,
+        i.usize_pair(5)?,
+        i.int_or(6, 1)? as usize,
+        relu,
+    )?;
     with_act(y, act.filter(|_| !relu))
 }
 

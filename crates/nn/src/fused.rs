@@ -12,59 +12,18 @@ fn pair(p: (usize, usize)) -> Value {
     Value::Tuple(vec![Value::Int(p.0 as i64), Value::Int(p.1 as i64)])
 }
 
-fn act_value(act: Option<&'static str>) -> Value {
-    act.map_or(Value::None, |a| Value::Str(a.to_string()))
-}
-
 /// A [`Conv2d`] carrying an activation epilogue (the name of a scalar
-/// unary op such as `"relu"`) and a compile-time kernel choice: eligible
-/// 1×1 convolutions may be routed to the direct pointwise GEMM.
+/// unary op such as `"relu"`).
 #[derive(Debug, Clone)]
 pub struct FusedConv2d {
     conv: Conv2d,
-    act: Option<&'static str>,
-    pointwise: bool,
+    act: &'static str,
 }
 
 impl FusedConv2d {
-    /// Wrap `conv` with no epilogue on the default kernel.
-    pub fn new(conv: Conv2d) -> FusedConv2d {
-        FusedConv2d {
-            conv,
-            act: None,
-            pointwise: false,
-        }
-    }
-
-    /// Set the activation epilogue.
-    pub fn with_act(mut self, act: &'static str) -> FusedConv2d {
-        self.act = Some(act);
-        self
-    }
-
-    /// Route through the direct pointwise GEMM. Changes float bits
-    /// relative to the default kernel (different reduction order), so
-    /// only numerics-relaxed pipelines set it.
-    pub fn with_pointwise(mut self) -> FusedConv2d {
-        self.pointwise = true;
-        self
-    }
-
-    /// The activation epilogue, if any.
-    pub fn act(&self) -> Option<&'static str> {
-        self.act
-    }
-
-    /// Whether the pointwise kernel was selected.
-    pub fn is_pointwise(&self) -> bool {
-        self.pointwise
-    }
-
-    /// Whether the wrapped conv is 1×1 with unit stride and no
-    /// padding, dilation or groups — what the pointwise kernel computes.
-    pub fn pointwise_eligible(&self) -> bool {
-        let w = self.conv.weight().shape();
-        w[2] == 1 && w[3] == 1 && self.conv.geometry() == ((1, 1), (0, 0), (1, 1), 1)
+    /// `conv` followed by the scalar unary op `act`.
+    pub fn new(conv: Conv2d, act: &'static str) -> FusedConv2d {
+        FusedConv2d { conv, act }
     }
 }
 
@@ -85,8 +44,7 @@ impl Module for FusedConv2d {
                 pair(padding),
                 pair(dilation),
                 Value::Int(groups as i64),
-                act_value(self.act),
-                Value::Bool(self.pointwise),
+                Value::Str(self.act.to_string()),
             ],
         )
     }
@@ -104,12 +62,7 @@ impl Module for FusedConv2d {
     }
 
     fn extra_repr(&self) -> String {
-        format!(
-            "{}, act={}{}",
-            self.conv.extra_repr(),
-            self.act.unwrap_or("none"),
-            if self.pointwise { ", pointwise" } else { "" }
-        )
+        format!("{}, act={}", self.conv.extra_repr(), self.act)
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -143,7 +96,7 @@ impl Module for FusedLinear {
                 inputs[0].clone(),
                 self.attr("weight")?,
                 bias,
-                act_value(Some(self.act)),
+                Value::Str(self.act.to_string()),
             ],
         )
     }
@@ -254,7 +207,7 @@ mod tests {
             ("gelu", func::gelu),
         ] {
             let want = eager(&conv.call(&[x.clone()]).unwrap()).unwrap();
-            let fused = FusedConv2d::new(conv.clone()).with_act(act);
+            let fused = FusedConv2d::new(conv.clone(), act);
             assert_eq!(
                 bits(&want),
                 bits(&fused.call(&[x.clone()]).unwrap()),
@@ -267,23 +220,6 @@ mod tests {
         let want = func::tanh(&lin.call(&[x.clone()]).unwrap()).unwrap();
         let fused = FusedLinear::new(lin, "tanh");
         assert_eq!(bits(&want), bits(&fused.call(&[x]).unwrap()));
-    }
-
-    #[test]
-    fn pointwise_route_is_close_and_only_offered_to_1x1() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let conv = Conv2d::new(4, 6, (1, 1), &mut rng);
-        let x = Value::Tensor(Tensor::randn(&[1, 4, 5, 5], &mut rng));
-        let want = conv.call(&[x.clone()]).unwrap();
-        let fused = FusedConv2d::new(conv);
-        assert!(fused.pointwise_eligible());
-        let got = fused.with_pointwise().call(&[x]).unwrap();
-        assert!(want
-            .as_tensor()
-            .unwrap()
-            .allclose(got.as_tensor().unwrap(), 1e-5));
-        let strided = Conv2d::new(4, 6, (1, 1), &mut rng).with_stride((2, 2));
-        assert!(!FusedConv2d::new(strided).pointwise_eligible());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The kernel throughput tool: prints GFLOP/s per GEMM/conv shape, the
-//! same for the int8 conv and linear (with an FNV-1a hash of each output,
-//! so one build per tree shows whether two trees agree byte for byte) and
+//! same for the f32 conv at ResNet-50's shapes and the int8 conv and
+//! linear (with an FNV-1a hash of each output, so one build per tree
+//! shows whether two trees agree bit for bit) and
 //! ns per element for the int8 elementwise kernels (the quantize lane)
 //! under whichever engine `FX_SIMD` selects — the fast feedback loop
 //! while tuning kernels. End-to-end claims are measured by the
@@ -17,43 +18,50 @@ use fx_tensor::quant::{
     quantize_per_channel, quantize_per_tensor, quantized_add, quantized_conv2d, quantized_linear, quantized_relu,
 };
 use fx_tensor::rng::{SeedableRng, StdRng};
-use fx_tensor::{ops, Tensor};
+use fx_tensor::{ops, pool, Tensor};
 use std::time::Instant;
 
-/// Best-of-8 wall time of `f`, after two warm-up calls.
-fn best_of(mut f: impl FnMut()) -> f64 {
+/// Best-of-8 wall time of `f`, after two warm-up calls. Each output
+/// goes back to the buffer pool, as in a planned executor run, so a row
+/// times the kernel rather than the allocator returning and re-faulting
+/// its pages between calls.
+fn best_of(mut f: impl FnMut() -> Tensor) -> f64 {
+    let _pool = pool::activate();
     for _ in 0..2 {
-        f(); // warm-up
+        pool::recycle_tensor(f()); // warm-up
     }
     let mut best = f64::INFINITY;
     for _ in 0..8 {
         let t0 = Instant::now();
-        f();
+        pool::recycle_tensor(f());
         best = best.min(t0.elapsed().as_secs_f64());
     }
     best
 }
 
-fn time_gflops(name: &str, flops: u64, f: impl FnMut()) {
+fn time_gflops(name: &str, flops: u64, f: impl FnMut() -> Tensor) {
     let best = best_of(f);
     println!("{name:32} {:9.3} ms  {:7.2} GFLOP/s", best * 1e3, flops as f64 / best / 1e9);
 }
 
-/// FNV-1a over the bytes of an int8 tensor.
+/// FNV-1a over the bytes of an int8 tensor, or the little-endian bit
+/// patterns of an f32 one.
 fn fnv(t: &Tensor) -> u64 {
-    t.as_qi8().unwrap().iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u8 as u64).wrapping_mul(0x100_0000_01b3))
+    let bytes: Vec<u8> = match t.as_qi8() {
+        Ok(q) => q.iter().map(|&b| b as u8).collect(),
+        Err(_) => t.as_f32().unwrap().iter().flat_map(|v| v.to_bits().to_le_bytes()).collect(),
+    };
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
 }
 
-/// [`time_gflops`] for an int8 kernel, plus the hash of its output.
+/// [`time_gflops`] for a kernel, plus the hash of its output.
 fn time_hashed(name: &str, ops: usize, mut f: impl FnMut() -> Tensor) {
     let hash = fnv(&f());
-    let best = best_of(|| {
-        f();
-    });
+    let best = best_of(f);
     println!("{name:32} {:9.3} ms  {:7.2} GOP/s   fnv {hash:016x}", best * 1e3, ops as f64 / best / 1e9);
 }
 
-fn time_per_elem(name: &str, elems: usize, f: impl FnMut()) {
+fn time_per_elem(name: &str, elems: usize, f: impl FnMut() -> Tensor) {
     let best = best_of(f);
     println!("{name:32} {:9.3} ms  {:7.3} ns/elem", best * 1e3, best / elems as f64 * 1e9);
 }
@@ -66,14 +74,14 @@ fn main() {
         let a = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform(&[k, n], -1.0, 1.0, &mut rng);
         time_gflops(&format!("gemm_nn {m}x{k}x{n}"), (2 * m * k * n) as u64, || {
-            ops::matmul(&a, &b).unwrap();
+            ops::matmul(&a, &b).unwrap()
         });
     }
 
     let x3 = Tensor::rand_uniform(&[1, 64, 56, 56], -1.0, 1.0, &mut rng);
     let w3 = Tensor::rand_uniform(&[64, 64, 3, 3], -0.5, 0.5, &mut rng);
     time_gflops("conv3x3 64->64 @56x56", 2 * 64 * 56 * 56 * 64 * 9, || {
-        ops::conv2d(&x3, &w3, None, (1, 1), (1, 1), (1, 1), 1).unwrap();
+        ops::conv2d(&x3, &w3, None, (1, 1), (1, 1), (1, 1), 1).unwrap()
     });
 
     // Deep-layer shapes of ResNet-50 on a 32x32 input: tiny spatial
@@ -82,13 +90,31 @@ fn main() {
     let x4 = Tensor::rand_uniform(&[1, 512, 2, 2], -1.0, 1.0, &mut rng);
     let w4 = Tensor::rand_uniform(&[512, 512, 3, 3], -0.5, 0.5, &mut rng);
     time_gflops("conv3x3 512->512 @2x2", 2 * 512 * 2 * 2 * 512 * 9, || {
-        ops::conv2d(&x4, &w4, None, (1, 1), (1, 1), (1, 1), 1).unwrap();
+        ops::conv2d(&x4, &w4, None, (1, 1), (1, 1), (1, 1), 1).unwrap()
     });
-    let x1 = Tensor::rand_uniform(&[1, 512, 2, 2], -1.0, 1.0, &mut rng);
-    let w1 = Tensor::rand_uniform(&[2048, 512, 1, 1], -0.5, 0.5, &mut rng);
-    time_gflops("conv1x1 512->2048 @2x2", 2 * 2048 * 2 * 2 * 512, || {
-        ops::conv2d_pointwise(&x1, &w1, None).unwrap();
-    });
+
+    // The f32 conv (bias + fused ReLU) at ResNet-50 shapes on a
+    // [4,3,64,64] input: the stem, layer1's 3x3 and both 1x1 directions
+    // at 16x16, and a 3x3 and a 1x1 of layer3 (4x4) and layer4 (2x2).
+    for &(c, h, o, k, stride, pad) in &[
+        (3usize, 64usize, 64usize, 7usize, 2usize, 3usize),
+        (64, 16, 64, 3, 1, 1),
+        (64, 16, 256, 1, 1, 0),
+        (256, 16, 64, 1, 1, 0),
+        (256, 4, 256, 3, 1, 1),
+        (256, 4, 1024, 1, 1, 0),
+        (512, 2, 512, 3, 1, 1),
+        (2048, 2, 512, 1, 1, 0),
+    ] {
+        let x = Tensor::rand_uniform(&[4, c, h, h], -1.0, 1.0, &mut rng);
+        let w = Tensor::rand_uniform(&[o, c, k, k], -0.5, 0.5, &mut rng);
+        let b = Tensor::rand_uniform(&[o], -0.2, 0.2, &mut rng);
+        let oh = (h + 2 * pad - k) / stride + 1;
+        let name = format!("f32 conv{k}x{k} s{stride} {c}->{o} @4x{h}x{h}");
+        time_hashed(&name, 2 * 4 * o * oh * oh * c * k * k, || {
+            ops::conv2d_act(&x, &w, Some(&b), (stride, stride), (pad, pad), (1, 1), 1, true).unwrap()
+        });
+    }
 
     // The int8 GEMMs at ResNet-50 shapes on a [4,3,64,64] input — the
     // stem, a layer1 3x3 and 1x1, a layer4 3x3 — and the classifier
@@ -128,22 +154,22 @@ fn main() {
     let qa = quantize_per_tensor(&Tensor::rand_uniform(&[4, 256, 16, 16], -4.0, 4.0, &mut rng), s, zp).unwrap();
     let qb = quantize_per_tensor(&Tensor::rand_uniform(&[4, 256, 16, 16], -4.0, 4.0, &mut rng), 0.04, -5).unwrap();
     time_per_elem("quantized_add [4,256,16,16]", qa.numel(), || {
-        quantized_add(&qa, &qb, 0.07, -2).unwrap();
+        quantized_add(&qa, &qb, 0.07, -2).unwrap()
     });
     time_per_elem("quantized_relu [4,256,16,16]", qa.numel(), || {
-        quantized_relu(&qa).unwrap();
+        quantized_relu(&qa).unwrap()
     });
     let xf = Tensor::rand_uniform(&[4, 3, 64, 64], -2.0, 2.0, &mut rng);
     time_per_elem("quantize_per_tensor [4,3,64,64]", xf.numel(), || {
-        quantize_per_tensor(&xf, s, zp).unwrap();
+        quantize_per_tensor(&xf, s, zp).unwrap()
     });
     let wf = Tensor::rand_uniform(&[512, 512, 3, 3], -0.5, 0.5, &mut rng);
     time_per_elem("quantize_per_channel [512,512,3,3]", wf.numel(), || {
-        quantize_per_channel(&wf, 0).unwrap();
+        quantize_per_channel(&wf, 0).unwrap()
     });
     let xq = quantize_per_tensor(&Tensor::rand_uniform(&[4, 2, 32, 32], -2.0, 2.0, &mut rng), s, zp).unwrap();
     let wq = quantize_per_channel(&Tensor::rand_uniform(&[64, 2, 1, 1], -0.5, 0.5, &mut rng), 0).unwrap();
     time_per_elem("requant (conv1x1 2->64 @32x32)", 4 * 64 * 32 * 32, || {
-        quantized_conv2d(&xq, &wq, None, (1, 1), (0, 0), 0.05, -1, true).unwrap();
+        quantized_conv2d(&xq, &wq, None, (1, 1), (0, 0), 0.05, -1, true).unwrap()
     });
 }

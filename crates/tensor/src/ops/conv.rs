@@ -1,14 +1,15 @@
 //! 2-d convolution and pooling kernels.
 //!
-//! A convolution is an **implicit GEMM** at every `FX_SIMD` level:
-//! patches are gathered into the one GEMM driver's packed B panels on
-//! the fly ([`simd::PatchSrc`]), so the `[n·p, kg]` im2col matrix is
-//! never allocated. A pointwise conv needs no gather: its input planes
-//! are B as they stand.
+//! A convolution is an **implicit GEMM** at every `FX_SIMD` level and
+//! for both dtypes: patches are gathered into the one GEMM driver's
+//! packed B panels on the fly ([`simd::PatchSrc`]), so the `[n·p, kg]`
+//! im2col matrix is never allocated. [`with_patches`] is the geometry
+//! the f32 conv and `quant::quantized_conv2d` share: padding is paid
+//! once, as data, and a 1×1 stride-1 window reads whole planes.
 
 use crate::error::{Error, Result};
 use crate::ops::simd::{self, BSrc, PatchSrc};
-use crate::pool;
+use crate::pool::{self, PoolElem};
 use crate::tensor::Tensor;
 
 /// Output spatial extent of a conv/pool window. Errors (instead of
@@ -40,57 +41,55 @@ pub(crate) fn out_extent(
     }
 }
 
-/// Pointwise (1×1, stride 1, no padding/dilation/groups) convolution as
-/// a direct GEMM over channels, skipping im2col entirely: for each
-/// image, `out[O, H*W] = W[O, C] @ x[C, H*W]`.
-///
-/// This is the "kernel selection" a backend compiler performs (TensorRT
-/// picks specialized kernels per layer); the engine in `fx-backend`
-/// routes eligible convs here. ResNet50's bottlenecks are two-thirds
-/// 1×1 convs, so the saved patch-copy is substantial.
-pub fn conv2d_pointwise(x: &Tensor, w: &Tensor, bias: Option<&Tensor>) -> Result<Tensor> {
-    conv2d_pointwise_act(x, w, bias, false)
+/// `x` — `planes` planes of `[h, w]` — with `padding` rows/columns of
+/// `fill` on every side of each plane, in a pooled buffer. The plane
+/// count is an argument, not `x.len() / (h·w)`: a plane with no cells
+/// still has its padding.
+pub(crate) fn pad_planes<T: PoolElem>(x: &[T], planes: usize, h: usize, w: usize, padding: (usize, usize), fill: T) -> Vec<T> {
+    let (hp, wp) = (h + 2 * padding.0, w + 2 * padding.1);
+    let mut out = pool::alloc::<T>(planes * hp * wp);
+    out.fill(fill);
+    for (plane, dst) in x.chunks_exact((h * w).max(1)).zip(out.chunks_exact_mut(hp * wp)) {
+        let inner = dst[padding.0 * wp..].chunks_exact_mut(wp);
+        for (src_row, dst_row) in plane.chunks_exact(w.max(1)).zip(inner) {
+            dst_row[padding.1..padding.1 + w].copy_from_slice(src_row);
+        }
+    }
+    out
 }
 
-/// [`conv2d_pointwise`] with an optional fused ReLU epilogue (the
-/// backend engine's `conv+relu` lowering). Elementwise identical to
-/// running the plain kernel followed by `relu`.
-pub fn conv2d_pointwise_act(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&Tensor>,
-    relu: bool,
-) -> Result<Tensor> {
-    let xd = x.as_f32()?;
-    let wd = w.as_f32()?;
-    let xs = x.shape();
-    let ws = w.shape();
-    if xs.len() != 4 || ws.len() != 4 || ws[2] != 1 || ws[3] != 1 || ws[1] != xs[1] {
-        return Err(Error::ShapeMismatch {
-            op: "conv2d_pointwise",
-            expected: "x [N,C,H,W] and w [O,C,1,1]".to_string(),
-            got: ws.to_vec(),
-        });
-    }
-    let (n, c, h, win) = (xs[0], xs[1], xs[2], xs[3]);
-    let o = ws[0];
-    let hw = h * win;
-    let bias_slice = match bias {
-        Some(b) => Some(b.as_f32()?),
-        None => None,
+/// Run `gemm` on the implicit-GEMM source of a conv over `x` (`[n, c,
+/// h, w]`, output `[oh, ow]` per plane), for either dtype. The gather
+/// is cheapest when no window can leave its source, so the padding is
+/// paid once, as data: a pooled copy of the input with `fill` (what
+/// encodes real 0.0: `0.0`, or int8's activation zero point) in its
+/// border cells.
+/// A 1×1 stride-1 window reads whole planes, which then are one long
+/// row each. The patch source covers channel group 0; a grouped conv
+/// moves `ch0`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn with_patches<T: PoolElem, R>(
+    x: &[T],
+    [n, c, h, w]: [usize; 4],
+    (kh, kw): (usize, usize),
+    stride: (usize, usize),
+    padding: (usize, usize),
+    dilation: (usize, usize),
+    (oh, ow): (usize, usize),
+    fill: T,
+    gemm: impl FnOnce(PatchSrc<T>) -> R,
+) -> R {
+    let padded = (padding != (0, 0)).then(|| pad_planes(x, n * c, h, w, padding, fill));
+    let (x, h, w) = match &padded {
+        Some(padded) => (&padded[..], h + 2 * padding.0, w + 2 * padding.1),
+        None => (x, h, w),
     };
-    // Pooled, garbage-tolerant output: the GEMM writes every element.
-    let mut out = pool::alloc_f32(n * o * hw);
-    for img in 0..n {
-        // W is [O, C] row-major; x image is [C, HW] row-major — GEMM
-        // directly into the output window, no intermediate copy.
-        let dst = &mut out[img * o * hw..(img + 1) * o * hw];
-        let x_img = &xd[img * c * hw..(img + 1) * c * hw];
-        // Bias (per output channel = per C row) and ReLU fused into the
-        // microkernel write-back.
-        simd::gemm(o, c, hw, &wd[..o * c], BSrc::RowMajor(x_img), dst, bias_slice, None, relu);
+    let (h, w, oh, ow) = if (kh, kw, stride) == (1, 1, (1, 1)) { (1, h * w, 1, oh * ow) } else { (h, w, oh, ow) };
+    let result = gemm(PatchSrc { x, c, h, w, ch0: 0, kh, kw, stride, dilation, oh, ow });
+    if let Some(padded) = padded {
+        pool::recycle(padded);
     }
-    Ok(Tensor::from_vec(out, &[n, o, h, win]))
+    result
 }
 
 /// 2-d convolution with PyTorch `conv2d` semantics.
@@ -100,8 +99,8 @@ pub fn conv2d_pointwise_act(
 /// * `bias` — optional `[O]`
 ///
 /// Implemented as an implicit GEMM per group: the weight `[og, kg]` is A
-/// and the patches are B, packed panel by panel straight from the input,
-/// so the im2col matrix is never materialized.
+/// and the patches are B, packed panel by panel straight from the
+/// (padded) input, so the im2col matrix is never materialized.
 pub fn conv2d(
     x: &Tensor,
     w: &Tensor,
@@ -115,7 +114,7 @@ pub fn conv2d(
 }
 
 /// [`conv2d`] with an optional fused ReLU epilogue, applied while
-/// scattering GEMM results into the output layout — elementwise
+/// GEMM results are written into the output layout — elementwise
 /// identical to running [`conv2d`] followed by `relu`. This is the hook
 /// the backend engine's epilogue fusion lowers `conv+relu` through.
 #[allow(clippy::too_many_arguments)]
@@ -175,48 +174,20 @@ pub fn conv2d_act(
         None => None,
     };
 
-    // One GEMM per group over the whole batch, into a per-group
-    // `[og, n·p]` result. Each element's k-chain is the microkernel's,
+    // One GEMM per group over the whole batch, its sums landing in the
+    // group's NCHW channels. Each element's k-chain is the microkernel's,
     // independent of batch size and thread count, so batched and solo
     // runs stay bit-identical.
     let (p, kg) = (oh * ow, cg * kh * kw);
     let mut out = pool::alloc_f32(n * o * p);
-    let mut res = pool::alloc_f32(og * n * p);
-    for grp in 0..groups {
-        let patches = PatchSrc {
-            x: xd,
-            c,
-            h,
-            w: win,
-            ch0: grp * cg,
-            kh,
-            kw,
-            stride,
-            padding,
-            dilation,
-            oh,
-            ow,
-        };
-        let w_g = &wd[grp * og * kg..(grp + 1) * og * kg];
-        simd::gemm(og, kg, n * p, w_g, BSrc::Patches(&patches), &mut res, None, None, false);
-        // Scatter into the `[N, O, p]` output, fusing the bias add and
-        // optional ReLU into the copy (the same per-element ops as
-        // standalone bias/ReLU passes).
-        for img in 0..n {
-            for oc in 0..og {
-                let dst = &mut out[(img * o + grp * og + oc) * p..][..p];
-                dst.copy_from_slice(&res[(oc * n + img) * p..][..p]);
-                if let Some(bd) = bias_slice {
-                    let bv = bd[grp * og + oc];
-                    dst.iter_mut().for_each(|v| *v += bv);
-                }
-                if relu {
-                    dst.iter_mut().for_each(|v| *v = v.max(0.0));
-                }
-            }
+    with_patches(xd, [n, c, h, win], (kh, kw), stride, padding, dilation, (oh, ow), 0.0, |patches| {
+        for grp in 0..groups {
+            let patches = PatchSrc { ch0: grp * cg, ..patches };
+            let w_g = &wd[grp * og * kg..(grp + 1) * og * kg];
+            let b_g = bias_slice.map(|b| &b[grp * og..(grp + 1) * og]);
+            simd::gemm_nchw(og, kg, n * p, w_g, BSrc::Patches(&patches), b_g, relu, p, (o, grp * og), &mut out);
         }
-    }
-    pool::recycle_f32(res);
+    });
     Ok(Tensor::from_vec(out, &[n, o, oh, ow]))
 }
 
@@ -444,21 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn pointwise_matches_general_conv() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let x = Tensor::rand_uniform(&[2, 5, 7, 6], -1.0, 1.0, &mut rng);
-        let w = Tensor::rand_uniform(&[3, 5, 1, 1], -0.5, 0.5, &mut rng);
-        let b = Tensor::rand_uniform(&[3], -0.1, 0.1, &mut rng);
-        let fast = conv2d_pointwise(&x, &w, Some(&b)).unwrap();
-        let general = conv2d(&x, &w, Some(&b), (1, 1), (0, 0), (1, 1), 1).unwrap();
-        assert_eq!(fast.shape(), general.shape());
-        assert!(fast.allclose(&general, 1e-4));
-        // Rejects non-1x1 weights.
-        let w3 = Tensor::ones(&[3, 5, 3, 3]);
-        assert!(conv2d_pointwise(&x, &w3, None).is_err());
-    }
-
-    #[test]
     fn conv_rejects_bad_channels() {
         let x = Tensor::ones(&[1, 3, 4, 4]);
         let w = Tensor::ones(&[2, 4, 3, 3]);
@@ -466,12 +422,15 @@ mod tests {
         assert!(conv2d(&x, &w, None, (0, 1), (0, 0), (1, 1), 1).is_err());
     }
 
-    /// Property sweep: both lowerings — the implicit GEMM and, where the
-    /// geometry allows it, the pointwise GEMM over channels — must match
-    /// the direct-convolution oracle across randomized geometries
-    /// (grouped, strided, dilated, padded, 1×1 kernels where the GEMM
-    /// depth is below the lane width) and degenerate ones: no images, and
-    /// no input channels (every sum empty, so the output is the bias).
+    /// Property sweep: the implicit GEMM — padding paid as data, 1×1
+    /// stride-1 windows read as whole planes, sums written into NCHW —
+    /// must match the direct-convolution oracle across randomized
+    /// geometries (grouped, strided, dilated, padded, 1×1 kernels where
+    /// the GEMM depth is below the lane width; ResNet's layer3/4 3×3s at
+    /// `ow` 4 and 2; a 1×1 padded, grouped and strided; windows wholly in
+    /// the padding) and degenerate ones: no images, no input channels
+    /// (every sum empty, so the output is the bias) and a zero-size
+    /// spatial extent under padding (every window is padding).
     #[test]
     fn both_lowerings_match_direct_oracle_across_geometries() {
         let mut rng = StdRng::seed_from_u64(0xC0DE);
@@ -484,25 +443,28 @@ mod tests {
             (1, 6, 6, 6, 3, 3, 7, 7, (1, 1), (1, 1), (1, 1)), // depthwise
             (2, 5, 7, 1, 2, 4, 10, 11, (2, 3), (2, 1), (2, 1)),
             (1, 3, 2, 1, 5, 1, 12, 4, (1, 1), (2, 0), (2, 1)),
-            (2, 4, 3, 1, 1, 1, 3, 5, (1, 1), (0, 0), (1, 1)), // pointwise
+            (2, 4, 3, 1, 1, 1, 3, 5, (1, 1), (0, 0), (1, 1)), // 1×1
+            (4, 9, 10, 1, 3, 3, 4, 4, (1, 1), (1, 1), (1, 1)), // layer3 at 64×64
+            (4, 9, 10, 1, 3, 3, 2, 2, (1, 1), (1, 1), (1, 1)), // layer4 at 64×64
+            (2, 3, 4, 1, 1, 1, 4, 5, (1, 1), (1, 2), (1, 1)), // padded 1×1
+            (2, 6, 4, 2, 1, 1, 5, 3, (1, 1), (0, 0), (1, 1)), // grouped 1×1
+            (3, 5, 6, 1, 1, 1, 7, 6, (2, 2), (0, 0), (1, 1)), // strided 1×1
+            (1, 2, 3, 1, 2, 2, 1, 1, (1, 1), (2, 2), (1, 1)), // windows in the padding
             (0, 3, 2, 1, 3, 3, 4, 4, (1, 1), (1, 1), (1, 1)), // no images
             (1, 0, 2, 1, 3, 3, 4, 4, (1, 1), (1, 1), (1, 1)), // no channels
             (0, 0, 2, 1, 1, 1, 4, 4, (1, 1), (0, 0), (1, 1)),
+            (1, 1, 2, 1, 1, 1, 0, 4, (1, 1), (1, 1), (1, 1)), // no rows
+            (1, 2, 3, 1, 1, 1, 0, 3, (1, 1), (2, 1), (1, 1)),
         ];
         for &(n, c, o, groups, kh, kw, h, w, stride, padding, dilation) in &cases {
             let x = Tensor::rand_uniform(&[n, c, h, w], -1.0, 1.0, &mut rng);
             let wt = Tensor::rand_uniform(&[o, c / groups, kh, kw], -0.5, 0.5, &mut rng);
             let b = Tensor::rand_uniform(&[o], -0.1, 0.1, &mut rng);
             let want = naive_conv2d(&x, &wt, Some(&b), stride, padding, dilation, groups);
-            let what = format!("{n},{c},{o},g{groups} {kh}x{kw}");
+            let what = format!("{n},{c},{o},g{groups} {kh}x{kw} on {h}x{w} s{stride:?} p{padding:?}");
             let got = conv2d(&x, &wt, Some(&b), stride, padding, dilation, groups).unwrap();
-            assert_eq!(got.shape(), want.shape(), "implicit {what}");
-            assert!(got.allclose(&want, 1e-4), "implicit {what}");
-            if (kh, kw, stride, padding, dilation, groups) == (1, 1, (1, 1), (0, 0), (1, 1), 1) {
-                let got = conv2d_pointwise(&x, &wt, Some(&b)).unwrap();
-                assert_eq!(got.shape(), want.shape(), "pointwise {what}");
-                assert!(got.allclose(&want, 1e-4), "pointwise {what}");
-            }
+            assert_eq!(got.shape(), want.shape(), "{what}");
+            assert!(got.allclose(&want, 1e-4), "{what}");
         }
     }
 
@@ -517,8 +479,8 @@ mod tests {
         let relu: Vec<f32> = plain.as_f32().unwrap().iter().map(|v| v.max(0.0)).collect();
         assert_eq!(fused.as_f32().unwrap(), &relu[..]);
         let pw = Tensor::rand_uniform(&[4, 3, 1, 1], -0.5, 0.5, &mut rng);
-        let fused = conv2d_pointwise_act(&x, &pw, Some(&b), true).unwrap();
-        let plain = conv2d_pointwise(&x, &pw, Some(&b)).unwrap();
+        let fused = conv2d_act(&x, &pw, Some(&b), (1, 1), (0, 0), (1, 1), 1, true).unwrap();
+        let plain = conv2d(&x, &pw, Some(&b), (1, 1), (0, 0), (1, 1), 1).unwrap();
         let relu: Vec<f32> = plain.as_f32().unwrap().iter().map(|v| v.max(0.0)).collect();
         assert_eq!(fused.as_f32().unwrap(), &relu[..]);
     }

@@ -41,7 +41,7 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// caller-provided `c` (which may hold garbage — every element is
 /// overwritten).
 fn gemm_nn_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    simd::gemm(m, k, n, a, BSrc::RowMajor(b), c, None, None, false);
+    simd::gemm(m, k, n, a, BSrc::RowMajor(b), c, None, false);
 }
 
 /// Pool-allocating wrapper around [`gemm_nn_into`].
@@ -82,7 +82,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             let (m, k) = (a.shape()[0], a.shape()[1]);
             dims_match("matmul", k, b.shape()[0], b.shape())?;
             let mut c = pool::alloc_f32(m);
-            simd::gemm(m, k, 1, ad, BSrc::Transposed(bd), &mut c, None, None, false);
+            simd::gemm(m, k, 1, ad, BSrc::Transposed(bd), &mut c, None, false);
             Ok(Tensor::from_vec(c, &[m]))
         }
         (3, 3) => {
@@ -183,7 +183,6 @@ pub fn linear_act(x: &Tensor, w: &Tensor, b: Option<&Tensor>, relu: bool) -> Res
         xd,
         BSrc::Transposed(wd),
         &mut out,
-        None,
         bias_slice,
         relu,
     );
@@ -336,7 +335,7 @@ mod tests {
             let bt: Vec<f32> = (0..n * k).map(|i| bd[i % k * n + i / k]).collect();
             let mut nt = vec![f32::NAN; m * n];
             let b_t = BSrc::Transposed(&bt);
-            simd::gemm(m, k, n, ad, b_t, &mut nt, None, None, false);
+            simd::gemm(m, k, n, ad, b_t, &mut nt, None, false);
             let nn = matmul(&a, &b).unwrap();
             for (what, got) in [("nn", nn.as_f32().unwrap()), ("nt", &nt[..])] {
                 for ((g, w), mag) in got.iter().zip(&want).zip(&magnitude) {

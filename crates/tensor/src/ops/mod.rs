@@ -16,10 +16,7 @@ mod shape_ops;
 pub(crate) mod simd;
 
 pub use batch::{split_batch, stack_batch};
-pub use conv::{
-    adaptive_avg_pool2d, avg_pool2d, conv2d, conv2d_act, conv2d_pointwise, conv2d_pointwise_act,
-    max_pool2d,
-};
+pub use conv::{adaptive_avg_pool2d, avg_pool2d, conv2d, conv2d_act, max_pool2d};
 pub use simd::{simd_available, simd_enabled, simd_level};
 pub use elementwise::{
     abs, add, clamp, div, exp, gelu, hardtanh, leaky_relu, log, maximum, minimum, mul, neg, relu,

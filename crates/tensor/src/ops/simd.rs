@@ -32,7 +32,8 @@
 //! (`KC` is part of the f32 numeric contract, below). Pack buffers
 //! are drawn from [`pool`](crate::pool) and fully overwritten, edge
 //! padding included, so a recycled buffer's stale contents can never
-//! leak into a result. The f32 epilogue — per-row or per-column bias
+//! leak into a result. The f32 epilogue — a linear's per-column bias,
+//! a conv's per-channel one ([`gemm_nchw`], as its sums land in NCHW),
 //! plus optional ReLU — is applied on the accumulated output,
 //! elementwise-identical to running the separate bias/ReLU kernels
 //! afterwards.
@@ -68,7 +69,9 @@
 //! ([`requant_row`]: zero-point correction, scale, bias, ReLU,
 //! round-to-even, clamp — op for op [`crate::quant`]'s scalar
 //! `requant_one`, which the portable tiles call per element) straight
-//! into contiguous NCHW spans while it is still in L1; the sums are never stored whole. A linear passes its input
+//! into contiguous NCHW spans while it is still in L1, through the same
+//! row driver ([`gemm_rows`]) as the f32 conv's [`gemm_nchw`]; the sums
+//! are never stored whole. A linear passes its input
 //! rows as A and its weight as B — packed once ([`prepack_b`],
 //! [`BSrc::Packed`]), since a weight never changes — so a one-row
 //! request reads each weight once, in a vector, and the output is
@@ -763,9 +766,8 @@ pub(crate) enum BSrc<'a, E: Elem> {
     /// `(kk, j)` lives at `b[j*k + kk]`.
     Transposed(&'a [E::Raw]),
     /// Implicit im2col: value `(kk, j)` is kernel-offset `kk` of
-    /// convolution patch `j`, gathered from the input tensor on the fly
-    /// (the pad value where the window hangs over the padding). The full
-    /// patch matrix is never materialized.
+    /// convolution patch `j`, gathered from the input tensor on the fly.
+    /// The full patch matrix is never materialized.
     Patches(&'a PatchSrc<'a, E::Raw>),
     /// Every panel over the whole depth, as [`prepack_b`] lays them out:
     /// read in place, nothing is packed per call (a quantized `Linear`
@@ -775,7 +777,10 @@ pub(crate) enum BSrc<'a, E: Elem> {
 
 /// Geometry for the implicit-GEMM convolution B operand: columns are
 /// patches `j = (img, oy, ox)`, rows are kernel offsets
-/// `kk = (ch, ky, kx)` within one group.
+/// `kk = (ch, ky, kx)` within one group. There is no padding: a conv
+/// pads its input once, as data (`ops::conv::with_patches`), so every
+/// window lies inside `x`.
+#[derive(Clone, Copy)]
 pub(crate) struct PatchSrc<'a, T> {
     /// Full input `[N, C, H, W]`.
     pub x: &'a [T],
@@ -793,8 +798,6 @@ pub(crate) struct PatchSrc<'a, T> {
     pub kw: usize,
     /// Stride.
     pub stride: (usize, usize),
-    /// Padding.
-    pub padding: (usize, usize),
     /// Dilation.
     pub dilation: (usize, usize),
     /// Output spatial extents.
@@ -802,11 +805,6 @@ pub(crate) struct PatchSrc<'a, T> {
     /// See `oh`.
     pub ow: usize,
 }
-
-/// Shortest output row for which [`pack_patches`] copies row runs
-/// instead of gathering cell by cell: below it a run is too short to
-/// pay for its clipping.
-const PATCH_RUN_MIN: usize = 8;
 
 /// `dst = src` for the short equal-length spans the patch packer moves:
 /// fixed 8-lane chunks the compiler turns into vector moves, where a
@@ -827,25 +825,16 @@ fn copy_span<T: Copy>(dst: &mut [T], src: &[T]) {
 }
 
 /// Pack `kc` kernel-offset rows (from `k0`) of the `nr_eff` patches
-/// starting at `jbase` into one `nr`-wide raw panel; cells over the
-/// padding read `pad` (0 for f32, the activation zero point — real 0.0
-/// — for int8).
+/// starting at `jbase` into one `nr`-wide raw panel.
 ///
 /// Consecutive patches of one output row read input cells a horizontal
-/// stride apart, so such a **run** needs its padding clipped once, not
-/// per cell: the in-bounds span is one (strided) copy and the clipped
-/// ends are filled. Rows shorter than [`PATCH_RUN_MIN`] gather each cell
-/// as a run of one.
-///
-/// Two facts about the geometry are lifted to compile time, because the
-/// per-run arithmetic is what the gather costs: `UNIT` is "horizontal
-/// stride 1" (no division, no strided loop), and `CLIP` is "there is
-/// padding" — without it every window lies inside the input, a run is
-/// one unconditional copy, and no row is too short to copy as runs.
+/// stride apart, so such a **run** is one (strided) copy. `UNIT` —
+/// "horizontal stride 1" — is lifted to compile time, because the
+/// per-run arithmetic is what the gather costs: a unit-stride run is a
+/// plain span copy.
 #[allow(clippy::too_many_arguments)]
-fn pack_patches<T: Copy, const UNIT: bool, const CLIP: bool>(
+fn pack_patches<T: PoolElem, const UNIT: bool>(
     p: &PatchSrc<T>,
-    pad: T,
     k0: usize,
     kc: usize,
     jbase: usize,
@@ -856,23 +845,18 @@ fn pack_patches<T: Copy, const UNIT: bool, const CLIP: bool>(
     let plane = p.h * p.w;
     let hw_out = p.oh * p.ow;
     let khw = p.kh * p.kw;
-    let by_run = !CLIP || p.ow >= PATCH_RUN_MIN;
-    let (s1, w) = (if UNIT { 1 } else { p.stride.1 as isize }, p.w as isize);
+    let s1 = if UNIT { 1 } else { p.stride.1 };
     // Decompose the panel's columns once: (first column, length, offset
-    // in `x` of the first patch's window origin — before the image's
-    // start when it hangs over the padding — and that origin's row and
-    // column).
-    let mut runs = [(0usize, 0usize, 0isize, 0isize, 0isize); NR_MAX];
+    // in `x` of the first patch's window origin).
+    let mut runs = [(0usize, 0usize, 0usize); NR_MAX];
     let mut n_runs = 0;
     let mut jj = 0;
     while jj < nr_eff {
         let pj = jbase + jj;
         let (img, rem) = (pj / hw_out, pj % hw_out);
         let (oy, ox) = (rem / p.ow, rem % p.ow);
-        let len = if by_run { (p.ow - ox).min(nr_eff - jj) } else { 1 };
-        let iy0 = (oy * p.stride.0) as isize - p.padding.0 as isize;
-        let ix0 = (ox * p.stride.1) as isize - p.padding.1 as isize;
-        runs[n_runs] = (jj, len, (img * p.c * plane) as isize + iy0 * w + ix0, iy0, ix0);
+        let len = (p.ow - ox).min(nr_eff - jj);
+        runs[n_runs] = (jj, len, img * p.c * plane + oy * p.stride.0 * p.w + ox * s1);
         n_runs += 1;
         jj += len;
     }
@@ -882,53 +866,21 @@ fn pack_patches<T: Copy, const UNIT: bool, const CLIP: bool>(
     let mut ky = (k0 % khw) / p.kw;
     let mut kx = k0 % p.kw;
     for row in panel.chunks_mut(nr).take(kc) {
-        let dy = (ky * p.dilation.0) as isize;
-        let dx = (kx * p.dilation.1) as isize;
-        let k_off = ((p.ch0 + ch) * plane) as isize + dy * w + dx;
-        for &(j0, len, origin, iy0, ix0) in &runs[..n_runs] {
-            let dst = &mut row[j0..j0 + len];
-            // Where the run's first cell sits in `x`.
-            let at = origin + k_off;
-            // Columns `lo..hi` of the run land inside the input row:
-            // `0 ≤ ix + s1·j < w`.
-            let (lo, hi) = if CLIP {
-                let (iy, ix) = (iy0 + dy, ix0 + dx);
-                // Negative coordinates wrap to huge usize values, so one
-                // unsigned compare per axis covers both padding sides.
-                if (iy as usize) >= p.h {
-                    dst.fill(pad); // the whole run sits in the padding
-                    continue;
-                }
-                if len == 1 {
-                    dst[0] = if (ix as usize) < p.w { p.x[at as usize] } else { pad };
-                    continue;
-                }
-                let lo = (-ix + s1 - 1).div_euclid(s1).clamp(0, len as isize) as usize;
-                (lo, (w - ix + s1 - 1).div_euclid(s1).clamp(lo as isize, len as isize) as usize)
+        let k_off = (p.ch0 + ch) * plane + ky * p.dilation.0 * p.w + kx * p.dilation.1;
+        for &(j0, len, origin) in &runs[..n_runs] {
+            let (dst, src) = (&mut row[j0..j0 + len], &p.x[origin + k_off..]);
+            if UNIT {
+                copy_span(dst, &src[..len]);
             } else {
-                (0, len)
-            };
-            // At stride 1 copy the run whole — clipped ends pick up the
-            // neighbouring rows' cells, overwritten below — wherever that
-            // stays inside `x` (everywhere but its first and last rows):
-            // one full-width move instead of a ragged one.
-            let whole = if UNIT && at >= 0 { p.x.get(at as usize..at as usize + len) } else { None };
-            if let Some(src) = whole {
-                copy_span(dst, src);
-            } else if lo < hi {
-                let src = &p.x[(at + lo as isize * s1) as usize..];
-                for (d, v) in dst[lo..hi].iter_mut().zip(src.iter().step_by(s1 as usize)) {
+                // Sliced to the run's exact extent first: with the trip
+                // count known, the strided copy compiles to a tighter
+                // loop than over the open-ended tail of `x`.
+                for (d, v) in dst.iter_mut().zip(src[..(len - 1) * s1 + 1].iter().step_by(s1)) {
                     *d = *v;
                 }
             }
-            if lo > 0 {
-                dst[..lo].fill(pad);
-            }
-            if hi < len {
-                dst[hi..].fill(pad);
-            }
         }
-        row[nr_eff..].fill(pad);
+        row[nr_eff..].fill(T::ZERO);
         kx += 1;
         if kx == p.kw {
             kx = 0;
@@ -943,14 +895,14 @@ fn pack_patches<T: Copy, const UNIT: bool, const CLIP: bool>(
 
 /// Pack the `[k0..k0+kc) × [j0..j0+nc)` window of B (`k`s in raw
 /// steps) into `nr`-wide column panels: panel `jp` holds, for each
-/// element row, `nr` contiguous elements (`pad` past the matrix edge
-/// and in the missing half of an odd int8 k tail, whose A half is zero
-/// so the value cannot matter). Every element of the used region is
-/// written, so a recycled pool buffer can never leak stale data.
+/// element row, `nr` contiguous elements (zero past the matrix edge,
+/// whose columns are never stored, and in the missing half of an odd
+/// int8 k tail, whose A half is zero — so the value cannot matter).
+/// Every element of the used region is written, so a recycled pool
+/// buffer can never leak stale data.
 #[allow(clippy::too_many_arguments)]
 fn pack_b<E: Elem>(
     src: &BSrc<E>,
-    pad: E::Raw,
     nr: usize,
     n: usize,
     k: usize,
@@ -975,12 +927,12 @@ fn pack_b<E: Elem>(
                         prefetch(b, (k0 + kk + 1) * n + jbase);
                         let srow = &b[(k0 + kk) * n + jbase..(k0 + kk) * n + jbase + nr_eff];
                         row[..nr_eff].copy_from_slice(srow);
-                        row[nr_eff..].fill(pad);
+                        row[nr_eff..].fill(E::Raw::ZERO);
                     }
                 }
                 BSrc::Transposed(b) => {
                     if nr_eff < nr {
-                        raw[..kc * nr].fill(pad);
+                        raw[..kc * nr].fill(E::Raw::ZERO);
                     }
                     for jj in 0..nr_eff {
                         // The next column starts a stride away — warm
@@ -992,18 +944,11 @@ fn pack_b<E: Elem>(
                         }
                     }
                 }
-                BSrc::Patches(p) => {
-                    let pack = match (p.stride.1 == 1, p.padding != (0, 0)) {
-                        (true, true) => pack_patches::<_, true, true>,
-                        (true, false) => pack_patches::<_, true, false>,
-                        (false, true) => pack_patches::<_, false, true>,
-                        (false, false) => pack_patches::<_, false, false>,
-                    };
-                    pack(p, pad, k0, kc, jbase, nr_eff, nr, raw)
-                }
+                BSrc::Patches(p) if p.stride.1 == 1 => pack_patches::<_, true>(p, k0, kc, jbase, nr_eff, nr, raw),
+                BSrc::Patches(p) => pack_patches::<_, false>(p, k0, kc, jbase, nr_eff, nr, raw),
                 BSrc::Packed(_) => unreachable!("packed panels are read in place"),
             }
-            raw[kc * nr..].fill(pad);
+            raw[kc * nr..].fill(E::Raw::ZERO);
         });
     }
 }
@@ -1014,7 +959,7 @@ fn pack_b<E: Elem>(
 pub(crate) fn prepack_b(w: &[i8], n: usize, k: usize) -> Vec<i32> {
     let (nr, ke) = (i8_tile(1, n).nr, k.div_ceil(2));
     let mut panels = vec![0; n.div_ceil(nr) * ke * nr];
-    pack_b(&BSrc::Transposed(w), 0, nr, n, k, 0, k, 0, n, &mut panels, &mut vec![0; 2 * ke * nr]);
+    pack_b(&BSrc::Transposed(w), nr, n, k, 0, k, 0, n, &mut panels, &mut vec![0; 2 * ke * nr]);
     panels
 }
 
@@ -1043,9 +988,9 @@ unsafe impl<T> Sync for SendPtr<T> {}
 /// Blocked, panel-packed f32 GEMM: `C[m,n] = A[m,k] · B` (+ epilogue),
 /// with B's layout resolved by [`BSrc`] and the register tile chosen
 /// from the output shape ([`select_tile`]). `C` is fully overwritten.
-/// The epilogue adds `row_bias[i]` and/or `col_bias[j]` and applies ReLU
-/// after the accumulation finishes — elementwise identical to running
-/// the separate kernels afterwards.
+/// The epilogue adds `col_bias[j]` and applies ReLU after the
+/// accumulation finishes — elementwise identical to running the
+/// separate kernels afterwards.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm(
     m: usize,
@@ -1054,13 +999,95 @@ pub(crate) fn gemm(
     a: &[f32],
     b: BSrc<f32>,
     c: &mut [f32],
-    row_bias: Option<&[f32]>,
     col_bias: Option<&[f32]>,
     relu: bool,
 ) {
     let tile = &TILES[select_tile(level(), m, n)];
-    gemm_tiled(tile, KC, NC, m, k, n, a, b, 0.0, c, |_, _, _, _| {});
-    epilogue(m, n, c, row_bias, col_bias, relu);
+    gemm_tiled(tile, KC, NC, m, k, n, a, b, c, |_, _, _, _| {});
+    assert!(col_bias.is_none_or(|cb| cb.len() == n), "gemm: bias length mismatch");
+    if n == 0 || (col_bias.is_none() && !relu) {
+        return;
+    }
+    for row in c.chunks_mut(n) {
+        if let Some(cb) = col_bias {
+            row.iter_mut().zip(cb).for_each(|(v, &bv)| *v += bv);
+        }
+        if relu {
+            row.iter_mut().for_each(|v| *v = v.max(0.0));
+        }
+    }
+}
+
+/// An f32 conv's GEMM, whose sums land in NCHW: row `i` (an output
+/// channel), column `j = img·p + patch` goes to `out[(img·channels +
+/// ch0 + i)·p + patch]`, plus `bias[i]`, then ReLU — the same
+/// per-element ops as standalone bias/ReLU passes — as each row panel
+/// finishes, while it is still in cache. A group of a grouped conv is
+/// the channels from `ch0`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_nchw(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: BSrc<f32>,
+    bias: Option<&[f32]>,
+    relu: bool,
+    p: usize,
+    (channels, ch0): (usize, usize),
+    out: &mut [f32],
+) {
+    assert!(p > 0 && n.is_multiple_of(p) && ch0 + m <= channels, "gemm_nchw: bad output geometry");
+    assert_eq!(out.len(), n / p * channels * p, "gemm_nchw: output length mismatch");
+    assert!(bias.is_none_or(|b| b.len() == m), "gemm_nchw: bias length mismatch");
+    let out_base = SendPtr(out.as_mut_ptr());
+    gemm_rows(&TILES[select_tile(level(), m, n)], KC, NC, m, k, n, a, b, |i, j0, sums| {
+        let out_base = out_base;
+        let bv = bias.map(|b| b[i]);
+        let (mut j, mut sums) = (j0, sums);
+        while !sums.is_empty() {
+            let len = (p - j % p).min(sums.len());
+            // SAFETY: row `i`, columns `j..j+len` of one image map to a
+            // span inside `out` (asserted above) that no other row or
+            // column maps to, and `out` is exclusively borrowed for the
+            // whole call.
+            let dst = unsafe { std::slice::from_raw_parts_mut(out_base.0.add((j / p * channels + ch0 + i) * p + j % p), len) };
+            for (d, &v) in dst.iter_mut().zip(&sums[..len]) {
+                let v = bv.map_or(v, |b| v + b);
+                *d = if relu { v.max(0.0) } else { v };
+            }
+            (j, sums) = (j + len, &sums[len..]);
+        }
+    });
+}
+
+/// [`gemm_tiled`] into one reused `[m, nc]` block of sums, handing each
+/// finished row — `write(i, j0, sums)`: row `i`, columns from `j0` — to
+/// the caller's write-back while it is cache-resident. The sums are
+/// never stored whole.
+#[allow(clippy::too_many_arguments)]
+fn gemm_rows<E: Elem>(
+    tile: &Tile<E>,
+    kc_blk: usize,
+    nc_blk: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[E],
+    b: BSrc<E>,
+    write: impl Fn(usize, usize, &[E]) + Sync,
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    let ldc = n.min(nc_blk);
+    let mut acc = pool::alloc::<E>(m * ldc);
+    gemm_tiled(tile, kc_blk, nc_blk, m, k, n, a, b, &mut acc, |i0, j0, cols, rows| {
+        for (r, row) in rows.chunks(ldc).enumerate() {
+            write(i0 + r, j0, &row[..cols]);
+        }
+    });
+    pool::recycle(acc);
 }
 
 /// The one cache-blocking driver: `C = A[m, ⌈k/PAIR⌉] · B[k, n]` in
@@ -1068,10 +1095,11 @@ pub(crate) fn gemm(
 /// blocking (`kc` in elements). Panel widths, the stack A panel and the
 /// pool-drawn B block all take their geometry from `tile`.
 ///
-/// `c` is either the whole `[m, n]` output (f32: the caller's epilogue
-/// runs over it in place) or one `[m, nc]` column block reused for every
-/// block of columns (int8: the i32 sums are requantized out of it while
-/// they are cache-resident and never stored whole). Either way
+/// `c` is either the whole `[m, n]` output ([`gemm`]: its epilogue runs
+/// over it in place) or one `[m, nc]` column block reused for every
+/// block of columns ([`gemm_rows`]: a conv's sums are written into NCHW
+/// out of it while they are cache-resident and never stored whole;
+/// int8's are requantized on the way). Either way
 /// `done(i0, j0, cols, rows)` is called once per row panel and column
 /// block when its sums are final: `rows` starts at output element
 /// `(i0, j0)`, row stride = `c`'s, `cols` valid columns per row.
@@ -1089,7 +1117,6 @@ fn gemm_tiled<E: Elem>(
     n: usize,
     a: &[E],
     b: BSrc<E>,
-    pad: E::Raw,
     c: &mut [E],
     done: impl Fn(usize, usize, usize, &[E]) + Sync,
 ) {
@@ -1148,7 +1175,7 @@ fn gemm_tiled<E: Elem>(
             let (panels, stride): (&[E], usize) = match packed {
                 Some(all) => (&all[(jc / nr * ke + e0) * nr..], ke * nr),
                 None => {
-                    pack_b(&b, pad, nr, n, k, k0, (kc_eff * E::PAIR).min(k - k0), jc, nc_eff, &mut pb, &mut stage);
+                    pack_b(&b, nr, n, k, k0, (kc_eff * E::PAIR).min(k - k0), jc, nc_eff, &mut pb, &mut stage);
                     (&pb, kc_eff * nr)
                 }
             };
@@ -1196,42 +1223,6 @@ fn gemm_tiled<E: Elem>(
     }
     pool::recycle(pb);
     pool::recycle(stage);
-}
-
-/// Bias + ReLU epilogue over the finished f32 accumulator, in the same
-/// elementwise order as the standalone kernels (`+ bias`, then
-/// `max(0)`).
-fn epilogue(
-    m: usize,
-    n: usize,
-    c: &mut [f32],
-    row_bias: Option<&[f32]>,
-    col_bias: Option<&[f32]>,
-    relu: bool,
-) {
-    if row_bias.is_none() && col_bias.is_none() && !relu {
-        return;
-    }
-    if let Some(rb) = row_bias {
-        assert_eq!(rb.len(), m, "gemm: row bias length mismatch");
-    }
-    if let Some(cb) = col_bias {
-        assert_eq!(cb.len(), n, "gemm: col bias length mismatch");
-    }
-    for (i, row) in c.chunks_mut(n).enumerate() {
-        if let Some(rb) = row_bias {
-            let bv = rb[i];
-            row.iter_mut().for_each(|v| *v += bv);
-        }
-        if let Some(cb) = col_bias {
-            for (v, &bv) in row.iter_mut().zip(cb) {
-                *v += bv;
-            }
-        }
-        if relu {
-            row.iter_mut().for_each(|v| *v = v.max(0.0));
-        }
-    }
 }
 
 // ===========================================================================
@@ -1673,7 +1664,7 @@ fn i8_tile(m: usize, n: usize) -> &'static Tile<i32> {
 /// Int8 GEMM with fused requantization through the one driver:
 /// `out[img, i, patch] = requant(Σₖ A[i, k]·B[k, img·p + patch])`, with
 /// A `[m, ⌈k/2⌉]` k-pair rows ([`pair_rows`]), B any [`BSrc`] over i8
-/// (`pad` where a patch hangs over the padding) and `out` laid out
+/// and `out` laid out
 /// `[n/p, m, p]`. A conv passes its weight as A and its input's patches
 /// as B, so `out` is NCHW; a linear passes its input rows as A, its
 /// packed weight as B and `p = n`, so `out` is `[rows, features]`.
@@ -1688,12 +1679,11 @@ pub(crate) fn gemm_i8(
     n: usize,
     a: &[i32],
     b: BSrc<i32>,
-    pad: i8,
     rq: &Requant,
     p: usize,
     out: &mut [i8],
 ) {
-    gemm_i8_tiled(i8_tile(m, n), KC, NC, m, k, n, a, b, pad, rq, p, out);
+    gemm_i8_tiled(i8_tile(m, n), KC, NC, m, k, n, a, b, rq, p, out);
 }
 
 /// [`gemm_i8`] under an explicit tile and blocking.
@@ -1707,7 +1697,6 @@ fn gemm_i8_tiled(
     n: usize,
     a: &[i32],
     b: BSrc<i32>,
-    pad: i8,
     rq: &Requant,
     p: usize,
     out: &mut [i8],
@@ -1719,29 +1708,20 @@ fn gemm_i8_tiled(
         rq.zp_corr.len() == channels && rq.mult.len() == channels && rq.badd.len() == channels,
         "gemm_i8: requantization coefficients must be per output channel"
     );
-    if m == 0 || n == 0 {
-        return;
-    }
-    let ldc = n.min(nc_blk);
-    let mut acc = pool::alloc_i32(m * ldc);
     let out_base = SendPtr(out.as_mut_ptr());
     // The epilogue runs at the tile's width: 16 lanes behind a ZMM tile.
     let requant = match tile.level {
         Level::Scalar => requant_row_portable,
         level => QuantLane::at(level).requant,
     };
-    gemm_tiled(tile, kc_blk, nc_blk, m, k, n, a, b, pad, &mut acc, |i0, j0, cols, rows| {
+    gemm_rows(tile, kc_blk, nc_blk, m, k, n, a, b, |i, j0, sums| {
         let out_base = out_base;
-        for (r, row) in rows.chunks(ldc).enumerate() {
-            // SAFETY: the tile's level was detected (`gemm_tiled` asserts
-            // it before any row is finished). Row `i0 + r`, columns
-            // `j0..j0+cols` map to indices below `m·n` that no other row
-            // or block maps to, and `out` is exclusively borrowed for the
-            // whole call.
-            unsafe { requant(&row[..cols], rq, i0 + r, m, j0, p, out_base.0) };
-        }
+        // SAFETY: the tile's level was detected (`gemm_tiled` asserts it
+        // before any row is finished). Row `i`, columns `j0..` map to
+        // indices below `m·n` that no other row or block maps to, and
+        // `out` is exclusively borrowed for the whole call.
+        unsafe { requant(sums, rq, i, m, j0, p, out_base.0) };
     });
-    pool::recycle_i32(acc);
 }
 
 #[cfg(test)]
@@ -1804,7 +1784,7 @@ mod tests {
             let want = reference(m, k, n, &a, |kk, j| b[kk * n + j]);
 
             let mut c = vec![f32::NAN; m * n];
-            gemm(m, k, n, &a, BSrc::RowMajor(&b), &mut c, None, None, false);
+            gemm(m, k, n, &a, BSrc::RowMajor(&b), &mut c, None, false);
             for (i, (&got, &w)) in c.iter().zip(&want).enumerate() {
                 assert!(
                     (got - w).abs() <= tol(k, scale),
@@ -1821,7 +1801,7 @@ mod tests {
                 }
             }
             let mut ct = vec![f32::NAN; m * n];
-            gemm(m, k, n, &a, BSrc::Transposed(&bt), &mut ct, None, None, false);
+            gemm(m, k, n, &a, BSrc::Transposed(&bt), &mut ct, None, false);
             assert_eq!(c, ct, "nt packing must be bit-identical to nn ({m}x{k}x{n})");
         }
     }
@@ -1834,20 +1814,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let a = rand_vec(m * k, &mut rng);
         let b = rand_vec(k * n, &mut rng);
-        let rbias = rand_vec(m, &mut rng);
         let cbias = rand_vec(n, &mut rng);
 
         let mut plain = vec![0.0f32; m * n];
-        gemm(m, k, n, &a, BSrc::RowMajor(&b), &mut plain, None, None, false);
-        for (i, row) in plain.chunks_mut(n).enumerate() {
-            row.iter_mut().for_each(|v| *v += rbias[i]);
+        gemm(m, k, n, &a, BSrc::RowMajor(&b), &mut plain, None, false);
+        for row in plain.chunks_mut(n) {
             for (v, &bv) in row.iter_mut().zip(&cbias) {
                 *v += bv;
             }
             row.iter_mut().for_each(|v| *v = v.max(0.0));
         }
         let mut fused = vec![f32::NAN; m * n];
-        gemm(m, k, n, &a, BSrc::RowMajor(&b), &mut fused, Some(&rbias), Some(&cbias), true);
+        gemm(m, k, n, &a, BSrc::RowMajor(&b), &mut fused, Some(&cbias), true);
         assert_eq!(plain, fused);
     }
 
@@ -1862,10 +1840,10 @@ mod tests {
         let prev = crate::threading::num_threads();
         crate::threading::set_num_threads(1);
         let mut c1 = vec![0.0f32; m * n];
-        gemm(m, k, n, &a, BSrc::RowMajor(&b), &mut c1, None, None, false);
+        gemm(m, k, n, &a, BSrc::RowMajor(&b), &mut c1, None, false);
         crate::threading::set_num_threads(7);
         let mut c7 = vec![0.0f32; m * n];
-        gemm(m, k, n, &a, BSrc::RowMajor(&b), &mut c7, None, None, false);
+        gemm(m, k, n, &a, BSrc::RowMajor(&b), &mut c7, None, false);
         crate::threading::set_num_threads(prev);
         assert_eq!(c1, c7);
     }
@@ -1888,9 +1866,9 @@ mod tests {
                     .copy_from_slice(&b_big[kk * n_big..kk * n_big + n_small]);
             }
             let mut c_small = vec![0.0f32; m * n_small];
-            gemm(m, k, n_small, &a, BSrc::RowMajor(&b_small), &mut c_small, None, None, false);
+            gemm(m, k, n_small, &a, BSrc::RowMajor(&b_small), &mut c_small, None, false);
             let mut c_big = vec![0.0f32; m * n_big];
-            gemm(m, k, n_big, &a, BSrc::RowMajor(&b_big), &mut c_big, None, None, false);
+            gemm(m, k, n_big, &a, BSrc::RowMajor(&b_big), &mut c_big, None, false);
             for i in 0..m {
                 for j in 0..n_small {
                     assert_eq!(
@@ -1968,7 +1946,7 @@ mod tests {
     /// blocking.
     fn run_f32(tile: &Tile<f32>, m: usize, k: usize, n: usize, a: &[f32], b: BSrc<f32>) -> Vec<f32> {
         let mut c = vec![f32::NAN; m * n];
-        gemm_tiled(tile, KC, NC, m, k, n, a, b, 0.0, &mut c, |_, _, _, _| {});
+        gemm_tiled(tile, KC, NC, m, k, n, a, b, &mut c, |_, _, _, _| {});
         c
     }
 
@@ -2012,9 +1990,9 @@ mod tests {
 
     /// Patch geometries for the packer tests: (images, total c, ch0,
     /// group c, h, w, kh, kw, stride, padding, dilation) — long rows
-    /// (copied as runs, stride 1 and 2, clipped by padding and dilation),
-    /// short rows (gathered cell by cell), a channel-group offset, and a
-    /// `K` of more than `2·k_deep`.
+    /// (stride 1 and 2, padded, dilated), short rows (`ow` 4, below one
+    /// register of patches), a channel-group offset, and a `K` of more
+    /// than `2·k_deep`.
     type PatchCase = (usize, usize, usize, usize, usize, usize, usize, usize, (usize, usize), (usize, usize), (usize, usize));
     fn patch_cases(k_deep: usize) -> [PatchCase; 5] {
         [
@@ -2026,10 +2004,16 @@ mod tests {
         ]
     }
 
-    /// The patch source of one case over input `x`, and the explicit
-    /// gather it must pack like (`pad` over the padding).
-    fn patch_oracle<T: Copy>(case: PatchCase, x: &[T], pad: T) -> (PatchSrc<'_, T>, impl Fn(usize, usize) -> T + '_) {
-        let (_, c, ch0, _, h, w, kh, kw, stride, padding, dilation) = case;
+    /// Run `gemm` on one case's patch source over `x`, built by the
+    /// convs' shared pad helper with `fill` in the padding, given the
+    /// explicit gather it must pack like and the patch count.
+    fn with_case_patches<T: PoolElem>(
+        case: PatchCase,
+        x: &[T],
+        fill: T,
+        gemm: impl FnOnce(&PatchSrc<T>, usize, &dyn Fn(usize, usize) -> T),
+    ) {
+        let (imgs, c, ch0, _, h, w, kh, kw, stride, padding, dilation) = case;
         let oh = (h + 2 * padding.0 - dilation.0 * (kh - 1) - 1) / stride.0 + 1;
         let ow = (w + 2 * padding.1 - dilation.1 * (kw - 1) - 1) / stride.1 + 1;
         let b_at = move |kk: usize, j: usize| {
@@ -2038,11 +2022,13 @@ mod tests {
             let iy = (oy * stride.0 + ky * dilation.0) as isize - padding.0 as isize;
             let ix = (ox * stride.1 + kx * dilation.1) as isize - padding.1 as isize;
             if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
-                return pad;
+                return fill;
             }
             x[((img * c + ch0 + ch) * h + iy as usize) * w + ix as usize]
         };
-        (PatchSrc { x, c, h, w, ch0, kh, kw, stride, padding, dilation, oh, ow }, b_at)
+        crate::ops::conv::with_patches(x, [imgs, c, h, w], (kh, kw), stride, padding, dilation, (oh, ow), fill, |p| {
+            gemm(&PatchSrc { ch0, ..p }, imgs * oh * ow, &b_at)
+        })
     }
 
     /// The implicit-im2col packer under every f32 tile, against the
@@ -2054,15 +2040,16 @@ mod tests {
         for case in patch_cases(KC) {
             let (imgs, c, _, cg, h, w, kh, kw, stride, ..) = case;
             let x = rand_vec(imgs * c * h * w, &mut rng);
-            let (patches, b_at) = patch_oracle(case, &x, 0.0);
-            let (m, k, n) = (13, cg * kh * kw, imgs * patches.oh * patches.ow);
+            let (m, k) = (13, cg * kh * kw);
             let a = rand_vec(m * k, &mut rng);
-            let want = chains(m, k, n, &a, b_at);
-            for tile in runnable(&TILES) {
-                let got = run_f32(tile, m, k, n, &a, BSrc::Patches(&patches));
-                let what = format!("{} patches {h}x{w} k{kh}x{kw} s{stride:?}", tile.name);
-                assert_bits_eq(&got, pick(&want, tile), &what);
-            }
+            with_case_patches(case, &x, 0.0, |patches, n, b_at| {
+                let want = chains(m, k, n, &a, b_at);
+                for tile in runnable(&TILES) {
+                    let got = run_f32(tile, m, k, n, &a, BSrc::Patches(patches));
+                    let what = format!("{} patches {h}x{w} k{kh}x{kw} s{stride:?}", tile.name);
+                    assert_bits_eq(&got, pick(&want, tile), &what);
+                }
+            });
         }
     }
 
@@ -2090,9 +2077,9 @@ mod tests {
 
     /// `gemm_tiled` into a whole, poisoned i32 C.
     #[allow(clippy::too_many_arguments)]
-    fn run_i8(tile: &Tile<i32>, kc: usize, nc: usize, m: usize, k: usize, n: usize, a: &[i8], b: BSrc<i32>, pad: i8) -> Vec<i32> {
+    fn run_i8(tile: &Tile<i32>, kc: usize, nc: usize, m: usize, k: usize, n: usize, a: &[i8], b: BSrc<i32>) -> Vec<i32> {
         let mut c = vec![i32::MIN; m * n];
-        gemm_tiled(tile, kc, nc, m, k, n, &pair_rows(a, k, Vec::new()), b, pad, &mut c, |_, _, _, _| {});
+        gemm_tiled(tile, kc, nc, m, k, n, &pair_rows(a, k, Vec::new()), b, &mut c, |_, _, _, _| {});
         c
     }
 
@@ -2125,15 +2112,15 @@ mod tests {
                         }
                         let want = chain_i8(m, k, n, &a, |kk, j| b[kk * n + j]);
                         for tile in runnable_i8_tiles() {
-                            let c = run_i8(tile, kc, nc, m, k, n, &a, BSrc::RowMajor(&b), 0);
+                            let c = run_i8(tile, kc, nc, m, k, n, &a, BSrc::RowMajor(&b));
                             assert_eq!(c, want, "{} nn {m}x{k}x{n} kc={kc} nc={nc}", tile.name);
-                            let c = run_i8(tile, kc, nc, m, k, n, &a, BSrc::Transposed(&bt), 0);
+                            let c = run_i8(tile, kc, nc, m, k, n, &a, BSrc::Transposed(&bt));
                             assert_eq!(c, want, "{} nt {m}x{k}x{n} kc={kc} nc={nc}", tile.name);
                             // Whole-depth panels, packed the way `prepack_b` does for this tile.
                             let (nr, ke) = (tile.nr, k.div_ceil(2));
                             let mut packed = vec![i32::MIN; n.div_ceil(nr) * ke * nr];
-                            pack_b(&BSrc::Transposed(&bt), 0, nr, n, k, 0, k, 0, n, &mut packed, &mut vec![0; 2 * ke * nr]);
-                            let c = run_i8(tile, kc, nc, m, k, n, &a, BSrc::Packed(&packed), 0);
+                            pack_b(&BSrc::Transposed(&bt), nr, n, k, 0, k, 0, n, &mut packed, &mut vec![0; 2 * ke * nr]);
+                            let c = run_i8(tile, kc, nc, m, k, n, &a, BSrc::Packed(&packed));
                             assert_eq!(c, want, "{} packed {m}x{k}x{n} kc={kc} nc={nc}", tile.name);
                         }
                     }
@@ -2143,8 +2130,8 @@ mod tests {
     }
 
     /// The patch packer under every int8 tile: same geometries as f32,
-    /// with the padding cells carrying a non-zero pad value (the
-    /// activation zero point) and odd `K`s pairing their tail with it.
+    /// with the padding cells carrying a non-zero fill (the activation
+    /// zero point) and odd `K`s pairing their tail with zero.
     #[test]
     fn every_i8_tile_packs_patches_like_the_explicit_gather() {
         let mut rng = StdRng::seed_from_u64(0x9A7D);
@@ -2152,14 +2139,15 @@ mod tests {
             for case in patch_cases(2 * kc) {
                 let (imgs, c, _, cg, h, w, kh, kw, stride, ..) = case;
                 let x = rand_i8(imgs * c * h * w, &mut rng);
-                let (patches, b_at) = patch_oracle(case, &x, -77);
-                let (m, k, n) = (13, cg * kh * kw, imgs * patches.oh * patches.ow);
+                let (m, k) = (13, cg * kh * kw);
                 let a = rand_i8(m * k, &mut rng);
-                let want = chain_i8(m, k, n, &a, b_at);
-                for tile in runnable_i8_tiles() {
-                    let got = run_i8(tile, kc, NC, m, k, n, &a, BSrc::Patches(&patches), -77);
-                    assert_eq!(got, want, "{} patches {h}x{w} k{kh}x{kw} s{stride:?} kc={kc}", tile.name);
-                }
+                with_case_patches(case, &x, -77, |patches, n, b_at| {
+                    let want = chain_i8(m, k, n, &a, b_at);
+                    for tile in runnable_i8_tiles() {
+                        let got = run_i8(tile, kc, NC, m, k, n, &a, BSrc::Patches(patches));
+                        assert_eq!(got, want, "{} patches {h}x{w} k{kh}x{kw} s{stride:?} kc={kc}", tile.name);
+                    }
+                });
             }
         }
     }
@@ -2199,7 +2187,7 @@ mod tests {
                         crate::threading::set_num_threads(threads);
                         let mut got = vec![i8::MIN; m * n];
                         let pairs = pair_rows(&a, k, Vec::new());
-                        gemm_i8_tiled(tile, 8, NR_MAX, m, k, n, &pairs, BSrc::RowMajor(&b), 0, &rq, p, &mut got);
+                        gemm_i8_tiled(tile, 8, NR_MAX, m, k, n, &pairs, BSrc::RowMajor(&b), &rq, p, &mut got);
                         assert_eq!(got, want, "{} p={p} per_col={per_col} relu={relu} threads={threads}", tile.name);
                     }
                 }

@@ -32,8 +32,8 @@
 //! recycles int8 buffers exactly as it does f32 ones.
 
 use crate::error::{Error, Result};
-use crate::ops::conv::out_extent;
-use crate::ops::simd::{self, BSrc, PatchSrc};
+use crate::ops::conv::{out_extent, with_patches};
+use crate::ops::simd::{self, BSrc};
 use crate::pool;
 use crate::tensor::{Storage, Tensor};
 use std::collections::BTreeMap;
@@ -454,12 +454,12 @@ impl<'a> QGemm<'a> {
     /// A conv: the weight is A (widened once), the `cols` patches of `b`,
     /// `p` per image, are B, so each output row is a channel and lands as
     /// NCHW spans.
-    fn run_conv(&self, b: BSrc<i32>, pad: i8, cols: usize, p: usize, out: &mut [i8]) {
+    fn run_conv(&self, b: BSrc<i32>, cols: usize, p: usize, out: &mut [i8]) {
         let (o, k) = (self.zp_corr.len(), self.k);
         let pairs = PrepackedWeights::once(&self.prep.pairs, || {
             simd::pair_rows(self.w, k, Vec::with_capacity(o * k.div_ceil(2)))
         });
-        simd::gemm_i8(o, k, cols, pairs, b, pad, &self.requant(false), p, out);
+        simd::gemm_i8(o, k, cols, pairs, b, &self.requant(false), p, out);
     }
 
     /// A linear: the `rows` input rows `x` are A (widened per call —
@@ -470,7 +470,7 @@ impl<'a> QGemm<'a> {
         let (o, k) = (self.zp_corr.len(), self.k);
         let panels = PrepackedWeights::once(&self.prep.panels, || simd::prepack_b(self.w, o, k));
         let a = simd::pair_rows(x, k, pool::alloc_empty(rows * k.div_ceil(2)));
-        simd::gemm_i8(rows, k, o, &a, BSrc::Packed(panels), 0, &self.requant(true), o.max(1), out);
+        simd::gemm_i8(rows, k, o, &a, BSrc::Packed(panels), &self.requant(true), o.max(1), out);
         pool::recycle_i32(a);
     }
 
@@ -479,21 +479,6 @@ impl<'a> QGemm<'a> {
         pool::recycle_f32(self.mult);
         pool::recycle_f32(self.badd);
     }
-}
-
-/// `x` — planes of `[h, w]` — with `padding` rows/columns of `fill` on
-/// every side of each plane.
-fn pad_planes(x: &[i8], h: usize, w: usize, padding: (usize, usize), fill: i8) -> Vec<i8> {
-    let (hp, wp) = (h + 2 * padding.0, w + 2 * padding.1);
-    let mut out = pool::alloc_i8(x.len() / (h * w).max(1) * hp * wp);
-    out.fill(fill);
-    for (plane, dst) in x.chunks_exact((h * w).max(1)).zip(out.chunks_exact_mut(hp * wp)) {
-        let inner = dst[padding.0 * wp..].chunks_exact_mut(wp);
-        for (src_row, dst_row) in plane.chunks_exact(w.max(1)).zip(inner) {
-            dst_row[padding.1..padding.1 + w].copy_from_slice(src_row);
-        }
-    }
-    out
 }
 
 /// The per-tensor parameters of a quantized activation, or the typed
@@ -554,12 +539,12 @@ pub fn quantized_linear(
 /// `x` is `[N, C, H, W]` per-tensor quantized; `w` is `[O, C, kh, kw]`
 /// symmetrically quantized (groups are not supported in the quantized
 /// path, matching the models the paper quantizes). The whole batch is
-/// one **implicit GEMM**, the f32 conv's lowering:
-/// the weight `[O, K]` is A, the `[K, N·P]` patch matrix is gathered
-/// panel by panel into the microkernel's packed B (padding cells
-/// carrying the activation zero point — real 0.0) and never
-/// materialized, and each finished row panel of i32 sums is requantized
-/// straight into its NCHW spans.
+/// one **implicit GEMM**, the f32 conv's lowering (`ops::conv`'s
+/// `with_patches`): the weight `[O, K]` is A, the `[K, N·P]` patch
+/// matrix is gathered panel by panel from the input — padded once, its
+/// border cells carrying the activation zero point (real 0.0) — into
+/// the microkernel's packed B and never materialized, and each finished
+/// row panel of i32 sums is requantized straight into its NCHW spans.
 #[allow(clippy::too_many_arguments)]
 pub fn quantized_conv2d(
     x: &Tensor,
@@ -595,22 +580,9 @@ pub fn quantized_conv2d(
     // Padding cells carry the activation zero point (exact real 0.0).
     let zp_i8 = x_zp.clamp(QMIN, QMAX) as i8;
     let mut out = pool::alloc_i8(n * o * p);
-    // The gather is cheapest when no window can leave its source
-    // (`simd::pack_patches`), so the padding is paid once, as data: a
-    // copy of the input with its border cells already in place. A 1×1
-    // stride-1 conv reads whole planes, which then are one long row each.
-    let padded = (padding != (0, 0)).then(|| pad_planes(xq, h, wd, padding, zp_i8));
-    let (src, h, wd) = match &padded {
-        Some(padded) => (&padded[..], h + 2 * padding.0, wd + 2 * padding.1),
-        None => (xq, h, wd),
-    };
-    let (h, wd, oh_g, ow_g) = if (kh, kw, stride) == (1, 1, (1, 1)) { (1, h * wd, 1, p) } else { (h, wd, oh, ow) };
-    let patches =
-        PatchSrc { x: src, c, h, w: wd, ch0: 0, kh, kw, stride, padding: (0, 0), dilation: (1, 1), oh: oh_g, ow: ow_g };
-    g.run_conv(BSrc::Patches(&patches), zp_i8, n * p, p, &mut out);
-    if let Some(padded) = padded {
-        pool::recycle_i8(padded);
-    }
+    with_patches(xq, [n, c, h, wd], (kh, kw), stride, padding, (1, 1), (oh, ow), zp_i8, |patches| {
+        g.run_conv(BSrc::Patches(&patches), n * p, p, &mut out)
+    });
     g.recycle();
     let scheme = QScheme::PerTensor { scale: out_scale, zero_point: out_zp };
     Ok(Tensor::from_qi8(out, &[n, o, oh, ow], scheme))
@@ -902,8 +874,9 @@ mod tests {
             }
         }
         // Conv: 3×3 with padding/stride over a multi-image batch, 1×1,
-        // 3×3 pad 1, the 7×7 stride-2 pad-3 stem, and output rows
-        // shorter than a patch run (`ow < 8`) — all with a non-zero
+        // 3×3 pad 1, the 7×7 stride-2 pad-3 stem, output rows shorter
+        // than one register of patches (`ow < 8`), and padded inputs with
+        // no rows (every window is padding) — all with a non-zero
         // activation zero point under the borders.
         // (batch, c, h, w, o, kh, kw, stride, padding)
         let cases = [
@@ -915,6 +888,8 @@ mod tests {
             (2, 3, 21, 21, 25, 7, 7, (2, 2), (3, 3)),
             (4, 9, 4, 5, 30, 3, 3, (1, 1), (1, 1)),
             (1, 5, 2, 2, 26, 3, 3, (1, 1), (1, 1)),
+            (1, 1, 0, 4, 3, 1, 1, (1, 1), (1, 1)),
+            (1, 2, 0, 3, 5, 1, 1, (1, 1), (2, 1)),
         ];
         for &(n, c, h, wd, o, kh, kw, stride, padding) in &cases {
             let x = Tensor::rand_uniform(&[n, c, h, wd], -1.0, 1.0, &mut rng);
@@ -1022,7 +997,7 @@ mod tests {
     #[test]
     fn pad_planes_puts_the_fill_on_every_side() {
         let x: Vec<i8> = (1..=12).collect(); // two 2×3 planes
-        let padded = pad_planes(&x, 2, 3, (1, 2), -9);
+        let padded = crate::ops::conv::pad_planes(&x, 2, 2, 3, (1, 2), -9);
         let plane = |rows: [[i8; 3]; 2]| {
             let mut v = vec![-9i8; 4 * 7];
             for (r, row) in rows.iter().enumerate() {

@@ -7,9 +7,10 @@
 //! observable: it pre-poisons the pool's buckets with NaN-filled
 //! buffers across the size range the kernels request, then runs every
 //! pooled kernel path (GEMM nn/nt, batched matmul, linear with fused
-//! epilogue, pointwise conv, implicit-GEMM conv, grouped
-//! and padded variants) and asserts no NaN leaks into any output. The
-//! quantized kernels get the same treatment with garbage integers: the
+//! epilogue, 1×1 conv, implicit-GEMM conv through its pooled padded
+//! input copy, grouped and padded variants) and asserts no NaN leaks
+//! into any output. The quantized kernels get the same treatment with
+//! garbage integers: the
 //! int8 pack path stages its gather in a pooled i8 buffer, packs k-pair
 //! panels into a pooled i32 block, sums into a pooled i32 block and
 //! pads the conv input into a pooled i8 copy — every one of them must be
@@ -83,8 +84,8 @@ fn run_kernels(tag: &str) {
     let pb = Tensor::rand_uniform(&[7], -0.1, 0.1, &mut rng);
     poison_pool();
     assert_no_nan(
-        &ops::conv2d_pointwise_act(&img, &pw, Some(&pb), true).unwrap(),
-        &format!("{tag} pointwise conv"),
+        &ops::conv2d_act(&img, &pw, Some(&pb), (1, 1), (0, 0), (1, 1), 1, true).unwrap(),
+        &format!("{tag} 1x1 conv"),
     );
 
     let cw = Tensor::rand_uniform(&[6, 5, 3, 3], -0.5, 0.5, &mut rng);

@@ -48,7 +48,13 @@
 #    (its JSON records and criterion shim) and the GEMM blocking env
 #    knobs (the blocking is a constant: KC is part of the f32 bits) are
 #    named nowhere outside benchmark/ and the top-level change and
-#    planning records (README, DESIGN and EXPERIMENTS are searched).
+#    planning records (README, DESIGN and EXPERIMENTS are searched);
+#    and one conv lowering: none of the names of the clipping patch
+#    gather or the direct pointwise 1×1 kernel and its routing pass
+#    (`PATCH_RUN_MIN`, `const CLIP`, `conv2d_pointwise`,
+#    `route_pointwise`, `with_pointwise`, `pointwise_eligible`) under
+#    crates/, tests/, README or DESIGN (padding is data and a 1×1 is a
+#    plane-row GEMM, for f32 and int8 alike, DESIGN §5d).
 # 7. size report               — non-test lines (up to each file's
 #    `#[cfg(test)]`) per crate, for the four analysis files and for the
 #    four kernel files, so the number a simplicity PR cites comes from
@@ -122,6 +128,14 @@ if git grep -nE --untracked "$retired" -- . \
     exit 1
 fi
 echo "none of $retired in the code, ${docs[*]} or the other documents outside benchmark/"
+
+echo "== one-lowering gate: padding is data, a 1x1 is a plane-row GEMM =="
+retired_conv='PATCH_RUN_MIN|const CLIP|conv2d_pointwise|route_pointwise|with_pointwise|pointwise_eligible'
+if grep -rnE "$retired_conv" crates tests README.md DESIGN.md; then
+    echo "a piece of the clipping gather or the pointwise 1x1 fork is back; use ops::conv::with_patches" >&2
+    exit 1
+fi
+echo "none of $retired_conv under crates/, tests/, README.md or DESIGN.md"
 
 echo "== size: non-test lines =="
 nontest_lines() {

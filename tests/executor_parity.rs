@@ -10,7 +10,7 @@
 //! only reorders *independent* nodes, and kernels chunk
 //! deterministically.
 
-use fx::backend::EngineBackend;
+use fx::backend::{fuse, CompileOptions, EngineBackend};
 use fx::passes::fuse_conv_bn;
 use fx::prelude::*;
 use fx::quant::{quantize_ptq, QConfig};
@@ -44,8 +44,8 @@ fn round_trip(gm: &GraphModule) -> GraphModule {
 /// All execution paths agree bit-for-bit on `inputs`: the prepared
 /// default backend, the executor across inter-op thread counts × memory
 /// planning on/off × intra-op kernel-pool threads (1 vs 4), the
-/// exact-mode engine backend across the same threads × planning grid,
-/// and the codegen round-trip.
+/// exact-mode fused graph and engine backend across the same threads ×
+/// planning grid, and the codegen round-trip.
 fn assert_paths_bit_identical(gm: &GraphModule, inputs: &[Value], label: &str) {
     let reference = as_bits(
         &ExecutorBackend
@@ -86,11 +86,17 @@ fn assert_paths_bit_identical(gm: &GraphModule, inputs: &[Value], label: &str) {
         );
     }
     fx_tensor::threading::set_num_threads(prev);
-    // The AoT engine backend in exact mode (conv–BN folding and
-    // pointwise routing off) is fusion passes + the same executor, so
-    // its fused graph reaches the parallel and pooled paths too: no
-    // thread count or planner mode may move a bit. Ops outside its
-    // operator set (e.g. quantized ones) are simply left unfused.
+    // With conv–BN folding off, the engine's fusion pipeline
+    // (`CompileOptions { fuse_conv_bn: false }`, what `compile_with`
+    // documents as reproducing the traced graph's bits, and what the
+    // engine backend runs without `ExecConfig::fusion`) is bit-preserving
+    // passes + the same executor, so its fused graph reaches the parallel
+    // and pooled paths too: no thread count or planner mode may move a
+    // bit. Ops outside its operator set (e.g. quantized ones) are simply
+    // left unfused.
+    let mut exact = gm.clone();
+    fuse(&mut exact, CompileOptions { fuse_conv_bn: false })
+        .unwrap_or_else(|e| panic!("{label}: exact-mode fusion failed: {e}"));
     for planning in [false, true] {
         for threads in [1, 2, 8] {
             let cfg = ExecConfig {
@@ -98,6 +104,15 @@ fn assert_paths_bit_identical(gm: &GraphModule, inputs: &[Value], label: &str) {
                 memory_planning: planning,
                 fusion: false,
             };
+            let fused = ExecutorBackend
+                .prepare_with(&exact, cfg)
+                .and_then(|p| p.run(inputs))
+                .unwrap_or_else(|e| panic!("{label}: exact-mode fused graph ({cfg}) failed: {e}"));
+            assert_eq!(
+                reference,
+                as_bits(&fused),
+                "{label}: exact-mode fused graph ({cfg}) diverged"
+            );
             let engine = EngineBackend::new()
                 .prepare_with(gm, cfg)
                 .and_then(|p| p.run(inputs))

@@ -316,8 +316,7 @@ fn differential_fuzz_sweep() {
         // The backend's fusion passes, on the graph as traced (so
         // standalone BatchNorms are still there to lower): each
         // validates on exit, is idempotent, leaves a graph that prints,
-        // reparses and runs on every path, and — pointwise routing
-        // aside — does not move a bit.
+        // reparses and runs on every path, and does not move a bit.
         {
             use fx::backend::passes::*;
             let mut gm = gm.clone();
@@ -331,13 +330,6 @@ fn differential_fuzz_sweep() {
                 let after = check_idempotent(&mut gm, inputs, &format!("{label}: {name}"), pass);
                 assert_eq!(before, after, "{label}: {name} changed observable bits");
                 check_shape_rules(&gm, inputs, &format!("{label}: {name}"));
-            }
-            let routed =
-                check_idempotent(&mut gm, inputs, &format!("{label}: pointwise"), route_pointwise);
-            check_shape_rules(&gm, inputs, &format!("{label}: pointwise"));
-            for (a, b) in before.iter().zip(&routed) {
-                let (a, b) = (f32::from_bits(*a), f32::from_bits(*b));
-                assert!((a - b).abs() <= 1e-4 * (1.0 + a.abs()), "{label}: pointwise drifted");
             }
         }
 
