@@ -14,9 +14,9 @@
 //! ```
 //!
 //! [`ExecConfig`] is the unified knob set both `Executor` and
-//! `fx_serve::ServerBuilder` accept; the `FX_THREADS` / `FX_MEMPLAN`
-//! environment overrides are resolved here, in exactly one place
-//! ([`ExecConfig::from_env`]).
+//! `fx_serve::ServerBuilder` accept; the `FX_THREADS` (kernel threads)
+//! and `FX_MEMPLAN` environment overrides are resolved here, in exactly
+//! one place ([`ExecConfig::from_env`]).
 
 use crate::error::Result;
 use crate::executor::{Executor, RunProfile};
@@ -28,8 +28,8 @@ use std::sync::OnceLock;
 /// builder methods) and `fx_serve::ServerBuilder::exec_config`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecConfig {
-    /// Inter-op worker threads; `0` means the machine's configured
-    /// parallelism ([`fx_tensor::threading::num_threads`]).
+    /// Kernel threads of each run ([`Executor::with_threads`]); `0`
+    /// means the process setting ([`fx_tensor::threading::num_threads`]).
     pub threads: usize,
     /// Buffer-pool recycling of dead intermediates plus in-place unary
     /// rewrites. Bit-identical to plain allocation by construction.
@@ -48,23 +48,42 @@ fn memplan_from_env() -> bool {
     *DEFAULT.get_or_init(|| std::env::var("FX_MEMPLAN").map_or(true, |v| v != "0"))
 }
 
-/// Process-wide `FX_THREADS` default: sequential (1) unless the env var
-/// parses as a number (`0` = all cores, as in [`Executor::with_threads`]).
+/// Process-wide `FX_THREADS` default, read once.
 fn threads_from_env() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
-        std::env::var("FX_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1)
+        let var = std::env::var("FX_THREADS").ok();
+        let (threads, note) = resolve_threads(var.as_deref());
+        if let Some(note) = note {
+            eprintln!("{note}");
+        }
+        threads
     })
+}
+
+/// What `FX_THREADS=var` selects, plus the line to print when the value
+/// does not parse: unset or junk means `0`, the process setting.
+fn resolve_threads(var: Option<&str>) -> (usize, Option<String>) {
+    match var.map(str::trim) {
+        None => (0, None),
+        Some(v) => match v.parse() {
+            Ok(n) => (n, None),
+            Err(_) => {
+                let note = format!(
+                    "fx_core: FX_THREADS={v:?} is not a thread count; using the process setting"
+                );
+                (0, Some(note))
+            }
+        },
+    }
 }
 
 impl ExecConfig {
     /// The process default configuration — **the** single resolution
     /// point for the `FX_THREADS` and `FX_MEMPLAN` environment
-    /// overrides (read once per process). Without overrides: 1 thread,
-    /// memory planning on, fusion off.
+    /// overrides (read once per process). Without overrides: the
+    /// process's kernel threads (`threads: 0`), memory planning on,
+    /// fusion off.
     pub fn from_env() -> ExecConfig {
         ExecConfig {
             threads: threads_from_env(),
@@ -73,7 +92,7 @@ impl ExecConfig {
         }
     }
 
-    /// Replace the thread count (`0` = all cores).
+    /// Replace the kernel thread count (`0` = the process setting).
     pub fn with_threads(mut self, n: usize) -> ExecConfig {
         self.threads = n;
         self
@@ -174,8 +193,18 @@ impl PreparedModel for PreparedExecutor {
             .run_profiled(inputs)
     }
 
+    /// Shows the kernel threads a run from this thread would use, not a
+    /// `0` that means "the process setting".
     fn describe(&self) -> String {
-        format!("executor({} simd={})", self.cfg, fx_tensor::simd_level())
+        let threads = fx_tensor::threading::with_num_threads(
+            self.cfg.threads,
+            fx_tensor::threading::num_threads,
+        );
+        let cfg = ExecConfig {
+            threads,
+            ..self.cfg
+        };
+        format!("executor({cfg} simd={})", fx_tensor::simd_level())
     }
 }
 
@@ -187,7 +216,7 @@ impl ExecutionBackend for ExecutorBackend {
     fn prepare_with(&self, gm: &GraphModule, cfg: ExecConfig) -> Result<Box<dyn PreparedModel>> {
         let gm = gm.clone();
         // Compile the plan at prepare time so the first request does not
-        // pay levelization; runs then share it via the snapshot's cache.
+        // pay plan compilation; runs then share it via the snapshot's cache.
         gm.exec_plan()?;
         Ok(Box::new(PreparedExecutor { gm, cfg }))
     }
@@ -249,6 +278,13 @@ mod tests {
         assert_eq!(profile.plan_compiles, 1);
         let line = prepared.describe();
         assert!(line.starts_with("executor("), "{line}");
+        let threads = fx_tensor::threading::num_threads();
+        assert!(
+            line.contains(&format!("threads={threads} ")),
+            "resolved, not 0: {line}"
+        );
+        let pinned = ExecutorBackend.prepare_with(&gm(), ExecConfig::from_env().with_threads(3));
+        assert!(pinned.unwrap().describe().contains("threads=3 "));
         assert!(line.contains(&format!("simd={}", fx_tensor::simd_level())), "{line}");
     }
 
@@ -265,5 +301,17 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn fx_threads_resolves_or_notes_junk() {
+        assert_eq!(resolve_threads(None), (0, None));
+        assert_eq!(resolve_threads(Some("0")), (0, None));
+        assert_eq!(resolve_threads(Some("3")), (3, None));
+        assert_eq!(resolve_threads(Some(" 2\n")), (2, None));
+        let (threads, note) = resolve_threads(Some("all"));
+        assert_eq!(threads, 0);
+        let note = note.expect("junk gets a note");
+        assert!(note.contains("FX_THREADS=\"all\""), "{note}");
     }
 }

@@ -8,12 +8,14 @@
 //!
 //! * every node becomes a [`Step`] with its arguments pre-resolved to
 //!   either an immediate [`Value`] or a dense result-slot index;
-//! * steps are grouped into **wavefront levels** — step `s` sits at level
-//!   `1 + max(level of deps)` — so independent nodes are visible to a
-//!   parallel runner without any graph analysis at run time;
 //! * a **last-use liveness** table records, for each step, which result
-//!   slots die after it, letting the runner drop intermediate buffers as
-//!   early as a static schedule allows.
+//!   slots die after it, letting the executor drop intermediate buffers
+//!   as early as the graph order allows;
+//! * each step records its **dependency depth** (`1 + max(depth of
+//!   deps)`), and [`ExecPlan::levels`] groups steps by it. This is an
+//!   analysis of the graph's shape (how long its longest chain is, how
+//!   wide it gets), not a schedule: the executor runs steps in graph
+//!   order.
 //!
 //! Plans are immutable and cheap to share (`Arc`); the
 //! [`GraphModule`](crate::GraphModule) caches one keyed by
@@ -57,7 +59,7 @@ pub struct Step {
     pub kwargs: Vec<(String, PlanArg)>,
     /// For placeholders: which runtime input this step consumes.
     pub input_index: usize,
-    /// Wavefront level: `1 + max(level of deps)`, `0` for sources.
+    /// Dependency depth: `1 + max(level of deps)`, `0` for sources.
     pub level: usize,
     /// Step indices this step reads from (deduplicated).
     pub deps: Vec<usize>,
@@ -70,20 +72,18 @@ pub struct ExecPlan {
     pub graph_version: u64,
     /// All steps, in the graph's execution order.
     pub steps: Vec<Step>,
-    /// Wavefronts: `levels[l]` lists the step indices at level `l`. Steps
-    /// within one level are mutually independent and may run concurrently.
+    /// Steps by dependency depth: `levels[l]` lists the step indices at
+    /// [`Step::level`] `l`. Steps within one level are mutually
+    /// independent; `levels.len()` is the longest chain.
     pub levels: Vec<Vec<usize>>,
-    /// Sequential liveness: `release_after[s]` lists the result slots
-    /// whose last reader is step `s`, safe to drop once `s` completes.
+    /// Liveness: `release_after[s]` lists the result slots whose last
+    /// reader is step `s`, safe to drop once `s` completes.
     pub release_after: Vec<Vec<usize>>,
-    /// Inverse dependency edges: `users[s]` lists the steps that read
-    /// slot `s`. `users[s].len()` is the parallel release refcount.
-    pub users: Vec<Vec<usize>>,
     /// Index of the `output` step, if the graph is complete.
     pub output_step: Option<usize>,
     /// Number of placeholder inputs the plan expects.
     pub n_inputs: usize,
-    /// Steps the sequential executor may run **in place** on their
+    /// Steps the executor may run **in place** on their
     /// (sole, dying) input: parameterless unary `call_function`s
     /// (f32 scalar unaries, plus `quantized::relu` on int8) whose
     /// input's last reader is this very step. Independent of shape
@@ -207,11 +207,9 @@ impl ExecPlan {
         // Slots nobody reads (dead values kept for hooks) die at their own
         // step; the output's operand survives as the return value.
         let mut last_use: Vec<usize> = (0..steps.len()).collect();
-        let mut users = vec![Vec::new(); steps.len()];
         for (idx, step) in steps.iter().enumerate() {
             for &d in &step.deps {
                 last_use[d] = idx;
-                users[d].push(idx);
             }
         }
         let mut release_after = vec![Vec::new(); steps.len()];
@@ -224,7 +222,7 @@ impl ExecPlan {
         // In-place candidates: `y = f(x)` where `f` is a parameterless
         // scalar unary (or the int8 `quantized::relu`, a zero-point
         // clamp) and `x`'s last reader is this very step. The
-        // sequential executor may then take `x` out of the environment
+        // executor may then take `x` out of the environment
         // and transform its buffer instead of allocating `y`.
         let inplace_unary: Vec<bool> = steps
             .iter()
@@ -247,7 +245,6 @@ impl ExecPlan {
             steps,
             levels,
             release_after,
-            users,
             output_step,
             n_inputs,
             inplace_unary,
@@ -268,11 +265,6 @@ impl ExecPlan {
     /// Whether the plan is empty.
     pub fn is_empty(&self) -> bool {
         self.steps.is_empty()
-    }
-
-    /// The widest wavefront — an upper bound on useful parallelism.
-    pub fn max_width(&self) -> usize {
-        self.levels.iter().map(Vec::len).max().unwrap_or(0)
     }
 }
 
@@ -478,7 +470,11 @@ mod tests {
         let plan = ExecPlan::compile(&diamond()).unwrap();
         assert_eq!(plan.levels.len(), 4); // x | relu, neg | add | output
         assert_eq!(plan.levels[1].len(), 2);
-        assert_eq!(plan.max_width(), 2);
+        let depths: Vec<usize> = plan.levels[1]
+            .iter()
+            .map(|&i| plan.steps[i].level)
+            .collect();
+        assert_eq!(depths, [1, 1]);
         assert_eq!(plan.n_inputs, 1);
         assert_eq!(plan.output_step, Some(4));
     }

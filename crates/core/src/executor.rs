@@ -3,27 +3,22 @@
 //!
 //! ```text
 //! Executor::new(&gm)
-//!     .with_threads(8)       // inter-op parallelism (default: 1)
+//!     .with_threads(2)       // kernel threads for this run (default: the process setting)
 //!     .with_profiling(true)  // collect a RunProfile
 //!     .run(&inputs)?
 //! ```
 //!
 //! Execution goes through a cached [`ExecPlan`]: the graph is compiled
-//! into wavefront levels with pre-resolved arguments once per
-//! [`Graph::version`](crate::Graph::version), then replayed. With more
-//! than one thread, independent steps run concurrently on a
-//! coordinator/worker pool ([`fx_tensor::threading::with_workers`]):
-//! the coordinator owns the value environment, materializes each ready
-//! step's arguments, and hands the step to a worker; completions
-//! release dead buffers (last-use liveness) and unlock successors.
-//! Because the IR is purely functional, any dependency-respecting order
-//! computes bit-identical results to the sequential walk.
+//! into steps with pre-resolved arguments and last-use liveness once per
+//! [`Graph::version`](crate::Graph::version), then replayed one step at
+//! a time, in graph order, as the paper's interpreter runs a graph.
+//! Parallelism lives only inside kernels: a run's thread count is the
+//! kernel pool's ([`fx_tensor::threading::with_num_threads`]), so the
+//! same kernels compute the same bits at every count.
 //!
-//! The executor falls back to the strict sequential order whenever
-//! semantics demand it: an [`InterpHook`] is attached (hooks observe
-//! nodes *in order*), a trace session is active on this thread, or the
-//! inputs contain proxies (re-tracing records through the dispatcher in
-//! definition order).
+//! Hooks observe every node in that order. A run whose inputs contain
+//! proxies, or that runs inside a trace session, re-records through the
+//! dispatcher in the same order.
 
 use crate::error::{Error, Result};
 use crate::exec_plan::{ExecPlan, PlanArg, Step};
@@ -33,15 +28,12 @@ use crate::node::{Node, Opcode};
 use crate::trace;
 use crate::value::Value;
 use crate::dispatch;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Observe node-by-node execution — the pattern behind `shape_prop`
-/// and the quantization observers (paper §6.3). Hooked runs visit nodes
-/// in strict execution order.
+/// and the quantization observers (paper §6.3). Hooks visit nodes in
+/// execution order.
 pub trait InterpHook {
     /// Called after each node executes with the node and its produced
     /// value. Returning an error aborts the run.
@@ -50,8 +42,7 @@ pub trait InterpHook {
 
 /// Run a node kernel with unwind containment: a panicking kernel
 /// becomes an [`Error::Panic`] carrying the panic message instead of
-/// unwinding through the executor (which, on the parallel path, would
-/// poison the job-queue mutex and take down every worker).
+/// unwinding through the executor and its caller (a serve worker, say).
 fn run_caught(f: impl FnOnce() -> Result<Value>) -> Result<Value> {
     match catch_unwind(AssertUnwindSafe(f)) {
         Ok(res) => res,
@@ -75,19 +66,8 @@ pub struct NodeTime {
     pub target: String,
     /// Opcode.
     pub op: Opcode,
-    /// Wavefront level the node was scheduled at.
-    pub level: usize,
-    /// Kernel wall time in seconds (excludes queueing).
+    /// Kernel wall time in seconds.
     pub seconds: f64,
-}
-
-/// Aggregate statistics for one wavefront level.
-#[derive(Debug, Clone)]
-pub struct WavefrontStat {
-    /// Number of steps in the level — the available parallelism.
-    pub width: usize,
-    /// Sum of the level's node times (busy time, not wall time).
-    pub busy_seconds: f64,
 }
 
 /// Observability record for one `Executor::run`, consumable by the
@@ -96,12 +76,10 @@ pub struct WavefrontStat {
 pub struct RunProfile {
     /// End-to-end wall time of the run in seconds.
     pub total_seconds: f64,
-    /// Worker threads the run was configured with.
+    /// Kernel threads the run used (resolved: never `0`).
     pub threads: usize,
-    /// Whether the parallel path actually ran (vs. sequential fallback).
-    pub parallel: bool,
     /// Whether the plan was served from the `GraphModule` cache (no
-    /// re-levelization).
+    /// recompilation).
     pub plan_cache_hit: bool,
     /// Cumulative plan compilations on this `GraphModule`.
     pub plan_compiles: u64,
@@ -109,13 +87,8 @@ pub struct RunProfile {
     pub plan_hits: u64,
     /// Per-node wall times, in plan order.
     pub node_times: Vec<NodeTime>,
-    /// Per-wavefront width and busy time, in level order.
-    pub wavefronts: Vec<WavefrontStat>,
     /// Peak bytes of live intermediate values observed during the run.
     pub peak_live_bytes: usize,
-    /// High-water mark of steps simultaneously in flight (parallel path;
-    /// 1 on the sequential path).
-    pub max_concurrency: usize,
     /// Whether memory planning (buffer pooling + in-place rewrites) was
     /// active for this run.
     pub memory_planning: bool,
@@ -130,7 +103,7 @@ impl RunProfile {
             .map(|t| t.seconds)
     }
 
-    /// Sum of all per-node kernel times (the sequential lower bound).
+    /// Sum of all per-node kernel times.
     pub fn busy_seconds(&self) -> f64 {
         self.node_times.iter().map(|t| t.seconds).sum()
     }
@@ -160,9 +133,9 @@ pub struct Executor<'m> {
 impl<'m> Executor<'m> {
     /// An executor over `gm`'s current graph and state. Defaults come
     /// from [`ExecConfig::from_env`](crate::exec::ExecConfig::from_env)
-    /// — sequential unless `FX_THREADS` overrides, memory planning per
-    /// `FX_MEMPLAN` (on unless the env var is `0`) — with no hook and
-    /// profiling off.
+    /// — kernel threads per `FX_THREADS` (unset: the process setting),
+    /// memory planning per `FX_MEMPLAN` (on unless the env var is `0`)
+    /// — with no hook and profiling off.
     pub fn new(gm: &'m GraphModule) -> Executor<'m> {
         Self::with_config(gm, crate::exec::ExecConfig::from_env())
     }
@@ -181,22 +154,23 @@ impl<'m> Executor<'m> {
         }
     }
 
-    /// Invoke `hook` after every node, in execution order. Forces the
-    /// sequential path (hooks observe a deterministic order).
+    /// Invoke `hook` after every node, in execution order.
     pub fn with_hook(mut self, hook: &'m mut dyn InterpHook) -> Executor<'m> {
         self.hook = Some(hook);
         self
     }
 
-    /// Use up to `n` inter-op worker threads; `0` means the machine's
-    /// configured parallelism ([`fx_tensor::threading::num_threads`]).
+    /// Run kernels on up to `n` threads for this executor's runs, without
+    /// touching the process setting or other runs; `0` keeps the calling
+    /// thread's count ([`fx_tensor::threading::num_threads`]: the process
+    /// setting unless an enclosing run set one).
     pub fn with_threads(mut self, n: usize) -> Executor<'m> {
         self.threads = n;
         self
     }
 
-    /// Collect a [`RunProfile`] (per-node times, wavefront stats, peak
-    /// live memory) retrievable via [`Executor::profile`].
+    /// Collect a [`RunProfile`] (per-node times, peak live memory)
+    /// retrievable via [`Executor::profile`].
     pub fn with_profiling(mut self, on: bool) -> Executor<'m> {
         self.profiling = on;
         self
@@ -222,40 +196,23 @@ impl<'m> Executor<'m> {
     pub fn run(&mut self, inputs: &[Value]) -> Result<Value> {
         let t0 = Instant::now();
         let (plan, cache_hit, compiles, hits) = self.gm.exec_plan()?;
-        let threads = if self.threads == 0 {
-            fx_tensor::threading::num_threads()
-        } else {
-            self.threads
-        };
-
+        // Memory planning is value-level bookkeeping: it needs concrete
+        // tensors, so a (re-)trace falls back to plain allocation.
+        let tracing = trace::is_tracing() || inputs.iter().any(Value::contains_proxy);
+        let planning = self.memory_planning && !tracing;
         let mut profile = RunProfile {
-            threads,
             plan_cache_hit: cache_hit,
             plan_compiles: compiles,
             plan_hits: hits,
-            max_concurrency: 1,
+            memory_planning: planning,
             ..RunProfile::default()
         };
-
-        let tracing = trace::is_tracing() || inputs.iter().any(Value::contains_proxy);
-        let parallel = threads > 1 && plan.max_width() > 1 && self.hook.is_none() && !tracing;
-        // Memory planning is value-level bookkeeping: it needs concrete
-        // tensors, so a (re-)trace falls back to plain allocation.
-        let planning = self.memory_planning && !tracing;
-        profile.memory_planning = planning;
-
-        let out = if parallel {
-            profile.parallel = true;
-            self.run_parallel(&plan, inputs, threads, planning, &mut profile)
-        } else {
+        let out = fx_tensor::threading::with_num_threads(self.threads, || {
+            profile.threads = fx_tensor::threading::num_threads();
             self.run_sequential(&plan, inputs, planning, &mut profile)
-        }?;
-
+        })?;
         profile.total_seconds = t0.elapsed().as_secs_f64();
         if self.profiling {
-            if !profile.node_times.is_empty() {
-                profile.wavefronts = wavefront_stats(&plan, &profile.node_times);
-            }
             self.profile = Some(profile);
         }
         Ok(out)
@@ -269,8 +226,6 @@ impl<'m> Executor<'m> {
         let profile = self.profile.clone().expect("profiling was enabled");
         Ok((out, profile))
     }
-
-    // ----- sequential path --------------------------------------------------
 
     fn run_sequential(
         &mut self,
@@ -316,7 +271,6 @@ impl<'m> Executor<'m> {
                     name: step.name.clone(),
                     target: step.target.clone(),
                     op: step.op,
-                    level: step.level,
                     seconds: t0.elapsed().as_secs_f64(),
                 });
             }
@@ -399,262 +353,6 @@ impl<'m> Executor<'m> {
                 Ok(args.into_iter().next().unwrap_or(Value::None))
             }
         }
-    }
-
-    // ----- parallel path ----------------------------------------------------
-
-    fn run_parallel(
-        &mut self,
-        plan: &Arc<ExecPlan>,
-        inputs: &[Value],
-        threads: usize,
-        planning: bool,
-        profile: &mut RunProfile,
-    ) -> Result<Value> {
-        struct Job {
-            idx: usize,
-            args: Vec<Value>,
-            kwargs: Vec<(String, Value)>,
-        }
-
-        let gm = self.gm;
-        let profiling = self.profiling;
-        // Pool activation is process-wide, so worker allocations are
-        // pooled too; the coordinator recycles slots as refcounts drain.
-        let _pool = planning.then(fx_tensor::pool::activate);
-        let workers = threads.min(plan.max_width()).max(1);
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let (res_tx, res_rx) = mpsc::channel::<(usize, Result<Value>, f64)>();
-        let job_rx = Mutex::new(job_rx);
-
-        fx_tensor::threading::with_workers(
-            workers,
-            |_worker| loop {
-                // Hold the lock only while receiving, not while executing.
-                // A poisoned mutex just means another worker unwound while
-                // holding it; the receiver itself is still intact.
-                let job = {
-                    job_rx
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .recv()
-                };
-                let Ok(Job { idx, args, kwargs }) = job else {
-                    break; // queue closed: run is over
-                };
-                let t0 = Instant::now();
-                let step = &plan.steps[idx];
-                let res = run_caught(move || execute_concrete(gm, step, args, kwargs));
-                let dt = t0.elapsed().as_secs_f64();
-                if res_tx.send((idx, res, dt)).is_err() {
-                    break; // coordinator bailed out
-                }
-            },
-            move || {
-                let n = plan.len();
-                let mut env: Vec<Option<Value>> = vec![None; n];
-                let mut remaining: Vec<usize> =
-                    plan.steps.iter().map(|s| s.deps.len()).collect();
-                let mut readers_left: Vec<usize> =
-                    plan.users.iter().map(Vec::len).collect();
-                let mut node_times: Vec<Option<NodeTime>> = vec![None; n];
-                let mut ready: VecDeque<usize> = plan
-                    .steps
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.deps.is_empty())
-                    .map(|(i, _)| i)
-                    .collect();
-                let mut live_bytes = 0usize;
-                let mut in_flight = 0usize;
-                let mut completed = 0usize;
-                let mut output: Option<Value> = None;
-
-                // Completion bookkeeping: store the value, release slots
-                // whose readers are all done, enqueue unlocked successors.
-                let mut complete = |idx: usize,
-                                    value: Value,
-                                    env: &mut Vec<Option<Value>>,
-                                    ready: &mut VecDeque<usize>,
-                                    live_bytes: &mut usize,
-                                    profile: &mut RunProfile,
-                                    output: &mut Option<Value>| {
-                    if plan.steps[idx].op == Opcode::Output {
-                        *output = Some(value);
-                    } else {
-                        if profiling {
-                            *live_bytes += value_bytes(&value);
-                            profile.peak_live_bytes =
-                                profile.peak_live_bytes.max(*live_bytes);
-                        }
-                        env[idx] = Some(value);
-                    }
-                    for &d in &plan.steps[idx].deps {
-                        readers_left[d] -= 1;
-                        if readers_left[d] == 0 {
-                            if let Some(dead) = env[d].take() {
-                                if profiling {
-                                    *live_bytes -= value_bytes(&dead);
-                                }
-                                if planning {
-                                    reclaim_value(dead);
-                                }
-                            }
-                        }
-                    }
-                    for &u in &plan.users[idx] {
-                        remaining[u] -= 1;
-                        if remaining[u] == 0 {
-                            ready.push_back(u);
-                        }
-                    }
-                };
-
-                loop {
-                    // Dispatch everything currently ready.
-                    while let Some(idx) = ready.pop_front() {
-                        let step = &plan.steps[idx];
-                        match step.op {
-                            // Trivial steps run inline on the coordinator;
-                            // kernels go to the pool.
-                            Opcode::Placeholder => {
-                                let t0 = profiling.then(Instant::now);
-                                let v = inputs
-                                    .get(step.input_index)
-                                    .cloned()
-                                    .ok_or_else(|| Error::Interp {
-                                        node: step.name.clone(),
-                                        source: Box::new(Error::Module(format!(
-                                            "missing input for placeholder `{}` (got {} inputs)",
-                                            step.target,
-                                            inputs.len()
-                                        ))),
-                                    })?;
-                                if let Some(t0) = t0 {
-                                    node_times[idx] = Some(inline_time(step, t0));
-                                }
-                                completed += 1;
-                                complete(
-                                    idx, v, &mut env, &mut ready, &mut live_bytes,
-                                    profile, &mut output,
-                                );
-                            }
-                            Opcode::Output => {
-                                let t0 = profiling.then(Instant::now);
-                                let (args, _) = materialize(step, &env)
-                                    .map_err(|e| Error::Interp {
-                                        node: step.name.clone(),
-                                        source: Box::new(e),
-                                    })?;
-                                let v = args.into_iter().next().unwrap_or(Value::None);
-                                if let Some(t0) = t0 {
-                                    node_times[idx] = Some(inline_time(step, t0));
-                                }
-                                completed += 1;
-                                complete(
-                                    idx, v, &mut env, &mut ready, &mut live_bytes,
-                                    profile, &mut output,
-                                );
-                            }
-                            _ => {
-                                let (args, kwargs) = materialize(step, &env)
-                                    .map_err(|e| Error::Interp {
-                                        node: step.name.clone(),
-                                        source: Box::new(e),
-                                    })?;
-                                job_tx.send(Job { idx, args, kwargs }).map_err(|_| {
-                                    Error::Graph(
-                                        "worker pool shut down while steps remain".to_string(),
-                                    )
-                                })?;
-                                in_flight += 1;
-                                profile.max_concurrency =
-                                    profile.max_concurrency.max(in_flight);
-                            }
-                        }
-                    }
-                    if completed == n {
-                        break;
-                    }
-                    debug_assert!(in_flight > 0, "deadlock: nothing ready, nothing running");
-                    let (idx, res, dt) = res_rx.recv().map_err(|_| {
-                        Error::Graph(
-                            "worker pool shut down while jobs were in flight".to_string(),
-                        )
-                    })?;
-                    in_flight -= 1;
-                    let value = res.map_err(|e| Error::Interp {
-                        node: plan.steps[idx].name.clone(),
-                        source: Box::new(e),
-                    })?;
-                    if profiling {
-                        let step = &plan.steps[idx];
-                        node_times[idx] = Some(NodeTime {
-                            name: step.name.clone(),
-                            target: step.target.clone(),
-                            op: step.op,
-                            level: step.level,
-                            seconds: dt,
-                        });
-                    }
-                    completed += 1;
-                    complete(
-                        idx, value, &mut env, &mut ready, &mut live_bytes, profile,
-                        &mut output,
-                    );
-                }
-                if profiling {
-                    profile.node_times = node_times.into_iter().flatten().collect();
-                }
-                output.ok_or_else(|| {
-                    Error::Graph(
-                        "graph has no output node; call Graph::output before running"
-                            .to_string(),
-                    )
-                })
-                // `job_tx` drops here, closing the queue; `with_workers`
-                // then joins the pool before returning.
-            },
-        )
-    }
-}
-
-/// A `NodeTime` for a step executed inline on the coordinator.
-fn inline_time(step: &Step, t0: Instant) -> NodeTime {
-    NodeTime {
-        name: step.name.clone(),
-        target: step.target.clone(),
-        op: step.op,
-        level: step.level,
-        seconds: t0.elapsed().as_secs_f64(),
-    }
-}
-
-/// Execute a step on concrete values — the worker-side path. Callers
-/// guarantee no trace session is involved (the executor falls back to
-/// sequential when tracing), so placeholders and outputs never reach
-/// here.
-fn execute_concrete(
-    gm: &GraphModule,
-    step: &Step,
-    args: Vec<Value>,
-    kwargs: Vec<(String, Value)>,
-) -> Result<Value> {
-    match step.op {
-        Opcode::CallFunction => dispatch::call_function(&step.target, &args, &kwargs),
-        Opcode::CallMethod => dispatch::call_method(&step.target, &args, &kwargs),
-        Opcode::CallModule => {
-            let m = gm.get_module(&step.target).ok_or_else(|| {
-                Error::Module(format!("no submodule named `{}`", step.target))
-            })?;
-            m.call(&args)
-        }
-        Opcode::GetAttr => gm
-            .get_attr_tensor(&step.target)
-            .cloned()
-            .map(Value::Tensor)
-            .ok_or_else(|| Error::Module(format!("no attribute tensor named `{}`", step.target))),
-        Opcode::Placeholder | Opcode::Output => unreachable!("handled by the coordinator"),
     }
 }
 
@@ -741,23 +439,6 @@ fn value_bytes(v: &Value) -> usize {
     }
 }
 
-fn wavefront_stats(plan: &ExecPlan, node_times: &[NodeTime]) -> Vec<WavefrontStat> {
-    let mut stats: Vec<WavefrontStat> = plan
-        .levels
-        .iter()
-        .map(|l| WavefrontStat {
-            width: l.len(),
-            busy_seconds: 0.0,
-        })
-        .collect();
-    for t in node_times {
-        if let Some(s) = stats.get_mut(t.level) {
-            s.busy_seconds += t.seconds;
-        }
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -783,37 +464,60 @@ mod tests {
 
     #[test]
     fn sequential_and_parallel_agree() {
-        let gm = diamond_gm();
-        let x = input(64);
-        let seq = Executor::new(&gm).run(std::slice::from_ref(&x)).unwrap();
-        let par = Executor::new(&gm)
-            .with_threads(4)
-            .run(std::slice::from_ref(&x))
-            .unwrap();
-        assert_eq!(
-            seq.as_tensor().unwrap().as_f32().unwrap(),
-            par.as_tensor().unwrap().as_f32().unwrap()
-        );
+        // One kernel thread against several: the GEMM splits its rows
+        // over the pool, and no split reorders a sum.
+        let gm = symbolic_trace_fn(2, |xs| func::relu(&func::matmul(&xs[0], &xs[1])?)).unwrap();
+        let a = Value::Tensor(Tensor::from_vec(
+            (0..96 * 64).map(|i| (i % 13) as f32 - 6.0).collect(),
+            &[96, 64],
+        ));
+        let b = Value::Tensor(Tensor::from_vec(
+            (0..64 * 80).map(|i| (i % 7) as f32 * 0.5).collect(),
+            &[64, 80],
+        ));
+        let run = |threads| {
+            let out = Executor::new(&gm)
+                .with_threads(threads)
+                .run(&[a.clone(), b.clone()])
+                .unwrap();
+            out.as_tensor().unwrap().as_f32().unwrap().to_vec()
+        };
+        assert_eq!(run(1), run(4));
     }
 
     #[test]
-    fn profile_reports_cache_and_wavefronts() {
+    fn profile_reports_cache_and_kernel_threads() {
         let gm = diamond_gm();
         let x = input(8);
+        let before = fx_tensor::threading::num_threads();
         let mut ex = Executor::new(&gm).with_threads(2).with_profiling(true);
         ex.run(std::slice::from_ref(&x)).unwrap();
         let first = ex.profile().unwrap().clone();
         assert!(!first.plan_cache_hit, "first run must compile the plan");
         assert_eq!(first.plan_compiles, 1);
-        assert!(first.parallel);
+        assert_eq!(first.threads, 2);
         assert_eq!(first.node_times.len(), 5);
-        assert!(first.wavefronts.iter().any(|w| w.width == 2));
+        assert_eq!(
+            fx_tensor::threading::num_threads(),
+            before,
+            "the run's count is its own"
+        );
 
         ex.run(std::slice::from_ref(&x)).unwrap();
         let second = ex.profile().unwrap().clone();
         assert!(second.plan_cache_hit, "unmutated graph must hit the cache");
-        assert_eq!(second.plan_compiles, 1, "no re-levelization on a hit");
+        assert_eq!(second.plan_compiles, 1, "no recompilation on a hit");
         assert!(second.plan_hits >= 1);
+
+        let (_, inherited) = Executor::new(&gm)
+            .with_threads(0)
+            .run_profiled(std::slice::from_ref(&x))
+            .unwrap();
+        assert_eq!(
+            inherited.threads,
+            fx_tensor::threading::num_threads(),
+            "0 is the process setting"
+        );
     }
 
     #[test]
@@ -831,24 +535,23 @@ mod tests {
     }
 
     #[test]
-    fn hook_forces_sequential_and_sees_all_nodes() {
-        struct Count(usize);
-        impl InterpHook for Count {
-            fn on_node(&mut self, _n: &Node, _v: &Value) -> Result<()> {
-                self.0 += 1;
+    fn hook_sees_every_node_in_order() {
+        struct Names(Vec<String>);
+        impl InterpHook for Names {
+            fn on_node(&mut self, n: &Node, _v: &Value) -> Result<()> {
+                self.0.push(n.name().to_string());
                 Ok(())
             }
         }
         let gm = diamond_gm();
-        let mut hook = Count(0);
-        let mut ex = Executor::new(&gm)
+        let mut hook = Names(Vec::new());
+        Executor::new(&gm)
             .with_threads(8)
-            .with_profiling(true)
-            .with_hook(&mut hook);
-        ex.run(&[input(8)]).unwrap();
-        let parallel = ex.profile().unwrap().parallel;
-        assert!(!parallel, "hooked runs must stay sequential");
-        assert_eq!(hook.0, 5);
+            .with_hook(&mut hook)
+            .run(&[input(8)])
+            .unwrap();
+        let order: Vec<String> = gm.graph().nodes().map(|n| n.name().to_string()).collect();
+        assert_eq!(hook.0, order);
     }
 
     #[test]
@@ -956,13 +659,18 @@ mod tests {
         use crate::dispatch::{register_function, Inputs};
         use crate::graph::Graph;
 
+        // The panic fires inside a kernel-pool chunk, which the pool
+        // re-raises on the thread that runs the node.
         fn bomb(_i: &Inputs<'_>) -> Result<Value> {
-            panic!("deliberate test panic");
+            fx_tensor::threading::parallel_chunks(8, |r| {
+                if r.contains(&7) {
+                    panic!("deliberate test panic");
+                }
+            });
+            Ok(Value::None)
         }
         register_function("test::bomb", bomb);
 
-        // Two parallel branches so the parallel path actually engages
-        // (max_width > 1): one panics, one is a real kernel.
         let mut g = Graph::new();
         let x = g.placeholder("x");
         let b = g.call_function("test::bomb", vec![Arg::Node(x)], vec![]);
@@ -985,8 +693,8 @@ mod tests {
             assert!(msg.contains("panicked"), "says it panicked ({threads}t): {msg}");
             assert!(msg.contains("deliberate test panic"), "{msg}");
         }
-        // The pool shut down cleanly: the same module still runs a
-        // healthy graph afterwards, repeatedly, on the parallel path.
+        // The pool survived: a healthy graph still runs afterwards,
+        // repeatedly, on more than one kernel thread.
         let healthy = diamond_gm();
         for _ in 0..3 {
             Executor::new(&healthy)

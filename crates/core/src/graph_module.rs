@@ -206,7 +206,7 @@ impl GraphModule {
     /// `(plan, cache_hit, total_compiles, total_hits)` — the counters
     /// are this module's lifetime totals, surfaced in
     /// [`RunProfile`](crate::executor::RunProfile) so tests and benches
-    /// can prove repeat runs skip re-levelization.
+    /// can prove repeat runs skip recompilation.
     pub fn exec_plan(&self) -> Result<(Arc<ExecPlan>, bool, u64, u64)> {
         let mut state = self.plan_cache.inner.lock().expect("plan cache poisoned");
         if let Some(plan) = state.plan.clone() {

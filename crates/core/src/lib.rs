@@ -14,7 +14,7 @@
 //!    paired with the functional graph, so transforms mutate code and
 //!    parameters together (paper §5.6).
 //! 4. [`Executor`] / [`codegen`] — execution re-entering the host via a
-//!    plan-cached, optionally parallel executor ([`ExecPlan`]), plus
+//!    plan-cached executor that runs one node at a time ([`ExecPlan`]), plus
 //!    Python-style and Rust-style source generation for inspection.
 //!
 //! ## The paper's Figure 1, in Rust
@@ -63,7 +63,7 @@ pub use arg::Arg;
 pub use error::{Error, Result};
 pub use exec::{ExecConfig, ExecutionBackend, ExecutorBackend, PreparedModel};
 pub use exec_plan::{ExecPlan, MemPlan, PlanArg, Step};
-pub use executor::{Executor, InterpHook, NodeTime, RunProfile, WavefrontStat};
+pub use executor::{Executor, InterpHook, NodeTime, RunProfile};
 pub use graph::{Graph, InsertGuard};
 pub use graph_module::GraphModule;
 pub use module::{

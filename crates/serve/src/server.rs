@@ -217,7 +217,8 @@ impl ServerBuilder {
     /// Start configuring a server for `gm`. Defaults: queue depth 256,
     /// max batch size 8 rows, max batch delay 2 ms, 1 worker, the
     /// plan-cached `ExecutorBackend` with the environment's
-    /// [`ExecConfig`] (1 thread unless `FX_THREADS` says otherwise).
+    /// [`ExecConfig`] (the process's kernel threads unless `FX_THREADS`
+    /// says otherwise).
     pub fn new(gm: GraphModule, sample_shapes: &[Vec<usize>]) -> ServerBuilder {
         ServerBuilder {
             gm,
@@ -264,9 +265,10 @@ impl ServerBuilder {
         self
     }
 
-    /// Inter-op threads each worker's execution uses within one batched
-    /// run (`0` = all cores). Shorthand for setting
-    /// [`ExecConfig::threads`] via [`ServerBuilder::exec_config`].
+    /// Kernel threads each worker's batched run uses, set per run so
+    /// workers do not share one process setting (`0` = the process
+    /// setting). Shorthand for setting [`ExecConfig::threads`] via
+    /// [`ServerBuilder::exec_config`].
     pub fn executor_threads(mut self, n: usize) -> ServerBuilder {
         self.cfg.exec.threads = n;
         self

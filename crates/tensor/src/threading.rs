@@ -1,21 +1,27 @@
-//! Intra-op threading control, analogous to `OMP_NUM_THREADS` /
+//! Kernel threading, the one notion of threads in a run (the executor
+//! runs one node at a time), analogous to `OMP_NUM_THREADS` /
 //! `torch.set_num_threads` in the paper's fusion evaluation (Appendix C
 //! compares "Threaded" against "Unthreaded", i.e. `OMP_NUM_THREADS=1`).
 //!
-//! Parallel kernels used to spawn scoped threads on every call, which
-//! made intra-op threading a net loss for ResNet-sized ops (a thread
-//! spawn costs ~10µs; many conv GEMMs run in less). Kernels now share a
-//! single lazily-started **persistent worker pool**: submitting a task
-//! is a mutex push + condvar notify, and the submitting thread claims
-//! chunks itself, so a saturated (or empty) pool degrades to inline
-//! execution instead of deadlocking.
+//! Kernels share one lazily-started **persistent worker pool**:
+//! submitting a task is a mutex push + condvar notify, and the
+//! submitting thread claims chunks itself, so a saturated (or empty)
+//! pool degrades to inline execution instead of deadlocking. The count
+//! is a process setting ([`set_num_threads`]) that a thread can override
+//! for one closure ([`with_num_threads`]), as each executor run does.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 static NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's [`with_num_threads`] override; `0` means none.
+    static OVERRIDE: Cell<usize> = const { Cell::new(0) };
+}
 
 /// Set the number of worker threads used by parallel kernels (GEMM,
 /// convolution). `0` resets to the machine's available parallelism.
@@ -27,9 +33,14 @@ pub fn set_num_threads(n: usize) {
     NUM_THREADS.store(n, Ordering::Relaxed);
 }
 
-/// The number of worker threads parallel kernels will use.
+/// The number of worker threads parallel kernels called from this
+/// thread will use: the innermost [`with_num_threads`] override, else
+/// the process setting.
 pub fn num_threads() -> usize {
-    let n = NUM_THREADS.load(Ordering::Relaxed);
+    let n = match OVERRIDE.with(Cell::get) {
+        0 => NUM_THREADS.load(Ordering::Relaxed),
+        n => n,
+    };
     if n == 0 {
         std::thread::available_parallelism()
             .map(|p| p.get())
@@ -37,6 +48,26 @@ pub fn num_threads() -> usize {
     } else {
         n
     }
+}
+
+/// Run `f` with parallel kernels called from this thread using `n`
+/// threads; `0` keeps the current count (the process setting unless an
+/// enclosing call overrides it). The previous count comes back when `f`
+/// returns or unwinds. Threads `f` spawns, and the pool workers that
+/// run its chunks, see the process setting.
+pub fn with_num_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            // `try_with`: a drop must not panic, even during thread exit.
+            let _ = OVERRIDE.try_with(|o| o.set(self.0));
+        }
+    }
+    if n == 0 {
+        return f();
+    }
+    let _restore = Restore(OVERRIDE.with(|o| o.replace(n)));
+    f()
 }
 
 /// One submitted kernel: `total` chunks claimed by atomic increment.
@@ -136,15 +167,6 @@ fn worker_loop() {
     }
 }
 
-/// Number of persistent pool workers (excluding the submitting thread).
-/// Does not start the pool.
-pub fn pool_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .saturating_sub(1)
-}
-
 /// Run `body(0) .. body(total-1)` with up to `helpers` pool workers
 /// assisting the calling thread. Chunks are claimed atomically, the
 /// caller participates, and the call returns only when every chunk has
@@ -215,63 +237,10 @@ where
     pool_run(n_chunks, threads - 1, &run);
 }
 
-/// Run `coordinator` on the calling thread while `workers` copies of
-/// `worker(idx)` run on scoped threads, returning the coordinator's
-/// result once **both** the coordinator and every worker have finished.
-///
-/// This is the inter-op counterpart to [`parallel_chunks`]: a
-/// coordinator/worker-pool shape for graph-level parallelism, where the
-/// caller hands out work (typically over channels) and workers must not
-/// outlive the call. Workers are responsible for terminating when the
-/// coordinator is done — e.g. by observing a closed channel. These stay
-/// on scoped threads deliberately: inter-op workers *block* on channels,
-/// and parking blockers in a bounded pool can deadlock under saturation,
-/// while one spawn per executor run (not per op) is already amortized.
-pub fn with_workers<W, C, R>(workers: usize, worker: W, coordinator: C) -> R
-where
-    W: Fn(usize) + Sync,
-    C: FnOnce() -> R,
-{
-    std::thread::scope(|scope| {
-        let worker = &worker;
-        for idx in 0..workers {
-            scope.spawn(move || worker(idx));
-        }
-        coordinator()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Mutex;
-
-    #[test]
-    fn with_workers_runs_pool_alongside_coordinator() {
-        let (tx, rx) = std::sync::mpsc::channel::<usize>();
-        let (out_tx, out_rx) = std::sync::mpsc::channel::<usize>();
-        let rx = Mutex::new(rx);
-        let total = with_workers(
-            4,
-            |_idx| {
-                loop {
-                    let job = { rx.lock().unwrap().recv() };
-                    match job {
-                        Ok(n) => out_tx.send(n * 2).unwrap(),
-                        Err(_) => break,
-                    }
-                }
-            },
-            || {
-                for n in 0..100 {
-                    tx.send(n).unwrap();
-                }
-                drop(tx); // close the queue so workers exit
-                (0..100).map(|_| out_rx.recv().unwrap()).sum::<usize>()
-            },
-        );
-        assert_eq!(total, (0..100).map(|n| n * 2).sum());
-    }
 
     #[test]
     fn parallel_chunks_covers_range_disjointly() {
@@ -290,31 +259,29 @@ mod tests {
         // Force multi-thread submission even on a single-core host: the
         // pool may have zero workers, in which case the caller runs all
         // chunks inline — coverage must be identical either way.
-        let prev = NUM_THREADS.load(Ordering::Relaxed);
-        set_num_threads(4);
         let seen = Mutex::new(vec![0u32; 1009]);
-        parallel_chunks(1009, |r| {
-            let mut guard = seen.lock().unwrap();
-            for i in r {
-                guard[i] += 1;
-            }
+        with_num_threads(4, || {
+            parallel_chunks(1009, |r| {
+                let mut guard = seen.lock().unwrap();
+                for i in r {
+                    guard[i] += 1;
+                }
+            })
         });
-        set_num_threads(prev);
         assert!(seen.lock().unwrap().iter().all(|&c| c == 1));
     }
 
     #[test]
     fn pool_panic_propagates_to_caller() {
-        let prev = NUM_THREADS.load(Ordering::Relaxed);
-        set_num_threads(4);
         let r = std::panic::catch_unwind(|| {
-            parallel_chunks(8, |r| {
-                if r.contains(&3) {
-                    panic!("chunk blew up");
-                }
-            });
+            with_num_threads(4, || {
+                parallel_chunks(8, |r| {
+                    if r.contains(&3) {
+                        panic!("chunk blew up");
+                    }
+                })
+            })
         });
-        set_num_threads(prev);
         let payload = r.expect_err("panic must propagate");
         let msg = payload
             .downcast_ref::<String>()
@@ -337,5 +304,50 @@ mod tests {
         set_num_threads(0);
         assert!(num_threads() >= 1);
         set_num_threads(prev);
+    }
+
+    // The override tests use counts (11, 12, 13) that no test sets as
+    // the process setting, so they hold while other tests change it.
+
+    #[test]
+    fn nested_overrides_restore_in_order() {
+        with_num_threads(11, || {
+            assert_eq!(num_threads(), 11);
+            with_num_threads(12, || {
+                assert_eq!(num_threads(), 12);
+                with_num_threads(0, || assert_eq!(num_threads(), 12, "0 keeps the count"));
+            });
+            assert_eq!(num_threads(), 11);
+        });
+        assert_eq!(OVERRIDE.with(Cell::get), 0, "no override left behind");
+    }
+
+    #[test]
+    fn override_is_restored_on_unwind() {
+        with_num_threads(11, || {
+            let r = std::panic::catch_unwind(|| {
+                with_num_threads(12, || panic!("closure blew up"));
+            });
+            assert!(r.is_err());
+            assert_eq!(num_threads(), 11, "the inner count unwound with the panic");
+        });
+        assert_eq!(OVERRIDE.with(Cell::get), 0);
+    }
+
+    #[test]
+    fn spawned_threads_see_the_process_setting() {
+        with_num_threads(13, || {
+            std::thread::spawn(|| {
+                assert_eq!(
+                    OVERRIDE.with(Cell::get),
+                    0,
+                    "the override is this thread's only"
+                );
+                assert_ne!(num_threads(), 13);
+            })
+            .join()
+            .unwrap();
+            assert_eq!(num_threads(), 13);
+        });
     }
 }

@@ -54,7 +54,12 @@
 #    (`PATCH_RUN_MIN`, `const CLIP`, `conv2d_pointwise`,
 #    `route_pointwise`, `with_pointwise`, `pointwise_eligible`) under
 #    crates/, tests/, README or DESIGN (padding is data and a 1×1 is a
-#    plane-row GEMM, for f32 and int8 alike, DESIGN §5d).
+#    plane-row GEMM, for f32 and int8 alike, DESIGN §5d); and one
+#    notion of threads: none of the names of the retired inter-op
+#    wavefront executor (`run_parallel`, `with_workers`,
+#    `execute_concrete`, `WavefrontStat`, `max_concurrency`,
+#    `max_width`) under crates/, tests/, README or DESIGN (the executor
+#    runs one step at a time; threads are kernel threads, DESIGN §5b).
 # 7. size report               — non-test lines (up to each file's
 #    `#[cfg(test)]`) per crate, for the four analysis files and for the
 #    four kernel files, so the number a simplicity PR cites comes from
@@ -136,6 +141,14 @@ if grep -rnE "$retired_conv" crates tests README.md DESIGN.md; then
     exit 1
 fi
 echo "none of $retired_conv under crates/, tests/, README.md or DESIGN.md"
+
+echo "== one-threads gate: the executor runs one step at a time; threads are kernel threads =="
+retired_interop='run_parallel|with_workers|execute_concrete|WavefrontStat|max_concurrency|max_width'
+if grep -rnE "$retired_interop" crates tests README.md DESIGN.md; then
+    echo "a piece of the inter-op wavefront executor is back; parallelism lives inside kernels" >&2
+    exit 1
+fi
+echo "none of $retired_interop under crates/, tests/, README.md or DESIGN.md"
 
 echo "== size: non-test lines =="
 nontest_lines() {

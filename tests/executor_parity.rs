@@ -1,14 +1,13 @@
 //! Executor parity suite: every execution path — the default prepared
-//! [`ExecutorBackend`], the parallel plan-cached executor (1, 2, and 8
-//! threads), the exact-mode AoT [`EngineBackend`], and the codegen
+//! [`ExecutorBackend`], the plan-cached executor at 1, 2 and 8 kernel
+//! threads, the exact-mode AoT [`EngineBackend`], and the codegen
 //! round-trip (print → parse → rebuild → run) — must be
 //! **bit-identical** on the paper's evaluation models — including after
 //! conv–BN fusion and post-training quantization.
 //!
 //! Bit-identity (not `allclose`) holds because every node is computed by
-//! the same kernel on the same inputs regardless of scheduling: the plan
-//! only reorders *independent* nodes, and kernels chunk
-//! deterministically.
+//! the same kernel on the same inputs, and kernels split only their
+//! output across threads: no split reorders a sum.
 
 use fx::backend::{fuse, CompileOptions, EngineBackend};
 use fx::passes::fuse_conv_bn;
@@ -42,10 +41,10 @@ fn round_trip(gm: &GraphModule) -> GraphModule {
 }
 
 /// All execution paths agree bit-for-bit on `inputs`: the prepared
-/// default backend, the executor across inter-op thread counts × memory
-/// planning on/off × intra-op kernel-pool threads (1 vs 4), the
-/// exact-mode fused graph and engine backend across the same threads ×
-/// planning grid, and the codegen round-trip.
+/// default backend, the executor across kernel thread counts × memory
+/// planning on/off, the exact-mode fused graph and engine backend
+/// across the same grid, and the codegen round-trip. Each run sets its
+/// own kernel threads, so the suite changes no process-wide setting.
 fn assert_paths_bit_identical(gm: &GraphModule, inputs: &[Value], label: &str) {
     let reference = as_bits(
         &ExecutorBackend
@@ -65,35 +64,19 @@ fn assert_paths_bit_identical(gm: &GraphModule, inputs: &[Value], label: &str) {
             assert_eq!(
                 reference,
                 as_bits(&out),
-                "{label}: executor with {threads} thread(s), memplan={planning} \
+                "{label}: executor with {threads} kernel thread(s), memplan={planning} \
                  diverged from the interpreter"
             );
         }
     }
-    // Kernel chunking is thread-count-invariant: more intra-op pool
-    // threads must not move a bit either.
-    let prev = fx_tensor::threading::num_threads();
-    for kernel_threads in [1usize, 4] {
-        fx_tensor::threading::set_num_threads(kernel_threads);
-        let out = Executor::new(gm)
-            .with_memory_planning(true)
-            .run(inputs)
-            .unwrap_or_else(|e| panic!("{label}: executor(kt={kernel_threads}) failed: {e}"));
-        assert_eq!(
-            reference,
-            as_bits(&out),
-            "{label}: {kernel_threads} kernel thread(s) diverged"
-        );
-    }
-    fx_tensor::threading::set_num_threads(prev);
     // With conv–BN folding off, the engine's fusion pipeline
     // (`CompileOptions { fuse_conv_bn: false }`, what `compile_with`
     // documents as reproducing the traced graph's bits, and what the
     // engine backend runs without `ExecConfig::fusion`) is bit-preserving
-    // passes + the same executor, so its fused graph reaches the parallel
-    // and pooled paths too: no thread count or planner mode may move a
-    // bit. Ops outside its operator set (e.g. quantized ones) are simply
-    // left unfused.
+    // passes + the same executor, so its fused graph runs the same grid:
+    // no kernel thread count or planner mode may move a bit. Ops
+    // outside its operator set (e.g. quantized ones) are simply left
+    // unfused.
     let mut exact = gm.clone();
     fuse(&mut exact, CompileOptions { fuse_conv_bn: false })
         .unwrap_or_else(|e| panic!("{label}: exact-mode fusion failed: {e}"));
@@ -192,7 +175,7 @@ fn plan_cache_hits_until_mutation() {
         .run_profiled(std::slice::from_ref(&x))
         .unwrap();
     assert!(p2.plan_cache_hit, "repeat run on an unmutated graph hits");
-    assert_eq!(p2.plan_compiles, 1, "no re-levelization on a hit");
+    assert_eq!(p2.plan_compiles, 1, "no recompilation on a hit");
 
     // Any structural edit bumps the graph version and invalidates.
     let id = gm

@@ -4,7 +4,7 @@
 //! MLPs, and hand-edited function graphs — and checks, per case:
 //!
 //! * every execution path is **bit-identical**: `gm.run` (sequential)
-//!   vs the parallel [`Executor`] at 1/2/8 threads vs both
+//!   vs the [`Executor`] at 1/2/8 kernel threads vs both
 //!   [`ExecutionBackend`]s through the trait object (the prepared
 //!   executor and the exact-mode AoT engine) vs the codegen round-trip
 //!   (print → parse → rebuild → run);
@@ -88,7 +88,7 @@ fn check_all_paths(gm: &GraphModule, inputs: &[Value], label: &str) -> Vec<u32> 
             assert_eq!(
                 reference,
                 as_bits(&out),
-                "{label}: {threads}-thread executor (memplan={planning}) diverged"
+                "{label}: executor at {threads} kernel thread(s) (memplan={planning}) diverged"
             );
         }
     }
@@ -365,7 +365,7 @@ fn differential_fuzz_sweep() {
 ///
 /// Invariants (the PR-7 f32 guarantees, extended to int8):
 /// * the converted graph's output is **bit-identical** across
-///   {memplan off, on} × {1, 2, 8 threads} × both execution backends —
+///   {memplan off, on} × {1, 2, 8 kernel threads} × both execution backends —
 ///   the int8 kernels accumulate exactly in i32 and share one
 ///   requantization epilogue, so nothing in the schedule may move a
 ///   byte;
@@ -526,12 +526,13 @@ fn previously_panicking_inputs_fail_cleanly() {
             .unwrap_err();
         assert!(
             err.to_string().contains("does not fit"),
-            "{threads}-thread execution errors in kind: {err}"
+            "execution at {threads} kernel thread(s) errors in kind: {err}"
         );
     }
 
-    // (2) A custom op whose kernel panics outright: contained on every
-    // path, error names the node, and the pool stays reusable.
+    // (2) A custom op whose kernel panics outright: contained at every
+    // kernel thread count, error names the node, and the pool stays
+    // reusable.
     fn bomb(_i: &fx_core::dispatch::Inputs<'_>) -> fx_core::Result<Value> {
         panic!("fuzz bomb");
     }

@@ -191,7 +191,7 @@ fn graph_edits_preserve_invariants() {
         gm.graph_mut().eliminate_dead_code();
         gm.recompile().unwrap();
         gm.graph().lint().unwrap();
-        // Still runs — on the sequential path and the parallel path.
+        // Still runs — at the default and at 4 kernel threads.
         let x = value(&[4], seed);
         assert!(gm.run(std::slice::from_ref(&x)).is_ok(), "case {case}");
         assert!(
@@ -199,7 +199,7 @@ fn graph_edits_preserve_invariants() {
                 .with_threads(4)
                 .run(std::slice::from_ref(&x))
                 .is_ok(),
-            "case {case}: parallel"
+            "case {case}: 4 kernel threads"
         );
     }
 }

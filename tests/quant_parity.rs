@@ -1,6 +1,6 @@
 //! Quantized-model parity suite: a PTQ-converted int8 model must
 //! produce **bit-identical** outputs across every executor
-//! configuration (memory planning on/off × thread counts), and the
+//! configuration (memory planning on/off × kernel thread counts), and the
 //! serve registry must hot-swap between the f32 and int8 versions of
 //! the same model with zero failed requests and version-exact answers.
 //!
@@ -77,7 +77,7 @@ fn int8_resnet_bit_identical_across_memplan_and_threads() {
             assert_eq!(
                 run_with(&qgm, &x, threads, memplan),
                 want,
-                "int8 resnet diverged at threads={threads} memplan={memplan}"
+                "int8 resnet diverged at {threads} kernel thread(s), memplan={memplan}"
             );
         }
     }
