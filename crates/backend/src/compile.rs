@@ -121,7 +121,7 @@ pub fn compile_with(gm: &GraphModule, opts: CompileOptions) -> Result<Engine> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fx_core::{symbolic_trace, ModuleExt, Value};
+    use fx_core::{func, symbolic_trace, symbolic_trace_fn, Executor, ModuleExt, Value};
     use fx_models::{resnet_tiny, Mlp};
     use fx_tensor::rng::{SeedableRng, StdRng};
     use fx_tensor::Tensor;
@@ -250,5 +250,64 @@ mod tests {
             fuse(&mut fused.graph_module().clone(), CompileOptions::default()).unwrap(),
             0
         );
+    }
+
+    fn bits(v: &Value) -> Vec<u32> {
+        v.as_tensor()
+            .unwrap()
+            .as_f32()
+            .unwrap()
+            .iter()
+            .map(|f| f.to_bits())
+            .collect()
+    }
+
+    /// Exact-mode `fuse`, then the one `Executor`: the traced graph's
+    /// bits. With conv–BN folding on, the same answer to `allclose`.
+    #[test]
+    fn exact_engine_is_bit_identical_to_executor() {
+        let mut rng = StdRng::seed_from_u64(7);
+        // resnet_tiny exercises both exact-mode exclusions: BatchNorms
+        // (must become ChannelAffine, not fold) and 1×1 downsample convs.
+        for (gm, shape) in [
+            (
+                symbolic_trace(&resnet_tiny(&mut rng)).unwrap(),
+                vec![2, 3, 32, 32],
+            ),
+            (
+                symbolic_trace(&Mlp::new(&[16, 32, 8], &mut rng)).unwrap(),
+                vec![4, 16],
+            ),
+        ] {
+            let x = vec![Value::Tensor(Tensor::randn(&shape, &mut rng))];
+            let want = gm.run(&x).unwrap();
+            let mut exact = gm.clone();
+            fuse(&mut exact, CompileOptions { fuse_conv_bn: false }).unwrap();
+            assert_eq!(bits(&want), bits(&Executor::new(&exact).run(&x).unwrap()));
+            let mut folded = gm.clone();
+            fuse(&mut folded, CompileOptions::default()).unwrap();
+            let got = Executor::new(&folded).run(&x).unwrap();
+            assert!(got.as_tensor().unwrap().allclose(want.as_tensor().unwrap(), 1e-2));
+        }
+    }
+
+    #[test]
+    fn unsupported_ops_are_left_unfused_bit_identically() {
+        let gm = symbolic_trace_fn(1, |xs| {
+            let a = func::relu(&func::neg(&xs[0])?)?;
+            func::softmax(&a, -1)
+        })
+        .unwrap();
+        let x = vec![Value::Tensor(Tensor::from_vec(
+            vec![0.1, 0.9, -1.0, 0.4],
+            &[1, 4],
+        ))];
+        let want = bits(&gm.run(&x).unwrap());
+        let mut fused = gm.clone();
+        fuse(&mut fused, CompileOptions { fuse_conv_bn: false }).unwrap();
+        // neg+relu fused into one chain; softmax rides along untouched.
+        let engine = Engine::new(fused).unwrap();
+        assert_eq!(engine.instruction_count(), 2, "{}", engine.disassemble());
+        assert_eq!(want, bits(&Executor::new(engine.graph_module()).run(&x).unwrap()));
     }
 }

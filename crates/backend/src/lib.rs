@@ -14,11 +14,11 @@
 //!       → ExecPlan → Executor
 //! ```
 //!
-//! An [`Engine`] is the fused `GraphModule` plus its warmed plan;
-//! [`EngineBackend`] is the same pipeline behind the runtime-neutral
-//! [`ExecutionBackend`](fx_core::ExecutionBackend) trait (bit-preserving
-//! passes only by default, so it answers bit-identically to the plain
-//! executor).
+//! An [`Engine`] is the fused `GraphModule` plus its warmed plan. To
+//! serve a fused graph, [`fuse`] it and hand the result to
+//! `fx_serve::Registry::register`: with `CompileOptions { fuse_conv_bn:
+//! false }` only bit-preserving passes run, so it answers bit-identically
+//! to the un-fused graph.
 //!
 //! ```
 //! use fx_backend::lower;
@@ -40,11 +40,9 @@
 
 mod compile;
 mod engine;
-mod exec;
 mod lower;
 pub mod passes;
 
 pub use compile::{compile, compile_with, fuse, is_supported, CompileOptions};
 pub use engine::Engine;
-pub use exec::EngineBackend;
 pub use lower::{lower, EngineModule, LowerReport};

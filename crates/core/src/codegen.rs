@@ -5,10 +5,9 @@
 //! composable (paper §4.3, §5.4). Rust cannot `exec` generated source at
 //! runtime, so here code generation serves the *inspection* half of that
 //! story — [`python_code`] reproduces torch.fx's output format exactly
-//! (including the `;  x = None` last-use clears), and [`rust_code`]
-//! emits the equivalent Rust — while execution re-enters the host
-//! through the plan-cached [`Executor`](crate::Executor), which is
-//! derived from the same IR.
+//! (including the `;  x = None` last-use clears) — while execution
+//! re-enters the host through the plan-cached
+//! [`Executor`](crate::Executor), which is derived from the same IR.
 
 use crate::arg::Arg;
 use crate::graph::Graph;
@@ -136,67 +135,6 @@ pub fn python_code(graph: &Graph) -> String {
     out
 }
 
-/// Generate equivalent Rust source (for inspection and `to_folder`).
-pub fn rust_code(graph: &Graph) -> String {
-    let ids = graph.node_ids();
-    let names: HashMap<NodeId, String> = ids
-        .iter()
-        .map(|&id| (id, graph.node(id).name().to_string()))
-        .collect();
-    let params: Vec<String> = ids
-        .iter()
-        .filter(|&&id| graph.node(id).op() == Opcode::Placeholder)
-        .map(|&id| format!("{}: &Value", graph.node(id).target()))
-        .collect();
-    let mut out = format!(
-        "fn forward(&self, {}) -> Result<Value> {{\n",
-        params.join(", ")
-    );
-    for &id in &ids {
-        let node = graph.node(id);
-        let var = node.name();
-        let rs_arg = |a: &Arg| -> String {
-            match a {
-                Arg::Node(id) => format!("&{}", names[id]),
-                other => py_arg(other, &names).replace("True", "true").replace(
-                    "False",
-                    "false",
-                ),
-            }
-        };
-        let args: Vec<String> = node.args().iter().map(|a| rs_arg(a)).collect();
-        let stmt = match node.op() {
-            Opcode::Placeholder => continue,
-            Opcode::GetAttr => format!("let {var} = self.attr(\"{}\")?;", node.target()),
-            Opcode::CallFunction => format!(
-                "let {var} = func::call(\"{}\", &[{}])?;",
-                node.target(),
-                args.join(", ")
-            ),
-            Opcode::CallMethod => format!(
-                "let {var} = {}.method(\"{}\", &[{}])?;",
-                args.first().map(|s| s.trim_start_matches('&')).unwrap_or("?"),
-                node.target(),
-                args.iter().skip(1).cloned().collect::<Vec<_>>().join(", ")
-            ),
-            Opcode::CallModule => format!(
-                "let {var} = self.module(\"{}\").call(&[{}])?;",
-                node.target(),
-                args.join(", ")
-            ),
-            Opcode::Output => format!(
-                "Ok({})",
-                args.first()
-                    .map(|s| s.trim_start_matches('&').to_string())
-                    .unwrap_or_else(|| "Value::None".to_string())
-            ),
-        };
-        out.push_str(&format!("    {stmt}\n"));
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,15 +205,6 @@ mod tests {
         );
         g.output(Arg::Node(s));
         assert!(python_code(&g).contains("torch.softmax(x, dim=-1)"));
-    }
-
-    #[test]
-    fn rust_code_compilable_shape() {
-        let code = rust_code(&figure1_graph());
-        assert!(code.contains("fn forward(&self, x: &Value) -> Result<Value>"));
-        assert!(code.contains("func::call(\"relu\", &[&x])?"));
-        assert!(code.contains("relu.method(\"neg\", &[])?"));
-        assert!(code.contains("Ok(neg)"));
     }
 
     #[test]

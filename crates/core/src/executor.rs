@@ -4,8 +4,7 @@
 //! ```text
 //! Executor::new(&gm)
 //!     .with_threads(2)       // kernel threads for this run (default: the process setting)
-//!     .with_profiling(true)  // collect a RunProfile
-//!     .run(&inputs)?
+//!     .run_profiled(&inputs)? // the output and its RunProfile; `run` for the output alone
 //! ```
 //!
 //! Execution goes through a cached [`ExecPlan`]: the graph is compiled
@@ -125,9 +124,7 @@ pub struct Executor<'m> {
     gm: &'m GraphModule,
     hook: Option<&'m mut dyn InterpHook>,
     threads: usize,
-    profiling: bool,
     memory_planning: bool,
-    profile: Option<RunProfile>,
 }
 
 impl<'m> Executor<'m> {
@@ -135,22 +132,20 @@ impl<'m> Executor<'m> {
     /// from [`ExecConfig::from_env`](crate::exec::ExecConfig::from_env)
     /// — kernel threads per `FX_THREADS` (unset: the process setting),
     /// memory planning per `FX_MEMPLAN` (on unless the env var is `0`)
-    /// — with no hook and profiling off.
+    /// — with no hook.
     pub fn new(gm: &'m GraphModule) -> Executor<'m> {
         Self::with_config(gm, crate::exec::ExecConfig::from_env())
     }
 
     /// An executor with an explicit [`ExecConfig`](crate::exec::ExecConfig)
-    /// (the unified knob set shared with `fx_serve`). The config's
-    /// `fusion` flag is meaningless for the plain executor and ignored.
+    /// (the unified knob set shared with `fx_serve`). Its inert `fusion`
+    /// field is not read.
     pub fn with_config(gm: &'m GraphModule, cfg: crate::exec::ExecConfig) -> Executor<'m> {
         Executor {
             gm,
             hook: None,
             threads: cfg.threads,
-            profiling: false,
             memory_planning: cfg.memory_planning,
-            profile: None,
         }
     }
 
@@ -169,13 +164,6 @@ impl<'m> Executor<'m> {
         self
     }
 
-    /// Collect a [`RunProfile`] (per-node times, peak live memory)
-    /// retrievable via [`Executor::profile`].
-    pub fn with_profiling(mut self, on: bool) -> Executor<'m> {
-        self.profiling = on;
-        self
-    }
-
     /// Enable or disable memory planning (buffer-pool recycling of dead
     /// intermediates plus in-place unary rewrites) for this executor,
     /// overriding the `FX_MEMPLAN` process default. Planned runs are
@@ -186,14 +174,19 @@ impl<'m> Executor<'m> {
         self
     }
 
-    /// The profile of the most recent [`Executor::run`], if profiling
-    /// was enabled.
-    pub fn profile(&self) -> Option<&RunProfile> {
-        self.profile.as_ref()
-    }
-
     /// Run the graph on `inputs` (one per placeholder).
     pub fn run(&mut self, inputs: &[Value]) -> Result<Value> {
+        self.execute(inputs, false).map(|(out, _)| out)
+    }
+
+    /// Run and return the output with its [`RunProfile`]: per-node
+    /// times and peak live memory on top of the plan-cache counters and
+    /// the resolved kernel threads every run records.
+    pub fn run_profiled(&mut self, inputs: &[Value]) -> Result<(Value, RunProfile)> {
+        self.execute(inputs, true)
+    }
+
+    fn execute(&mut self, inputs: &[Value], profiling: bool) -> Result<(Value, RunProfile)> {
         let t0 = Instant::now();
         let (plan, cache_hit, compiles, hits) = self.gm.exec_plan()?;
         // Memory planning is value-level bookkeeping: it needs concrete
@@ -209,21 +202,9 @@ impl<'m> Executor<'m> {
         };
         let out = fx_tensor::threading::with_num_threads(self.threads, || {
             profile.threads = fx_tensor::threading::num_threads();
-            self.run_sequential(&plan, inputs, planning, &mut profile)
+            self.run_sequential(&plan, inputs, planning, profiling, &mut profile)
         })?;
         profile.total_seconds = t0.elapsed().as_secs_f64();
-        if self.profiling {
-            self.profile = Some(profile);
-        }
-        Ok(out)
-    }
-
-    /// Run and return the profile alongside the output, enabling
-    /// profiling for this call.
-    pub fn run_profiled(&mut self, inputs: &[Value]) -> Result<(Value, RunProfile)> {
-        self.profiling = true;
-        let out = self.run(inputs)?;
-        let profile = self.profile.clone().expect("profiling was enabled");
         Ok((out, profile))
     }
 
@@ -232,6 +213,7 @@ impl<'m> Executor<'m> {
         plan: &ExecPlan,
         inputs: &[Value],
         planning: bool,
+        profiling: bool,
         profile: &mut RunProfile,
     ) -> Result<Value> {
         let mut env: Vec<Option<Value>> = vec![None; plan.len()];
@@ -242,7 +224,7 @@ impl<'m> Executor<'m> {
         let _pool = planning.then(fx_tensor::pool::activate);
 
         for (idx, step) in plan.steps.iter().enumerate() {
-            let t0 = self.profiling.then(Instant::now);
+            let t0 = profiling.then(Instant::now);
             // Planned in-place step: its sole input dies here, so take
             // the value out of the environment (no clone — if nothing
             // else shares the buffer, the kernel rewrites it in place)
@@ -255,7 +237,7 @@ impl<'m> Executor<'m> {
                 let input = env[d]
                     .take()
                     .ok_or_else(|| Error::Graph(format!("value of step #{d} not computed")))?;
-                if self.profiling {
+                if profiling {
                     live_bytes -= value_bytes(&input);
                 }
                 run_caught(|| run_inplace_unary(&step.target, input))
@@ -280,7 +262,7 @@ impl<'m> Executor<'m> {
             if step.op == Opcode::Output {
                 return Ok(value);
             }
-            if self.profiling {
+            if profiling {
                 live_bytes += value_bytes(&value);
                 profile.peak_live_bytes = profile.peak_live_bytes.max(live_bytes);
             }
@@ -290,7 +272,7 @@ impl<'m> Executor<'m> {
             for &slot in &plan.release_after[idx] {
                 if slot != idx {
                     if let Some(dead) = env[slot].take() {
-                        if self.profiling {
+                        if profiling {
                             live_bytes -= value_bytes(&dead);
                         }
                         if planning {
@@ -490,9 +472,8 @@ mod tests {
         let gm = diamond_gm();
         let x = input(8);
         let before = fx_tensor::threading::num_threads();
-        let mut ex = Executor::new(&gm).with_threads(2).with_profiling(true);
-        ex.run(std::slice::from_ref(&x)).unwrap();
-        let first = ex.profile().unwrap().clone();
+        let mut ex = Executor::new(&gm).with_threads(2);
+        let (_, first) = ex.run_profiled(std::slice::from_ref(&x)).unwrap();
         assert!(!first.plan_cache_hit, "first run must compile the plan");
         assert_eq!(first.plan_compiles, 1);
         assert_eq!(first.threads, 2);
@@ -503,8 +484,7 @@ mod tests {
             "the run's count is its own"
         );
 
-        ex.run(std::slice::from_ref(&x)).unwrap();
-        let second = ex.profile().unwrap().clone();
+        let (_, second) = ex.run_profiled(std::slice::from_ref(&x)).unwrap();
         assert!(second.plan_cache_hit, "unmutated graph must hit the cache");
         assert_eq!(second.plan_compiles, 1, "no recompilation on a hit");
         assert!(second.plan_hits >= 1);

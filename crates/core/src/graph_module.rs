@@ -115,12 +115,6 @@ impl GraphModule {
         &self.code
     }
 
-    /// Generated Rust-style source for the current graph, for
-    /// inspection.
-    pub fn rust_code(&self) -> String {
-        codegen::rust_code(&self.graph)
-    }
-
     /// The submodule map (qualified name → module).
     pub fn modules(&self) -> &BTreeMap<String, ArcModule> {
         &self.modules
@@ -229,12 +223,12 @@ impl GraphModule {
         Executor::new(self).run(inputs)
     }
 
-    /// Write the generated sources to a directory (`module.py` and
-    /// `module.rs`), the spirit of torch.fx's experimental `to_folder`.
+    /// Write the generated source and the graph text to a directory
+    /// (`module.py` and `graph.txt`), the spirit of torch.fx's
+    /// experimental `to_folder`.
     pub fn to_folder(&self, dir: &std::path::Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
         std::fs::write(dir.join("module.py"), self.code())?;
-        std::fs::write(dir.join("module.rs"), self.rust_code())?;
         std::fs::write(dir.join("graph.txt"), self.graph.to_string())?;
         Ok(())
     }

@@ -15,7 +15,7 @@
 //!    parameters together (paper §5.6).
 //! 4. [`Executor`] / [`codegen`] — execution re-entering the host via a
 //!    plan-cached executor that runs one node at a time ([`ExecPlan`]), plus
-//!    Python-style and Rust-style source generation for inspection.
+//!    Python-style source generation for inspection.
 //!
 //! ## The paper's Figure 1, in Rust
 //!
@@ -61,7 +61,7 @@ pub mod value;
 
 pub use arg::Arg;
 pub use error::{Error, Result};
-pub use exec::{ExecConfig, ExecutionBackend, ExecutorBackend, PreparedModel};
+pub use exec::ExecConfig;
 pub use exec_plan::{ExecPlan, MemPlan, PlanArg, Step};
 pub use executor::{Executor, InterpHook, NodeTime, RunProfile};
 pub use graph::{Graph, InsertGuard};
@@ -97,8 +97,4 @@ const _: () = {
     assert_send_sync::<ArcModule>();
     assert_send_sync::<fx_tensor::Tensor>();
     assert_send_sync::<ExecConfig>();
-    assert_send_sync::<ExecutorBackend>();
-    // The trait pair is the cross-thread surface `fx_serve` holds.
-    assert_send_sync::<Box<dyn PreparedModel>>();
-    assert_send_sync::<Box<dyn ExecutionBackend>>();
 };

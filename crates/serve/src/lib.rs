@@ -16,10 +16,11 @@
 //!    batching** control loop to hold a p99 budget).
 //! 3. A **shared worker pool** pulls batches **weighted-fair across
 //!    models** (time-charged deficit round-robin), stacks each batch
-//!    along dim 0, runs it *once* on the model's
-//!    [`ExecutionBackend`](fx_core::ExecutionBackend), splits the
-//!    output rows back per request, and answers each client on its own
-//!    channel.
+//!    along dim 0, runs it *once* on the one
+//!    [`Executor`](fx_core::Executor), splits the output rows back per
+//!    request, and answers each client on its own channel. A model is
+//!    served as registered: to serve a fused graph, run
+//!    `fx_backend::fuse` on it first.
 //!
 //! The [`Registry`] manages N models: register/unregister at runtime,
 //! and **hot swap** a model's weights with [`Registry::swap`] — an
@@ -70,8 +71,8 @@ pub use registry::{ModelConfig, Registry, RegistryBuilder};
 pub use server::{Handle, Server, ServerBuilder};
 pub use stats::{ModelStats, RegistrySnapshot, ServeStats};
 
-// Re-exported so callers can configure backends without naming fx_core.
-pub use fx_core::{ExecConfig, ExecutionBackend, ExecutorBackend, PreparedModel};
+// Re-exported so callers can configure runs without naming fx_core.
+pub use fx_core::ExecConfig;
 
 // The whole point of the crate is cross-thread use; keep that a
 // compile-time fact.

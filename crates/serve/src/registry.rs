@@ -14,22 +14,22 @@
 //!   │  lane[resnet]  lane[recommender]  ... (× weight)   │
 //!   └───────────────────────┬─────────────────────────────┘
 //!                     shared worker pool
-//!            (validate → stack → one backend run → split)
+//!            (validate → stack → one Executor run → split)
 //! ```
 //!
 //! Each registered model owns: a bounded submission queue (per-model
 //! admission control — [`Error::QueueFull`] names the model), a batcher
-//! thread, a [`VersionSlot`] holding its current prepared backend, and
+//! thread, a [`VersionSlot`] holding its current graph version, and
 //! its own [`ServeStats`]. Workers are shared and scheduled by
 //! time-charged deficit round-robin (see [`crate::scheduler`]), so one
 //! hot model cannot starve its neighbours of worker time.
 //!
-//! **Hot swap** ([`Registry::swap`]) prepares the replacement off the
-//! serving path, flips the version slot atomically, then waits for
-//! every batch formed against the old version to finish. Requests keep
-//! flowing the whole time — they simply start landing on the new
-//! version — and because a batch captures its version exactly once at
-//! formation, no batch ever mixes versions.
+//! **Hot swap** ([`Registry::swap`]) admits the replacement and warms
+//! its plan off the serving path, flips the version slot atomically,
+//! then waits for every batch formed against the old version to finish.
+//! Requests keep flowing the whole time — they simply start landing on
+//! the new version — and because a batch captures its version exactly
+//! once at formation, no batch ever mixes versions.
 //!
 //! **Adaptive batching**: a model registered with a
 //! [`ModelConfig::p99_budget`] gets a control loop in its batcher that
@@ -44,7 +44,7 @@ use crate::scheduler::Scheduler;
 use crate::server::{batcher_loop, worker_loop, Batch, Handle, QueueState};
 use crate::stats::{ModelStats, RegistrySnapshot, StatsState};
 use crate::swap::VersionSlot;
-use fx_core::{ExecConfig, ExecutionBackend, ExecutorBackend, GraphModule};
+use fx_core::{ExecConfig, GraphModule};
 use fx_passes::batch_polymorphic;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -56,8 +56,13 @@ use std::time::Duration;
 ///
 /// Defaults match the single-model [`ServerBuilder`](crate::ServerBuilder):
 /// queue depth 256, max batch 8 rows, max batch delay 2 ms, weight 1,
-/// no p99 budget (fixed delay), the plan-cached [`ExecutorBackend`]
-/// with the environment's [`ExecConfig`].
+/// no p99 budget (fixed delay), the environment's [`ExecConfig`].
+///
+/// There is no backend to choose: every model runs on the one
+/// [`Executor`](fx_core::Executor), on exactly the graph registered.
+/// To serve a fused graph, apply `fx_backend::fuse` (or any other
+/// graph→graph pass) before [`Registry::register`] and
+/// [`Registry::swap`].
 #[derive(Clone)]
 pub struct ModelConfig {
     pub(crate) queue_depth: usize,
@@ -65,7 +70,6 @@ pub struct ModelConfig {
     pub(crate) max_batch_delay: Duration,
     pub(crate) weight: u32,
     pub(crate) p99_budget: Option<Duration>,
-    pub(crate) backend: Arc<dyn ExecutionBackend>,
     pub(crate) exec: ExecConfig,
 }
 
@@ -77,7 +81,6 @@ impl Default for ModelConfig {
             max_batch_delay: Duration::from_millis(2),
             weight: 1,
             p99_budget: None,
-            backend: Arc::new(ExecutorBackend),
             exec: ExecConfig::from_env(),
         }
     }
@@ -127,17 +130,8 @@ impl ModelConfig {
         self
     }
 
-    /// Serve through `backend` instead of the default
-    /// [`ExecutorBackend`]. The same backend re-prepares replacement
-    /// graphs on [`Registry::swap`].
-    pub fn backend(mut self, backend: Arc<dyn ExecutionBackend>) -> ModelConfig {
-        self.backend = backend;
-        self
-    }
-
-    /// Execution configuration (threads, memory planning, fusion)
-    /// handed to the backend's `prepare_with` at registration and at
-    /// every swap.
+    /// How every batched run of this model goes — kernel threads and
+    /// memory planning — at registration and after every swap.
     pub fn exec_config(mut self, cfg: ExecConfig) -> ModelConfig {
         self.exec = cfg;
         self
@@ -158,7 +152,7 @@ pub(crate) struct ModelEntry {
     /// registration; swaps must preserve them.
     pub(crate) trailing: Vec<Vec<usize>>,
     pub(crate) sample_shapes: Vec<Vec<usize>>,
-    /// The current prepared version (hot-swappable).
+    /// The current graph version (hot-swappable).
     pub(crate) slot: VersionSlot,
     pub(crate) queue: Mutex<QueueState>,
     /// Signalled on every push and on close.
@@ -177,8 +171,6 @@ pub(crate) struct ModelEntry {
     pub(crate) all_done: Condvar,
     /// This model's lane id in the shared scheduler.
     pub(crate) lane: usize,
-    pub(crate) backend: Arc<dyn ExecutionBackend>,
-    pub(crate) exec: ExecConfig,
 }
 
 impl ModelEntry {
@@ -325,7 +317,7 @@ impl Default for RegistryBuilder {
 
 /// A multi-tenant model-serving registry. Register any number of
 /// batch-polymorphic models under unique names; each gets its own
-/// queue, batcher, stats, and hot-swappable prepared backend, all
+/// queue, batcher, stats, and hot-swappable graph version, all
 /// sharing one weighted-fair worker pool. See the module docs for the
 /// architecture.
 pub struct Registry {
@@ -351,9 +343,9 @@ impl Registry {
     }
 
     /// Register `gm` under `name`: run the batch-polymorphism admission
-    /// check, prepare the backend (compilation happens here, not on the
-    /// first request), open a scheduler lane, and spawn the model's
-    /// batcher thread.
+    /// check, compile the execution plan (here, not on the first
+    /// request), open a scheduler lane, and spawn the model's batcher
+    /// thread.
     pub fn register_with(
         &self,
         name: &str,
@@ -366,10 +358,8 @@ impl Registry {
         }
         let trailing = batch_polymorphic(&gm, sample_shapes)
             .map_err(|e| Error::Build(e.to_string()))?;
-        let prepared = cfg
-            .backend
-            .prepare_with(&gm, cfg.exec)
-            .map_err(|e| Error::Build(format!("backend does not prepare: {e}")))?;
+        gm.exec_plan()
+            .map_err(|e| Error::Build(format!("execution plan does not compile: {e}")))?;
 
         let mut entries = self.inner.entries.lock().unwrap_or_else(|p| p.into_inner());
         if entries.map.contains_key(name) {
@@ -387,7 +377,7 @@ impl Registry {
             p99_budget: cfg.p99_budget,
             trailing,
             sample_shapes: sample_shapes.to_vec(),
-            slot: VersionSlot::new(prepared),
+            slot: VersionSlot::new(gm, cfg.exec),
             queue: Mutex::new(QueueState {
                 q: VecDeque::new(),
                 closed: false,
@@ -400,8 +390,6 @@ impl Registry {
             outstanding: Mutex::new(0),
             all_done: Condvar::new(),
             lane,
-            backend: cfg.backend,
-            exec: cfg.exec,
         });
         let batcher = {
             let entry = entry.clone();
@@ -424,15 +412,17 @@ impl Registry {
     /// Hot-swap the model under `name` to `gm` — **zero downtime**:
     ///
     /// 1. `gm` is admission-checked (it must expose the same input
-    ///    interface — trailing dims — as the registered model) and
-    ///    prepared through the model's backend, all off the serving
-    ///    path; requests keep flowing to the old version meanwhile.
+    ///    interface — trailing dims — as the registered model) and its
+    ///    execution plan is compiled, all off the serving path; requests
+    ///    keep flowing to the old version meanwhile. `gm` runs as given,
+    ///    with the model's [`ModelConfig::exec_config`]: a fused model
+    ///    is swapped for a graph the caller has fused too.
     /// 2. The entry's version slot flips atomically: batches formed
     ///    from this instant run the new version. No batch ever mixes
     ///    versions (a batch captures its version exactly once).
     /// 3. The call blocks until every batch formed against the old
     ///    version has finished (in-flight drain), then drops the old
-    ///    prepared model and returns the new version number.
+    ///    graph and returns the new version number.
     pub fn swap(&self, name: &str, gm: GraphModule) -> Result<u64> {
         let entry = self.lookup(name)?;
         let trailing = batch_polymorphic(&gm, &entry.sample_shapes)
@@ -444,13 +434,12 @@ impl Registry {
                 trailing, entry.trailing
             )));
         }
-        let prepared = entry
-            .backend
-            .prepare_with(&gm, entry.exec)
-            .map_err(|e| Error::Build(format!("swap rejected: backend does not prepare: {e}")))?;
-        let old = entry.slot.swap(prepared);
+        gm.exec_plan().map_err(|e| {
+            Error::Build(format!("swap rejected: execution plan does not compile: {e}"))
+        })?;
+        let old = entry.slot.swap(gm);
         entry.slot.wait_drained(&old);
-        let new_version = old.version + 1;
+        let new_version = old.number + 1;
         entry
             .stats
             .lock()
@@ -586,7 +575,7 @@ impl Registry {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        // If a worker died (panicking backend), batches may be left in
+        // If a worker died (a panic outside the run), batches may be left in
         // the lanes; dropping them answers their requests `Shutdown`.
         for entry in &entries {
             drop(self.inner.sched.remove_lane(entry.lane));

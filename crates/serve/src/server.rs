@@ -13,7 +13,7 @@
 //!                       │
 //!                  shared worker pool: validate each request → evict
 //!                  offenders with a typed error → stack dim 0 → one
-//!                  backend run → split outputs → respond
+//!                  Executor run → split outputs → respond
 //! ```
 //!
 //! Responses travel back over per-request channels, so `infer` is a
@@ -22,19 +22,19 @@
 //! ([`crate::registry::ModelEntry`]); [`Server`] is now a thin
 //! single-model wrapper over a one-entry [`Registry`].
 //!
-//! Execution is pluggable: each entry runs whatever
-//! [`ExecutionBackend`](fx_core::ExecutionBackend) it was registered
-//! with — the plan-cached `ExecutorBackend` by default. The backend is
-//! `prepare`d at registration (and again at each hot swap) and the
-//! resulting [`PreparedModel`](fx_core::PreparedModel) is shared by
-//! every worker through the entry's version slot.
+//! Execution is the one [`Executor`], run on the graph the model was
+//! registered (or last swapped) with and its [`ExecConfig`]. The plan
+//! is compiled at registration and at each hot swap, and the version —
+//! graph plus config — is shared by every worker through the entry's
+//! version slot. A fused model is a graph the caller fused
+//! (`fx_backend::fuse`) before handing it over.
 
 use crate::error::{Error, Result};
 use crate::registry::{ModelConfig, ModelEntry, Registry, RegistryBuilder};
 use crate::scheduler::Scheduler;
 use crate::stats::ServeStats;
-use crate::swap::PreparedVersion;
-use fx_core::{ExecConfig, ExecutionBackend, GraphModule, Value};
+use crate::swap::Version;
+use fx_core::{ExecConfig, Executor, GraphModule, Value};
 use fx_tensor::ops::{split_batch, stack_batch};
 use fx_tensor::Tensor;
 use std::collections::VecDeque;
@@ -58,7 +58,7 @@ pub(crate) struct QueueState {
 }
 
 /// One coalesced batch: the unit the scheduler hands to workers. The
-/// prepared version was captured exactly once, at formation — a batch
+/// model version was captured exactly once, at formation — a batch
 /// can never mix model versions.
 ///
 /// Dropping a batch settles all its accounting: leftover requests (a
@@ -69,7 +69,7 @@ pub(crate) struct QueueState {
 pub(crate) struct Batch {
     pub(crate) entry: Arc<ModelEntry>,
     pub(crate) requests: Vec<Request>,
-    pub(crate) prepared: Arc<PreparedVersion>,
+    pub(crate) version: Arc<Version>,
 }
 
 impl Drop for Batch {
@@ -77,7 +77,7 @@ impl Drop for Batch {
         for req in self.requests.drain(..) {
             respond(&self.entry, req, Err(Error::Shutdown));
         }
-        self.entry.slot.release(&self.prepared);
+        self.entry.slot.release(&self.version);
         self.entry.batch_finished();
     }
 }
@@ -216,9 +216,8 @@ pub struct ServerBuilder {
 impl ServerBuilder {
     /// Start configuring a server for `gm`. Defaults: queue depth 256,
     /// max batch size 8 rows, max batch delay 2 ms, 1 worker, the
-    /// plan-cached `ExecutorBackend` with the environment's
-    /// [`ExecConfig`] (the process's kernel threads unless `FX_THREADS`
-    /// says otherwise).
+    /// environment's [`ExecConfig`] (the process's kernel threads unless
+    /// `FX_THREADS` says otherwise).
     pub fn new(gm: GraphModule, sample_shapes: &[Vec<usize>]) -> ServerBuilder {
         ServerBuilder {
             gm,
@@ -274,27 +273,16 @@ impl ServerBuilder {
         self
     }
 
-    /// Full execution configuration (threads, memory planning, fusion)
-    /// handed to the backend's `prepare_with` at build time. Replaces
-    /// any prior [`ServerBuilder::executor_threads`] setting.
+    /// Full execution configuration (threads, memory planning) of every
+    /// batched run. Replaces any prior
+    /// [`ServerBuilder::executor_threads`] setting.
     pub fn exec_config(mut self, cfg: ExecConfig) -> ServerBuilder {
         self.cfg = self.cfg.exec_config(cfg);
         self
     }
 
-    /// Serve through `backend` instead of the default
-    /// `ExecutorBackend`. Any [`ExecutionBackend`] works — e.g.
-    /// `fx_backend::EngineBackend::new()`, which runs the AoT fusion
-    /// passes before preparing the same executor and (with
-    /// `ExecConfig::fusion` off) serves traffic bit-identically.
-    pub fn with_backend(mut self, backend: Arc<dyn ExecutionBackend>) -> ServerBuilder {
-        self.cfg = self.cfg.backend(backend);
-        self
-    }
-
-    /// Run the admission check, prepare the execution backend (graph
-    /// passes and plan compilation happen here, not on the first
-    /// request), and spawn the batcher and worker threads.
+    /// Run the admission check, compile the execution plan (here, not
+    /// on the first request), and spawn the batcher and worker threads.
     pub fn build(self) -> Result<Server> {
         let registry = RegistryBuilder::new().workers(self.workers).build()?;
         let handle =
@@ -412,12 +400,12 @@ pub(crate) fn batcher_loop(entry: &Arc<ModelEntry>, sched: &Scheduler<Batch>) {
             // Capture the current version exactly once per batch: the
             // single point that guarantees a batch never mixes model
             // versions across a hot swap.
-            let prepared = entry.slot.acquire();
+            let version = entry.slot.acquire();
             entry.batch_started();
             let batch = Batch {
                 entry: entry.clone(),
                 requests,
-                prepared,
+                version,
             };
             // Charged against the model's lane: rows × the observed
             // per-row EWMA.
@@ -469,9 +457,11 @@ fn adapt_batch_delay(entry: &ModelEntry) {
 }
 
 /// A shared worker: pull weighted-fair batches from the scheduler until
-/// it closes and drains. A panicking backend is contained — the batch's
-/// requests are answered (`Error::Shutdown` via the batch's Drop during
-/// unwind) and the worker lives on to serve other models.
+/// it closes and drains. A kernel panic is already an error of the run
+/// (the executor contains it); a panic anywhere else in the batch is
+/// contained here — the batch's requests are answered
+/// (`Error::Shutdown` via the batch's Drop during unwind) and the
+/// worker lives on to serve other models.
 pub(crate) fn worker_loop(sched: &Scheduler<Batch>) {
     while let Some(batch) = sched.next() {
         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| run_batch(batch)));
@@ -535,16 +525,17 @@ fn run_batch(mut batch: Batch) {
         }
     };
 
-    // 3. One backend run over the whole batch, on the version captured
+    // 3. One executor run over the whole batch, on the version captured
     //    at batch formation (shared by all workers; never mixed). The
     //    requests are parked back inside the batch across the call so
-    //    that a panicking backend unwinds through `Batch`'s Drop — each
-    //    client is then answered `Error::Shutdown` and counted, instead
-    //    of being stranded on a dead channel.
+    //    that a panic unwinds through `Batch`'s Drop — each client is
+    //    then answered `Error::Shutdown` and counted, instead of being
+    //    stranded on a dead channel.
     let rows: usize = valid.iter().map(|r| r.rows).sum();
     batch.requests = valid;
     let t0 = Instant::now();
-    let run = batch.prepared.prepared.run_profiled(&stacked);
+    let version = &batch.version;
+    let run = Executor::with_config(&version.gm, version.exec).run_profiled(&stacked);
     let batch_seconds = t0.elapsed().as_secs_f64();
     let mut valid = std::mem::take(&mut batch.requests);
     let (out, profile) = match run {

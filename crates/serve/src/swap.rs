@@ -1,10 +1,10 @@
-//! Hot-swap machinery: a versioned prepared-model slot with in-flight
-//! batch accounting.
+//! Hot-swap machinery: a versioned model slot with in-flight batch
+//! accounting.
 //!
 //! Each registered model owns one [`VersionSlot`]. The batcher
 //! [`acquire`](VersionSlot::acquire)s the current version exactly once
 //! per coalesced batch, so a batch can never mix two versions: whatever
-//! `Arc<PreparedVersion>` the batch captured is the model that runs it,
+//! `Arc<Version>` the batch captured is the model that runs it,
 //! even if a swap lands while the batch sits in the scheduler.
 //!
 //! [`VersionSlot::swap`] installs a new version with a plain pointer
@@ -15,20 +15,22 @@
 //! finished, at which point the old weights are provably out of the
 //! serving path and can be dropped.
 
-use fx_core::PreparedModel;
+use fx_core::{ExecConfig, GraphModule};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// One prepared model version: the compiled/warmed backend plus the
-/// count of batches formed against it that have not yet finished.
-pub(crate) struct PreparedVersion {
-    pub(crate) prepared: Box<dyn PreparedModel>,
+/// One served model version: the graph (its plan warmed before it is
+/// installed) and the configuration its runs use, plus the count of
+/// batches formed against it that have not yet finished.
+pub(crate) struct Version {
+    pub(crate) gm: GraphModule,
+    pub(crate) exec: ExecConfig,
     /// Monotonic per-model version number, starting at 1.
-    pub(crate) version: u64,
+    pub(crate) number: u64,
     inflight: AtomicUsize,
 }
 
-impl PreparedVersion {
+impl Version {
     pub(crate) fn inflight(&self) -> usize {
         self.inflight.load(Ordering::SeqCst)
     }
@@ -36,7 +38,7 @@ impl PreparedVersion {
 
 /// The atomically-replaceable "current version" of one served model.
 pub(crate) struct VersionSlot {
-    current: Mutex<Arc<PreparedVersion>>,
+    current: Mutex<Arc<Version>>,
     /// Guards nothing; paired with `drained` so `release` can signal
     /// waiters without a lost-wakeup race.
     drain: Mutex<()>,
@@ -44,11 +46,12 @@ pub(crate) struct VersionSlot {
 }
 
 impl VersionSlot {
-    pub(crate) fn new(prepared: Box<dyn PreparedModel>) -> VersionSlot {
+    pub(crate) fn new(gm: GraphModule, exec: ExecConfig) -> VersionSlot {
         VersionSlot {
-            current: Mutex::new(Arc::new(PreparedVersion {
-                prepared,
-                version: 1,
+            current: Mutex::new(Arc::new(Version {
+                gm,
+                exec,
+                number: 1,
                 inflight: AtomicUsize::new(0),
             })),
             drain: Mutex::new(()),
@@ -60,14 +63,14 @@ impl VersionSlot {
     /// The increment happens under the same lock as the read, so a
     /// concurrent [`swap`](VersionSlot::swap) either sees the charge or
     /// hands out the new version — never a missed drain.
-    pub(crate) fn acquire(&self) -> Arc<PreparedVersion> {
+    pub(crate) fn acquire(&self) -> Arc<Version> {
         let cur = self.current.lock().unwrap_or_else(|p| p.into_inner());
         cur.inflight.fetch_add(1, Ordering::SeqCst);
         cur.clone()
     }
 
     /// Un-charge one batch from `v` and wake any drain waiter.
-    pub(crate) fn release(&self, v: &PreparedVersion) {
+    pub(crate) fn release(&self, v: &Version) {
         v.inflight.fetch_sub(1, Ordering::SeqCst);
         // Take and drop the drain lock so a waiter between its check
         // and its wait cannot miss this notification.
@@ -75,14 +78,16 @@ impl VersionSlot {
         self.drained.notify_all();
     }
 
-    /// Install `prepared` as the next version (old version + 1) and
-    /// return the displaced version. New batches capture the new
-    /// version from this instant; in-flight batches keep the old one.
-    pub(crate) fn swap(&self, prepared: Box<dyn PreparedModel>) -> Arc<PreparedVersion> {
+    /// Install `gm` as the next version (old number + 1, same
+    /// [`ExecConfig`]) and return the displaced version. New batches
+    /// capture the new version from this instant; in-flight batches
+    /// keep the old one.
+    pub(crate) fn swap(&self, gm: GraphModule) -> Arc<Version> {
         let mut cur = self.current.lock().unwrap_or_else(|p| p.into_inner());
-        let next = Arc::new(PreparedVersion {
-            prepared,
-            version: cur.version + 1,
+        let next = Arc::new(Version {
+            gm,
+            exec: cur.exec,
+            number: cur.number + 1,
             inflight: AtomicUsize::new(0),
         });
         std::mem::replace(&mut *cur, next)
@@ -90,7 +95,7 @@ impl VersionSlot {
 
     /// Block until every batch charged to `old` has finished. Returns
     /// immediately if none are in flight.
-    pub(crate) fn wait_drained(&self, old: &PreparedVersion) {
+    pub(crate) fn wait_drained(&self, old: &Version) {
         let mut guard = self.drain.lock().unwrap_or_else(|p| p.into_inner());
         while old.inflight() > 0 {
             guard = self
@@ -105,53 +110,49 @@ impl VersionSlot {
         self.current
             .lock()
             .unwrap_or_else(|p| p.into_inner())
-            .version
+            .number
     }
 
-    /// Describe the current version's backend (for logs/stats).
+    /// One line naming what runs new batches, for logs and stats: the
+    /// executor with the kernel threads a run from this thread would
+    /// use (not a `0` that means "the process setting"), memory
+    /// planning and the SIMD level.
     pub(crate) fn describe(&self) -> String {
-        self.current
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .prepared
-            .describe()
+        let exec = self.current.lock().unwrap_or_else(|p| p.into_inner()).exec;
+        let threads = fx_tensor::threading::with_num_threads(
+            exec.threads,
+            fx_tensor::threading::num_threads,
+        );
+        let exec = ExecConfig { threads, ..exec };
+        format!("executor({exec} simd={})", fx_tensor::simd_level())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fx_core::{Result, RunProfile, Value};
+    use fx_core::{func, symbolic_trace_fn};
 
-    struct Stub(u64);
-    impl PreparedModel for Stub {
-        fn run(&self, _inputs: &[Value]) -> Result<Value> {
-            Ok(Value::Int(self.0 as i64))
-        }
-        fn run_profiled(&self, inputs: &[Value]) -> Result<(Value, RunProfile)> {
-            Ok((self.run(inputs)?, RunProfile::default()))
-        }
-        fn describe(&self) -> String {
-            format!("stub#{}", self.0)
-        }
+    fn gm() -> GraphModule {
+        symbolic_trace_fn(1, |xs| func::relu(&xs[0])).unwrap()
     }
 
     #[test]
     fn swap_flips_version_and_waits_for_drain() {
-        let slot = VersionSlot::new(Box::new(Stub(1)));
+        let slot = VersionSlot::new(gm(), ExecConfig::from_env());
         assert_eq!(slot.current_version(), 1);
 
         let held = slot.acquire(); // a batch in flight on v1
-        assert_eq!(held.version, 1);
+        assert_eq!(held.number, 1);
         assert_eq!(held.inflight(), 1);
 
-        let old = slot.swap(Box::new(Stub(2)));
+        let old = slot.swap(gm());
         assert_eq!(slot.current_version(), 2);
         assert!(Arc::ptr_eq(&old, &held), "swap returns the displaced version");
 
         // New acquisitions land on v2 while v1 is still draining.
         let fresh = slot.acquire();
-        assert_eq!(fresh.version, 2);
+        assert_eq!(fresh.number, 2);
         slot.release(&fresh);
 
         // wait_drained blocks until the old batch releases.
@@ -169,13 +170,14 @@ mod tests {
 
     #[test]
     fn acquire_release_balances() {
-        let slot = VersionSlot::new(Box::new(Stub(7)));
+        let slot = VersionSlot::new(gm(), ExecConfig::from_env().with_threads(3));
         let a = slot.acquire();
         let b = slot.acquire();
         assert_eq!(a.inflight(), 2);
         slot.release(&a);
         slot.release(&b);
         slot.wait_drained(&a); // returns immediately
-        assert!(slot.describe().contains("stub#7"));
+        let line = slot.describe();
+        assert!(line.starts_with("executor(threads=3 "), "{line}");
     }
 }

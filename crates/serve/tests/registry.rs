@@ -1,12 +1,12 @@
 //! Integration tests for the multi-tenant registry: concurrent
 //! multi-model serving, per-model admission control and stats, hot
 //! swap (zero downtime, version isolation), unregister draining,
-//! adaptive batching, and typed `Shutdown` instead of hangs when a
-//! backend dies.
+//! adaptive batching, and a typed error instead of a dead worker when a
+//! kernel panics.
 
 use fx_core::{
-    symbolic_trace, ExecConfig, ExecutionBackend, Executor, GraphModule, PreparedModel,
-    Result as CoreResult, RunProfile, Value,
+    func, symbolic_trace, Arg, ArcModule, ExecConfig, Executor, Graph, GraphModule, Module,
+    Result as CoreResult, Value,
 };
 use fx_models::Mlp;
 use fx_serve::{Error, ModelConfig, Registry};
@@ -343,59 +343,63 @@ fn adaptive_batching_keeps_delay_under_loose_budget() {
     registry.shutdown();
 }
 
-/// A backend whose prepared model panics on every run — simulates a
-/// worker dying mid-batch.
-struct PanicBackend;
-struct PanicModel;
-impl PreparedModel for PanicModel {
-    fn run(&self, _inputs: &[Value]) -> CoreResult<Value> {
-        panic!("injected backend failure");
+/// A leaf that traces as `relu` — so the graph passes admission — and
+/// panics whenever it runs on real tensors.
+#[derive(Debug)]
+struct Tripwire;
+
+impl Module for Tripwire {
+    fn forward(&self, xs: &[Value]) -> CoreResult<Value> {
+        if xs[0].contains_proxy() {
+            return func::relu(&xs[0]);
+        }
+        panic!("injected kernel failure");
     }
-    fn run_profiled(&self, _inputs: &[Value]) -> CoreResult<(Value, RunProfile)> {
-        panic!("injected backend failure");
+
+    fn type_name(&self) -> &'static str {
+        "Tripwire"
     }
-    fn describe(&self) -> String {
-        "panic-backend".to_string()
+
+    fn is_builtin_leaf(&self) -> bool {
+        true
     }
-}
-impl ExecutionBackend for PanicBackend {
-    fn name(&self) -> &'static str {
-        "panic"
-    }
-    fn prepare_with(
-        &self,
-        _gm: &GraphModule,
-        _cfg: ExecConfig,
-    ) -> CoreResult<Box<dyn PreparedModel>> {
-        Ok(Box::new(PanicModel))
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
     }
 }
 
+/// `x -> tripwire -> output`.
+fn tripwire_graph() -> GraphModule {
+    let mut g = Graph::new();
+    let x = g.placeholder("x");
+    let y = g.call_module("tripwire", vec![Arg::Node(x)], vec![]);
+    g.output(Arg::Node(y));
+    let modules = [("tripwire".to_string(), Arc::new(Tripwire) as ArcModule)].into();
+    GraphModule::new(g, modules, Default::default(), vec!["x".to_string()]).unwrap()
+}
+
 #[test]
-fn dead_backend_returns_typed_shutdown_not_a_hang() {
+fn panicking_kernel_is_a_typed_error_and_the_other_model_serves() {
     let registry = Registry::builder().build().unwrap();
     let bad = registry
-        .register_with(
-            "bad",
-            mlp_a(1),
-            &[vec![1, IN_A]],
-            ModelConfig::new().backend(Arc::new(PanicBackend)),
-        )
+        .register("bad", tripwire_graph(), &[vec![1, IN_A]])
         .unwrap();
     let good = registry
         .register("good", mlp_b(2), &[vec![1, IN_B]])
         .unwrap();
 
-    // The panicking batch must answer with a typed Shutdown, not hang
-    // the client or kill the registry.
+    // The executor contains the panic: the client gets a typed error
+    // naming the node, not a hang or a dead worker.
     let res = bad.infer(vec![randn(&[1, IN_A], 1)]);
-    assert!(
-        matches!(res, Err(Error::Shutdown)),
-        "expected typed Shutdown from a dead backend, got {res:?}"
-    );
+    let Err(Error::Exec(e)) = &res else {
+        panic!("expected Error::Exec from a panicking kernel, got {res:?}");
+    };
+    let msg = e.to_string();
+    assert!(msg.contains("tripwire"), "names the node: {msg}");
+    assert!(msg.contains("panicked"), "says it panicked: {msg}");
 
-    // The shared worker survived the panic and still serves the
-    // healthy model.
+    // The shared worker still serves the healthy model.
     let x = randn(&[1, IN_B], 2);
     let y = good.infer(vec![x.clone()]).unwrap();
     assert_eq!(bits(&y[0]), solo(&mlp_b(2), &x));
@@ -403,6 +407,44 @@ fn dead_backend_returns_typed_shutdown_not_a_hang() {
     let snap = registry.shutdown();
     let bad_stats = snap.models.iter().find(|m| m.name == "bad").unwrap();
     assert_eq!(bad_stats.stats.requests_err, 1);
+    assert_eq!(bad_stats.stats.requests_ok, 0);
+}
+
+/// Registration compiles the plan, so the first batch already hits it;
+/// the snapshot's `backend` line names the resolved kernel threads,
+/// memory planning and SIMD level.
+#[test]
+fn registration_warms_the_plan_cache() {
+    let registry = Registry::builder().build().unwrap();
+    let h = registry.register("m", mlp_a(4), &[vec![1, IN_A]]).unwrap();
+    let pinned = registry
+        .register_with(
+            "pinned",
+            mlp_b(5),
+            &[vec![1, IN_B]],
+            ModelConfig::new().exec_config(ExecConfig::from_env().with_threads(3)),
+        )
+        .unwrap();
+    h.infer(vec![randn(&[1, IN_A], 4)]).unwrap();
+    let stats = h.stats();
+    assert_eq!(stats.plan_compiles, 1, "compiled once, at registration");
+    assert_eq!(stats.plan_cache_hits, stats.batches, "every batch hits the warmed plan");
+
+    let snap = registry.stats();
+    let line = |name: &str| {
+        snap.models.iter().find(|m| m.name == name).unwrap().backend.clone()
+    };
+    let m = line("m");
+    assert!(m.starts_with("executor("), "{m}");
+    let threads = fx_tensor::threading::with_num_threads(
+        ExecConfig::from_env().threads,
+        fx_tensor::threading::num_threads,
+    );
+    assert!(m.contains(&format!("threads={threads} ")), "resolved, not 0: {m}");
+    assert!(m.contains(&format!("simd={}", fx_tensor::simd_level())), "{m}");
+    assert!(line("pinned").contains("threads=3 "), "{}", line("pinned"));
+    drop(pinned);
+    registry.shutdown();
 }
 
 #[test]

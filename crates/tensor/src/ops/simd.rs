@@ -1831,6 +1831,74 @@ mod tests {
 
     /// Thread count must not change a single bit (row panels only ever
     /// split the output, never the reduction).
+    /// One `gemm_nchw` call of all-ones operands: `m` rows of `n`
+    /// columns into `out_len` elements, `p` columns per image, rows
+    /// landing on channels `ch0..` of `channels`.
+    fn nchw_call(m: usize, n: usize, p: usize, geometry: (usize, usize), out_len: usize, bias_len: usize) {
+        let k = 3;
+        let (a, b, bias) = (vec![1.0f32; m * k], vec![1.0f32; k * n], vec![0.5f32; bias_len]);
+        let mut out = vec![0.0f32; out_len];
+        gemm_nchw(m, k, n, &a, BSrc::RowMajor(&b), Some(&bias), false, p, geometry, &mut out);
+    }
+
+    // `gemm_nchw` writes back through a raw pointer: its asserts are
+    // all that keep a bad geometry inside `out`. Each row below breaks
+    // one of them; (m, n, p, (channels, ch0)) = (2, 8, 4, (4, 0)) with
+    // a 32-element output and a 2-element bias is the valid call.
+    #[test]
+    #[should_panic(expected = "bad output geometry")]
+    fn gemm_nchw_rejects_a_group_past_the_last_channel() {
+        nchw_call(2, 8, 4, (4, 3), 32, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "output length mismatch")]
+    fn gemm_nchw_rejects_an_output_one_short() {
+        nchw_call(2, 8, 4, (4, 0), 31, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad output geometry")]
+    fn gemm_nchw_rejects_a_partial_image() {
+        nchw_call(2, 6, 4, (4, 0), 32, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad output geometry")]
+    fn gemm_nchw_rejects_zero_columns_per_image() {
+        nchw_call(2, 8, 0, (4, 0), 32, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "bias length mismatch")]
+    fn gemm_nchw_rejects_a_bias_not_one_per_row() {
+        nchw_call(2, 8, 4, (4, 0), 32, 3);
+    }
+
+    /// A group from `ch0 > 0` writes exactly its channels of every
+    /// image — the plain GEMM's sums plus bias, then ReLU, bit for bit —
+    /// and leaves every other element of a sentinel-filled output alone.
+    #[test]
+    fn gemm_nchw_group_writes_only_its_channels() {
+        let (m, k, p, images, channels, ch0) = (2, 7, 6, 3, 5, 2);
+        let n = images * p;
+        let mut rng = StdRng::seed_from_u64(0x9C);
+        let (a, b, bias) = (rand_vec(m * k, &mut rng), rand_vec(k * n, &mut rng), rand_vec(m, &mut rng));
+        let mut plain = vec![0.0f32; m * n];
+        gemm(m, k, n, &a, BSrc::RowMajor(&b), &mut plain, None, false);
+        const SENTINEL: f32 = -7.25;
+        let mut out = vec![SENTINEL; images * channels * p];
+        gemm_nchw(m, k, n, &a, BSrc::RowMajor(&b), Some(&bias), true, p, (channels, ch0), &mut out);
+        for (idx, &got) in out.iter().enumerate() {
+            let (img, ch, patch) = (idx / (channels * p), idx / p % channels, idx % p);
+            let want = match ch.checked_sub(ch0).filter(|&i| i < m) {
+                Some(i) => (plain[i * n + img * p + patch] + bias[i]).max(0.0),
+                None => SENTINEL,
+            };
+            assert_eq!(got.to_bits(), want.to_bits(), "image {img} channel {ch} patch {patch}");
+        }
+    }
+
     #[test]
     fn thread_count_does_not_change_bits() {
         let (m, k, n) = (37, 65, 29);

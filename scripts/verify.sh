@@ -14,9 +14,10 @@
 #    validation forced on (FX_VALIDATE=1) and a fixed-seed slice of the
 #    differential fuzz sweeps (FX_FUZZ_CASES=8; step 2 ran all 64).
 #    This is where the bit-identity contract is swept across process-
-#    level axes: executor vs exact-mode engine backend (fusion passes +
-#    the same executor) across threads × planner modes, served vs solo,
-#    int8 across engines and batch positions, f32↔int8 hot swap. The
+#    level axes: a graph vs its exact-mode fused twin (fusion passes in
+#    front of the same executor) across threads × planner modes, a
+#    served fused graph vs the solo un-fused run, int8 across engines
+#    and batch positions, f32↔int8 hot swap. The
 #    fx-tensor kernel suite additionally runs with VNNI masked off at
 #    both vector widths, so all four int8 dot-step × width tile
 #    instances execute on an AVX-512 VNNI builder.
@@ -59,7 +60,17 @@
 #    wavefront executor (`run_parallel`, `with_workers`,
 #    `execute_concrete`, `WavefrontStat`, `max_concurrency`,
 #    `max_width`) under crates/, tests/, README or DESIGN (the executor
-#    runs one step at a time; threads are kernel threads, DESIGN §5b).
+#    runs one step at a time; threads are kernel threads, DESIGN §5b);
+#    and one runner behind serving: none of the names of the retired
+#    backend trait pair and its adapters (`ExecutionBackend`,
+#    `PreparedModel`, `ExecutorBackend`, `EngineBackend`,
+#    `PreparedEngine`, `PreparedExecutor`, `with_backend`), of
+#    `with_fusion`, of the uncompilable Rust emitter (`rust_code`) or of
+#    the stashed executor profile (`with_profiling`) under crates/,
+#    tests/, examples/, src/, README or DESIGN, matched as whole words;
+#    benchmark/ names none of them either (serve runs the one Executor
+#    on the graph it is given, and a fused graph is fused before
+#    `register`, DESIGN §7b).
 # 7. size report               — non-test lines (up to each file's
 #    `#[cfg(test)]`) per crate, for the four analysis files and for the
 #    four kernel files, so the number a simplicity PR cites comes from
@@ -149,6 +160,14 @@ if grep -rnE "$retired_interop" crates tests README.md DESIGN.md; then
     exit 1
 fi
 echo "none of $retired_interop under crates/, tests/, README.md or DESIGN.md"
+
+echo "== one-runner gate: serving runs the one Executor on the graph it is given =="
+retired_runner='ExecutionBackend|PreparedModel|ExecutorBackend|EngineBackend|PreparedEngine|PreparedExecutor|with_backend|with_fusion|rust_code|with_profiling'
+if grep -rnwE "$retired_runner" crates tests examples src benchmark README.md DESIGN.md; then
+    echo "a piece of the backend trait pair, the Rust emitter or the stashed profile is back; fuse the graph before register instead" >&2
+    exit 1
+fi
+echo "none of $retired_runner under crates/, tests/, examples/, src/, benchmark/, README.md or DESIGN.md"
 
 echo "== size: non-test lines =="
 nontest_lines() {

@@ -51,9 +51,8 @@ pub use fx_tensor as tensor;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use fx_core::{
-        func, symbolic_trace, symbolic_trace_fn, ExecConfig, ExecPlan,
-        ExecutionBackend, Executor, ExecutorBackend, Graph, GraphModule, Module, ModuleExt,
-        Node, Opcode, PreparedModel, RunProfile, Tracer, Value,
+        func, symbolic_trace, symbolic_trace_fn, ExecConfig, ExecPlan, Executor, Graph,
+        GraphModule, Module, ModuleExt, Node, Opcode, RunProfile, Tracer, Value,
     };
     pub use fx_tensor::{DType, Tensor};
 }

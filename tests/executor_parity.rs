@@ -1,6 +1,7 @@
-//! Executor parity suite: every execution path — the default prepared
-//! [`ExecutorBackend`], the plan-cached executor at 1, 2 and 8 kernel
-//! threads, the exact-mode AoT [`EngineBackend`], and the codegen
+//! Executor parity suite: every execution path — the default
+//! [`Executor`], the executor at 1, 2 and 8 kernel threads × memory
+//! planning on/off, the exact-mode fused graph (`fx_backend::fuse`
+//! without conv–BN folding) over the same grid, and the codegen
 //! round-trip (print → parse → rebuild → run) — must be
 //! **bit-identical** on the paper's evaluation models — including after
 //! conv–BN fusion and post-training quantization.
@@ -9,7 +10,7 @@
 //! the same kernel on the same inputs, and kernels split only their
 //! output across threads: no split reorders a sum.
 
-use fx::backend::{fuse, CompileOptions, EngineBackend};
+use fx::backend::{fuse, CompileOptions};
 use fx::passes::fuse_conv_bn;
 use fx::prelude::*;
 use fx::quant::{quantize_ptq, QConfig};
@@ -40,17 +41,16 @@ fn round_trip(gm: &GraphModule) -> GraphModule {
     GraphModule::new(parsed, modules, attrs, input_names).expect("reparsed graph lints")
 }
 
-/// All execution paths agree bit-for-bit on `inputs`: the prepared
-/// default backend, the executor across kernel thread counts × memory
-/// planning on/off, the exact-mode fused graph and engine backend
-/// across the same grid, and the codegen round-trip. Each run sets its
-/// own kernel threads, so the suite changes no process-wide setting.
+/// All execution paths agree bit-for-bit on `inputs`: the default
+/// executor, the executor across kernel thread counts × memory planning
+/// on/off, the exact-mode fused graph across the same grid, and the
+/// codegen round-trip. Each run sets its own kernel threads, so the
+/// suite changes no process-wide setting.
 fn assert_paths_bit_identical(gm: &GraphModule, inputs: &[Value], label: &str) {
     let reference = as_bits(
-        &ExecutorBackend
-            .prepare(gm)
-            .and_then(|p| p.run(inputs))
-            .unwrap_or_else(|e| panic!("{label}: prepared executor failed: {e}")),
+        &Executor::new(gm)
+            .run(inputs)
+            .unwrap_or_else(|e| panic!("{label}: default executor failed: {e}")),
     );
     for planning in [false, true] {
         for threads in [1, 2, 8] {
@@ -69,14 +69,13 @@ fn assert_paths_bit_identical(gm: &GraphModule, inputs: &[Value], label: &str) {
             );
         }
     }
-    // With conv–BN folding off, the engine's fusion pipeline
+    // With conv–BN folding off, the backend's fusion pipeline
     // (`CompileOptions { fuse_conv_bn: false }`, what `compile_with`
-    // documents as reproducing the traced graph's bits, and what the
-    // engine backend runs without `ExecConfig::fusion`) is bit-preserving
-    // passes + the same executor, so its fused graph runs the same grid:
-    // no kernel thread count or planner mode may move a bit. Ops
-    // outside its operator set (e.g. quantized ones) are simply left
-    // unfused.
+    // documents as reproducing the traced graph's bits) is
+    // bit-preserving passes in front of the same executor, so its fused
+    // graph runs the same grid: no kernel thread count or planner mode
+    // may move a bit. Ops outside its operator set (e.g. quantized
+    // ones) are simply left unfused.
     let mut exact = gm.clone();
     fuse(&mut exact, CompileOptions { fuse_conv_bn: false })
         .unwrap_or_else(|e| panic!("{label}: exact-mode fusion failed: {e}"));
@@ -87,23 +86,13 @@ fn assert_paths_bit_identical(gm: &GraphModule, inputs: &[Value], label: &str) {
                 memory_planning: planning,
                 fusion: false,
             };
-            let fused = ExecutorBackend
-                .prepare_with(&exact, cfg)
-                .and_then(|p| p.run(inputs))
+            let fused = Executor::with_config(&exact, cfg)
+                .run(inputs)
                 .unwrap_or_else(|e| panic!("{label}: exact-mode fused graph ({cfg}) failed: {e}"));
             assert_eq!(
                 reference,
                 as_bits(&fused),
                 "{label}: exact-mode fused graph ({cfg}) diverged"
-            );
-            let engine = EngineBackend::new()
-                .prepare_with(gm, cfg)
-                .and_then(|p| p.run(inputs))
-                .unwrap_or_else(|e| panic!("{label}: engine backend ({cfg}) failed: {e}"));
-            assert_eq!(
-                reference,
-                as_bits(&engine),
-                "{label}: exact-mode engine backend ({cfg}) diverged"
             );
         }
     }

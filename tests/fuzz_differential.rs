@@ -4,10 +4,10 @@
 //! MLPs, and hand-edited function graphs — and checks, per case:
 //!
 //! * every execution path is **bit-identical**: `gm.run` (sequential)
-//!   vs the [`Executor`] at 1/2/8 kernel threads vs both
-//!   [`ExecutionBackend`]s through the trait object (the prepared
-//!   executor and the exact-mode AoT engine) vs the codegen round-trip
-//!   (print → parse → rebuild → run);
+//!   vs the [`Executor`] at 1/2/8 kernel threads × memory planning
+//!   on/off vs the graph's exact-mode fused twin (`fx_backend::fuse`
+//!   without conv–BN folding) vs the codegen round-trip (print → parse
+//!   → rebuild → run);
 //! * mutating passes are **idempotent**: running fuse / CSE / constant
 //!   folding / each backend fusion pass a second time changes nothing
 //!   (0 rewrites, same bits);
@@ -92,25 +92,16 @@ fn check_all_paths(gm: &GraphModule, inputs: &[Value], label: &str) -> Vec<u32> 
             );
         }
     }
-    // Both execution backends through the trait object. The engine
-    // backend's fusion passes leave nodes they do not recognize alone,
-    // so the sweep is total over whatever the fuzzer built.
-    let backends: [Box<dyn ExecutionBackend>; 2] = [
-        Box::new(ExecutorBackend),
-        Box::new(fx::backend::EngineBackend::new()),
-    ];
-    for backend in backends {
-        let out = backend
-            .prepare(gm)
-            .and_then(|p| p.run(inputs))
-            .unwrap_or_else(|e| panic!("{label}: backend {}: {e}", backend.name()));
-        assert_eq!(
-            reference,
-            as_bits(&out),
-            "{label}: backend {} diverged",
-            backend.name()
-        );
-    }
+    // The exact-mode fused twin. The backend's fusion passes leave
+    // nodes they do not recognize alone, so the sweep is total over
+    // whatever the fuzzer built.
+    let mut fused = gm.clone();
+    fx::backend::fuse(&mut fused, fx::backend::CompileOptions { fuse_conv_bn: false })
+        .unwrap_or_else(|e| panic!("{label}: exact-mode fuse: {e}"));
+    let out = fused
+        .run(inputs)
+        .unwrap_or_else(|e| panic!("{label}: exact-mode fused twin: {e}"));
+    assert_eq!(reference, as_bits(&out), "{label}: exact-mode fused twin diverged");
     let rt = round_trip(gm, label);
     let out = rt
         .run(inputs)
@@ -365,7 +356,8 @@ fn differential_fuzz_sweep() {
 ///
 /// Invariants (the PR-7 f32 guarantees, extended to int8):
 /// * the converted graph's output is **bit-identical** across
-///   {memplan off, on} × {1, 2, 8 kernel threads} × both execution backends —
+///   {memplan off, on} × {1, 2, 8 kernel threads}, and of its exact-mode
+///   fused twin —
 ///   the int8 kernels accumulate exactly in i32 and share one
 ///   requantization epilogue, so nothing in the schedule may move a
 ///   byte;
@@ -417,7 +409,7 @@ fn quantized_differential_fuzz_sweep() {
         let x = rand_value(&input_shape, seed ^ 0xABCD);
         let inputs = std::slice::from_ref(&x);
 
-        // Bit-identity across memplan × threads × backends (the same
+        // Bit-identity across memplan × threads × fused twin (the same
         // battery the f32 sweep runs, on the converted graph).
         let reference = check_all_paths(&qgm, inputs, &format!("{label}: converted"));
 

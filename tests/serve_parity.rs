@@ -1,24 +1,23 @@
 //! Serving parity suite: responses from the `fx_serve` dynamic batcher
 //! must be **bit-identical** to solo `Executor` runs of the same
 //! request, for every evaluation model, under concurrent clients —
-//! **whichever execution backend** the server was built with: the
-//! default, an explicit [`ExecutorBackend`], or the exact-mode AoT
-//! [`EngineBackend`].
+//! whether the server was handed the graph as traced or its exact-mode
+//! fused twin (`fx_backend::fuse` without conv–BN folding), which is
+//! compared against the solo run of the **un-fused** graph.
 //!
 //! Bit-identity (not `allclose`) holds because dim-0 stacking of
 //! contiguous row-major tensors is pure buffer concatenation and every
 //! kernel computes each output row of a batch from its own input rows
 //! alone, with a batch-independent reduction order (see DESIGN.md §7).
 //! Coalescing therefore cannot perturb a single bit of any response,
-//! and the engine's exact mode keeps every fused kernel on the same
+//! and exact-mode fusion keeps every fused kernel on the same
 //! accumulation order as the eager ops.
 
-use fx::backend::EngineBackend;
+use fx::backend::{fuse, CompileOptions};
 use fx::prelude::*;
 use fx::serve::Server;
 use fx_models::{resnet50, DeepRecommender, LearningToPaintActor};
 use fx_tensor::rng::{SeedableRng, StdRng};
-use std::sync::Arc;
 use std::time::Duration;
 
 const CLIENTS: usize = 4;
@@ -47,35 +46,23 @@ fn solo(gm: &GraphModule, x: &Tensor) -> Tensor {
         .clone()
 }
 
-/// Which execution backend the server under test is built with.
-enum Served {
-    /// Builder untouched: the default `ExecutorBackend` path.
-    Default,
-    /// An explicit backend trait object via `with_backend`.
-    Backend(Arc<dyn ExecutionBackend>),
-}
-
 /// N clients hammer the server concurrently; every response must match
 /// the solo run of the same input bit-for-bit.
 fn assert_served_parity(gm: &GraphModule, input_shape: &[usize], label: &str) {
-    assert_served_parity_with(gm, input_shape, label, Served::Default);
+    assert_served_parity_with(gm, gm.clone(), input_shape, label);
 }
 
-fn assert_served_parity_with(gm: &GraphModule, input_shape: &[usize], label: &str, how: Served) {
-    let mut builder = Server::builder(gm.clone(), &[input_shape.to_vec()])
+/// Serve `served` and compare every response with the solo run of
+/// `reference` — the same graph, or the graph `served` was fused from.
+fn assert_served_parity_with(
+    reference: &GraphModule,
+    served: GraphModule,
+    input_shape: &[usize],
+    label: &str,
+) {
+    let server = Server::builder(served, &[input_shape.to_vec()])
         .max_batch_size(2 * input_shape[0].max(1))
-        .max_batch_delay(Duration::from_millis(10));
-    // The default path compiles the plan exactly once at prepare time;
-    // explicit backends make no such promise.
-    let mut expect_plan_compiles = Some(1);
-    match how {
-        Served::Default => {}
-        Served::Backend(backend) => {
-            expect_plan_compiles = None;
-            builder = builder.with_backend(backend);
-        }
-    }
-    let server = builder
+        .max_batch_delay(Duration::from_millis(10))
         .build()
         .unwrap_or_else(|e| panic!("{label}: server build failed: {e}"));
 
@@ -102,7 +89,7 @@ fn assert_served_parity_with(gm: &GraphModule, input_shape: &[usize], label: &st
     });
 
     for (seed, served) in &responses {
-        let want = bits(&solo(gm, &randn(input_shape, *seed)));
+        let want = bits(&solo(reference, &randn(input_shape, *seed)));
         assert_eq!(
             served, &want,
             "{label}: served response for seed {seed} diverged from the solo executor run"
@@ -112,9 +99,7 @@ fn assert_served_parity_with(gm: &GraphModule, input_shape: &[usize], label: &st
     let stats = server.shutdown();
     assert_eq!(stats.requests_ok, (CLIENTS * PER_CLIENT) as u64, "{label}: {stats}");
     assert_eq!(stats.requests_err, 0, "{label}: {stats}");
-    if let Some(want) = expect_plan_compiles {
-        assert_eq!(stats.plan_compiles, want, "{label}: plan compiled once, then shared");
-    }
+    assert_eq!(stats.plan_compiles, 1, "{label}: plan compiled once, then shared");
 }
 
 #[test]
@@ -139,9 +124,9 @@ fn learning_to_paint_served_responses_are_bit_identical() {
     assert_served_parity(&gm, &[1, 9, 32, 32], "learning_to_paint");
 }
 
-/// The same three models, served through every backend the trait can
-/// name — an explicit executor and the exact-mode AoT engine — all
-/// bit-identical to the solo executor run.
+/// The same three models, served as their exact-mode fused graphs —
+/// fused by the caller before the server is built — all bit-identical
+/// to the solo run of the un-fused graph.
 #[test]
 fn all_backends_serve_bit_identically() {
     let mut rng = StdRng::seed_from_u64(50);
@@ -156,18 +141,10 @@ fn all_backends_serve_bit_identically() {
         (&recommender, vec![2, 64], "deep_recommender"),
         (&actor, vec![1, 9, 32, 32], "learning_to_paint"),
     ] {
-        assert_served_parity_with(
-            gm,
-            &shape,
-            &format!("{label}/executor-backend"),
-            Served::Backend(Arc::new(ExecutorBackend)),
-        );
-        assert_served_parity_with(
-            gm,
-            &shape,
-            &format!("{label}/engine-backend"),
-            Served::Backend(Arc::new(EngineBackend::new())),
-        );
+        let mut fused = gm.clone();
+        fuse(&mut fused, CompileOptions { fuse_conv_bn: false })
+            .unwrap_or_else(|e| panic!("{label}: exact-mode fuse failed: {e}"));
+        assert_served_parity_with(gm, fused, &shape, &format!("{label}/exact-fused"));
     }
 }
 
