@@ -59,7 +59,7 @@ pub enum Error {
     UnknownModel(String),
     /// `register` was called with a name that is already serving.
     AlreadyRegistered(String),
-    /// Server construction, model registration, or hot swap failed (the
+    /// Registry construction, model registration, or hot swap failed (the
     /// model is not batch-polymorphic, the plan does not compile, a
     /// swap changes the model's input interface, ...).
     Build(String),

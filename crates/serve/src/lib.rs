@@ -25,8 +25,8 @@
 //! The [`Registry`] manages N models: register/unregister at runtime,
 //! and **hot swap** a model's weights with [`Registry::swap`] — an
 //! atomic version flip plus in-flight drain, so reload is
-//! zero-downtime and no batch ever mixes versions. The single-model
-//! [`Server`] remains as a thin wrapper for the common case.
+//! zero-downtime and no batch ever mixes versions. It is the one way
+//! to serve: a single model is a one-entry registry.
 //!
 //! Because every kernel in `fx-tensor` computes each output row of a
 //! batch independently (and dim-0 stacking of row-major tensors is pure
@@ -68,7 +68,7 @@ mod swap;
 
 pub use error::{Error, Result};
 pub use registry::{ModelConfig, Registry, RegistryBuilder};
-pub use server::{Handle, Server, ServerBuilder};
+pub use server::Handle;
 pub use stats::{ModelStats, RegistrySnapshot, ServeStats};
 
 // Re-exported so callers can configure runs without naming fx_core.
@@ -79,7 +79,6 @@ pub use fx_core::ExecConfig;
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Handle>();
-    assert_send_sync::<Server>();
     assert_send_sync::<Registry>();
     assert_send_sync::<ModelConfig>();
     assert_send_sync::<Error>();

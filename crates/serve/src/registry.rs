@@ -48,15 +48,16 @@ use fx_core::{ExecConfig, GraphModule};
 use fx_passes::batch_polymorphic;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Per-model serving configuration handed to [`Registry::register`].
-///
-/// Defaults match the single-model [`ServerBuilder`](crate::ServerBuilder):
-/// queue depth 256, max batch 8 rows, max batch delay 2 ms, weight 1,
-/// no p99 budget (fixed delay), the environment's [`ExecConfig`].
+/// Per-model serving configuration handed to
+/// [`Registry::register_with`] ([`Registry::register`] uses the
+/// defaults): queue depth 256, max batch 8 rows, max batch delay 2 ms,
+/// weight 1, no p99 budget (fixed delay), the environment's
+/// [`ExecConfig`] (the process's kernel threads unless `FX_THREADS`
+/// says otherwise).
 ///
 /// There is no backend to choose: every model runs on the one
 /// [`Executor`](fx_core::Executor), on exactly the graph registered.
@@ -143,11 +144,8 @@ impl ModelConfig {
 /// registry itself.
 pub(crate) struct ModelEntry {
     pub(crate) name: String,
-    pub(crate) queue_depth: usize,
-    pub(crate) max_batch_size: usize,
-    pub(crate) max_batch_delay: Duration,
-    pub(crate) weight: u32,
-    pub(crate) p99_budget: Option<Duration>,
+    /// The configuration it was registered with.
+    pub(crate) cfg: ModelConfig,
     /// Canonical trailing (non-batch) dims per placeholder, fixed at
     /// registration; swaps must preserve them.
     pub(crate) trailing: Vec<Vec<usize>>,
@@ -231,16 +229,21 @@ impl ModelEntry {
         }
     }
 
-    /// Current per-model stats row (name, version, weight, stats).
-    fn model_stats(&self) -> ModelStats {
+    /// The stats, locked, with the effective batch delay stamped in.
+    pub(crate) fn stats_now(&self) -> MutexGuard<'_, StatsState> {
         let mut st = self.stats.lock().unwrap_or_else(|p| p.into_inner());
         st.batch_delay_us = self.delay_us.load(Ordering::Relaxed);
+        st
+    }
+
+    /// Current per-model stats row (name, version, weight, stats).
+    fn model_stats(&self) -> ModelStats {
         ModelStats {
             name: self.name.clone(),
             version: self.slot.current_version(),
-            weight: self.weight,
+            weight: self.cfg.weight,
             backend: self.slot.describe(),
-            stats: st.snapshot(),
+            stats: self.stats_now().snapshot(),
         }
     }
 }
@@ -370,11 +373,6 @@ impl Registry {
         stats.batch_delay_us = cfg.max_batch_delay.as_micros() as u64;
         let entry = Arc::new(ModelEntry {
             name: name.to_string(),
-            queue_depth: cfg.queue_depth,
-            max_batch_size: cfg.max_batch_size,
-            max_batch_delay: cfg.max_batch_delay,
-            weight: cfg.weight,
-            p99_budget: cfg.p99_budget,
             trailing,
             sample_shapes: sample_shapes.to_vec(),
             slot: VersionSlot::new(gm, cfg.exec),
@@ -390,6 +388,7 @@ impl Registry {
             outstanding: Mutex::new(0),
             all_done: Condvar::new(),
             lane,
+            cfg,
         });
         let batcher = {
             let entry = entry.clone();
@@ -470,11 +469,7 @@ impl Registry {
         // The lane is empty now (no outstanding batches); anything left
         // is a failure-path leftover whose Drop answers `Shutdown`.
         drop(self.inner.sched.remove_lane(entry.lane));
-        let final_stats = {
-            let mut st = entry.stats.lock().unwrap_or_else(|p| p.into_inner());
-            st.batch_delay_us = entry.delay_us.load(Ordering::Relaxed);
-            st.clone()
-        };
+        let final_stats = entry.stats_now().clone();
         self.inner
             .retired
             .lock()

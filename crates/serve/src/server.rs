@@ -1,5 +1,5 @@
-//! Per-model serving machinery — request queue, batcher loop, shared
-//! worker loop — plus the single-model [`Server`] wrapper.
+//! Per-model serving machinery: request queue, batcher loop, shared
+//! worker loop. [`Registry`](crate::Registry) owns and wires it.
 //!
 //! ```text
 //!  Handle::infer ──►  entry queue (bounded, Error::QueueFull past depth)
@@ -17,31 +17,31 @@
 //! ```
 //!
 //! Responses travel back over per-request channels, so `infer` is a
-//! plain blocking call from any number of client threads. Since PR 8
-//! the queue/batcher/worker state lives per *model entry*
-//! ([`crate::registry::ModelEntry`]); [`Server`] is now a thin
-//! single-model wrapper over a one-entry [`Registry`].
+//! plain blocking call from any number of client threads. The
+//! queue/batcher/worker state lives per *model entry*
+//! ([`crate::registry::ModelEntry`]).
 //!
 //! Execution is the one [`Executor`], run on the graph the model was
-//! registered (or last swapped) with and its [`ExecConfig`]. The plan
-//! is compiled at registration and at each hot swap, and the version —
-//! graph plus config — is shared by every worker through the entry's
-//! version slot. A fused model is a graph the caller fused
-//! (`fx_backend::fuse`) before handing it over.
+//! registered (or last swapped) with and its
+//! [`ExecConfig`](fx_core::ExecConfig). The plan is compiled at
+//! registration and at each hot swap, and the version — graph plus
+//! config — is shared by every worker through the entry's version
+//! slot. A fused model is a graph the caller fused (`fx_backend::fuse`)
+//! before handing it over.
 
 use crate::error::{Error, Result};
-use crate::registry::{ModelConfig, ModelEntry, Registry, RegistryBuilder};
+use crate::registry::ModelEntry;
 use crate::scheduler::Scheduler;
 use crate::stats::ServeStats;
 use crate::swap::Version;
-use fx_core::{ExecConfig, Executor, GraphModule, Value};
+use fx_core::{Executor, Value};
 use fx_tensor::ops::{split_batch, stack_batch};
 use fx_tensor::Tensor;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One queued inference request.
 pub(crate) struct Request {
@@ -63,13 +63,14 @@ pub(crate) struct QueueState {
 ///
 /// Dropping a batch settles all its accounting: leftover requests (a
 /// worker died before running it) are answered [`Error::Shutdown`], the
-/// captured version releases its in-flight charge, and the entry's
+/// captured version is handed back to its slot, and the entry's
 /// outstanding-batch count decrements. `run_batch` takes the requests
 /// out first, so on the normal path the drop only settles accounting.
 pub(crate) struct Batch {
     pub(crate) entry: Arc<ModelEntry>,
     pub(crate) requests: Vec<Request>,
-    pub(crate) version: Arc<Version>,
+    /// Taken only by `Drop`, which hands it back to the version slot.
+    pub(crate) version: Option<Arc<Version>>,
 }
 
 impl Drop for Batch {
@@ -77,14 +78,16 @@ impl Drop for Batch {
         for req in self.requests.drain(..) {
             respond(&self.entry, req, Err(Error::Shutdown));
         }
-        self.entry.slot.release(&self.version);
+        if let Some(version) = self.version.take() {
+            self.entry.slot.release(version);
+        }
         self.entry.batch_finished();
     }
 }
 
 /// A cheap, cloneable client of one served model. Safe to use from many
-/// threads at once. Obtained from [`Server::handle`],
-/// [`Registry::register`](crate::Registry::register), or
+/// threads at once. Obtained from
+/// [`Registry::register`](crate::Registry::register) or
 /// [`Registry::handle`](crate::Registry::handle).
 #[derive(Clone)]
 pub struct Handle {
@@ -157,7 +160,7 @@ impl Handle {
             if q.closed {
                 return Err(Error::Closed);
             }
-            if q.q.len() >= entry.queue_depth {
+            if q.q.len() >= entry.cfg.queue_depth {
                 let depth = q.q.len();
                 drop(q);
                 let mut stats = entry.stats.lock().unwrap_or_else(|p| p.into_inner());
@@ -165,7 +168,7 @@ impl Handle {
                 return Err(Error::QueueFull {
                     model: entry.name.clone(),
                     depth,
-                    capacity: entry.queue_depth,
+                    capacity: entry.cfg.queue_depth,
                 });
             }
             q.q.push_back(Request {
@@ -192,144 +195,7 @@ impl Handle {
 
     /// A point-in-time snapshot of this model's statistics.
     pub fn stats(&self) -> ServeStats {
-        let mut st = self.entry.stats.lock().unwrap_or_else(|p| p.into_inner());
-        st.batch_delay_us = self.entry.delay_us.load(Ordering::Relaxed);
-        st.snapshot()
-    }
-}
-
-/// Builder for a single-model [`Server`] wrapping one compiled
-/// [`GraphModule`] — a thin shim over [`Registry`] kept for the common
-/// one-model case and backwards compatibility.
-///
-/// `sample_shapes` gives one full tensor shape per model input (any
-/// representative batch extent); `build` runs the
-/// [`fx_passes::batch_polymorphic`] admission check against them and
-/// rejects models whose graph hard-codes the batch dimension.
-pub struct ServerBuilder {
-    gm: GraphModule,
-    sample_shapes: Vec<Vec<usize>>,
-    cfg: ModelConfig,
-    workers: usize,
-}
-
-impl ServerBuilder {
-    /// Start configuring a server for `gm`. Defaults: queue depth 256,
-    /// max batch size 8 rows, max batch delay 2 ms, 1 worker, the
-    /// environment's [`ExecConfig`] (the process's kernel threads unless
-    /// `FX_THREADS` says otherwise).
-    pub fn new(gm: GraphModule, sample_shapes: &[Vec<usize>]) -> ServerBuilder {
-        ServerBuilder {
-            gm,
-            sample_shapes: sample_shapes.to_vec(),
-            cfg: ModelConfig::default(),
-            workers: 1,
-        }
-    }
-
-    /// Bound on queued (not yet batched) requests; submissions past it
-    /// get [`Error::QueueFull`]. Clamped to ≥ 1.
-    pub fn queue_depth(mut self, n: usize) -> ServerBuilder {
-        self.cfg = self.cfg.queue_depth(n);
-        self
-    }
-
-    /// Maximum stacked rows per batched run. The batcher dispatches as
-    /// soon as a batch reaches this size. Clamped to ≥ 1.
-    pub fn max_batch_size(mut self, rows: usize) -> ServerBuilder {
-        self.cfg = self.cfg.max_batch_size(rows);
-        self
-    }
-
-    /// How long the batcher waits for more requests after the first one
-    /// arrives, trading latency for batch size. Zero means "take
-    /// whatever is already queued".
-    pub fn max_batch_delay(mut self, d: Duration) -> ServerBuilder {
-        self.cfg = self.cfg.max_batch_delay(d);
-        self
-    }
-
-    /// Target p99 latency: enables adaptive batching, which tunes the
-    /// effective batch delay between 0 and `max_batch_delay` to hold
-    /// this budget (see [`ModelConfig::p99_budget`]).
-    pub fn p99_budget(mut self, budget: Duration) -> ServerBuilder {
-        self.cfg = self.cfg.p99_budget(budget);
-        self
-    }
-
-    /// Number of batch-executing worker threads (distinct batches run
-    /// concurrently). Clamped to ≥ 1.
-    pub fn workers(mut self, n: usize) -> ServerBuilder {
-        self.workers = n.max(1);
-        self
-    }
-
-    /// Kernel threads each worker's batched run uses, set per run so
-    /// workers do not share one process setting (`0` = the process
-    /// setting). Shorthand for setting [`ExecConfig::threads`] via
-    /// [`ServerBuilder::exec_config`].
-    pub fn executor_threads(mut self, n: usize) -> ServerBuilder {
-        self.cfg.exec.threads = n;
-        self
-    }
-
-    /// Full execution configuration (threads, memory planning) of every
-    /// batched run. Replaces any prior
-    /// [`ServerBuilder::executor_threads`] setting.
-    pub fn exec_config(mut self, cfg: ExecConfig) -> ServerBuilder {
-        self.cfg = self.cfg.exec_config(cfg);
-        self
-    }
-
-    /// Run the admission check, compile the execution plan (here, not
-    /// on the first request), and spawn the batcher and worker threads.
-    pub fn build(self) -> Result<Server> {
-        let registry = RegistryBuilder::new().workers(self.workers).build()?;
-        let handle =
-            registry.register_with(Server::MODEL, self.gm, &self.sample_shapes, self.cfg)?;
-        Ok(Server { registry, handle })
-    }
-}
-
-/// A running single-model inference server: a one-entry [`Registry`].
-/// Obtain cloneable [`Handle`]s with [`Server::handle`]; hot-swap the
-/// model with [`Server::swap`]; stop it with [`Server::shutdown`]
-/// (drains all queued and in-flight work first).
-pub struct Server {
-    registry: Registry,
-    handle: Handle,
-}
-
-impl Server {
-    /// The name the wrapped model is registered under.
-    pub const MODEL: &'static str = "model";
-
-    /// Configure a server for `gm`; see [`ServerBuilder::new`].
-    pub fn builder(gm: GraphModule, sample_shapes: &[Vec<usize>]) -> ServerBuilder {
-        ServerBuilder::new(gm, sample_shapes)
-    }
-
-    /// A cloneable, thread-safe client handle.
-    pub fn handle(&self) -> Handle {
-        self.handle.clone()
-    }
-
-    /// Hot-swap the served model to `gm` with zero downtime; see
-    /// [`Registry::swap`]. Returns the new version number.
-    pub fn swap(&self, gm: GraphModule) -> Result<u64> {
-        self.registry.swap(Self::MODEL, gm)
-    }
-
-    /// Graceful shutdown: stop accepting new requests, drain every
-    /// queued request through the batcher and workers (each still gets
-    /// its response), join all threads, and return the final stats.
-    pub fn shutdown(self) -> ServeStats {
-        let snap = self.registry.shutdown();
-        snap.models
-            .into_iter()
-            .find(|m| m.name == Self::MODEL)
-            .map(|m| m.stats)
-            .unwrap_or(snap.aggregate)
+        self.entry.stats_now().snapshot()
     }
 }
 
@@ -358,7 +224,7 @@ pub(crate) fn batcher_loop(entry: &Arc<ModelEntry>, sched: &Scheduler<Batch>) {
         let deadline = Instant::now() + entry.current_delay();
         loop {
             let rows: usize = q.q.iter().map(|r| r.rows).sum();
-            if rows >= entry.max_batch_size || q.closed {
+            if rows >= entry.cfg.max_batch_size || q.closed {
                 break;
             }
             let now = Instant::now();
@@ -385,13 +251,13 @@ pub(crate) fn batcher_loop(entry: &Arc<ModelEntry>, sched: &Scheduler<Batch>) {
             let Some(front_rows) = q.q.front().map(|r| r.rows) else {
                 break;
             };
-            if !requests.is_empty() && rows + front_rows > entry.max_batch_size {
+            if !requests.is_empty() && rows + front_rows > entry.cfg.max_batch_size {
                 break;
             }
             let Some(r) = q.q.pop_front() else { break };
             rows += r.rows;
             requests.push(r);
-            if rows >= entry.max_batch_size {
+            if rows >= entry.cfg.max_batch_size {
                 break;
             }
         }
@@ -405,7 +271,7 @@ pub(crate) fn batcher_loop(entry: &Arc<ModelEntry>, sched: &Scheduler<Batch>) {
             let batch = Batch {
                 entry: entry.clone(),
                 requests,
-                version,
+                version: Some(version),
             };
             // Charged against the model's lane: rows × the observed
             // per-row EWMA.
@@ -429,11 +295,11 @@ pub(crate) fn batcher_loop(entry: &Arc<ModelEntry>, sched: &Scheduler<Batch>) {
 /// (recover throughput). The window then resets.
 fn adapt_batch_delay(entry: &ModelEntry) {
     const WINDOW: u64 = 32;
-    let Some(budget) = entry.p99_budget else {
+    let Some(budget) = entry.cfg.p99_budget else {
         return;
     };
     let budget_s = budget.as_secs_f64();
-    let max_us = entry.max_batch_delay.as_micros() as u64;
+    let max_us = entry.cfg.max_batch_delay.as_micros() as u64;
     let mut stats = entry.stats.lock().unwrap_or_else(|p| p.into_inner());
     if stats.recent.count() < WINDOW {
         return;
@@ -533,8 +399,12 @@ fn run_batch(mut batch: Batch) {
     //    stranded on a dead channel.
     let rows: usize = valid.iter().map(|r| r.rows).sum();
     batch.requests = valid;
+    #[cfg(test)]
+    if entry.name == tests::PANICS_AFTER_STACKING {
+        panic!("fault injected after stacking");
+    }
+    let Some(version) = &batch.version else { return };
     let t0 = Instant::now();
-    let version = &batch.version;
     let run = Executor::with_config(&version.gm, version.exec).run_profiled(&stacked);
     let batch_seconds = t0.elapsed().as_secs_f64();
     let mut valid = std::mem::take(&mut batch.requests);
@@ -654,4 +524,44 @@ fn split_outputs(out: &Value, sizes: &[usize]) -> Result<Vec<Vec<Tensor>>> {
         }
     }
     Ok(per_request)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Error, Registry};
+    use fx_core::{func, symbolic_trace_fn, Executor, Value};
+    use fx_tensor::Tensor;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// A model registered under this name panics in `run_batch` after
+    /// its requests are stacked and parked in the batch: the one place a
+    /// fault reaches `worker_loop`'s `catch_unwind` and `Batch`'s `Drop`.
+    pub(super) const PANICS_AFTER_STACKING: &str = "fault:panics-after-stacking";
+
+    #[test]
+    fn a_panicking_batch_answers_shutdown_and_its_worker_serves_on() {
+        let gm = symbolic_trace_fn(1, |xs| func::relu(&xs[0])).unwrap();
+        let registry = Registry::builder().workers(1).build().unwrap();
+        let faulty = registry.register(PANICS_AFTER_STACKING, gm.clone(), &[vec![1, 4]]).unwrap();
+        let healthy = registry.register("relu", gm.clone(), &[vec![1, 4]]).unwrap();
+        let x = Tensor::from_vec(vec![-1.5, 0.0, 2.25, -0.0], &[1, 4]);
+
+        assert!(matches!(faulty.infer(vec![x.clone()]), Err(Error::Shutdown)));
+        let stats = faulty.stats();
+        assert_eq!((stats.requests_ok, stats.requests_err), (0, 1), "{stats}");
+
+        // The one worker caught the panic and serves the next model; a
+        // dead worker would leave this request waiting forever.
+        let want = Executor::new(&gm).run(&[Value::Tensor(x.clone())]).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let client = std::thread::spawn(move || tx.send(healthy.infer(vec![x])));
+        let got = rx.recv_timeout(Duration::from_secs(60)).expect("the worker died").unwrap();
+        client.join().unwrap().unwrap();
+        let bits = |t: &Tensor| t.as_f32().unwrap().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got[0]), bits(want.as_tensor().unwrap()));
+        let snap = registry.shutdown();
+        assert_eq!(snap.aggregate.requests_ok, 1);
+        assert_eq!(snap.aggregate.requests_err, 1);
+    }
 }

@@ -246,8 +246,8 @@ impl StatsState {
 }
 
 /// A point-in-time snapshot of everything one served model has
-/// observed, as returned by `Handle::stats`, `Server::shutdown`, and
-/// per model inside [`RegistrySnapshot`].
+/// observed, as returned by `Handle::stats` and `Registry::unregister`,
+/// and per model inside [`RegistrySnapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeStats {
     /// Requests answered successfully.

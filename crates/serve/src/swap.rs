@@ -12,8 +12,8 @@
 //! returns the displaced version so the caller can
 //! [`wait_drained`](VersionSlot::wait_drained) on it: the swap call
 //! completes only once every batch formed against the old version has
-//! finished, at which point the old weights are provably out of the
-//! serving path and can be dropped.
+//! finished and let go of it, so the old weights are provably out of
+//! the serving path and the swap drops them.
 
 use fx_core::{ExecConfig, GraphModule};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -69,12 +69,15 @@ impl VersionSlot {
         cur.clone()
     }
 
-    /// Un-charge one batch from `v` and wake any drain waiter.
-    pub(crate) fn release(&self, v: &Version) {
+    /// Un-charge one batch from `v`, drop the batch's reference to it,
+    /// and wake any drain waiter. Both happen under the drain lock, so a
+    /// waiter cannot miss the notification, and one that sees the count
+    /// reach zero holds the last reference to a swapped-out version.
+    pub(crate) fn release(&self, v: Arc<Version>) {
+        let guard = self.drain.lock().unwrap_or_else(|p| p.into_inner());
         v.inflight.fetch_sub(1, Ordering::SeqCst);
-        // Take and drop the drain lock so a waiter between its check
-        // and its wait cannot miss this notification.
-        drop(self.drain.lock().unwrap_or_else(|p| p.into_inner()));
+        drop(v);
+        drop(guard);
         self.drained.notify_all();
     }
 
@@ -153,7 +156,7 @@ mod tests {
         // New acquisitions land on v2 while v1 is still draining.
         let fresh = slot.acquire();
         assert_eq!(fresh.number, 2);
-        slot.release(&fresh);
+        slot.release(fresh);
 
         // wait_drained blocks until the old batch releases.
         std::thread::scope(|s| {
@@ -162,7 +165,7 @@ mod tests {
             let t = s.spawn(move || slot.wait_drained(&old2));
             std::thread::sleep(std::time::Duration::from_millis(20));
             assert!(!t.is_finished(), "must wait while a v1 batch is in flight");
-            slot.release(&held);
+            slot.release(held);
             t.join().unwrap();
         });
         assert_eq!(old.inflight(), 0);
@@ -174,8 +177,8 @@ mod tests {
         let a = slot.acquire();
         let b = slot.acquire();
         assert_eq!(a.inflight(), 2);
-        slot.release(&a);
-        slot.release(&b);
+        slot.release(a.clone());
+        slot.release(b);
         slot.wait_drained(&a); // returns immediately
         let line = slot.describe();
         assert!(line.starts_with("executor(threads=3 "), "{line}");

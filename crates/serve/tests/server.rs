@@ -1,17 +1,20 @@
-//! Integration tests for the dynamic-batching server: coalescing,
-//! bit-identity with solo execution, per-request shape rejection that
-//! never poisons batch-mates, typed backpressure, and graceful
-//! shutdown under load.
+//! Integration tests for dynamic batching, each on one model served
+//! through a [`Registry`]: coalescing, bit-identity with solo
+//! execution, per-request shape rejection that never poisons
+//! batch-mates, typed backpressure, and draining under load.
+//! (Several models at once, hot swap and dropping the registry are
+//! `registry.rs`'s.)
 
 use fx_core::{symbolic_trace, symbolic_trace_fn, func, Executor, GraphModule, Value};
 use fx_models::Mlp;
-use fx_serve::{Error, Server};
+use fx_serve::{Error, Handle, ModelConfig, Registry};
 use fx_tensor::rng::{Rng, SeedableRng, StdRng};
 use fx_tensor::Tensor;
 use std::time::Duration;
 
 const IN: usize = 8;
 const OUT: usize = 4;
+const MODEL: &str = "mlp";
 
 fn mlp_gm() -> GraphModule {
     let mut rng = StdRng::seed_from_u64(7);
@@ -27,6 +30,13 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_f32().unwrap().iter().map(|f| f.to_bits()).collect()
 }
 
+/// `gm` as the only model of a fresh one-worker registry.
+fn serve(gm: GraphModule, cfg: ModelConfig) -> (Registry, Handle) {
+    let registry = Registry::builder().build().unwrap();
+    let handle = registry.register_with(MODEL, gm, &[vec![1, IN]], cfg).unwrap();
+    (registry, handle)
+}
+
 /// The bit-exact solo answer for `x`, from a fresh single-threaded run.
 fn solo(gm: &GraphModule, x: &Tensor) -> Tensor {
     let out = Executor::new(gm)
@@ -39,13 +49,13 @@ fn solo(gm: &GraphModule, x: &Tensor) -> Tensor {
 #[test]
 fn single_request_roundtrip_is_bit_identical() {
     let gm = mlp_gm();
-    let server = Server::builder(gm.clone(), &[vec![1, IN]]).build().unwrap();
+    let (registry, handle) = serve(gm.clone(), ModelConfig::new());
     let x = randn(&[1, IN], 1);
     let want = solo(&gm, &x);
-    let got = server.handle().infer(vec![x]).unwrap();
+    let got = handle.infer(vec![x]).unwrap();
     assert_eq!(got.len(), 1, "MLP has one output");
     assert_eq!(bits(&got[0]), bits(&want));
-    let stats = server.shutdown();
+    let stats = registry.unregister(MODEL).unwrap();
     assert_eq!(stats.requests_ok, 1);
     assert_eq!(stats.batches, 1);
 }
@@ -53,18 +63,19 @@ fn single_request_roundtrip_is_bit_identical() {
 #[test]
 fn concurrent_clients_coalesce_and_stay_bit_identical() {
     let gm = mlp_gm();
-    let server = Server::builder(gm.clone(), &[vec![1, IN]])
-        .max_batch_size(8)
-        .max_batch_delay(Duration::from_millis(20))
-        .build()
-        .unwrap();
+    let (registry, handle) = serve(
+        gm.clone(),
+        ModelConfig::new()
+            .max_batch_size(8)
+            .max_batch_delay(Duration::from_millis(20)),
+    );
 
     const CLIENTS: usize = 6;
     const PER_CLIENT: usize = 20;
     let results: Vec<(u64, Vec<u32>)> = std::thread::scope(|s| {
         let mut joins = Vec::new();
         for c in 0..CLIENTS as u64 {
-            let handle = server.handle();
+            let handle = handle.clone();
             joins.push(s.spawn(move || {
                 let mut out = Vec::new();
                 for i in 0..PER_CLIENT as u64 {
@@ -84,7 +95,7 @@ fn concurrent_clients_coalesce_and_stay_bit_identical() {
         assert_eq!(got, &bits(&want), "response for seed {seed} diverged from solo run");
     }
 
-    let stats = server.shutdown();
+    let stats = registry.unregister(MODEL).unwrap();
     assert_eq!(stats.requests_ok, (CLIENTS * PER_CLIENT) as u64);
     assert_eq!(stats.requests_err, 0);
     assert!(
@@ -100,18 +111,19 @@ fn concurrent_clients_coalesce_and_stay_bit_identical() {
 #[test]
 fn multi_row_requests_are_split_back_correctly() {
     let gm = mlp_gm();
-    let server = Server::builder(gm.clone(), &[vec![1, IN]])
-        .max_batch_size(16)
-        .max_batch_delay(Duration::from_millis(20))
-        .build()
-        .unwrap();
+    let (registry, handle) = serve(
+        gm.clone(),
+        ModelConfig::new()
+            .max_batch_size(16)
+            .max_batch_delay(Duration::from_millis(20)),
+    );
     let sizes = [1usize, 3, 2, 5];
     let results = std::thread::scope(|s| {
         let joins: Vec<_> = sizes
             .iter()
             .enumerate()
             .map(|(i, &rows)| {
-                let handle = server.handle();
+                let handle = handle.clone();
                 s.spawn(move || {
                     let x = randn(&[rows, IN], 500 + i as u64);
                     (rows, 500 + i as u64, handle.infer(vec![x]).unwrap())
@@ -125,23 +137,24 @@ fn multi_row_requests_are_split_back_correctly() {
         let want = solo(&gm, &randn(&[rows, IN], seed));
         assert_eq!(bits(&got[0]), bits(&want));
     }
-    server.shutdown();
+    registry.unregister(MODEL).unwrap();
 }
 
 #[test]
 fn bad_shape_gets_typed_error_without_poisoning_batchmates() {
     let gm = mlp_gm();
     // A long delay forces the good and bad requests into one batch.
-    let server = Server::builder(gm.clone(), &[vec![1, IN]])
-        .max_batch_size(64)
-        .max_batch_delay(Duration::from_millis(100))
-        .build()
-        .unwrap();
+    let (registry, handle) = serve(
+        gm.clone(),
+        ModelConfig::new()
+            .max_batch_size(64)
+            .max_batch_delay(Duration::from_millis(100)),
+    );
 
     let (goods, bad) = std::thread::scope(|s| {
         let good_joins: Vec<_> = (0..4u64)
             .map(|i| {
-                let handle = server.handle();
+                let handle = handle.clone();
                 s.spawn(move || {
                     let x = randn(&[1, IN], 700 + i);
                     (700 + i, handle.infer(vec![x]))
@@ -149,7 +162,7 @@ fn bad_shape_gets_typed_error_without_poisoning_batchmates() {
             })
             .collect();
         let bad_join = {
-            let handle = server.handle();
+            let handle = handle.clone();
             s.spawn(move || handle.infer(vec![randn(&[1, IN + 3], 999)]))
         };
         (
@@ -176,7 +189,7 @@ fn bad_shape_gets_typed_error_without_poisoning_batchmates() {
         assert_eq!(bits(&got[0]), bits(&want), "batchmate answer poisoned");
     }
 
-    let stats = server.shutdown();
+    let stats = registry.unregister(MODEL).unwrap();
     assert_eq!(stats.requests_ok, 4);
     assert_eq!(stats.requests_err, 1);
 }
@@ -186,23 +199,24 @@ fn queue_full_is_typed_backpressure() {
     let gm = mlp_gm();
     // Tiny queue + long linger: the first submissions sit in the queue
     // while the batcher waits out the delay, so the next one is shed.
-    let server = Server::builder(gm, &[vec![1, IN]])
-        .queue_depth(2)
-        .max_batch_size(64)
-        .max_batch_delay(Duration::from_millis(300))
-        .build()
-        .unwrap();
+    let (registry, handle) = serve(
+        gm,
+        ModelConfig::new()
+            .queue_depth(2)
+            .max_batch_size(64)
+            .max_batch_delay(Duration::from_millis(300)),
+    );
 
     let shed = std::thread::scope(|s| {
         let blocked: Vec<_> = (0..2u64)
             .map(|i| {
-                let handle = server.handle();
+                let handle = handle.clone();
                 s.spawn(move || handle.infer(vec![randn(&[1, IN], 40 + i)]))
             })
             .collect();
         // Give the two submissions time to land in the queue.
         std::thread::sleep(Duration::from_millis(80));
-        let shed = server.handle().infer(vec![randn(&[1, IN], 49)]);
+        let shed = handle.infer(vec![randn(&[1, IN], 49)]);
         for j in blocked {
             j.join().unwrap().expect("queued requests still complete");
         }
@@ -215,13 +229,13 @@ fn queue_full_is_typed_backpressure() {
             depth,
             capacity,
         }) => {
-            assert_eq!(model, Server::MODEL, "QueueFull names the model");
+            assert_eq!(model, MODEL, "QueueFull names the model");
             assert_eq!(*depth, 2);
             assert_eq!(*capacity, 2);
         }
         other => panic!("expected QueueFull, got {other:?}"),
     }
-    let stats = server.shutdown();
+    let stats = registry.unregister(MODEL).unwrap();
     assert_eq!(stats.rejected_queue_full, 1);
     assert_eq!(stats.requests_ok, 2);
     assert_eq!(stats.queue_high_water, 2);
@@ -230,23 +244,24 @@ fn queue_full_is_typed_backpressure() {
 #[test]
 fn shutdown_drains_in_flight_requests() {
     let gm = mlp_gm();
-    let server = Server::builder(gm, &[vec![1, IN]])
-        .max_batch_size(4)
-        .max_batch_delay(Duration::from_millis(5))
-        .build()
-        .unwrap();
+    let (registry, handle) = serve(
+        gm,
+        ModelConfig::new()
+            .max_batch_size(4)
+            .max_batch_delay(Duration::from_millis(5)),
+    );
 
     let (stats, answered) = std::thread::scope(|s| {
         let joins: Vec<_> = (0..32u64)
             .map(|i| {
-                let handle = server.handle();
+                let handle = handle.clone();
                 s.spawn(move || handle.infer(vec![randn(&[1, IN], i)]))
             })
             .collect();
-        // Shut down while clients are still submitting: every request
-        // must get either a real answer or a typed rejection — never a
-        // hang or a panic.
-        let stats = server.shutdown();
+        // Unregister (drain and close) while clients are still
+        // submitting: every request must get either a real answer or a
+        // typed rejection — never a hang or a panic.
+        let stats = registry.unregister(MODEL).unwrap();
         let mut answered = 0u64;
         for j in joins {
             match j.join().unwrap() {
@@ -269,9 +284,8 @@ fn shutdown_drains_in_flight_requests() {
 #[test]
 fn infer_after_shutdown_is_closed() {
     let gm = mlp_gm();
-    let server = Server::builder(gm, &[vec![1, IN]]).build().unwrap();
-    let handle = server.handle();
-    server.shutdown();
+    let (registry, handle) = serve(gm, ModelConfig::new());
+    registry.unregister(MODEL).unwrap();
     assert!(matches!(
         handle.infer(vec![randn(&[1, IN], 1)]),
         Err(Error::Closed)
@@ -281,8 +295,7 @@ fn infer_after_shutdown_is_closed() {
 #[test]
 fn malformed_requests_are_rejected_before_queueing() {
     let gm = mlp_gm();
-    let server = Server::builder(gm, &[vec![1, IN]]).build().unwrap();
-    let handle = server.handle();
+    let (registry, handle) = serve(gm, ModelConfig::new());
     // Wrong arity.
     assert!(matches!(
         handle.infer(vec![randn(&[1, IN], 1), randn(&[1, IN], 2)]),
@@ -294,14 +307,15 @@ fn malformed_requests_are_rejected_before_queueing() {
         Err(Error::BadRequest(_))
     ));
     // None of these touched the serving pipeline.
-    let stats = server.shutdown();
+    let stats = registry.unregister(MODEL).unwrap();
     assert_eq!(stats.requests_ok + stats.requests_err, 0);
 }
 
 #[test]
 fn non_batch_polymorphic_model_is_rejected_at_build() {
     let gm = symbolic_trace_fn(1, |xs| func::flatten(&xs[0], 0, -1)).unwrap();
-    let err = match Server::builder(gm, &[vec![2, 6]]).build() {
+    let registry = Registry::builder().build().unwrap();
+    let err = match registry.register(MODEL, gm, &[vec![2, 6]]) {
         Ok(_) => panic!("flatten(0,-1) must not be admitted"),
         Err(e) => e,
     };
@@ -309,24 +323,6 @@ fn non_batch_polymorphic_model_is_rejected_at_build() {
         matches!(&err, Error::Build(msg) if msg.contains("batch")),
         "expected a batch-polymorphism build error, got {err}"
     );
-}
-
-#[test]
-fn dropped_server_answers_like_shutdown() {
-    // Drop (not shutdown) must still drain and join, so a client
-    // blocked in infer is answered rather than stranded.
-    let gm = mlp_gm();
-    let server = Server::builder(gm, &[vec![1, IN]])
-        .max_batch_delay(Duration::from_millis(50))
-        .build()
-        .unwrap();
-    let handle = server.handle();
-    std::thread::scope(|s| {
-        let j = s.spawn(move || handle.infer(vec![randn(&[1, IN], 3)]));
-        std::thread::sleep(Duration::from_millis(10));
-        drop(server);
-        j.join().unwrap().expect("drained on drop");
-    });
 }
 
 /// `Rng` is imported for `Tensor::randn`'s bound; silence the unused

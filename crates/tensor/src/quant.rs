@@ -36,8 +36,8 @@ use crate::ops::conv::{out_extent, with_patches};
 use crate::ops::simd::{self, BSrc};
 use crate::pool;
 use crate::tensor::{Storage, Tensor};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// Quantized value range for signed 8-bit storage.
 pub const QMIN: i32 = -128;
@@ -319,73 +319,61 @@ fn weight_row_sums(w: &[i8], out_features: usize, k: usize) -> Vec<i32> {
         .collect()
 }
 
-/// Everything about a quantized weight tensor that is invariant across
-/// inference calls: its per-output-channel scales, its row sums (the
-/// activation zero point folds out of the GEMM through them, FBGEMM's
-/// row-offset identity `Σ(x−zp)·w = Σx·w − zp·Σw`) and — built lazily,
-/// on first use — the operand form the int8 GEMM reads it in: widened
-/// to k-pair rows as a conv's A, or packed into whole-depth panels as a
-/// linear's B.
+/// Everything about a quantized weight tensor, read as `[n, k]`, that
+/// is invariant across inference calls: its per-output-channel scales,
+/// its row sums (the activation zero point folds out of the GEMM through
+/// them, FBGEMM's row-offset identity `Σ(x−zp)·w = Σx·w − zp·Σw`) and —
+/// built lazily, on first use — the operand form the int8 GEMM reads it
+/// in: widened to k-pair rows as a conv's A, or packed into whole-depth
+/// panels as a linear's B.
+#[derive(Clone)]
 pub(crate) struct PrepackedWeights {
-    /// The weight's storage: dead once every tensor sharing it is gone.
-    storage: Weak<Storage>,
+    n: usize,
+    k: usize,
     scales: Vec<f32>,
     row_sums: Vec<i32>,
     pairs: OnceLock<Vec<i32>>,
     panels: OnceLock<Vec<i32>>,
 }
 
-impl PrepackedWeights {
-    /// `init`, once; the count is what the cache tests watch.
-    fn once<'a>(cell: &'a OnceLock<Vec<i32>>, init: impl FnOnce() -> Vec<i32>) -> &'a [i32] {
-        cell.get_or_init(|| {
-            #[cfg(test)]
-            tests::PACKS.with(|n| n.set(n.get() + 1));
-            init()
-        })
+/// The packed form a quantized weight's storage owns, filled by the
+/// first quantized conv or linear that reads it, so it lives and dies
+/// with the weight: widening amortizes to zero in steady-state serving,
+/// and a dropped (swapped-out) model frees it at once. Boxed, so an
+/// activation's storage grows by a pointer and a once-flag (16 bytes);
+/// not part of the tensor's value, so equality ignores it.
+#[derive(Default)]
+pub(crate) struct PackSlot(OnceLock<Box<PrepackedWeights>>);
+
+impl PartialEq for PackSlot {
+    fn eq(&self, _: &PackSlot) -> bool {
+        true
     }
 }
 
-/// [`PrepackedWeights`] by weight identity — `(storage address, n, k)` —
-/// so widening and row sums amortize to zero in steady-state serving
-/// however many quantized models are resident. An entry holds its
-/// storage weakly: a live weight is never evicted, and a dropped one
-/// (a swapped-out model) leaves at the next sweep — every miss, and
-/// every `len`-th hit (the second field counts them), i.e. about once
-/// per inference of whichever quantized model still runs. Only a process
-/// that never calls a quantized linear/conv again keeps its last model's
-/// operand forms (2 bytes per weight). The weak handle also pins the
-/// address, so a key can never come to name a different storage while
-/// its entry exists.
-type WeightCache = (BTreeMap<(usize, usize, usize), Arc<PrepackedWeights>>, usize);
-static WEIGHT_CACHE: Mutex<WeightCache> = Mutex::new((BTreeMap::new(), 0));
-
-fn prepack_weights(w: &Tensor, n: usize, k: usize) -> Result<Arc<PrepackedWeights>> {
-    let key = (Arc::as_ptr(w.storage()) as usize, n, k);
-    let cache = || WEIGHT_CACHE.lock().expect("nothing panics while holding the weight cache");
-    let live = |_: &(usize, usize, usize), e: &mut Arc<PrepackedWeights>| e.storage.strong_count() > 0;
-    {
-        let mut guard = cache();
-        let (map, hits) = &mut *guard;
-        if let Some(hit) = map.get(&key).cloned() {
-            *hits += 1;
-            if *hits >= map.len() {
-                *hits = 0;
-                map.retain(live);
-            }
-            return Ok(hit);
+/// `w`'s packed form read as `[n, k]`: the one its storage owns, or —
+/// for a call that reads the storage under another view than the one
+/// that filled the slot — a form built for this call only.
+fn prepack_weights(w: &Tensor, n: usize, k: usize) -> Result<Cow<'_, PrepackedWeights>> {
+    let build = || -> Result<PrepackedWeights> {
+        let (scales, row_sums) = (weight_scales(w, n)?, weight_row_sums(w.as_qi8()?, n, k));
+        Ok(PrepackedWeights { n, k, scales, row_sums, pairs: OnceLock::new(), panels: OnceLock::new() })
+    };
+    let Storage::QI8 { packed: PackSlot(slot), .. } = w.storage() else {
+        return build().map(Cow::Owned);
+    };
+    let kept = match slot.get() {
+        Some(p) => p,
+        None => {
+            let p = Box::new(build()?);
+            slot.get_or_init(|| p)
         }
+    };
+    if (kept.n, kept.k) == (n, k) {
+        Ok(Cow::Borrowed(kept))
+    } else {
+        build().map(Cow::Owned)
     }
-    let entry = Arc::new(PrepackedWeights {
-        storage: Arc::downgrade(w.storage()),
-        scales: weight_scales(w, n)?,
-        row_sums: weight_row_sums(w.as_qi8()?, n, k),
-        pairs: OnceLock::new(),
-        panels: OnceLock::new(),
-    });
-    let mut guard = cache();
-    guard.0.retain(live);
-    Ok(guard.0.entry(key).or_insert(entry).clone())
 }
 
 /// One quantized linear or conv call, lowered to
@@ -397,7 +385,7 @@ fn prepack_weights(w: &Tensor, n: usize, k: usize) -> Result<Arc<PrepackedWeight
 struct QGemm<'a> {
     w: &'a [i8],
     k: usize,
-    prep: Arc<PrepackedWeights>,
+    prep: Cow<'a, PrepackedWeights>,
     zp_corr: Vec<i32>,
     mult: Vec<f32>,
     badd: Vec<f32>,
@@ -456,7 +444,7 @@ impl<'a> QGemm<'a> {
     /// NCHW spans.
     fn run_conv(&self, b: BSrc<i32>, cols: usize, p: usize, out: &mut [i8]) {
         let (o, k) = (self.zp_corr.len(), self.k);
-        let pairs = PrepackedWeights::once(&self.prep.pairs, || {
+        let pairs = self.prep.pairs.get_or_init(|| {
             simd::pair_rows(self.w, k, Vec::with_capacity(o * k.div_ceil(2)))
         });
         simd::gemm_i8(o, k, cols, pairs, b, &self.requant(false), p, out);
@@ -468,7 +456,7 @@ impl<'a> QGemm<'a> {
     /// weight once, as part of a vector.
     fn run_linear(&self, x: &[i8], rows: usize, out: &mut [i8]) {
         let (o, k) = (self.zp_corr.len(), self.k);
-        let panels = PrepackedWeights::once(&self.prep.panels, || simd::prepack_b(self.w, o, k));
+        let panels = self.prep.panels.get_or_init(|| simd::prepack_b(self.w, o, k));
         let a = simd::pair_rows(x, k, pool::alloc_empty(rows * k.div_ceil(2)));
         simd::gemm_i8(rows, k, o, &a, BSrc::Packed(panels), &self.requant(true), o.max(1), out);
         pool::recycle_i32(a);
@@ -593,13 +581,6 @@ mod tests {
     use super::*;
     use crate::rng::StdRng;
     use crate::rng::SeedableRng;
-
-    thread_local! {
-        /// Weights widened by this thread (`PrepackedWeights::pairs`
-        /// runs on the calling thread, so concurrent tests do not see
-        /// each other's).
-        pub(super) static PACKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    }
 
     #[test]
     fn qparams_cover_range_and_zero() {
@@ -1021,58 +1002,59 @@ mod tests {
         })
     }
 
+    /// The widened k-pair rows a weight's storage owns, if any.
+    fn pairs_of(w: &Tensor) -> Option<*const i32> {
+        let Storage::QI8 { packed: PackSlot(slot), .. } = w.storage() else { return None };
+        slot.get()?.pairs.get().map(|v| v.as_ptr())
+    }
+
     /// Two resident quantized models whose weights together exceed any
     /// fixed entry count (the old 64-slot MRU cycled 108 ResNet-50 keys
     /// and re-widened every weight on every run): after each has run
-    /// once, alternating between them widens nothing.
+    /// once, alternating between them widens nothing — every weight keeps
+    /// the rows its first run built.
     #[test]
     fn two_resident_models_are_widened_once_each() {
         let mut rng = StdRng::seed_from_u64(0xCAC4E);
         let (a, b) = (conv_stack(54, &mut rng), conv_stack(54, &mut rng));
         let x = quantize_per_tensor(&Tensor::rand_uniform(&[1, 6, 3, 3], -1.0, 1.0, &mut rng), 0.01, 5).unwrap();
-        let before = PACKS.with(|n| n.get());
+        assert!(a.iter().chain(&b).all(|w| pairs_of(w).is_none()), "widening is lazy");
         let (ya, yb) = (run_stack(&a, &x), run_stack(&b, &x));
-        assert_eq!(PACKS.with(|n| n.get()) - before, 108, "first pass widens each weight once");
+        let widened: Vec<_> = a.iter().chain(&b).map(pairs_of).collect();
+        assert!(widened.iter().all(Option::is_some), "the first pass widens every weight");
         for _ in 0..3 {
             assert_eq!(run_stack(&a, &x).as_qi8().unwrap(), ya.as_qi8().unwrap());
             assert_eq!(run_stack(&b, &x).as_qi8().unwrap(), yb.as_qi8().unwrap());
         }
-        assert_eq!(PACKS.with(|n| n.get()) - before, 108, "a resident weight was widened again");
+        let kept: Vec<_> = a.iter().chain(&b).map(pairs_of).collect();
+        assert_eq!(kept, widened, "a resident weight was widened again");
     }
 
-    /// A dropped model's entries leave the cache — at the next miss, or
-    /// within one pass of a model that only ever hits — rather than
-    /// pinning its widened weights until evicted by count.
+    /// One weight storage read under three views: the view that filled
+    /// its packed slot keeps it, and every other view gets the answer a
+    /// fresh copy of the storage in that shape gives.
     #[test]
-    fn dropped_weights_leave_the_cache() {
-        let mut rng = StdRng::seed_from_u64(0xD409);
-        let x = quantize_per_tensor(&Tensor::rand_uniform(&[1, 6, 3, 3], -1.0, 1.0, &mut rng), 0.01, 5).unwrap();
-        let keys = |m: &[Tensor]| m.iter().map(|w| (Arc::as_ptr(w.storage()) as usize, 6, 6)).collect::<Vec<_>>();
-        let cached = |keys: &[(usize, usize, usize)]| {
-            let cache = WEIGHT_CACHE.lock().unwrap();
-            keys.iter().filter(|k| cache.0.contains_key(k)).count()
+    fn a_reshaped_weight_packs_for_its_own_view() {
+        let mut rng = StdRng::seed_from_u64(0x5EA9);
+        let mut q = |shape: &[usize], scale| {
+            quantize_per_tensor(&Tensor::rand_uniform(shape, -1.0, 1.0, &mut rng), scale, 0).unwrap()
         };
-        let model = conv_stack(5, &mut rng);
-        let dead = keys(&model);
-        run_stack(&model, &x);
-        assert_eq!(cached(&dead), 5, "a live model's weights are cached");
-        drop(model);
-        let survivor = conv_stack(1, &mut rng);
-        run_stack(&survivor, &x); // any miss sweeps the dead
-        assert_eq!(cached(&dead), 0, "a dropped model's entries must not outlive it");
+        let (w, x4, x8) = (q(&[6, 4], 0.02), q(&[3, 4], 0.01), q(&[3, 8], 0.01));
+        let x_img = x8.reshape(&[1, 8, 1, 3]).unwrap();
+        let fresh = |t: &Tensor, shape: &[usize]| {
+            Tensor::from_qi8(t.as_qi8().unwrap().to_vec(), shape, t.qscheme().unwrap().clone())
+        };
+        let linear = |x: &Tensor, w: &Tensor| quantized_linear(x, w, None, 0.05, 3, false).unwrap();
+        let conv = |x: &Tensor, w: &Tensor| {
+            quantized_conv2d(x, w, None, (1, 1), (0, 0), 0.05, 3, false).unwrap()
+        };
 
-        // No miss ever comes again: the survivor's hits sweep too. Other
-        // tests share the cache, so "one pass" is bounded by its size.
-        let model = conv_stack(5, &mut rng);
-        let dead = keys(&model);
-        run_stack(&model, &x);
-        drop(model);
-        let size = WEIGHT_CACHE.lock().unwrap().0.len();
-        for _ in 0..=size {
-            run_stack(&survivor, &x);
-        }
-        assert_eq!(cached(&dead), 0, "hits alone must sweep a dropped model's entries");
-        assert_eq!(cached(&keys(&survivor)), 1);
+        let y = linear(&x4, &w);
+        let (w38, w3811) = (w.reshape(&[3, 8]).unwrap(), w.reshape(&[3, 8, 1, 1]).unwrap());
+        assert_eq!(linear(&x8, &w38), linear(&x8, &fresh(&w, &[3, 8])));
+        assert_eq!(conv(&x_img, &w3811), conv(&x_img, &fresh(&w, &[3, 8, 1, 1])));
+        assert_eq!(linear(&x4, &w), y, "the slot still holds the [6, 4] form");
+        assert!(w == fresh(&w, &[6, 4]), "equality ignores the packed slot");
     }
 
     /// The vectorizable ReLU element is the widened `max` it replaced for

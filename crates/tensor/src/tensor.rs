@@ -8,18 +8,20 @@
 
 use crate::dtype::DType;
 use crate::error::{Error, Result};
-use crate::quant::QScheme;
+use crate::quant::{PackSlot, QScheme};
 use crate::shape::numel;
 use crate::rng::Rng;
 use std::fmt;
 use std::sync::Arc;
 
-#[derive(Debug, PartialEq)]
+#[derive(PartialEq)]
 pub(crate) enum Storage {
     F32(Vec<f32>),
     I64(Vec<i64>),
     Bool(Vec<bool>),
-    QI8 { data: Vec<i8>, scheme: QScheme },
+    /// `packed` is empty until a quantized conv or linear reads this
+    /// storage as its weight; it is not part of the value.
+    QI8 { data: Vec<i8>, scheme: QScheme, packed: PackSlot },
 }
 
 /// An n-dimensional array with contiguous row-major storage.
@@ -103,7 +105,7 @@ impl Tensor {
             );
         }
         Tensor {
-            storage: Arc::new(Storage::QI8 { data, scheme }),
+            storage: Arc::new(Storage::QI8 { data, scheme, packed: PackSlot::default() }),
             shape: shape.to_vec(),
         }
     }
@@ -189,9 +191,9 @@ impl Tensor {
         self.numel() * self.dtype().size_bytes()
     }
 
-    /// The shared storage, for caches keyed by storage identity that must
-    /// not keep it alive (they hold an `Arc::downgrade` of this).
-    pub(crate) fn storage(&self) -> &Arc<Storage> {
+    /// The shared storage, for the quantized kernels that keep a
+    /// weight's packed form in it.
+    pub(crate) fn storage(&self) -> &Storage {
         &self.storage
     }
 
@@ -365,10 +367,10 @@ impl Tensor {
     pub fn map_inplace_qi8(self, f: impl Fn(i8) -> i8) -> Result<Tensor> {
         let shape = self.shape.clone();
         match Arc::try_unwrap(self.storage) {
-            Ok(Storage::QI8 { mut data, scheme }) => {
+            Ok(Storage::QI8 { mut data, scheme, .. }) => {
                 data.iter_mut().for_each(|x| *x = f(*x));
                 Ok(Tensor {
-                    storage: Arc::new(Storage::QI8 { data, scheme }),
+                    storage: Arc::new(Storage::QI8 { data, scheme, packed: PackSlot::default() }),
                     shape,
                 })
             }
@@ -383,7 +385,7 @@ impl Tensor {
             }),
             Err(shared) => {
                 let (data, scheme) = match &*shared {
-                    Storage::QI8 { data, scheme } => (data, scheme.clone()),
+                    Storage::QI8 { data, scheme, .. } => (data, scheme.clone()),
                     _ => {
                         return Err(Error::DTypeMismatch {
                             op: "map_inplace_qi8",
@@ -399,7 +401,7 @@ impl Tensor {
                 let mut out = crate::pool::alloc_i8_empty(data.len());
                 out.extend(data.iter().map(|&x| f(x)));
                 Ok(Tensor {
-                    storage: Arc::new(Storage::QI8 { data: out, scheme }),
+                    storage: Arc::new(Storage::QI8 { data: out, scheme, packed: PackSlot::default() }),
                     shape,
                 })
             }
@@ -440,7 +442,7 @@ impl fmt::Debug for Tensor {
             Storage::F32(v) => preview(f, v, PREVIEW)?,
             Storage::I64(v) => preview(f, v, PREVIEW)?,
             Storage::Bool(v) => preview(f, v, PREVIEW)?,
-            Storage::QI8 { data, scheme } => {
+            Storage::QI8 { data, scheme, .. } => {
                 preview(f, data, PREVIEW)?;
                 write!(f, " {scheme:?}")?;
             }

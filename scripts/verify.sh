@@ -17,7 +17,8 @@
 #    level axes: a graph vs its exact-mode fused twin (fusion passes in
 #    front of the same executor) across threads × planner modes, a
 #    served fused graph vs the solo un-fused run, int8 across engines
-#    and batch positions, f32↔int8 hot swap. The
+#    and batch positions, f32↔int8 hot swap (which also checks that
+#    no int8 weight outlives the swap back to f32). The
 #    fx-tensor kernel suite additionally runs with VNNI masked off at
 #    both vector widths, so all four int8 dot-step × width tile
 #    instances execute on an AVX-512 VNNI builder.
@@ -70,11 +71,19 @@
 #    tests/, examples/, src/, README or DESIGN, matched as whole words;
 #    benchmark/ names none of them either (serve runs the one Executor
 #    on the graph it is given, and a fused graph is fused before
-#    `register`, DESIGN §7b).
+#    `register`, DESIGN §7b); and one front door for serving: none of
+#    the retired single-model server's names (`ServerBuilder`, or
+#    `Server::` literally) nor of the process-global prepacked-weight
+#    cache (`WEIGHT_CACHE`, `WeightCache`, its test counter `PACKS`)
+#    under crates/, tests/, examples/, src/, benchmark/, README or
+#    DESIGN, names matched as whole words (every model is served
+#    through `Registry`, DESIGN §7c; a packed int8 weight lives in its
+#    own storage, DESIGN §5e).
 # 7. size report               — non-test lines (up to each file's
-#    `#[cfg(test)]`) per crate, for the four analysis files and for the
-#    four kernel files, so the number a simplicity PR cites comes from
-#    the gate, not from hand.
+#    `#[cfg(test)]`) per crate, for the four analysis files, for the
+#    four kernel files, and for `quant.rs` + `tensor.rs` (the int8
+#    weight and the packed form its storage owns), so the number a
+#    simplicity PR cites comes from the gate, not from hand.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -169,6 +178,16 @@ if grep -rnwE "$retired_runner" crates tests examples src benchmark README.md DE
 fi
 echo "none of $retired_runner under crates/, tests/, examples/, src/, benchmark/, README.md or DESIGN.md"
 
+echo "== one-front-door gate: every model is served through Registry; packed weights live in their storage =="
+retired_serve='ServerBuilder|WEIGHT_CACHE|WeightCache|PACKS'
+serve_paths=(crates tests examples src benchmark README.md DESIGN.md)
+if grep -rnwE --exclude-dir=target --exclude-dir=out "$retired_serve" "${serve_paths[@]}" ||
+    grep -rnF --exclude-dir=target --exclude-dir=out 'Server::' "${serve_paths[@]}"; then
+    echo "the single-model Server or the global weight cache is back; register on a Registry, keep packed forms in the storage" >&2
+    exit 1
+fi
+echo "none of $retired_serve or Server:: under ${serve_paths[*]}"
+
 echo "== size: non-test lines =="
 nontest_lines() {
     awk 'FNR == 1 { in_tests = 0 } /^#\[cfg\(test\)\]/ { in_tests = 1 } !in_tests { n++ } END { print n + 0 }' "$@"
@@ -186,4 +205,5 @@ for f in "${kernels[@]}"; do
     printf '%-40s %6d\n' "$f" "$(nontest_lines "$f")"
 done
 printf '%-40s %6d\n' "the four kernel files" "$(nontest_lines "${kernels[@]}")"
+printf '%-40s %6d\n' "quant.rs + tensor.rs" "$(nontest_lines crates/tensor/src/{quant,tensor}.rs)"
 echo "verify: OK"

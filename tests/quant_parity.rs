@@ -2,7 +2,8 @@
 //! produce **bit-identical** outputs across every executor
 //! configuration (memory planning on/off × kernel thread counts), and the
 //! serve registry must hot-swap between the f32 and int8 versions of
-//! the same model with zero failed requests and version-exact answers.
+//! the same model with zero failed requests and version-exact answers,
+//! and keep no int8 weight alive once swapped back to f32.
 //!
 //! Bit-identity holds because the int8 path accumulates exactly in i32
 //! (every tile of the one GEMM driver, the portable one included) and
@@ -146,11 +147,27 @@ fn registry_hot_swaps_between_f32_and_int8() {
         }
     };
 
+    // The int8 weights, which own their packed forms once served.
+    let int8_weights: Vec<Tensor> = fx::core::named_parameters(&qgm)
+        .into_iter()
+        .map(|(_, t)| t)
+        .filter(|t| t.dtype() == DType::QI8)
+        .collect();
+    assert!(!int8_weights.is_empty(), "PTQ produced int8 weights");
+
     serve_all(&want_f32, "v1 (f32)");
-    assert_eq!(registry.swap("resnet", qgm).expect("f32→int8 swap admits"), 2);
+    assert_eq!(registry.swap("resnet", qgm.clone()).expect("f32→int8 swap admits"), 2);
     serve_all(&want_i8, "v2 (int8)");
     assert_eq!(registry.swap("resnet", gm).expect("int8→f32 swap admits"), 3);
     serve_all(&want_f32, "v3 (f32 again)");
+
+    // The swap dropped the int8 version, so once this test lets go of
+    // its own copy, these handles are the only ones left: the registry
+    // keeps no int8 storage, and so no packed weight, alive.
+    drop(qgm);
+    for (i, w) in int8_weights.into_iter().enumerate() {
+        assert!(w.try_take_qi8().is_some(), "int8 weight {i} outlived the swap");
+    }
     let snap = registry.shutdown();
     assert_eq!(snap.aggregate.requests_err, 0, "hot-swap run failed requests");
     assert_eq!(snap.total_swaps, 2, "expected exactly two hot swaps");

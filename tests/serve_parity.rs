@@ -1,7 +1,7 @@
 //! Serving parity suite: responses from the `fx_serve` dynamic batcher
 //! must be **bit-identical** to solo `Executor` runs of the same
 //! request, for every evaluation model, under concurrent clients —
-//! whether the server was handed the graph as traced or its exact-mode
+//! whether the registry was handed the graph as traced or its exact-mode
 //! fused twin (`fx_backend::fuse` without conv–BN folding), which is
 //! compared against the solo run of the **un-fused** graph.
 //!
@@ -15,7 +15,7 @@
 
 use fx::backend::{fuse, CompileOptions};
 use fx::prelude::*;
-use fx::serve::Server;
+use fx::serve::{ModelConfig, Registry};
 use fx_models::{resnet50, DeepRecommender, LearningToPaintActor};
 use fx_tensor::rng::{SeedableRng, StdRng};
 use std::time::Duration;
@@ -46,7 +46,7 @@ fn solo(gm: &GraphModule, x: &Tensor) -> Tensor {
         .clone()
 }
 
-/// N clients hammer the server concurrently; every response must match
+/// N clients hammer the served model concurrently; every response must match
 /// the solo run of the same input bit-for-bit.
 fn assert_served_parity(gm: &GraphModule, input_shape: &[usize], label: &str) {
     assert_served_parity_with(gm, gm.clone(), input_shape, label);
@@ -60,16 +60,18 @@ fn assert_served_parity_with(
     input_shape: &[usize],
     label: &str,
 ) {
-    let server = Server::builder(served, &[input_shape.to_vec()])
+    let registry = Registry::builder().build().expect("registry builds");
+    let cfg = ModelConfig::new()
         .max_batch_size(2 * input_shape[0].max(1))
-        .max_batch_delay(Duration::from_millis(10))
-        .build()
-        .unwrap_or_else(|e| panic!("{label}: server build failed: {e}"));
+        .max_batch_delay(Duration::from_millis(10));
+    let handle = registry
+        .register_with(label, served, &[input_shape.to_vec()], cfg)
+        .unwrap_or_else(|e| panic!("{label}: registration failed: {e}"));
 
     let responses: Vec<(u64, Vec<u32>)> = std::thread::scope(|s| {
         let joins: Vec<_> = (0..CLIENTS as u64)
             .map(|c| {
-                let handle = server.handle();
+                let handle = handle.clone();
                 s.spawn(move || {
                     (0..PER_CLIENT as u64)
                         .map(|i| {
@@ -96,7 +98,7 @@ fn assert_served_parity_with(
         );
     }
 
-    let stats = server.shutdown();
+    let stats = registry.unregister(label).expect("registered above");
     assert_eq!(stats.requests_ok, (CLIENTS * PER_CLIENT) as u64, "{label}: {stats}");
     assert_eq!(stats.requests_err, 0, "{label}: {stats}");
     assert_eq!(stats.plan_compiles, 1, "{label}: plan compiled once, then shared");
@@ -125,7 +127,7 @@ fn learning_to_paint_served_responses_are_bit_identical() {
 }
 
 /// The same three models, served as their exact-mode fused graphs —
-/// fused by the caller before the server is built — all bit-identical
+/// fused by the caller before they are registered — all bit-identical
 /// to the solo run of the un-fused graph.
 #[test]
 fn all_backends_serve_bit_identically() {
@@ -155,17 +157,19 @@ fn all_backends_serve_bit_identically() {
 fn shutdown_under_load_strands_no_request() {
     let mut rng = StdRng::seed_from_u64(52);
     let gm = symbolic_trace(&DeepRecommender::new(64, &mut rng)).expect("recommender traces");
-    let server = Server::builder(gm, &[vec![1, 64]])
+    let registry = Registry::builder().build().expect("registry builds");
+    let cfg = ModelConfig::new()
         .max_batch_size(4)
         .max_batch_delay(Duration::from_millis(1))
-        .queue_depth(16)
-        .build()
-        .expect("server builds");
+        .queue_depth(16);
+    let handle = registry
+        .register_with("recommender", gm, &[vec![1, 64]], cfg)
+        .expect("recommender registers");
 
     let (stats, ok_seen) = std::thread::scope(|s| {
         let joins: Vec<_> = (0..6u64)
             .map(|c| {
-                let handle = server.handle();
+                let handle = handle.clone();
                 s.spawn(move || {
                     let mut ok = 0u64;
                     for i in 0..50u64 {
@@ -185,7 +189,7 @@ fn shutdown_under_load_strands_no_request() {
             .collect();
         // Let some requests land, then pull the plug mid-stream.
         std::thread::sleep(Duration::from_millis(5));
-        let stats = server.shutdown();
+        let stats = registry.unregister("recommender").expect("registered above");
         let ok_seen: u64 = joins.into_iter().map(|j| j.join().unwrap()).sum();
         (stats, ok_seen)
     });
