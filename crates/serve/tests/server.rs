@@ -2,8 +2,7 @@
 //! through a [`Registry`]: coalescing, bit-identity with solo
 //! execution, per-request shape rejection that never poisons
 //! batch-mates, typed backpressure, and draining under load.
-//! (Several models at once, hot swap and dropping the registry are
-//! `registry.rs`'s.)
+//! (Several models at once and hot swap are `registry.rs`'s.)
 
 use fx_core::{symbolic_trace, symbolic_trace_fn, func, Executor, GraphModule, Value};
 use fx_models::Mlp;
@@ -323,6 +322,24 @@ fn non_batch_polymorphic_model_is_rejected_at_build() {
         matches!(&err, Error::Build(msg) if msg.contains("batch")),
         "expected a batch-polymorphism build error, got {err}"
     );
+}
+
+#[test]
+fn dropped_server_answers_like_shutdown() {
+    // Dropping the registry (not unregistering) must still drain and
+    // join, so a client blocked in infer gets its real answer rather
+    // than being stranded.
+    let gm = mlp_gm();
+    let x = randn(&[1, IN], 3);
+    let want = solo(&gm, &x);
+    let (registry, handle) = serve(gm, ModelConfig::new().max_batch_delay(Duration::from_millis(50)));
+    std::thread::scope(|s| {
+        let j = s.spawn(move || handle.infer(vec![x]));
+        std::thread::sleep(Duration::from_millis(10));
+        drop(registry);
+        let out = j.join().unwrap().expect("drained on drop");
+        assert_eq!(bits(&out[0]), bits(&want));
+    });
 }
 
 /// `Rng` is imported for `Tensor::randn`'s bound; silence the unused

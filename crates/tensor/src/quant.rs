@@ -1030,6 +1030,32 @@ mod tests {
         assert_eq!(kept, widened, "a resident weight was widened again");
     }
 
+    /// A dropped model's packed forms go with it. Its weights have run,
+    /// so their slots are filled; once the model is dropped, a clone of
+    /// each weight is its storage's only owner, so no global cache keeps
+    /// a storage or its packed form alive. A surviving model keeps its own.
+    #[test]
+    fn dropped_weights_leave_the_cache() {
+        let mut rng = StdRng::seed_from_u64(0xD409);
+        let x = quantize_per_tensor(&Tensor::rand_uniform(&[1, 6, 3, 3], -1.0, 1.0, &mut rng), 0.01, 5).unwrap();
+        let (model, survivor) = (conv_stack(5, &mut rng), conv_stack(1, &mut rng));
+        run_stack(&model, &x);
+        let y = run_stack(&survivor, &x);
+        let kept_alive = model.clone();
+        drop(model);
+        for w in kept_alive {
+            assert!(pairs_of(&w).is_some(), "a run fills every weight's slot");
+            // The only owner left is this clone: no cache holds the
+            // storage, so taking it drops the packed form with it.
+            assert!(w.try_take_qi8().is_some(), "a dropped model's storage must not outlive it");
+        }
+
+        let kept = pairs_of(&survivor[0]);
+        assert!(kept.is_some());
+        assert_eq!(run_stack(&survivor, &x).as_qi8().unwrap(), y.as_qi8().unwrap());
+        assert_eq!(pairs_of(&survivor[0]), kept, "the survivor keeps its packed form");
+    }
+
     /// One weight storage read under three views: the view that filled
     /// its packed slot keeps it, and every other view gets the answer a
     /// fresh copy of the storage in that shape gives.
