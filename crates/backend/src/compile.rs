@@ -4,7 +4,7 @@
 //! fused graph's execution plan into an [`Engine`].
 
 use crate::engine::Engine;
-use crate::passes::{self, UNARY_FUNCTIONS};
+use crate::passes;
 use fx_core::{Arg, Error, GraphModule, Node, Opcode, Result};
 
 /// Is this node inside the backend's operator set? (The predicate
@@ -39,7 +39,7 @@ pub fn is_supported(gm: &GraphModule, node: &Node) -> bool {
         },
         Opcode::CallFunction | Opcode::CallMethod => {
             let t = node.target();
-            if UNARY_FUNCTIONS.contains(&t) {
+            if fx_tensor::ops::unary_scalar(t).is_some() {
                 return true;
             }
             match t {

@@ -12,28 +12,22 @@
 
 use fx_core::{validate, ArcModule, Arg, GraphModule, Node, NodeId, Opcode, Result};
 use fx_nn::{BatchNorm2d, ChannelAffine, Conv2d, FusedConv2d, FusedLinear, Linear};
+use fx_tensor::ops::unary_scalar;
 use std::any::Any;
 use std::sync::Arc;
-
-/// Parameterless scalar unary targets (`fx_tensor::ops::unary_scalar`).
-pub(crate) const UNARY_FUNCTIONS: &[&str] = &[
-    "relu", "gelu", "selu", "sigmoid", "tanh", "neg", "exp", "log", "sqrt", "rsqrt", "abs",
-];
 
 /// The unaries a conv/linear/add/mul absorbs as an epilogue.
 const EPILOGUES: &[&str] = &["relu", "sigmoid", "tanh", "gelu"];
 
-/// The scalar unary op `node` computes, whether it is spelled as a
-/// function, a method or an activation module.
-fn unary_name(gm: &GraphModule, node: &Node) -> Option<&'static str> {
+/// The scalar unary op `node` computes (one with a scalar kernel in
+/// [`unary_scalar`]), whether it is spelled as a function, a method or
+/// an activation module.
+fn unary_name<'a>(gm: &GraphModule, node: &'a Node) -> Option<&'a str> {
     match node.op() {
         Opcode::CallFunction | Opcode::CallMethod
             if node.args().len() == 1 && node.kwargs().is_empty() =>
         {
-            UNARY_FUNCTIONS
-                .iter()
-                .copied()
-                .find(|u| *u == node.target())
+            Some(node.target()).filter(|t| unary_scalar(t).is_some())
         }
         Opcode::CallModule => match gm.get_module(node.target())?.type_name() {
             "ReLU" => Some("relu"),
@@ -202,7 +196,8 @@ pub fn fuse_epilogues(gm: &mut GraphModule) -> Result<usize> {
         let Some(consumer) = sole_consumer(gm, id) else {
             continue;
         };
-        let Some(act) = unary_name(gm, consumer).filter(|a| EPILOGUES.contains(a)) else {
+        let act = unary_name(gm, consumer);
+        let Some(act) = EPILOGUES.iter().copied().find(|e| Some(*e) == act) else {
             continue;
         };
         let (act_id, act_meta) = (consumer.id(), consumer.meta.clone());

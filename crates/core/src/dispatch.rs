@@ -15,15 +15,17 @@
 //! just "run `forward` with proxy inputs" — no parser, no AST transform,
 //! no bytecode analysis (the paper's core simplicity argument, §5.1).
 //!
-//! The registry is extensible at runtime with [`register_function`] /
-//! [`register_method`], which is how `fx-quant` installs its quantized
-//! kernels.
+//! One table holds every operator, one row per name: its eager kernel
+//! and its [`OpKind`], the shape relation every analysis reads. A
+//! function and a method of one name share the row. The table is
+//! extensible at runtime with [`register_function`], which is how a
+//! user op enters the IR.
 
 use crate::error::{Error, Result};
 use crate::node::Opcode;
 use crate::trace;
 use crate::value::Value;
-use fx_tensor::Tensor;
+use fx_tensor::{DType, Tensor};
 use std::collections::HashMap;
 use std::sync::{LazyLock, RwLock};
 
@@ -170,48 +172,83 @@ impl<'a> Inputs<'a> {
     }
 }
 
-static FUNCTIONS: LazyLock<RwLock<HashMap<String, OpFn>>> =
+/// The shape relation an op obeys: how its output's type follows from
+/// its operands'. Each variant is a relation many ops share, and every
+/// analysis (shape walk, cost model, validation, quantizer) matches on
+/// it instead of on op names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpKind {
+    /// The output has the first input's type (unaries, norms, softmax).
+    Same,
+    /// The first input's shape, converted to this dtype.
+    Cast(DType),
+    /// Numpy broadcast of two operands; a non-tensor one is a scalar.
+    Broadcast,
+    /// `x[..., in] · w[out, in]ᵀ` → `x[..., out]`.
+    Linear,
+    /// Matrix product of rank-1/2 operands, or batched rank-3.
+    Matmul,
+    /// 2-d convolution of `[n, c, h, w]` by `[o, c/g, kh, kw]`.
+    Conv,
+    /// A 2-d sliding window of immediate kernel, stride and padding.
+    Pool,
+    /// A 2-d pool to an immediate output extent.
+    AdaptivePool,
+    /// Collapse the dims `start..=end` into one.
+    Flatten,
+    /// View the elements under an immediate list of extents.
+    Reshape,
+    /// Reorder dims by an immediate list.
+    Permute,
+    /// Swap two dims.
+    Transpose,
+    /// Join a list of tensors along one dim.
+    Cat,
+    /// Reduce all dims, or one (kept as 1 or removed).
+    Reduce,
+    /// Rows of a `[rows, width]` table gathered by an index tensor.
+    Embedding,
+    /// Remove one dim of extent 1.
+    Squeeze,
+    /// Insert one dim of extent 1.
+    Unsqueeze,
+    /// Not a single tensor (`size`, `chunk`, …), or data-dependent.
+    NonTensor,
+    /// No relation: admitted only where its value is unused.
+    Opaque,
+}
+
+static OPS: LazyLock<RwLock<HashMap<String, (OpFn, OpKind)>>> =
     LazyLock::new(|| RwLock::new(crate::ops_registry::builtin_functions()));
 
-static METHODS: LazyLock<RwLock<HashMap<String, OpFn>>> =
-    LazyLock::new(|| RwLock::new(crate::ops_registry::builtin_methods()));
-
-/// Register (or replace) the eager implementation of a `call_function`
-/// target. Used by downstream crates (e.g. `fx-quant`) to extend the op
-/// set; the interpreter and tracer pick the op up immediately.
-pub fn register_function(name: &str, f: OpFn) {
-    FUNCTIONS
-        .write()
-        .expect("op registry poisoned")
-        .insert(name.to_string(), f);
+fn ops() -> std::sync::RwLockReadGuard<'static, HashMap<String, (OpFn, OpKind)>> {
+    OPS.read().expect("op registry poisoned")
 }
 
-/// Register (or replace) the eager implementation of a `call_method`
-/// target (`args[0]` is the receiver).
-pub fn register_method(name: &str, f: OpFn) {
-    METHODS
-        .write()
+/// Register (or replace) the operator `name`: its eager kernel and the
+/// [`OpKind`] its output obeys. The op is callable as a function and as
+/// a method (`args[0]` is the receiver); the tracer, the executor and
+/// every analysis pick it up immediately. Pass [`OpKind::Opaque`] for an
+/// op with no shape relation: graphs that use its value are then
+/// refused by the shape analyses.
+pub fn register_function(name: &str, f: OpFn, kind: OpKind) {
+    OPS.write()
         .expect("op registry poisoned")
-        .insert(name.to_string(), f);
+        .insert(name.to_string(), (f, kind));
 }
 
-/// Whether a function target has an eager implementation.
-pub fn has_function(name: &str) -> bool {
-    FUNCTIONS
-        .read()
-        .expect("op registry poisoned")
-        .contains_key(name)
+/// The [`OpKind`] of a registered op.
+pub fn op_kind(name: &str) -> Option<OpKind> {
+    ops().get(name).map(|&(_, kind)| kind)
 }
 
-/// Names of every built-in `call_function` and `call_method` target,
-/// sorted and deduplicated — what a per-operator table must cover.
+/// Names of every built-in operator, sorted — what a per-operator table
+/// must cover.
 pub fn builtin_op_names() -> Vec<String> {
     let mut names: Vec<String> = crate::ops_registry::builtin_functions()
         .into_keys()
-        .chain(crate::ops_registry::builtin_methods().into_keys())
         .collect();
     names.sort();
-    names.dedup();
     names
 }
 
@@ -220,7 +257,7 @@ pub fn call_function(name: &str, args: &[Value], kwargs: &[(String, Value)]) -> 
     if trace::is_tracing() && any_proxy(args, kwargs) {
         return trace::record_call(Opcode::CallFunction, name, args, kwargs);
     }
-    eager_function(name, args, kwargs)
+    eager(Opcode::CallFunction, name, args, kwargs)
 }
 
 /// Dispatch a method op (`args[0]` is the receiver).
@@ -228,37 +265,23 @@ pub fn call_method(name: &str, args: &[Value], kwargs: &[(String, Value)]) -> Re
     if trace::is_tracing() && any_proxy(args, kwargs) {
         return trace::record_call(Opcode::CallMethod, name, args, kwargs);
     }
-    eager_method(name, args, kwargs)
+    eager(Opcode::CallMethod, name, args, kwargs)
 }
 
-/// Run the eager kernel for a function target, bypassing trace recording
-/// (the interpreter hot path once a value is concrete).
-pub fn eager_function(name: &str, args: &[Value], kwargs: &[(String, Value)]) -> Result<Value> {
-    let f = *FUNCTIONS
-        .read()
-        .expect("op registry poisoned")
-        .get(name)
-        .ok_or_else(|| Error::UnknownOp {
-            kind: "function",
+/// Run the eager kernel of `name`, bypassing trace recording (the
+/// interpreter hot path once a value is concrete). `op` is the calling
+/// opcode, named in the error when no such op is registered.
+pub fn eager(op: Opcode, name: &str, args: &[Value], kwargs: &[(String, Value)]) -> Result<Value> {
+    let Some(&(f, _)) = ops().get(name) else {
+        return Err(Error::UnknownOp {
+            kind: if op == Opcode::CallMethod {
+                "method"
+            } else {
+                "function"
+            },
             name: name.to_string(),
-        })?;
-    f(&Inputs {
-        op: name,
-        args,
-        kwargs,
-    })
-}
-
-/// Run the eager kernel for a method target.
-pub fn eager_method(name: &str, args: &[Value], kwargs: &[(String, Value)]) -> Result<Value> {
-    let f = *METHODS
-        .read()
-        .expect("op registry poisoned")
-        .get(name)
-        .ok_or_else(|| Error::UnknownOp {
-            kind: "method",
-            name: name.to_string(),
-        })?;
+        });
+    };
     f(&Inputs {
         op: name,
         args,
@@ -291,9 +314,11 @@ mod tests {
 
     #[test]
     fn unknown_op_reports_kind_and_name() {
-        let e = eager_function("definitely_not_an_op", &[], &[]).unwrap_err();
+        let e = eager(Opcode::CallFunction, "definitely_not_an_op", &[], &[]).unwrap_err();
         assert!(e.to_string().contains("definitely_not_an_op"));
         assert!(e.to_string().contains("function"));
+        let e = eager(Opcode::CallMethod, "definitely_not_an_op", &[], &[]).unwrap_err();
+        assert!(e.to_string().contains("method"), "{e}");
     }
 
     #[test]
@@ -301,12 +326,12 @@ mod tests {
         fn answer(_i: &Inputs<'_>) -> Result<Value> {
             Ok(Value::Int(42))
         }
-        register_function("test::answer", answer);
-        assert!(has_function("test::answer"));
-        assert_eq!(
-            eager_function("test::answer", &[], &[]).unwrap(),
-            Value::Int(42)
-        );
+        register_function("test::answer", answer, OpKind::NonTensor);
+        assert_eq!(op_kind("test::answer"), Some(OpKind::NonTensor));
+        // One row answers both opcodes.
+        for op in [Opcode::CallFunction, Opcode::CallMethod] {
+            assert_eq!(eager(op, "test::answer", &[], &[]).unwrap(), Value::Int(42));
+        }
     }
 
     #[test]

@@ -636,7 +636,7 @@ mod tests {
     #[test]
     fn panicking_kernel_is_a_clean_error_on_all_paths() {
         use crate::arg::Arg;
-        use crate::dispatch::{register_function, Inputs};
+        use crate::dispatch::{register_function, Inputs, OpKind};
         use crate::graph::Graph;
 
         // The panic fires inside a kernel-pool chunk, which the pool
@@ -649,7 +649,7 @@ mod tests {
             });
             Ok(Value::None)
         }
-        register_function("test::bomb", bomb);
+        register_function("test::bomb", bomb, OpKind::Same);
 
         let mut g = Graph::new();
         let x = g.placeholder("x");

@@ -1,13 +1,16 @@
-//! Eager implementations of the built-in `call_function` and
-//! `call_method` targets, bridging the dispatcher to the `fx-tensor`
-//! kernels. These names are the public operator vocabulary of the IR:
-//! the codegen prints them, the shape-propagation and FLOPs registries in
-//! `fx-passes` key off them, and the backend recognizes them for fusion.
+//! The built-in operator table: one row per name, holding the eager
+//! kernel that bridges the dispatcher to `fx-tensor` and the
+//! [`OpKind`] — the shape relation — its output obeys. These names are
+//! the public operator vocabulary of the IR: the codegen prints them,
+//! the backend recognizes them for fusion, and every analysis reads an
+//! op's kind from its row (`dispatch::op_kind`) instead of keeping a
+//! list of names. Adding an op is one kernel and one row; a new
+//! `fx-passes` shape and cost rule is needed only for a new kind.
 
-use crate::dispatch::{to_tensor, Inputs, OpFn};
+use crate::dispatch::{to_tensor, Inputs, OpFn, OpKind};
 use crate::error::{Error, Result};
 use crate::value::Value;
-use fx_tensor::{ops, quant, Tensor};
+use fx_tensor::{ops, quant, DType, Tensor};
 use std::collections::HashMap;
 
 fn t(x: Tensor) -> Result<Value> {
@@ -430,7 +433,7 @@ fn op_quantized_relu(i: &Inputs<'_>) -> Result<Value> {
     t(quant::quantized_relu(i.tensor(0)?)?)
 }
 
-// ----- methods ---------------------------------------------------------------
+// ----- tensor queries (called as methods) -----------------------------------
 
 fn m_size(i: &Inputs<'_>) -> Result<Value> {
     let shape = i.tensor(0)?.shape();
@@ -458,114 +461,91 @@ fn m_contiguous(i: &Inputs<'_>) -> Result<Value> {
     Ok(Value::Tensor(i.tensor(0)?.clone()))
 }
 
-/// Build the initial `call_function` registry.
-pub(crate) fn builtin_functions() -> HashMap<String, OpFn> {
-    let entries: &[(&str, OpFn)] = &[
-        ("relu", op_relu),
-        ("gelu", op_gelu),
-        ("selu", op_selu),
-        ("sigmoid", op_sigmoid),
-        ("tanh", op_tanh),
-        ("neg", op_neg),
-        ("exp", op_exp),
-        ("log", op_log),
-        ("sqrt", op_sqrt),
-        ("rsqrt", op_rsqrt),
-        ("abs", op_abs),
-        ("add", op_add),
-        ("sub", op_sub),
-        ("mul", op_mul),
-        ("div", op_div),
-        ("maximum", op_maximum),
-        ("minimum", op_minimum),
-        ("clamp", op_clamp),
-        ("hardtanh", op_hardtanh),
-        ("leaky_relu", op_leaky_relu),
-        ("linear", op_linear),
-        ("matmul", op_matmul),
-        ("conv2d", op_conv2d),
-        ("batch_norm", op_batch_norm),
-        ("layer_norm", op_layer_norm),
-        ("max_pool2d", op_max_pool2d),
-        ("avg_pool2d", op_avg_pool2d),
-        ("adaptive_avg_pool2d", op_adaptive_avg_pool2d),
-        ("softmax", op_softmax),
-        ("log_softmax", op_log_softmax),
-        ("flatten", op_flatten),
-        ("reshape", op_reshape),
-        ("permute", op_permute),
-        ("transpose", op_transpose),
-        ("cat", op_cat),
-        ("chunk", op_chunk),
-        ("getitem", op_getitem),
-        ("squeeze", op_squeeze),
-        ("unsqueeze", op_unsqueeze),
-        ("sum", op_sum),
-        ("mean", op_mean),
-        ("argmax", op_argmax),
-        ("embedding", op_embedding),
-        ("dropout", op_dropout),
-        ("conv2d_act", op_conv2d),
-        ("linear_act", op_linear),
-        ("add_act", op_add_act),
-        ("mul_act", op_mul_act),
-        ("unary_chain", op_unary_chain),
-        ("channel_affine", op_channel_affine),
-        ("quantize_per_tensor", op_quantize_per_tensor),
-        ("dequantize", op_dequantize),
-        ("quantized::linear", op_quantized_linear),
-        ("quantized::linear_relu", op_quantized_linear_relu),
-        ("quantized::conv2d", op_quantized_conv2d),
-        ("quantized::conv2d_relu", op_quantized_conv2d_relu),
-        ("quantized::add", op_quantized_add),
-        ("quantized::relu", op_quantized_relu),
+/// The built-in operator table: one row per name — the eager kernel
+/// and the [`OpKind`] its output obeys. A function and a method of one
+/// name share the row (`args[0]` is a method's receiver).
+pub(crate) fn builtin_functions() -> HashMap<String, (OpFn, OpKind)> {
+    use OpKind::*;
+    let entries: &[(&str, OpFn, OpKind)] = &[
+        ("relu", op_relu, Same),
+        ("gelu", op_gelu, Same),
+        ("selu", op_selu, Same),
+        ("sigmoid", op_sigmoid, Same),
+        ("tanh", op_tanh, Same),
+        ("neg", op_neg, Same),
+        ("exp", op_exp, Same),
+        ("log", op_log, Same),
+        ("sqrt", op_sqrt, Same),
+        ("rsqrt", op_rsqrt, Same),
+        ("abs", op_abs, Same),
+        ("add", op_add, Broadcast),
+        ("sub", op_sub, Broadcast),
+        ("mul", op_mul, Broadcast),
+        ("div", op_div, Broadcast),
+        ("maximum", op_maximum, Broadcast),
+        ("minimum", op_minimum, Broadcast),
+        ("clamp", op_clamp, Same),
+        ("hardtanh", op_hardtanh, Same),
+        ("leaky_relu", op_leaky_relu, Same),
+        ("linear", op_linear, Linear),
+        ("matmul", op_matmul, Matmul),
+        ("conv2d", op_conv2d, Conv),
+        ("batch_norm", op_batch_norm, Same),
+        ("layer_norm", op_layer_norm, Same),
+        ("max_pool2d", op_max_pool2d, Pool),
+        ("avg_pool2d", op_avg_pool2d, Pool),
+        ("adaptive_avg_pool2d", op_adaptive_avg_pool2d, AdaptivePool),
+        ("softmax", op_softmax, Same),
+        ("log_softmax", op_log_softmax, Same),
+        ("flatten", op_flatten, Flatten),
+        ("reshape", op_reshape, Reshape),
+        ("view", op_reshape, Reshape),
+        ("permute", op_permute, Permute),
+        ("transpose", op_transpose, Transpose),
+        ("cat", op_cat, Cat),
+        ("chunk", op_chunk, NonTensor),
+        ("getitem", op_getitem, NonTensor),
+        ("squeeze", op_squeeze, Squeeze),
+        ("unsqueeze", op_unsqueeze, Unsqueeze),
+        ("sum", op_sum, Reduce),
+        ("mean", op_mean, Reduce),
+        ("argmax", op_argmax, NonTensor),
+        ("embedding", op_embedding, Embedding),
+        ("dropout", op_dropout, Same),
+        ("contiguous", m_contiguous, Same),
+        ("size", m_size, NonTensor),
+        ("dim", m_dim, NonTensor),
+        ("item", m_item, NonTensor),
+        ("conv2d_act", op_conv2d, Conv),
+        ("linear_act", op_linear, Linear),
+        ("add_act", op_add_act, Broadcast),
+        ("mul_act", op_mul_act, Broadcast),
+        ("unary_chain", op_unary_chain, Same),
+        ("channel_affine", op_channel_affine, Same),
+        ("quantize_per_tensor", op_quantize_per_tensor, Cast(DType::QI8)),
+        ("dequantize", op_dequantize, Cast(DType::F32)),
+        ("quantized::linear", op_quantized_linear, Linear),
+        ("quantized::linear_relu", op_quantized_linear_relu, Linear),
+        ("quantized::conv2d", op_quantized_conv2d, Conv),
+        ("quantized::conv2d_relu", op_quantized_conv2d_relu, Conv),
+        ("quantized::add", op_quantized_add, Broadcast),
+        ("quantized::relu", op_quantized_relu, Same),
     ];
     entries
         .iter()
-        .map(|(n, f)| (n.to_string(), *f))
-        .collect()
-}
-
-/// Build the initial `call_method` registry (`args[0]` is the receiver).
-pub(crate) fn builtin_methods() -> HashMap<String, OpFn> {
-    let entries: &[(&str, OpFn)] = &[
-        ("neg", op_neg),
-        ("relu", op_relu),
-        ("sigmoid", op_sigmoid),
-        ("tanh", op_tanh),
-        ("exp", op_exp),
-        ("abs", op_abs),
-        ("add", op_add),
-        ("sub", op_sub),
-        ("mul", op_mul),
-        ("div", op_div),
-        ("reshape", op_reshape),
-        ("view", op_reshape),
-        ("flatten", op_flatten),
-        ("permute", op_permute),
-        ("transpose", op_transpose),
-        ("squeeze", op_squeeze),
-        ("unsqueeze", op_unsqueeze),
-        ("chunk", op_chunk),
-        ("sum", op_sum),
-        ("mean", op_mean),
-        ("size", m_size),
-        ("dim", m_dim),
-        ("item", m_item),
-        ("contiguous", m_contiguous),
-        ("dequantize", op_dequantize),
-        ("softmax", op_softmax),
-    ];
-    entries
-        .iter()
-        .map(|(n, f)| (n.to_string(), *f))
+        .map(|&(n, f, kind)| (n.to_string(), (f, kind)))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::{eager_function, eager_method};
+    use crate::dispatch::{eager, op_kind};
+    use crate::node::Opcode;
+
+    fn eager_function(name: &str, args: &[Value], kwargs: &[(String, Value)]) -> Result<Value> {
+        eager(Opcode::CallFunction, name, args, kwargs)
+    }
 
     fn tensor(data: Vec<f32>, shape: &[usize]) -> Value {
         Value::Tensor(Tensor::from_vec(data, shape))
@@ -573,14 +553,17 @@ mod tests {
 
     #[test]
     fn function_and_method_registries_cover_core_ops() {
-        let fns = builtin_functions();
+        let ops = builtin_functions();
         for name in ["relu", "conv2d", "linear", "batch_norm", "quantized::linear"] {
-            assert!(fns.contains_key(name), "missing function {name}");
+            assert!(ops.contains_key(name), "missing op {name}");
         }
-        let ms = builtin_methods();
-        for name in ["neg", "reshape", "size", "dim"] {
-            assert!(ms.contains_key(name), "missing method {name}");
+        for name in ["neg", "reshape", "view", "size", "dim"] {
+            assert!(ops.contains_key(name), "missing method {name}");
         }
+        // A method spelling and a function spelling share one row.
+        assert_eq!(ops["view"].1, ops["reshape"].1);
+        assert_eq!(op_kind("dequantize"), Some(OpKind::Cast(DType::F32)));
+        assert_eq!(op_kind("size"), Some(OpKind::NonTensor));
     }
 
     #[test]
@@ -631,14 +614,17 @@ mod tests {
     fn size_method_with_and_without_dim() {
         let x = Value::Tensor(Tensor::ones(&[2, 5]));
         assert_eq!(
-            eager_method("size", &[x.clone()], &[]).unwrap(),
+            eager(Opcode::CallMethod, "size", &[x.clone()], &[]).unwrap(),
             Value::List(vec![Value::Int(2), Value::Int(5)])
         );
         assert_eq!(
-            eager_method("size", &[x.clone(), Value::Int(-1)], &[]).unwrap(),
+            eager(Opcode::CallMethod, "size", &[x.clone(), Value::Int(-1)], &[]).unwrap(),
             Value::Int(5)
         );
-        assert_eq!(eager_method("dim", &[x], &[]).unwrap(), Value::Int(2));
+        assert_eq!(
+            eager(Opcode::CallMethod, "dim", &[x], &[]).unwrap(),
+            Value::Int(2)
+        );
     }
 
     #[test]

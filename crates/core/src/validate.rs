@@ -29,6 +29,7 @@
 //! `FX_VALIDATE=1`) so a buggy transform fails at the pass boundary with
 //! the pass's name in the error.
 
+use crate::dispatch::{self, OpKind};
 use crate::error::{Error, Result};
 use crate::graph::Graph;
 use crate::graph_module::GraphModule;
@@ -36,15 +37,6 @@ use crate::module::ArcModule;
 use crate::node::{NodeId, Opcode};
 use fx_tensor::Tensor;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-/// `call_function` / `call_method` targets whose output shape always
-/// equals their first input's shape — used for the optional metadata
-/// self-consistency check, which must never false-positive.
-const SHAPE_PRESERVING: &[&str] = &[
-    "relu", "gelu", "selu", "sigmoid", "tanh", "neg", "exp", "log", "sqrt", "rsqrt", "abs",
-    "clamp", "hardtanh", "leaky_relu", "dropout", "softmax", "log_softmax", "contiguous",
-    "dequantize", "quantize_per_tensor",
-];
 
 /// Configurable invariant checker over a [`Graph`], optionally aware of
 /// the module tree, attribute map and traced signature of the owning
@@ -331,12 +323,13 @@ impl<'a> GraphChecker<'a> {
     fn check_shape_meta(&self) -> Result<()> {
         let shape_of = |id: NodeId| -> Option<&[usize]> { self.graph.node(id).shape_meta() };
         for node in self.graph.nodes() {
-            let preserving = match node.op() {
-                Opcode::CallFunction | Opcode::CallMethod => {
-                    SHAPE_PRESERVING.contains(&node.target())
-                }
-                _ => false,
-            };
+            // Ops whose output shape always equals their first input's
+            // (the check must never false-positive).
+            let preserving = matches!(node.op(), Opcode::CallFunction | Opcode::CallMethod)
+                && matches!(
+                    dispatch::op_kind(node.target()),
+                    Some(OpKind::Same | OpKind::Cast(_))
+                );
             if !preserving {
                 continue;
             }

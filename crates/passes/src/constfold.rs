@@ -67,11 +67,7 @@ pub fn fold_constants(gm: &mut GraphModule) -> Result<usize> {
                     .map(|(k, a)| const_value(a, &known).map(|v| (k.clone(), v)))
                     .collect();
                 let Some(kwargs) = kwargs else { continue };
-                let result = if node.op() == Opcode::CallFunction {
-                    dispatch::eager_function(node.target(), &args, &kwargs)
-                } else {
-                    dispatch::eager_method(node.target(), &args, &kwargs)
-                };
+                let result = dispatch::eager(node.op(), node.target(), &args, &kwargs);
                 // Folding is best-effort: an op that fails at fold time
                 // will fail identically at run time; leave it in place.
                 let Ok(result) = result else { continue };

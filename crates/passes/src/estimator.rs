@@ -13,6 +13,7 @@
 //! (functional, control-flow-free) graph.
 
 use crate::sym_shape::{infer_types, TensorType};
+use fx_core::dispatch::{op_kind, OpKind::*};
 use fx_core::executor::RunProfile;
 use fx_core::{Arg, Error, GraphModule, Meta, Node, NodeId, Opcode, Result};
 use fx_tensor::DType;
@@ -248,9 +249,11 @@ fn cost(gm: &GraphModule, node: &Node, known: Known<'_>) -> Result<(u64, u64, bo
     }
 }
 
-/// The cost rule of every operator, keyed by op name alone (the
-/// counterpart of the shape rules in [`crate::sym_shape`]): FLOPs by
-/// family, anything unlisted one op per output element; bytes are the
+/// The cost rule of every operator, keyed by the
+/// [`OpKind`](fx_core::dispatch::OpKind) of its row
+/// (the counterpart of the shape rules in [`crate::sym_shape`]): FLOPs
+/// by kind, and by name only among the `Same` ops, whose work differs
+/// per op; anything else one op per output element. Bytes are the
 /// first input and the output at the output's element size, plus every
 /// further tensor operand (weights, statistics, the other addend) at its
 /// own.
@@ -259,24 +262,22 @@ fn call_cost(node: &Node, out: &(Vec<usize>, DType), known: Known<'_>) -> (u64, 
     let out_n = numel(&out.0);
     let in_shape = operand(0).map(|(shape, _)| shape).unwrap_or_default();
     let in_n = numel(&in_shape);
-    let flops = match node.target() {
-        "conv2d" | "conv2d_act" | "quantized::conv2d" | "quantized::conv2d_relu" => {
+    let flops = match (op_kind(node.target()), node.target()) {
+        (Some(Conv), _) => {
             // 2 · (C/g · kh · kw) per output element.
             match operand(1) {
                 Some((w, _)) if w.len() == 4 => 2 * out_n * (w[1] * w[2] * w[3]) as u64,
                 _ => 2 * out_n,
             }
         }
-        "linear" | "linear_act" | "quantized::linear" | "quantized::linear_relu" | "matmul" => {
-            2 * out_n * in_shape.last().copied().unwrap_or(1) as u64
-        }
-        "batch_norm" | "layer_norm" | "channel_affine" => 2 * out_n,
-        "softmax" | "log_softmax" => 4 * out_n,
+        (Some(Linear | Matmul), _) => 2 * out_n * in_shape.last().copied().unwrap_or(1) as u64,
+        (Some(Same), "batch_norm" | "layer_norm" | "channel_affine") => 2 * out_n,
+        (Some(Same), "softmax" | "log_softmax") => 4 * out_n,
         // Roughly one op per input element inspected.
-        "max_pool2d" | "avg_pool2d" | "adaptive_avg_pool2d" => in_n.max(out_n),
+        (Some(Pool | AdaptivePool), _) => in_n.max(out_n),
         // Pure data movement.
-        "flatten" | "reshape" | "view" | "permute" | "transpose" | "cat" | "contiguous"
-        | "dropout" => 0,
+        (Some(Flatten | Reshape | Permute | Transpose | Cat), _)
+        | (Some(Same), "contiguous" | "dropout") => 0,
         _ => out_n,
     };
     let operand_bytes: u64 = node

@@ -19,7 +19,8 @@
 //! control flow the walk is a single forward pass — no fixpoint, no
 //! widening to "dynamic", the contrast the paper draws in Figure 4.
 
-use fx_core::{Arg, Error, GraphModule, Node, NodeId, Opcode, Result};
+use fx_core::dispatch::{op_kind, OpKind};
+use fx_core::{Arg, Error, Graph, GraphModule, Node, NodeId, Opcode, Result};
 use fx_tensor::DType;
 use std::collections::HashMap;
 use std::fmt;
@@ -181,11 +182,6 @@ impl TensorType {
 /// The type of every tensor-valued node, by id.
 pub(crate) type Types = HashMap<NodeId, TensorType>;
 
-/// Ops whose result is not a tensor (or whose shape depends on data):
-/// the walk records nothing for them, and a consumer that needs a shape
-/// from one reports that.
-pub(crate) const NON_TENSOR_OPS: [&str; 6] = ["size", "dim", "item", "chunk", "getitem", "argmax"];
-
 fn err_at(node: &Node, why: impl fmt::Display) -> Error {
     Error::Graph(format!(
         "shape inference: node `{}` ({}): {why}",
@@ -247,7 +243,7 @@ pub(crate) fn infer_types(gm: &GraphModule, inputs: &[TensorType]) -> Result<Typ
                     .output_node()
                     .and_then(|out| inner.get(&out.id()).cloned())
             }
-            Opcode::CallFunction | Opcode::CallMethod => shape_rule(node, &types)?,
+            Opcode::CallFunction | Opcode::CallMethod => shape_rule(gm.graph(), node, &types)?,
         };
         if let Some(ty) = ty {
             types.insert(node.id(), ty);
@@ -389,29 +385,22 @@ fn windowed(
     }
 }
 
-/// The shape rule of every operator, keyed by op name alone: functions
-/// and methods of one name share a kernel (`ops_registry`), and so a
-/// row. `None` is a non-tensor result.
-fn shape_rule(node: &Node, types: &Types) -> Result<Option<TensorType>> {
+/// The shape rule of every operator, keyed by the [`OpKind`] of its row
+/// in the one operator table: functions and methods of one name share
+/// the row, and ops of one kind share a rule. `None` is an untyped
+/// result.
+fn shape_rule(graph: &Graph, node: &Node, types: &Types) -> Result<Option<TensorType>> {
     let args = node.args();
     let tensor = |i: usize| tensor_arg(node, i, types);
     let int = |i: usize, default: i64| args.get(i).and_then(Arg::as_int).unwrap_or(default);
     let target = node.target();
-    Ok(match target {
-        "relu" | "gelu" | "selu" | "sigmoid" | "tanh" | "neg" | "exp" | "log" | "sqrt"
-        | "rsqrt" | "abs" | "clamp" | "hardtanh" | "leaky_relu" | "dropout" | "softmax"
-        | "log_softmax" | "batch_norm" | "layer_norm" | "channel_affine" | "unary_chain"
-        | "contiguous" | "quantized::relu" => Some(tensor(0)?.clone()),
-        "quantize_per_tensor" | "dequantize" => Some(TensorType {
-            shape: tensor(0)?.shape.clone(),
-            dtype: if target == "dequantize" {
-                DType::F32
-            } else {
-                DType::QI8
-            },
-        }),
-        "add" | "sub" | "mul" | "div" | "maximum" | "minimum" | "add_act" | "mul_act"
-        | "quantized::add" => {
+    let Some(kind) = op_kind(target) else {
+        return Err(err_at(node, format_args!("no shape rule for op `{target}`")));
+    };
+    Ok(match kind {
+        OpKind::Same => Some(tensor(0)?.clone()),
+        OpKind::Cast(dtype) => Some(TensorType { dtype, ..tensor(0)?.clone() }),
+        OpKind::Broadcast => {
             // A scalar immediate (or non-tensor operand) broadcasts as [].
             match (operand(node, 0, types), operand(node, 1, types)) {
                 (Some(a), Some(b)) => a.with_shape(broadcast(node, &a.shape, &b.shape)?),
@@ -419,7 +408,7 @@ fn shape_rule(node: &Node, types: &Types) -> Result<Option<TensorType>> {
                 (None, None) => None,
             }
         }
-        "linear" | "linear_act" | "quantized::linear" | "quantized::linear_relu" => {
+        OpKind::Linear => {
             let (x, w) = (tensor(0)?, tensor(1)?);
             let mut shape = x.shape.clone();
             let (Some(features), Some(out)) = (shape.last_mut(), w.shape.first()) else {
@@ -440,7 +429,7 @@ fn shape_rule(node: &Node, types: &Types) -> Result<Option<TensorType>> {
             *features = out.clone();
             x.with_shape(shape)
         }
-        "matmul" => {
+        OpKind::Matmul => {
             let (ta, tb) = (tensor(0)?, tensor(1)?);
             let (a, b) = (&ta.shape, &tb.shape);
             let (inner_a, inner_b, shape) = match (a.as_slice(), b.as_slice()) {
@@ -454,7 +443,7 @@ fn shape_rule(node: &Node, types: &Types) -> Result<Option<TensorType>> {
             contract(node, inner_a, inner_b, "inner dims disagree")?;
             ta.with_shape(shape)
         }
-        "conv2d" | "conv2d_act" | "quantized::conv2d" | "quantized::conv2d_relu" => {
+        OpKind::Conv => {
             let (x, w) = (tensor(0)?, tensor(1)?);
             let kernel = match w.as_concrete().as_deref() {
                 Some(&[_, _, kh, kw]) => (kh, kw),
@@ -478,12 +467,12 @@ fn shape_rule(node: &Node, types: &Types) -> Result<Option<TensorType>> {
                 dilation,
             )?
         }
-        "max_pool2d" | "avg_pool2d" => {
+        OpKind::Pool => {
             let kernel = pair_arg(node, 1, (1, 1))?;
             let (stride, padding) = (pair_arg(node, 2, kernel)?, pair_arg(node, 3, (0, 0))?);
             windowed(node, tensor(0)?, None, kernel, stride, padding, (1, 1))?
         }
-        "adaptive_avg_pool2d" => {
+        OpKind::AdaptivePool => {
             let x = tensor(0)?;
             let [n, c, _, _] = x.shape.as_slice() else {
                 return Err(err_at(node, "input must be 4-d"));
@@ -496,7 +485,7 @@ fn shape_rule(node: &Node, types: &Types) -> Result<Option<TensorType>> {
                 SymDim::Const(ow),
             ])
         }
-        "flatten" => {
+        OpKind::Flatten => {
             let x = tensor(0)?;
             if x.shape.is_empty() {
                 // Flattening a 0-d tensor yields a 1-element vector
@@ -518,7 +507,7 @@ fn shape_rule(node: &Node, types: &Types) -> Result<Option<TensorType>> {
             shape.extend_from_slice(&x.shape[end + 1..]);
             x.with_shape(shape)
         }
-        "reshape" | "view" => {
+        OpKind::Reshape => {
             let x = tensor(0)?;
             let dims = int_list_arg(node, 1)?;
             // The runtime kernel takes the extents literally: no `-1`.
@@ -536,7 +525,7 @@ fn shape_rule(node: &Node, types: &Types) -> Result<Option<TensorType>> {
             }
             Some(TensorType::concrete(&extents, x.dtype))
         }
-        "permute" => {
+        OpKind::Permute => {
             let x = tensor(0)?;
             let dims = int_list_arg(node, 1)?;
             if dims.len() != x.shape.len() {
@@ -551,14 +540,14 @@ fn shape_rule(node: &Node, types: &Types) -> Result<Option<TensorType>> {
                 .collect::<Result<_>>()?;
             x.with_shape(shape)
         }
-        "transpose" => {
+        OpKind::Transpose => {
             let x = tensor(0)?;
             let rank = x.shape.len();
             let mut shape = x.shape.clone();
             shape.swap(axis(node, int(1, 0), rank)?, axis(node, int(2, 1), rank)?);
             x.with_shape(shape)
         }
-        "cat" => {
+        OpKind::Cat => {
             let Some(Arg::List(items) | Arg::Tuple(items)) = args.first() else {
                 return Err(err_at(node, "needs a list of tensors"));
             };
@@ -579,7 +568,7 @@ fn shape_rule(node: &Node, types: &Types) -> Result<Option<TensorType>> {
                 .fold(SymDim::Const(0), SymDim::add);
             first.with_shape(shape)
         }
-        "sum" | "mean" => {
+        OpKind::Reduce => {
             let x = tensor(0)?;
             let mut shape = x.shape.clone();
             match args.get(1).and_then(Arg::as_int) {
@@ -595,7 +584,7 @@ fn shape_rule(node: &Node, types: &Types) -> Result<Option<TensorType>> {
             }
             x.with_shape(shape)
         }
-        "embedding" => {
+        OpKind::Embedding => {
             let (w, indices) = (tensor(0)?, tensor(1)?);
             let [_, width] = w.shape.as_slice() else {
                 return Err(err_at(node, "weight must be 2-d"));
@@ -604,7 +593,7 @@ fn shape_rule(node: &Node, types: &Types) -> Result<Option<TensorType>> {
             shape.push(width.clone());
             w.with_shape(shape)
         }
-        "squeeze" => {
+        OpKind::Squeeze => {
             let x = tensor(0)?;
             let mut shape = x.shape.clone();
             let along = axis(node, int(1, 0), shape.len())?;
@@ -613,15 +602,22 @@ fn shape_rule(node: &Node, types: &Types) -> Result<Option<TensorType>> {
             }
             x.with_shape(shape)
         }
-        "unsqueeze" => {
+        OpKind::Unsqueeze => {
             let x = tensor(0)?;
             let mut shape = x.shape.clone();
             let at = axis(node, int(1, 0), shape.len() + 1)?;
             shape.insert(at, SymDim::Const(1));
             x.with_shape(shape)
         }
-        other if NON_TENSOR_OPS.contains(&other) => None,
-        other => return Err(err_at(node, format_args!("no shape rule for op `{other}`"))),
+        OpKind::NonTensor => None,
+        // An unread value needs no type: an op without a relation is
+        // admitted on a dead branch, and only there, so its value never
+        // reaches another rule (nor `Broadcast`'s scalar arm).
+        OpKind::Opaque if graph.users(node.id()).is_empty() => None,
+        OpKind::Opaque => {
+            let why = "is `OpKind::Opaque` and its value is used: register the op with its kind";
+            return Err(err_at(node, why));
+        }
     })
 }
 
@@ -892,21 +888,23 @@ mod tests {
         assert_eq!(crate::node_cost(&gm, rnn), (0, 0, false));
     }
 
-    /// Every registered function and method name has a row in
-    /// [`shape_rule`] or is on the one explicit non-tensor list.
+    /// Every built-in op has a row in the one table whose kind has a
+    /// rule: none is `Opaque`, and a kind's rule asks for operands (or,
+    /// operand-free, types nothing) rather than reporting a missing
+    /// rule. The scalar unaries the in-place path runs preserve type.
     #[test]
     fn every_registered_op_has_a_shape_rule() {
         let names = fx_core::dispatch::builtin_op_names();
         assert!(names.len() >= 63, "registry shrank to {}", names.len());
-        assert!(NON_TENSOR_OPS
-            .iter()
-            .all(|op| names.iter().any(|n| n == op)));
         for name in names {
+            let kind = op_kind(&name).expect("a built-in name has a row");
+            assert_ne!(kind, OpKind::Opaque, "`{name}` has no relation");
+            if fx_tensor::ops::unary_scalar(&name).is_some() {
+                assert_eq!(kind, OpKind::Same, "scalar unary `{name}`");
+            }
             let mut g = fx_core::Graph::new();
             let call = g.call_function(&name, vec![], vec![]);
-            // A present row asks for its operands (or, operand-free,
-            // types nothing); only a missing row says so.
-            if let Err(e) = shape_rule(g.node(call), &Types::new()) {
+            if let Err(e) = shape_rule(&g, g.node(call), &Types::new()) {
                 assert!(!e.to_string().contains("no shape rule"), "{e}");
             }
         }

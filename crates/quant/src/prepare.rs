@@ -9,18 +9,16 @@
 //! themselves.
 
 use crate::qconfig::QConfig;
+use fx_core::dispatch::{op_kind, OpKind};
 use fx_core::{Arg, GraphModule, NodeId, Opcode, Result, Value};
-
-/// Targets whose values are not single `f32` tensors, and therefore not
-/// observable.
-const UNOBSERVABLE_TARGETS: &[&str] = &["chunk", "size", "dim", "item", "getitem", "argmax"];
 
 fn observable(gm: &GraphModule, id: NodeId) -> bool {
     let node = gm.graph().node(id);
     match node.op() {
         Opcode::Placeholder => true,
+        // A value that is not a single tensor is not observable.
         Opcode::CallFunction | Opcode::CallMethod => {
-            !UNOBSERVABLE_TARGETS.contains(&node.target())
+            op_kind(node.target()) != Some(OpKind::NonTensor)
         }
         Opcode::CallModule => true,
         Opcode::GetAttr | Opcode::Output => false,

@@ -144,7 +144,8 @@ impl ModelConfig {
 /// registry itself.
 pub(crate) struct ModelEntry {
     pub(crate) name: String,
-    /// The configuration it was registered with.
+    /// The configuration it was registered with; every version runs
+    /// under its `exec`.
     pub(crate) cfg: ModelConfig,
     /// Canonical trailing (non-batch) dims per placeholder, fixed at
     /// registration; swaps must preserve them.
@@ -229,6 +230,20 @@ impl ModelEntry {
         }
     }
 
+    /// One line naming what runs this model's batches, for logs and
+    /// stats: the executor with the kernel threads a run from this
+    /// thread would use (not a `0` that means "the process setting"),
+    /// memory planning and the SIMD level.
+    pub(crate) fn describe(&self) -> String {
+        let exec = self.cfg.exec;
+        let threads = fx_tensor::threading::with_num_threads(
+            exec.threads,
+            fx_tensor::threading::num_threads,
+        );
+        let exec = ExecConfig { threads, ..exec };
+        format!("executor({exec} simd={})", fx_tensor::simd_level())
+    }
+
     /// The stats, locked, with the effective batch delay stamped in.
     pub(crate) fn stats_now(&self) -> MutexGuard<'_, StatsState> {
         let mut st = self.stats.lock().unwrap_or_else(|p| p.into_inner());
@@ -242,7 +257,7 @@ impl ModelEntry {
             name: self.name.clone(),
             version: self.slot.current_version(),
             weight: self.cfg.weight,
-            backend: self.slot.describe(),
+            backend: self.describe(),
             stats: self.stats_now().snapshot(),
         }
     }
@@ -375,7 +390,7 @@ impl Registry {
             name: name.to_string(),
             trailing,
             sample_shapes: sample_shapes.to_vec(),
-            slot: VersionSlot::new(gm, cfg.exec),
+            slot: VersionSlot::new(gm),
             queue: Mutex::new(QueueState {
                 q: VecDeque::new(),
                 closed: false,

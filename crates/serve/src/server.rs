@@ -22,10 +22,10 @@
 //! ([`crate::registry::ModelEntry`]).
 //!
 //! Execution is the one [`Executor`], run on the graph the model was
-//! registered (or last swapped) with and its
-//! [`ExecConfig`](fx_core::ExecConfig). The plan is compiled at
-//! registration and at each hot swap, and the version — graph plus
-//! config — is shared by every worker through the entry's version
+//! registered (or last swapped) with, under the
+//! [`ExecConfig`](fx_core::ExecConfig) it was registered with. The plan
+//! is compiled at registration and at each hot swap, and the version —
+//! the graph — is shared by every worker through the entry's version
 //! slot. A fused model is a graph the caller fused (`fx_backend::fuse`)
 //! before handing it over.
 
@@ -405,7 +405,7 @@ fn run_batch(mut batch: Batch) {
     }
     let Some(version) = &batch.version else { return };
     let t0 = Instant::now();
-    let run = Executor::with_config(&version.gm, version.exec).run_profiled(&stacked);
+    let run = Executor::with_config(&version.gm, entry.cfg.exec).run_profiled(&stacked);
     let batch_seconds = t0.elapsed().as_secs_f64();
     let mut valid = std::mem::take(&mut batch.requests);
     let (out, profile) = match run {

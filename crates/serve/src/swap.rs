@@ -15,16 +15,16 @@
 //! finished and let go of it, so the old weights are provably out of
 //! the serving path and the swap drops them.
 
-use fx_core::{ExecConfig, GraphModule};
+use fx_core::GraphModule;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// One served model version: the graph (its plan warmed before it is
-/// installed) and the configuration its runs use, plus the count of
-/// batches formed against it that have not yet finished.
+/// installed), plus the count of batches formed against it that have
+/// not yet finished. Its runs use the model's registered
+/// [`ExecConfig`](fx_core::ExecConfig).
 pub(crate) struct Version {
     pub(crate) gm: GraphModule,
-    pub(crate) exec: ExecConfig,
     /// Monotonic per-model version number, starting at 1.
     pub(crate) number: u64,
     inflight: AtomicUsize,
@@ -46,11 +46,10 @@ pub(crate) struct VersionSlot {
 }
 
 impl VersionSlot {
-    pub(crate) fn new(gm: GraphModule, exec: ExecConfig) -> VersionSlot {
+    pub(crate) fn new(gm: GraphModule) -> VersionSlot {
         VersionSlot {
             current: Mutex::new(Arc::new(Version {
                 gm,
-                exec,
                 number: 1,
                 inflight: AtomicUsize::new(0),
             })),
@@ -81,15 +80,14 @@ impl VersionSlot {
         self.drained.notify_all();
     }
 
-    /// Install `gm` as the next version (old number + 1, same
-    /// [`ExecConfig`]) and return the displaced version. New batches
+    /// Install `gm` as the next version (old number + 1) and return the
+    /// displaced version. New batches
     /// capture the new version from this instant; in-flight batches
     /// keep the old one.
     pub(crate) fn swap(&self, gm: GraphModule) -> Arc<Version> {
         let mut cur = self.current.lock().unwrap_or_else(|p| p.into_inner());
         let next = Arc::new(Version {
             gm,
-            exec: cur.exec,
             number: cur.number + 1,
             inflight: AtomicUsize::new(0),
         });
@@ -115,20 +113,6 @@ impl VersionSlot {
             .unwrap_or_else(|p| p.into_inner())
             .number
     }
-
-    /// One line naming what runs new batches, for logs and stats: the
-    /// executor with the kernel threads a run from this thread would
-    /// use (not a `0` that means "the process setting"), memory
-    /// planning and the SIMD level.
-    pub(crate) fn describe(&self) -> String {
-        let exec = self.current.lock().unwrap_or_else(|p| p.into_inner()).exec;
-        let threads = fx_tensor::threading::with_num_threads(
-            exec.threads,
-            fx_tensor::threading::num_threads,
-        );
-        let exec = ExecConfig { threads, ..exec };
-        format!("executor({exec} simd={})", fx_tensor::simd_level())
-    }
 }
 
 #[cfg(test)]
@@ -142,7 +126,7 @@ mod tests {
 
     #[test]
     fn swap_flips_version_and_waits_for_drain() {
-        let slot = VersionSlot::new(gm(), ExecConfig::from_env());
+        let slot = VersionSlot::new(gm());
         assert_eq!(slot.current_version(), 1);
 
         let held = slot.acquire(); // a batch in flight on v1
@@ -173,14 +157,12 @@ mod tests {
 
     #[test]
     fn acquire_release_balances() {
-        let slot = VersionSlot::new(gm(), ExecConfig::from_env().with_threads(3));
+        let slot = VersionSlot::new(gm());
         let a = slot.acquire();
         let b = slot.acquire();
         assert_eq!(a.inflight(), 2);
         slot.release(a.clone());
         slot.release(b);
         slot.wait_drained(&a); // returns immediately
-        let line = slot.describe();
-        assert!(line.starts_with("executor(threads=3 "), "{line}");
     }
 }

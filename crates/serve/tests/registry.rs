@@ -1,9 +1,10 @@
 //! Integration tests for the multi-tenant registry: concurrent
 //! multi-model serving, per-model admission control and stats, hot
 //! swap (zero downtime, version isolation), unregister draining,
-//! adaptive batching, and a typed error instead of a dead worker when a
-//! kernel panics.
+//! adaptive batching, a typed error instead of a dead worker when a
+//! kernel panics, and admission of graphs that call a user op.
 
+use fx_core::dispatch::{register_function, Inputs, OpKind};
 use fx_core::{
     func, symbolic_trace, Arg, ArcModule, ExecConfig, Executor, Graph, GraphModule, Module,
     Result as CoreResult, Value,
@@ -442,7 +443,12 @@ fn registration_warms_the_plan_cache() {
     );
     assert!(m.contains(&format!("threads={threads} ")), "resolved, not 0: {m}");
     assert!(m.contains(&format!("simd={}", fx_tensor::simd_level())), "{m}");
-    assert!(line("pinned").contains("threads=3 "), "{}", line("pinned"));
+    assert!(line("pinned").starts_with("executor(threads=3 "), "{}", line("pinned"));
+    // A swapped-in version runs under the model's registered config.
+    registry.swap("pinned", mlp_b(6)).unwrap();
+    let snap = registry.stats();
+    let pinned_line = &snap.models.iter().find(|m| m.name == "pinned").unwrap().backend;
+    assert!(pinned_line.starts_with("executor(threads=3 "), "{pinned_line}");
     drop(pinned);
     registry.shutdown();
 }
@@ -481,4 +487,131 @@ fn exec_error_from_core_does_not_use_shutdown() {
         h.infer(vec![randn(&[1, IN_A], 2)]),
         Err(Error::Closed)
     ));
+}
+
+// ----- user ops -----------------------------------------------------------
+//
+// A user op enters the IR as one row of the operator table: its kernel
+// and the `OpKind` its output obeys. The table is process-wide, so the
+// tests that (re)register `custom::noop` with different kinds take
+// turns.
+
+static USER_OP: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn noop(i: &Inputs<'_>) -> CoreResult<Value> {
+    Ok(Value::Tensor(i.tensor(0)?.clone()))
+}
+
+/// Register `custom::noop` as `kind` and hold the table until the guard
+/// drops.
+fn user_op(kind: OpKind) -> std::sync::MutexGuard<'static, ()> {
+    let guard = USER_OP.lock().unwrap_or_else(|p| p.into_inner());
+    register_function("custom::noop", noop, kind);
+    guard
+}
+
+/// A graph over one placeholder `x`; `body` adds the calls and returns
+/// the output node.
+fn graph_of(body: impl FnOnce(&mut Graph, fx_core::NodeId) -> fx_core::NodeId) -> GraphModule {
+    let mut g = Graph::new();
+    let x = g.placeholder("x");
+    let out = body(&mut g, x);
+    g.output(Arg::Node(out));
+    GraphModule::new(g, Default::default(), Default::default(), vec!["x".to_string()]).unwrap()
+}
+
+/// `x → custom::noop` (unused) beside `x → relu → output`.
+fn dead_noop_graph() -> GraphModule {
+    graph_of(|g, x| {
+        g.call_function("custom::noop", vec![Arg::Node(x)], vec![]);
+        g.call_function("relu", vec![Arg::Node(x)], vec![])
+    })
+}
+
+/// `x → custom::noop → relu → output`.
+fn live_noop_graph() -> GraphModule {
+    graph_of(|g, x| {
+        let n = g.call_function("custom::noop", vec![Arg::Node(x)], vec![]);
+        g.call_function("relu", vec![Arg::Node(n)], vec![])
+    })
+}
+
+fn served_equals_solo(gm: GraphModule) {
+    let registry = Registry::builder().build().unwrap();
+    let h = registry.register("user", gm.clone(), &[vec![1, IN_A]]).unwrap();
+    let x = randn(&[2, IN_A], 11);
+    let y = h.infer(vec![x.clone()]).unwrap();
+    assert_eq!(bits(&y[0]), solo(&gm, &x));
+    registry.shutdown();
+}
+
+#[test]
+fn a_user_op_of_a_known_kind_on_a_dead_branch_registers_and_serves() {
+    let _op = user_op(OpKind::Same);
+    served_equals_solo(dead_noop_graph());
+}
+
+#[test]
+fn an_opaque_user_op_on_a_dead_branch_registers_and_serves() {
+    let _op = user_op(OpKind::Opaque);
+    served_equals_solo(dead_noop_graph());
+}
+
+#[test]
+fn an_opaque_user_op_on_the_live_path_is_refused_by_name() {
+    let _op = user_op(OpKind::Opaque);
+    let registry = Registry::builder().build().unwrap();
+    let Err(Error::Build(msg)) = registry.register("user", live_noop_graph(), &[vec![1, IN_A]])
+    else {
+        panic!("expected Error::Build");
+    };
+    assert!(msg.contains("custom::noop") && msg.contains("OpKind"), "{msg}");
+    registry.shutdown();
+}
+
+/// An opaque value is not a scalar operand: `add(x, opaque)` must not be
+/// typed as `x`'s shape.
+#[test]
+fn an_opaque_value_feeding_add_is_refused() {
+    let _op = user_op(OpKind::Opaque);
+    let gm = graph_of(|g, x| {
+        let n = g.call_function("custom::noop", vec![Arg::Node(x)], vec![]);
+        g.call_function("add", vec![Arg::Node(x), Arg::Node(n)], vec![])
+    });
+    let registry = Registry::builder().build().unwrap();
+    let Err(Error::Build(msg)) = registry.register("user", gm, &[vec![1, IN_A]]) else {
+        panic!("expected Error::Build");
+    };
+    assert!(msg.contains("custom::noop"), "{msg}");
+    registry.shutdown();
+}
+
+/// A user op of a known kind is typed and costed like a built-in one of
+/// that kind: the data-free walk agrees with the observed shape, the
+/// estimator charges it, and the registry admits it on the live path.
+#[test]
+fn a_user_op_of_a_known_kind_is_typed_and_costed() {
+    let _op = user_op(OpKind::Same);
+    let mut gm = live_noop_graph();
+    let x = randn(&[3, IN_A], 12);
+    fx_passes::shape_prop(&mut gm, &[Value::Tensor(x)]).unwrap();
+    let noop_node = gm
+        .graph()
+        .nodes()
+        .find(|n| n.target() == "custom::noop")
+        .unwrap();
+    assert_eq!(noop_node.shape_meta(), Some(&[3, IN_A][..]));
+    let inferred = fx_passes::infer_shapes(&mut gm.clone(), &[vec![3, IN_A]]).unwrap();
+    assert_eq!(inferred[noop_node.name()], vec![3, IN_A]);
+
+    let report = fx_passes::estimate(&gm, &fx_passes::DeviceSpec::v100()).unwrap();
+    let row = report
+        .nodes
+        .iter()
+        .find(|r| r.target == "custom::noop")
+        .expect("a row for the user op");
+    assert_eq!(row.flops, (3 * IN_A) as u64, "one op per element, like a unary");
+    assert!(row.bytes > 0 && row.time > 0.0, "{row:?}");
+
+    served_equals_solo(live_noop_graph());
 }

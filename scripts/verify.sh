@@ -78,12 +78,19 @@
 #    under crates/, tests/, examples/, src/, benchmark/, README or
 #    DESIGN, names matched as whole words (every model is served
 #    through `Registry`, DESIGN §7c; a packed int8 weight lives in its
-#    own storage, DESIGN §5e).
+#    own storage, DESIGN §5e); and one table of operators: none of the
+#    retired hand-kept op lists (`NON_TENSOR_OPS`,
+#    `UNOBSERVABLE_TARGETS`, `SHAPE_PRESERVING`, `UNARY_FUNCTIONS`), the
+#    second method table (`builtin_methods`) or its entry points
+#    (`register_method`, `eager_method`) over the same paths, names
+#    matched as whole words (an op's kind is one column of its row in
+#    fx-core's table, and every analysis reads it there, DESIGN §5f).
 # 7. size report               — non-test lines (up to each file's
 #    `#[cfg(test)]`) per crate, for the four analysis files, for the
-#    four kernel files, and for `quant.rs` + `tensor.rs` (the int8
-#    weight and the packed form its storage owns), so the number a
-#    simplicity PR cites comes from the gate, not from hand.
+#    four kernel files, for `quant.rs` + `tensor.rs` (the int8 weight
+#    and the packed form its storage owns), and for `dispatch.rs` +
+#    `ops_registry.rs` (the operator table), so the number a simplicity
+#    PR cites comes from the gate, not from hand.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -188,6 +195,14 @@ if grep -rnwE --exclude-dir=target --exclude-dir=out "$retired_serve" "${serve_p
 fi
 echo "none of $retired_serve or Server:: under ${serve_paths[*]}"
 
+echo "== one-table gate: an op's kind is one column of its row in fx-core's table =="
+retired_lists='NON_TENSOR_OPS|UNOBSERVABLE_TARGETS|SHAPE_PRESERVING|UNARY_FUNCTIONS|builtin_methods|register_method|eager_method'
+if grep -rnwE --exclude-dir=target --exclude-dir=out "$retired_lists" "${serve_paths[@]}"; then
+    echo "a hand-kept op list or the method table is back; give the op's row a kind instead" >&2
+    exit 1
+fi
+echo "none of $retired_lists under ${serve_paths[*]}"
+
 echo "== size: non-test lines =="
 nontest_lines() {
     awk 'FNR == 1 { in_tests = 0 } /^#\[cfg\(test\)\]/ { in_tests = 1 } !in_tests { n++ } END { print n + 0 }' "$@"
@@ -206,4 +221,5 @@ for f in "${kernels[@]}"; do
 done
 printf '%-40s %6d\n' "the four kernel files" "$(nontest_lines "${kernels[@]}")"
 printf '%-40s %6d\n' "quant.rs + tensor.rs" "$(nontest_lines crates/tensor/src/{quant,tensor}.rs)"
+printf '%-40s %6d\n' "dispatch.rs + ops_registry.rs" "$(nontest_lines crates/core/src/{dispatch,ops_registry}.rs)"
 echo "verify: OK"

@@ -528,7 +528,7 @@ fn previously_panicking_inputs_fail_cleanly() {
     fn bomb(_i: &fx_core::dispatch::Inputs<'_>) -> fx_core::Result<Value> {
         panic!("fuzz bomb");
     }
-    fx_core::dispatch::register_function("fuzz::bomb", bomb);
+    fx_core::dispatch::register_function("fuzz::bomb", bomb, fx_core::dispatch::OpKind::Same);
     let mut g = Graph::new();
     let x = g.placeholder("x");
     let b = g.call_function("fuzz::bomb", vec![Arg::Node(x)], vec![]);
