@@ -7,7 +7,6 @@ use crate::compile::{compile, is_supported};
 use crate::engine::Engine;
 use fx_core::{GraphModule, Module, Result, Value};
 use fx_passes::{fuse_conv_bn, split_by};
-use std::any::Any;
 use std::sync::Arc;
 
 /// A compiled [`Engine`] wrapped as a [`Module`], so lowered partitions
@@ -45,10 +44,6 @@ impl Module for EngineModule {
 
     fn extra_repr(&self) -> String {
         format!("{} fused instructions", self.engine.instruction_count())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

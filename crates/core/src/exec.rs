@@ -7,8 +7,9 @@
 //! [`ExecConfig`] says only *how* a run goes: its kernel threads and
 //! whether memory planning is on. `Executor::with_config` and
 //! `fx_serve::ModelConfig::exec_config` accept it, and the
-//! `FX_THREADS` (kernel threads) and `FX_MEMPLAN` environment overrides
-//! are resolved here, in exactly one place ([`ExecConfig::from_env`]).
+//! `FX_THREADS` (kernel threads) environment override is resolved here,
+//! in exactly one place ([`ExecConfig::from_env`]). Memory planning has
+//! no environment knob: it is on unless a run turns it off.
 
 use std::sync::OnceLock;
 
@@ -28,12 +29,6 @@ pub struct ExecConfig {
     /// fuse_conv_bn }`), not by a run's configuration. The field stays
     /// until the benchmark's struct literal stops naming it.
     pub fusion: bool,
-}
-
-/// Process-wide `FX_MEMPLAN` default: on unless the env var is `0`.
-fn memplan_from_env() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| std::env::var("FX_MEMPLAN").map_or(true, |v| v != "0"))
 }
 
 /// Process-wide `FX_THREADS` default, read once.
@@ -68,13 +63,13 @@ fn resolve_threads(var: Option<&str>) -> (usize, Option<String>) {
 
 impl ExecConfig {
     /// The process default configuration — **the** single resolution
-    /// point for the `FX_THREADS` and `FX_MEMPLAN` environment
-    /// overrides (read once per process). Without overrides: the
-    /// process's kernel threads (`threads: 0`), memory planning on.
+    /// point for the `FX_THREADS` environment override (read once per
+    /// process). Without it: the process's kernel threads
+    /// (`threads: 0`). Memory planning is on.
     pub fn from_env() -> ExecConfig {
         ExecConfig {
             threads: threads_from_env(),
-            memory_planning: memplan_from_env(),
+            memory_planning: true,
             fusion: false,
         }
     }

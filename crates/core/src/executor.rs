@@ -131,8 +131,7 @@ impl<'m> Executor<'m> {
     /// An executor over `gm`'s current graph and state. Defaults come
     /// from [`ExecConfig::from_env`](crate::exec::ExecConfig::from_env)
     /// — kernel threads per `FX_THREADS` (unset: the process setting),
-    /// memory planning per `FX_MEMPLAN` (on unless the env var is `0`)
-    /// — with no hook.
+    /// memory planning on — with no hook.
     pub fn new(gm: &'m GraphModule) -> Executor<'m> {
         Self::with_config(gm, crate::exec::ExecConfig::from_env())
     }
@@ -165,8 +164,8 @@ impl<'m> Executor<'m> {
     }
 
     /// Enable or disable memory planning (buffer-pool recycling of dead
-    /// intermediates plus in-place unary rewrites) for this executor,
-    /// overriding the `FX_MEMPLAN` process default. Planned runs are
+    /// intermediates plus in-place unary rewrites) for this executor;
+    /// it is on by default. Planned runs are
     /// bit-identical to unplanned ones — the same kernels touch the same
     /// values in the same order; only allocation traffic changes.
     pub fn with_memory_planning(mut self, on: bool) -> Executor<'m> {

@@ -460,53 +460,11 @@ impl Graph {
     /// Check IR invariants: every argument reference is to a live node
     /// that appears **earlier** in the execution order (topological
     /// validity), placeholders precede all other nodes, node names are
-    /// unique, and at most one output exists, positioned last.
+    /// unique, and at most one output exists, positioned last. This is
+    /// [`GraphChecker`](crate::validate::GraphChecker)'s topology walk
+    /// alone, so a violation is an [`Error::Validate`] naming the node.
     pub fn lint(&self) -> Result<()> {
-        let mut seen: BTreeSet<NodeId> = BTreeSet::new();
-        let mut names: BTreeSet<&str> = BTreeSet::new();
-        let mut non_placeholder_seen = false;
-        let mut output_seen = false;
-        for node in self.nodes() {
-            if output_seen {
-                return Err(Error::Graph(format!(
-                    "node `{}` appears after the output node",
-                    node.name
-                )));
-            }
-            match node.op {
-                Opcode::Placeholder => {
-                    if non_placeholder_seen {
-                        return Err(Error::Graph(format!(
-                            "placeholder `{}` appears after non-placeholder nodes",
-                            node.name
-                        )));
-                    }
-                }
-                Opcode::Output => output_seen = true,
-                _ => non_placeholder_seen = true,
-            }
-            if !names.insert(&node.name) {
-                return Err(Error::Graph(format!("duplicate node name `{}`", node.name)));
-            }
-            for dep in node.input_nodes() {
-                if !self.contains(dep) {
-                    return Err(Error::Graph(format!(
-                        "node `{}` references erased node %{}",
-                        node.name,
-                        dep.index()
-                    )));
-                }
-                if !seen.contains(&dep) {
-                    return Err(Error::Graph(format!(
-                        "node `{}` uses `{}` before its definition",
-                        node.name,
-                        self.node(dep).name
-                    )));
-                }
-            }
-            seen.insert(node.id());
-        }
-        Ok(())
+        crate::validate::GraphChecker::new(self).check_topology()
     }
 
     /// Full structural validation via [`GraphChecker`]: everything

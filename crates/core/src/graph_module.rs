@@ -284,8 +284,4 @@ impl Module for GraphModule {
     fn extra_repr(&self) -> String {
         format!("{} nodes", self.graph.len())
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }

@@ -27,7 +27,7 @@ pub type ArcModule = Arc<dyn Module>;
 /// implement this directly. Containers report their children (enabling
 /// qualified-name assignment and recursive tracing); leaves report their
 /// parameters.
-pub trait Module: fmt::Debug + Send + Sync + 'static {
+pub trait Module: Any + fmt::Debug + Send + Sync {
     /// Run the module on `inputs`. Forward bodies must route all tensor
     /// work through the dispatcher (the [`crate::func`] wrappers,
     /// [`Value`] methods/operators, or child `.call(..)`s) so that the
@@ -68,10 +68,17 @@ pub trait Module: fmt::Debug + Send + Sync + 'static {
     fn input_names(&self) -> Vec<String> {
         vec!["x".to_string()]
     }
+}
 
-    /// Downcasting support, so transforms can inspect concrete layer
-    /// types (e.g. conv–BN fusion reading `Conv2d` fields).
-    fn as_any(&self) -> &dyn Any;
+impl dyn Module {
+    /// The module as `&dyn Any`, so transforms can downcast to concrete
+    /// layer types (e.g. conv–BN fusion reading `Conv2d` fields). An
+    /// inherent method on the trait object, not a trait method: no
+    /// module writes it, and an `ArcModule` auto-derefs to the module
+    /// rather than resolving to the `Arc` itself.
+    pub fn as_any(&self) -> &dyn Any {
+        self
+    }
 }
 
 /// Extension methods available on every module, concrete or `dyn`.
@@ -228,9 +235,6 @@ mod tests {
         fn is_builtin_leaf(&self) -> bool {
             true
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
     }
 
     #[derive(Debug)]
@@ -252,9 +256,6 @@ mod tests {
                 ("a".to_string(), self.a.clone()),
                 ("b".to_string(), self.b.clone()),
             ]
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
         }
     }
 

@@ -230,7 +230,6 @@ impl Drop for SessionGuard {
 ///
 /// ```
 /// use fx_core::{symbolic_trace, Module, ModuleExt, Value, func};
-/// use std::any::Any;
 ///
 /// #[derive(Debug)]
 /// struct MyFunc;
@@ -239,7 +238,6 @@ impl Drop for SessionGuard {
 ///         func::relu(&xs[0])?.neg()
 ///     }
 ///     fn type_name(&self) -> &'static str { "MyFunc" }
-///     fn as_any(&self) -> &dyn Any { self }
 /// }
 ///
 /// let traced = symbolic_trace(&MyFunc).unwrap();

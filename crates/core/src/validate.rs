@@ -37,6 +37,7 @@ use crate::module::ArcModule;
 use crate::node::{NodeId, Opcode};
 use fx_tensor::Tensor;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::OnceLock;
 
 /// Configurable invariant checker over a [`Graph`], optionally aware of
 /// the module tree, attribute map and traced signature of the owning
@@ -104,6 +105,12 @@ impl<'a> GraphChecker<'a> {
     pub fn check(&self) -> Result<()> {
         self.check_order_arena_agreement()?;
         self.check_topology()?;
+        if self.graph.output_node().is_none() {
+            return Err(self.violation(
+                "",
+                "graph has no output node; a finished graph must return exactly one".to_string(),
+            ));
+        }
         self.check_use_def_index()?;
         self.check_signature()?;
         self.check_targets()?;
@@ -143,10 +150,11 @@ impl<'a> GraphChecker<'a> {
         Ok(())
     }
 
-    /// Names unique; placeholders first; exactly one output, last; every
+    /// Names unique; placeholders first; at most one output, last; every
     /// argument reference live and defined earlier (no cycles, no
-    /// dangling references, no use-before-def).
-    fn check_topology(&self) -> Result<()> {
+    /// dangling references, no use-before-def). [`Graph::lint`] is this
+    /// walk alone, so it accepts a graph that has no output yet.
+    pub(crate) fn check_topology(&self) -> Result<()> {
         let mut defined: BTreeSet<NodeId> = BTreeSet::new();
         let mut names: BTreeSet<&str> = BTreeSet::new();
         let mut non_placeholder_seen = false;
@@ -195,12 +203,6 @@ impl<'a> GraphChecker<'a> {
                 }
             }
             defined.insert(node.id());
-        }
-        if output.is_none() {
-            return Err(self.violation(
-                "",
-                "graph has no output node; a finished graph must return exactly one".to_string(),
-            ));
         }
         Ok(())
     }
@@ -361,12 +363,11 @@ impl<'a> GraphChecker<'a> {
 
 /// Whether automatic after-pass validation is enabled: always in debug
 /// builds, and in release builds when `FX_VALIDATE` is set to anything
-/// but `0`.
+/// but `0` (read once per process).
 pub fn checks_enabled() -> bool {
-    if cfg!(debug_assertions) {
-        return true;
-    }
-    std::env::var_os("FX_VALIDATE").is_some_and(|v| v != "0")
+    static FORCED: OnceLock<bool> = OnceLock::new();
+    cfg!(debug_assertions)
+        || *FORCED.get_or_init(|| std::env::var_os("FX_VALIDATE").is_some_and(|v| v != "0"))
 }
 
 /// Validate `gm` after the mutating pass `pass` ran, attributing any

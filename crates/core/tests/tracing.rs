@@ -8,7 +8,6 @@ use fx_core::{
     NodeId, Opcode, Result, Tracer, Value,
 };
 use fx_tensor::Tensor;
-use std::any::Any;
 use std::sync::Arc;
 
 /// A leaf layer: y = x * w.
@@ -31,9 +30,6 @@ impl Module for Scale {
     fn is_builtin_leaf(&self) -> bool {
         true
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// A user container: y = inner(x) + inner(x).
@@ -53,9 +49,6 @@ impl Module for Doubler {
     }
     fn children(&self) -> Vec<(String, ArcModule)> {
         vec![("inner".to_string(), self.inner.clone())]
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -184,9 +177,6 @@ fn concrete_args_bake_in_values() {
         }
         fn input_names(&self) -> Vec<String> {
             vec!["x".to_string(), "n".to_string()]
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
         }
     }
     // Without concrete args: the §5.3 error.

@@ -8,7 +8,6 @@ use crate::mlp::Mlp;
 use fx_core::{func, ArcModule, Module, ModuleExt, Result, Value};
 use fx_nn::Embedding;
 use fx_tensor::rng::Rng;
-use std::any::Any;
 use std::sync::Arc;
 
 /// Deep Learning Recommendation Model, structured like the reference
@@ -112,10 +111,6 @@ impl Module for Dlrm {
             "fields={}, embedding_dim={}",
             self.num_fields, self.embedding_dim
         )
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -5,7 +5,6 @@
 use fx_core::{ArcModule, Module, ModuleExt, Result, Value};
 use fx_nn::{Linear, ReLU};
 use fx_tensor::rng::Rng;
-use std::any::Any;
 use std::sync::Arc;
 
 /// Fully-connected network with ReLU between layers.
@@ -61,10 +60,6 @@ impl Module for Mlp {
 
     fn children(&self) -> Vec<(String, ArcModule)> {
         self.layers.clone()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

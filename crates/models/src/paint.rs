@@ -8,7 +8,6 @@
 use crate::resnet::{resnet18, ResNet};
 use fx_core::{func, ArcModule, Module, ModuleExt, Result, Value};
 use fx_tensor::rng::Rng;
-use std::any::Any;
 use std::sync::Arc;
 
 /// Canvas-state channels (canvas 3 + target 3 + coord 2 + step 1).
@@ -43,10 +42,6 @@ impl Module for LearningToPaintActor {
 
     fn children(&self) -> Vec<(String, ArcModule)> {
         vec![("backbone".to_string(), self.backbone.clone())]
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

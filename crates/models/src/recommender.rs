@@ -11,7 +11,6 @@
 use fx_core::{ArcModule, Module, ModuleExt, Result, Value};
 use fx_nn::{Dropout, Linear, SELU};
 use fx_tensor::rng::Rng;
-use std::any::Any;
 use std::sync::Arc;
 
 /// The DeepRecommender autoencoder.
@@ -65,10 +64,6 @@ impl Module for DeepRecommender {
 
     fn children(&self) -> Vec<(String, ArcModule)> {
         self.layers.clone()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -8,7 +8,6 @@
 use fx_core::{func, ArcModule, Module, ModuleExt, Result, Value};
 use fx_nn::{AdaptiveAvgPool2d, BatchNorm2d, Conv2d, Linear, MaxPool2d, ReLU, Sequential};
 use fx_tensor::rng::Rng;
-use std::any::Any;
 use std::sync::Arc;
 
 /// Which residual block a [`ResNet`] is built from.
@@ -115,10 +114,6 @@ impl Module for BasicBlock {
         }
         c
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// The three-conv residual block of ResNet-50/101/152 (1×1 reduce, 3×3
@@ -193,10 +188,6 @@ impl Module for Bottleneck {
             c.push(("downsample".to_string(), ds.clone()));
         }
         c
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -309,10 +300,6 @@ impl Module for ResNet {
             ("avgpool".to_string(), self.avgpool.clone()),
             ("fc".to_string(), self.fc.clone()),
         ]
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -13,7 +13,6 @@
 use fx_core::{func, Module, ModuleExt, Result, Value};
 use fx_tensor::Tensor;
 use fx_tensor::rng::Rng;
-use std::any::Any;
 
 /// A single-layer LSTM over `[N, T, input]` sequences, returning the
 /// hidden states `[N, T, hidden]`.
@@ -102,10 +101,6 @@ impl Module for Lstm {
     fn extra_repr(&self) -> String {
         format!("input={}, hidden={}", self.input_size, self.hidden_size)
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -164,9 +159,6 @@ mod tests {
                     ("lstm".to_string(), self.lstm.clone()),
                     ("head".to_string(), self.head.clone()),
                 ]
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
             }
         }
         let mut rng = StdRng::seed_from_u64(2);

@@ -9,7 +9,6 @@
 use fx_core::{func, ArcModule, Module, ModuleExt, Result, Value};
 use fx_nn::{LayerNorm, Linear};
 use fx_tensor::rng::Rng;
-use std::any::Any;
 use std::sync::Arc;
 
 /// One pre-norm Transformer encoder layer: multi-head self-attention +
@@ -117,10 +116,6 @@ impl Module for TransformerEncoderLayer {
 
     fn input_names(&self) -> Vec<String> {
         vec!["x".to_string(), "batch".to_string(), "seq_len".to_string()]
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

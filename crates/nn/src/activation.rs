@@ -2,7 +2,6 @@
 //! [`fx_core::func`] ops.
 
 use fx_core::{func, Module, Result, Value};
-use std::any::Any;
 
 macro_rules! activation {
     ($(#[$doc:meta])* $name:ident, $func:path) => {
@@ -19,9 +18,6 @@ macro_rules! activation {
             }
             fn is_builtin_leaf(&self) -> bool {
                 true
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
             }
         }
     };
@@ -85,10 +81,6 @@ impl Module for LeakyReLU {
     fn extra_repr(&self) -> String {
         format!("negative_slope={}", self.negative_slope)
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// ReLU clipped at 6 (`nn.ReLU6`), common in mobile architectures.
@@ -106,10 +98,6 @@ impl Module for ReLU6 {
 
     fn is_builtin_leaf(&self) -> bool {
         true
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

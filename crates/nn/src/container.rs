@@ -1,7 +1,6 @@
 //! Container modules.
 
 use fx_core::{ArcModule, Module, ModuleExt, Result, Value};
-use std::any::Any;
 
 /// A chain of modules applied in order, `nn.Sequential`.
 ///
@@ -65,10 +64,6 @@ impl Module for Sequential {
             .map(|(i, l)| (i.to_string(), l.clone()))
             .collect()
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// The identity module, `nn.Identity` — useful as a structural
@@ -88,10 +83,6 @@ impl Module for Identity {
 
     fn is_builtin_leaf(&self) -> bool {
         true
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

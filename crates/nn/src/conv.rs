@@ -4,7 +4,6 @@ use crate::init;
 use fx_core::{func, Module, ModuleExt, Result, Value};
 use fx_tensor::Tensor;
 use fx_tensor::rng::Rng;
-use std::any::Any;
 
 /// 2-d convolution, PyTorch `nn.Conv2d`.
 ///
@@ -203,10 +202,6 @@ impl Module for Conv2d {
             "{}, {}, kernel_size={:?}, stride={:?}, padding={:?}",
             self.in_channels, self.out_channels, self.kernel_size, self.stride, self.padding
         )
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -6,7 +6,6 @@
 use crate::{BatchNorm2d, Conv2d, Linear};
 use fx_core::{func, Module, ModuleExt, Result, Value};
 use fx_tensor::Tensor;
-use std::any::Any;
 
 fn pair(p: (usize, usize)) -> Value {
     Value::Tuple(vec![Value::Int(p.0 as i64), Value::Int(p.1 as i64)])
@@ -64,10 +63,6 @@ impl Module for FusedConv2d {
     fn extra_repr(&self) -> String {
         format!("{}, act={}", self.conv.extra_repr(), self.act)
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// A [`Linear`] carrying an activation epilogue.
@@ -115,10 +110,6 @@ impl Module for FusedLinear {
 
     fn extra_repr(&self) -> String {
         format!("{}, act={}", self.linear.extra_repr(), self.act)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -180,10 +171,6 @@ impl Module for ChannelAffine {
 
     fn extra_repr(&self) -> String {
         self.scale.numel().to_string()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -4,7 +4,6 @@ use crate::init;
 use fx_core::{func, Module, ModuleExt, Result, Value};
 use fx_tensor::Tensor;
 use fx_tensor::rng::Rng;
-use std::any::Any;
 
 /// Affine transform `y = x @ weightᵀ + bias`, PyTorch `nn.Linear`.
 #[derive(Debug, Clone)]
@@ -106,10 +105,6 @@ impl Module for Linear {
             self.out_features,
             self.bias.is_some()
         )
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

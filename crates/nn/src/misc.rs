@@ -3,7 +3,6 @@
 use fx_core::{func, Module, ModuleExt, Result, Value};
 use fx_tensor::Tensor;
 use fx_tensor::rng::Rng;
-use std::any::Any;
 
 /// Flattens a contiguous range of dims, `nn.Flatten`.
 #[derive(Debug, Clone, Copy)]
@@ -39,10 +38,6 @@ impl Module for Flatten {
     fn extra_repr(&self) -> String {
         format!("start_dim={}, end_dim={}", self.start_dim, self.end_dim)
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// Dropout, `nn.Dropout` — the identity at inference time, but recorded
@@ -75,10 +70,6 @@ impl Module for Dropout {
 
     fn extra_repr(&self) -> String {
         format!("p={}", self.p)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -127,10 +118,6 @@ impl Module for Embedding {
 
     fn extra_repr(&self) -> String {
         format!("{}, {}", self.num_embeddings, self.embedding_dim)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

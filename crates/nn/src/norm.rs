@@ -2,7 +2,6 @@
 
 use fx_core::{func, Module, ModuleExt, Result, Value};
 use fx_tensor::Tensor;
-use std::any::Any;
 
 /// Inference-mode 2-d batch normalization, PyTorch `nn.BatchNorm2d`.
 ///
@@ -108,10 +107,6 @@ impl Module for BatchNorm2d {
     fn extra_repr(&self) -> String {
         format!("{}, eps={}", self.num_features, self.eps)
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// Layer normalization over the trailing dimensions, PyTorch
@@ -172,10 +167,6 @@ impl Module for LayerNorm {
 
     fn extra_repr(&self) -> String {
         format!("{:?}, eps={}", self.normalized_shape, self.eps)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

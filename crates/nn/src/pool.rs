@@ -1,7 +1,6 @@
 //! Pooling modules.
 
 use fx_core::{func, Module, Result, Value};
-use std::any::Any;
 
 /// Max pooling, `nn.MaxPool2d`.
 #[derive(Debug, Clone, Copy)]
@@ -56,10 +55,6 @@ impl Module for MaxPool2d {
             self.kernel_size, self.stride, self.padding
         )
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// Average pooling, `nn.AvgPool2d`.
@@ -96,10 +91,6 @@ impl Module for AvgPool2d {
     fn is_builtin_leaf(&self) -> bool {
         true
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// Adaptive average pooling to a fixed output size,
@@ -132,10 +123,6 @@ impl Module for AdaptiveAvgPool2d {
 
     fn extra_repr(&self) -> String {
         format!("output_size={:?}", self.output_size)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

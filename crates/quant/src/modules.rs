@@ -3,7 +3,6 @@
 use fx_core::{func, Module, ModuleExt, Result, Value};
 use fx_tensor::quant::quantize_per_channel;
 use fx_tensor::Tensor;
-use std::any::Any;
 
 /// Int8 linear layer (optionally with a fused ReLU epilogue) — the
 /// FBGEMM-style replacement for `Linear`.
@@ -108,10 +107,6 @@ impl Module for QuantizedLinear {
             self.out_zero_point
         )
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// Int8 convolution (optionally with a fused ReLU epilogue) — the
@@ -215,10 +210,6 @@ impl Module for QuantizedConv2d {
 
     fn is_builtin_leaf(&self) -> bool {
         true
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

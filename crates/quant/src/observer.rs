@@ -11,7 +11,6 @@
 
 use fx_core::{Module, Result, Value};
 use fx_tensor::quant::{choose_qparams, min_max};
-use std::any::Any;
 use std::sync::Mutex;
 
 /// Running min/max statistics shared by the observer implementations.
@@ -104,10 +103,6 @@ impl Module for MinMaxObserver {
     fn is_builtin_leaf(&self) -> bool {
         true
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// Exponential-moving-average min/max — PyTorch's
@@ -161,10 +156,6 @@ impl Module for MovingAverageObserver {
 
     fn is_builtin_leaf(&self) -> bool {
         true
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -261,10 +252,6 @@ impl Module for HistogramObserver {
 
     fn is_builtin_leaf(&self) -> bool {
         true
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -64,10 +64,6 @@ impl Module for FakeQuantize {
     fn is_builtin_leaf(&self) -> bool {
         true
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// QAT variant of [`prepare`](crate::prepare): instrument with

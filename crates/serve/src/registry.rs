@@ -43,7 +43,7 @@ use crate::error::{Error, Result};
 use crate::scheduler::Scheduler;
 use crate::server::{batcher_loop, worker_loop, Batch, Handle, QueueState};
 use crate::stats::{ModelStats, RegistrySnapshot, StatsState};
-use crate::swap::VersionSlot;
+use crate::swap::{Version, VersionSlot};
 use fx_core::{ExecConfig, GraphModule};
 use fx_passes::batch_polymorphic;
 use std::collections::{HashMap, VecDeque};
@@ -165,7 +165,8 @@ pub(crate) struct ModelEntry {
     /// scheduler charges `rows × this` against the model's lane.
     pub(crate) row_seconds_bits: AtomicU64,
     /// Batches formed but not yet finished; unregister/shutdown drain
-    /// on this.
+    /// on this, and a swap waits on `all_done` for the batches that
+    /// hold the old version.
     pub(crate) outstanding: Mutex<u64>,
     pub(crate) all_done: Condvar,
     /// This model's lane id in the shared scheduler.
@@ -205,22 +206,24 @@ impl ModelEntry {
         self.arrived.notify_all();
     }
 
-    /// One batch was formed against this entry.
-    pub(crate) fn batch_started(&self) {
+    /// One batch was formed against this entry: count it and capture
+    /// the current version it runs on.
+    pub(crate) fn batch_started(&self) -> Arc<Version> {
         let mut n = self.outstanding.lock().unwrap_or_else(|p| p.into_inner());
         *n += 1;
+        self.slot.acquire()
     }
 
     /// One batch finished (ran, or was dropped with its requests
-    /// answered `Error::Shutdown`).
-    pub(crate) fn batch_finished(&self) {
+    /// answered `Error::Shutdown`). Its version is dropped under the
+    /// count's lock, so a drain waiter in [`Registry::swap`] cannot miss
+    /// the wakeup.
+    pub(crate) fn batch_finished(&self, version: Option<Arc<Version>>) {
         let mut n = self.outstanding.lock().unwrap_or_else(|p| p.into_inner());
         *n = n.saturating_sub(1);
-        let drained = *n == 0;
+        drop(version);
         drop(n);
-        if drained {
-            self.all_done.notify_all();
-        }
+        self.all_done.notify_all();
     }
 
     fn wait_batches_done(&self) {
@@ -452,7 +455,15 @@ impl Registry {
             Error::Build(format!("swap rejected: execution plan does not compile: {e}"))
         })?;
         let old = entry.slot.swap(gm);
-        entry.slot.wait_drained(&old);
+        // Every batch formed against `old` holds a clone of it and drops
+        // it in `batch_finished`, under `outstanding`'s lock: once the
+        // count is 1 this call holds the last reference, and the old
+        // graph goes with it.
+        let mut n = entry.outstanding.lock().unwrap_or_else(|p| p.into_inner());
+        while Arc::strong_count(&old) > 1 {
+            n = entry.all_done.wait(n).unwrap_or_else(|p| p.into_inner());
+        }
+        drop(n);
         let new_version = old.number + 1;
         entry
             .stats
@@ -529,7 +540,7 @@ impl Registry {
         self.snapshot_of(&entries)
     }
 
-    fn lookup(&self, name: &str) -> Result<Arc<ModelEntry>> {
+    pub(crate) fn lookup(&self, name: &str) -> Result<Arc<ModelEntry>> {
         self.inner
             .entries
             .lock()

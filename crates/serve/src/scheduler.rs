@@ -36,8 +36,6 @@ struct Lane<T> {
     deficit: f64,
     /// Queued items, each with the estimated seconds it will be charged.
     q: VecDeque<(f64, T)>,
-    /// Closed lanes accept no further batches (unregister in progress).
-    open: bool,
 }
 
 struct SchedState<T> {
@@ -77,7 +75,6 @@ impl<T> Scheduler<T> {
             weight: weight.max(1),
             deficit: 0.0,
             q: VecDeque::new(),
-            open: true,
         };
         for (i, slot) in st.lanes.iter_mut().enumerate() {
             if slot.is_none() {
@@ -105,14 +102,14 @@ impl<T> Scheduler<T> {
 
     /// Queue `item` on lane `id`, to be charged `cost_s` estimated
     /// seconds when it dispatches. Returns the item on a closed
-    /// scheduler or lane (the caller answers its requests).
+    /// scheduler or a removed lane (the caller answers its requests).
     pub(crate) fn submit(&self, id: usize, cost_s: f64, item: T) -> Result<(), T> {
         let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
         if st.closed {
             return Err(item);
         }
         match st.lanes.get_mut(id) {
-            Some(Some(lane)) if lane.open => {
+            Some(Some(lane)) => {
                 lane.q.push_back((cost_s, item));
                 st.queued += 1;
                 drop(st);

@@ -62,14 +62,14 @@ pub(crate) struct QueueState {
 /// can never mix model versions.
 ///
 /// Dropping a batch settles all its accounting: leftover requests (a
-/// worker died before running it) are answered [`Error::Shutdown`], the
-/// captured version is handed back to its slot, and the entry's
-/// outstanding-batch count decrements. `run_batch` takes the requests
+/// worker died before running it) are answered [`Error::Shutdown`], and
+/// the entry's outstanding-batch count decrements as the captured
+/// version is let go. `run_batch` takes the requests
 /// out first, so on the normal path the drop only settles accounting.
 pub(crate) struct Batch {
     pub(crate) entry: Arc<ModelEntry>,
     pub(crate) requests: Vec<Request>,
-    /// Taken only by `Drop`, which hands it back to the version slot.
+    /// Taken only by `Drop`, which lets it go in `batch_finished`.
     pub(crate) version: Option<Arc<Version>>,
 }
 
@@ -78,10 +78,7 @@ impl Drop for Batch {
         for req in self.requests.drain(..) {
             respond(&self.entry, req, Err(Error::Shutdown));
         }
-        if let Some(version) = self.version.take() {
-            self.entry.slot.release(version);
-        }
-        self.entry.batch_finished();
+        self.entry.batch_finished(self.version.take());
     }
 }
 
@@ -266,12 +263,10 @@ pub(crate) fn batcher_loop(entry: &Arc<ModelEntry>, sched: &Scheduler<Batch>) {
             // Capture the current version exactly once per batch: the
             // single point that guarantees a batch never mixes model
             // versions across a hot swap.
-            let version = entry.slot.acquire();
-            entry.batch_started();
             let batch = Batch {
                 entry: entry.clone(),
                 requests,
-                version: Some(version),
+                version: Some(entry.batch_started()),
             };
             // Charged against the model's lane: rows × the observed
             // per-row EWMA.

@@ -364,10 +364,6 @@ impl Module for Tripwire {
     fn is_builtin_leaf(&self) -> bool {
         true
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// `x -> tripwire -> output`.

@@ -112,7 +112,7 @@ pub fn stack_batch(parts: &[&Tensor]) -> Result<Tensor> {
                 .qscheme()
                 .expect("qi8 tensor always has a scheme")
                 .clone();
-            let mut out = crate::pool::alloc_i8_empty(total * inner_numel(&shape));
+            let mut out = crate::pool::alloc_empty::<i8>(total * inner_numel(&shape));
             for t in parts {
                 out.extend_from_slice(t.as_qi8()?);
             }
@@ -161,7 +161,7 @@ pub fn split_batch(t: &Tensor, sizes: &[usize]) -> Result<Vec<Tensor>> {
                 &shape,
             ),
             DType::QI8 => {
-                let mut piece = crate::pool::alloc_i8_empty(rows * inner);
+                let mut piece = crate::pool::alloc_empty::<i8>(rows * inner);
                 piece.extend_from_slice(&t.as_qi8()?[row * inner..(row + rows) * inner]);
                 Tensor::from_qi8(
                     piece,

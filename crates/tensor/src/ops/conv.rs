@@ -179,7 +179,7 @@ pub fn conv2d_act(
     // independent of batch size and thread count, so batched and solo
     // runs stay bit-identical.
     let (p, kg) = (oh * ow, cg * kh * kw);
-    let mut out = pool::alloc_f32(n * o * p);
+    let mut out = pool::alloc::<f32>(n * o * p);
     with_patches(xd, [n, c, h, win], (kh, kw), stride, padding, dilation, (oh, ow), 0.0, |patches| {
         for grp in 0..groups {
             let patches = PatchSrc { ch0: grp * cg, ..patches };
@@ -250,7 +250,7 @@ fn pool2d(
     };
     let divisor = (kernel.0 * kernel.1) as f32;
     // Garbage-tolerant: every element is written by index below.
-    let mut out = pool::alloc_f32(n * c * oh * ow);
+    let mut out = pool::alloc::<f32>(n * c * oh * ow);
     for (pi, out_plane) in out.chunks_exact_mut(oh * ow).enumerate() {
         let plane = &xd[pi * h * w..(pi + 1) * h * w];
         for (oy, out_row) in out_plane.chunks_exact_mut(ow).enumerate() {
@@ -290,7 +290,7 @@ pub fn adaptive_avg_pool2d(x: &Tensor, output_size: (usize, usize)) -> Result<Te
             message: "output size must be positive".to_string(),
         });
     }
-    let mut out = pool::alloc_f32_empty(n * c * oh * ow);
+    let mut out = pool::alloc_empty::<f32>(n * c * oh * ow);
     for plane_idx in 0..n * c {
         let plane = &xd[plane_idx * h * w..(plane_idx + 1) * h * w];
         for oy in 0..oh {

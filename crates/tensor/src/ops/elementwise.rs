@@ -18,12 +18,12 @@ fn binary(op: &'static str, a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32)
     })?;
     if a.shape() == b.shape() {
         // Fast path: identical shapes vectorize as a flat zip.
-        let mut out = pool::alloc_f32_empty(ad.len());
+        let mut out = pool::alloc_empty::<f32>(ad.len());
         out.extend(ad.iter().zip(bd).map(|(&x, &y)| f(x, y)));
         return Ok(Tensor::from_vec(out, a.shape()));
     }
     let out_shape = broadcast_shapes(a.shape(), b.shape())?;
-    let mut out = pool::alloc_f32_empty(crate::shape::numel(&out_shape));
+    let mut out = pool::alloc_empty::<f32>(crate::shape::numel(&out_shape));
     for (ia, ib) in BroadcastIter::new(a.shape(), b.shape(), &out_shape) {
         out.push(f(ad[ia], bd[ib]));
     }
@@ -36,7 +36,7 @@ fn unary(op: &'static str, a: &Tensor, f: impl Fn(f32) -> f32) -> Result<Tensor>
         expected: crate::DType::F32,
         got: a.dtype(),
     })?;
-    let mut out = pool::alloc_f32_empty(ad.len());
+    let mut out = pool::alloc_empty::<f32>(ad.len());
     out.extend(ad.iter().map(|&x| f(x)));
     Ok(Tensor::from_vec(out, a.shape()))
 }

@@ -46,7 +46,7 @@ fn gemm_nn_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32
 
 /// Pool-allocating wrapper around [`gemm_nn_into`].
 fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
-    let mut c = pool::alloc_f32(m * n);
+    let mut c = pool::alloc::<f32>(m * n);
     gemm_nn_into(m, k, n, a, b, &mut c);
     c
 }
@@ -81,7 +81,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         (2, 1) => {
             let (m, k) = (a.shape()[0], a.shape()[1]);
             dims_match("matmul", k, b.shape()[0], b.shape())?;
-            let mut c = pool::alloc_f32(m);
+            let mut c = pool::alloc::<f32>(m);
             simd::gemm(m, k, 1, ad, BSrc::Transposed(bd), &mut c, None, false);
             Ok(Tensor::from_vec(c, &[m]))
         }
@@ -96,7 +96,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
                 });
             }
             dims_match("matmul", k, k2, b.shape())?;
-            let mut out = pool::alloc_f32(bs * m * n);
+            let mut out = pool::alloc::<f32>(bs * m * n);
             for i in 0..bs {
                 gemm_nn_into(
                     m,
@@ -136,9 +136,10 @@ pub fn linear(x: &Tensor, w: &Tensor, b: Option<&Tensor>) -> Result<Tensor> {
 
 /// [`linear`] with an optional fused ReLU epilogue, the hook the
 /// backend engine's epilogue fusion lowers `linear+relu` through. Bias
-/// and ReLU are applied during the GEMM write-back, elementwise
-/// identical to running [`linear`] followed by `relu` (`+ bias` then
-/// `max(0)` are the same float ops wherever they run).
+/// and ReLU are applied in one pass over the GEMM's finished output
+/// (not by a separate op), elementwise identical to running [`linear`]
+/// followed by `relu` (`+ bias` then `max(0)` are the same float ops
+/// wherever they run).
 pub fn linear_act(x: &Tensor, w: &Tensor, b: Option<&Tensor>, relu: bool) -> Result<Tensor> {
     let xd = x.as_f32()?;
     let wd = w.as_f32()?;
@@ -174,8 +175,8 @@ pub fn linear_act(x: &Tensor, w: &Tensor, b: Option<&Tensor>, relu: bool) -> Res
     // The leading dims, not `numel / in_f`: with no input features the
     // rows are still there, and each output row is the bias.
     let m: usize = x.shape()[..x.rank() - 1].iter().product();
-    let mut out = pool::alloc_f32(m * out_f);
-    // Bias and ReLU fused into the microkernel write-back.
+    let mut out = pool::alloc::<f32>(m * out_f);
+    // Bias and ReLU applied by `gemm` in one pass over the finished C.
     simd::gemm(
         m,
         in_f,

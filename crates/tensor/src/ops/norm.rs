@@ -46,13 +46,13 @@ pub fn batch_norm(
     // Precompute per-channel affine: y = x * scale[c] + shift[c]. The
     // scratch vectors go straight back to the pool, so a ResNet's ~50
     // BN layers recycle the same two buffers in steady state.
-    let mut scale = pool::alloc_f32_empty(c);
+    let mut scale = pool::alloc_empty::<f32>(c);
     scale.extend((0..c).map(|i| g[i] / (v[i] + eps).sqrt()));
-    let mut shift = pool::alloc_f32_empty(c);
+    let mut shift = pool::alloc_empty::<f32>(c);
     shift.extend((0..c).map(|i| b[i] - m[i] * scale[i]));
     let out = affine_per_channel(xd, xs, &scale, &shift);
-    pool::recycle_f32(scale);
-    pool::recycle_f32(shift);
+    pool::recycle::<f32>(scale);
+    pool::recycle::<f32>(shift);
     Ok(out)
 }
 
@@ -62,7 +62,7 @@ pub fn batch_norm(
 fn affine_per_channel(xd: &[f32], xs: &[usize], scale: &[f32], shift: &[f32]) -> Tensor {
     let (n, c) = (xs[0], xs[1]);
     let inner: usize = xs[2..].iter().product();
-    let mut out = pool::alloc_f32_empty(xd.len());
+    let mut out = pool::alloc_empty::<f32>(xd.len());
     for img in 0..n {
         for ch in 0..c {
             let base = (img * c + ch) * inner;
@@ -119,7 +119,7 @@ pub fn layer_norm(
             got: gamma.shape().to_vec(),
         });
     }
-    let mut out = pool::alloc_f32_empty(xd.len());
+    let mut out = pool::alloc_empty::<f32>(xd.len());
     for row in xd.chunks(inner) {
         let mean: f32 = row.iter().sum::<f32>() / inner as f32;
         let var: f32 = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / inner as f32;
@@ -150,7 +150,7 @@ fn softmax_impl(x: &Tensor, dim: i64, log: bool) -> Result<Tensor> {
     let axis_len = xs[axis];
     let inner: usize = xs[axis + 1..].iter().product();
     let outer: usize = xs[..axis].iter().product();
-    let mut out = pool::alloc_f32_zeroed(xd.len());
+    let mut out = pool::alloc_zeroed::<f32>(xd.len());
     for oi in 0..outer {
         for ii in 0..inner {
             let idx = |a: usize| (oi * axis_len + a) * inner + ii;

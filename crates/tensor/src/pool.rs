@@ -2,34 +2,28 @@
 //! memory planning (Relay-style ahead-of-time buffer reuse brought to
 //! the 6-opcode IR).
 //!
-//! Kernels request output and scratch buffers through the typed
-//! `alloc_*` helpers ([`alloc_f32`] / [`alloc_f32_zeroed`] /
-//! [`alloc_f32_empty`] and their `i8`/`i16`/`i32` siblings for the
-//! quantized path); the executor returns a dying intermediate's storage
-//! via [`recycle_tensor`] the moment liveness says it is dead. Buffers
-//! live in power-of-two element buckets, **segregated by element type**
-//! — an `i8` buffer can never be handed back as an `f32` one — so a
-//! steady-state run of a fixed-shape graph (f32 or int8) recycles the
-//! same few buffers instead of touching the heap.
-//!
-//! The dtype generalization is a thin layer: one generic bucket core
-//! ([`PoolElem`] supplies the per-type bucket array and element size)
-//! with monomorphic public wrappers, so the f32 fast path compiles to
-//! exactly the code it had when the pool was `Vec<f32>`-only.
+//! Kernels request output and scratch buffers through one generic API,
+//! [`alloc`] / [`alloc_zeroed`] / [`alloc_empty`], for each [`PoolElem`]
+//! (`f32`, and `i8` / `i32` for the quantized path); the executor
+//! returns a dying intermediate's storage via [`recycle_tensor`] (or a
+//! kernel its scratch via [`recycle`]) the moment liveness says it is
+//! dead. Buffers live in power-of-two element buckets, **segregated by
+//! element type** — an `i8` buffer can never be handed back as an `f32`
+//! one — so a steady-state run of a fixed-shape graph (f32 or int8)
+//! recycles the same few buffers instead of touching the heap.
 //!
 //! The pool is process-wide but **inert by default**: allocation
 //! helpers fall through to plain `Vec` construction unless a
-//! [`PoolGuard`] is live (the executor holds one per planned run, and
-//! `FX_MEMPLAN=0` disables planning entirely). Counters are maintained
-//! in both modes so benchmarks can report allocations-per-run for the
-//! planned and unplanned paths with the same instrumentation. All
-//! counters are shared across dtypes; byte gauges weight each buffer by
-//! its element size.
+//! [`PoolGuard`] is live (the executor holds one per planned run).
+//! Counters are maintained in both modes so benchmarks can report
+//! allocations-per-run for the planned and unplanned paths with the
+//! same instrumentation. All counters are shared across dtypes; byte
+//! gauges weight each buffer by its element size.
 //!
-//! Recycled buffers keep their stale contents; [`alloc_f32`] therefore
+//! Recycled buffers keep their stale contents; [`alloc`] therefore
 //! hands out buffers whose prefix is arbitrary (but initialized) data,
 //! and every consumer must overwrite each element before reading it —
-//! kernels that accumulate use the `_zeroed` variants.
+//! kernels that accumulate use [`alloc_zeroed`].
 
 use crate::tensor::Tensor;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -46,7 +40,6 @@ type Buckets<T> = [Mutex<Vec<Vec<T>>>; N_BUCKETS];
 
 static BUCKETS_F32: Buckets<f32> = [const { Mutex::new(Vec::new()) }; N_BUCKETS];
 static BUCKETS_I8: Buckets<i8> = [const { Mutex::new(Vec::new()) }; N_BUCKETS];
-static BUCKETS_I16: Buckets<i16> = [const { Mutex::new(Vec::new()) }; N_BUCKETS];
 static BUCKETS_I32: Buckets<i32> = [const { Mutex::new(Vec::new()) }; N_BUCKETS];
 
 /// Element types the pool can bucket. Each type owns a separate static
@@ -74,7 +67,6 @@ macro_rules! pool_elem {
 
 pool_elem!(f32, 0.0, BUCKETS_F32);
 pool_elem!(i8, 0, BUCKETS_I8);
-pool_elem!(i16, 0, BUCKETS_I16);
 pool_elem!(i32, 0, BUCKETS_I32);
 
 /// Nesting depth of live [`PoolGuard`]s; pooling is active when > 0.
@@ -204,84 +196,18 @@ pub fn recycle<T: PoolElem>(v: Vec<T>) {
     bucket.push(v);
 }
 
-// ----- monomorphic wrappers (the public kernel-facing API) -----------------
-
-/// A length-`len` f32 buffer of arbitrary (stale) but initialized
-/// contents; overwrite every element before reading.
-pub fn alloc_f32(len: usize) -> Vec<f32> {
-    alloc::<f32>(len)
-}
-
-/// A length-`len` f32 buffer of zeros, for kernels that accumulate.
-pub fn alloc_f32_zeroed(len: usize) -> Vec<f32> {
-    alloc_zeroed::<f32>(len)
-}
-
-/// An empty f32 buffer with capacity for at least `cap` elements.
-pub fn alloc_f32_empty(cap: usize) -> Vec<f32> {
-    alloc_empty::<f32>(cap)
-}
-
-/// Return an f32 buffer to its size bucket.
-pub fn recycle_f32(v: Vec<f32>) {
-    recycle::<f32>(v)
-}
-
-/// A length-`len` i8 buffer of arbitrary (stale) contents — quantized
-/// activations, im2col patch panels, requantized outputs.
-pub fn alloc_i8(len: usize) -> Vec<i8> {
-    alloc::<i8>(len)
-}
-
-/// An empty i8 buffer with capacity for at least `cap` elements.
-pub fn alloc_i8_empty(cap: usize) -> Vec<i8> {
-    alloc_empty::<i8>(cap)
-}
-
-/// Return an i8 buffer to its size bucket.
-pub fn recycle_i8(v: Vec<i8>) {
-    recycle::<i8>(v)
-}
-
-/// A length-`len` i16 buffer of arbitrary (stale) contents — packed
-/// int8 GEMM panels widened to i16 pairs.
-pub fn alloc_i16(len: usize) -> Vec<i16> {
-    alloc::<i16>(len)
-}
-
-/// Return an i16 buffer to its size bucket.
-pub fn recycle_i16(v: Vec<i16>) {
-    recycle::<i16>(v)
-}
-
-/// A length-`len` i32 buffer of arbitrary (stale) contents — int8 GEMM
-/// accumulators.
-pub fn alloc_i32(len: usize) -> Vec<i32> {
-    alloc::<i32>(len)
-}
-
-/// A length-`len` i32 buffer of zeros, for kernels that accumulate.
-pub fn alloc_i32_zeroed(len: usize) -> Vec<i32> {
-    alloc_zeroed::<i32>(len)
-}
-
-/// Return an i32 buffer to its size bucket.
-pub fn recycle_i32(v: Vec<i32>) {
-    recycle::<i32>(v)
-}
-
 /// Recycle a dying tensor's storage if it is uniquely owned f32 or
 /// quantized i8; shared or other storage is simply dropped.
 pub fn recycle_tensor(t: Tensor) {
     match t.dtype() {
         crate::dtype::DType::QI8 => {
             if let Some(v) = t.try_take_qi8() {
-                recycle_i8(v);
+                recycle(v);
             }
         }
         _ => {
             if let Some(v) = t.try_take_f32() {
-                recycle_f32(v);
+                recycle(v);
             }
         }
     }
@@ -358,7 +284,6 @@ fn clear_buckets<T: PoolElem>() {
 pub fn clear() {
     clear_buckets::<f32>();
     clear_buckets::<i8>();
-    clear_buckets::<i16>();
     clear_buckets::<i32>();
 }
 
@@ -375,10 +300,10 @@ mod tests {
     fn zeroed_alloc_really_zeroes_recycled_garbage() {
         let _g = activate();
         let len = 7_777;
-        let mut v = alloc_f32(len);
+        let mut v = alloc::<f32>(len);
         v.iter_mut().for_each(|x| *x = 3.5);
-        recycle_f32(v);
-        let v2 = alloc_f32_zeroed(len);
+        recycle::<f32>(v);
+        let v2 = alloc_zeroed::<f32>(len);
         assert!(v2.iter().all(|&x| x == 0.0));
     }
 

@@ -174,7 +174,7 @@ pub(crate) fn requant_one(acc: i32, mult: f32, badd: f32, relu: bool, out_zp: i3
 /// Quantize an `f32` tensor with per-tensor affine parameters.
 pub fn quantize_per_tensor(x: &Tensor, scale: f32, zero_point: i32) -> Result<Tensor> {
     let data = x.as_f32()?;
-    let mut q = pool::alloc_i8(data.len());
+    let mut q = pool::alloc::<i8>(data.len());
     quantize_into(data, scale, zero_point, &mut q);
     Ok(Tensor::from_qi8(
         q,
@@ -216,7 +216,7 @@ pub fn quantize_per_channel(w: &Tensor, axis: usize) -> Result<Tensor> {
 pub fn dequantize(q: &Tensor) -> Result<Tensor> {
     let data = q.as_qi8()?;
     let scheme = q.qscheme().expect("qi8 tensor always has a scheme");
-    let mut out = pool::alloc_f32_empty(data.len());
+    let mut out = pool::alloc_empty::<f32>(data.len());
     match scheme {
         QScheme::PerTensor { scale, zero_point } => {
             out.extend(data.iter().map(|&v| (v as i32 - zero_point) as f32 * scale));
@@ -251,7 +251,7 @@ pub fn quantized_relu(q: &Tensor) -> Result<Tensor> {
     let (_, zp) = activation_qparams("quantized_relu", q)?;
     let relu = relu_one(zp);
     let data = q.as_qi8()?;
-    let mut out = pool::alloc_i8_empty(data.len());
+    let mut out = pool::alloc_empty::<i8>(data.len());
     out.extend(data.iter().map(|&v| relu(v)));
     Ok(Tensor::from_qi8(out, q.shape(), q.qscheme().expect("checked above").clone()))
 }
@@ -280,7 +280,7 @@ pub fn quantized_add(a: &Tensor, b: &Tensor, out_scale: f32, out_zp: i32) -> Res
     let qo = (out_scale, out_zp);
     let da = a.as_qi8()?;
     let db = b.as_qi8()?;
-    let mut out = pool::alloc_i8(da.len());
+    let mut out = pool::alloc::<i8>(da.len());
     match simd::quant_lane(out_zp) {
         Some(lane) => lane.add(da, db, qa, qb, qo, &mut out),
         None => {
@@ -407,7 +407,7 @@ impl<'a> QGemm<'a> {
     ) -> Result<Self> {
         let prep = prepack_weights(w, o, k)?;
         let inv_out = 1.0 / out_scale;
-        let mut badd = pool::alloc_f32_empty(o);
+        let mut badd = pool::alloc_empty::<f32>(o);
         match bias {
             Some(b) if b.numel() != o => {
                 return Err(Error::ShapeMismatch {
@@ -419,9 +419,9 @@ impl<'a> QGemm<'a> {
             Some(b) => badd.extend(b.as_f32()?.iter().map(|&v| v * inv_out)),
             None => badd.resize(o, 0.0),
         }
-        let mut mult = pool::alloc_f32_empty(o);
+        let mut mult = pool::alloc_empty::<f32>(o);
         mult.extend(prep.scales.iter().map(|&ws| x_scale * ws * inv_out));
-        let mut zp_corr = pool::alloc_i32(o);
+        let mut zp_corr = pool::alloc::<i32>(o);
         for (c, &s) in zp_corr.iter_mut().zip(&prep.row_sums) {
             *c = x_zp.wrapping_mul(s);
         }
@@ -459,13 +459,13 @@ impl<'a> QGemm<'a> {
         let panels = self.prep.panels.get_or_init(|| simd::prepack_b(self.w, o, k));
         let a = simd::pair_rows(x, k, pool::alloc_empty(rows * k.div_ceil(2)));
         simd::gemm_i8(rows, k, o, &a, BSrc::Packed(panels), &self.requant(true), o.max(1), out);
-        pool::recycle_i32(a);
+        pool::recycle::<i32>(a);
     }
 
     fn recycle(self) {
-        pool::recycle_i32(self.zp_corr);
-        pool::recycle_f32(self.mult);
-        pool::recycle_f32(self.badd);
+        pool::recycle::<i32>(self.zp_corr);
+        pool::recycle::<f32>(self.mult);
+        pool::recycle::<f32>(self.badd);
     }
 }
 
@@ -512,7 +512,7 @@ pub fn quantized_linear(
     let m: usize = x_shape[..x_shape.len() - 1].iter().product();
     let xq = x.as_qi8()?;
     let g = QGemm::new("quantized_linear", w, o, k, x_q, bias, (out_scale, out_zp), relu)?;
-    let mut out = pool::alloc_i8(m * o);
+    let mut out = pool::alloc::<i8>(m * o);
     g.run_linear(xq, m, &mut out);
     g.recycle();
     let mut out_shape = x_shape.to_vec();
@@ -567,7 +567,7 @@ pub fn quantized_conv2d(
     let g = QGemm::new(OP, w, o, k, (x_scale, x_zp), bias, (out_scale, out_zp), relu)?;
     // Padding cells carry the activation zero point (exact real 0.0).
     let zp_i8 = x_zp.clamp(QMIN, QMAX) as i8;
-    let mut out = pool::alloc_i8(n * o * p);
+    let mut out = pool::alloc::<i8>(n * o * p);
     with_patches(xq, [n, c, h, wd], (kh, kw), stride, padding, (1, 1), (oh, ow), zp_i8, |patches| {
         g.run_conv(BSrc::Patches(&patches), n * p, p, &mut out)
     });

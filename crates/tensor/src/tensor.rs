@@ -329,7 +329,7 @@ impl Tensor {
                         })
                     }
                 };
-                let mut out = crate::pool::alloc_f32_empty(data.len());
+                let mut out = crate::pool::alloc_empty::<f32>(data.len());
                 out.extend(data.iter().map(|&x| f(x)));
                 Ok(Tensor::from_vec(out, &shape))
             }
@@ -398,7 +398,7 @@ impl Tensor {
                         })
                     }
                 };
-                let mut out = crate::pool::alloc_i8_empty(data.len());
+                let mut out = crate::pool::alloc_empty::<i8>(data.len());
                 out.extend(data.iter().map(|&x| f(x)));
                 Ok(Tensor {
                     storage: Arc::new(Storage::QI8 { data: out, scheme, packed: PackSlot::default() }),

@@ -16,9 +16,9 @@ use fx_tensor::Tensor;
 fn inactive_pool_is_passthrough() {
     // No guard live: recycle drops, alloc goes to the heap.
     let before = stats();
-    let v = pool::alloc_f32(64);
+    let v = pool::alloc::<f32>(64);
     assert_eq!(v.len(), 64);
-    pool::recycle_f32(v);
+    pool::recycle::<f32>(v);
     let after = stats();
     assert_eq!(after.fresh_allocs, before.fresh_allocs + 1);
     assert_eq!(after.recycled, before.recycled);
@@ -28,11 +28,11 @@ fn inactive_pool_is_passthrough() {
 fn round_trip_hits_the_bucket() {
     let _g = pool::activate();
     let len = 12_345;
-    let v = pool::alloc_f32_zeroed(len);
+    let v = pool::alloc_zeroed::<f32>(len);
     let cap = v.capacity();
     let before = stats();
-    pool::recycle_f32(v);
-    let v2 = pool::alloc_f32(len);
+    pool::recycle::<f32>(v);
+    let v2 = pool::alloc::<f32>(len);
     let delta = stats().since(&before);
     assert!(v2.capacity() >= cap.min(len));
     assert_eq!(v2.len(), len);
@@ -55,18 +55,18 @@ fn dtype_buckets_are_segregated() {
     // Recycling an i8 buffer must never satisfy an f32 alloc of the
     // same element count (and vice versa).
     let len = 9_111;
-    let v8 = pool::alloc_i8(len);
+    let v8 = pool::alloc::<i8>(len);
     let before = stats();
-    pool::recycle_i8(v8);
+    pool::recycle::<i8>(v8);
     // Same-bucket f32 alloc: must be a fresh alloc, not a hit.
-    let vf = pool::alloc_f32(len);
+    let vf = pool::alloc::<f32>(len);
     assert_eq!(stats().pool_hits, before.pool_hits, "no cross-dtype hit");
     // The i8 buffer is still there for an i8 alloc.
-    let v8b = pool::alloc_i8(len);
+    let v8b = pool::alloc::<i8>(len);
     assert_eq!(stats().pool_hits, before.pool_hits + 1, "i8 round-trip hits");
     assert_eq!(v8b.len(), len);
     drop(vf);
-    pool::recycle_i8(v8b);
+    pool::recycle::<i8>(v8b);
     assert_eq!(stats().recycled, before.recycled + 2);
 }
 
@@ -74,15 +74,15 @@ fn i8_bytes_weighted_by_element_size() {
     let _g = pool::activate();
     pool::clear();
     let len = 6_000; // bucket cap 8192
-    let v8 = pool::alloc_i8(len);
+    let v8 = pool::alloc::<i8>(len);
     let cap8 = v8.capacity();
     let b0 = stats().in_pool_bytes;
-    pool::recycle_i8(v8);
+    pool::recycle::<i8>(v8);
     let b1 = stats().in_pool_bytes;
     assert_eq!(b1 - b0, cap8 as u64, "i8 weighs 1 byte per element");
-    let v32 = pool::alloc_i32(len);
+    let v32 = pool::alloc::<i32>(len);
     let cap32 = v32.capacity();
-    pool::recycle_i32(v32);
+    pool::recycle::<i32>(v32);
     let b2 = stats().in_pool_bytes;
     assert_eq!(b2 - b1, (cap32 * 4) as u64, "i32 weighs 4 bytes");
     pool::clear();
@@ -97,10 +97,10 @@ fn qi8_tensor_recycling_round_trips() {
     let before = stats();
     pool::recycle_tensor(t);
     assert_eq!(stats().recycled, before.recycled + 1);
-    let v = pool::alloc_i8(len);
+    let v = pool::alloc::<i8>(len);
     assert_eq!(v.len(), len);
     assert_eq!(stats().pool_hits, before.pool_hits + 1, "i8 alloc hits");
-    pool::recycle_i8(v);
+    pool::recycle::<i8>(v);
 }
 
 /// The quantized kernels draw every per-call buffer — packed panels,

@@ -1,6 +1,6 @@
 //! Regression suite for the buffer-pool stale-contents hazard.
 //!
-//! `pool::alloc_f32` hands back recycled buffers *without zeroing them*
+//! `pool::alloc::<f32>` hands back recycled buffers *without zeroing them*
 //! — that is the whole point of the pool — so every kernel that draws
 //! from it must overwrite the region it uses (or zero it explicitly)
 //! before any element can reach an output. This test makes the hazard
@@ -34,9 +34,9 @@ fn poison_pool() {
     for exp in 4..=22 {
         let len = 1usize << exp;
         for _ in 0..4 {
-            pool::recycle_f32(vec![f32::NAN; len]);
-            pool::recycle_i8(vec![0x5Ai8; len]);
-            pool::recycle_i32(vec![0x5A5A_5A5Ai32; len]);
+            pool::recycle::<f32>(vec![f32::NAN; len]);
+            pool::recycle::<i8>(vec![0x5Ai8; len]);
+            pool::recycle::<i32>(vec![0x5A5A_5A5Ai32; len]);
         }
     }
 }

@@ -12,7 +12,6 @@
 
 use fx::prelude::*;
 use fx_core::ArcModule;
-use std::any::Any;
 use std::sync::Arc;
 
 /// Figure 2's transform: find all instances of one activation function
@@ -50,9 +49,6 @@ impl Module for SampleModule {
     }
     fn children(&self) -> Vec<(String, ArcModule)> {
         vec![("act".to_string(), self.act.clone())]
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -7,15 +7,16 @@
 #    every workspace member (`[workspace] default-members` makes the
 #    plain command workspace-wide).
 # 3. env matrix                — the whole workspace again in release
-#    mode under every FX_SIMD × FX_MEMPLAN combination (widest detected
-#    level, AVX2 pinned — which keeps the narrower tile instances from
-#    rotting on an AVX-512 builder — and the portable tile rows
-#    × buffer-pool planner on/off), with pass-exit
+#    mode under every FX_SIMD level (widest detected, AVX2 pinned —
+#    which keeps the narrower tile instances from rotting on an AVX-512
+#    builder — and the portable tile rows), with pass-exit
 #    validation forced on (FX_VALIDATE=1) and a fixed-seed slice of the
 #    differential fuzz sweeps (FX_FUZZ_CASES=8; step 2 ran all 64).
 #    This is where the bit-identity contract is swept across process-
 #    level axes: a graph vs its exact-mode fused twin (fusion passes in
-#    front of the same executor) across threads × planner modes, a
+#    front of the same executor) across threads × planner modes (the
+#    planner axis is in-process: the parity suites run each case planned
+#    and unplanned, so it needs no env leg), a
 #    served fused graph vs the solo un-fused run, int8 across engines
 #    and batch positions, f32↔int8 hot swap (which also checks that
 #    no int8 weight outlives the swap back to f32). The
@@ -84,7 +85,18 @@
 #    second method table (`builtin_methods`) or its entry points
 #    (`register_method`, `eager_method`) over the same paths, names
 #    matched as whole words (an op's kind is one column of its row in
-#    fx-core's table, and every analysis reads it there, DESIGN §5f).
+#    fx-core's table, and every analysis reads it there, DESIGN §5f);
+#    and one pool API, one memory mode, one drain count: none of the
+#    per-dtype pool wrappers (`alloc_f32`, `recycle_i8`, …), the unused
+#    i16 bucket (`BUCKETS_I16`), the planning env knob (`FX_MEMPLAN`,
+#    `memplan_from_env`) or the serve version slot's second drain count
+#    (`wait_drained`) over the same paths, names matched as whole words
+#    (kernels call the generic `pool::alloc::<T>`, planning is on unless
+#    a run turns it off, and a batch's `Arc<Version>` is its drain
+#    token); and a module writes only what it knows: no `fn as_any`
+#    outside crates/core/src/module.rs over the same paths (`Module:
+#    Any`, and the one inherent `dyn Module::as_any` lives there,
+#    DESIGN §3).
 # 7. size report               — non-test lines (up to each file's
 #    `#[cfg(test)]`) per crate, for the four analysis files, for the
 #    four kernel files, for `quant.rs` + `tensor.rs` (the int8 weight
@@ -102,13 +114,10 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
-echo "== env matrix: workspace under FX_SIMD x FX_MEMPLAN (validation on, fuzz slice) =="
+echo "== env matrix: workspace under each FX_SIMD level (validation on, fuzz slice) =="
 for simd in 1 avx2 0; do
-    for memplan in 1 0; do
-        echo "-- FX_SIMD=$simd FX_MEMPLAN=$memplan"
-        FX_SIMD=$simd FX_MEMPLAN=$memplan FX_VALIDATE=1 FX_FUZZ_CASES=8 \
-            cargo test -q --release --workspace
-    done
+    echo "-- FX_SIMD=$simd"
+    FX_SIMD=$simd FX_VALIDATE=1 FX_FUZZ_CASES=8 cargo test -q --release --workspace
 done
 for simd in avx512 avx2; do
     echo "-- FX_SIMD=$simd FX_VNNI=0 (fx-tensor)"
@@ -202,6 +211,22 @@ if grep -rnwE --exclude-dir=target --exclude-dir=out "$retired_lists" "${serve_p
     exit 1
 fi
 echo "none of $retired_lists under ${serve_paths[*]}"
+
+echo "== one-pool-API gate: generic pool calls, no planning knob, one drain count =="
+retired_knobs='alloc_f32|alloc_f32_zeroed|alloc_f32_empty|recycle_f32|alloc_i8|alloc_i8_empty|recycle_i8|alloc_i16|recycle_i16|alloc_i32|alloc_i32_zeroed|recycle_i32|BUCKETS_I16|FX_MEMPLAN|memplan_from_env|wait_drained'
+if grep -rnwE --exclude-dir=target --exclude-dir=out "$retired_knobs" "${serve_paths[@]}"; then
+    echo "a per-dtype pool wrapper, the i16 bucket, FX_MEMPLAN or the slot's drain count is back; call pool::alloc::<T>, drain on the entry's count" >&2
+    exit 1
+fi
+echo "none of the retired pool wrappers, BUCKETS_I16, FX_MEMPLAN, memplan_from_env or wait_drained under ${serve_paths[*]}"
+
+echo "== module gate: a module writes no as_any; Module: Any does it once =="
+if grep -rnF --exclude-dir=target --exclude-dir=out 'fn as_any' "${serve_paths[@]}" |
+    grep -v '^crates/core/src/module\.rs:'; then
+    echo "a hand-written as_any is back; Module: Any makes it the inherent dyn Module::as_any" >&2
+    exit 1
+fi
+echo "no fn as_any under ${serve_paths[*]} outside crates/core/src/module.rs"
 
 echo "== size: non-test lines =="
 nontest_lines() {

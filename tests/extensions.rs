@@ -109,9 +109,6 @@ fn lstm_in_a_lowered_pipeline_falls_back_gracefully() {
                 ("head".to_string(), self.head.clone()),
             ]
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
     }
     let mut rng = StdRng::seed_from_u64(3);
     let model = SeqClassifier {
@@ -168,4 +165,63 @@ fn concrete_args_compose_with_backend_lowering() {
         y.as_tensor().unwrap().as_f32().unwrap(),
         &[0.0, 2.0, 0.0, 4.0]
     );
+}
+
+/// A user layer written with only what a module knows: its `forward`,
+/// its name, and that it is a leaf. It writes no downcasting method.
+#[derive(Debug)]
+struct Shift {
+    by: f64,
+}
+
+impl Module for Shift {
+    fn forward(&self, xs: &[Value]) -> fx_core::Result<Value> {
+        fx_core::func::add(&xs[0], &Value::Float(self.by))
+    }
+    fn type_name(&self) -> &'static str {
+        "Shift"
+    }
+    fn is_builtin_leaf(&self) -> bool {
+        true
+    }
+}
+
+#[derive(Debug)]
+struct ShiftThenRelu {
+    shift: fx_core::ArcModule,
+}
+
+impl Module for ShiftThenRelu {
+    fn forward(&self, xs: &[Value]) -> fx_core::Result<Value> {
+        let shifted = self.shift.call(xs)?;
+        fx_core::func::relu(&shifted)
+    }
+    fn type_name(&self) -> &'static str {
+        "ShiftThenRelu"
+    }
+    fn children(&self) -> Vec<(String, fx_core::ArcModule)> {
+        vec![("shift".to_string(), self.shift.clone())]
+    }
+}
+
+#[test]
+fn a_user_leaf_downcasts_without_writing_as_any() {
+    let model = ShiftThenRelu {
+        shift: std::sync::Arc::new(Shift { by: 0.5 }),
+    };
+    let gm = symbolic_trace(&model).unwrap();
+    let leaf = gm
+        .graph()
+        .nodes()
+        .find(|n| n.op() == Opcode::CallModule)
+        .expect("the user layer is traced as a leaf");
+    assert_eq!(leaf.target(), "shift");
+    let module = gm.get_module("shift").unwrap();
+    let shift = module.as_any().downcast_ref::<Shift>();
+    assert_eq!(shift.map(|s| s.by), Some(0.5));
+    // `as_any` on an `ArcModule` reaches the module, not the `Arc`.
+    assert!(!module.as_any().is::<fx_core::ArcModule>());
+    let x = Value::Tensor(Tensor::from_vec(vec![-1.0, 1.0], &[2]));
+    let y = gm.run(&[x]).unwrap();
+    assert_eq!(y.as_tensor().unwrap().as_f32().unwrap(), &[0.0, 1.5]);
 }

@@ -370,7 +370,8 @@ fn differential_fuzz_sweep() {
 /// The SIMD axis (`FX_SIMD`) is once-read per process, so it is swept
 /// two ways: in-process tests inside `fx_tensor::quant` hold the level's
 /// tiles to a direct-convolution oracle, and `scripts/verify.sh` runs
-/// this very sweep under every level and both FX_MEMPLAN settings.
+/// this very sweep under every level. The planner axis needs no env
+/// leg: the sweep runs each case planned and unplanned in-process.
 #[test]
 fn quantized_differential_fuzz_sweep() {
     use fx::passes::batch_polymorphic;

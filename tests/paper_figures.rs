@@ -5,7 +5,6 @@
 
 use fx::prelude::*;
 use fx_core::ArcModule;
-use std::any::Any;
 use std::sync::Arc;
 
 fn figure1_traced() -> GraphModule {
@@ -89,9 +88,6 @@ impl Module for SampleModule {
     }
     fn children(&self) -> Vec<(String, ArcModule)> {
         vec![("act".to_string(), self.act.clone())]
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
