@@ -1,4 +1,4 @@
-//! [`ExecPlan`]: a [`Graph`](crate::Graph) compiled once into a form the
+//! [`ExecPlan`]: a [`Graph`] compiled once into a form the
 //! [`Executor`](crate::Executor) can replay many times.
 //!
 //! A plain interpreter re-walks the IR node by node on every call: cloning

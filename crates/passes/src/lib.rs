@@ -6,7 +6,7 @@
 //! * [`fuse`] — conv–BN fusion (§6.2.2)
 //! * [`sym_shape`] — one shape rule per operator over symbolic
 //!   dimensions, and the one walk that applies them (§5.5, §6.3)
-//! * [`shape_prop`] — observed shapes, and that walk over constants
+//! * [`shape_prop`](mod@shape_prop) — observed shapes, and that walk over constants
 //!   (§6.3)
 //! * [`estimator`] — FLOPs / bytes / roofline-runtime / peak-memory
 //!   estimation on simulated devices (§6.3)

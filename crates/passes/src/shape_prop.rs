@@ -46,9 +46,9 @@ pub fn shape_prop(gm: &mut GraphModule, inputs: &[Value]) -> Result<Value> {
     Ok(out)
 }
 
-/// Abstract (data-free) shape inference: the symbolic walk
-/// ([`infer_types`]) over all-constant inputs, stamped as `shape`
-/// metadata. Returns the shape of every named tensor node.
+/// Abstract (data-free) shape inference: [`crate::sym_shape`]'s walk
+/// over all-constant inputs, stamped as `shape` metadata. Returns the
+/// shape of every named tensor node.
 ///
 /// Errors on ops whose output shape genuinely depends on data, which is
 /// the honest analogue of shape analysis hitting "dynamic" (§5.5).

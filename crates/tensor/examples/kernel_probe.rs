@@ -1,7 +1,8 @@
-//! The kernel throughput tool: prints GFLOP/s per GEMM/conv shape, the
-//! same for the f32 conv at ResNet-50's shapes and the int8 conv and
-//! linear (with an FNV-1a hash of each output, so one build per tree
-//! shows whether two trees agree bit for bit) and
+//! The kernel throughput tool: prints GFLOP/s per GEMM/conv shape — for
+//! the f32 matmul, linear and conv (ResNet-50's shapes, and one over a
+//! single image) and the int8 conv and linear with an FNV-1a hash of
+//! each output, so one build per tree shows whether two trees agree bit
+//! for bit — and
 //! ns per element for the int8 elementwise kernels (the quantize lane)
 //! under whichever engine `FX_SIMD` selects — the fast feedback loop
 //! while tuning kernels. End-to-end claims are measured by the
@@ -73,9 +74,24 @@ fn main() {
     for &(m, k, n) in &[(256usize, 256usize, 256usize), (512, 512, 512)] {
         let a = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform(&[k, n], -1.0, 1.0, &mut rng);
-        time_gflops(&format!("gemm_nn {m}x{k}x{n}"), (2 * m * k * n) as u64, || {
-            ops::matmul(&a, &b).unwrap()
-        });
+        time_hashed(&format!("gemm_nn {m}x{k}x{n}"), 2 * m * k * n, || ops::matmul(&a, &b).unwrap());
+    }
+    // A wide product and a batched one, and f32 linears — the classifier
+    // at batch 1 and 4, and two bias+ReLU layers — drawn from their own
+    // seed so the rows after them keep their inputs.
+    let mut mrng = StdRng::seed_from_u64(39);
+    for (a_shape, b_shape) in [(vec![64usize, 64], vec![64usize, 1000]), (vec![8, 128, 64], vec![8, 64, 128])] {
+        let a = Tensor::rand_uniform(&a_shape, -1.0, 1.0, &mut mrng);
+        let b = Tensor::rand_uniform(&b_shape, -1.0, 1.0, &mut mrng);
+        let flops = 2 * a.numel() * b_shape[b_shape.len() - 1];
+        time_hashed(&format!("matmul {a_shape:?}@{b_shape:?}"), flops, || ops::matmul(&a, &b).unwrap());
+    }
+    for &(m, k, n, relu) in &[(1usize, 2048usize, 1000usize, false), (4, 2048, 10, false), (16, 512, 4096, true), (256, 256, 1024, true)] {
+        let x = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut mrng);
+        let w = Tensor::rand_uniform(&[n, k], -0.5, 0.5, &mut mrng);
+        let b = Tensor::rand_uniform(&[n], -0.2, 0.2, &mut mrng);
+        let name = format!("f32 linear {m}x{k} -> {n}{}", if relu { " relu" } else { "" });
+        time_hashed(&name, 2 * m * k * n, || ops::linear_act(&x, &w, Some(&b), relu).unwrap());
     }
 
     let x3 = Tensor::rand_uniform(&[1, 64, 56, 56], -1.0, 1.0, &mut rng);
@@ -115,6 +131,14 @@ fn main() {
             ops::conv2d_act(&x, &w, Some(&b), (stride, stride), (pad, pad), (1, 1), 1, true).unwrap()
         });
     }
+    // The same layer1 3x3 over one image, whose output is one row-major
+    // window per channel.
+    let x = Tensor::rand_uniform(&[1, 64, 16, 16], -1.0, 1.0, &mut mrng);
+    let w = Tensor::rand_uniform(&[64, 64, 3, 3], -0.5, 0.5, &mut mrng);
+    let b = Tensor::rand_uniform(&[64], -0.2, 0.2, &mut mrng);
+    time_hashed("f32 conv3x3 s1 64->64 @1x16x16", 2 * 64 * 16 * 16 * 64 * 9, || {
+        ops::conv2d_act(&x, &w, Some(&b), (1, 1), (1, 1), (1, 1), 1, true).unwrap()
+    });
 
     // The int8 GEMMs at ResNet-50 shapes on a [4,3,64,64] input — the
     // stem, a layer1 3x3 and 1x1, a layer4 3x3 — and the classifier

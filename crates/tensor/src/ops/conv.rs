@@ -185,7 +185,7 @@ pub fn conv2d_act(
             let patches = PatchSrc { ch0: grp * cg, ..patches };
             let w_g = &wd[grp * og * kg..(grp + 1) * og * kg];
             let b_g = bias_slice.map(|b| &b[grp * og..(grp + 1) * og]);
-            simd::gemm_nchw(og, kg, n * p, w_g, BSrc::Patches(&patches), b_g, relu, p, (o, grp * og), &mut out);
+            simd::gemm(og, kg, n * p, w_g, BSrc::Patches(&patches), (b_g, false), relu, (p, o, grp * og), &mut out);
         }
     });
     Ok(Tensor::from_vec(out, &[n, o, oh, ow]))
@@ -483,6 +483,30 @@ mod tests {
         let plain = conv2d(&x, &pw, Some(&b), (1, 1), (0, 0), (1, 1), 1).unwrap();
         let relu: Vec<f32> = plain.as_f32().unwrap().iter().map(|v| v.max(0.0)).collect();
         assert_eq!(fused.as_f32().unwrap(), &relu[..]);
+    }
+
+    /// A conv over one image (its sums accumulate in the output in
+    /// place) equals that image's slice of the same conv over a batch of
+    /// three (its sums go through the driver's block), bit for bit — the
+    /// serve/solo parity a batched request relies on — for a grouped 3×3
+    /// and a 1×1.
+    #[test]
+    fn one_image_conv_equals_its_slice_of_a_batch_bitwise() {
+        let mut rng = StdRng::seed_from_u64(0x1B);
+        let x = Tensor::rand_uniform(&[3, 4, 9, 9], -1.0, 1.0, &mut rng);
+        for (ws, padding, groups) in [([6, 2, 3, 3], (1, 1), 2), ([5, 4, 1, 1], (0, 0), 1)] {
+            let w = Tensor::rand_uniform(&ws, -0.5, 0.5, &mut rng);
+            let b = Tensor::rand_uniform(&[ws[0]], -0.2, 0.2, &mut rng);
+            let batch = conv2d_act(&x, &w, Some(&b), (1, 1), padding, (1, 1), groups, true).unwrap();
+            let per_image = batch.numel() / 3;
+            for img in 0..3 {
+                let xi = Tensor::from_vec(x.as_f32().unwrap()[img * 4 * 81..][..4 * 81].to_vec(), &[1, 4, 9, 9]);
+                let solo = conv2d_act(&xi, &w, Some(&b), (1, 1), padding, (1, 1), groups, true).unwrap();
+                let slice = &batch.as_f32().unwrap()[img * per_image..][..per_image];
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(solo.as_f32().unwrap()), bits(slice), "{ws:?} image {img}");
+            }
+        }
     }
 
     /// The pooling loop as it was before the windows were clipped —

@@ -1,55 +1,14 @@
 //! Matrix multiplication: the `matmul` / `linear` entry points over the
 //! one GEMM driver ([`simd`]), which runs the tile the `FX_SIMD` level
 //! selects — portable rows included — so there is one engine at every
-//! level. A 1-d @ 1-d product is a plain [`dot`].
+//! level. Every rank combination is a batch of 2-d products, a 1-d
+//! @ 1-d one the `[1, k]·[k, 1]` product, so its bits are the 2-d
+//! product's.
 
 use crate::error::{Error, Result};
 use crate::ops::simd::{self, BSrc};
 use crate::pool;
 use crate::tensor::Tensor;
-
-/// Dot product with eight independent accumulators. Float addition is
-/// not associative, so LLVM will not vectorize a single-accumulator
-/// reduction; splitting the sum into independent lanes recovers SIMD
-/// (the same trick every BLAS microkernel uses).
-///
-/// Slices must be the same length; a mismatch is a caller-side shape
-/// bug and would previously truncate to the shorter slice, silently
-/// producing a wrong dot product — checked in release builds too, since
-/// the cost is one compare per call against an O(n) loop.
-#[inline]
-pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
-    const LANES: usize = 8;
-    assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    let n = a.len();
-    let chunks = n / LANES;
-    let mut acc = [0.0f32; LANES];
-    for c in 0..chunks {
-        let base = c * LANES;
-        for l in 0..LANES {
-            acc[l] += a[base + l] * b[base + l];
-        }
-    }
-    let mut total = acc.iter().sum::<f32>();
-    for i in chunks * LANES..n {
-        total += a[i] * b[i];
-    }
-    total
-}
-
-/// `C[m,n] = A[m,k] @ B[k,n]`, all row-major, written into the
-/// caller-provided `c` (which may hold garbage — every element is
-/// overwritten).
-fn gemm_nn_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    simd::gemm(m, k, n, a, BSrc::RowMajor(b), c, None, false);
-}
-
-/// Pool-allocating wrapper around [`gemm_nn_into`].
-fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
-    let mut c = pool::alloc::<f32>(m * n);
-    gemm_nn_into(m, k, n, a, b, &mut c);
-    c
-}
 
 /// Matrix product with PyTorch `matmul` semantics for ranks 1–3:
 ///
@@ -60,34 +19,13 @@ fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let ad = a.as_f32()?;
     let bd = b.as_f32()?;
-    let (ar, br) = (a.rank(), b.rank());
-    match (ar, br) {
-        (1, 1) => {
-            dims_match("matmul", a.shape()[0], b.shape()[0], b.shape())?;
-            Ok(Tensor::scalar(dot(ad, bd)))
-        }
-        (2, 2) => {
-            let (m, k) = (a.shape()[0], a.shape()[1]);
-            let (k2, n) = (b.shape()[0], b.shape()[1]);
-            dims_match("matmul", k, k2, b.shape())?;
-            Ok(Tensor::from_vec(gemm_nn(m, k, n, ad, bd), &[m, n]))
-        }
-        (1, 2) => {
-            let k = a.shape()[0];
-            let (k2, n) = (b.shape()[0], b.shape()[1]);
-            dims_match("matmul", k, k2, b.shape())?;
-            Ok(Tensor::from_vec(gemm_nn(1, k, n, ad, bd), &[n]))
-        }
-        (2, 1) => {
-            let (m, k) = (a.shape()[0], a.shape()[1]);
-            dims_match("matmul", k, b.shape()[0], b.shape())?;
-            let mut c = pool::alloc::<f32>(m);
-            simd::gemm(m, k, 1, ad, BSrc::Transposed(bd), &mut c, None, false);
-            Ok(Tensor::from_vec(c, &[m]))
-        }
-        (3, 3) => {
-            let (bs, m, k) = (a.shape()[0], a.shape()[1], a.shape()[2]);
-            let (bs2, k2, n) = (b.shape()[0], b.shape()[1], b.shape()[2]);
+    // `bs` products of `[m, k]·[k2, n]`, and the output's shape.
+    let (bs, m, k, k2, n, shape) = match (a.shape(), b.shape()) {
+        (&[k], &[k2]) => (1, 1, k, k2, 1, vec![]),
+        (&[m, k], &[k2, n]) => (1, m, k, k2, n, vec![m, n]),
+        (&[k], &[k2, n]) => (1, 1, k, k2, n, vec![n]),
+        (&[m, k], &[k2]) => (1, m, k, k2, 1, vec![m]),
+        (&[bs, m, k], &[bs2, k2, n]) => {
             if bs != bs2 {
                 return Err(Error::ShapeMismatch {
                     op: "matmul",
@@ -95,36 +33,24 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
                     got: b.shape().to_vec(),
                 });
             }
-            dims_match("matmul", k, k2, b.shape())?;
-            let mut out = pool::alloc::<f32>(bs * m * n);
-            for i in 0..bs {
-                gemm_nn_into(
-                    m,
-                    k,
-                    n,
-                    &ad[i * m * k..(i + 1) * m * k],
-                    &bd[i * k * n..(i + 1) * k * n],
-                    &mut out[i * m * n..(i + 1) * m * n],
-                );
-            }
-            Ok(Tensor::from_vec(out, &[bs, m, n]))
+            (bs, m, k, k2, n, vec![bs, m, n])
         }
-        _ => Err(Error::InvalidArgument {
-            op: "matmul",
-            message: format!("unsupported rank combination {ar} @ {br}"),
-        }),
-    }
-}
-
-fn dims_match(op: &'static str, k: usize, k2: usize, got: &[usize]) -> Result<()> {
+        _ => {
+            return Err(Error::InvalidArgument {
+                op: "matmul",
+                message: format!("unsupported rank combination {} @ {}", a.rank(), b.rank()),
+            })
+        }
+    };
     if k != k2 {
-        return Err(Error::ShapeMismatch {
-            op,
-            expected: format!("inner dimension {k}"),
-            got: got.to_vec(),
-        });
+        return Err(Error::ShapeMismatch { op: "matmul", expected: format!("inner dimension {k}"), got: b.shape().to_vec() });
     }
-    Ok(())
+    let mut out = pool::alloc::<f32>(bs * m * n);
+    for i in 0..bs {
+        let (a_i, b_i) = (&ad[i * m * k..][..m * k], BSrc::RowMajor(&bd[i * k * n..][..k * n]));
+        simd::gemm(m, k, n, a_i, b_i, (None, false), false, (n, m, 0), &mut out[i * m * n..][..m * n]);
+    }
+    Ok(Tensor::from_vec(out, &shape))
 }
 
 /// Affine map `y = x @ wᵀ + b` with `x: [.., in]`, `w: [out, in]`,
@@ -136,10 +62,10 @@ pub fn linear(x: &Tensor, w: &Tensor, b: Option<&Tensor>) -> Result<Tensor> {
 
 /// [`linear`] with an optional fused ReLU epilogue, the hook the
 /// backend engine's epilogue fusion lowers `linear+relu` through. Bias
-/// and ReLU are applied in one pass over the GEMM's finished output
-/// (not by a separate op), elementwise identical to running [`linear`]
-/// followed by `relu` (`+ bias` then `max(0)` are the same float ops
-/// wherever they run).
+/// and ReLU run on each output row as the GEMM finishes it, while it
+/// is still in cache (not by a separate op), elementwise identical to
+/// running [`linear`] followed by `relu` (`+ bias` then `max(0)` are
+/// the same float ops wherever they run).
 pub fn linear_act(x: &Tensor, w: &Tensor, b: Option<&Tensor>, relu: bool) -> Result<Tensor> {
     let xd = x.as_f32()?;
     let wd = w.as_f32()?;
@@ -176,17 +102,7 @@ pub fn linear_act(x: &Tensor, w: &Tensor, b: Option<&Tensor>, relu: bool) -> Res
     // rows are still there, and each output row is the bias.
     let m: usize = x.shape()[..x.rank() - 1].iter().product();
     let mut out = pool::alloc::<f32>(m * out_f);
-    // Bias and ReLU applied by `gemm` in one pass over the finished C.
-    simd::gemm(
-        m,
-        in_f,
-        out_f,
-        xd,
-        BSrc::Transposed(wd),
-        &mut out,
-        bias_slice,
-        relu,
-    );
+    simd::gemm(m, in_f, out_f, xd, BSrc::Transposed(wd), (bias_slice, true), relu, (out_f, m, 0), &mut out);
     let mut out_shape = x.shape().to_vec();
     *out_shape.last_mut().unwrap() = out_f;
     Ok(Tensor::from_vec(out, &out_shape))
@@ -239,6 +155,19 @@ mod tests {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
         let b = Tensor::from_vec(vec![4.0, 5.0, 6.0], &[3]);
         assert_eq!(matmul(&a, &b).unwrap().item_f32().unwrap(), 32.0);
+    }
+
+    /// A 1-d @ 1-d product is the `[1, k]·[k, 1]` one, bit for bit, with
+    /// `k` across several k panels.
+    #[test]
+    fn vector_dot_is_the_2d_product_bitwise() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let a = Tensor::rand_uniform(&[1000], -1.0, 1.0, &mut rng);
+        let b = Tensor::rand_uniform(&[1000], -1.0, 1.0, &mut rng);
+        let dot = matmul(&a, &b).unwrap();
+        let (a2, b2) = (a.reshape(&[1, 1000]).unwrap(), b.reshape(&[1000, 1]).unwrap());
+        assert_eq!(dot.shape(), &[] as &[usize]);
+        assert_eq!(dot.item_f32().unwrap().to_bits(), matmul(&a2, &b2).unwrap().as_f32().unwrap()[0].to_bits());
     }
 
     #[test]
@@ -336,7 +265,7 @@ mod tests {
             let bt: Vec<f32> = (0..n * k).map(|i| bd[i % k * n + i / k]).collect();
             let mut nt = vec![f32::NAN; m * n];
             let b_t = BSrc::Transposed(&bt);
-            simd::gemm(m, k, n, ad, b_t, &mut nt, None, false);
+            simd::gemm(m, k, n, ad, b_t, (None, false), false, (n, m, 0), &mut nt);
             let nn = matmul(&a, &b).unwrap();
             for (what, got) in [("nn", nn.as_f32().unwrap()), ("nt", &nt[..])] {
                 for ((g, w), mag) in got.iter().zip(&want).zip(&magnitude) {

@@ -32,11 +32,18 @@
 //! (`KC` is part of the f32 numeric contract, below). Pack buffers
 //! are drawn from [`pool`](crate::pool) and fully overwritten, edge
 //! padding included, so a recycled buffer's stale contents can never
-//! leak into a result. The f32 epilogue — a linear's per-column bias,
-//! a conv's per-channel one ([`gemm_nchw`], as its sums land in NCHW),
-//! plus optional ReLU — is applied on the accumulated output,
-//! elementwise-identical to running the separate bias/ReLU kernels
-//! afterwards.
+//! leak into a result.
+//!
+//! Every GEMM has **one output path**: the caller names where the sums
+//! accumulate ([`Sums`]: its own row-major output, in place, or a
+//! pooled block the driver reuses), and each finished row leaves through
+//! one `write(i, j0, row)` callback while it is in cache. The f32 entry
+//! [`gemm`] runs its epilogue there — a linear's per-column bias, a
+//! conv's per-channel one, plus optional ReLU, elementwise-identical to
+//! the separate bias/ReLU kernels — on the output's own rows when it is
+//! one row-major window (a matmul, a linear, a one-image conv), and
+//! copies a multi-image conv's rows into NCHW out of the block. Plain
+//! `matmul` passes no epilogue, so its sums are written once, in place.
 //!
 //! ## int8: the element is a k-pair
 //!
@@ -70,12 +77,12 @@
 //! round-to-even, clamp — op for op [`crate::quant`]'s scalar
 //! `requant_one`, which the portable tiles call per element) straight
 //! into contiguous NCHW spans while it is still in L1, through the same
-//! row driver ([`gemm_rows`]) as the f32 conv's [`gemm_nchw`]; the sums
-//! are never stored whole. A linear passes its input
-//! rows as A and its weight as B — packed once ([`prepack_b`],
-//! [`BSrc::Packed`]), since a weight never changes — so a one-row
-//! request reads each weight once, in a vector, and the output is
-//! row-major as it stands.
+//! write-back as every f32 GEMM, out of the driver's block (i32 sums
+//! cannot live in an i8 output); they are never stored whole. A linear
+//! passes its input rows as A and its weight as B — packed once
+//! ([`prepack_b`], [`BSrc::Packed`]), since a weight never changes — so
+//! a one-row request reads each weight once, in a vector, and the
+//! output is row-major as it stands.
 //!
 //! ## The quantize lane
 //!
@@ -985,12 +992,12 @@ struct SendPtr<T>(*mut T);
 unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}
 
-/// Blocked, panel-packed f32 GEMM: `C[m,n] = A[m,k] · B` (+ epilogue),
-/// with B's layout resolved by [`BSrc`] and the register tile chosen
-/// from the output shape ([`select_tile`]). `C` is fully overwritten.
-/// The epilogue adds `col_bias[j]` and applies ReLU after the
-/// accumulation finishes — elementwise identical to running the
-/// separate kernels afterwards.
+/// The f32 GEMM `C = A[m, k] · B`, plus `bias[i]` (a conv's channel) or
+/// `bias[j]` (`per_col`: a linear's feature), then ReLU — the separate
+/// kernels' float ops. Row `i`, column `j = img·p + patch` lands at
+/// `out[(img·channels + ch0 + i)·p + patch]`: `(n, m, 0)` is row-major
+/// `[m, n]`, a conv's `(p, channels, ch0)` NCHW. One image (`p = n`) is
+/// one row-major window, summed in place; more go through the block.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm(
     m: usize,
@@ -998,53 +1005,55 @@ pub(crate) fn gemm(
     n: usize,
     a: &[f32],
     b: BSrc<f32>,
-    c: &mut [f32],
-    col_bias: Option<&[f32]>,
+    (bias, per_col): (Option<&[f32]>, bool),
     relu: bool,
+    (p, channels, ch0): (usize, usize, usize),
+    out: &mut [f32],
 ) {
-    let tile = &TILES[select_tile(level(), m, n)];
-    gemm_tiled(tile, KC, NC, m, k, n, a, b, c, |_, _, _, _| {});
-    assert!(col_bias.is_none_or(|cb| cb.len() == n), "gemm: bias length mismatch");
-    if n == 0 || (col_bias.is_none() && !relu) {
-        return;
-    }
-    for row in c.chunks_mut(n) {
-        if let Some(cb) = col_bias {
-            row.iter_mut().zip(cb).for_each(|(v, &bv)| *v += bv);
-        }
-        if relu {
-            row.iter_mut().for_each(|v| *v = v.max(0.0));
-        }
-    }
+    gemm_f32_tiled(&TILES[select_tile(level(), m, n)], m, k, n, a, b, (bias, per_col), relu, (p, channels, ch0), out);
 }
 
-/// An f32 conv's GEMM, whose sums land in NCHW: row `i` (an output
-/// channel), column `j = img·p + patch` goes to `out[(img·channels +
-/// ch0 + i)·p + patch]`, plus `bias[i]`, then ReLU — the same
-/// per-element ops as standalone bias/ReLU passes — as each row panel
-/// finishes, while it is still in cache. A group of a grouped conv is
-/// the channels from `ch0`.
+/// [`gemm`] under an explicit tile.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_nchw(
+fn gemm_f32_tiled(
+    tile: &Tile<f32>,
     m: usize,
     k: usize,
     n: usize,
     a: &[f32],
     b: BSrc<f32>,
-    bias: Option<&[f32]>,
+    (bias, per_col): (Option<&[f32]>, bool),
     relu: bool,
-    p: usize,
-    (channels, ch0): (usize, usize),
+    (p, channels, ch0): (usize, usize, usize),
     out: &mut [f32],
 ) {
-    assert!(p > 0 && n.is_multiple_of(p) && ch0 + m <= channels, "gemm_nchw: bad output geometry");
-    assert_eq!(out.len(), n / p * channels * p, "gemm_nchw: output length mismatch");
-    assert!(bias.is_none_or(|b| b.len() == m), "gemm_nchw: bias length mismatch");
+    // `p = 0` passes only with no columns (`is_multiple_of(0)` is `n ==
+    // 0`); a bias per column, only over one image.
+    assert!(n.is_multiple_of(p) && ch0 + m <= channels && (p == n || !per_col), "gemm: bad output geometry");
+    assert_eq!(out.len(), n / p.max(1) * channels * p, "gemm: output length mismatch");
+    assert!(bias.is_none_or(|b| b.len() == if per_col { n } else { m }), "gemm: bias length mismatch");
+    let finish = move |v: f32, bv: Option<f32>| {
+        let v = bv.map_or(v, |b| v + b);
+        if relu { v.max(0.0) } else { v }
+    };
+    // Each write-back first copies `finish` to a local, so no store
+    // through a row can alias what its loop reads.
+    if p == n {
+        let window = &mut out[ch0 * p..(ch0 + m) * p];
+        return gemm_tiled(tile, KC, NC, m, k, n, a, b, Sums::InPlace(window), &move |i, j0, sums| {
+            let finish = finish;
+            match bias {
+                Some(b) if per_col => sums.iter_mut().zip(&b[j0..]).for_each(|(v, &bv)| *v = finish(*v, Some(bv))),
+                Some(b) => sums.iter_mut().for_each(|v| *v = finish(*v, Some(b[i]))),
+                None if relu => sums.iter_mut().for_each(|v| *v = finish(*v, None)),
+                None => {}
+            }
+        });
+    }
     let out_base = SendPtr(out.as_mut_ptr());
-    gemm_rows(&TILES[select_tile(level(), m, n)], KC, NC, m, k, n, a, b, |i, j0, sums| {
-        let out_base = out_base;
-        let bv = bias.map(|b| b[i]);
-        let (mut j, mut sums) = (j0, sums);
+    gemm_tiled(tile, KC, NC, m, k, n, a, b, Sums::Block, &move |i, j0, sums| {
+        let (out_base, finish, bv) = (out_base, finish, bias.map(|b| b[i]));
+        let (mut j, mut sums) = (j0, &*sums);
         while !sums.is_empty() {
             let len = (p - j % p).min(sums.len());
             // SAFETY: row `i`, columns `j..j+len` of one image map to a
@@ -1052,42 +1061,20 @@ pub(crate) fn gemm_nchw(
             // column maps to, and `out` is exclusively borrowed for the
             // whole call.
             let dst = unsafe { std::slice::from_raw_parts_mut(out_base.0.add((j / p * channels + ch0 + i) * p + j % p), len) };
-            for (d, &v) in dst.iter_mut().zip(&sums[..len]) {
-                let v = bv.map_or(v, |b| v + b);
-                *d = if relu { v.max(0.0) } else { v };
-            }
+            dst.iter_mut().zip(&sums[..len]).for_each(|(d, &v)| *d = finish(v, bv));
             (j, sums) = (j + len, &sums[len..]);
         }
     });
 }
 
-/// [`gemm_tiled`] into one reused `[m, nc]` block of sums, handing each
-/// finished row — `write(i, j0, sums)`: row `i`, columns from `j0` — to
-/// the caller's write-back while it is cache-resident. The sums are
-/// never stored whole.
-#[allow(clippy::too_many_arguments)]
-fn gemm_rows<E: Elem>(
-    tile: &Tile<E>,
-    kc_blk: usize,
-    nc_blk: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[E],
-    b: BSrc<E>,
-    write: impl Fn(usize, usize, &[E]) + Sync,
-) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    let ldc = n.min(nc_blk);
-    let mut acc = pool::alloc::<E>(m * ldc);
-    gemm_tiled(tile, kc_blk, nc_blk, m, k, n, a, b, &mut acc, |i0, j0, cols, rows| {
-        for (r, row) in rows.chunks(ldc).enumerate() {
-            write(i0 + r, j0, &row[..cols]);
-        }
-    });
-    pool::recycle(acc);
+/// Where [`gemm_tiled`] accumulates its sums.
+enum Sums<'a, E> {
+    /// The caller's row-major `[m, n]` output, in place.
+    InPlace(&'a mut [E]),
+    /// A pooled `[m, NC]` block the driver reuses for every column block:
+    /// for sums that cannot live in the output (int8's i32, a multi-image
+    /// conv's columns).
+    Block,
 }
 
 /// The one cache-blocking driver: `C = A[m, ⌈k/PAIR⌉] · B[k, n]` in
@@ -1095,14 +1082,10 @@ fn gemm_rows<E: Elem>(
 /// blocking (`kc` in elements). Panel widths, the stack A panel and the
 /// pool-drawn B block all take their geometry from `tile`.
 ///
-/// `c` is either the whole `[m, n]` output ([`gemm`]: its epilogue runs
-/// over it in place) or one `[m, nc]` column block reused for every
-/// block of columns ([`gemm_rows`]: a conv's sums are written into NCHW
-/// out of it while they are cache-resident and never stored whole;
-/// int8's are requantized on the way). Either way
-/// `done(i0, j0, cols, rows)` is called once per row panel and column
-/// block when its sums are final: `rows` starts at output element
-/// `(i0, j0)`, row stride = `c`'s, `cols` valid columns per row.
+/// The sums accumulate where `sums` says. Each finished row — once its
+/// row panel's last k panel in a column block is done — leaves through
+/// `write(i, j0, row)`: row `i`'s sums from column `j0`, while they are
+/// cache-resident, mutable so an epilogue can run on them in place.
 ///
 /// Row panels are distributed over the kernel thread pool; the packed B
 /// block is shared read-only, so results are independent of the thread
@@ -1117,8 +1100,8 @@ fn gemm_tiled<E: Elem>(
     n: usize,
     a: &[E],
     b: BSrc<E>,
-    c: &mut [E],
-    done: impl Fn(usize, usize, usize, &[E]) + Sync,
+    sums: Sums<E>,
+    write: &(dyn Fn(usize, usize, &mut [E]) + Sync),
 ) {
     assert!(
         tile.level <= detected_level() && (!tile.vnni || vnni_detected()),
@@ -1127,9 +1110,7 @@ fn gemm_tiled<E: Elem>(
     );
     let ke = k.div_ceil(E::PAIR);
     assert_eq!(a.len(), m * ke, "gemm: A length mismatch");
-    let whole = c.len() == m * n;
-    let ldc = if whole { n } else { nc_blk };
-    assert_eq!(c.len(), m * ldc, "gemm: C length mismatch");
+    assert!(!matches!(&sums, Sums::InPlace(c) if c.len() != m * n), "gemm: C length mismatch");
     let (mr, nr) = (tile.mr, tile.nr);
     let (b_len, b_want) = match &b {
         BSrc::RowMajor(b) | BSrc::Transposed(b) => (b.len(), k * n),
@@ -1145,17 +1126,16 @@ fn gemm_tiled<E: Elem>(
     // the block it was given; the ragged A panel lives on the stack.
     assert_eq!(nc_blk % nr, 0, "gemm: NC {nc_blk} is not a multiple of NR {nr}");
     assert!((1..=KC).contains(&kc_blk), "gemm: KC {kc_blk} out of range");
-    let c_base = SendPtr(c.as_mut_ptr());
-    // The rows of C a finished row panel hands to `done`.
-    let finished = |i0: usize, mr_eff: usize, jc: usize, nc_eff: usize| {
-        let c_base = c_base;
-        let first = i0 * ldc + if whole { jc } else { 0 };
-        // SAFETY: in bounds of `c` (the last row ends at its `nc_eff`
-        // columns); row panels are disjoint across workers and this one's
-        // kernels have all returned.
-        let rows = unsafe { std::slice::from_raw_parts(c_base.0.add(first), (mr_eff - 1) * ldc + nc_eff) };
-        done(i0, jc, nc_eff, rows);
+    // The rows the sums accumulate in, `ldc` apart.
+    let mut block = Vec::new();
+    let (c, ldc, in_place) = match sums {
+        Sums::InPlace(c) => (c, n, true),
+        Sums::Block => {
+            block = pool::alloc::<E>(m * n.min(nc_blk));
+            (&mut block[..], n.min(nc_blk), false)
+        }
     };
+    let c_base = SendPtr(c.as_mut_ptr());
 
     // The block B is packed into (and, for int8, the raw rows it is
     // gathered through) — unless it arrived packed.
@@ -1165,6 +1145,8 @@ fn gemm_tiled<E: Elem>(
     for jc in (0..n).step_by(nc_blk) {
         let nc_eff = nc_blk.min(n - jc);
         let n_jpanels = nc_eff.div_ceil(nr);
+        // Column `jc` of C, or the first of the reused block.
+        let c_jc = if in_place { SendPtr(c_base.0.wrapping_add(jc)) } else { c_base };
         // `K = 0` still makes one pass: the kernels' empty chains write
         // the zeros every sum then is.
         for e0 in (0..ke.max(1)).step_by(kc_blk) {
@@ -1180,7 +1162,7 @@ fn gemm_tiled<E: Elem>(
                 }
             };
             parallel_chunks(m.div_ceil(mr), |range| {
-                let c_base = c_base;
+                let c_jc = c_jc;
                 // Uninitialized on purpose: `pad_a` writes every element
                 // of the `mr × kc_eff` prefix the kernel reads.
                 let mut pa = [MaybeUninit::<E>::uninit(); MR_MAX * KC];
@@ -1210,12 +1192,18 @@ fn gemm_tiled<E: Elem>(
                         // `mr_eff × nr_eff` window.
                         unsafe {
                             let pbp = panels[jp * stride..][..kc_eff * nr].as_ptr();
-                            let cp = c_base.0.add(i0 * ldc + j + if whole { jc } else { 0 });
+                            let cp = c_jc.0.add(i0 * ldc + j);
                             kernel(kc_eff, ap, lda, pbp, nr, cp, ldc, mr_eff, nr_eff, e0 == 0);
                         }
                     }
                     if e0 + kc_eff == ke {
-                        finished(i0, mr_eff, jc, nc_eff);
+                        for i in i0..i0 + mr_eff {
+                            // SAFETY: row `i`'s `nc_eff` sums of this
+                            // column block lie inside C; row panels are
+                            // disjoint across workers, and this one's
+                            // kernels have all returned.
+                            write(i, jc, unsafe { std::slice::from_raw_parts_mut(c_jc.0.add(i * ldc), nc_eff) });
+                        }
                     }
                 }
             });
@@ -1223,6 +1211,7 @@ fn gemm_tiled<E: Elem>(
     }
     pool::recycle(pb);
     pool::recycle(stage);
+    pool::recycle(block);
 }
 
 // ===========================================================================
@@ -1714,7 +1703,7 @@ fn gemm_i8_tiled(
         Level::Scalar => requant_row_portable,
         level => QuantLane::at(level).requant,
     };
-    gemm_rows(tile, kc_blk, nc_blk, m, k, n, a, b, |i, j0, sums| {
+    gemm_tiled(tile, kc_blk, nc_blk, m, k, n, a, b, Sums::Block, &|i, j0, sums| {
         let out_base = out_base;
         // SAFETY: the tile's level was detected (`gemm_tiled` asserts it
         // before any row is finished). Row `i`, columns `j0..` map to
@@ -1784,7 +1773,7 @@ mod tests {
             let want = reference(m, k, n, &a, |kk, j| b[kk * n + j]);
 
             let mut c = vec![f32::NAN; m * n];
-            gemm(m, k, n, &a, BSrc::RowMajor(&b), &mut c, None, false);
+            gemm(m, k, n, &a, BSrc::RowMajor(&b), (None, false), false, (n, m, 0), &mut c);
             for (i, (&got, &w)) in c.iter().zip(&want).enumerate() {
                 assert!(
                     (got - w).abs() <= tol(k, scale),
@@ -1801,47 +1790,60 @@ mod tests {
                 }
             }
             let mut ct = vec![f32::NAN; m * n];
-            gemm(m, k, n, &a, BSrc::Transposed(&bt), &mut ct, None, false);
+            gemm(m, k, n, &a, BSrc::Transposed(&bt), (None, false), false, (n, m, 0), &mut ct);
             assert_eq!(c, ct, "nt packing must be bit-identical to nn ({m}x{k}x{n})");
         }
     }
 
-    /// The fused epilogue must equal running bias-add and ReLU as
-    /// separate passes, bit for bit.
+    /// The epilogue under every f32 tile and both targets — one image
+    /// (in place) and three (the block) — must equal the plain GEMM, then
+    /// bias, then ReLU, bit for bit: bias per row and per column, ReLU on
+    /// and off, `n` across two `NC` column blocks and `m` past `MR`.
     #[test]
     fn fused_epilogue_matches_separate_passes() {
-        let (m, k, n) = (9, 33, 21);
         let mut rng = StdRng::seed_from_u64(7);
-        let a = rand_vec(m * k, &mut rng);
-        let b = rand_vec(k * n, &mut rng);
-        let cbias = rand_vec(n, &mut rng);
-
-        let mut plain = vec![0.0f32; m * n];
-        gemm(m, k, n, &a, BSrc::RowMajor(&b), &mut plain, None, false);
-        for row in plain.chunks_mut(n) {
-            for (v, &bv) in row.iter_mut().zip(&cbias) {
-                *v += bv;
+        for &(m, k, p) in &[(9usize, 33usize, 21usize), (MR_MAX + 5, 70, NC + 37)] {
+            let a = rand_vec(m * k, &mut rng);
+            for images in [1, 3] {
+                let n = images * p;
+                let (b, row_bias, col_bias) = (rand_vec(k * n, &mut rng), rand_vec(m, &mut rng), rand_vec(n, &mut rng));
+                for tile in runnable(&TILES) {
+                    let plain = run_f32(tile, m, k, n, &a, BSrc::RowMajor(&b));
+                    let biases = [(None, false), (Some(&row_bias[..]), false), (Some(&col_bias[..]), true)];
+                    // A bias per column (a linear's) has one image.
+                    for (bias, per_col) in biases.into_iter().take(if images == 1 { 3 } else { 2 }) {
+                        for relu in [false, true] {
+                            let mut want = vec![0.0f32; m * n];
+                            for (idx, &v) in plain.iter().enumerate() {
+                                let (i, j) = (idx / n, idx % n);
+                                let v = bias.map_or(v, |b| v + b[if per_col { j } else { i }]);
+                                want[(j / p * m + i) * p + j % p] = if relu { v.max(0.0) } else { v };
+                            }
+                            let mut got = vec![f32::NAN; m * n];
+                            let b = BSrc::RowMajor(&b);
+                            gemm_f32_tiled(tile, m, k, n, &a, b, (bias, per_col), relu, (p, m, 0), &mut got);
+                            let what = format!("{} {m}x{k}x{n} p={p} bias={} per_col={per_col} relu={relu}", tile.name, bias.is_some());
+                            assert_bits_eq(&got, &want, &what);
+                        }
+                    }
+                }
             }
-            row.iter_mut().for_each(|v| *v = v.max(0.0));
         }
-        let mut fused = vec![f32::NAN; m * n];
-        gemm(m, k, n, &a, BSrc::RowMajor(&b), &mut fused, Some(&cbias), true);
-        assert_eq!(plain, fused);
     }
 
     /// Thread count must not change a single bit (row panels only ever
     /// split the output, never the reduction).
-    /// One `gemm_nchw` call of all-ones operands: `m` rows of `n`
+    /// One [`gemm`] call of all-ones operands: `m` rows of `n`
     /// columns into `out_len` elements, `p` columns per image, rows
     /// landing on channels `ch0..` of `channels`.
     fn nchw_call(m: usize, n: usize, p: usize, geometry: (usize, usize), out_len: usize, bias_len: usize) {
         let k = 3;
         let (a, b, bias) = (vec![1.0f32; m * k], vec![1.0f32; k * n], vec![0.5f32; bias_len]);
         let mut out = vec![0.0f32; out_len];
-        gemm_nchw(m, k, n, &a, BSrc::RowMajor(&b), Some(&bias), false, p, geometry, &mut out);
+        gemm(m, k, n, &a, BSrc::RowMajor(&b), (Some(&bias), false), false, (p, geometry.0, geometry.1), &mut out);
     }
 
-    // `gemm_nchw` writes back through a raw pointer: its asserts are
+    // `gemm` writes multi-image sums back through a raw pointer: its asserts are
     // all that keep a bad geometry inside `out`. Each row below breaks
     // one of them; (m, n, p, (channels, ch0)) = (2, 8, 4, (4, 0)) with
     // a 32-element output and a 2-element bias is the valid call.
@@ -1877,25 +1879,29 @@ mod tests {
 
     /// A group from `ch0 > 0` writes exactly its channels of every
     /// image — the plain GEMM's sums plus bias, then ReLU, bit for bit —
-    /// and leaves every other element of a sentinel-filled output alone.
+    /// and leaves every other element of a sentinel-filled output alone:
+    /// over one image (its rows are one window, summed in place) and over
+    /// three (through the block).
     #[test]
     fn gemm_nchw_group_writes_only_its_channels() {
-        let (m, k, p, images, channels, ch0) = (2, 7, 6, 3, 5, 2);
-        let n = images * p;
         let mut rng = StdRng::seed_from_u64(0x9C);
-        let (a, b, bias) = (rand_vec(m * k, &mut rng), rand_vec(k * n, &mut rng), rand_vec(m, &mut rng));
-        let mut plain = vec![0.0f32; m * n];
-        gemm(m, k, n, &a, BSrc::RowMajor(&b), &mut plain, None, false);
-        const SENTINEL: f32 = -7.25;
-        let mut out = vec![SENTINEL; images * channels * p];
-        gemm_nchw(m, k, n, &a, BSrc::RowMajor(&b), Some(&bias), true, p, (channels, ch0), &mut out);
-        for (idx, &got) in out.iter().enumerate() {
-            let (img, ch, patch) = (idx / (channels * p), idx / p % channels, idx % p);
-            let want = match ch.checked_sub(ch0).filter(|&i| i < m) {
-                Some(i) => (plain[i * n + img * p + patch] + bias[i]).max(0.0),
-                None => SENTINEL,
-            };
-            assert_eq!(got.to_bits(), want.to_bits(), "image {img} channel {ch} patch {patch}");
+        for images in [1, 3] {
+            let (m, k, p, channels, ch0) = (2, 7, 6, 5, 2);
+            let n = images * p;
+            let (a, b, bias) = (rand_vec(m * k, &mut rng), rand_vec(k * n, &mut rng), rand_vec(m, &mut rng));
+            let mut plain = vec![0.0f32; m * n];
+            gemm(m, k, n, &a, BSrc::RowMajor(&b), (None, false), false, (n, m, 0), &mut plain);
+            const SENTINEL: f32 = -7.25;
+            let mut out = vec![SENTINEL; images * channels * p];
+            gemm(m, k, n, &a, BSrc::RowMajor(&b), (Some(&bias), false), true, (p, channels, ch0), &mut out);
+            for (idx, &got) in out.iter().enumerate() {
+                let (img, ch, patch) = (idx / (channels * p), idx / p % channels, idx % p);
+                let want = match ch.checked_sub(ch0).filter(|&i| i < m) {
+                    Some(i) => (plain[i * n + img * p + patch] + bias[i]).max(0.0),
+                    None => SENTINEL,
+                };
+                assert_eq!(got.to_bits(), want.to_bits(), "{images} images: image {img} channel {ch} patch {patch}");
+            }
         }
     }
 
@@ -1908,10 +1914,10 @@ mod tests {
         let prev = crate::threading::num_threads();
         crate::threading::set_num_threads(1);
         let mut c1 = vec![0.0f32; m * n];
-        gemm(m, k, n, &a, BSrc::RowMajor(&b), &mut c1, None, false);
+        gemm(m, k, n, &a, BSrc::RowMajor(&b), (None, false), false, (n, m, 0), &mut c1);
         crate::threading::set_num_threads(7);
         let mut c7 = vec![0.0f32; m * n];
-        gemm(m, k, n, &a, BSrc::RowMajor(&b), &mut c7, None, false);
+        gemm(m, k, n, &a, BSrc::RowMajor(&b), (None, false), false, (n, m, 0), &mut c7);
         crate::threading::set_num_threads(prev);
         assert_eq!(c1, c7);
     }
@@ -1934,9 +1940,9 @@ mod tests {
                     .copy_from_slice(&b_big[kk * n_big..kk * n_big + n_small]);
             }
             let mut c_small = vec![0.0f32; m * n_small];
-            gemm(m, k, n_small, &a, BSrc::RowMajor(&b_small), &mut c_small, None, false);
+            gemm(m, k, n_small, &a, BSrc::RowMajor(&b_small), (None, false), false, (n_small, m, 0), &mut c_small);
             let mut c_big = vec![0.0f32; m * n_big];
-            gemm(m, k, n_big, &a, BSrc::RowMajor(&b_big), &mut c_big, None, false);
+            gemm(m, k, n_big, &a, BSrc::RowMajor(&b_big), (None, false), false, (n_big, m, 0), &mut c_big);
             for i in 0..m {
                 for j in 0..n_small {
                     assert_eq!(
@@ -2010,11 +2016,11 @@ mod tests {
         tiles
     }
 
-    /// `gemm_tiled` into a whole, NaN-poisoned f32 C under the fixed
+    /// `gemm_tiled` in place into a NaN-poisoned f32 C under the fixed
     /// blocking.
     fn run_f32(tile: &Tile<f32>, m: usize, k: usize, n: usize, a: &[f32], b: BSrc<f32>) -> Vec<f32> {
         let mut c = vec![f32::NAN; m * n];
-        gemm_tiled(tile, KC, NC, m, k, n, a, b, &mut c, |_, _, _, _| {});
+        gemm_tiled(tile, KC, NC, m, k, n, a, b, Sums::InPlace(&mut c), &|_, _, _| {});
         c
     }
 
@@ -2143,11 +2149,11 @@ mod tests {
         c
     }
 
-    /// `gemm_tiled` into a whole, poisoned i32 C.
+    /// `gemm_tiled` in place into a poisoned i32 C.
     #[allow(clippy::too_many_arguments)]
     fn run_i8(tile: &Tile<i32>, kc: usize, nc: usize, m: usize, k: usize, n: usize, a: &[i8], b: BSrc<i32>) -> Vec<i32> {
         let mut c = vec![i32::MIN; m * n];
-        gemm_tiled(tile, kc, nc, m, k, n, &pair_rows(a, k, Vec::new()), b, &mut c, |_, _, _, _| {});
+        gemm_tiled(tile, kc, nc, m, k, n, &pair_rows(a, k, Vec::new()), b, Sums::InPlace(&mut c), &|_, _, _| {});
         c
     }
 

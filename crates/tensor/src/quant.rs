@@ -9,11 +9,11 @@
 //!
 //! ## One engine
 //!
-//! The linear/conv matmul core is [`crate::ops::simd`]'s `gemm_i8` at
+//! The linear/conv matmul core is `ops::simd`'s `gemm_i8` at
 //! every `FX_SIMD` level: the one GEMM driver over int8 k-pair tiles
 //! (the portable tile at level `0`, `vpmaddwd`/`vpdpwssd` ones above),
 //! exact i32 accumulation, requantization fused into its write-back
-//! through [`requant_one`] or its op-for-op vector twin. Every tile's
+//! through `requant_one` or its op-for-op vector twin. Every tile's
 //! `i8` outputs are therefore **bit-identical** — `FX_SIMD` changes
 //! speed, never bytes (a stronger guarantee than the f32 kernels, whose
 //! portable and FMA tiles differ within a documented ULP bound). The

@@ -96,8 +96,18 @@
 #    token); and a module writes only what it knows: no `fn as_any`
 #    outside crates/core/src/module.rs over the same paths (`Module:
 #    Any`, and the one inherent `dyn Module::as_any` lives there,
-#    DESIGN §3).
-# 7. size report               — non-test lines (up to each file's
+#    DESIGN §3); and one write-back for every GEMM: none of the
+#    definitions of the retired second output path (`fn gemm_rows`,
+#    `fn gemm_nchw(`, `fn gemm_nn_into`, `fn gemm_nn(`, the 1-d
+#    product's own `fn dot(`) nor the length-sniffed `let whole` under
+#    crates/tensor/src (the caller names where the sums accumulate, every
+#    finished row leaves through one callback, and f32 has one entry,
+#    DESIGN §5d). The kept `gemm_nchw_*` test names and the `Dot` trait's
+#    `unsafe fn dot(` step are not definitions of these.
+# 7. rustdoc gate              — `cargo doc --no-deps --workspace` with
+#    `-D warnings`: no broken or private intra-doc link, no ambiguous
+#    one.
+# 8. size report               — non-test lines (up to each file's
 #    `#[cfg(test)]`) per crate, for the four analysis files, for the
 #    four kernel files, for `quant.rs` + `tensor.rs` (the int8 weight
 #    and the packed form its storage owns), and for `dispatch.rs` +
@@ -227,6 +237,18 @@ if grep -rnF --exclude-dir=target --exclude-dir=out 'fn as_any' "${serve_paths[@
     exit 1
 fi
 echo "no fn as_any under ${serve_paths[*]} outside crates/core/src/module.rs"
+
+echo "== one-write-back gate: the caller names where sums accumulate; f32 has one entry =="
+retired_path='^\s*(pub(\([a-z]+\))? )?fn (gemm_rows|gemm_nchw|gemm_nn_into|gemm_nn|dot)[(<]|let whole\b'
+if grep -rnE "$retired_path" crates/tensor/src; then
+    echo "a second GEMM output path is back; pass Sums to gemm_tiled and write rows through its callback" >&2
+    exit 1
+fi
+echo "no fn gemm_rows / gemm_nchw / gemm_nn_into / gemm_nn / dot and no let whole under crates/tensor/src"
+
+echo "== rustdoc gate: the docs build warning-free =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
+echo "cargo doc: no warnings"
 
 echo "== size: non-test lines =="
 nontest_lines() {
