@@ -236,7 +236,8 @@ impl ModelEntry {
     /// One line naming what runs this model's batches, for logs and
     /// stats: the executor with the kernel threads a run from this
     /// thread would use (not a `0` that means "the process setting"),
-    /// memory planning and the SIMD level.
+    /// memory planning, the SIMD level and the int8 element
+    /// ([`fx_tensor::int8_element`]).
     pub(crate) fn describe(&self) -> String {
         let exec = self.cfg.exec;
         let threads = fx_tensor::threading::with_num_threads(
@@ -244,7 +245,7 @@ impl ModelEntry {
             fx_tensor::threading::num_threads,
         );
         let exec = ExecConfig { threads, ..exec };
-        format!("executor({exec} simd={})", fx_tensor::simd_level())
+        format!("executor({exec} simd={} int8={})", fx_tensor::simd_level(), fx_tensor::int8_element())
     }
 
     /// The stats, locked, with the effective batch delay stamped in.

@@ -409,7 +409,7 @@ fn panicking_kernel_is_a_typed_error_and_the_other_model_serves() {
 
 /// Registration compiles the plan, so the first batch already hits it;
 /// the snapshot's `backend` line names the resolved kernel threads,
-/// memory planning and SIMD level.
+/// memory planning, SIMD level and int8 element.
 #[test]
 fn registration_warms_the_plan_cache() {
     let registry = Registry::builder().build().unwrap();
@@ -439,6 +439,11 @@ fn registration_warms_the_plan_cache() {
     );
     assert!(m.contains(&format!("threads={threads} ")), "resolved, not 0: {m}");
     assert!(m.contains(&format!("simd={}", fx_tensor::simd_level())), "{m}");
+    // The int8 element it resolved: pairs under the portable tiles.
+    let int8 = fx_tensor::int8_element();
+    assert!(m.ends_with(&format!(" int8={int8})")), "{m}");
+    let expected = if fx_tensor::simd_level() == "scalar" { &["portable pairs"][..] } else { &["vnni quads", "madd pairs"] };
+    assert!(expected.contains(&int8), "{m}");
     assert!(line("pinned").starts_with("executor(threads=3 "), "{}", line("pinned"));
     // A swapped-in version runs under the model's registered config.
     registry.swap("pinned", mlp_b(6)).unwrap();

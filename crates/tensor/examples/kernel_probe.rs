@@ -140,20 +140,28 @@ fn main() {
         ops::conv2d_act(&x, &w, Some(&b), (1, 1), (1, 1), (1, 1), 1, true).unwrap()
     });
 
-    // The int8 GEMMs at ResNet-50 shapes on a [4,3,64,64] input — the
-    // stem, a layer1 3x3 and 1x1, a layer4 3x3 — and the classifier
-    // (one row, and a batch of 16 through a wide layer), with a non-zero
-    // activation zero point under the padding.
+    // The int8 GEMMs at ResNet-50 shapes on a [4,3,64,64] input — a
+    // layer1 3x3 and 1x1, the stem, a layer4 3x3, then a layer2 3x3 and
+    // a layer3 3x3 and 1x1 (drawn from their own seed, so the rows after
+    // them keep their inputs) — and the classifier (one row, and a batch
+    // of 16 through a wide layer), with a non-zero activation zero point
+    // under the padding.
     let (xs, xzp) = (2.0 / 255.0, 3);
-    for &(n, c, h, o, k, stride, pad) in &[
+    let mut lrng = StdRng::seed_from_u64(42);
+    let i8_convs = [
         (4usize, 64usize, 16usize, 64usize, 3usize, 1usize, 1usize),
         (4, 256, 16, 64, 1, 1, 0),
         (4, 3, 64, 64, 7, 2, 3),
         (4, 512, 4, 512, 3, 1, 1),
-    ] {
-        let x = quantize_per_tensor(&Tensor::rand_uniform(&[n, c, h, h], -1.0, 1.0, &mut rng), xs, xzp).unwrap();
-        let w = quantize_per_channel(&Tensor::rand_uniform(&[o, c, k, k], -0.5, 0.5, &mut rng), 0).unwrap();
-        let b = Tensor::rand_uniform(&[o], -0.2, 0.2, &mut rng);
+        (4, 128, 8, 128, 3, 1, 1),
+        (4, 256, 4, 256, 3, 1, 1),
+        (4, 1024, 4, 256, 1, 1, 0),
+    ];
+    for (row, &(n, c, h, o, k, stride, pad)) in i8_convs.iter().enumerate() {
+        let rng = if row < 4 { &mut rng } else { &mut lrng };
+        let x = quantize_per_tensor(&Tensor::rand_uniform(&[n, c, h, h], -1.0, 1.0, rng), xs, xzp).unwrap();
+        let w = quantize_per_channel(&Tensor::rand_uniform(&[o, c, k, k], -0.5, 0.5, rng), 0).unwrap();
+        let b = Tensor::rand_uniform(&[o], -0.2, 0.2, rng);
         let oh = (h + 2 * pad - k) / stride + 1;
         let name = format!("i8 conv{k}x{k} s{stride} {c}->{o} @{n}x{h}x{h}");
         time_hashed(&name, 2 * n * o * oh * oh * c * k * k, || {

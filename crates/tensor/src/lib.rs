@@ -43,7 +43,7 @@ pub mod threading;
 
 pub use dtype::DType;
 pub use error::{Error, Result};
-pub use ops::{simd_available, simd_enabled, simd_level};
+pub use ops::{int8_element, simd_available, simd_enabled, simd_level};
 pub use quant::QScheme;
 pub use tensor::Tensor;
 pub use threading::{num_threads, set_num_threads};

@@ -17,7 +17,7 @@ pub(crate) mod simd;
 
 pub use batch::{split_batch, stack_batch};
 pub use conv::{adaptive_avg_pool2d, avg_pool2d, conv2d, conv2d_act, max_pool2d};
-pub use simd::{simd_available, simd_enabled, simd_level};
+pub use simd::{int8_element, simd_available, simd_enabled, simd_level};
 pub use elementwise::{
     abs, add, clamp, div, exp, gelu, hardtanh, leaky_relu, log, maximum, minimum, mul, neg, relu,
     rsqrt, selu, sigmoid, sqrt, sub, tanh, unary_scalar,

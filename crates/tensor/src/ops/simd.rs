@@ -11,7 +11,7 @@
 //!   a const `MR × NV` shape. Thin `#[target_feature]` wrappers
 //!   instantiate it as the AVX2 tiles (6 rows × 1 or 2 YMM) and the
 //!   AVX-512 tiles (12 rows × 1 or 2 ZMM), for f32 (`vfmadd`) and for
-//!   int8 k-pairs (`vpmaddwd`+`vpaddd`, or `vpdpwssd` with VNNI). The
+//!   int8 k-pairs (`vpmaddwd`+`vpaddd`) and k-quads (`vpdpbusd`). The
 //!   portable tiles — 1 or 4 rows × one 8-lane [`Lanes`] array, which
 //!   the compiler lowers to the baseline ISA (SSE2 on x86-64) — need no
 //!   wrapper and run on any x86-64 CPU. A [`Tile`] names one with its
@@ -45,30 +45,35 @@
 //! copies a multi-image conv's rows into NCHW out of the block. Plain
 //! `matmul` passes no epilogue, so its sums are written once, in place.
 //!
-//! ## int8: the element is a k-pair
+//! ## int8: the element is a k-quad or a k-pair
 //!
-//! An int8 GEMM multiplies `i8×i8→i32`. Its element is **two
-//! consecutive k steps**: two i8 sign-extended to i16, side by side in
-//! one i32 lane ([`pack_pair`]). Broadcasting an A pair and multiplying
-//! it against a vector of B pairs with `vpmaddwd` (then `vpaddd`), or
-//! with VNNI's fused `vpdpwssd` (or the portable tile's `Madd` on
-//! [`Lanes`]), adds `a₀·b₀ + a₁·b₁` to each i32 lane — which is exactly
-//! the f32 kernel's `splat`/`fmadd` step over an array half as deep. So A is the `[m, ⌈k/2⌉]` pair rows of a weight
-//! (widened **once**, [`pair_rows`]), B panels hold `nr` pairs per row,
-//! C is i32, and nothing in the driver or the body knows. A ZMM
-//! `vpdpwssd` retires 32 MACs — twice a ZMM FMA — so the 12×32 int8 tile
-//! is the fastest thing in the table.
+//! An int8 GEMM multiplies `i8×i8→i32`. Its element is several
+//! consecutive k steps in one i32 lane, so its broadcast-and-dot step is
+//! the f32 kernel's `splat`/`fmadd` over a shallower array, C is i32, and
+//! nothing in the driver or the body knows which it is:
 //!
-//! The widening differs from FBGEMM's `_mm256_maddubs_epi16` chain on
-//! purpose: `maddubs` adds two u8×i8 products into a *saturating* i16,
-//! and `127·255 + 127·255` overflows it — saturation would make SIMD
-//! results diverge from the exact sums on adversarial inputs.
-//! `i16×i16 + i16×i16` peaks at `2·128² ≪ 2³¹`, and the running i32 sum
-//! is exact for any k the models reach (overflow needs k ≳ 1.3·10⁵).
-//! Because integer accumulation has no rounding at all, every tile,
-//! either dot step, any blocking and any summation order are
-//! **bit-identical** to the scalar reference — a stronger guarantee than
-//! the f32 path can offer, and one the tests check with `assert_eq`.
+//! * a **k-quad** ([`Quad`]) where AVX-512 VNNI runs: four i8 as the
+//!   lane's bytes, multiplied by `vpdpbusd`, which adds four u8×i8
+//!   products straight into i32 — 64 MACs per ZMM, four times an FMA. A
+//!   weight's raw rows are its A, read in place (padded to whole quads
+//!   once when `k % 4 ≠ 0`); activations are the unsigned side, `x ^ 0x80`
+//!   while B is packed, and the `128·Σₖ w` that adds folds into the
+//!   requant's zero-point correction.
+//! * a **k-pair** ([`pack_pair`]) everywhere else (`FX_VNNI=0`, AVX2
+//!   without VNNI, the portable tiles): two i8 sign-extended to i16,
+//!   multiplied by `vpmaddwd` + `vpaddd` (the portable tile's `Madd` on
+//!   [`Lanes`]), with A widened once ([`pair_rows`]).
+//!
+//! Neither is FBGEMM's `_mm256_maddubs_epi16` chain, nor `vpdpbusds`:
+//! both saturate (`127·255 + 127·255` overflows `maddubs`'s i16), which
+//! would make SIMD results diverge from the exact sums on adversarial
+//! inputs. A quad step adds at most `4·255·128`, a pair step `2·128²`,
+//! so the running i32 sum is exact for any k the models reach (overflow
+//! needs k ≳ 6.5·10⁴ in quads; ResNet-50's deepest is 4608). Because
+//! integer accumulation has no rounding at all, every tile, either
+//! element, any blocking and any summation order are **bit-identical**
+//! to the scalar reference — a stronger guarantee than the f32 path can
+//! offer, and one the tests check with `assert_eq`.
 //!
 //! [`gemm_i8`] is the entry point. A conv passes its weight as A and
 //! its input's patches as B, so the output lands `[channel,
@@ -79,10 +84,11 @@
 //! into contiguous NCHW spans while it is still in L1, through the same
 //! write-back as every f32 GEMM, out of the driver's block (i32 sums
 //! cannot live in an i8 output); they are never stored whole. A linear
-//! passes its input rows as A and its weight as B — packed once
-//! ([`prepack_b`], [`BSrc::Packed`]), since a weight never changes — so
-//! a one-row request reads each weight once, in a vector, and the
-//! output is row-major as it stands.
+//! over quads is a conv over one-patch images: its weight is A, read in
+//! place, its input rows are B. A linear over pairs passes its input rows
+//! as A and its weight as B — packed once ([`prepack_b`],
+//! [`BSrc::Packed`]) — so a one-row request reads each weight once, in a
+//! vector. Either way the output is row-major as it stands.
 //!
 //! ## The quantize lane
 //!
@@ -125,7 +131,7 @@
 //! sweeps the level to keep them from rotting), `avx2` / `avx512` pin a
 //! level (degrading, with one stderr line, to the widest the CPU has),
 //! unset or `1` takes the widest detected; the level governs the f32 and
-//! the int8 tiles alike (`FX_VNNI=0` only swaps the int8 dot step). At
+//! the int8 tiles alike (`FX_VNNI=0` only swaps the int8 element). At
 //! every level *every* GEMM goes through the one driver — an engine
 //! cutover by shape would make results depend on the batch dimension and
 //! break serve/solo parity; a *tile* cutover cannot, by the argument
@@ -136,7 +142,7 @@ use crate::threading::parallel_chunks;
 use std::mem::MaybeUninit;
 use std::sync::OnceLock;
 
-/// K-panel depth, in elements (f32 and int8 k-pairs are both 4 bytes):
+/// K-panel depth, in elements (f32 and both int8 elements are 4 bytes):
 /// a row panel's 12·256 of A (12 KiB) stays L1-resident, 256·32 of B
 /// per column panel streams from L2. One constant for every tile and
 /// every process — it is part of the f32 numeric contract (module docs),
@@ -236,7 +242,7 @@ pub fn simd_available() -> bool {
     detected_level() != Level::Scalar
 }
 
-/// Whether this CPU has `vpdpwssd` at both vector widths (AVX-512 VNNI
+/// Whether this CPU has `vpdpbusd` at both vector widths (AVX-512 VNNI
 /// + VL; ignores `FX_VNNI`).
 fn vnni_detected() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -245,15 +251,26 @@ fn vnni_detected() -> bool {
     false
 }
 
-/// Whether the int8 tiles fuse their multiply-add pairs into `vpdpwssd`
-/// (decided once per process; `FX_VNNI=0` forces the plain
-/// `vpmaddwd`+`vpaddd` form at whatever width `FX_SIMD` selects). Purely
-/// a throughput knob: VNNI computes the identical exact i32 dot-product
-/// accumulation in one instruction, so outputs are bit-identical either
-/// way (unit-tested below).
-fn vnni_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| !std::env::var("FX_VNNI").is_ok_and(|v| v == "0") && vnni_detected())
+/// Whether the int8 GEMMs run the [`Quad`] element under `vpdpbusd`:
+/// a SIMD level on a VNNI CPU, unless `FX_VNNI=0` keeps k-pairs under
+/// `vpmaddwd` (decided once per process). Both elements compute the exact
+/// i32 sums, so outputs are bit-identical either way; the flag also
+/// decides memory, since quads read a weight's raw i8 rows in place and
+/// pairs keep a widened copy, 2 bytes a weight, in its [`crate::quant`]
+/// slot.
+pub(crate) fn quads() -> bool {
+    static QUADS: OnceLock<bool> = OnceLock::new();
+    *QUADS.get_or_init(|| level() != Level::Scalar && vnni_detected() && !std::env::var("FX_VNNI").is_ok_and(|v| v == "0"))
+}
+
+/// The int8 element this process runs: `vnni quads`, `madd pairs`
+/// (`vpmaddwd`) or `portable pairs` (`FX_SIMD=0`).
+pub fn int8_element() -> &'static str {
+    match level() {
+        Level::Scalar => "portable pairs",
+        _ if quads() => "vnni quads",
+        _ => "madd pairs",
+    }
 }
 
 /// Prefetch `s[idx]` into L1 if it is in bounds (a pure hint: never
@@ -279,12 +296,14 @@ fn prefetch<T>(s: &[T], idx: usize) {
 // ===========================================================================
 
 /// What the driver multiplies and sums: one `f32`, or one int8 **k-pair**
-/// ([`pack_pair`]) held in an `i32` lane, accumulated in `i32`. A and the
-/// packed B panels are arrays of elements, so the blocking loops, the
-/// ragged-panel copy and the microkernel body never learn which one
-/// they were instantiated for; only packing B does, because its sources
-/// hold the narrower [`Elem::Raw`] form.
-pub(crate) trait Elem: PoolElem + std::ops::AddAssign {
+/// ([`pack_pair`]) or **k-quad** ([`Quad`]) in an `i32` lane, summed in
+/// [`Elem::Acc`]. A and the packed B panels are arrays of elements, so the
+/// blocking loops, the ragged-panel copy and the microkernel body never
+/// learn which one they were instantiated for; only packing B does,
+/// because its sources hold the narrower [`Elem::Raw`] form.
+pub(crate) trait Elem: PoolElem {
+    /// What the sums accumulate in (`f32`, or `i32` for int8).
+    type Acc: PoolElem + std::ops::AddAssign;
     /// How a B source stores one k step (`f32` itself / `i8`).
     type Raw: PoolElem;
     /// Raw k steps per element.
@@ -292,16 +311,22 @@ pub(crate) trait Elem: PoolElem + std::ops::AddAssign {
     /// Produce one `[rows, nr]` element panel from the row-major raw
     /// panel `fill` writes (`rows·PAIR` rows of `nr`): f32 lets `fill`
     /// write the panel itself, int8 gathers into `stage` and interleaves
-    /// row pairs.
+    /// row pairs or quads.
     fn pack_panel(
         panel: &mut [Self],
         nr: usize,
         stage: &mut [Self::Raw],
         fill: impl FnOnce(&mut [Self::Raw]),
     );
+    /// Pack one panel of patches its own way, if the element has one
+    /// (quads: [`pack_patch_quads`]); `false` takes `pack_panel`'s.
+    fn pack_patches(_: &PatchSrc<Self::Raw>, _: usize, _: usize, _: usize, _: usize, _: usize, _: &mut [Self]) -> bool {
+        false
+    }
 }
 
 impl Elem for f32 {
+    type Acc = f32;
     type Raw = f32;
     const PAIR: usize = 1;
     #[inline(always)]
@@ -311,6 +336,7 @@ impl Elem for f32 {
 }
 
 impl Elem for i32 {
+    type Acc = i32;
     type Raw = i8;
     const PAIR: usize = 2;
     fn pack_panel(panel: &mut [i32], nr: usize, stage: &mut [i8], fill: impl FnOnce(&mut [i8])) {
@@ -327,21 +353,79 @@ impl Elem for i32 {
 
 /// One int8 element: an (even, odd) k-pair of i8 as two sign-extended
 /// i16 halves of an i32, low half = even k — the operand shape
-/// `vpmaddwd`/`vpdpwssd` multiply exactly.
+/// `vpmaddwd` multiplies exactly.
 #[inline(always)]
 fn pack_pair(lo: i8, hi: i8) -> i32 {
     ((lo as i16 as u16 as u32) | ((hi as i16 as u16 as u32) << 16)) as i32
 }
 
 /// Row-major `[rows, k]` i8 as `[rows, ⌈k/2⌉]` k-pair elements (an odd
-/// tail pairs with 0), appended to `out`: the A operand of an int8
-/// GEMM. A conv's weight is widened once and cached by
-/// [`crate::quant`]; a linear's input rows are widened per call.
+/// tail pairs with 0), appended to `out`: the A operand of a pair GEMM.
+/// A conv's weight is widened once and cached by [`crate::quant`]; a
+/// linear's input rows are widened per call.
 pub(crate) fn pair_rows(x: &[i8], k: usize, mut out: Vec<i32>) -> Vec<i32> {
     for row in x.chunks_exact(k.max(1)) {
         let mut pairs = row.chunks_exact(2);
         out.extend((&mut pairs).map(|p| pack_pair(p[0], p[1])));
         out.extend(pairs.remainder().iter().map(|&lo| pack_pair(lo, 0)));
+    }
+    out
+}
+
+/// The int8 element of the VNNI tiles: **four consecutive k steps** as
+/// the bytes of one i32 lane, first k lowest — what `vpdpbusd` multiplies.
+/// An A quad is four raw i8, so a `[rows, k]` weight with `k % 4 == 0`
+/// *is* its quad rows, read in place (unaligned). A B quad holds each
+/// activation as `x ^ 0x80` (`x + 128` as u8), set while packing, so row
+/// `i`'s sums exceed the signed ones by `128·Σₖ A[i, k]` ([`Int8::OFFSET`]).
+pub(crate) type Quad = [i8; 4];
+
+impl Elem for Quad {
+    type Acc = i32;
+    type Raw = i8;
+    const PAIR: usize = 4;
+    fn pack_patches(p: &PatchSrc<i8>, k0: usize, kc: usize, j: usize, nr_eff: usize, nr: usize, panel: &mut [Quad]) -> bool {
+        pack_patch_quads(p, k0, kc, j, nr_eff, nr, panel);
+        true
+    }
+    fn pack_panel(panel: &mut [Quad], nr: usize, stage: &mut [i8], fill: impl FnOnce(&mut [i8])) {
+        let raw = &mut stage[..4 * panel.len()];
+        fill(raw);
+        // Every tile's `nr` is a multiple of 8.
+        for (row, four) in panel.chunks_exact_mut(nr).zip(raw.chunks_exact(4 * nr)) {
+            for (j, quads) in row.chunks_exact_mut(8).enumerate() {
+                let rows = std::array::from_fn(|t| four[t * nr + 8 * j..][..8].try_into().expect("8 bytes"));
+                quads.copy_from_slice(&quads8(rows));
+            }
+        }
+    }
+}
+
+/// Eight columns of four k rows (`rows[t][j]`: step `t` of column `j`)
+/// as their eight B quads, each byte `x ^ 0x80`: SSE2 unpacks on x86-64.
+#[inline(always)]
+fn quads8(rows: [[i8; 8]; 4]) -> [Quad; 8] {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: SSE2 is part of every x86-64 target, and two `__m128i` are
+    // the same 32 bytes as eight quads, with no invalid values.
+    unsafe {
+        use std::arch::x86_64::*;
+        let [a, b, c, d] = rows.map(|r| _mm_set_epi64x(0, i64::from_le_bytes(r.map(|v| v as u8))));
+        let (ab, cd, flip) = (_mm_unpacklo_epi8(a, b), _mm_unpacklo_epi8(c, d), _mm_set1_epi8(i8::MIN));
+        let quads = [_mm_unpacklo_epi16(ab, cd), _mm_unpackhi_epi16(ab, cd)].map(|q| _mm_xor_si128(q, flip));
+        std::mem::transmute::<[__m128i; 2], [Quad; 8]>(quads)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    std::array::from_fn(|j| rows.map(|r| r[j] ^ i8::MIN))
+}
+
+/// Row-major `[rows, k]` i8 as `[rows, ⌈k/4⌉]` quads, each row's tail
+/// zero-padded: the A operand of a quad GEMM whose `k % 4 ≠ 0`.
+pub(crate) fn quad_rows(x: &[i8], k: usize) -> Vec<Quad> {
+    let kq = k.div_ceil(4).max(1);
+    let mut out = vec![[0; 4]; x.len() / k.max(1) * kq];
+    for (row, quads) in x.chunks_exact(k.max(1)).zip(out.chunks_exact_mut(kq)) {
+        quads.as_flattened_mut()[..k].copy_from_slice(row);
     }
     out
 }
@@ -356,7 +440,8 @@ trait Vector: Copy {
     const LANES: usize;
     unsafe fn zero() -> Self;
     unsafe fn load(p: *const Self::Elem) -> Self;
-    /// `*p` in every lane.
+    /// `*p` in every lane; `p` need not be aligned (an A [`Quad`] is
+    /// four bytes of an i8 row).
     unsafe fn splat(p: *const Self::Elem) -> Self;
     unsafe fn add(self, o: Self) -> Self;
     unsafe fn store(self, p: *mut Self::Elem);
@@ -378,7 +463,7 @@ macro_rules! impl_vector {
             }
             #[inline(always)]
             unsafe fn splat(p: *const $elem) -> Self {
-                std::arch::x86_64::$set1(*p)
+                std::arch::x86_64::$set1(p.read_unaligned())
             }
             #[inline(always)]
             unsafe fn add(self, o: Self) -> Self {
@@ -430,7 +515,7 @@ macro_rules! impl_lanes {
             }
             #[inline(always)]
             unsafe fn splat(p: *const $elem) -> Self {
-                Lanes([*p; 8])
+                Lanes([p.read_unaligned(); 8])
             }
             #[inline(always)]
             unsafe fn add(self, o: Self) -> Self {
@@ -449,9 +534,9 @@ impl_lanes!(i32, i32::wrapping_add);
 
 /// The multiply-accumulate of one k step, `acc + a·b` per lane, on
 /// vector `V`. A separate name from [`Vector`] because the integer
-/// vectors have two: both compute exactly `acc + Σ₂ sx(a_i16)·sx(b_i16)`
-/// — integer, no rounding — so they are bit-identical by construction
-/// (and unit-tested so).
+/// vectors have two, one per int8 element: each computes the exact
+/// integer dot product — no rounding — so every int8 tile is
+/// bit-identical by construction (and unit-tested so).
 trait Dot<V> {
     unsafe fn dot(acc: V, a: V, b: V) -> V;
 }
@@ -459,10 +544,11 @@ trait Dot<V> {
 struct Fma;
 /// f32 on [`Lanes`]: `a·b` rounded, then `+ acc` rounded.
 struct MulAdd;
-/// int8 k-pairs: `vpmaddwd` + `vpaddd`.
+/// int8 k-pairs: `vpmaddwd` + `vpaddd`, `acc + Σ₂ sx(a_i16)·sx(b_i16)`.
 struct Madd;
-/// int8 k-pairs: the two fused into `vpdpwssd` (AVX-512 VNNI).
-struct Vnni;
+/// int8 k-quads: `vpdpbusd` (AVX-512 VNNI), `acc + Σ₄ u8(b)·i8(a)`, no
+/// saturating step (module docs).
+struct Dpbusd;
 
 macro_rules! impl_dot {
     ($dot:ident, $v:ident, |$acc:ident, $a:ident, $b:ident| $e:expr) => {
@@ -485,8 +571,8 @@ impl_dot!(Fma, __m256, |acc, a, b| _mm256_fmadd_ps(a, b, acc));
 impl_dot!(Fma, __m512, |acc, a, b| _mm512_fmadd_ps(a, b, acc));
 impl_dot!(Madd, __m256i, |acc, a, b| _mm256_add_epi32(acc, _mm256_madd_epi16(a, b)));
 impl_dot!(Madd, __m512i, |acc, a, b| _mm512_add_epi32(acc, _mm512_madd_epi16(a, b)));
-impl_dot!(Vnni, __m256i, |acc, a, b| _mm256_dpwssd_epi32(acc, a, b));
-impl_dot!(Vnni, __m512i, |acc, a, b| _mm512_dpwssd_epi32(acc, a, b));
+impl_dot!(Dpbusd, __m256i, |acc, a, b| _mm256_dpbusd_epi32(acc, b, a));
+impl_dot!(Dpbusd, __m512i, |acc, a, b| _mm512_dpbusd_epi32(acc, b, a));
 
 impl Dot<Lanes<f32>> for MulAdd {
     #[inline(always)]
@@ -568,9 +654,9 @@ unsafe fn write_edge<T: Copy + std::ops::AddAssign>(
 /// Only sound inside a `#[target_feature]` function enabling the
 /// instruction sets of `V` and `D` (anywhere, for [`Lanes`]). `pa` must
 /// cover `MR` rows of `kc` elements, `lda` apart (all `MR`, even when
-/// `mr < MR`); `pb` must hold `(kc-1)*ldb + NV·LANES` elements and `c`
-/// must cover `mr ≤ MR` rows of `ldc` columns with `nr ≤ NV·LANES`
-/// valid columns per row.
+/// `mr < MR`), at any alignment; `pb` must hold `(kc-1)*ldb + NV·LANES`
+/// elements and `c` must cover `mr ≤ MR` rows of `ldc` columns with
+/// `nr ≤ NV·LANES` valid columns per row.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 unsafe fn microkernel<V: Vector, D: Dot<V>, const MR: usize, const NV: usize>(
@@ -619,13 +705,13 @@ unsafe fn microkernel<V: Vector, D: Dot<V>, const MR: usize, const NV: usize>(
 }
 
 /// A microkernel instance behind its `#[target_feature]` wrapper; the
-/// arguments are [`microkernel`]'s.
-type Kernel<E> = unsafe fn(usize, *const E, usize, *const E, usize, *mut E, usize, usize, usize, bool);
+/// arguments are [`microkernel`]'s, A and B as elements `E`, C as sums.
+type Kernel<E> = unsafe fn(usize, *const E, usize, *const E, usize, *mut <E as Elem>::Acc, usize, usize, usize, bool);
 
 macro_rules! tile_kernel {
     ($name:ident, $features:literal, $elem:ty, $v:ident, $dot:ident, $mr:literal, $nv:literal) => {
-        /// [`microkernel`] instantiated for this vector type, dot step
-        /// and shape.
+        /// [`microkernel`] instantiated for this element, vector type,
+        /// dot step and shape (a quad is read as the i32 lane it fills).
         ///
         /// # Safety
         /// The CPU must support the enabled target features — callers
@@ -641,21 +727,21 @@ macro_rules! tile_kernel {
             lda: usize,
             pb: *const $elem,
             ldb: usize,
-            c: *mut $elem,
+            c: *mut <$elem as Elem>::Acc,
             ldc: usize,
             mr: usize,
             nr: usize,
             first: bool,
         ) {
-            microkernel::<std::arch::x86_64::$v, $dot, $mr, $nv>(kc, pa, lda, pb, ldb, c, ldc, mr, nr, first)
+            microkernel::<std::arch::x86_64::$v, $dot, $mr, $nv>(kc, pa.cast(), lda, pb.cast(), ldb, c, ldc, mr, nr, first)
         }
     };
 }
 
 // 6 rows × 2 YMM = 12 accumulators + 2 B loads + 1 A broadcast (+ 1
 // `vpmaddwd` product) fit the 16-register AVX2 file; 12 rows × 2 ZMM =
-// 24 + 2 + 1 (+ 1) fit AVX-512's 32. A ZMM `vpdpwssd` retires 32 MACs,
-// twice a ZMM FMA.
+// 24 + 2 + 1 (+ 1) fit AVX-512's 32. A ZMM `vpdpbusd` retires 64 MACs,
+// four times a ZMM FMA.
 tile_kernel!(mk_y6x8, "avx2,fma", f32, __m256, Fma, 6, 1);
 tile_kernel!(mk_y6x16, "avx2,fma", f32, __m256, Fma, 6, 2);
 tile_kernel!(mk_z12x16, "avx512f", f32, __m512, Fma, 12, 1);
@@ -664,10 +750,10 @@ tile_kernel!(mk_y6x8_madd, "avx2", i32, __m256i, Madd, 6, 1);
 tile_kernel!(mk_y6x16_madd, "avx2", i32, __m256i, Madd, 6, 2);
 tile_kernel!(mk_z12x16_madd, "avx512f,avx512bw", i32, __m512i, Madd, 12, 1);
 tile_kernel!(mk_z12x32_madd, "avx512f,avx512bw", i32, __m512i, Madd, 12, 2);
-tile_kernel!(mk_y6x8_vnni, "avx2,avx512vnni,avx512vl", i32, __m256i, Vnni, 6, 1);
-tile_kernel!(mk_y6x16_vnni, "avx2,avx512vnni,avx512vl", i32, __m256i, Vnni, 6, 2);
-tile_kernel!(mk_z12x16_vnni, "avx512f,avx512vnni", i32, __m512i, Vnni, 12, 1);
-tile_kernel!(mk_z12x32_vnni, "avx512f,avx512vnni", i32, __m512i, Vnni, 12, 2);
+tile_kernel!(mk_y6x8_quad, "avx2,avx512vnni,avx512vl", Quad, __m256i, Dpbusd, 6, 1);
+tile_kernel!(mk_y6x16_quad, "avx2,avx512vnni,avx512vl", Quad, __m256i, Dpbusd, 6, 2);
+tile_kernel!(mk_z12x16_quad, "avx512f,avx512vnni", Quad, __m512i, Dpbusd, 12, 1);
+tile_kernel!(mk_z12x32_quad, "avx512f,avx512vnni", Quad, __m512i, Dpbusd, 12, 2);
 
 /// One register tile the driver can run a GEMM with: its geometry, what
 /// must be detected before its kernels may be called (`level`, plus
@@ -675,11 +761,12 @@ tile_kernel!(mk_z12x32_vnni, "avx512f,avx512vnni", i32, __m512i, Vnni, 12, 2);
 /// a trailing column panel with at most `nr/2` valid columns, reading
 /// the same `nr`-strided packed B.
 ///
-/// The portable tiles head the tables: 1 and 4 rows × 8 lanes (the
-/// taller one keeps 8 of the 16 SSE2 registers as accumulators), the
-/// body instantiated directly — it needs no target feature.
+/// The portable tiles head the f32 and pair tables (the quad table has
+/// none): 1 and 4 rows × 8 lanes (the taller one keeps 8 of the 16 SSE2
+/// registers as accumulators), the body instantiated directly — it needs
+/// no target feature.
 #[derive(Clone, Copy)]
-struct Tile<E> {
+pub(crate) struct Tile<E: Elem> {
     name: &'static str,
     level: Level,
     vnni: bool,
@@ -689,14 +776,13 @@ struct Tile<E> {
     half: Kernel<E>,
 }
 
-/// The portable tiles `$p1` and `$p4` (1×8, 4×8), then the four SIMD
+/// The portable tiles, if any (1×8, 4×8), then the four SIMD
 /// geometries, narrowest and shortest first, for kernels `$y8 … $z32`
 /// (6×8, 6×16, 12×16, 12×32).
 macro_rules! tiles {
-    ($what:literal, $vnni:literal, $p1:expr, $p4:expr, $y8:ident, $y16:ident, $z16:ident, $z32:ident) => {
+    ($what:literal, $vnni:literal, [$($portable:expr),*], $y8:ident, $y16:ident, $z16:ident, $z32:ident) => {
         [
-            $p1,
-            $p4,
+            $($portable,)*
             Tile { name: concat!("avx2 6x8", $what), level: Level::Avx2, vnni: $vnni, mr: 6, nr: 8, full: $y8, half: $y8 },
             Tile { name: concat!("avx2 6x16", $what), level: Level::Avx2, vnni: $vnni, mr: 6, nr: 16, full: $y16, half: $y8 },
             Tile { name: concat!("avx512 12x16", $what), level: Level::Avx512, vnni: $vnni, mr: 12, nr: 16, full: $z16, half: $z16 },
@@ -722,15 +808,15 @@ const PORTABLE_I8: [Tile<i32>; 2] =
 /// Every f32 tile.
 #[cfg(target_arch = "x86_64")]
 static TILES: [Tile<f32>; 6] =
-    tiles!("", false, PORTABLE_F32[0], PORTABLE_F32[1], mk_y6x8, mk_y6x16, mk_z12x16, mk_z12x32);
-/// Every int8 tile: the portable ones (heading both tables), then the
-/// same four SIMD geometries under each dot step, indexed
-/// `[vnni][geometry]`.
+    tiles!("", false, [PORTABLE_F32[0], PORTABLE_F32[1]], mk_y6x8, mk_y6x16, mk_z12x16, mk_z12x32);
+/// Every int8 pair tile.
 #[cfg(target_arch = "x86_64")]
-static I8_TILES: [[Tile<i32>; 6]; 2] = [
-    tiles!(" i8 madd", false, PORTABLE_I8[0], PORTABLE_I8[1], mk_y6x8_madd, mk_y6x16_madd, mk_z12x16_madd, mk_z12x32_madd),
-    tiles!(" i8 vnni", true, PORTABLE_I8[0], PORTABLE_I8[1], mk_y6x8_vnni, mk_y6x16_vnni, mk_z12x16_vnni, mk_z12x32_vnni),
-];
+static I8_TILES: [Tile<i32>; 6] =
+    tiles!(" i8 madd", false, [PORTABLE_I8[0], PORTABLE_I8[1]], mk_y6x8_madd, mk_y6x16_madd, mk_z12x16_madd, mk_z12x32_madd);
+/// Every int8 quad tile.
+#[cfg(target_arch = "x86_64")]
+static QUAD_TILES: [Tile<Quad>; 4] =
+    tiles!(" i8 quad", true, [], mk_y6x8_quad, mk_y6x16_quad, mk_z12x16_quad, mk_z12x32_quad);
 
 /// Rows of the tallest tile (the last: the tables are sorted): sizes the
 /// stack A panel.
@@ -900,6 +986,43 @@ fn pack_patches<T: PoolElem, const UNIT: bool>(
     }
 }
 
+/// Pack `kc` k rows (from `k0`) of the `nr_eff` patches from `jbase`
+/// straight into one `nr`-wide quad panel, with no raw stage: each quad is
+/// four k rows' bytes at its column's window origin, `x ^ 0x80` (a row
+/// past `kc` repeats the last; its A bytes are zero). On the short output
+/// rows of deep layers that is far cheaper than [`pack_patches`]' runs.
+fn pack_patch_quads(p: &PatchSrc<i8>, k0: usize, kc: usize, jbase: usize, nr_eff: usize, nr: usize, panel: &mut [Quad]) {
+    let (plane, hw_out, khw) = (p.h * p.w, p.oh * p.ow, p.kh * p.kw);
+    let (mut cols, mut patch) = ([0; NR_MAX], (jbase / hw_out, jbase % hw_out / p.ow, jbase % p.ow));
+    for col in &mut cols[..nr_eff] {
+        let (img, oy, ox) = patch;
+        *col = img * p.c * plane + oy * p.stride.0 * p.w + ox * p.stride.1;
+        patch = if ox + 1 < p.ow { (img, oy, ox + 1) } else if oy + 1 < p.oh { (img, oy + 1, 0) } else { (img + 1, 0, 0) };
+    }
+    let (mut odometer, mut off) = ((k0 / khw, k0 % khw / p.kw, k0 % p.kw), 0);
+    for (e, row) in panel.chunks_mut(nr).enumerate() {
+        let offs: [usize; 4] = std::array::from_fn(|t| {
+            if 4 * e + t < kc {
+                let (ch, ky, kx) = odometer;
+                off = (p.ch0 + ch) * plane + ky * p.dilation.0 * p.w + kx * p.dilation.1;
+                odometer = if kx + 1 < p.kw { (ch, ky, kx + 1) } else if ky + 1 < p.kh { (ch, ky + 1, 0) } else { (ch + 1, 0, 0) };
+            }
+            off
+        });
+        for (quads, cols) in row[..nr_eff].chunks_mut(8).zip(cols.chunks(8)) {
+            if quads.len() == 8 && cols[7] == cols[0] + 7 {
+                // Eight patches side by side in `x`: eight bytes a row.
+                quads.copy_from_slice(&quads8(offs.map(|o| p.x[cols[0] + o..][..8].try_into().expect("8 bytes"))));
+            } else {
+                for (quad, &col) in quads.iter_mut().zip(cols) {
+                    *quad = offs.map(|o| p.x[col + o] ^ i8::MIN);
+                }
+            }
+        }
+        row[nr_eff..].fill([0; 4]);
+    }
+}
+
 /// Pack the `[k0..k0+kc) × [j0..j0+nc)` window of B (`k`s in raw
 /// steps) into `nr`-wide column panels: panel `jp` holds, for each
 /// element row, `nr` contiguous elements (zero past the matrix edge,
@@ -925,6 +1048,11 @@ fn pack_b<E: Elem>(
         let jbase = j0 + jp * nr;
         let nr_eff = nr.min(j0 + nc - jbase);
         let panel = &mut pb[jp * rows * nr..(jp + 1) * rows * nr];
+        if let BSrc::Patches(p) = src {
+            if E::pack_patches(p, k0, kc, jbase, nr_eff, nr, panel) {
+                continue;
+            }
+        }
         E::pack_panel(panel, nr, stage, |raw| {
             match src {
                 BSrc::RowMajor(b) => {
@@ -964,7 +1092,7 @@ fn pack_b<E: Elem>(
 /// panels for the tile an `n`-column int8 GEMM selects in this process
 /// (for any row count: [`select_tile`] keeps `nr` fixed per `n`).
 pub(crate) fn prepack_b(w: &[i8], n: usize, k: usize) -> Vec<i32> {
-    let (nr, ke) = (i8_tile(1, n).nr, k.div_ceil(2));
+    let (nr, ke) = (i32::tile(1, n).nr, k.div_ceil(2));
     let mut panels = vec![0; n.div_ceil(nr) * ke * nr];
     pack_b(&BSrc::Transposed(w), nr, n, k, 0, k, 0, n, &mut panels, &mut vec![0; 2 * ke * nr]);
     panels
@@ -1067,7 +1195,8 @@ fn gemm_f32_tiled(
     });
 }
 
-/// Where [`gemm_tiled`] accumulates its sums.
+/// Where [`gemm_tiled`] accumulates its sums (of type `E`, an
+/// [`Elem::Acc`]).
 enum Sums<'a, E> {
     /// The caller's row-major `[m, n]` output, in place.
     InPlace(&'a mut [E]),
@@ -1078,8 +1207,8 @@ enum Sums<'a, E> {
 }
 
 /// The one cache-blocking driver: `C = A[m, ⌈k/PAIR⌉] · B[k, n]` in
-/// elements of `E`, under an explicit register tile and `kc × nc`
-/// blocking (`kc` in elements). Panel widths, the stack A panel and the
+/// elements of `E`, summed in `E::Acc`, under an explicit register tile
+/// and `kc × nc` blocking (`kc` in elements). Panel widths, the stack A panel and the
 /// pool-drawn B block all take their geometry from `tile`.
 ///
 /// The sums accumulate where `sums` says. Each finished row — once its
@@ -1100,8 +1229,8 @@ fn gemm_tiled<E: Elem>(
     n: usize,
     a: &[E],
     b: BSrc<E>,
-    sums: Sums<E>,
-    write: &(dyn Fn(usize, usize, &mut [E]) + Sync),
+    sums: Sums<E::Acc>,
+    write: &(dyn Fn(usize, usize, &mut [E::Acc]) + Sync),
 ) {
     assert!(
         tile.level <= detected_level() && (!tile.vnni || vnni_detected()),
@@ -1131,7 +1260,7 @@ fn gemm_tiled<E: Elem>(
     let (c, ldc, in_place) = match sums {
         Sums::InPlace(c) => (c, n, true),
         Sums::Block => {
-            block = pool::alloc::<E>(m * n.min(nc_blk));
+            block = pool::alloc::<E::Acc>(m * n.min(nc_blk));
             (&mut block[..], n.min(nc_blk), false)
         }
     };
@@ -1627,11 +1756,12 @@ pub(crate) fn quant_lane(zp: i32) -> Option<&'static QuantLane> {
 /// How an int8 GEMM's i32 sums become its i8 output: `round_ne((acc −
 /// zp_corr[c])·mult[c] + badd[c] [max 0]) + out_zp`, clamped to i8, with
 /// one set of coefficients per output channel `c` — the GEMM's **row**
-/// for a conv (weights are A), its **column** for a linear (weights are
-/// B). [`crate::quant`] derives them once per call.
+/// where weights are A (a conv, a quad linear), its **column** where they
+/// are B (a pair linear). [`crate::quant`] derives them once per call.
 pub(crate) struct Requant<'a> {
-    /// `x_zp · Σₖ w[c][k]`: the activation zero point folded out of the
-    /// sum (`Σ(x−zp)·w = Σx·w − zp·Σw`).
+    /// `(x_zp + OFFSET) · Σₖ w[c][k]`: the activation zero point, and the
+    /// element's [`Int8::OFFSET`], folded out of the sum
+    /// (`Σ(x−zp)·w = Σx·w − zp·Σw`).
     pub zp_corr: &'a [i32],
     /// `x_scale · w_scale[c] / out_scale`.
     pub mult: &'a [f32],
@@ -1645,53 +1775,72 @@ pub(crate) struct Requant<'a> {
     pub out_zp: i32,
 }
 
-/// The tile an `m × n` int8 GEMM runs under in this process.
-fn i8_tile(m: usize, n: usize) -> &'static Tile<i32> {
-    &I8_TILES[vnni_enabled() as usize][select_tile(level(), m, n)]
+/// An int8 element: a k-pair (`i32`) or a k-quad ([`Quad`]).
+pub(crate) trait Int8: Elem<Acc = i32, Raw = i8> {
+    /// What packing adds to each B value, so row `i`'s sums exceed the
+    /// signed ones by `OFFSET·Σₖ A[i, k]`: 128 for a quad's unsigned side.
+    const OFFSET: i32;
+    /// The tile an `m × n` GEMM of this element runs under.
+    fn tile(m: usize, n: usize) -> &'static Tile<Self>;
+}
+
+impl Int8 for i32 {
+    const OFFSET: i32 = 0;
+    fn tile(m: usize, n: usize) -> &'static Tile<i32> {
+        &I8_TILES[select_tile(level(), m, n)]
+    }
+}
+
+impl Int8 for Quad {
+    const OFFSET: i32 = 128;
+    fn tile(m: usize, n: usize) -> &'static Tile<Quad> {
+        &QUAD_TILES[select_tile(level(), m, n) - PORTABLE_I8.len()]
+    }
 }
 
 /// Int8 GEMM with fused requantization through the one driver:
 /// `out[img, i, patch] = requant(Σₖ A[i, k]·B[k, img·p + patch])`, with
-/// A `[m, ⌈k/2⌉]` k-pair rows ([`pair_rows`]), B any [`BSrc`] over i8
-/// and `out` laid out
-/// `[n/p, m, p]`. A conv passes its weight as A and its input's patches
-/// as B, so `out` is NCHW; a linear passes its input rows as A, its
-/// packed weight as B and `p = n`, so `out` is `[rows, features]`.
+/// A `[m, ⌈k/PAIR⌉]` rows of the element, B any [`BSrc`] over i8 and
+/// `out` laid out `[n/p, m, p]`. A conv passes its weight as A and its
+/// input's patches as B, so `out` is NCHW (module docs for a linear). A
+/// quad GEMM's [`Int8::OFFSET`] is per row, so its coefficients must be,
+/// with the offset in `zp_corr`.
 ///
 /// Accumulation is exact i32 (module docs), so the output is
-/// **bit-identical** across tiles, dot steps, engines, thread counts,
+/// **bit-identical** across tiles, elements, engines, thread counts,
 /// batch positions and blocking parameters.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_i8(
+pub(crate) fn gemm_i8<E: Int8>(
     m: usize,
     k: usize,
     n: usize,
-    a: &[i32],
-    b: BSrc<i32>,
+    a: &[E],
+    b: BSrc<E>,
     rq: &Requant,
     p: usize,
     out: &mut [i8],
 ) {
-    gemm_i8_tiled(i8_tile(m, n), KC, NC, m, k, n, a, b, rq, p, out);
+    gemm_i8_tiled(E::tile(m, n), KC, NC, m, k, n, a, b, rq, p, out);
 }
 
 /// [`gemm_i8`] under an explicit tile and blocking.
 #[allow(clippy::too_many_arguments)]
-fn gemm_i8_tiled(
-    tile: &Tile<i32>,
+fn gemm_i8_tiled<E: Int8>(
+    tile: &Tile<E>,
     kc_blk: usize,
     nc_blk: usize,
     m: usize,
     k: usize,
     n: usize,
-    a: &[i32],
-    b: BSrc<i32>,
+    a: &[E],
+    b: BSrc<E>,
     rq: &Requant,
     p: usize,
     out: &mut [i8],
 ) {
     assert_eq!(out.len(), m * n, "gemm_i8: output length mismatch");
     assert!(p > 0 && n.is_multiple_of(p), "gemm_i8: {n} columns are not whole images of {p}");
+    assert!(E::OFFSET == 0 || !rq.per_col, "gemm_i8: a quad GEMM's offset is per row, so its coefficients must be");
     let channels = if rq.per_col { n } else { m };
     assert!(
         rq.zp_corr.len() == channels && rq.mult.len() == channels && rq.badd.len() == channels,
@@ -1996,7 +2145,7 @@ mod tests {
     }
 
     /// The tiles of `table` this CPU can run; prints which it skips.
-    fn runnable<E>(table: &'static [Tile<E>]) -> Vec<&'static Tile<E>> {
+    fn runnable<E: Elem>(table: &'static [Tile<E>]) -> Vec<&'static Tile<E>> {
         let mut tiles = Vec::new();
         for tile in table {
             if tile.level <= detected_level() && (!tile.vnni || vnni_detected()) {
@@ -2005,14 +2154,6 @@ mod tests {
                 eprintln!("skipping tile {}: this CPU lacks its instructions", tile.name);
             }
         }
-        tiles
-    }
-
-    /// Every int8 tile (both dot steps) this CPU can run; the portable
-    /// ones, which head both tables, once.
-    fn runnable_i8_tiles() -> Vec<&'static Tile<i32>> {
-        let mut tiles = runnable(&I8_TILES[0]);
-        tiles.extend(runnable(&I8_TILES[1][PORTABLE_I8.len()..]));
         tiles
     }
 
@@ -2138,6 +2279,18 @@ mod tests {
         assert!(pair_rows(&[], 0, Vec::new()).is_empty());
     }
 
+    /// A quad is four k steps in memory order, a row's tail padded with
+    /// zeros; B quads hold `x ^ 0x80`, k step `t` in byte `t`.
+    #[test]
+    fn quads_keep_k_order_and_flip_only_b() {
+        let rows = quad_rows(&[1, -1, 5, 7, 9, /* row 2 */ -128, 127, 0, 2, 3], 5);
+        assert_eq!(rows, [[1, -1, 5, 7], [9, 0, 0, 0], [-128, 127, 0, 2], [3, 0, 0, 0]]);
+        assert!(quad_rows(&[], 0).is_empty());
+        let b: [[i8; 8]; 4] = std::array::from_fn(|t| std::array::from_fn(|j| (10 * t + j) as i8 ^ i8::MIN));
+        let want: [Quad; 8] = std::array::from_fn(|j| std::array::from_fn(|t| (10 * t + j) as i8));
+        assert_eq!(quads8(b), want);
+    }
+
     /// The int8 contract, written out: plain i32 sums of i8 products.
     fn chain_i8(m: usize, k: usize, n: usize, a: &[i8], b_at: impl Fn(usize, usize) -> i8) -> Vec<i32> {
         let mut c = vec![0i32; m * n];
@@ -2149,125 +2302,259 @@ mod tests {
         c
     }
 
-    /// `gemm_tiled` in place into a poisoned i32 C.
+    /// An int8 element's A rows, for the tests: pairs widened, quads
+    /// padded.
+    trait TestRows: Int8 {
+        fn rows(a: &[i8], k: usize) -> Vec<Self>;
+    }
+    impl TestRows for i32 {
+        fn rows(a: &[i8], k: usize) -> Vec<i32> {
+            pair_rows(a, k, Vec::new())
+        }
+    }
+    impl TestRows for Quad {
+        fn rows(a: &[i8], k: usize) -> Vec<Quad> {
+            quad_rows(a, k)
+        }
+    }
+
+    /// `OFFSET·Σₖ a[i]`: what packing B adds to row `i`'s sums.
+    fn offsets<E: Int8>(a: &[i8], m: usize, k: usize) -> Vec<i32> {
+        (0..m).map(|i| E::OFFSET * a[i * k..(i + 1) * k].iter().map(|&v| v as i32).sum::<i32>()).collect()
+    }
+
+    /// `gemm_tiled` in place into a poisoned i32 C, less the offset its
+    /// element's B adds: the plain signed sums.
     #[allow(clippy::too_many_arguments)]
-    fn run_i8(tile: &Tile<i32>, kc: usize, nc: usize, m: usize, k: usize, n: usize, a: &[i8], b: BSrc<i32>) -> Vec<i32> {
+    fn run_i8<E: TestRows>(tile: &Tile<E>, kc: usize, nc: usize, m: usize, k: usize, n: usize, a: &[i8], b: BSrc<E>) -> Vec<i32> {
         let mut c = vec![i32::MIN; m * n];
-        gemm_tiled(tile, kc, nc, m, k, n, &pair_rows(a, k, Vec::new()), b, Sums::InPlace(&mut c), &|_, _, _| {});
+        gemm_tiled(tile, kc, nc, m, k, n, &E::rows(a, k), b, Sums::InPlace(&mut c), &|_, _, _| {});
+        for (i, off) in offsets::<E>(a, m, k).into_iter().enumerate() {
+            c[i * n..(i + 1) * n].iter_mut().for_each(|v| *v = v.wrapping_sub(off));
+        }
         c
     }
 
-    /// Every int8 tile — YMM and ZMM, `vpmaddwd` and `vpdpwssd`, full
-    /// and half width, interior and edge — must reproduce the scalar i32
-    /// sums exactly, and therefore each other: `K` of 0, below one pair,
-    /// odd, and across three `KC` panels; `M` below, at and past `MR`
-    /// (rows read in place and through the padded last panel); `N`
-    /// around every tile's `NR` (so `2·nr_eff ≤ nr` picks the half
-    /// kernel); `NC` of one panel; row-major, transposed and prepacked
-    /// B; and the ±127/−128 corners that would saturate a `maddubs`
-    /// kernel.
+    /// Every int8 tile — pairs (portable, YMM and ZMM `vpmaddwd`) and
+    /// quads (YMM and ZMM `vpdpbusd`), full and half width, interior and
+    /// edge — must reproduce the scalar i32 sums exactly, and therefore
+    /// each other: `K` of 0, 1, 2, 3, 5, 7 and 147 (every tail short of a
+    /// pair and of a quad) and across three `KC` panels; `M` below, at
+    /// and past `MR` (rows read in place and through the padded last
+    /// panel); `N` around every tile's `NR` (so `2·nr_eff ≤ nr` picks the
+    /// half kernel); `NC` of one panel; row-major, transposed and
+    /// prepacked B; and the ±127/−128 corners that would saturate a
+    /// `maddubs` kernel.
     #[test]
     fn every_i8_tile_matches_the_scalar_sums_exactly() {
-        let mut rng = StdRng::seed_from_u64(0x18);
-        for &(kc, nc) in &[(KC, NC), (8, NR_MAX)] {
-            for &m in &[1usize, 5, 13, 24] {
-                for &k in &[0usize, 1, 7, 4 * kc + 37] {
-                    for &n in &[1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 70] {
-                        let mut a = rand_i8(m * k, &mut rng);
-                        let mut b = rand_i8(k * n, &mut rng);
-                        if k >= 2 {
-                            (a[0], a[1], b[0], b[n]) = (-128, -128, 127, 127);
-                        }
-                        let mut bt = vec![0i8; n * k];
-                        for kk in 0..k {
-                            for j in 0..n {
-                                bt[j * k + kk] = b[kk * n + j];
+        fn sweep<E: TestRows>(tiles: &'static [Tile<E>]) {
+            let mut rng = StdRng::seed_from_u64(0x18);
+            for &(kc, nc) in &[(KC, NC), (8, NR_MAX)] {
+                for &m in &[1usize, 5, 13, 24] {
+                    for &k in &[0usize, 1, 2, 3, 5, 7, 147, 4 * kc + 37] {
+                        for &n in &[1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 70] {
+                            let mut a = rand_i8(m * k, &mut rng);
+                            let mut b = rand_i8(k * n, &mut rng);
+                            if k >= 2 {
+                                (a[0], a[1], b[0], b[n]) = (-128, -128, 127, 127);
                             }
-                        }
-                        let want = chain_i8(m, k, n, &a, |kk, j| b[kk * n + j]);
-                        for tile in runnable_i8_tiles() {
-                            let c = run_i8(tile, kc, nc, m, k, n, &a, BSrc::RowMajor(&b));
-                            assert_eq!(c, want, "{} nn {m}x{k}x{n} kc={kc} nc={nc}", tile.name);
-                            let c = run_i8(tile, kc, nc, m, k, n, &a, BSrc::Transposed(&bt));
-                            assert_eq!(c, want, "{} nt {m}x{k}x{n} kc={kc} nc={nc}", tile.name);
-                            // Whole-depth panels, packed the way `prepack_b` does for this tile.
-                            let (nr, ke) = (tile.nr, k.div_ceil(2));
-                            let mut packed = vec![i32::MIN; n.div_ceil(nr) * ke * nr];
-                            pack_b(&BSrc::Transposed(&bt), nr, n, k, 0, k, 0, n, &mut packed, &mut vec![0; 2 * ke * nr]);
-                            let c = run_i8(tile, kc, nc, m, k, n, &a, BSrc::Packed(&packed));
-                            assert_eq!(c, want, "{} packed {m}x{k}x{n} kc={kc} nc={nc}", tile.name);
+                            let mut bt = vec![0i8; n * k];
+                            for kk in 0..k {
+                                for j in 0..n {
+                                    bt[j * k + kk] = b[kk * n + j];
+                                }
+                            }
+                            let want = chain_i8(m, k, n, &a, |kk, j| b[kk * n + j]);
+                            for tile in runnable(tiles) {
+                                let c = run_i8(tile, kc, nc, m, k, n, &a, BSrc::RowMajor(&b));
+                                assert_eq!(c, want, "{} nn {m}x{k}x{n} kc={kc} nc={nc}", tile.name);
+                                let c = run_i8(tile, kc, nc, m, k, n, &a, BSrc::Transposed(&bt));
+                                assert_eq!(c, want, "{} nt {m}x{k}x{n} kc={kc} nc={nc}", tile.name);
+                                // Whole-depth panels, packed the way `prepack_b` does for this tile.
+                                let (nr, ke) = (tile.nr, k.div_ceil(E::PAIR));
+                                let mut packed = vec![E::ZERO; n.div_ceil(nr) * ke * nr];
+                                let mut stage = vec![0; E::PAIR * ke * nr];
+                                pack_b(&BSrc::Transposed(&bt), nr, n, k, 0, k, 0, n, &mut packed, &mut stage);
+                                let c = run_i8(tile, kc, nc, m, k, n, &a, BSrc::Packed(&packed));
+                                assert_eq!(c, want, "{} packed {m}x{k}x{n} kc={kc} nc={nc}", tile.name);
+                            }
                         }
                     }
                 }
             }
         }
+        sweep(&I8_TILES);
+        sweep(&QUAD_TILES);
+    }
+
+    /// The extremes of both elements' products at ResNet-50's largest K
+    /// (4608), under every int8 tile: all −128 and all 127 activations
+    /// (B; a quad's unsigned byte is then 0 or 255) against all −128 and
+    /// all 127 weights (A), row-major and as 3×3 patches. Every sum must
+    /// be exact — no saturating step anywhere.
+    #[test]
+    fn every_i8_tile_sums_the_extremes_exactly_at_the_largest_k() {
+        fn extremes<E: TestRows>(tiles: &'static [Tile<E>]) {
+            let (m, k, n) = (13usize, 4608usize, 33usize);
+            for (x, w) in [(-128i8, -128i8), (-128, 127), (127, -128), (127, 127)] {
+                let (a, b) = (vec![w; m * k], vec![x; k * n]);
+                let want = vec![x as i32 * w as i32 * k as i32; m * n];
+                let xs = vec![x; 512 * 8 * 8];
+                for tile in runnable(tiles) {
+                    assert_eq!(run_i8(tile, KC, NC, m, k, n, &a, BSrc::RowMajor(&b)), want, "{} x={x} w={w}", tile.name);
+                    // 3×3 over 512 channels of 6×6 (k = 4608), the patches
+                    // gathered from the padded input.
+                    let want = vec![x as i32 * w as i32 * k as i32; m * 36];
+                    crate::ops::conv::with_patches(&xs, [1, 512, 6, 6], (3, 3), (1, 1), (0, 0), (1, 1), (6, 6), x, |p| {
+                        let got = run_i8(tile, KC, NC, m, k, 36, &a, BSrc::Patches(&p));
+                        assert_eq!(got, want, "{} patches x={x} w={w}", tile.name);
+                    });
+                }
+            }
+        }
+        extremes(&I8_TILES);
+        extremes(&QUAD_TILES);
     }
 
     /// The patch packer under every int8 tile: same geometries as f32,
     /// with the padding cells carrying a non-zero fill (the activation
-    /// zero point) and odd `K`s pairing their tail with zero.
+    /// zero point) and `K`s that are not whole pairs or quads.
     #[test]
     fn every_i8_tile_packs_patches_like_the_explicit_gather() {
-        let mut rng = StdRng::seed_from_u64(0x9A7D);
-        for &kc in &[KC, 8] {
-            for case in patch_cases(2 * kc) {
-                let (imgs, c, _, cg, h, w, kh, kw, stride, ..) = case;
-                let x = rand_i8(imgs * c * h * w, &mut rng);
-                let (m, k) = (13, cg * kh * kw);
-                let a = rand_i8(m * k, &mut rng);
-                with_case_patches(case, &x, -77, |patches, n, b_at| {
-                    let want = chain_i8(m, k, n, &a, b_at);
-                    for tile in runnable_i8_tiles() {
-                        let got = run_i8(tile, kc, NC, m, k, n, &a, BSrc::Patches(patches));
-                        assert_eq!(got, want, "{} patches {h}x{w} k{kh}x{kw} s{stride:?} kc={kc}", tile.name);
-                    }
-                });
+        fn gather<E: TestRows>(tiles: &'static [Tile<E>]) {
+            let mut rng = StdRng::seed_from_u64(0x9A7D);
+            for &kc in &[KC, 8] {
+                for case in patch_cases(E::PAIR * kc) {
+                    let (imgs, c, _, cg, h, w, kh, kw, stride, ..) = case;
+                    let x = rand_i8(imgs * c * h * w, &mut rng);
+                    let (m, k) = (13, cg * kh * kw);
+                    let a = rand_i8(m * k, &mut rng);
+                    with_case_patches(case, &x, -77, |patches, n, b_at| {
+                        let want = chain_i8(m, k, n, &a, b_at);
+                        for tile in runnable(tiles) {
+                            let got = run_i8(tile, kc, NC, m, k, n, &a, BSrc::Patches(patches));
+                            assert_eq!(got, want, "{} patches {h}x{w} k{kh}x{kw} s{stride:?} kc={kc}", tile.name);
+                        }
+                    });
+                }
             }
         }
+        gather(&I8_TILES);
+        gather(&QUAD_TILES);
+    }
+
+    /// `requant_one` of `sums` (row-major `[m, n]`) with coefficients
+    /// `(zp_corr, mult, badd)` per row or per column, into `[n/p, m, p]`.
+    #[allow(clippy::too_many_arguments)]
+    fn requant_all(sums: &[i32], m: usize, n: usize, p: usize, rq: &Requant) -> Vec<i8> {
+        let mut want = vec![0i8; m * n];
+        for (idx, &acc) in sums.iter().enumerate() {
+            let (i, j) = (idx / n, idx % n);
+            let c = if rq.per_col { j } else { i };
+            want[(j / p * m + i) * p + j % p] =
+                crate::quant::requant_one(acc.wrapping_sub(rq.zp_corr[c]), rq.mult[c], rq.badd[c], rq.relu, rq.out_zp);
+        }
+        want
     }
 
     /// The requantizing entry point under every int8 tile against
     /// `requant_one` over the scalar sums, coefficients per row (a conv)
-    /// and per column (a linear): images of 1, 3, 4, 20 and all columns,
-    /// so spans end inside, at and across 8- and 16-lane chunks (the YMM
-    /// tiles' epilogue and the ZMM tiles') and column blocks
-    /// (`NC` of one panel: C is a reused block); thread count must not
-    /// change a byte either.
+    /// and, for pairs, per column (a linear's): images of 1, 3, 4, 20 and
+    /// all columns, so spans end inside, at and across 8- and 16-lane
+    /// chunks (the YMM tiles' epilogue and the ZMM tiles') and column
+    /// blocks (`NC` of one panel: C is a reused block); thread count must
+    /// not change a byte either. A quad tile's `zp_corr` carries its
+    /// offset.
     #[test]
     fn gemm_i8_requantizes_into_image_spans_like_the_scalar_engine() {
-        let (m, k) = (15usize, 21usize);
-        let mut rng = StdRng::seed_from_u64(0xC0);
-        let a = rand_i8(m * k, &mut rng);
-        let prev = crate::threading::num_threads();
-        for &(p, imgs) in &[(1usize, 67usize), (3, 23), (4, 17), (20, 3), (60, 1)] {
-            let n = p * imgs;
-            let b = rand_i8(k * n, &mut rng);
-            let sums = chain_i8(m, k, n, &a, |kk, j| b[kk * n + j]);
-            for (per_col, relu) in [(false, false), (false, true), (true, false), (true, true)] {
-                let channels = if per_col { n } else { m };
-                let zp_corr: Vec<i32> = (0..channels).map(|c| 31 * c as i32 - 200).collect();
-                let mult: Vec<f32> = (0..channels).map(|c| 0.004 + 0.0003 * c as f32).collect();
-                let badd: Vec<f32> = (0..channels).map(|c| c as f32 * 0.7 - 4.0).collect();
-                let rq = Requant { zp_corr: &zp_corr, mult: &mult, badd: &badd, per_col, relu, out_zp: 3 };
-                let mut want = vec![0i8; m * n];
-                for (idx, &acc) in sums.iter().enumerate() {
-                    let (i, j) = (idx / n, idx % n);
-                    let c = if per_col { j } else { i };
-                    want[(j / p * m + i) * p + j % p] =
-                        crate::quant::requant_one(acc.wrapping_sub(zp_corr[c]), mult[c], badd[c], relu, 3);
-                }
-                for tile in runnable_i8_tiles() {
-                    for threads in [1, 7] {
-                        crate::threading::set_num_threads(threads);
-                        let mut got = vec![i8::MIN; m * n];
-                        let pairs = pair_rows(&a, k, Vec::new());
-                        gemm_i8_tiled(tile, 8, NR_MAX, m, k, n, &pairs, BSrc::RowMajor(&b), &rq, p, &mut got);
-                        assert_eq!(got, want, "{} p={p} per_col={per_col} relu={relu} threads={threads}", tile.name);
+        fn spans<E: TestRows>(tiles: &'static [Tile<E>]) {
+            let (m, k) = (15usize, 21usize);
+            let mut rng = StdRng::seed_from_u64(0xC0);
+            let a = rand_i8(m * k, &mut rng);
+            let prev = crate::threading::num_threads();
+            for &(p, imgs) in &[(1usize, 67usize), (3, 23), (4, 17), (20, 3), (60, 1)] {
+                let n = p * imgs;
+                let b = rand_i8(k * n, &mut rng);
+                let sums = chain_i8(m, k, n, &a, |kk, j| b[kk * n + j]);
+                for (per_col, relu) in [(false, false), (false, true), (true, false), (true, true)] {
+                    if per_col && E::OFFSET != 0 {
+                        continue;
+                    }
+                    let channels = if per_col { n } else { m };
+                    let zp_corr: Vec<i32> = (0..channels).map(|c| 31 * c as i32 - 200).collect();
+                    let mult: Vec<f32> = (0..channels).map(|c| 0.004 + 0.0003 * c as f32).collect();
+                    let badd: Vec<f32> = (0..channels).map(|c| c as f32 * 0.7 - 4.0).collect();
+                    let rq = Requant { zp_corr: &zp_corr, mult: &mult, badd: &badd, per_col, relu, out_zp: 3 };
+                    let want = requant_all(&sums, m, n, p, &rq);
+                    let shifted: Vec<i32> = if per_col {
+                        zp_corr.clone()
+                    } else {
+                        zp_corr.iter().zip(offsets::<E>(&a, m, k)).map(|(&z, o)| z.wrapping_add(o)).collect()
+                    };
+                    let rq = Requant { zp_corr: &shifted, ..rq };
+                    for tile in runnable(tiles) {
+                        for threads in [1, 7] {
+                            crate::threading::set_num_threads(threads);
+                            let mut got = vec![i8::MIN; m * n];
+                            gemm_i8_tiled(tile, 8, NR_MAX, m, k, n, &E::rows(&a, k), BSrc::RowMajor(&b), &rq, p, &mut got);
+                            assert_eq!(got, want, "{} p={p} per_col={per_col} relu={relu} threads={threads}", tile.name);
+                        }
                     }
                 }
             }
+            crate::threading::set_num_threads(prev);
         }
-        crate::threading::set_num_threads(prev);
+        spans(&I8_TILES);
+        spans(&QUAD_TILES);
+    }
+
+    /// A linear at 1 and 16 rows under every int8 tile, the way its
+    /// element runs one: quads as a conv over one-patch images (the
+    /// weight is A, the input rows transposed B, `p = 1`, coefficients per
+    /// row), pairs with the input rows as A and the weight prepacked as B
+    /// (coefficients per column) — against `requant_one` over the scalar
+    /// sums, `K` a whole number of quads and not.
+    #[test]
+    fn every_i8_tile_runs_a_linear_at_1_and_16_rows() {
+        fn linear<E: TestRows>(tiles: &'static [Tile<E>]) {
+            let mut rng = StdRng::seed_from_u64(0x11E);
+            for &(rows, k, o) in &[(1usize, 300usize, 37usize), (16, 300, 37), (1, 147, 40), (16, 147, 40)] {
+                let (x, w) = (rand_i8(rows * k, &mut rng), rand_i8(o * k, &mut rng));
+                let sums = chain_i8(rows, k, o, &x, |kk, j| w[j * k + kk]);
+                let zp_corr: Vec<i32> = (0..o).map(|c| 13 * c as i32 - 90).collect();
+                let mult: Vec<f32> = (0..o).map(|c| 0.003 + 0.0002 * c as f32).collect();
+                let badd: Vec<f32> = (0..o).map(|c| c as f32 * 0.5 - 6.0).collect();
+                let rq = Requant { zp_corr: &zp_corr, mult: &mult, badd: &badd, per_col: true, relu: false, out_zp: -1 };
+                let want = requant_all(&sums, rows, o, o, &rq);
+                for tile in runnable(tiles) {
+                    let mut got = vec![i8::MIN; rows * o];
+                    if E::OFFSET == 0 {
+                        let (nr, ke) = (tile.nr, k.div_ceil(E::PAIR));
+                        let mut panels = vec![E::ZERO; o.div_ceil(nr) * ke * nr];
+                        pack_b(&BSrc::Transposed(&w), nr, o, k, 0, k, 0, o, &mut panels, &mut vec![0; E::PAIR * ke * nr]);
+                        gemm_i8_tiled(tile, KC, NC, rows, k, o, &E::rows(&x, k), BSrc::Packed(&panels), &rq, o, &mut got);
+                    } else {
+                        let shifted: Vec<i32> = zp_corr.iter().zip(offsets::<E>(&w, o, k)).map(|(&z, off)| z + off).collect();
+                        let rq = Requant { zp_corr: &shifted, per_col: false, ..rq };
+                        gemm_i8_tiled(tile, KC, NC, o, k, rows, &E::rows(&w, k), BSrc::Transposed(&x), &rq, 1, &mut got);
+                    }
+                    assert_eq!(got, want, "{} linear {rows}x{k} -> {o}", tile.name);
+                }
+            }
+        }
+        linear(&I8_TILES);
+        linear(&QUAD_TILES);
+    }
+
+    /// A quad GEMM's offset is per row, so coefficients per column are
+    /// refused before anything runs.
+    #[test]
+    #[should_panic(expected = "coefficients must be")]
+    fn a_quad_gemm_refuses_coefficients_per_column() {
+        let (zp_corr, mult, badd) = (vec![0; 4], vec![1.0; 4], vec![0.0; 4]);
+        let rq = Requant { zp_corr: &zp_corr, mult: &mult, badd: &badd, per_col: true, relu: false, out_zp: 0 };
+        let mut out = vec![0i8; 8];
+        gemm_i8_tiled(&QUAD_TILES[0], KC, NC, 2, 4, 4, &[[0; 4]; 2], BSrc::RowMajor(&[0; 16]), &rq, 4, &mut out);
     }
 
     /// The quantize lane at every width this CPU can run; prints which it

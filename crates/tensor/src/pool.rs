@@ -4,8 +4,8 @@
 //!
 //! Kernels request output and scratch buffers through one generic API,
 //! [`alloc`] / [`alloc_zeroed`] / [`alloc_empty`], for each [`PoolElem`]
-//! (`f32`, and `i8` / `i32` for the quantized path); the executor
-//! returns a dying intermediate's storage via [`recycle_tensor`] (or a
+//! (`f32`, and `i8` / `i32` / `[i8; 4]` for the quantized path); the
+//! executor returns a dying intermediate's storage via [`recycle_tensor`] (or a
 //! kernel its scratch via [`recycle`]) the moment liveness says it is
 //! dead. Buffers live in power-of-two element buckets, **segregated by
 //! element type** — an `i8` buffer can never be handed back as an `f32`
@@ -41,6 +41,7 @@ type Buckets<T> = [Mutex<Vec<Vec<T>>>; N_BUCKETS];
 static BUCKETS_F32: Buckets<f32> = [const { Mutex::new(Vec::new()) }; N_BUCKETS];
 static BUCKETS_I8: Buckets<i8> = [const { Mutex::new(Vec::new()) }; N_BUCKETS];
 static BUCKETS_I32: Buckets<i32> = [const { Mutex::new(Vec::new()) }; N_BUCKETS];
+static BUCKETS_QUAD: Buckets<[i8; 4]> = [const { Mutex::new(Vec::new()) }; N_BUCKETS];
 
 /// Element types the pool can bucket. Each type owns a separate static
 /// bucket array so recycled storage never crosses dtypes.
@@ -68,6 +69,7 @@ macro_rules! pool_elem {
 pool_elem!(f32, 0.0, BUCKETS_F32);
 pool_elem!(i8, 0, BUCKETS_I8);
 pool_elem!(i32, 0, BUCKETS_I32);
+pool_elem!([i8; 4], [0; 4], BUCKETS_QUAD);
 
 /// Nesting depth of live [`PoolGuard`]s; pooling is active when > 0.
 static ACTIVE: AtomicUsize = AtomicUsize::new(0);
@@ -285,6 +287,7 @@ pub fn clear() {
     clear_buckets::<f32>();
     clear_buckets::<i8>();
     clear_buckets::<i32>();
+    clear_buckets::<[i8; 4]>();
 }
 
 #[cfg(test)]

@@ -10,8 +10,9 @@
 //! ## One engine
 //!
 //! The linear/conv matmul core is `ops::simd`'s `gemm_i8` at
-//! every `FX_SIMD` level: the one GEMM driver over int8 k-pair tiles
-//! (the portable tile at level `0`, `vpmaddwd`/`vpdpwssd` ones above),
+//! every `FX_SIMD` level: the one GEMM driver over int8 k-quad tiles
+//! (`vpdpbusd`, with VNNI) or k-pair ones (`vpmaddwd`, or the portable
+//! tile at level `0`),
 //! exact i32 accumulation, requantization fused into its write-back
 //! through `requant_one` or its op-for-op vector twin. Every tile's
 //! `i8` outputs are therefore **bit-identical** — `FX_SIMD` changes
@@ -33,7 +34,7 @@
 
 use crate::error::{Error, Result};
 use crate::ops::conv::{out_extent, with_patches};
-use crate::ops::simd::{self, BSrc};
+use crate::ops::simd::{self, BSrc, Int8, PatchSrc, Quad};
 use crate::pool;
 use crate::tensor::{Storage, Tensor};
 use std::borrow::Cow;
@@ -323,22 +324,25 @@ fn weight_row_sums(w: &[i8], out_features: usize, k: usize) -> Vec<i32> {
 /// is invariant across inference calls: its per-output-channel scales,
 /// its row sums (the activation zero point folds out of the GEMM through
 /// them, FBGEMM's row-offset identity `Σ(x−zp)·w = Σx·w − zp·Σw`) and —
-/// built lazily, on first use — the operand form the int8 GEMM reads it
-/// in: widened to k-pair rows as a conv's A, or packed into whole-depth
-/// panels as a linear's B.
+/// built lazily, on first use, for the int8 element the process runs —
+/// any copy the GEMM reads instead of the raw rows. Quads read the raw
+/// rows in place, so `quads` is filled only when `k % 4 ≠ 0` (rows padded
+/// to whole quads); pairs widen a conv's A into `pairs` and pack a
+/// linear's B into `panels`, 2 bytes a weight.
 #[derive(Clone)]
 pub(crate) struct PrepackedWeights {
     n: usize,
     k: usize,
     scales: Vec<f32>,
     row_sums: Vec<i32>,
+    quads: OnceLock<Vec<Quad>>,
     pairs: OnceLock<Vec<i32>>,
     panels: OnceLock<Vec<i32>>,
 }
 
 /// The packed form a quantized weight's storage owns, filled by the
 /// first quantized conv or linear that reads it, so it lives and dies
-/// with the weight: widening amortizes to zero in steady-state serving,
+/// with the weight: packing amortizes to zero in steady-state serving,
 /// and a dropped (swapped-out) model frees it at once. Boxed, so an
 /// activation's storage grows by a pointer and a once-flag (16 bytes);
 /// not part of the tensor's value, so equality ignores it.
@@ -357,7 +361,8 @@ impl PartialEq for PackSlot {
 fn prepack_weights(w: &Tensor, n: usize, k: usize) -> Result<Cow<'_, PrepackedWeights>> {
     let build = || -> Result<PrepackedWeights> {
         let (scales, row_sums) = (weight_scales(w, n)?, weight_row_sums(w.as_qi8()?, n, k));
-        Ok(PrepackedWeights { n, k, scales, row_sums, pairs: OnceLock::new(), panels: OnceLock::new() })
+        let (quads, pairs, panels) = (OnceLock::new(), OnceLock::new(), OnceLock::new());
+        Ok(PrepackedWeights { n, k, scales, row_sums, quads, pairs, panels })
     };
     let Storage::QI8 { packed: PackSlot(slot), .. } = w.storage() else {
         return build().map(Cow::Owned);
@@ -379,9 +384,10 @@ fn prepack_weights(w: &Tensor, n: usize, k: usize) -> Result<Cow<'_, PrepackedWe
 /// One quantized linear or conv call, lowered to
 /// `out[img, i, patch] = requant(Σₖ w[i][k]·b[k][img·p + patch])` over
 /// the weight `[o, k]`: the prepacked weight plus the per-output-row
-/// requantization coefficients — `zp_corr = x_zp·Σₖ w`, `mult =
-/// x_scale·w_scale/out_scale`, `badd = bias/out_scale` — computed
-/// **here, once**, so every tile requantizes identical coefficients.
+/// requantization coefficients — `zp_corr = (x_zp + OFFSET)·Σₖ w`
+/// (the element's [`Int8::OFFSET`]), `mult = x_scale·w_scale/out_scale`,
+/// `badd = bias/out_scale` — computed **here, once**, so every tile
+/// requantizes identical coefficients.
 struct QGemm<'a> {
     w: &'a [i8],
     k: usize,
@@ -421,9 +427,10 @@ impl<'a> QGemm<'a> {
         }
         let mut mult = pool::alloc_empty::<f32>(o);
         mult.extend(prep.scales.iter().map(|&ws| x_scale * ws * inv_out));
+        let offset = if simd::quads() { Quad::OFFSET } else { i32::OFFSET };
         let mut zp_corr = pool::alloc::<i32>(o);
         for (c, &s) in zp_corr.iter_mut().zip(&prep.row_sums) {
-            *c = x_zp.wrapping_mul(s);
+            *c = x_zp.wrapping_add(offset).wrapping_mul(s);
         }
         Ok(QGemm { w: w.as_qi8()?, k, prep, zp_corr, mult, badd, relu, out_zp })
     }
@@ -439,23 +446,38 @@ impl<'a> QGemm<'a> {
         }
     }
 
-    /// A conv: the weight is A (widened once), the `cols` patches of `b`,
-    /// `p` per image, are B, so each output row is a channel and lands as
-    /// NCHW spans.
-    fn run_conv(&self, b: BSrc<i32>, cols: usize, p: usize, out: &mut [i8]) {
-        let (o, k) = (self.zp_corr.len(), self.k);
+    /// The weight as quad rows, if this process runs quads: the raw rows
+    /// in place, or padded ones built once.
+    fn quads(&self) -> Option<&[Quad]> {
+        simd::quads().then(|| match self.k % 4 {
+            0 => self.w.as_chunks().0,
+            _ => self.prep.quads.get_or_init(|| simd::quad_rows(self.w, self.k)),
+        })
+    }
+
+    /// A conv: the weight is A, the `cols` patches, `p` per image, are B,
+    /// so each output row is a channel and lands as NCHW spans.
+    fn run_conv(&self, patches: &PatchSrc<i8>, cols: usize, p: usize, out: &mut [i8]) {
+        let (o, k, rq) = (self.zp_corr.len(), self.k, self.requant(false));
+        if let Some(quads) = self.quads() {
+            return simd::gemm_i8(o, k, cols, quads, BSrc::Patches(patches), &rq, p, out);
+        }
         let pairs = self.prep.pairs.get_or_init(|| {
             simd::pair_rows(self.w, k, Vec::with_capacity(o * k.div_ceil(2)))
         });
-        simd::gemm_i8(o, k, cols, pairs, b, &self.requant(false), p, out);
+        simd::gemm_i8(o, k, cols, pairs, BSrc::Patches(patches), &rq, p, out);
     }
 
-    /// A linear: the `rows` input rows `x` are A (widened per call —
-    /// 1/`o` of the GEMM's work), the weight is B, packed once, so the
-    /// output is row-major `[rows, o]` and a one-row request reads each
+    /// A linear. Under quads it is a conv over `rows` one-patch images
+    /// (the input rows `x` are B), so `[rows, o, 1]` is row-major. Under
+    /// pairs the input rows are A (widened per call — 1/`o` of the work)
+    /// and the weight is B, packed once, so a one-row request reads each
     /// weight once, as part of a vector.
     fn run_linear(&self, x: &[i8], rows: usize, out: &mut [i8]) {
         let (o, k) = (self.zp_corr.len(), self.k);
+        if let Some(quads) = self.quads() {
+            return simd::gemm_i8(o, k, rows, quads, BSrc::Transposed(x), &self.requant(false), 1, out);
+        }
         let panels = self.prep.panels.get_or_init(|| simd::prepack_b(self.w, o, k));
         let a = simd::pair_rows(x, k, pool::alloc_empty(rows * k.div_ceil(2)));
         simd::gemm_i8(rows, k, o, &a, BSrc::Packed(panels), &self.requant(true), o.max(1), out);
@@ -569,7 +591,7 @@ pub fn quantized_conv2d(
     let zp_i8 = x_zp.clamp(QMIN, QMAX) as i8;
     let mut out = pool::alloc::<i8>(n * o * p);
     with_patches(xq, [n, c, h, wd], (kh, kw), stride, padding, (1, 1), (oh, ow), zp_i8, |patches| {
-        g.run_conv(BSrc::Patches(&patches), n * p, p, &mut out)
+        g.run_conv(&patches, n * p, p, &mut out)
     });
     g.recycle();
     let scheme = QScheme::PerTensor { scale: out_scale, zero_point: out_zp };
@@ -841,7 +863,7 @@ mod tests {
     fn int8_linear_and_conv_match_the_direct_oracle_bitwise() {
         let mut rng = StdRng::seed_from_u64(0xE17);
         // Linear over odd shapes, with and without relu.
-        for &(m, k, n) in &[(1usize, 8usize, 4usize), (5, 33, 17), (8, 64, 40), (3, 127, 19)] {
+        for &(m, k, n) in &[(1usize, 8usize, 4usize), (5, 33, 17), (8, 64, 40), (3, 127, 19), (16, 36, 23)] {
             let x = Tensor::rand_uniform(&[m, k], -2.0, 2.0, &mut rng);
             let w = Tensor::rand_uniform(&[n, k], -1.0, 1.0, &mut rng);
             let b = Tensor::rand_uniform(&[n], -0.3, 0.3, &mut rng);
@@ -1002,10 +1024,52 @@ mod tests {
         })
     }
 
-    /// The widened k-pair rows a weight's storage owns, if any.
-    fn pairs_of(w: &Tensor) -> Option<*const i32> {
+    /// The operand copy a 1×1 conv stack's weight (`k = 6`) gets, if
+    /// its storage owns one: widened pair rows, or quad rows padded to 8.
+    fn copy_of(w: &Tensor) -> Option<*const u8> {
         let Storage::QI8 { packed: PackSlot(slot), .. } = w.storage() else { return None };
-        slot.get()?.pairs.get().map(|v| v.as_ptr())
+        let p = slot.get()?;
+        p.pairs.get().map(|v| v.as_ptr().cast()).or_else(|| p.quads.get().map(|v| v.as_ptr().cast()))
+    }
+
+    impl PackSlot {
+        /// Bytes of the operand copies this slot keeps beside the raw
+        /// weight (padded quads, widened pairs, packed panels): 0 for a
+        /// weight read in place.
+        pub(crate) fn copy_bytes(&self) -> usize {
+            fn bytes<T>(copy: &OnceLock<Vec<T>>) -> usize {
+                copy.get().map_or(0, |v| size_of_val(&v[..]))
+            }
+            self.0.get().map_or(0, |p| bytes(&p.quads) + bytes(&p.pairs) + bytes(&p.panels))
+        }
+    }
+
+    /// The bytes of operand copies kept beside `w`'s raw i8.
+    fn copy_bytes(w: &Tensor) -> usize {
+        let Storage::QI8 { packed, .. } = w.storage() else { return 0 };
+        packed.copy_bytes()
+    }
+
+    /// Under quads a conv or linear whose `k` is a whole number of quads
+    /// reads its weight's raw rows in place, so its slot keeps no copy;
+    /// any other `k` keeps rows padded to whole quads. Under pairs every
+    /// weight keeps a widened copy, 2 bytes a weight or more.
+    #[test]
+    fn a_quad_gemm_keeps_no_copy_of_a_whole_quad_weight() {
+        let mut rng = StdRng::seed_from_u64(0x4AD);
+        let mut q = |shape: &[usize]| quantize_per_tensor(&Tensor::rand_uniform(shape, -1.0, 1.0, &mut rng), 0.02, 0);
+        let (x8, x6, r8) = (q(&[1, 8, 3, 3]).unwrap(), q(&[1, 6, 3, 3]).unwrap(), q(&[2, 8]).unwrap());
+        let (w8, w6, l8) = (q(&[5, 8, 1, 1]).unwrap(), q(&[5, 6, 1, 1]).unwrap(), q(&[7, 8]).unwrap());
+        for (x, w) in [(&x8, &w8), (&x6, &w6)] {
+            quantized_conv2d(x, w, None, (1, 1), (0, 0), 0.05, 3, false).unwrap();
+        }
+        quantized_linear(&r8, &l8, None, 0.05, 3, false).unwrap();
+        if simd::quads() {
+            assert_eq!([copy_bytes(&w8), copy_bytes(&w6), copy_bytes(&l8)], [0, 5 * 2 * 4, 0]);
+        } else {
+            assert_eq!([copy_bytes(&w8), copy_bytes(&w6)], [5 * 4 * 4, 5 * 3 * 4]);
+            assert!(copy_bytes(&l8) >= 2 * 7 * 8, "{}", copy_bytes(&l8));
+        }
     }
 
     /// Two resident quantized models whose weights together exceed any
@@ -1018,15 +1082,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xCAC4E);
         let (a, b) = (conv_stack(54, &mut rng), conv_stack(54, &mut rng));
         let x = quantize_per_tensor(&Tensor::rand_uniform(&[1, 6, 3, 3], -1.0, 1.0, &mut rng), 0.01, 5).unwrap();
-        assert!(a.iter().chain(&b).all(|w| pairs_of(w).is_none()), "widening is lazy");
+        assert!(a.iter().chain(&b).all(|w| copy_of(w).is_none()), "widening is lazy");
         let (ya, yb) = (run_stack(&a, &x), run_stack(&b, &x));
-        let widened: Vec<_> = a.iter().chain(&b).map(pairs_of).collect();
+        let widened: Vec<_> = a.iter().chain(&b).map(copy_of).collect();
         assert!(widened.iter().all(Option::is_some), "the first pass widens every weight");
         for _ in 0..3 {
             assert_eq!(run_stack(&a, &x).as_qi8().unwrap(), ya.as_qi8().unwrap());
             assert_eq!(run_stack(&b, &x).as_qi8().unwrap(), yb.as_qi8().unwrap());
         }
-        let kept: Vec<_> = a.iter().chain(&b).map(pairs_of).collect();
+        let kept: Vec<_> = a.iter().chain(&b).map(copy_of).collect();
         assert_eq!(kept, widened, "a resident weight was widened again");
     }
 
@@ -1044,16 +1108,16 @@ mod tests {
         let kept_alive = model.clone();
         drop(model);
         for w in kept_alive {
-            assert!(pairs_of(&w).is_some(), "a run fills every weight's slot");
+            assert!(copy_of(&w).is_some(), "a run fills every weight's slot");
             // The only owner left is this clone: no cache holds the
             // storage, so taking it drops the packed form with it.
             assert!(w.try_take_qi8().is_some(), "a dropped model's storage must not outlive it");
         }
 
-        let kept = pairs_of(&survivor[0]);
+        let kept = copy_of(&survivor[0]);
         assert!(kept.is_some());
         assert_eq!(run_stack(&survivor, &x).as_qi8().unwrap(), y.as_qi8().unwrap());
-        assert_eq!(pairs_of(&survivor[0]), kept, "the survivor keeps its packed form");
+        assert_eq!(copy_of(&survivor[0]), kept, "the survivor keeps its packed form");
     }
 
     /// One weight storage read under three views: the view that filled

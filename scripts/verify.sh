@@ -20,9 +20,12 @@
 #    served fused graph vs the solo un-fused run, int8 across engines
 #    and batch positions, f32↔int8 hot swap (which also checks that
 #    no int8 weight outlives the swap back to f32). The
-#    fx-tensor kernel suite additionally runs with VNNI masked off at
-#    both vector widths, so all four int8 dot-step × width tile
-#    instances execute on an AVX-512 VNNI builder.
+#    fx-tensor kernel suite, the golden-bits suite and the int8 parity
+#    suite additionally run with VNNI masked off at both vector widths:
+#    `FX_VNNI` chooses the int8 element (k-quads under `vpdpbusd`, or
+#    k-pairs under `vpmaddwd`), so on an AVX-512 VNNI host both
+#    elements run at both widths and the model-level hashes are checked
+#    under each.
 # 4. benchmark contract smoke  — two seconds of the benchmark of record's
 #    transform_resnet50 workload; it must report `"correct":true` (which
 #    includes `fx_backend::compile` producing the 73 fused instructions
@@ -103,7 +106,12 @@
 #    crates/tensor/src (the caller names where the sums accumulate, every
 #    finished row leaves through one callback, and f32 has one entry,
 #    DESIGN §5d). The kept `gemm_nchw_*` test names and the `Dot` trait's
-#    `unsafe fn dot(` step are not definitions of these.
+#    `unsafe fn dot(` step are not definitions of these. And one int8
+#    element per dot step: no call of the deleted k-pair VNNI step
+#    (`dpwssd_epi32(`) nor of the saturating u8×s8 forms
+#    (`dpbusds_epi32(`, `maddubs_epi16(`) under crates/tensor/src —
+#    the k-quads sum with `vpdpbusd`, which does not saturate, and module
+#    docs that say why the others are avoided name them without a call.
 # 7. rustdoc gate              — `cargo doc --no-deps --workspace` with
 #    `-D warnings`: no broken or private intra-doc link, no ambiguous
 #    one.
@@ -130,8 +138,9 @@ for simd in 1 avx2 0; do
     FX_SIMD=$simd FX_VALIDATE=1 FX_FUZZ_CASES=8 cargo test -q --release --workspace
 done
 for simd in avx512 avx2; do
-    echo "-- FX_SIMD=$simd FX_VNNI=0 (fx-tensor)"
+    echo "-- FX_SIMD=$simd FX_VNNI=0 (fx-tensor, golden bits, int8 parity)"
     FX_SIMD=$simd FX_VNNI=0 cargo test -q --release -p fx-tensor
+    FX_SIMD=$simd FX_VNNI=0 cargo test -q --release -p fx --test golden_bits --test quant_parity
 done
 
 echo "== benchmark contract smoke: transform_resnet50 reports correct =="
@@ -245,6 +254,14 @@ if grep -rnE "$retired_path" crates/tensor/src; then
     exit 1
 fi
 echo "no fn gemm_rows / gemm_nchw / gemm_nn_into / gemm_nn / dot and no let whole under crates/tensor/src"
+
+echo "== int8-element gate: no k-pair VNNI step, no saturating u8 x s8 step =="
+retired_int8='(dpwssd_epi32|dpbusds_epi32|maddubs_epi16)\('
+if grep -rnE "$retired_int8" crates/tensor/src; then
+    echo "a retired int8 dot step is back; k-quads multiply with vpdpbusd, k-pairs with vpmaddwd" >&2
+    exit 1
+fi
+echo "no dpwssd_epi32( / dpbusds_epi32( / maddubs_epi16( under crates/tensor/src"
 
 echo "== rustdoc gate: the docs build warning-free =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
